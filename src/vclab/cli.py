@@ -96,6 +96,11 @@ def _parse_instance_list(text: str):
     return out
 
 
+def _pool_file(path_or_inline: str) -> list[str]:
+    """The pool argument as a manifest input, when it names a file."""
+    return [path_or_inline] if Path(path_or_inline).is_file() else []
+
+
 def _load_pool(path_or_inline: str):
     path = Path(path_or_inline)
     if path.exists():
@@ -150,7 +155,7 @@ def _cmd_vcdim(args):
         "nodes_used": verdict.nodes_used,
         "pool": [instance_to_json(x) for x in verdict.pool],
     }
-    return result, None, [args.space]
+    return result, None, [args.space, *_pool_file(args.pool)]
 
 
 def _cmd_growth(args):
@@ -158,7 +163,8 @@ def _cmd_growth(args):
     pool = _load_pool(args.pool)
     value = growth_function(space, args.m, pool)
     return ({"m": args.m, "value": value,
-             "pool": [instance_to_json(x) for x in pool]}, None, [args.space])
+             "pool": [instance_to_json(x) for x in pool]}, None,
+            [args.space, *_pool_file(args.pool)])
 
 
 def _cmd_sauer(args):
@@ -211,8 +217,7 @@ def _cmd_ucp_sim(args):
     def runner(space, dist, m):
         return estimate_ucp_probability(space, dist, m, args.eps,
                                         trials=args.trials, seed=args.seed,
-                                        exact=args.exact,
-                                        threads=args.threads)
+                                        exact=args.exact)
     return _sim_common(args, runner)
 
 
@@ -221,8 +226,7 @@ def _cmd_pac_sim(args):
         learner = _resolve_learner(args.learner, space)
         return estimate_pac_probability(learner, space, dist, m, args.eps,
                                         trials=args.trials, seed=args.seed,
-                                        exact=args.exact,
-                                        threads=args.threads)
+                                        exact=args.exact)
     return _sim_common(args, runner)
 
 
@@ -230,6 +234,7 @@ def _cmd_nfl(args):
     inputs = []
     if args.instances:
         instances = _load_pool(args.instances)
+        inputs += _pool_file(args.instances)
     else:
         instances = [as_instance(i) for i in range(2 * args.m)]
     if args.space == "full":
@@ -392,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--exact", action="store_true")
-        p.add_argument("--threads", type=int, default=1)
         if with_learner:
             p.add_argument("--learner", required=True,
                            help="builtin:NAME, file:PATH, or random:SEED")

@@ -5,10 +5,15 @@ enumeration, and estimates event probabilities over product distributions
 either by exact enumeration (small state spaces) or by seeded Monte Carlo
 with Wilson confidence intervals.
 
+Both modes work on counts over support indices: a drawn multi-sample
+carries how often each support entry was drawn, and exact mode enumerates
+multisets of support indices with multinomial weights (ordered tuples only
+for learners that depend on sample order).
+
 Reproducibility: sampling is inverse-CDF over the support in canonical
 sample order, and each trial runs on its own PRNG seeded by
 sha256(master_seed, trial_index), so results are independent of execution
-order or thread scheduling.
+order.
 
 Scope: an estimate certifies the one distribution it was run against.
 Guarantees that hold uniformly over every distribution come from the
@@ -21,12 +26,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Mapping, Sequence
+from itertools import accumulate, combinations_with_replacement, product
+from typing import Callable, Sequence
 
 from .learners import LearningFunction
 from .model import (
@@ -37,6 +40,7 @@ from .model import (
     Instance,
     MultiSample,
     Sample,
+    _labeling_sample_error_counts,
     _labeling_true_error,
     _table_for,
     approximation_error,
@@ -46,6 +50,7 @@ from .model import (
 )
 
 EXACT_STATE_LIMIT = 10 ** 6
+EXACT_SAMPLE_LIMIT = 10 ** 7
 SEED_RULE = "sha256(master_seed:trial_index)"
 _Z95 = 1.959963984540054
 
@@ -110,16 +115,12 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def draw_multisample(dist: DiscreteDistribution, m: int,
-                     rng: random.Random) -> MultiSample:
-    """m i.i.d. samples by inverse CDF over the canonical support order."""
-    cum: list[float] = []
-    total = 0.0
-    for _, w in dist.items():
-        total += float(w)
-        cum.append(total)
-    idx = rng.choices(range(len(dist.support)), cum_weights=cum, k=m)
-    return MultiSample(tuple(dist.support[i] for i in idx))
+def draw_multisample(support: tuple[Sample, ...], cum: Sequence[float],
+                     m: int, rng: random.Random) -> MultiSample:
+    """m i.i.d. samples by inverse CDF over the canonical support order;
+    ``cum`` holds the running sums of the support weights as floats."""
+    return MultiSample.from_draw(
+        support, rng.choices(range(len(support)), cum_weights=cum, k=m))
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +128,7 @@ def draw_multisample(dist: DiscreteDistribution, m: int,
 
 
 def _union_instances(*groups: Sequence[Instance]) -> tuple[Instance, ...]:
-    seen = set()
-    for group in groups:
-        seen.update(group)
-    return tuple(sorted(seen, key=Instance.sort_key))
-
-
-def _labeling_sample_error(labeling, positions, zbar: MultiSample) -> Fraction:
-    wrong = sum(1 for z in zbar
-                if labeling[positions[z.instance]] != z.label)
-    return Fraction(wrong, zbar.m)
+    return tuple(sorted(set().union(*groups), key=Instance.sort_key))
 
 
 def u_statistic(space: HypothesisSpace, dist: DiscreteDistribution,
@@ -151,8 +143,10 @@ def u_statistic(space: HypothesisSpace, dist: DiscreteDistribution,
     instances = _union_instances(dist.instances(), zbar.instances_sorted())
     table = _table_for(space, instances, require_exact)
     positions = {x: i for i, x in enumerate(instances)}
+    counts = zbar.label_counts()
     return max(abs(_labeling_true_error(lab, positions, dist)
-                   - _labeling_sample_error(lab, positions, zbar))
+                   - _labeling_sample_error_counts(lab, positions, counts,
+                                                   zbar.m))
                for lab in table.witnesses)
 
 
@@ -166,8 +160,11 @@ def v_statistic(space: HypothesisSpace, zbar: MultiSample, zbar2: MultiSample,
                                  zbar2.instances_sorted())
     table = _table_for(space, instances, require_exact)
     positions = {x: i for i, x in enumerate(instances)}
-    return max(abs(_labeling_sample_error(lab, positions, zbar2)
-                   - _labeling_sample_error(lab, positions, zbar))
+    counts, counts2 = zbar.label_counts(), zbar2.label_counts()
+    return max(abs(_labeling_sample_error_counts(lab, positions, counts2,
+                                                 zbar.m)
+                   - _labeling_sample_error_counts(lab, positions, counts,
+                                                   zbar.m))
                for lab in table.witnesses)
 
 
@@ -219,44 +216,34 @@ def symmetrized_deviation(space: HypothesisSpace, zbar: MultiSample,
 # Probability estimation
 
 
-def _counts_sample_error(labeling, positions,
-                         counts: Mapping[int, int],
-                         support: Sequence[Sample], m: int) -> Fraction:
-    wrong = 0
-    for idx, c in counts.items():
-        z = support[idx]
-        if labeling[positions[z.instance]] != z.label:
-            wrong += c
-    return Fraction(wrong, m)
-
-
-def _u_from_counts(table_witnesses, positions, dist: DiscreteDistribution,
-                   true_errors, counts: Mapping[int, int], m: int) -> Fraction:
-    return max(abs(true_errors[lab]
-                   - _counts_sample_error(lab, positions, counts,
-                                          dist.support, m))
-               for lab in table_witnesses)
-
-
-def _exact_budget_check(dist: DiscreteDistribution, m: int) -> int:
-    states = len(dist.support) ** m
-    if states > EXACT_STATE_LIMIT:
-        raise BudgetError(
-            f"exact mode would enumerate {states} states "
-            f"(limit {EXACT_STATE_LIMIT}); use Monte Carlo", required=states)
-    return states
+def _exact_budget_check(k: int, m: int, ordered: bool) -> None:
+    """Refuse exact mode over a support of size k past EXACT_STATE_LIMIT
+    states (k^m ordered tuples or C(m+k-1, k-1) multisets) or past
+    EXACT_SAMPLE_LIMIT drawn samples over all states.  Runs over a limit
+    whatever k is are refused before the big-integer count is formed."""
+    count = f"{k}^{m}" if ordered else f"C({m + k - 1}, {k - 1})"
+    states = None
+    if m <= EXACT_SAMPLE_LIMIT and not (ordered and k > 1 and m > 64):
+        states = k ** m if ordered else math.comb(m + k - 1, k - 1)
+        if states <= EXACT_STATE_LIMIT and states * m <= EXACT_SAMPLE_LIMIT:
+            return
+    raise BudgetError(
+        f"exact mode would enumerate {count} states of {m} samples each "
+        f"(limits: {EXACT_STATE_LIMIT} states, {EXACT_SAMPLE_LIMIT} samples "
+        "in all); use Monte Carlo", required=states)
 
 
 def estimate_ucp_probability(space: HypothesisSpace,
                              dist: DiscreteDistribution,
                              m: int, eps, trials: int = 1000, seed: int = 0,
-                             exact: bool = False,
-                             threads: int = 1) -> TrialReport:
+                             exact: bool = False) -> TrialReport:
     """Probability that the supremum deviation statistic is <= eps for an
     m-sample drawn from the distribution.
 
-    Exact mode enumerates all |support|^m multi-samples and sums their exact
-    product weights; Monte Carlo mode counts successes over seeded trials.
+    |true error - wrong/m| <= eps holds iff the labeling's wrong-count lies
+    in the integer window [ceil(m(te - eps)), floor(m(te + eps))], so a
+    draw succeeds iff every realized labeling's count of drawn support
+    entries it gets wrong lies in its window.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -264,126 +251,100 @@ def estimate_ucp_probability(space: HypothesisSpace,
     instances = dist.instances()
     table = _table_for(space, instances, require_exact=True)
     positions = {x: i for i, x in enumerate(instances)}
-    true_errors = {lab: _labeling_true_error(lab, positions, dist)
-                   for lab in table.witnesses}
+    windows = []
+    for lab in table.witnesses:
+        te = _labeling_true_error(lab, positions, dist)
+        wrong = tuple(i for i, z in enumerate(dist.support)
+                      if lab[positions[z.instance]] != z.label)
+        windows.append((wrong, math.ceil(m * (te - eps_exact)),
+                        math.floor(m * (te + eps_exact))))
 
-    def success_from_counts(counts: Mapping[int, int]) -> bool:
-        u = _u_from_counts(table.witnesses, positions, dist, true_errors,
-                           counts, m)
-        return u <= eps_exact
+    def success(zbar: MultiSample) -> bool:
+        counts = zbar.counts
+        return all(lo <= sum(map(counts.__getitem__, wrong)) <= hi
+                   for wrong, lo, hi in windows)
 
-    if exact:
-        prob = _exact_event_probability(dist, m, success_from_counts)
-        return TrialReport(kind="ucp", mode="exact", m=m, eps=float(eps_exact),
-                           trials=0, successes=0, estimate=float(prob),
-                           ci_low=None, ci_high=None, probability=prob,
-                           seed=seed)
-
-    cum: list[float] = []
-    total = 0.0
-    for _, w in dist.items():
-        total += float(w)
-        cum.append(total)
-    indices = range(len(dist.support))
-
-    def run_trial(t: int) -> bool:
-        rng = random.Random(trial_seed(seed, t))
-        counts = Counter(rng.choices(indices, cum_weights=cum, k=m))
-        return success_from_counts(counts)
-
-    successes = _run_trials(run_trial, trials, threads)
-    lo, hi = wilson_interval(successes, trials)
-    return TrialReport(kind="ucp", mode="monte-carlo", m=m,
-                       eps=float(eps_exact), trials=trials,
-                       successes=successes, estimate=successes / trials,
-                       ci_low=lo, ci_high=hi, probability=None, seed=seed)
+    return _estimate("ucp", dist, m, eps_exact, trials, seed, exact, success)
 
 
 def estimate_pac_probability(learner: LearningFunction,
                              space: HypothesisSpace,
                              dist: DiscreteDistribution,
                              m: int, eps, trials: int = 1000, seed: int = 0,
-                             exact: bool = False,
-                             threads: int = 1) -> TrialReport:
+                             exact: bool = False) -> TrialReport:
     """Probability that the learner's output has true error within eps of
     the space's best achievable error, over m-samples from the
-    distribution."""
+    distribution.  Exact mode enumerates ordered samples unless the
+    learner declares itself order-invariant."""
     if m < 1:
         raise ValueError("m must be >= 1")
     eps_exact = to_fraction(eps)
     opt = approximation_error(space, dist)
 
     def success(zbar: MultiSample) -> bool:
-        h = learner(zbar)
-        return true_error(h, dist) - opt <= eps_exact
+        return true_error(learner(zbar), dist) - opt <= eps_exact
 
+    return _estimate("pac", dist, m, eps_exact, trials, seed, exact, success,
+                     ordered=not learner.order_invariant)
+
+
+def _estimate(kind: str, dist: DiscreteDistribution, m: int, eps: Fraction,
+              trials: int, seed: int, exact: bool,
+              success: Callable[[MultiSample], bool],
+              ordered: bool = False) -> TrialReport:
     if exact:
-        def success_from_tuple(samples: tuple[Sample, ...]) -> bool:
-            return success(MultiSample(samples))
-
-        prob = _exact_event_probability_tuples(dist, m, success_from_tuple)
-        return TrialReport(kind="pac", mode="exact", m=m, eps=float(eps_exact),
+        prob = _exact_event_probability(dist, m, success, ordered)
+        return TrialReport(kind=kind, mode="exact", m=m, eps=float(eps),
                            trials=0, successes=0, estimate=float(prob),
                            ci_low=None, ci_high=None, probability=prob,
                            seed=seed)
-
-    def run_trial(t: int) -> bool:
-        rng = random.Random(trial_seed(seed, t))
-        return success(draw_multisample(dist, m, rng))
-
-    successes = _run_trials(run_trial, trials, threads)
-    lo, hi = wilson_interval(successes, trials)
-    return TrialReport(kind="pac", mode="monte-carlo", m=m,
-                       eps=float(eps_exact), trials=trials,
-                       successes=successes, estimate=successes / trials,
-                       ci_low=lo, ci_high=hi, probability=None, seed=seed)
-
-
-def _run_trials(run_trial, trials: int, threads: int) -> int:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(run_trial, range(trials)))
-    return sum(run_trial(t) for t in range(trials))
+    support = dist.support
+    cum = list(accumulate(float(w) for _, w in dist.items()))
+    successes = sum(
+        success(draw_multisample(support, cum, m,
+                                 random.Random(trial_seed(seed, t))))
+        for t in range(trials))
+    lo, hi = wilson_interval(successes, trials)
+    return TrialReport(kind=kind, mode="monte-carlo", m=m, eps=float(eps),
+                       trials=trials, successes=successes,
+                       estimate=successes / trials, ci_low=lo, ci_high=hi,
+                       probability=None, seed=seed)
 
 
 def _exact_event_probability(dist: DiscreteDistribution, m: int,
-                             success_from_counts) -> Fraction:
-    """Exact event mass over all |support|^m equally structured draws,
-    grouping by multiplicity counts.  The success and failure masses are
-    accumulated separately and must sum to exactly 1."""
-    _exact_budget_check(dist, m)
+                             success: Callable[[MultiSample], bool],
+                             ordered: bool) -> Fraction:
+    """Exact probability that ``success`` holds for an m-sample from the
+    distribution.
+
+    Enumerates the multisets of support indices, each weighted by its
+    multinomial coefficient times the product of its weights; with
+    ``ordered`` it enumerates every ordered index tuple instead, for
+    predicates that depend on sample order.  Masses are integers over the
+    common denominator D^m of the weights; the success and failure masses
+    are accumulated separately and must sum to exactly D^m.
+    """
+    support = dist.support
+    k = len(support)
+    _exact_budget_check(k, m, ordered)
     weights = [w for _, w in dist.items()]
-    p_succ = Fraction(0)
-    p_fail = Fraction(0)
-    for tup in product(range(len(weights)), repeat=m):
-        w = Fraction(1)
-        for i in tup:
-            w *= weights[i]
-        if success_from_counts(Counter(tup)):
-            p_succ += w
+    denom = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (denom // w.denominator) for w in weights]
+    states = (product(range(k), repeat=m) if ordered
+              else combinations_with_replacement(range(k), m))
+    mass_succ = mass_fail = 0
+    for idx in states:
+        zbar = MultiSample.from_draw(support, idx)
+        mass = math.prod(n ** c for n, c in zip(nums, zbar.counts))
+        if not ordered:
+            mass *= math.prod(map(math.comb, accumulate(zbar.counts),
+                                  zbar.counts))
+        if success(zbar):
+            mass_succ += mass
         else:
-            p_fail += w
-    if p_succ + p_fail != 1:
+            mass_fail += mass
+    if mass_succ + mass_fail != denom ** m:
         raise AssertionError("exact enumeration lost probability mass")
-    return p_succ
-
-
-def _exact_event_probability_tuples(dist: DiscreteDistribution, m: int,
-                                    success_from_tuple) -> Fraction:
-    _exact_budget_check(dist, m)
-    items = list(dist.items())
-    p_succ = Fraction(0)
-    p_fail = Fraction(0)
-    for combo in product(items, repeat=m):
-        w = Fraction(1)
-        for _, wi in combo:
-            w *= wi
-        if success_from_tuple(tuple(z for z, _ in combo)):
-            p_succ += w
-        else:
-            p_fail += w
-    if p_succ + p_fail != 1:
-        raise AssertionError("exact enumeration lost probability mass")
-    return p_succ
+    return Fraction(mass_succ, denom ** m)

@@ -41,13 +41,16 @@ def _always_one(eps: float) -> int:
 class LearningFunction:
     """A deterministic multi-sample -> hypothesis map with a declared
     sample-error slack schedule (0 for exact minimizers) and the sample size
-    from which the schedule is honored."""
+    from which the schedule is honored.  ``order_invariant`` declares that
+    the output depends only on the multiset of samples, which lets exact
+    enumeration run over multisets instead of ordered tuples."""
 
     name: str
     fn: Callable[[MultiSample], Hypothesis] = field(repr=False)
     space: HypothesisSpace | None = None
     slack: SlackSchedule = _zero_slack
     m0_nmse: SampleBoundFn = _always_one
+    order_invariant: bool = False
 
     def __call__(self, zbar: MultiSample) -> Hypothesis:
         return self.fn(zbar)
@@ -99,13 +102,14 @@ def sem_learner(space: HypothesisSpace,
 
     slack, m0 = declared_slack if declared_slack else (_zero_slack, _always_one)
     return LearningFunction(name="sem", fn=fn, space=space,
-                            slack=slack, m0_nmse=m0)
+                            slack=slack, m0_nmse=m0, order_invariant=True)
 
 
 def constant_learner(h: Hypothesis, name: str = "const",
                      space: HypothesisSpace | None = None) -> LearningFunction:
     """A learner that ignores the sample and always outputs ``h``."""
-    return LearningFunction(name=name, fn=lambda zbar: h, space=space)
+    return LearningFunction(name=name, fn=lambda zbar: h, space=space,
+                            order_invariant=True)
 
 
 def memorizing_learner(space: ExplicitSpace) -> LearningFunction:

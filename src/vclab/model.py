@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Labeling = tuple[int, ...]
@@ -142,9 +143,19 @@ def as_sample(value) -> Sample:
 
 @dataclass(frozen=True)
 class MultiSample:
-    """An ordered sequence of samples of length m >= 1 (repeats allowed)."""
+    """An ordered sequence of samples of length m >= 1 (repeats allowed).
+
+    A multi-sample drawn from a support (see :meth:`from_draw`) also keeps
+    how often each support entry was drawn (only it attaches them), so the
+    count-based views cost O(|support|) rather than O(m).  Equality and
+    hashing use ``samples`` only.
+    """
 
     samples: tuple[Sample, ...]
+    support: tuple[Sample, ...] | None = field(default=None, init=False,
+                                               compare=False, repr=False)
+    counts: tuple[int, ...] | None = field(default=None, init=False,
+                                           compare=False, repr=False)
 
     def __post_init__(self):
         if not self.samples:
@@ -155,6 +166,21 @@ class MultiSample:
     @staticmethod
     def of(*entries) -> "MultiSample":
         return MultiSample(tuple(as_sample(z) for z in entries))
+
+    @staticmethod
+    def from_draw(support: tuple[Sample, ...],
+                  indices: Sequence[int]) -> "MultiSample":
+        """The multi-sample ``support[i] for i in indices``, with the
+        per-index draw counts attached.  It bypasses ``__init__`` to
+        type-check the k support entries instead of the m drawn ones."""
+        if not indices or not all(isinstance(z, Sample) for z in support):
+            raise ValueError("a draw needs indices and a support of Samples")
+        tally = Counter(indices)
+        drawn = object.__new__(MultiSample)
+        drawn.__dict__.update(
+            samples=tuple(map(support.__getitem__, indices)), support=support,
+            counts=tuple(map(tally.__getitem__, range(len(support)))))
+        return drawn
 
     @property
     def m(self) -> int:
@@ -168,17 +194,21 @@ class MultiSample:
 
     def instances_sorted(self) -> tuple[Instance, ...]:
         """Distinct instances, in canonical order."""
-        return tuple(sorted({z.instance for z in self.samples},
+        drawn = (self.samples if self.counts is None
+                 else compress(self.support, self.counts))
+        return tuple(sorted({z.instance for z in drawn},
                             key=Instance.sort_key))
 
     def label_counts(self) -> dict[Instance, tuple[int, int]]:
         """Per-instance counts (#labeled 0, #labeled 1)."""
-        zeros: Counter = Counter()
-        ones: Counter = Counter()
-        for z in self.samples:
-            (ones if z.label else zeros)[z.instance] += 1
-        return {x: (zeros[x], ones[x])
-                for x in {z.instance for z in self.samples}}
+        tally = (Counter(self.samples).items() if self.counts is None
+                 else zip(self.support, self.counts))
+        out: dict[Instance, tuple[int, int]] = {}
+        for z, c in tally:
+            if c:
+                n0, n1 = out.get(z.instance, (0, 0))
+                out[z.instance] = (n0, n1 + c) if z.label else (n0 + c, n1)
+        return out
 
     def canonical_bytes(self) -> bytes:
         """Stable byte encoding, used for hashing-based lookup learners."""

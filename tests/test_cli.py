@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -250,8 +251,65 @@ class TestCli:
             "weights": ["1/10"] * 10,
         }
         (workdir / "big.json").write_text(json.dumps(big_dist))
+        # 10 support entries, m = 20: C(29, 9) = 10,015,005 multisets.
         code, _ = run(workdir, "ucp-sim",
                       "--space", str(workdir / "space.json"),
                       "--dist", str(workdir / "big.json"),
-                      "--m", "8", "--eps", "0.5", "--exact")
+                      "--m", "20", "--eps", "0.5", "--exact")
         assert code == 3
+
+    def test_exact_budget_counts_ordered_states(self, workdir):
+        # memorize depends on sample order, so exact mode enumerates 3^13
+        # ordered tuples (over 10^6) where sem needs 105 multisets.
+        argv = ["pac-sim", "--space", str(workdir / "space.json"),
+                "--dist", str(workdir / "dist.json"), "--m", "13",
+                "--eps", "0.5", "--exact"]
+        code, _ = run(workdir, *argv, "--learner", "builtin:memorize")
+        assert code == 3
+        code, payload = run(workdir, *argv, "--learner", "builtin:sem")
+        assert code == 0
+        assert payload["result"]["mode"] == "exact"
+
+    def test_exact_budget_refuses_large_m_on_tiny_support(self, workdir):
+        # 2 entries at m = 75075 is only 75076 multisets, but too many
+        # drawn samples in all; the refusal comes before any enumeration.
+        two = {"support": [[1, 1], [2, 0]], "weights": ["1/2", "1/2"]}
+        (workdir / "two.json").write_text(json.dumps(two))
+        argv = ["--space", str(workdir / "space.json"),
+                "--dist", str(workdir / "two.json"),
+                "--m", "75075", "--eps", "0.1", "--exact"]
+        started = time.monotonic()
+        assert run(workdir, "ucp-sim", *argv)[0] == 3
+        assert run(workdir, "pac-sim", *argv,
+                   "--learner", "builtin:sem")[0] == 3
+        assert run(workdir, "pac-sim", *argv,
+                   "--learner", "builtin:memorize")[0] == 3
+        assert time.monotonic() - started < 10
+
+    def test_pool_files_are_digested(self, workdir):
+        (workdir / "pool2.json").write_text(json.dumps([1, 2, 3]))
+        space = str(workdir / "space.json")
+        digests = []
+        for pool in ("pool.json", "pool2.json"):
+            pool = str(workdir / pool)
+            for argv in (["vcdim", "--space", space, "--pool", pool],
+                         ["growth", "--space", space, "--pool", pool,
+                          "--m", "2"]):
+                code, payload = run(workdir, *argv)
+                assert code == 0
+                inputs = payload["manifest"]["inputs"]
+                assert set(inputs) == {space, pool}
+                digests.append(inputs[pool])
+        assert digests[0] == digests[1] != digests[2] == digests[3]
+        code, payload = run(workdir, "vcdim", "--space", space,
+                            "--pool", "1;2")
+        assert code == 0
+        assert set(payload["manifest"]["inputs"]) == {space}
+
+    def test_nfl_instances_file_is_digested(self, tmp_path):
+        (tmp_path / "inst.json").write_text(json.dumps(["a", "b"]))
+        code, payload = run(tmp_path, "nfl", "--m", "1",
+                            "--learner", "builtin:const0",
+                            "--instances", str(tmp_path / "inst.json"))
+        assert code == 0
+        assert str(tmp_path / "inst.json") in payload["manifest"]["inputs"]

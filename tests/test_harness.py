@@ -10,11 +10,14 @@ from vclab import (
     ExplicitSpace,
     MultiSample,
     ThresholdSpace,
+    approximation_error,
+    builtin_learners,
     empirical_distribution,
     estimate_pac_probability,
     estimate_ucp_probability,
     hoeffding_tail,
     loss,
+    random_table_learner,
     sample_error,
     sem_learner,
     signed_deviation,
@@ -24,7 +27,7 @@ from vclab import (
     v_statistic,
     wilson_interval,
 )
-from vclab.harness import trial_seed
+from vclab.harness import draw_multisample, trial_seed
 from conftest import (
     atoms,
     random_distribution,
@@ -162,6 +165,20 @@ def brute_force_ucp_probability(space, dist, m, eps):
     return total
 
 
+def brute_force_pac_probability(learner, space, dist, m, eps):
+    """Independent oracle: enumerate support^m in order."""
+    opt = approximation_error(space, dist)
+    total = F(0)
+    for combo in product(list(dist.items()), repeat=m):
+        zbar = MultiSample(tuple(z for z, _ in combo))
+        weight = F(1)
+        for _, w in combo:
+            weight *= w
+        if true_error(learner(zbar), dist) - opt <= eps:
+            total += weight
+    return total
+
+
 class TestEstimateUcp:
     def test_consistent_space_always_succeeds(self):
         space = ExplicitSpace(atoms(1), [[1]])
@@ -215,22 +232,34 @@ class TestEstimateUcp:
         assert 0.0 <= c.estimate <= 1.0
         assert a.seed_rule == "sha256(master_seed:trial_index)"
 
-    def test_threads_do_not_change_counts(self):
-        space = ExplicitSpace(atoms(2), [[0, 1], [1, 0]])
-        dist = DiscreteDistribution.uniform([("s0", 1), ("s1", 0)])
-        one = estimate_ucp_probability(space, dist, m=3, eps=0.3, trials=120,
-                                       seed=3, threads=1)
-        four = estimate_ucp_probability(space, dist, m=3, eps=0.3, trials=120,
-                                        seed=3, threads=4)
-        assert one.successes == four.successes
-
     def test_exact_budget_refusal(self):
-        space = ExplicitSpace(atoms(2), [[0, 1]])
+        # 10 support entries, m = 20: C(29, 9) multisets exceed 10^6.
+        space = ExplicitSpace(atoms(5), [[0, 1, 0, 1, 0]])
         dist = DiscreteDistribution.uniform(
-            [("s0", 1), ("s0", 0), ("s1", 1), ("s1", 0)])
+            [(x, y) for x in atoms(5) for y in (0, 1)])
         with pytest.raises(BudgetError) as exc:
-            estimate_ucp_probability(space, dist, m=10, eps=0.5, exact=True)
-        assert exc.value.required == 4 ** 10
+            estimate_ucp_probability(space, dist, m=20, eps=0.5, exact=True)
+        assert exc.value.required == 10_015_005
+
+    def test_window_test_matches_u_statistic_per_trial(self):
+        # Weights in quarters and m = 8 put every window edge
+        # m(te -+ eps) on an integer, and some trials land on it exactly.
+        space = ExplicitSpace(atoms(3), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        dist = DiscreteDistribution([(("s0", 1), F(1, 4)),
+                                     (("s0", 0), F(1, 4)),
+                                     (("s1", 1), F(1, 4)),
+                                     (("s2", 0), F(1, 4))])
+        m, eps, seed, trials = 8, F(1, 4), 21, 40
+        cum = [0.25, 0.5, 0.75, 1.0]
+        u_values = [u_statistic(space, dist, draw_multisample(
+            dist.support, cum, m, random.Random(trial_seed(seed, t))))
+            for t in range(trials)]
+        assert any(u == eps for u in u_values)
+        assert any(u > eps for u in u_values)
+        for t in range(1, trials + 1):
+            report = estimate_ucp_probability(space, dist, m=m, eps=eps,
+                                              trials=t, seed=seed)
+            assert report.successes == sum(u <= eps for u in u_values[:t])
 
 
 class TestEstimatePac:
@@ -245,28 +274,67 @@ class TestEstimatePac:
         assert report.estimate == 1.0
 
     def test_exact_mode_matches_brute_force(self):
+        # sem and const0 are enumerated as multisets, memorize and random
+        # learners as ordered tuples; the oracle always uses ordered tuples.
         rng = random.Random(55)
         for _ in range(10):
             space = random_explicit_space(rng, max_instances=3,
                                           max_hypotheses=5)
             dist = random_distribution(rng, space.domain, max_support=3)
-            learner = sem_learner(space)
             m = rng.randint(1, 3)
             eps = F(rng.randint(1, 4), 8)
-            report = estimate_pac_probability(learner, space, dist, m=m,
-                                              eps=eps, exact=True)
-            # independent oracle
-            from vclab import approximation_error
-            opt = approximation_error(space, dist)
-            total = F(0)
-            for combo in product(list(dist.items()), repeat=m):
-                zbar = MultiSample(tuple(z for z, _ in combo))
-                weight = F(1)
-                for _, w in combo:
-                    weight *= w
-                if true_error(learner(zbar), dist) - opt <= eps:
-                    total += weight
-            assert report.probability == total
+            full = builtin_learners(ExplicitSpace.full(space.domain))
+            learners = [sem_learner(space),
+                        random_table_learner(space, rng.randrange(100)),
+                        full["const0"], full["memorize"]]
+            for learner in learners:
+                report = estimate_pac_probability(learner, learner.space,
+                                                  dist, m=m, eps=eps,
+                                                  exact=True)
+                assert report.probability == brute_force_pac_probability(
+                    learner, learner.space, dist, m, eps), learner.name
+
+    def test_order_invariance_is_declared(self):
+        space = ExplicitSpace.full(atoms(2))
+        flags = {name: lf.order_invariant
+                 for name, lf in builtin_learners(space).items()}
+        assert flags == {"sem": True, "const0": True, "const1": True,
+                         "memorize": False}
+        assert not random_table_learner(space, 0).order_invariant
+
+    def test_exact_budget_counts_enumerated_states(self):
+        # k = 4, m = 10: 286 multisets, but 4^10 > 10^6 ordered tuples.
+        space = ExplicitSpace.full(atoms(2))
+        dist = DiscreteDistribution.uniform(
+            [("s0", 1), ("s0", 0), ("s1", 1), ("s1", 0)])
+        learners = builtin_learners(space)
+        report = estimate_pac_probability(learners["sem"], space, dist,
+                                          m=10, eps=0.5, exact=True)
+        assert report.mode == "exact"
+        with pytest.raises(BudgetError) as exc:
+            estimate_pac_probability(learners["memorize"], space, dist,
+                                     m=10, eps=0.5, exact=True)
+        assert exc.value.required == 4 ** 10
+
+    def test_exact_budget_bounds_samples_over_all_states(self):
+        # Two support entries at m = 75075 (m0_pac for thresholds) is only
+        # 75076 multisets, but 75076 * 75075 drawn samples: refused.  One
+        # entry is a single state at any m within the sample limit.
+        space = ExplicitSpace.full(atoms(2))
+        learner = builtin_learners(space)["sem"]
+        two = DiscreteDistribution.uniform([("s0", 1), ("s1", 0)])
+        with pytest.raises(BudgetError) as exc:
+            estimate_pac_probability(learner, space, two, m=75075, eps=0.1,
+                                     exact=True)
+        assert exc.value.required == 75076
+        with pytest.raises(BudgetError) as exc:
+            estimate_ucp_probability(space, two, m=10 ** 7 + 1, eps=0.1,
+                                     exact=True)
+        assert exc.value.required is None
+        one = DiscreteDistribution.uniform([("s0", 1)])
+        report = estimate_pac_probability(learner, space, one, m=10 ** 5,
+                                          eps=0.1, exact=True)
+        assert report.probability == 1
 
     def test_sem_on_thresholds_concentrates(self):
         space = ThresholdSpace()

@@ -266,3 +266,51 @@ class TestInstances:
             Instance.atom("a").coords
         with pytest.raises(TypeError):
             Instance.point(1, 2).scalar
+
+
+class TestDrawnMultiSample:
+    # s0 carries both labels, so per-instance counts merge two entries.
+    SUPPORT = tuple(Sample(x, y) for x, y in ((Instance.atom("s0"), 0),
+                                              (Instance.atom("s0"), 1),
+                                              (Instance.atom("s1"), 1),
+                                              (Instance.atom("s2"), 0)))
+
+    def test_count_views_match_per_sample_computation(self):
+        rng = random.Random(8)
+        for _ in range(50):
+            k = rng.randint(1, len(self.SUPPORT))
+            support = self.SUPPORT[:k]
+            indices = [rng.randrange(k) for _ in range(rng.randint(1, 12))]
+            drawn = MultiSample.from_draw(support, indices)
+            assert drawn.samples == tuple(support[i] for i in indices)
+            assert drawn.counts == tuple(indices.count(i) for i in range(k))
+            zeros, ones = {}, {}
+            for z in drawn.samples:
+                tally = ones if z.label else zeros
+                tally[z.instance] = tally.get(z.instance, 0) + 1
+            seen = set(zeros) | set(ones)
+            assert drawn.label_counts() == {
+                x: (zeros.get(x, 0), ones.get(x, 0)) for x in seen}
+            assert drawn.instances_sorted() == tuple(
+                sorted(seen, key=Instance.sort_key))
+            plain = MultiSample(drawn.samples)
+            assert plain.label_counts() == drawn.label_counts()
+            assert plain.instances_sorted() == drawn.instances_sorted()
+            assert plain == drawn and hash(plain) == hash(drawn)
+
+    def test_counts_must_agree_with_support_and_length(self):
+        # Counts are attached only by from_draw, which builds them from the
+        # same indices as the samples.
+        samples = (self.SUPPORT[0], self.SUPPORT[0])
+        with pytest.raises(TypeError):
+            MultiSample(samples, self.SUPPORT, (1, 0, 0, 0))
+        assert MultiSample(samples).counts is None
+        drawn = MultiSample.from_draw(self.SUPPORT, (0, 0))
+        assert drawn.samples == samples
+        assert drawn.counts == (2,) + (0,) * (len(self.SUPPORT) - 1)
+        with pytest.raises(ValueError):
+            MultiSample.from_draw(self.SUPPORT, ())
+        with pytest.raises(IndexError):
+            MultiSample.from_draw(self.SUPPORT, (len(self.SUPPORT),))
+        with pytest.raises(ValueError):
+            MultiSample.from_draw(("not a sample",), (0,))
