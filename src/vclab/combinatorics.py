@@ -162,13 +162,6 @@ def sauer_poly_bound(d: int, m: int) -> float:
     return (math.e * m / d) ** d
 
 
-def brute_force_dichotomies(space: ExplicitSpace,
-                            instances: Sequence[Instance]) -> frozenset[Labeling]:
-    """Reference oracle: restrictions of every enumerated hypothesis."""
-    instances = check_instance_tuple(instances)
-    return frozenset(tuple(h(x) for x in instances) for h in space.hypotheses())
-
-
 def shattered_subset_property(space: HypothesisSpace,
                               instances: Sequence[Instance]) -> bool:
     """Check that every non-empty subset of a shattered set is shattered."""

@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .learners import LearningFunction
@@ -44,6 +44,7 @@ from .model import (
     _labeling_true_error,
     _table_for,
     approximation_error,
+    index_states,
     loss,
     to_fraction,
     true_error,
@@ -332,15 +333,10 @@ def _exact_event_probability(dist: DiscreteDistribution, m: int,
     weights = [w for _, w in dist.items()]
     denom = math.lcm(*(w.denominator for w in weights))
     nums = [w.numerator * (denom // w.denominator) for w in weights]
-    states = (product(range(k), repeat=m) if ordered
-              else combinations_with_replacement(range(k), m))
     mass_succ = mass_fail = 0
-    for idx in states:
+    for idx, weight in index_states(k, m, ordered):
         zbar = MultiSample.from_draw(support, idx)
-        mass = math.prod(n ** c for n, c in zip(nums, zbar.counts))
-        if not ordered:
-            mass *= math.prod(map(math.comb, accumulate(zbar.counts),
-                                  zbar.counts))
+        mass = weight * math.prod(n ** c for n, c in zip(nums, zbar.counts))
         if success(zbar):
             mass_succ += mass
         else:

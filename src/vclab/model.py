@@ -12,10 +12,12 @@ equality assertions downstream are meaningful.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import (accumulate, combinations_with_replacement, compress,
+                       groupby, product)
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Labeling = tuple[int, ...]
@@ -220,6 +222,21 @@ class MultiSample:
             else:
                 parts.append("v:" + ",".join(str(c) for c in v) + f":{z.label}")
         return "|".join(parts).encode()
+
+
+def index_states(k: int, m: int, ordered: bool
+                 ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The m-tuples of indices into k entries, each with the number of
+    ordered tuples it stands for: every ordered tuple with weight 1, or,
+    unless ``ordered``, every sorted multiset with its multinomial
+    coefficient.  The weights always sum to k^m."""
+    if ordered:
+        for idx in product(range(k), repeat=m):
+            yield idx, 1
+        return
+    for idx in combinations_with_replacement(range(k), m):
+        counts = [len(tuple(run)) for _, run in groupby(idx)]
+        yield idx, math.prod(map(math.comb, accumulate(counts), counts))
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,22 @@
 Builds, for a target sample size m, the family of 2^(2m) uniform
 distributions concentrated on the graphs of all labelings of a shattered
 set of 2m instances, and evaluates a deterministic learner against every
-one of them by full enumeration of the (2m)^m instance tuples.  All
-quantities are exact rationals; the pairing identity that drives the 1/4
-lower bound is asserted inside every enumeration.
+one of them, exactly as if it enumerated all (2m)^m instance tuples under
+every labeling.  It builds each distinct training sample once (an index
+tuple with labels on the points it uses, or a multiset of indices for an
+order-invariant learner) and scores the learner's output against every
+labeling that agrees with those labels.  All quantities are exact
+rationals.  The pairing argument behind the 1/4 lower bound needs a
+deterministic learner, so a seeded probe calls the learner again on about
+one in eight samples and raises on any output that differs.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .combinatorics import shatters
 from .learners import LearningFunction
@@ -26,7 +31,9 @@ from .model import (
     MultiSample,
     Sample,
     approximation_error,
+    as_instance,
     check_instance_tuple,
+    index_states,
 )
 
 DEFAULT_MAX_M = 3
@@ -35,10 +42,15 @@ ERROR_THRESHOLD = Fraction(1, 8)
 EXPECTED_ERROR_FLOOR = Fraction(1, 4)
 TAIL_FLOOR = Fraction(1, 7)
 
+PROBE_ONE_IN = 8
+
 
 class PairingIdentityError(Exception):
-    """The flip-pair counting identity failed, which indicates a
-    non-deterministic learner."""
+    """The determinism probe got a different hypothesis from a second call
+    of the learner on the same training sample (reversed, for a learner
+    declared order-invariant).  The pairing argument, and scoring one
+    output against every labeling that agrees with the sample, both need a
+    deterministic learner."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +118,7 @@ def build_nfl_instance(instances: Sequence, m: int,
     When an ambient space is supplied it must shatter the instance set
     (verified); otherwise the full class over the instances is implied.
     """
-    points = check_instance_tuple([_as_inst(x) for x in instances])
+    points = check_instance_tuple([as_instance(x) for x in instances])
     if m < 1:
         raise ValueError("m must be >= 1")
     if len(points) != 2 * m:
@@ -131,12 +143,9 @@ def build_nfl_instance(instances: Sequence, m: int,
                        distributions=distributions, ambient=ambient)
 
 
-def _as_inst(x):
-    from .model import as_instance
-    return as_instance(x)
-
-
 def required_learner_calls(m: int) -> int:
+    """The number of (instance tuple, labeling) pairs, an upper bound on
+    the learner calls one enumeration makes."""
     return (2 * m) ** m * 2 ** (2 * m)
 
 
@@ -144,76 +153,91 @@ def _check_budget(m: int, allow_large: bool) -> None:
     if m <= DEFAULT_MAX_M or allow_large:
         return
     raise BudgetError(
-        f"m = {m} needs {required_learner_calls(m)} learner applications; "
-        f"pass allow_large=True to enumerate beyond m = {DEFAULT_MAX_M}",
+        f"m = {m} enumerates {2 * m}^{m} instance tuples x 2^{2 * m} "
+        f"labelings; pass allow_large=True to enumerate beyond "
+        f"m = {DEFAULT_MAX_M}",
         required=required_learner_calls(m))
 
 
-def _enumerate(learner: LearningFunction, inst: NflInstance,
-               allow_large: bool):
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask``, from ``mask`` down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _enumerate(learner: LearningFunction,
+               inst: NflInstance, allow_large: bool) -> list[list[int]]:
     """Core enumeration.
 
-    Returns (mismatch_counts, totals): for each labeling index i and each
-    instance tuple index j, ``mismatch_counts[i][j]`` is the number of
-    points of S on which the learner's output (trained on the tuple labeled
-    by f_i) disagrees with f_i; ``totals[i]`` is its sum over j.
+    Returns ``hist``: ``hist[i][c]`` is the number of the (2m)^m instance
+    tuples on which the learner's output, trained on the tuple labeled by
+    f_i, disagrees with f_i on exactly c of the 2m points of S.
 
-    Inside the loop over tuples the flip-pair identity is checked: for every
-    instance tuple and every point outside it, exactly half of the labelings
-    produce a disagreement at that point.
+    Each distinct training sample is built and passed to the learner once:
+    an instance tuple (a multiset of instances, weighted by the number of
+    tuples it stands for, when the learner is order-invariant) together
+    with one labeling of the points it uses.  The output is scored against
+    all labelings that agree with the sample, found by walking the
+    submasks of the unused points.
+
+    A probe seeded by m calls the learner again on the first sample and on
+    about one in PROBE_ONE_IN of the rest, on the reversed sample when the
+    learner is order-invariant, and raises PairingIdentityError if the
+    output differs.
     """
     _check_budget(inst.m, allow_large)
     points = inst.instances
     n = len(points)
-    t = inst.t
-    f_masks = [sum(b << (n - 1 - j) for j, b in enumerate(bits))
-               for bits in inst.labelings]
-    memo: dict[MultiSample, int] = {}
+    bits = [1 << (n - 1 - j) for j in range(n)]
+    labeled = [(Sample(x, 0), Sample(x, 1)) for x in points]
+    ordered = not learner.order_invariant
+    probe = random.Random(f"nfl-probe:{inst.m}")
+    # Labeling i of an NflInstance is in lexicographic bit order, so its
+    # mask over S is i itself.
+    hist = [[0] * (n + 1) for _ in range(inst.t)]
 
     def learned_mask(zbar: MultiSample) -> int:
-        mask = memo.get(zbar)
-        if mask is None:
-            h = learner(zbar)
-            mask = sum((1 if h(points[j]) else 0) << (n - 1 - j)
-                       for j in range(n))
-            memo[zbar] = mask
-        return mask
+        h = learner(zbar)
+        return sum(b for x, b in zip(points, bits) if h(x))
 
-    mismatch_counts = [[0] * (2 * inst.m) ** inst.m for _ in range(t)]
-    totals = [0] * t
-    for j, idx_tuple in enumerate(product(range(n), repeat=inst.m)):
-        masks_j = []
-        for i in range(t):
-            bits = inst.labelings[i]
-            zbar = MultiSample(tuple(Sample(points[a], bits[a])
-                                     for a in idx_tuple))
+    first = True
+    for idx, weight in index_states(n, inst.m, ordered):
+        used = 0
+        for a in idx:
+            used |= bits[a]
+        free = used ^ ((1 << n) - 1)
+        for seen in _submasks(used):
+            zbar = MultiSample(tuple(labeled[a][1 if seen & bits[a] else 0]
+                                     for a in idx))
             mask = learned_mask(zbar)
-            masks_j.append(mask)
-            count = bin(mask ^ f_masks[i]).count("1")
-            mismatch_counts[i][j] = count
-            totals[i] += count
-        used = set(idx_tuple)
-        for r in range(n):
-            if r in used:
-                continue
-            bit = 1 << (n - 1 - r)
-            disagree = sum(1 for i in range(t)
-                           if (masks_j[i] ^ f_masks[i]) & bit)
-            if disagree * 2 != t:
-                raise PairingIdentityError(
-                    f"flip-pair identity violated at tuple {j}, point {r}: "
-                    f"{disagree} disagreements over {t} labelings; the "
-                    f"learner is not a deterministic function of the sample")
-    return mismatch_counts, totals
+            if first or probe.randrange(PROBE_ONE_IN) == 0:
+                first = False
+                again = zbar if ordered else MultiSample(zbar.samples[::-1])
+                if learned_mask(again) != mask:
+                    raise PairingIdentityError(
+                        f"learner {learner.name!r} gave a different hypothesis "
+                        f"when called again on the sample {again.samples}")
+            for sub in _submasks(free):
+                f = seen | sub
+                hist[f][(mask ^ f).bit_count()] += weight
+    return hist
+
+
+def _totals(hist: list[list[int]]) -> list[int]:
+    return [sum(c * w for c, w in enumerate(row)) for row in hist]
 
 
 def nfl_expected_errors(learner: LearningFunction, inst: NflInstance,
                         allow_large: bool = False) -> list[Fraction]:
     """For each labeling f_i: the exact expected true error of the learner
     over training tuples drawn from the graph distribution of f_i."""
-    _, totals = _enumerate(learner, inst, allow_large)
+    hist = _enumerate(learner, inst, allow_large)
     k = (2 * inst.m) ** inst.m
-    return [Fraction(total, k * 2 * inst.m) for total in totals]
+    return [Fraction(total, k * 2 * inst.m) for total in _totals(hist)]
 
 
 def nfl_report(learner: LearningFunction, inst: NflInstance,
@@ -221,14 +245,14 @@ def nfl_report(learner: LearningFunction, inst: NflInstance,
     """Full evaluation: expected errors, the worst labeling's exact tail
     probability P(error > 1/8), the Markov cross-check, and the lower-bound
     assertions (max and average >= 1/4, tail >= 1/7)."""
-    mismatch_counts, totals = _enumerate(learner, inst, allow_large)
+    hist = _enumerate(learner, inst, allow_large)
     m = inst.m
     k = (2 * m) ** m
-    errors = [Fraction(total, k * 2 * m) for total in totals]
+    errors = [Fraction(total, k * 2 * m) for total in _totals(hist)]
     best = max(errors)
     i_star = errors.index(best)
     # error > 1/8 over 2m points  <=>  mismatches/2m > 1/8.
-    tail_hits = sum(1 for c in mismatch_counts[i_star]
+    tail_hits = sum(w for c, w in enumerate(hist[i_star])
                     if Fraction(c, 2 * m) > ERROR_THRESHOLD)
     tail = Fraction(tail_hits, k)
     markov = (best - ERROR_THRESHOLD) / (1 - ERROR_THRESHOLD)

@@ -17,6 +17,7 @@ included), which also produces a rational witness.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -100,18 +101,10 @@ def _normalize(con):
         scale *= d
     # Scale to integers, then divide by gcd for a canonical form.
     ints = [int(c * scale) for c in coeffs] + [int(const * scale)]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return (tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]), strict)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def fm_witness(constraints, nvars: int) -> tuple[Fraction, ...] | None:

@@ -96,7 +96,7 @@ def test_criterion_2_no_free_lunch_exact():
     ok = not failures and elapsed < 300.0
     assert line(2, ok, f"m in {{1,2,3}}, 104 learners each, "
                        f"{len(failures)} failures, {elapsed:.1f}s "
-                       "(pairing identity asserted inside every enumeration)")
+                       "(determinism probe on about 1 in 8 samples)")
 
 
 def test_criterion_3_singleton_concentration():

@@ -314,3 +314,15 @@ class TestDrawnMultiSample:
             MultiSample.from_draw(self.SUPPORT, (len(self.SUPPORT),))
         with pytest.raises(ValueError):
             MultiSample.from_draw(("not a sample",), (0,))
+
+
+def test_index_states_weights_count_ordered_tuples():
+    from collections import Counter
+    from itertools import product
+    from vclab.model import index_states
+    for k, m in ((1, 3), (2, 1), (3, 3), (4, 2)):
+        tuples = list(product(range(k), repeat=m))
+        assert list(index_states(k, m, ordered=True)) == \
+            [(idx, 1) for idx in tuples]
+        multisets = dict(index_states(k, m, ordered=False))
+        assert multisets == Counter(tuple(sorted(idx)) for idx in tuples)

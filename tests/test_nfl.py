@@ -1,4 +1,7 @@
+import dataclasses
+import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -14,6 +17,8 @@ from vclab import (
     random_table_learner,
     true_error,
 )
+from vclab.learners import LearningFunction
+from vclab.nfl import PairingIdentityError
 from conftest import atoms
 
 
@@ -78,22 +83,31 @@ class TestExpectedErrors:
                 assert max(errors) >= F(1, 4)
 
     def test_matches_core_primitive_recomputation(self):
-        from itertools import product
+        # Per-tuple recomputation of the expected errors and of the worst
+        # labeling's tail P(error > 1/8), straight from the definitions.
         for m in (1, 2):
             inst = build_nfl_instance(atoms(2 * m), m)
             space = full_space(inst)
-            for name in ("const0", "sem", "memorize"):
-                learner = builtin_learners(space)[name]
-                errors = nfl_expected_errors(learner, inst)
-                k = (2 * m) ** m
+            learners = builtin_learners(space)
+            learners = [learners[name] for name in ("const0", "sem",
+                                                    "memorize")]
+            learners.append(random_table_learner(space, 3))
+            k = (2 * m) ** m
+            for learner in learners:
+                report = nfl_report(learner, inst)
+                assert list(report.expected_errors) == \
+                    nfl_expected_errors(learner, inst)
                 for i, bits in enumerate(inst.labelings):
                     dist = inst.distributions[i]
-                    total = F(0)
-                    for idx in product(range(2 * m), repeat=m):
-                        zbar = MultiSample(tuple(
-                            Sample(inst.instances[a], bits[a]) for a in idx))
-                        total += true_error(learner(zbar), dist)
-                    assert errors[i] == total / k
+                    errors = [
+                        true_error(learner(MultiSample(tuple(
+                            Sample(inst.instances[a], bits[a])
+                            for a in idx))), dist)
+                        for idx in product(range(2 * m), repeat=m)]
+                    assert report.expected_errors[i] == sum(errors, F(0)) / k
+                    if i == report.argmax_index:
+                        assert report.tail_probability == F(
+                            sum(1 for e in errors if e > F(1, 8)), k)
 
     def test_budget_refusal(self):
         inst = build_nfl_instance(atoms(8), 4)
@@ -137,3 +151,34 @@ class TestReport:
         payload = report.as_dict()
         assert payload["passed"] is True
         assert payload["expected_errors"] == ["0", "1/4", "1/4", "1/2"]
+
+
+class TestDeterminismProbe:
+    def test_nondeterministic_learner_rejected(self):
+        inst = build_nfl_instance(atoms(4), 2)
+        space = full_space(inst)
+        hypotheses = list(space.hypotheses())
+        rng = random.Random(0)
+        learner = LearningFunction("coin", lambda zbar: rng.choice(hypotheses),
+                                   space=space)
+        with pytest.raises(PairingIdentityError):
+            nfl_report(learner, inst)
+
+    def test_false_order_invariance_rejected(self):
+        # The table learner hashes the samples in order, so the multiset
+        # path would score one ordering for all of them.
+        inst = build_nfl_instance(atoms(4), 2)
+        learner = dataclasses.replace(
+            random_table_learner(full_space(inst), 0), order_invariant=True)
+        with pytest.raises(PairingIdentityError):
+            nfl_report(learner, inst)
+
+    def test_ordered_path_matches_multiset_path(self):
+        for m in (1, 2, 3):
+            inst = build_nfl_instance(atoms(2 * m), m)
+            learners = builtin_learners(full_space(inst))
+            for name in ("sem", "const1"):
+                learner = learners[name]
+                assert learner.order_invariant
+                ordered = dataclasses.replace(learner, order_invariant=False)
+                assert nfl_report(ordered, inst) == nfl_report(learner, inst)
