@@ -17,12 +17,13 @@ only, never claimed exact.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (
     DichotomyTable,
@@ -35,10 +36,10 @@ from .model import (
     to_fraction,
 )
 from .spaces import (
-    cosingleton_dichotomies,
-    halfspace_dichotomies,
-    interval_dichotomies,
-    threshold_dichotomies,
+    CoSingletonSpace,
+    HalfspaceSpace,
+    IntervalSpace,
+    ThresholdSpace,
 )
 
 
@@ -129,10 +130,6 @@ class Or:
 class Implies:
     left: object
     right: object
-
-
-_TERM_NODES = (Const, Var, Add, Sub, Mul, Neg, Exp)
-_FORMULA_NODES = (Cmp, Not, And, Or, Implies)
 
 
 @dataclass(frozen=True)
@@ -431,69 +428,89 @@ def _exp_overflow_safe(v: float) -> float:
         return math.inf
 
 
-def _eval_term(node, env, backend):
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+            "!=": operator.ne}
+
+
+def _compile_term(node, slots, const):
     if isinstance(node, Const):
-        return node.value if backend == EXACT else float(node.value)
+        value = const(node.value)
+        return lambda env: value
     if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Add):
-        return _eval_term(node.left, env, backend) + _eval_term(node.right, env, backend)
-    if isinstance(node, Sub):
-        return _eval_term(node.left, env, backend) - _eval_term(node.right, env, backend)
-    if isinstance(node, Mul):
-        return _eval_term(node.left, env, backend) * _eval_term(node.right, env, backend)
+        i = slots[node.name]
+        return lambda env: env[i]
     if isinstance(node, Neg):
-        return -_eval_term(node.term, env, backend)
+        f = _compile_term(node.term, slots, const)
+        return lambda env: -f(env)
     if isinstance(node, Exp):
-        return _exp_overflow_safe(_eval_term(node.term, env, backend))
-    raise TypeError(f"not a term node: {node!r}")
+        f = _compile_term(node.term, slots, const)
+        return lambda env: _exp_overflow_safe(f(env))
+    op = _BINARY.get(type(node))
+    if op is None:
+        raise TypeError(f"not a term node: {node!r}")
+    f = _compile_term(node.left, slots, const)
+    g = _compile_term(node.right, slots, const)
+    return lambda env: op(f(env), g(env))
 
 
-def _eval_formula(node, env, backend) -> bool:
+def _compile_node(node, slots, const):
     if isinstance(node, Cmp):
-        left = _eval_term(node.left, env, backend)
-        right = _eval_term(node.right, env, backend)
-        if node.op == "<":
-            return left < right
-        if node.op == "<=":
-            return left <= right
-        if node.op == "=":
-            return left == right
-        return left != right
+        op = _COMPARE[node.op]
+        f = _compile_term(node.left, slots, const)
+        g = _compile_term(node.right, slots, const)
+        return lambda env: op(f(env), g(env))
     if isinstance(node, Not):
-        return not _eval_formula(node.child, env, backend)
+        f = _compile_node(node.child, slots, const)
+        return lambda env: not f(env)
+    if not isinstance(node, (And, Or, Implies)):
+        raise TypeError(f"not a formula node: {node!r}")
+    f = _compile_node(node.left, slots, const)
+    g = _compile_node(node.right, slots, const)
     if isinstance(node, And):
-        return _eval_formula(node.left, env, backend) and \
-            _eval_formula(node.right, env, backend)
+        return lambda env: f(env) and g(env)
     if isinstance(node, Or):
-        return _eval_formula(node.left, env, backend) or \
-            _eval_formula(node.right, env, backend)
-    if isinstance(node, Implies):
-        return (not _eval_formula(node.left, env, backend)) or \
-            _eval_formula(node.right, env, backend)
-    raise TypeError(f"not a formula node: {node!r}")
+        return lambda env: f(env) or g(env)
+    return lambda env: (not f(env)) or g(env)
+
+
+def compile_formula(ast: FormulaAst, backend: str = EXACT
+                    ) -> Callable[[Sequence, Sequence], bool]:
+    """Compile the formula once into a predicate ``(x, w) -> bool``.
+
+    The backend, and whether it can evaluate ``exp``, are checked here; the
+    predicate checks only the lengths of x and w.  Every input value is
+    first read as an exact rational (so both backends accept the same
+    inputs, "1/3" included); the float backend then rounds it once to the
+    nearest double.  Operations run in tree order on both backends.
+    """
+    if backend not in (EXACT, FLOAT):
+        raise BackendError(f"unknown backend {backend!r}")
+    if backend == EXACT and ast.uses_exp:
+        raise BackendError(
+            "the exact backend cannot evaluate exp; use backend='float'")
+    exact = backend == EXACT
+    const = to_fraction if exact else float
+    convert = to_fraction if exact else (lambda v: float(to_fraction(v)))
+    slots = {name: i for i, name in enumerate(ast.objects + ast.params)}
+    root = _compile_node(ast.root, slots, const)
+    arity, param_arity = ast.arity, ast.param_arity
+
+    def predicate(x: Sequence, w: Sequence) -> bool:
+        if len(x) != arity:
+            raise ValueError(f"expected {arity} object values, got {len(x)}")
+        if len(w) != param_arity:
+            raise ValueError(f"expected {param_arity} parameter values, "
+                             f"got {len(w)}")
+        return root([*map(convert, x), *map(convert, w)])
+
+    return predicate
 
 
 def eval_formula(ast: FormulaAst, x: Sequence, w: Sequence = (),
                  backend: str = EXACT) -> bool:
     """Truth value of the formula at object tuple x and parameter tuple w."""
-    if backend not in (EXACT, FLOAT):
-        raise BackendError(f"unknown backend {backend!r}")
-    if len(x) != ast.arity:
-        raise ValueError(f"expected {ast.arity} object values, got {len(x)}")
-    if len(w) != ast.param_arity:
-        raise ValueError(f"expected {ast.param_arity} parameter values, "
-                         f"got {len(w)}")
-    if backend == EXACT:
-        if ast.uses_exp:
-            raise BackendError(
-                "the exact backend cannot evaluate exp; use backend='float'")
-        env = {name: to_fraction(v) for name, v in zip(ast.objects, x)}
-        env.update({name: to_fraction(v) for name, v in zip(ast.params, w)})
-    else:
-        env = {name: float(v) for name, v in zip(ast.objects, x)}
-        env.update({name: float(v) for name, v in zip(ast.params, w)})
-    return _eval_formula(ast.root, env, backend)
+    return compile_formula(ast, backend)(x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +519,17 @@ def eval_formula(ast: FormulaAst, x: Sequence, w: Sequence = (),
 
 @dataclass(frozen=True)
 class _ClosedForm:
+    """A recognized shape: the native space whose restriction oracle it
+    shares, and for each parameter of that space's witness key the
+    position of the same parameter in the formula's declaration."""
+
     name: str
-    vc: int
-    enumerate_fn: Callable = field(compare=False)
+    space: HypothesisSpace = field(compare=False)
+    slots: tuple[int, ...]
+
+    def parameters(self, key: tuple) -> tuple[Fraction, ...]:
+        """The formula parameter tuple of a native witness key."""
+        return tuple(value for _, value in sorted(zip(self.slots, key[1:])))
 
 
 def _match_var(node, names) -> str | None:
@@ -517,6 +542,7 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
     """Detect formulas whose full parameter range has a known combinatorial
     restriction oracle: co-singleton, threshold, interval, halfspace."""
     objects, params = set(ast.objects), set(ast.params)
+    order = {name: i for i, name in enumerate(ast.params)}
     root = ast.root
 
     if ast.arity == 1 and ast.param_arity == 1 and isinstance(root, Cmp):
@@ -526,15 +552,9 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
         right_par = _match_var(root.right, params)
         if root.op == "!=" and (
                 (left_obj and right_par) or (left_par and right_obj)):
-            def enum_cosingleton(points):
-                values = [p[0] for p in points]
-                return [(lab, (w,)) for lab, w in cosingleton_dichotomies(values)]
-            return _ClosedForm("co-singleton", 1, enum_cosingleton)
+            return _ClosedForm("co-singleton", CoSingletonSpace(), (0,))
         if root.op == "<=" and left_par and right_obj:
-            def enum_threshold(points):
-                values = [p[0] for p in points]
-                return [(lab, (w,)) for lab, w in threshold_dichotomies(values)]
-            return _ClosedForm("threshold", 1, enum_threshold)
+            return _ClosedForm("threshold", ThresholdSpace(), (0,))
 
     if (ast.arity == 1 and ast.param_arity == 2 and isinstance(root, And)
             and isinstance(root.left, Cmp) and isinstance(root.right, Cmp)
@@ -544,38 +564,20 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
         x2 = _match_var(root.right.left, objects)
         hi = _match_var(root.right.right, params)
         if lo and hi and x1 and x2 and x1 == x2 and lo != hi:
-            order = {name: i for i, name in enumerate(ast.params)}
+            return _ClosedForm("interval", IntervalSpace(),
+                               (order[lo], order[hi]))
 
-            def enum_interval(points, _lo=lo, _hi=hi, _order=order):
-                values = [p[0] for p in points]
-                out = []
-                for lab, (a, b) in interval_dichotomies(values):
-                    w = [None, None]
-                    w[_order[_lo]] = a
-                    w[_order[_hi]] = b
-                    out.append((lab, tuple(w)))
-                return out
-            return _ClosedForm("interval", 2, enum_interval)
-
-    if (ast.param_arity == ast.arity + 1 and isinstance(root, Cmp)
-            and root.op == "<=" and root.left == Const(Fraction(0))):
+    # HalfspaceSpace needs dimension >= 1; "0 <= b" with no objects is
+    # left to parameter search.
+    if (ast.arity >= 1 and ast.param_arity == ast.arity + 1
+            and isinstance(root, Cmp) and root.op == "<="
+            and root.left == Const(Fraction(0))):
         linear = _match_affine(root.right, ast)
         if linear is not None:
             coeff_params, bias_param = linear
-            order = {name: i for i, name in enumerate(ast.params)}
-
-            def enum_halfspace(points, _coeffs=coeff_params, _bias=bias_param,
-                               _order=order, _n=ast.arity):
-                out = []
-                for lab, witness in halfspace_dichotomies(
-                        [tuple(p) for p in points], _n):
-                    w = [None] * (_n + 1)
-                    for j, pname in enumerate(_coeffs):
-                        w[_order[pname]] = witness[j]
-                    w[_order[_bias]] = witness[_n]
-                    out.append((lab, tuple(w)))
-                return out
-            return _ClosedForm("halfspace", ast.arity + 1, enum_halfspace)
+            return _ClosedForm(
+                "halfspace", HalfspaceSpace(ast.arity),
+                tuple(order[p] for p in coeff_params) + (order[bias_param],))
     return None
 
 
@@ -692,9 +694,7 @@ class DefinableSpace(HypothesisSpace):
                 f"{instance_arity}")
         if backend is None:
             backend = FLOAT if ast.uses_exp else EXACT
-        if backend == EXACT and ast.uses_exp:
-            raise BackendError(
-                "the exact backend cannot evaluate exp; use backend='float'")
+        self._predicate = compile_formula(ast, backend)
         self.ast = ast
         self.source = source
         self.backend = backend
@@ -714,19 +714,19 @@ class DefinableSpace(HypothesisSpace):
         return self.closed_form is not None
 
     def known_vc(self) -> int | None:
-        return self.closed_form.vc if self.closed_form else None
+        return self.closed_form.space.known_vc() if self.closed_form else None
 
     def hypothesis(self, w: Sequence) -> Hypothesis:
         w = tuple(to_fraction(v) for v in w)
         if len(w) != self.ast.param_arity:
             raise ValueError("parameter tuple has wrong arity")
-        ast, backend = self.ast, self.backend
+        arity, predicate = self.ast.arity, self._predicate
 
         def fn(x: Instance, _w=w) -> int:
             coords = x.coords
-            if len(coords) != ast.arity:
-                raise TypeError(f"instance {x} does not have arity {ast.arity}")
-            return 1 if eval_formula(ast, coords, _w, backend) else 0
+            if len(coords) != arity:
+                raise TypeError(f"instance {x} does not have arity {arity}")
+            return 1 if predicate(coords, _w) else 0
 
         return Hypothesis(key=("formula",) + w, fn=fn)
 
@@ -745,44 +745,37 @@ class DefinableSpace(HypothesisSpace):
         for w in sorted(self._finite_tuples()):
             yield self.hypothesis(w)
 
-    def _labeling_of(self, w: Sequence[Fraction],
-                     instances: Sequence[Instance]) -> Labeling:
-        return tuple(1 if eval_formula(self.ast, x.coords, w, self.backend)
-                     else 0 for x in instances)
-
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
         instances = check_instance_tuple(instances)
         for x in instances:
             if len(x.coords) != self.ast.arity:
                 raise TypeError(f"instance {x} does not have arity "
                                 f"{self.ast.arity}")
+        points = [x.coords for x in instances]
 
         if self.closed_form is not None:
-            witnesses: dict[Labeling, Hypothesis] = {}
-            points = [x.coords for x in instances]
-            for lab, w in self.closed_form.enumerate_fn(points):
-                if self._labeling_of(w, instances) != lab:
-                    raise AssertionError(
-                        f"{self.closed_form.name} witness {w} failed "
-                        f"re-verification")
-                witnesses.setdefault(lab, self.hypothesis(w))
-            return DichotomyTable(instances, witnesses, exact=True)
-
-        if isinstance(self.source, (ExplicitParams, GridParams)):
-            witnesses = {}
-            for w in sorted(self._finite_tuples()):
-                witnesses.setdefault(self._labeling_of(w, instances),
-                                     self.hypothesis(w))
-            return DichotomyTable(instances, witnesses, exact=True)
-
-        witnesses = {}
-        for w in _candidate_parameters(self.ast, [x.coords for x in instances],
-                                       self.source, grid=None):
-            witnesses.setdefault(self._labeling_of(w, instances),
-                                 self.hypothesis(w))
-            if len(witnesses) == 2 ** len(instances):
-                break
-        return DichotomyTable(instances, witnesses, exact=False)
+            # The native oracle's witnesses, evaluated by the formula, must
+            # give back exactly the native labelings.
+            cf = self.closed_form
+            expected = {lab: cf.parameters(h.key) for lab, h
+                        in cf.space.dichotomies(instances).witnesses.items()}
+            found, _ = _first_witnesses(self._predicate, points,
+                                        expected.values())
+            if found != expected:
+                raise AssertionError(f"{cf.name} witnesses disagree with "
+                                     f"the formula")
+            exact = True
+        elif isinstance(self.source, (ExplicitParams, GridParams)):
+            found, _ = _first_witnesses(self._predicate, points,
+                                        sorted(self._finite_tuples()))
+            exact = True
+        else:
+            found, _ = _first_witnesses(
+                self._predicate, points,
+                _candidate_parameters(self.ast, points, self.source, grid=None))
+            exact = False
+        witnesses = {lab: self.hypothesis(w) for lab, w in found.items()}
+        return DichotomyTable(instances, witnesses, exact=exact)
 
 
 def definable_space(ast: FormulaAst, source, backend: str | None = None,
@@ -806,10 +799,11 @@ def definable_space(ast: FormulaAst, source, backend: str | None = None,
 class ShatterSearchVerdict:
     """Outcome of parameter-witness search for shattering.
 
-    ``shattered`` verdicts are sound: every labeling's witness has been
-    re-verified by evaluation.  The negative outcome is ``not-found``:
-    parameter search over an infinite space is incomplete, so absence of a
-    witness within budget never proves unshatterability.
+    ``shattered`` verdicts are sound: each witness is a parameter tuple at
+    which the compiled formula gave that labeling of the instances.  The
+    negative outcome is ``not-found``: parameter search over an infinite
+    space is incomplete, so absence of a witness within budget never proves
+    unshatterability.
     """
 
     status: str  # "shattered" | "not-found"
@@ -865,6 +859,24 @@ def _candidate_parameters(ast: FormulaAst, points, source: SampledParams,
         yield tuple(Fraction(rng.uniform(lo, hi)) for _ in range(arity))
 
 
+def _first_witnesses(predicate: Callable[[Sequence, Sequence], bool],
+                     points: Sequence[tuple[Fraction, ...]],
+                     candidates: Iterable[tuple[Fraction, ...]]
+                     ) -> tuple[dict[Labeling, tuple[Fraction, ...]], int]:
+    """Map each labeling of the points to the first candidate parameter
+    tuple that gives it, stopping once all 2^n labelings are found; also
+    return the number of candidates evaluated."""
+    target = 2 ** len(points)
+    found: dict[Labeling, tuple[Fraction, ...]] = {}
+    used = 0
+    for w in candidates:
+        used += 1
+        found.setdefault(tuple(1 if predicate(p, w) else 0 for p in points), w)
+        if len(found) == target:
+            break
+    return found, used
+
+
 def nip_shatter_search(ast: FormulaAst, instances: Sequence,
                        budget: int = 2000, seed: int = 0,
                        grid: Sequence[Sequence] | None = None
@@ -877,28 +889,15 @@ def nip_shatter_search(ast: FormulaAst, instances: Sequence,
         raise ValueError("instance list must be non-empty")
     if any(len(p) != ast.arity for p in points):
         raise ValueError(f"instances must have arity {ast.arity}")
-    backend = FLOAT if ast.uses_exp else EXACT
-    target = 2 ** len(points)
-    found: dict[Labeling, tuple[Fraction, ...]] = {}
-    used = 0
-    for w in _candidate_parameters(ast, points,
-                                   SampledParams(budget=budget, seed=seed),
-                                   grid):
-        used += 1
-        labeling = tuple(1 if eval_formula(ast, p, w, backend) else 0
-                         for p in points)
-        found.setdefault(labeling, w)
-        if len(found) == target:
-            break
-    if len(found) < target:
+    predicate = compile_formula(ast, FLOAT if ast.uses_exp else EXACT)
+    found, used = _first_witnesses(
+        predicate, points,
+        _candidate_parameters(ast, points,
+                              SampledParams(budget=budget, seed=seed), grid))
+    if len(found) < 2 ** len(points):
         return ShatterSearchVerdict(status="not-found", witnesses=None,
                                     budget_used=used)
-    for labeling, w in found.items():
-        check = tuple(1 if eval_formula(ast, p, w, backend) else 0
-                      for p in points)
-        if check != labeling:
-            raise AssertionError(f"witness {w} failed re-verification")
-    return ShatterSearchVerdict(status="shattered", witnesses=dict(found),
+    return ShatterSearchVerdict(status="shattered", witnesses=found,
                                 budget_used=used)
 
 

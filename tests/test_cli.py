@@ -210,6 +210,13 @@ class TestCli:
         assert code == 0
         assert payload["result"]["value"] is True
 
+    def test_formula_eval_float_backend_reads_rationals(self, tmp_path):
+        code, payload = run(tmp_path, "formula", "eval", "--text", "exp(x) < p",
+                            "--objects", "x", "--params", "p",
+                            "--x", "1/3", "--w", "2")
+        assert code == 0
+        assert payload["result"] == {"value": True, "backend": "float"}
+
     def test_formula_space(self, tmp_path):
         code, payload = run(tmp_path, "formula", "space", "--text", "x != p",
                             "--objects", "x", "--params", "p",

@@ -250,3 +250,25 @@ def test_subsets_of_shattered_sets_are_shattered(data):
     space = ExplicitSpace(domain, rows)
     from vclab.combinatorics import shattered_subset_property
     assert shattered_subset_property(space, domain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_counting_cross_checks(data):
+    """Cross-checks of the exact VC dimension by counting: Pajor's lemma
+    (H shatters at least |H| subsets of its domain, the empty set
+    included), the cap d <= floor(log2 |H|) of Linial, Mansour and Rivest,
+    and the Sauer-Shelah bound |H| <= sum_{i<=d} C(n, i)."""
+    nx = data.draw(st.integers(1, 5))
+    domain = atoms(nx)
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=nx,
+                                       max_size=nx), min_size=1, max_size=32))
+    space = ExplicitSpace(domain, rows)
+    shattered = 1 + sum(shatters(space, subset).shattered
+                        for r in range(1, nx + 1)
+                        for subset in combinations(domain, r))
+    assert shattered >= len(space)
+    verdict = vc_dimension(space, domain)
+    assert verdict.status == "exact"
+    assert verdict.value <= len(space).bit_length() - 1
+    assert len(space) <= sauer_bound(verdict.value, nx)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vclab import (
     CoSingletonSpace,
@@ -30,12 +32,19 @@ from vclab.formula import (
     BackendError,
     Cmp,
     Const,
+    Exp,
+    FormulaAst,
+    Implies,
     Mul,
     Neg,
+    Not,
+    Or,
     ParseError,
+    Sub,
     Var,
     recognize_closed_form,
 )
+from vclab.model import to_fraction
 from conftest import points
 
 RELU_TEXT = "(x < 0 -> y = 0) and (0 <= x -> y = x)"
@@ -177,6 +186,116 @@ class TestEval:
         assert eval_formula(ast, (10000, 5), backend="float") is False
 
 
+# Reference evaluator: a recursive walk over the AST that shares no code
+# with compile_formula, in the same order of operations.
+
+
+def _reference_term(node, env, backend):
+    if isinstance(node, Const):
+        return node.value if backend == "exact" else float(node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Add):
+        return (_reference_term(node.left, env, backend)
+                + _reference_term(node.right, env, backend))
+    if isinstance(node, Sub):
+        return (_reference_term(node.left, env, backend)
+                - _reference_term(node.right, env, backend))
+    if isinstance(node, Mul):
+        return (_reference_term(node.left, env, backend)
+                * _reference_term(node.right, env, backend))
+    if isinstance(node, Neg):
+        return -_reference_term(node.term, env, backend)
+    if isinstance(node, Exp):
+        try:
+            return math.exp(_reference_term(node.term, env, backend))
+        except OverflowError:
+            return math.inf
+    raise TypeError(f"not a term node: {node!r}")
+
+
+def _reference_formula(node, env, backend) -> bool:
+    if isinstance(node, Cmp):
+        left = _reference_term(node.left, env, backend)
+        right = _reference_term(node.right, env, backend)
+        if node.op == "<":
+            return left < right
+        if node.op == "<=":
+            return left <= right
+        if node.op == "=":
+            return left == right
+        return left != right
+    if isinstance(node, Not):
+        return not _reference_formula(node.child, env, backend)
+    if isinstance(node, And):
+        return (_reference_formula(node.left, env, backend)
+                and _reference_formula(node.right, env, backend))
+    if isinstance(node, Or):
+        return (_reference_formula(node.left, env, backend)
+                or _reference_formula(node.right, env, backend))
+    if isinstance(node, Implies):
+        return (not _reference_formula(node.left, env, backend)
+                or _reference_formula(node.right, env, backend))
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def reference_eval(ast: FormulaAst, x, w, backend: str) -> bool:
+    convert = to_fraction if backend == "exact" else (
+        lambda v: float(to_fraction(v)))
+    env = {name: convert(v)
+           for name, v in zip(ast.objects + ast.params, (*x, *w))}
+    return _reference_formula(ast.root, env, backend)
+
+
+# Few distinct values, so that "=" and "!=" often compare equal operands.
+VALUES = st.sampled_from([F(-2), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(2)])
+NAMES = ("x", "y", "p")
+
+
+def terms(with_exp: bool):
+    leaves = st.one_of(VALUES.map(Const), st.sampled_from(NAMES).map(Var))
+
+    def extend(children):
+        options = [st.builds(op, children, children) for op in (Add, Sub, Mul)]
+        options.append(st.builds(Neg, children))
+        if with_exp:
+            options.append(st.builds(Exp, children))
+        return st.one_of(*options)
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def formulas(with_exp: bool):
+    term = terms(with_exp)
+    atoms = st.builds(Cmp, st.sampled_from(["<", "<=", "=", "!="]), term, term)
+
+    def extend(children):
+        return st.one_of(st.builds(Not, children),
+                         *(st.builds(op, children, children)
+                           for op in (And, Or, Implies)))
+
+    return st.recursive(atoms, extend, max_leaves=4)
+
+
+FORMULAS = {with_exp: formulas(with_exp) for with_exp in (False, True)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compiled_evaluator_matches_reference(data):
+    """eval_formula agrees with the tree walk on random formulas: on both
+    backends without exp, on the float backend with it.  Float results
+    agree exactly, because both run the same operations in the same
+    order."""
+    with_exp = data.draw(st.booleans())
+    ast = FormulaAst(("x", "y"), ("p",), data.draw(FORMULAS[with_exp]))
+    x = (data.draw(VALUES), data.draw(VALUES))
+    w = (data.draw(VALUES),)
+    for backend in (("float",) if ast.uses_exp else ("exact", "float")):
+        assert eval_formula(ast, x, w, backend) is \
+            reference_eval(ast, x, w, backend)
+
+
 def sigmoid(t: float) -> float:
     return 1.0 / (1.0 + math.exp(-t))
 
@@ -221,24 +340,67 @@ class TestDefinableSpace:
         assert labelings == {(1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
 
     def test_recognized_forms_match_native_spaces(self):
+        """Each recognized shape, also with its parameters declared in
+        another order, has the native space's labelings, and each witness
+        is the native witness with its parameters moved to the formula's
+        declared positions.  ``index`` gives, per declared parameter, its
+        position in the native witness key."""
+        plane = [Instance.point(0, 0), Instance.point(1, 0),
+                 Instance.point(0, 1), Instance.point(2, 3)]
         cases = [
-            ("p <= x", ("x",), ("p",), ThresholdSpace(), points(1, 2, 4)),
-            ("x != p", ("x",), ("p",), CoSingletonSpace(), points(0, 3, 5)),
+            ("p <= x", ("x",), ("p",), ThresholdSpace(), points(1, 2, 4),
+             (0,)),
+            ("x != p", ("x",), ("p",), CoSingletonSpace(), points(0, 3, 5),
+             (0,)),
+            ("p != x", ("x",), ("p",), CoSingletonSpace(), points(0, 3, 5),
+             (0,)),
             ("a <= x and x <= b", ("x",), ("a", "b"), IntervalSpace(),
-             points(1, 2, 3, 4)),
+             points(1, 2, 3, 4), (0, 1)),
+            ("b <= x and x <= a", ("x",), ("a", "b"), IntervalSpace(),
+             points(1, 2, 3, 4), (1, 0)),
             ("0 <= w1 * x1 + w2 * x2 + b", ("x1", "x2"), ("w1", "w2", "b"),
-             HalfspaceSpace(2),
-             [Instance.point(0, 0), Instance.point(1, 0),
-              Instance.point(0, 1)]),
+             HalfspaceSpace(2), plane[:3], (0, 1, 2)),
+            ("0 <= w1 * x1 + w2 * x2 + b", ("x1", "x2"), ("b", "w2", "w1"),
+             HalfspaceSpace(2), plane, (2, 1, 0)),
+            ("0 <= b + x2 * w2 + w1 * x1", ("x1", "x2"), ("w2", "b", "w1"),
+             HalfspaceSpace(2), plane, (1, 2, 0)),
         ]
-        for text, objects, params, native, pool in cases:
+        for text, objects, params, native, pool, index in cases:
             ast = parse_formula(text, objects, params)
             space = definable_space(ast, SampledParams(budget=50))
             assert space.closed_form is not None
-            got, exact = realized_dichotomies(space, pool)
-            want, _ = realized_dichotomies(native, pool)
-            assert exact and got == want
+            table = space.dichotomies(pool)
+            want = native.dichotomies(pool)
+            assert table.exact and table.labelings == want.labelings
             assert space.known_vc() == native.known_vc()
+            for labeling, h in table.witnesses.items():
+                w = h.key[1:]
+                assert tuple(1 if eval_formula(ast, x.coords, w) else 0
+                             for x in pool) == labeling
+                native_w = want.witnesses[labeling].key[1:]
+                assert w == tuple(native_w[i] for i in index)
+
+    def test_finite_witnesses_are_least_tuples(self):
+        """Grid and explicit sources keep, for each labeling, the least
+        parameter tuple that gives it."""
+        interval = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
+        axis = [F(k, 2) for k in range(-2, 9)]
+        ratio = parse_formula("p * x <= q", ["x"], ["p", "q"])
+        rng = random.Random(3)
+        listed = [(F(rng.randint(-4, 4)), F(rng.randint(-4, 4), 2))
+                  for _ in range(30)]
+        cases = [(interval, GridParams.of([axis, axis]),
+                  [(a, b) for a in axis for b in axis], points(0, 1, 3)),
+                 (ratio, ExplicitParams.of(listed), listed, points(-1, 1, 2))]
+        for ast, source, tuples, pool in cases:
+            least = {}
+            for w in sorted(tuples):
+                labeling = tuple(1 if eval_formula(ast, x.coords, w) else 0
+                                 for x in pool)
+                least.setdefault(labeling, w)
+            table = definable_space(ast, source).dichotomies(pool)
+            assert {lab: h.key[1:] for lab, h in table.witnesses.items()} \
+                == least
 
     def test_interval_recognition_with_swapped_declaration_order(self):
         ast = parse_formula("b <= x and x <= a", ["x"], ["a", "b"])
