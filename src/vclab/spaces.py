@@ -11,8 +11,9 @@ together with a canonical witness parameter, exactly:
 
 Threshold, interval and co-singleton enumeration is combinatorial on the
 sorted points; halfspace enumeration decides each candidate labeling by
-exact Fourier-Motzkin elimination over the rationals (strict inequalities
-included), which also produces a rational witness.
+exact Fourier-Motzkin elimination (strict inequalities included) on
+primitive integer rows, each point's row built once for all labelings,
+which also produces an exact rational witness.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from .model import (
@@ -86,69 +88,80 @@ def cosingleton_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Frac
 
 
 # ---------------------------------------------------------------------------
-# Exact rational Fourier-Motzkin elimination
+# Exact Fourier-Motzkin elimination on integer rows
 
 # A constraint is (coeffs, const, strict) encoding  coeffs.v + const >= 0,
-# or > 0 when strict.
+# or > 0 when strict.  Inside fm_witness it becomes (row, strict) with the
+# primitive integer row (const, c_1, ..., c_k): the constant first, then the
+# coefficient of each variable still present, the last one eliminated next.
 
 
-def _normalize(con):
-    coeffs, const, strict = con
-    nums = [c.numerator for c in coeffs] + [const.numerator]
-    dens = [c.denominator for c in coeffs] + [const.denominator]
-    scale = Fraction(1)
-    for d in dens:
-        scale *= d
-    # Scale to integers, then divide by gcd for a canonical form.
-    ints = [int(c * scale) for c in coeffs] + [int(const * scale)]
+def _primitive(coeffs, const) -> tuple[int, ...]:
+    """The row (const, *coeffs) of ints or Fractions scaled by a positive
+    rational to coprime integers: times the lcm of the denominators, then
+    divided by the gcd.  An all-zero row stays all zero."""
+    values = (const, *coeffs)
+    scale = math.lcm(*[v.denominator for v in values])
+    ints = [v.numerator * (scale // v.denominator) for v in values]
     g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return (tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]), strict)
+    return tuple([v // g for v in ints] if g > 1 else ints)
 
 
 def fm_witness(constraints, nvars: int) -> tuple[Fraction, ...] | None:
     """Find a rational point satisfying all linear constraints, or None.
 
-    Eliminates variables from the highest index down, then back-substitutes.
-    Exact over Fractions; handles strict and non-strict inequalities.
+    Each constraint (coeffs, const, strict), with int or Fraction entries,
+    is scaled once to a primitive integer row.  Variables are eliminated
+    from the highest index down on those rows, every combination reduced by
+    its gcd and the rows of each stage deduplicated in a set.
+    Back-substitution takes, per variable, the largest lower and the
+    smallest upper bound (a strict bound wins a tie), then the bound itself,
+    the bound plus or minus 1 when it is strict and one-sided, the midpoint,
+    or 0 when unbounded.  The values are carried as integer numerators over
+    one common denominator, and the point is checked against the input
+    system in integers before it is returned as exact Fractions.
     """
-    systems: list[list] = []
-    current = [_normalize(c) for c in constraints]
-    for k in range(nvars - 1, -1, -1):
-        systems.append(current)
-        lowers, uppers, rest = [], [], []
-        for coeffs, const, strict in current:
-            a = coeffs[k]
+    initial = system = {(_primitive(coeffs, const), strict)
+                        for coeffs, const, strict in constraints}
+    systems = []
+    for _ in range(nvars):
+        systems.append(system)
+        lowers, uppers, reduced = [], [], set()
+        for row, strict in system:
+            a = row[-1]
             if a > 0:
-                lowers.append((coeffs, const, strict))
+                lowers.append((row, strict))
             elif a < 0:
-                uppers.append((coeffs, const, strict))
+                uppers.append((row, strict))
             else:
-                rest.append((coeffs[:k], const, strict))
-        combined = {(_c[0], _c[1], _c[2]) for _c in rest}
-        for lc, lconst, lstrict in lowers:
-            a = lc[k]
-            for uc, uconst, ustrict in uppers:
-                c = -uc[k]
-                coeffs = tuple(lc[j] * c + uc[j] * a for j in range(k))
-                const = lconst * c + uconst * a
-                combined.add(_normalize((coeffs, const, lstrict or ustrict)))
-        current = list(combined)
-    for coeffs, const, strict in current:
+                reduced.add((row[:-1], strict))
+        for lrow, lstrict in lowers:
+            a = lrow[-1]
+            for urow, ustrict in uppers:
+                c = -urow[-1]
+                row = [lv * c + uv * a for lv, uv in zip(lrow[:-1], urow)]
+                g = math.gcd(*row)
+                if g > 1:
+                    row = [v // g for v in row]
+                reduced.add((tuple(row), lstrict or ustrict))
+        system = reduced
+    for (const,), strict in system:
         if const < 0 or (strict and const == 0):
             return None
-    values: list[Fraction] = [Fraction(0)] * nvars
-    for k in range(nvars):
-        system = systems[nvars - 1 - k]
+    # point = (den, n_1, ..., n_k): the values found so far are n_j / den.
+    point = [1]
+    values: list[Fraction] = []
+    for system in reversed(systems):
+        den = point[0]
         lo = hi = None
         lo_strict = hi_strict = False
-        for coeffs, const, strict in system:
-            a = coeffs[k]
+        for row, strict in system:
+            a = row[-1]
             if a == 0:
                 continue
-            rest = const + sum(coeffs[j] * values[j] for j in range(k))
-            bound = -rest / a
+            # zip stops before a: rest = den * (const + sum_j c_j v_j).
+            rest = sum(map(mul, row, point))
+            bound = Fraction(-rest, a * den)
             if a > 0:
                 if lo is None or bound > lo or (bound == lo and strict):
                     lo, lo_strict = bound, strict
@@ -156,20 +169,24 @@ def fm_witness(constraints, nvars: int) -> tuple[Fraction, ...] | None:
                 if hi is None or bound < hi or (bound == hi and strict):
                     hi, hi_strict = bound, strict
         if lo is None and hi is None:
-            values[k] = Fraction(0)
+            value = Fraction(0)
         elif hi is None:
-            values[k] = lo + 1 if lo_strict else lo
+            value = lo + 1 if lo_strict else lo
         elif lo is None:
-            values[k] = hi - 1 if hi_strict else hi
+            value = hi - 1 if hi_strict else hi
+        elif lo == hi:
+            if lo_strict or hi_strict:
+                return None
+            value = lo
         else:
-            if lo == hi:
-                if lo_strict or hi_strict:
-                    return None
-                values[k] = lo
-            else:
-                values[k] = (lo + hi) / 2
-    for coeffs, const, strict in systems[0]:
-        total = const + sum(c * v for c, v in zip(coeffs, values))
+            value = (lo + hi) / 2
+        values.append(value)
+        scale = value.denominator // math.gcd(den, value.denominator)
+        if scale > 1:
+            point = [v * scale for v in point]
+        point.append(value.numerator * (point[0] // value.denominator))
+    for row, strict in initial:
+        total = sum(map(mul, row, point))
         if total < 0 or (strict and total == 0):
             return None
     return tuple(values)
@@ -180,15 +197,15 @@ def halfspace_dichotomies(points: list[tuple[Fraction, ...]], dim: int
     """All labelings of the points realizable as h(x) = 1[w.x + b >= 0],
     each with a rational witness (w_1..w_dim, b)."""
     nvars = dim + 1
+    # Per point: the integer row of w.x + b >= 0 (label 1) and of its
+    # strict negation (label 0), built once for all labelings.
+    rows = []
+    for x in points:
+        row = _primitive((*x, 1), 0)[1:]
+        rows.append(((tuple(-c for c in row), 0, True), (row, 0, False)))
     out = []
     for labeling in product((0, 1), repeat=len(points)):
-        constraints = []
-        for x, lab in zip(points, labeling):
-            row = tuple(x) + (Fraction(1),)
-            if lab == 1:
-                constraints.append((row, Fraction(0), False))
-            else:
-                constraints.append((tuple(-c for c in row), Fraction(0), True))
+        constraints = [pair[lab] for pair, lab in zip(rows, labeling)]
         witness = fm_witness(constraints, nvars)
         if witness is not None:
             out.append((labeling, witness))

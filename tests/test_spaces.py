@@ -1,9 +1,14 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from operator import mul
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import vclab.spaces
 from vclab import (
     CoSingletonSpace,
     HalfspaceSpace,
@@ -11,6 +16,7 @@ from vclab import (
     IntervalSpace,
     ThresholdSpace,
 )
+from vclab.cli import main
 from vclab.spaces import fm_witness, halfspace_dichotomies
 from conftest import points
 
@@ -92,6 +98,20 @@ class TestFmWitness:
         half_open = [((F(1),), F(-3), True), ((F(-1),), F(3), False)]
         assert fm_witness(half_open, 1) is None
 
+    def test_strict_bound_wins_a_tie(self):
+        # x >= c and x > c tie at c; the strict bound decides the witness
+        # whatever order the two rows are visited in.
+        for c in range(-4, 5):
+            for strict_first in (False, True):
+                lower = [((F(1),), F(-c), strict_first),
+                         ((F(1),), F(-c), not strict_first)]
+                upper = [((F(-1),), F(c), strict_first),
+                         ((F(-1),), F(c), not strict_first)]
+                assert fm_witness(lower, 1) == (F(c + 1),)
+                assert fm_witness(upper, 1) == (F(c - 1),)
+                assert fm_witness(lower[:1] + upper[:1], 1) == \
+                    (None if strict_first else (F(c),))
+
     def test_random_systems_verified(self):
         rng = random.Random(63)
         feasible = 0
@@ -104,15 +124,16 @@ class TestFmWitness:
                                     rng.random() < 0.4))
             witness = fm_witness(constraints, nvars)
             if witness is None:
-                # cross-check with a coarse grid: no grid point may satisfy
-                # a system that elimination called infeasible
-                for cand in product([F(n, 2) for n in range(-12, 13)],
-                                    repeat=nvars):
+                # cross-check with a coarse grid: no grid point n / 2 may
+                # satisfy a system that elimination called infeasible
+                # (integer coefficients, so 2 * total is an integer)
+                rows = [(2 * int(const), [int(c) for c in coeffs], strict)
+                        for coeffs, const, strict in constraints]
+                for cand in product(range(-12, 13), repeat=nvars):
                     sat = all(
                         (total > 0 if strict else total >= 0)
-                        for coeffs, const, strict in constraints
-                        for total in [const + sum(c * v for c, v
-                                                  in zip(coeffs, cand))])
+                        for const2, coeffs, strict in rows
+                        for total in [const2 + sum(map(mul, coeffs, cand))])
                     assert not sat
                 continue
             feasible += 1
@@ -120,6 +141,211 @@ class TestFmWitness:
                 total = const + sum(c * v for c, v in zip(coeffs, witness))
                 assert total > 0 if strict else total >= 0
         assert feasible >= 30
+
+
+# ---------------------------------------------------------------------------
+# Reference: Fourier-Motzkin elimination in Fraction arithmetic throughout,
+# the form fm_witness had before it moved to integer rows.  The integer
+# kernel must return exactly the same witnesses.
+
+
+def reference_normalize(con):
+    coeffs, const, strict = con
+    dens = [c.denominator for c in coeffs] + [const.denominator]
+    scale = F(1)
+    for d in dens:
+        scale *= d
+    ints = [int(c * scale) for c in coeffs] + [int(const * scale)]
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return (tuple(F(v) for v in ints[:-1]), F(ints[-1]), strict)
+
+
+def reference_fm_witness(constraints, nvars):
+    systems = []
+    current = [reference_normalize(c) for c in constraints]
+    for k in range(nvars - 1, -1, -1):
+        systems.append(current)
+        lowers, uppers, rest = [], [], []
+        for coeffs, const, strict in current:
+            a = coeffs[k]
+            if a > 0:
+                lowers.append((coeffs, const, strict))
+            elif a < 0:
+                uppers.append((coeffs, const, strict))
+            else:
+                rest.append((coeffs[:k], const, strict))
+        combined = set(rest)
+        for lc, lconst, lstrict in lowers:
+            a = lc[k]
+            for uc, uconst, ustrict in uppers:
+                c = -uc[k]
+                coeffs = tuple(lc[j] * c + uc[j] * a for j in range(k))
+                const = lconst * c + uconst * a
+                combined.add(reference_normalize(
+                    (coeffs, const, lstrict or ustrict)))
+        current = list(combined)
+    for coeffs, const, strict in current:
+        if const < 0 or (strict and const == 0):
+            return None
+    values = [F(0)] * nvars
+    for k in range(nvars):
+        system = systems[nvars - 1 - k]
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for coeffs, const, strict in system:
+            a = coeffs[k]
+            if a == 0:
+                continue
+            rest = const + sum(coeffs[j] * values[j] for j in range(k))
+            bound = -rest / a
+            if a > 0:
+                if lo is None or bound > lo or (bound == lo and strict):
+                    lo, lo_strict = bound, strict
+            else:
+                if hi is None or bound < hi or (bound == hi and strict):
+                    hi, hi_strict = bound, strict
+        if lo is None and hi is None:
+            values[k] = F(0)
+        elif hi is None:
+            values[k] = lo + 1 if lo_strict else lo
+        elif lo is None:
+            values[k] = hi - 1 if hi_strict else hi
+        else:
+            if lo == hi:
+                if lo_strict or hi_strict:
+                    return None
+                values[k] = lo
+            else:
+                values[k] = (lo + hi) / 2
+    for coeffs, const, strict in systems[0]:
+        total = const + sum(c * v for c, v in zip(coeffs, values))
+        if total < 0 or (strict and total == 0):
+            return None
+    return tuple(values)
+
+
+def reference_halfspace_dichotomies(points, dim):
+    out = []
+    for labeling in product((0, 1), repeat=len(points)):
+        constraints = []
+        for x, lab in zip(points, labeling):
+            row = tuple(x) + (F(1),)
+            if lab == 1:
+                constraints.append((row, F(0), False))
+            else:
+                constraints.append((tuple(-c for c in row), F(0), True))
+        witness = reference_fm_witness(constraints, dim + 1)
+        if witness is not None:
+            out.append((labeling, witness))
+    return out
+
+
+RATIONALS = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fm_witness_matches_fraction_reference(data):
+    """Random rational systems, strict and non-strict mixed: the integer
+    kernel returns the reference's witness, Fraction for Fraction, or None
+    in the same cases."""
+    nvars = data.draw(st.integers(1, 3))
+    constraint = st.tuples(st.tuples(*[RATIONALS] * nvars), RATIONALS,
+                           st.booleans())
+    constraints = data.draw(st.lists(constraint, min_size=1, max_size=6))
+    got = fm_witness(constraints, nvars)
+    assert got == reference_fm_witness(constraints, nvars)
+    assert got is None or all(type(v) is F for v in got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_halfspace_dichotomies_match_fraction_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    pts = data.draw(st.lists(st.tuples(*[RATIONALS] * dim),
+                             min_size=1, max_size=5))
+    assert halfspace_dichotomies(pts, dim) == \
+        reference_halfspace_dichotomies(pts, dim)
+
+
+def _det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:]
+                                              for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def affinely_independent(group):
+    """The Gram determinant of the differences to the first point is
+    nonzero."""
+    diffs = [[a - b for a, b in zip(p, group[0])] for p in group[1:]]
+    return not diffs or _det([[sum(map(mul, u, v)) for v in diffs]
+                              for u in diffs]) != 0
+
+
+def in_general_position(pts, dim):
+    """Every min(n, dim + 1) of the n points are affinely independent, so
+    no dim + 1 of them lie on a common affine hyperplane."""
+    return all(map(affinely_independent,
+                   combinations(pts, min(len(pts), dim + 1))))
+
+
+def cover_count(n, dim):
+    """Cover (1965): the number of labelings of n points in general
+    position in R^dim realized by affine halfspaces."""
+    return 2 * sum(math.comb(n - 1, i) for i in range(dim + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cover_count_in_general_position(data):
+    dim = data.draw(st.integers(1, 3))
+    pts = data.draw(st.lists(st.tuples(*[st.integers(-20, 20)] * dim),
+                             min_size=1, max_size=7, unique=True))
+    assume(in_general_position(pts, dim))
+    count = HalfspaceSpace(dim).dichotomy_count(
+        [Instance.point(*p) for p in pts])
+    assert count == cover_count(len(pts), dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cover_count_bounds_any_distinct_points(data):
+    dim = data.draw(st.integers(1, 3))
+    pts = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                             min_size=1, max_size=7, unique=True))
+    count = HalfspaceSpace(dim).dichotomy_count(
+        [Instance.point(*p) for p in pts])
+    assert count <= cover_count(len(pts), dim)
+
+
+class TestWitnessCheck:
+    """HalfspaceSpace re-checks every witness in Fraction arithmetic, apart
+    from the elimination; a kernel that returns a wrong witness is caught
+    and is not reported as bad input."""
+
+    @pytest.fixture
+    def negated_witnesses(self, monkeypatch):
+        def negated(constraints, nvars):
+            witness = fm_witness(constraints, nvars)
+            return None if witness is None else tuple(-v for v in witness)
+        monkeypatch.setattr(vclab.spaces, "fm_witness", negated)
+
+    def test_dichotomies_raise(self, negated_witnesses):
+        with pytest.raises(AssertionError):
+            HalfspaceSpace(2).dichotomies([Instance.point(0, 0),
+                                           Instance.point(1, 0),
+                                           Instance.point(0, 1)])
+
+    def test_cli_does_not_exit_2(self, negated_witnesses, tmp_path):
+        (tmp_path / "space.json").write_text(
+            '{"kind": "halfspace-family", "dim": 2}')
+        with pytest.raises(AssertionError):
+            main(["vcdim", "--space", str(tmp_path / "space.json"),
+                  "--pool", "0,0;1,0;0,1", "--out", str(tmp_path)])
 
 
 class TestParametricWitnesses:
