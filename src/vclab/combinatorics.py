@@ -76,20 +76,26 @@ def vc_dimension(space: HypothesisSpace, pool: Sequence[Instance],
     Searches subset sizes in increasing order (lexicographic within a size,
     over the canonically sorted pool), stopping early at the first shattered
     set per size.  A size with no shattered subset ends the search: subsets
-    of shattered sets are shattered, so no larger subset can succeed.  Each
-    subset tested costs one node against ``node_budget``.
+    of shattered sets are shattered, so no larger subset can succeed.  An
+    ``ExplicitSpace`` search also ends at floor(log2 |H|), since shattering
+    d points takes 2^d hypotheses (Linial, Mansour and Rivest 1991); a set
+    of that size is the exact VC dimension.  Each subset tested costs one
+    node against ``node_budget``.
     """
     pool = tuple(sorted(check_instance_tuple(pool), key=Instance.sort_key))
     max_size = len(pool) if limit is None else min(limit, len(pool))
     if max_size < 0:
         raise ValueError("limit must be >= 0")
+    log2_size = (len(space).bit_length() - 1
+                 if isinstance(space, ExplicitSpace) else None)
 
     best = 0
     best_set: tuple[Instance, ...] = ()
     nodes = 0
     budget_hit = False
     proven_within_pool = True
-    for d in range(1, max_size + 1):
+    for d in range(1, (max_size if log2_size is None
+                       else min(max_size, log2_size)) + 1):
         found = None
         for subset in combinations(pool, d):
             if node_budget is not None and nodes >= node_budget:
@@ -123,8 +129,9 @@ def vc_dimension(space: HypothesisSpace, pool: Sequence[Instance],
                     f"search found d={best} above the family's VC dimension {known}")
             if known == best:
                 status = EXACT
-        elif isinstance(space, ExplicitSpace) and proven_within_pool:
-            if set(space.domain) <= set(pool):
+        elif log2_size is not None:
+            if best == log2_size or (proven_within_pool
+                                     and set(space.domain) <= set(pool)):
                 status = EXACT
     return VcVerdict(value=best, status=status, witness_set=best_set,
                      witnesses=witnesses, pool=pool, nodes_used=nodes)

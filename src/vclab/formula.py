@@ -681,7 +681,15 @@ ParamSource = ExplicitParams | GridParams | SampledParams
 
 class DefinableSpace(HypothesisSpace):
     """Indicator functions 1[phi(. ; w)] of a formula, over a parameter
-    source."""
+    source.
+
+    A finite source (explicit or grid) is sorted once.  For every instance
+    point it is asked about, the space keeps a label column for its whole
+    lifetime: an int whose bit j is the formula at that point and candidate
+    j.  A column is evaluated over a prefix of the candidates that doubles
+    (from 64) until the queried points show every labeling or the source
+    runs out, so each (point, candidate) pair is evaluated at most once.
+    """
 
     kind = "formula-defined"
 
@@ -706,6 +714,9 @@ class DefinableSpace(HypothesisSpace):
             if any(len(t) != ast.param_arity for t in source.tuples):
                 raise ValueError("parameter tuples must match the parameter "
                                  "arity")
+        self._candidates: list[tuple[Fraction, ...]] | None = None
+        # point -> (label column, number of candidates it covers)
+        self._columns: dict[tuple[Fraction, ...], tuple[int, int]] = {}
 
     @property
     def oracle_exact(self) -> bool:
@@ -733,17 +744,64 @@ class DefinableSpace(HypothesisSpace):
     def hypothesis_from_key(self, key) -> Hypothesis:
         return self.hypothesis(key)
 
-    def _finite_tuples(self) -> tuple[tuple[Fraction, ...], ...]:
-        if isinstance(self.source, ExplicitParams):
-            return self.source.tuples
-        if isinstance(self.source, GridParams):
-            return self.source.tuples()
-        raise TypeError("the sampled parameter space is not finitely "
-                        "enumerable")
+    def _sorted_candidates(self) -> list[tuple[Fraction, ...]]:
+        if self._candidates is None:
+            if isinstance(self.source, ExplicitParams):
+                tuples = self.source.tuples
+            elif isinstance(self.source, GridParams):
+                tuples = self.source.tuples()
+            else:
+                raise TypeError("the sampled parameter space is not finitely "
+                                "enumerable")
+            self._candidates = sorted(tuples)
+        return self._candidates
 
     def hypotheses(self) -> Iterator[Hypothesis]:
-        for w in sorted(self._finite_tuples()):
+        for w in self._sorted_candidates():
             yield self.hypothesis(w)
+
+    def _column(self, point: tuple[Fraction, ...], size: int) -> int:
+        """The point's label column, evaluated over at least the first
+        ``size`` candidates."""
+        bits, done = self._columns.get(point, (0, 0))
+        if done < size:
+            predicate = self._predicate
+            fresh = "".join("1" if predicate(point, w) else "0" for w
+                            in reversed(self._candidates[done:size]))
+            bits |= int(fresh, 2) << done
+            self._columns[point] = bits, size
+        return bits
+
+    def _finite_witnesses(self, points: Sequence[tuple[Fraction, ...]]
+                          ) -> dict[Labeling, tuple[Fraction, ...]]:
+        """Map each labeling of the points to the least candidate that
+        gives it, in order of that candidate, by splitting the candidate
+        set point by point on the label columns."""
+        candidates = self._sorted_candidates()
+        total = len(candidates)
+        target = 2 ** len(points)
+        covered = min((self._columns.get(p, (0, 0))[1] for p in points),
+                      default=total)
+        size = min(total, max(64, covered))
+        while True:
+            groups = [((), (1 << size) - 1)]
+            for p in points:
+                column = self._column(p, size)
+                split = []
+                for lab, mask in groups:
+                    ones = mask & column
+                    if ones:
+                        split.append((lab + (1,), ones))
+                    if ones != mask:
+                        split.append((lab + (0,), mask ^ ones))
+                groups = split
+            if len(groups) == target or size == total:
+                break
+            size = min(total, 2 * size)
+        # mask & -mask is the lowest set bit: the group's least candidate.
+        groups.sort(key=lambda g: g[1] & -g[1])
+        return {lab: candidates[(mask & -mask).bit_length() - 1]
+                for lab, mask in groups}
 
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
         instances = check_instance_tuple(instances)
@@ -766,8 +824,7 @@ class DefinableSpace(HypothesisSpace):
                                      f"the formula")
             exact = True
         elif isinstance(self.source, (ExplicitParams, GridParams)):
-            found, _ = _first_witnesses(self._predicate, points,
-                                        sorted(self._finite_tuples()))
+            found = self._finite_witnesses(points)
             exact = True
         else:
             found, _ = _first_witnesses(

@@ -266,9 +266,22 @@ class DichotomyTable:
     """Restrictions of a hypothesis space to a fixed ordered instance tuple.
 
     ``witnesses`` maps each realized labeling (aligned with ``instances``)
-    to the canonically least witness hypothesis.  ``exact`` means the set of
-    labelings is exactly the restriction of the space; otherwise it is a
-    verified subset.
+    to one hypothesis that gives it, chosen deterministically by the
+    family:
+
+    * ``ExplicitSpace``: the least bit-vector;
+    * thresholds, intervals, co-singletons: the canonical parameter of the
+      combinatorial enumerator (the least point labeled 1; the least and
+      greatest point labeled 1; the point labeled 0; past the largest
+      point when no point has that label);
+    * halfspaces: the point Fourier-Motzkin back-substitution picks, which
+      is not least in any order;
+    * formulas: the least parameter tuple of a finite source; over a
+      sampled source, the native witness of a recognized closed form, else
+      the first tuple the seeded search finds.
+
+    ``exact`` means the set of labelings is exactly the restriction of the
+    space; otherwise it is a verified subset.
     """
 
     instances: tuple[Instance, ...]

@@ -2,7 +2,7 @@
 closed-form restriction oracles.
 
 Each family enumerates, for a finite instance set, every realized labeling
-together with a canonical witness parameter, exactly:
+together with a witness parameter chosen by a fixed rule, exactly:
 
 * thresholds        h_w(x) = 1  iff  x >= w
 * intervals         h_{a,b}(x) = 1  iff  a <= x <= b          (a <= b)
@@ -13,7 +13,9 @@ Threshold, interval and co-singleton enumeration is combinatorial on the
 sorted points; halfspace enumeration decides each candidate labeling by
 exact Fourier-Motzkin elimination (strict inequalities included) on
 primitive integer rows, each point's row built once for all labelings,
-which also produces an exact rational witness.
+which also produces an exact rational witness.  ``HalfspaceSpace`` checks
+every witness again in integers, against rows it builds from the
+coordinates apart from the ones the elimination uses.
 """
 
 from __future__ import annotations
@@ -288,6 +290,12 @@ class CoSingletonSpace(HypothesisSpace):
         return DichotomyTable(instances, witnesses, exact=True)
 
 
+def _integer_vector(values) -> list[int]:
+    """The rationals times the lcm of their denominators."""
+    scale = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 class HalfspaceSpace(HypothesisSpace):
     """Affine halfspaces of a fixed dimension: h = 1[w.x + b >= 0]."""
 
@@ -326,10 +334,15 @@ class HalfspaceSpace(HypothesisSpace):
             if len(coords) != self.dim:
                 raise TypeError(f"instance {x} is not {self.dim}-dimensional")
             points.append(coords)
+        # Every witness is checked apart from the elimination and its rows:
+        # (x, 1) and (w, b), each scaled by a positive integer to integers,
+        # have a dot product of the same sign as w.x + b.
+        rows = [_integer_vector((*x, 1)) for x in points]
         witnesses = {}
         for lab, params in halfspace_dichotomies(points, self.dim):
-            h = self.hypothesis(params)
-            if tuple(h(x) for x in instances) != lab:
+            scaled = _integer_vector(params)
+            if tuple(1 if sum(map(mul, scaled, row)) >= 0 else 0
+                     for row in rows) != lab:
                 raise AssertionError("halfspace witness failed verification")
-            witnesses[lab] = h
+            witnesses[lab] = self.hypothesis(params)
         return DichotomyTable(instances, witnesses, exact=True)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -160,6 +161,19 @@ class TestVcDimension:
         assert verdict.value == 2
         assert verdict.status == "lower-bound"
 
+    def test_search_stops_at_log2_size(self):
+        """|H| = 4 caps the search at 2: the first shattered pair ends it,
+        with no triple tested, and certifies the value exact even when the
+        pool leaves out part of the domain."""
+        domain = atoms(4)
+        space = ExplicitSpace(domain, [[a, b, 0, 0] for a in (0, 1)
+                                       for b in (0, 1)])
+        verdict = vc_dimension(space, domain)
+        assert (verdict.value, verdict.status, verdict.nodes_used) == \
+            (2, "exact", 2)
+        verdict = vc_dimension(space, domain[:2])
+        assert (verdict.value, verdict.status) == (2, "exact")
+
     def test_pool_smaller_than_domain_is_lower_bound(self):
         space = ExplicitSpace.full(atoms(3))
         verdict = vc_dimension(space, atoms(3)[:2])
@@ -255,19 +269,28 @@ def test_subsets_of_shattered_sets_are_shattered(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_counting_cross_checks(data):
-    """Cross-checks of the exact VC dimension by counting: Pajor's lemma
-    (H shatters at least |H| subsets of its domain, the empty set
-    included), the cap d <= floor(log2 |H|) of Linial, Mansour and Rivest,
-    and the Sauer-Shelah bound |H| <= sum_{i<=d} C(n, i)."""
+    """Cross-checks of the exact VC dimension by counting: the sandwich
+    #strongly shattered <= |H| <= #shattered over the subsets of the
+    domain, the empty set counted in both (the upper half is Pajor's lemma;
+    Anstee, Ronyai and Sali 2002), the cap d <= floor(log2 |H|) of Linial,
+    Mansour and Rivest, and the Sauer-Shelah bound
+    |H| <= sum_{i<=d} C(n, i).  S is strongly shattered when one labeling
+    of the rest of the domain extends to all 2^|S| labelings of S inside
+    H."""
     nx = data.draw(st.integers(1, 5))
     domain = atoms(nx)
     rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=nx,
                                        max_size=nx), min_size=1, max_size=32))
     space = ExplicitSpace(domain, rows)
-    shattered = 1 + sum(shatters(space, subset).shattered
-                        for r in range(1, nx + 1)
-                        for subset in combinations(domain, r))
-    assert shattered >= len(space)
+    vectors = [h.key[1] for h in space.hypotheses()]
+    strongly = shattered = 1
+    for r in range(1, nx + 1):
+        for subset in combinations(range(nx), r):
+            rest = [i for i in range(nx) if i not in subset]
+            cubes = Counter(tuple(v[i] for i in rest) for v in vectors)
+            strongly += max(cubes.values()) == 2 ** r
+            shattered += shatters(space, [domain[i] for i in subset]).shattered
+    assert strongly <= len(space) <= shattered
     verdict = vc_dimension(space, domain)
     assert verdict.status == "exact"
     assert verdict.value <= len(space).bit_length() - 1

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -42,6 +43,7 @@ from vclab.formula import (
     ParseError,
     Sub,
     Var,
+    compile_formula,
     recognize_closed_form,
 )
 from vclab.model import to_fraction
@@ -469,6 +471,113 @@ class TestDefinableSpace:
         space = definable_space(ast, [[]])
         labelings, exact = realized_dichotomies(space, points(-1, 1))
         assert exact and labelings == {(0, 1)}
+
+
+# Reference for the label columns of finite sources: the witness loop they
+# replaced, run over the sorted candidates.
+
+
+def reference_first_witnesses(predicate, points, candidates):
+    """Map each labeling of the points to the first candidate that gives
+    it, stopping once all 2^n labelings are found."""
+    found = {}
+    for w in candidates:
+        found.setdefault(tuple(1 if predicate(p, w) else 0 for p in points), w)
+        if len(found) == 2 ** len(points):
+            break
+    return found
+
+
+COORDS = st.integers(-8, 8).map(lambda k: F(k, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_label_columns_match_first_witnesses(data):
+    """Finite sources answer from their cached label columns with the same
+    witnesses, in the same order, as the first-witness loop: random
+    formulas over random explicit and grid sources (up to 144 candidates,
+    so the prefix doubles), both backends, several queries on one space,
+    the empty point tuple included."""
+    with_exp = data.draw(st.booleans())
+    ast = FormulaAst(("x",), ("y", "p"), data.draw(FORMULAS[with_exp]))
+    if data.draw(st.booleans()):
+        source = GridParams.of(data.draw(st.lists(
+            st.lists(COORDS, min_size=1, max_size=12), min_size=2,
+            max_size=2)))
+        candidates = sorted(source.tuples())
+    else:
+        source = ExplicitParams.of(data.draw(st.lists(
+            st.tuples(COORDS, COORDS), min_size=1, max_size=144)))
+        candidates = sorted(source.tuples)
+    backend = "float" if with_exp else data.draw(
+        st.sampled_from(["exact", "float"]))
+    space = DefinableSpace(ast, source, backend)
+    predicate = compile_formula(ast, backend)
+    for _ in range(data.draw(st.integers(1, 4))):
+        xs = data.draw(st.lists(COORDS, max_size=4, unique=True))
+        pool = [(x,) for x in xs]
+        want = reference_first_witnesses(predicate, pool, candidates)
+        assert list(space._finite_witnesses(pool).items()) == \
+            list(want.items())
+        if xs:
+            table = space.dichotomies(points(*xs))
+            assert [(lab, h.key[1:]) for lab, h in table.witnesses.items()] \
+                == list(want.items())
+
+
+def count_predicate_calls(space: DefinableSpace) -> Counter:
+    """Make the space count its predicate calls per (point, candidate)."""
+    calls = Counter()
+    predicate = space._predicate
+
+    def counted(x, w):
+        calls[tuple(x), tuple(w)] += 1
+        return predicate(x, w)
+
+    space._predicate = counted
+    return calls
+
+
+class TestLabelColumns:
+    def test_vc_dimension_evaluates_each_pair_once(self):
+        ast = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
+        axis = [F(k, 2) for k in range(-2, 19)]
+        space = definable_space(ast, GridParams.of([axis, axis]))
+        calls = count_predicate_calls(space)
+        pool = points(0, 1, 3, 4, 6, 7)
+        verdict = vc_dimension(space, pool)
+        assert verdict.value == 2
+        assert verdict.nodes_used == 2 + 20  # every triple is tested
+        assert max(calls.values()) == 1
+        assert {x for x, _ in calls} == {x.coords for x in pool}
+
+    def test_fresh_space_stops_early(self):
+        """A fresh space whose instance set is shattered within the first
+        k sorted candidates evaluates at most max(64, 2k) of them per
+        point."""
+        cosingleton = parse_formula("x != p", ["x"], ["p"])
+        singles = ExplicitParams.of([[k] for k in range(1000)])
+        interval = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
+        axis = list(range(-1, 61))
+        cases = [(cosingleton, singles, points(5)),
+                 (cosingleton, singles, points(64)),
+                 (cosingleton, singles, points(150)),
+                 (interval, GridParams.of([axis, axis]), points(1, 2))]
+        for ast, source, pool in cases:
+            space = definable_space(ast, source)
+            candidates = space._sorted_candidates()
+            want = reference_first_witnesses(compile_formula(ast),
+                                             [x.coords for x in pool],
+                                             candidates)
+            assert len(want) == 2 ** len(pool)
+            k = 1 + max(candidates.index(w) for w in want.values())
+            assert max(64, 2 * k) < len(candidates)
+            calls = count_predicate_calls(space)
+            assert space.dichotomy_count(pool) == 2 ** len(pool)
+            per_point = Counter(x for x, _ in calls)
+            assert set(per_point) == {x.coords for x in pool}
+            assert max(per_point.values()) <= max(64, 2 * k)
 
 
 class TestShatterSearch:

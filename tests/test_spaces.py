@@ -323,9 +323,10 @@ def test_cover_count_bounds_any_distinct_points(data):
 
 
 class TestWitnessCheck:
-    """HalfspaceSpace re-checks every witness in Fraction arithmetic, apart
-    from the elimination; a kernel that returns a wrong witness is caught
-    and is not reported as bad input."""
+    """HalfspaceSpace re-checks every witness against integer rows it builds
+    from the coordinates itself, apart from the elimination and the rows
+    that feed it; a kernel that returns a wrong witness, or a wrong row
+    builder, is caught and is not reported as bad input."""
 
     @pytest.fixture
     def negated_witnesses(self, monkeypatch):
@@ -346,6 +347,25 @@ class TestWitnessCheck:
         with pytest.raises(AssertionError):
             main(["vcdim", "--space", str(tmp_path / "space.json"),
                   "--pool", "0,0;1,0;0,1", "--out", str(tmp_path)])
+
+    @pytest.fixture
+    def denominators_dropped(self, monkeypatch):
+        def numerators(coeffs, const):
+            return tuple(v.numerator for v in (const, *coeffs))
+        monkeypatch.setattr(vclab.spaces, "_primitive", numerators)
+
+    def test_wrong_rows_raise(self, denominators_dropped):
+        with pytest.raises(AssertionError):
+            HalfspaceSpace(2).dichotomies([Instance.point(F(1, 2), 0),
+                                           Instance.point(0, F(1, 3)),
+                                           Instance.point(F(2, 3), F(3, 4))])
+
+    def test_wrong_rows_do_not_exit_2(self, denominators_dropped, tmp_path):
+        (tmp_path / "space.json").write_text(
+            '{"kind": "halfspace-family", "dim": 2}')
+        with pytest.raises(AssertionError):
+            main(["vcdim", "--space", str(tmp_path / "space.json"),
+                  "--pool", "1/2,0;0,1/3;2/3,3/4", "--out", str(tmp_path)])
 
 
 class TestParametricWitnesses:
