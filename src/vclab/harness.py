@@ -10,10 +10,12 @@ carries how often each support entry was drawn, and exact mode enumerates
 multisets of support indices with multinomial weights (ordered tuples only
 for learners that depend on sample order).
 
-Reproducibility: sampling is inverse-CDF over the support in canonical
-sample order, and each trial runs on its own PRNG seeded by
+Reproducibility: each trial runs on its own PRNG seeded by
 sha256(master_seed, trial_index), so results are independent of execution
-order.
+order.  A trial draws exactly what ``rng.choices`` would draw over the
+support's cumulative float weights, but decodes the generator's raw words
+into per-index counts (see :class:`InverseCDF`); the samples in draw order
+are decoded only for learners that are not order-invariant.
 
 Scope: an estimate certifies the one distribution it was run against.
 Guarantees that hold uniformly over every distribution come from the
@@ -26,10 +28,12 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .learners import LearningFunction
 from .model import (
@@ -116,12 +120,102 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def draw_multisample(support: tuple[Sample, ...], cum: Sequence[float],
-                     m: int, rng: random.Random) -> MultiSample:
-    """m i.i.d. samples by inverse CDF over the canonical support order;
-    ``cum`` holds the running sums of the support weights as floats."""
-    return MultiSample.from_draw(
-        support, rng.choices(range(len(support)), cum_weights=cum, k=m))
+# CPython's random() is (a * 2**26 + b) / 2**53 with a = w0 >> 5 and
+# b = w1 >> 6 for the next two 32-bit Mersenne Twister words, and
+# getrandbits(64 * n) returns the next 2n words least significant first.  So
+# draw i of a chunk reads w0, w1 from bytes 8i to 8i+7 of the chunk's
+# little-endian bytes, and byte 8i+3, the top byte of w0, is the top byte of
+# the 53-bit numerator N = a * 2**26 + b.  test_harness has a canary for it.
+_WORD_PAIR = struct.Struct("<II")
+_CHUNK = 4096  # draws per getrandbits call: 32 KiB of words
+
+
+class InverseCDF:
+    """The inverse-CDF rule of ``rng.choices`` over one support, as integer
+    thresholds on the 53-bit numerator N of ``random()``.
+
+    With ``cum_weights=cum`` over ``range(k)``, ``rng.choices`` draws index
+    ``bisect_right(cum, random() * total, 0, k - 1)``, the number of j < k-1
+    with cum[j] <= (N / 2**53) * total in floats.  The float product is
+    monotone in N, so ``thresholds[j]`` is the least N that reaches cum[j]
+    (2**53 if none does) and the index is ``bisect_right(thresholds, N)``.
+
+    The top byte of N settles the index unless a threshold has the same
+    top byte: ``below[v]`` counts the thresholds with top byte < v, and the
+    draws whose top byte is in ``split`` (the thresholds' top bytes) are
+    resolved one by one.  ``rank`` maps a top byte to the position of its
+    ``below`` value in ``bases``, the distinct ``below`` values, so that a
+    translated chunk can be counted per index in C.
+    """
+
+    def __init__(self, support: tuple[Sample, ...], cum: Sequence[float]):
+        total = cum[-1] + 0.0
+        self.support = support
+        self.thresholds = tuple(_least_reaching(c, total) for c in cum[:-1])
+        tops = [t >> 45 for t in self.thresholds]
+        self.below = tuple(bisect_left(tops, v) for v in range(256))
+        self.split = bytes(sorted({v for v in tops if v < 256}))
+        self.bases = sorted(set(self.below))
+        self.rank = bytes(map(self.bases.index, self.below))
+
+    def resolve(self, raw: bytes, top: bytes) -> Iterator[tuple[int, int]]:
+        """(position, support index) of each draw in the chunk ``raw`` whose
+        top byte, ``top[position]``, is split."""
+        thresholds = self.thresholds
+        for v in self.split:
+            i = top.find(v)
+            while i >= 0:
+                w0, w1 = _WORD_PAIR.unpack_from(raw, 8 * i)
+                yield i, bisect_right(thresholds, (w0 >> 5) << 26 | w1 >> 6)
+                i = top.find(v, i + 1)
+
+
+def _least_reaching(c: float, total: float) -> int:
+    """The least N < 2**53 with c <= (N * 2**-53) * total in floats, or
+    2**53 if there is none."""
+    lo, hi = 0, 1 << 53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if c <= mid * 2.0 ** -53 * total:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def draw_multisample(cdf: InverseCDF, m: int, rng: random.Random,
+                     ordered: bool = False) -> MultiSample:
+    """m i.i.d. draws from the support: exactly the m indices that
+    ``rng.choices`` draws with the cumulative weights ``cdf`` was built
+    from, leaving the generator in the same state.
+
+    The 2m raw words come in chunks of ``_CHUNK`` draws and are decoded by
+    ``cdf``.  The result carries only the per-index counts, its samples in
+    canonical support order, unless ``ordered``: then it also holds the
+    index sequence in draw order, for learners that depend on it.
+    """
+    below = cdf.below
+    counts = [0] * len(cdf.support)
+    indices: list[int] = []
+    for done in range(0, m, _CHUNK):
+        n = min(_CHUNK, m - done)
+        raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+        top = raw[3::8]
+        if ordered:
+            chunk = list(map(below.__getitem__, top))
+            for i, j in cdf.resolve(raw, top):
+                chunk[i] = j
+            indices += chunk
+            continue
+        ranks = top.translate(cdf.rank)
+        for r, j in enumerate(cdf.bases):
+            counts[j] += ranks.count(r)
+        for i, j in cdf.resolve(raw, top):
+            counts[below[top[i]]] -= 1
+            counts[j] += 1
+    if ordered:
+        return MultiSample.from_draw(cdf.support, indices)
+    return MultiSample.from_counts(cdf.support, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +395,11 @@ def _estimate(kind: str, dist: DiscreteDistribution, m: int, eps: Fraction,
                            seed=seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    support = dist.support
-    cum = list(accumulate(float(w) for _, w in dist.items()))
+    cdf = InverseCDF(dist.support,
+                     list(accumulate(float(w) for _, w in dist.items())))
     successes = sum(
-        success(draw_multisample(support, cum, m,
-                                 random.Random(trial_seed(seed, t))))
+        success(draw_multisample(cdf, m, random.Random(trial_seed(seed, t)),
+                                 ordered))
         for t in range(trials))
     lo, hi = wilson_interval(successes, trials)
     return TrialReport(kind=kind, mode="monte-carlo", m=m, eps=float(eps),

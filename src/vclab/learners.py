@@ -42,8 +42,11 @@ class LearningFunction:
     """A deterministic multi-sample -> hypothesis map with a declared
     sample-error slack schedule (0 for exact minimizers) and the sample size
     from which the schedule is honored.  ``order_invariant`` declares that
-    the output depends only on the multiset of samples, which lets exact
-    enumeration run over multisets instead of ordered tuples."""
+    the output depends only on the multiset of samples.  Exact mode and the
+    NFL enumeration then run over multisets instead of ordered tuples, and
+    Monte Carlo hands the learner counts-only draws whose samples come in
+    canonical support order, not in draw order; the NFL determinism probe
+    checks the declaration on reversed samples."""
 
     name: str
     fn: Callable[[MultiSample], Hypothesis] = field(repr=False)

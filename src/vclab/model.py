@@ -16,8 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import (accumulate, combinations_with_replacement, compress,
-                       groupby, product)
+from itertools import (accumulate, chain, combinations_with_replacement,
+                       compress, groupby, product, repeat)
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Labeling = tuple[int, ...]
@@ -147,10 +147,12 @@ def as_sample(value) -> Sample:
 class MultiSample:
     """An ordered sequence of samples of length m >= 1 (repeats allowed).
 
-    A multi-sample drawn from a support (see :meth:`from_draw`) also keeps
-    how often each support entry was drawn (only it attaches them), so the
-    count-based views cost O(|support|) rather than O(m).  Equality and
-    hashing use ``samples`` only.
+    A multi-sample drawn from a support (see :meth:`from_draw` and
+    :meth:`from_counts`) also keeps how often each support entry was drawn
+    (only they attach them), so the count-based views cost O(|support|)
+    rather than O(m).  A counts-only multi-sample builds its ``samples`` on
+    first access, in canonical support order.  Equality and hashing use
+    ``samples`` only.
     """
 
     samples: tuple[Sample, ...]
@@ -184,15 +186,36 @@ class MultiSample:
             counts=tuple(map(tally.__getitem__, range(len(support)))))
         return drawn
 
+    @staticmethod
+    def from_counts(support: tuple[Sample, ...],
+                    counts: Sequence[int]) -> "MultiSample":
+        """The multi-sample with ``counts[i]`` copies of ``support[i]``, in
+        support order; its ``samples`` are built only if something reads
+        them."""
+        if (len(counts) != len(support) or min(counts) < 0 or not sum(counts)
+                or not all(isinstance(z, Sample) for z in support)):
+            raise ValueError("a draw needs non-negative counts, at least one "
+                             "positive, one per entry of a support of Samples")
+        drawn = object.__new__(MultiSample)
+        drawn.__dict__.update(support=support, counts=tuple(counts))
+        return drawn
+
     @property
     def m(self) -> int:
-        return len(self.samples)
+        return len(self.samples) if self.counts is None else sum(self.counts)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.m
 
     def __iter__(self) -> Iterator[Sample]:
         return iter(self.samples)
+
+    def _tally(self) -> Iterable[tuple[Sample, int]]:
+        """(sample, count) pairs; with counts attached, one per support
+        entry, zeros included."""
+        if self.counts is None:
+            return Counter(self.samples).items()
+        return zip(self.support, self.counts)
 
     def instances_sorted(self) -> tuple[Instance, ...]:
         """Distinct instances, in canonical order."""
@@ -203,10 +226,8 @@ class MultiSample:
 
     def label_counts(self) -> dict[Instance, tuple[int, int]]:
         """Per-instance counts (#labeled 0, #labeled 1)."""
-        tally = (Counter(self.samples).items() if self.counts is None
-                 else zip(self.support, self.counts))
         out: dict[Instance, tuple[int, int]] = {}
-        for z, c in tally:
+        for z, c in self._tally():
             if c:
                 n0, n1 = out.get(z.instance, (0, 0))
                 out[z.instance] = (n0, n1 + c) if z.label else (n0 + c, n1)
@@ -222,6 +243,25 @@ class MultiSample:
             else:
                 parts.append("v:" + ",".join(str(c) for c in v) + f":{z.label}")
         return "|".join(parts).encode()
+
+
+class _CanonicalSamples:
+    """The ``samples`` of a counts-only multi-sample, built in canonical
+    support order on first access and then stored on the instance, where
+    they shadow this non-data descriptor.  Installed after the dataclass
+    is built, so that ``samples`` stays a required field; unlike a
+    ``__getattr__`` hook it adds nothing to other attribute lookups."""
+
+    def __get__(self, zbar, owner=None):
+        if zbar is None:
+            return self
+        samples = tuple(chain.from_iterable(map(repeat, zbar.support,
+                                                zbar.counts)))
+        zbar.__dict__["samples"] = samples
+        return samples
+
+
+MultiSample.samples = _CanonicalSamples()
 
 
 def index_states(k: int, m: int, ordered: bool
@@ -516,9 +556,9 @@ def true_error(h: Hypothesis, dist: DiscreteDistribution) -> Fraction:
 def empirical_distribution(zbar: MultiSample) -> DiscreteDistribution:
     """The uniform distribution over the multi-sample's entries, with
     repeated samples' weights accumulated."""
-    counts = Counter(zbar.samples)
+    m = zbar.m
     return DiscreteDistribution(
-        {z: Fraction(c, zbar.m) for z, c in counts.items()})
+        {z: Fraction(c, m) for z, c in zbar._tally() if c})
 
 
 def _table_for(space: HypothesisSpace, instances: Sequence[Instance],

@@ -272,11 +272,12 @@ def test_counting_cross_checks(data):
     """Cross-checks of the exact VC dimension by counting: the sandwich
     #strongly shattered <= |H| <= #shattered over the subsets of the
     domain, the empty set counted in both (the upper half is Pajor's lemma;
-    Anstee, Ronyai and Sali 2002), the cap d <= floor(log2 |H|) of Linial,
-    Mansour and Rivest, and the Sauer-Shelah bound
-    |H| <= sum_{i<=d} C(n, i).  S is strongly shattered when one labeling
-    of the rest of the domain extends to all 2^|S| labelings of S inside
-    H."""
+    Anstee, Ronyai and Sali 2002).  The largest subset the loop finds
+    shattered, by projecting the bit-vectors, must obey the cap
+    d <= floor(log2 |H|) of Linial, Mansour and Rivest and the Sauer-Shelah
+    bound |H| <= sum_{i<=d} C(n, i), and must equal the exact VC dimension.
+    S is strongly shattered when one labeling of the rest of the domain
+    extends to all 2^|S| labelings of S inside H."""
     nx = data.draw(st.integers(1, 5))
     domain = atoms(nx)
     rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=nx,
@@ -284,14 +285,20 @@ def test_counting_cross_checks(data):
     space = ExplicitSpace(domain, rows)
     vectors = [h.key[1] for h in space.hypotheses()]
     strongly = shattered = 1
+    largest = 0
     for r in range(1, nx + 1):
         for subset in combinations(range(nx), r):
             rest = [i for i in range(nx) if i not in subset]
             cubes = Counter(tuple(v[i] for i in rest) for v in vectors)
             strongly += max(cubes.values()) == 2 ** r
-            shattered += shatters(space, [domain[i] for i in subset]).shattered
+            hit = len({tuple(v[i] for i in subset) for v in vectors}) == 2 ** r
+            found = shatters(space, [domain[i] for i in subset])
+            assert found.shattered == hit
+            shattered += hit
+            largest = max(largest, r * hit)
     assert strongly <= len(space) <= shattered
+    assert largest <= len(space).bit_length() - 1
+    assert len(space) <= sauer_bound(largest, nx)
     verdict = vc_dimension(space, domain)
     assert verdict.status == "exact"
-    assert verdict.value <= len(space).bit_length() - 1
-    assert len(space) <= sauer_bound(verdict.value, nx)
+    assert verdict.value == largest

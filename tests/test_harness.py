@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -8,7 +9,9 @@ from vclab import (
     BudgetError,
     DiscreteDistribution,
     ExplicitSpace,
+    Instance,
     MultiSample,
+    Sample,
     ThresholdSpace,
     approximation_error,
     builtin_learners,
@@ -27,7 +30,7 @@ from vclab import (
     v_statistic,
     wilson_interval,
 )
-from vclab.harness import draw_multisample, trial_seed
+from vclab.harness import _CHUNK, InverseCDF, draw_multisample, trial_seed
 from conftest import (
     atoms,
     random_distribution,
@@ -250,9 +253,9 @@ class TestEstimateUcp:
                                      (("s1", 1), F(1, 4)),
                                      (("s2", 0), F(1, 4))])
         m, eps, seed, trials = 8, F(1, 4), 21, 40
-        cum = [0.25, 0.5, 0.75, 1.0]
+        cdf = InverseCDF(dist.support, [0.25, 0.5, 0.75, 1.0])
         u_values = [u_statistic(space, dist, draw_multisample(
-            dist.support, cum, m, random.Random(trial_seed(seed, t))))
+            cdf, m, random.Random(trial_seed(seed, t))))
             for t in range(trials)]
         assert any(u == eps for u in u_values)
         assert any(u > eps for u in u_values)
@@ -260,6 +263,143 @@ class TestEstimateUcp:
             report = estimate_ucp_probability(space, dist, m=m, eps=eps,
                                               trials=t, seed=seed)
             assert report.successes == sum(u <= eps for u in u_values[:t])
+
+
+def cumulative(weights):
+    return list(accumulate(float(w) for w in weights))
+
+
+def reference_indices(cum, m, rng):
+    """The draw rule the harness reproduces from raw generator words."""
+    return rng.choices(range(len(cum)), cum_weights=cum, k=m)
+
+
+def reference_successes(dist, m, trials, seed, success):
+    """Monte Carlo successes with each trial drawn by ``rng.choices``."""
+    support = dist.support
+    cum = cumulative(w for _, w in dist.items())
+    return sum(success(MultiSample.from_draw(support, reference_indices(
+        cum, m, random.Random(trial_seed(seed, t))))) for t in range(trials))
+
+
+class TestDrawMultisample:
+    def test_random_is_built_from_getrandbits_words(self):
+        # Canary for the CPython layout the decoder relies on: random() is
+        # (w0 >> 5, w1 >> 6) / 2**53 for the next two words, and
+        # getrandbits(64 * n) yields the same words least significant first,
+        # whether drawn in one call or several.
+        rng = random.Random(2024)
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        for _ in range(200):
+            word = clone.getrandbits(64)
+            w0, w1 = word & 0xFFFFFFFF, word >> 32
+            assert rng.random() == ((w0 >> 5) * 2 ** 26 + (w1 >> 6)) / 2 ** 53
+        assert rng.getstate() == clone.getstate()
+        joined = clone.getrandbits(64 * 3).to_bytes(24, "little")
+        parts = b"".join(rng.getrandbits(64).to_bytes(8, "little")
+                         for _ in range(3))
+        assert joined == parts
+
+    def check_bit_identical(self, cum, m, seed):
+        k = len(cum)
+        support = tuple(Sample(Instance.atom(f"s{i}"), i % 2)
+                        for i in range(k))
+        cdf = InverseCDF(support, cum)
+        reference = random.Random(seed)
+        want = reference_indices(cum, m, reference)
+        tally = Counter(want)
+        for ordered in (False, True):
+            rng = random.Random(seed)
+            drawn = draw_multisample(cdf, m, rng, ordered)
+            assert drawn.counts == tuple(tally[i] for i in range(k))
+            assert rng.getstate() == reference.getstate()
+            if ordered:
+                assert drawn.samples == tuple(support[i] for i in want)
+
+    def test_bit_identical_to_choices_on_edge_cases(self):
+        thirds = [F(1, 3)] * 3
+        # The thresholds of 1/3 and 1/3 + 1/1000 share a top byte.
+        close = [F(1, 3), F(1, 1000), F(1997, 3000)]
+        wide = [F(i % 7 + 1, 1) for i in range(300)]
+        cases = [([F(1)], 1), ([F(1)], 5), ([F(1, 2)] * 2, 1),
+                 ([F(1, 4), F(3, 4)], 9), (thirds, 1), (thirds, 3000),
+                 (close, 3000), (wide, 1), (wide, 2000),
+                 (close, _CHUNK - 1), (close, _CHUNK), (close, _CHUNK + 1),
+                 (thirds, 2 * _CHUNK + 3)]
+        for seed, (weights, m) in enumerate(cases):
+            self.check_bit_identical(cumulative(weights), m, seed)
+
+    def test_bit_identical_to_choices_on_random_supports(self):
+        rng = random.Random(77)
+        for seed in range(120):
+            k = rng.choice((1, 2, 3, rng.randint(1, 20),
+                            rng.randint(200, 600)))
+            weights = [F(rng.randint(1, 9)) for _ in range(k)]
+            if rng.random() < 0.2:
+                weights[rng.randrange(k)] = F(1, 10 ** 20)
+            self.check_bit_identical(cumulative(weights),
+                                     rng.randint(1, 3001), seed)
+
+    def test_bit_identical_on_thresholds(self):
+        # With total 1.0, cumulative weights N / 2**53 and (N + 1) / 2**53
+        # put thresholds exactly on some drawn numerators N and one above
+        # them, so every rounding and comparison at a boundary shows.
+        m, seed = 60, 3
+        probe = random.Random(seed)
+        drawn = [int(probe.random() * 2 ** 53) for _ in range(m)]
+        cum = sorted(n * 2.0 ** -53 for d in drawn[::3] for n in (d, d + 1))
+        self.check_bit_identical(cum + [1.0], m, seed)
+
+    def test_counts_only_unless_ordered(self):
+        dist = DiscreteDistribution.uniform([("s0", 1), ("s1", 0), ("s2", 1)])
+        cdf = InverseCDF(dist.support, cumulative(w for _, w in dist.items()))
+        drawn = draw_multisample(cdf, 50, random.Random(1))
+        assert "samples" not in vars(drawn)
+        assert drawn.samples == tuple(sorted(drawn.samples,
+                                             key=Sample.sort_key))
+        ordered = draw_multisample(cdf, 50, random.Random(1), ordered=True)
+        assert ordered.counts == drawn.counts
+        assert ordered.samples != drawn.samples
+
+
+class TestEstimateMatchesChoices:
+    """Each estimate's successes equal a loop that draws every trial with
+    ``rng.choices``: the ordered path for memorize and lookup learners, the
+    counts path for sem and UCP."""
+
+    SPACE = ExplicitSpace.full(atoms(3))
+    DIST = DiscreteDistribution([(("s0", 1), F(1, 2)), (("s1", 0), F(1, 5)),
+                                 (("s1", 1), F(1, 10)), (("s2", 1), F(1, 5))])
+
+    def check(self, report, want, trials):
+        assert report.successes == want
+        assert 0 < want < trials
+
+    def test_pac_learners(self):
+        m, eps, trials, seed = 4, F(1, 4), 300, 9
+        space, dist = self.SPACE, self.DIST
+        opt = approximation_error(space, dist)
+        full = builtin_learners(space)
+        for learner in (full["memorize"], random_table_learner(space, 4),
+                        full["sem"]):
+            report = estimate_pac_probability(learner, space, dist, m=m,
+                                              eps=eps, trials=trials,
+                                              seed=seed)
+            want = reference_successes(
+                dist, m, trials, seed,
+                lambda zbar: true_error(learner(zbar), dist) - opt <= eps)
+            self.check(report, want, trials)
+
+    def test_ucp(self):
+        m, eps, trials, seed = 6, F(1, 4), 300, 10
+        space = ExplicitSpace(atoms(3), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        report = estimate_ucp_probability(space, self.DIST, m=m, eps=eps,
+                                          trials=trials, seed=seed)
+        want = reference_successes(
+            self.DIST, m, trials, seed,
+            lambda zbar: u_statistic(space, self.DIST, zbar) <= eps)
+        self.check(report, want, trials)
 
 
 class TestEstimatePac:

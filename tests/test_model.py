@@ -316,6 +316,39 @@ class TestDrawnMultiSample:
             MultiSample.from_draw(("not a sample",), (0,))
 
 
+    def test_counts_only_matches_canonical_order_samples(self):
+        rng = random.Random(13)
+        k = len(self.SUPPORT)
+        for _ in range(50):
+            counts = [rng.choice((0, 0, 1, 2, 5)) for _ in range(k)]
+            counts[rng.randrange(k)] += 1
+            drawn = MultiSample.from_counts(self.SUPPORT, counts)
+            plain = MultiSample(tuple(z for z, c in zip(self.SUPPORT, counts)
+                                      for _ in range(c)))
+            # The count-based views leave the samples unbuilt.
+            assert drawn.m == len(drawn) == plain.m == sum(counts)
+            assert drawn.label_counts() == plain.label_counts()
+            assert drawn.instances_sorted() == plain.instances_sorted()
+            assert empirical_distribution(drawn) == \
+                empirical_distribution(plain)
+            assert "samples" not in vars(drawn)
+            assert list(drawn) == list(plain)
+            assert drawn.samples is drawn.samples
+            assert drawn == plain and hash(drawn) == hash(plain)
+            assert drawn.canonical_bytes() == plain.canonical_bytes()
+            assert drawn.counts == tuple(counts)
+
+    def test_counts_only_validation(self):
+        k = len(self.SUPPORT)
+        for counts in ((0,) * k, (1,) * (k - 1), (2, -1) + (0,) * (k - 2)):
+            with pytest.raises(ValueError):
+                MultiSample.from_counts(self.SUPPORT, counts)
+        with pytest.raises(ValueError):
+            MultiSample.from_counts(("not a sample",), (1,))
+        with pytest.raises(AttributeError):
+            MultiSample.from_counts(self.SUPPORT, (1,) * k).missing
+
+
 def test_index_states_weights_count_ordered_tuples():
     from collections import Counter
     from itertools import product
