@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", default=None,
                    help="2m instances (JSON file or inline); default 0..2m-1")
     p.add_argument("--allow-large", action="store_true",
-                   help="permit m = 4 and beyond (costly)")
+                   help="permit m = 5 and beyond (costly)")
     add_out(p)
     p.set_defaults(fn=_cmd_nfl)
 

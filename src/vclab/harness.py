@@ -370,14 +370,20 @@ def estimate_pac_probability(learner: LearningFunction,
     """Probability that the learner's output has true error within eps of
     the space's best achievable error, over m-samples from the
     distribution.  Exact mode enumerates ordered samples unless the
-    learner declares itself order-invariant."""
+    learner declares itself order-invariant.  Each distinct output is
+    scored once per estimate: hypotheses with equal keys evaluate
+    identically, so they share one true error."""
     if m < 1:
         raise ValueError("m must be >= 1")
     eps_exact = to_fraction(eps)
     opt = approximation_error(space, dist)
+    errors: dict[Hypothesis, Fraction] = {}
 
     def success(zbar: MultiSample) -> bool:
-        return true_error(learner(zbar), dist) - opt <= eps_exact
+        h = learner(zbar)
+        if h not in errors:
+            errors[h] = true_error(h, dist)
+        return errors[h] - opt <= eps_exact
 
     return _estimate("pac", dist, m, eps_exact, trials, seed, exact, success,
                      ordered=not learner.order_invariant)

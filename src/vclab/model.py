@@ -59,9 +59,27 @@ def to_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Instance:
-    """A point of the instance space: a symbolic atom or a rational vector."""
+    """A point of the instance space: a symbolic atom or a rational vector.
+
+    ``hash(self.value)`` is computed once, at construction, and returned by
+    ``__hash__``; hashing a tuple of ``Fraction``s otherwise takes a modular
+    inverse per coordinate on every lookup.  The stored hash is not a
+    dataclass field, so it takes no part in ``repr``, comparisons or
+    ``asdict``.  Pickling goes back through ``Instance(value)``, so an
+    atom's hash, which depends on the process's ``PYTHONHASHSEED``, is
+    recomputed in the process that loads it.
+    """
 
     value: str | tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.value))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Instance, (self.value,)
 
     @staticmethod
     def atom(name: str) -> "Instance":
@@ -388,7 +406,8 @@ class ExplicitSpace(HypothesisSpace):
     Hypothesis i labels domain instance j with bit j of its vector, and
     labels everything outside the domain 0.  Duplicate bit-vectors collapse;
     hypotheses enumerate in lexicographic bit-vector order (the canonical
-    order used for tie-breaking).
+    order used for tie-breaking).  Each vector is also kept as an int mask
+    (bit j = domain instance j), on which restrictions are computed.
     """
 
     kind = "finite-explicit"
@@ -408,6 +427,7 @@ class ExplicitSpace(HypothesisSpace):
         self.domain = domain
         self._index = {x: i for i, x in enumerate(domain)}
         self._vectors = sorted(vectors)
+        self._rows = frozenset(self._vectors)
         self._masks = [sum(b << i for i, b in enumerate(row))
                        for row in self._vectors]
 
@@ -436,31 +456,41 @@ class ExplicitSpace(HypothesisSpace):
 
     def hypothesis_from_bits(self, bits: Sequence[int]) -> Hypothesis:
         row = tuple(int(b) for b in bits)
-        if row not in set(self._vectors):
+        if row not in self._rows:
             raise KeyError(f"bit-vector {row} is not in the space")
         return self._make_hypothesis(row)
 
     def hypothesis_from_key(self, key) -> Hypothesis:
         return self.hypothesis_from_bits(key)
 
-    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+    def _positions(self, instances: Sequence[Instance]
+                   ) -> tuple[tuple[Instance, ...], list[int | None], int]:
+        """The checked instance tuple, the domain position of each instance
+        (None outside the domain), and the mask of those positions: two
+        vectors restrict alike iff their masks agree on it."""
         instances = check_instance_tuple(instances)
         positions = [self._index.get(x) for x in instances]
-        witnesses: dict[Labeling, Hypothesis] = {}
-        for bits in self._vectors:
-            labeling = tuple(0 if p is None else bits[p] for p in positions)
-            if labeling not in witnesses:
-                witnesses[labeling] = self._make_hypothesis(bits)
+        return instances, positions, sum(1 << p for p in positions
+                                         if p is not None)
+
+    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+        """Each distinct restriction with the least vector that gives it as
+        witness, in order of first appearance among the vectors; instances
+        outside the domain are labeled 0.  Labelings and hypotheses are
+        built only for the distinct masked bit patterns."""
+        instances, positions, mask = self._positions(instances)
+        first: dict[int, Labeling] = {}
+        for bits, row in zip(self._masks, self._vectors):
+            first.setdefault(bits & mask, row)
+        witnesses = {
+            tuple(0 if p is None else row[p] for p in positions):
+                self._make_hypothesis(row)
+            for row in first.values()}
         return DichotomyTable(instances, witnesses, exact=True)
 
     def dichotomy_count(self, instances: Sequence[Instance]) -> int:
-        instances = check_instance_tuple(instances)
-        positions = [self._index.get(x) for x in instances]
-        if all(p is not None for p in positions):
-            # Distinct restrictions <-> distinct masked bit patterns.
-            mask = sum(1 << p for p in positions)
-            return len({m & mask for m in self._masks})
-        return len(self.dichotomies(instances))
+        mask = self._positions(instances)[2]
+        return len({bits & mask for bits in self._masks})
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Exact adversarial lower-bound enumeration for learning functions.
 
-Builds, for a target sample size m, the family of 2^(2m) uniform
-distributions concentrated on the graphs of all labelings of a shattered
-set of 2m instances, and evaluates a deterministic learner against every
-one of them, exactly as if it enumerated all (2m)^m instance tuples under
-every labeling.  It builds each distinct training sample once (an index
-tuple with labels on the points it uses, or a multiset of indices for an
-order-invariant learner) and scores the learner's output against every
-labeling that agrees with those labels.  All quantities are exact
-rationals.  The pairing argument behind the 1/4 lower bound needs a
-deterministic learner, so a seeded probe calls the learner again on about
-one in eight samples and raises on any output that differs.
+The construction for a target sample size m is a shattered set of 2m
+instances and its 2^(2m) labelings, each standing for the uniform
+distribution on its graph; only the worst labeling's distribution is ever
+built, to score the space's best error under it.  A deterministic learner
+is evaluated against every labeling exactly as if it enumerated all
+(2m)^m instance tuples under each one.  It builds each distinct training
+sample once (an index tuple with labels on the points it uses, or a
+multiset of indices for an order-invariant learner) and scores the
+learner's output against every labeling that agrees with those labels.
+All quantities are exact rationals.  The pairing argument behind the 1/4
+lower bound needs a deterministic learner, so a seeded probe calls the
+learner again on about one in eight samples and raises on any output that
+differs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .model import (
     index_states,
 )
 
-DEFAULT_MAX_M = 3
+DEFAULT_MAX_M = 4
 
 ERROR_THRESHOLD = Fraction(1, 8)
 EXPECTED_ERROR_FLOOR = Fraction(1, 4)
@@ -56,18 +58,25 @@ class PairingIdentityError(Exception):
 @dataclass(frozen=True)
 class NflInstance:
     """The adversarial construction for one sample size m: a set S of 2m
-    instances, all T = 2^(2m) labelings of S in lexicographic bit order, and
-    for each labeling the uniform distribution on its graph."""
+    instances and all T = 2^(2m) labelings of S in lexicographic bit order.
+    Labeling i stands for the uniform distribution on its graph, which
+    :meth:`distribution` builds when asked."""
 
     m: int
     instances: tuple[Instance, ...]
     labelings: tuple[tuple[int, ...], ...]
-    distributions: tuple[DiscreteDistribution, ...]
     ambient: HypothesisSpace | None
 
     @property
     def t(self) -> int:
         return len(self.labelings)
+
+    def distribution(self, i: int) -> DiscreteDistribution:
+        """The uniform distribution on the graph of labeling i."""
+        weight = Fraction(1, len(self.instances))
+        return DiscreteDistribution(
+            [(Sample(x, b), weight)
+             for x, b in zip(self.instances, self.labelings[i])])
 
 
 @dataclass(frozen=True)
@@ -134,13 +143,8 @@ def build_nfl_instance(instances: Sequence, m: int,
     labelings = tuple(
         tuple((i >> (n - 1 - j)) & 1 for j in range(n))
         for i in range(2 ** n))
-    weight = Fraction(1, n)
-    distributions = tuple(
-        DiscreteDistribution([(Sample(x, b), weight)
-                              for x, b in zip(points, bits)])
-        for bits in labelings)
     return NflInstance(m=m, instances=points, labelings=labelings,
-                       distributions=distributions, ambient=ambient)
+                       ambient=ambient)
 
 
 def required_learner_calls(m: int) -> int:
@@ -261,7 +265,7 @@ def nfl_report(learner: LearningFunction, inst: NflInstance,
             f"tail probability {tail} fell below its Markov lower bound "
             f"{markov}")
     space = inst.ambient or ExplicitSpace.full(inst.instances)
-    opt = approximation_error(space, inst.distributions[i_star])
+    opt = approximation_error(space, inst.distribution(i_star))
     avg = sum(errors, Fraction(0)) / len(errors)
     return NflReport(
         m=m,

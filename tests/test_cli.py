@@ -146,7 +146,7 @@ class TestCli:
         assert result["passed"] is True
 
     def test_nfl_budget_exit_code(self, tmp_path):
-        code, _ = run(tmp_path, "nfl", "--m", "4",
+        code, _ = run(tmp_path, "nfl", "--m", "5",
                       "--learner", "builtin:const0", "--space", "full")
         assert code == 3
 

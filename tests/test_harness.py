@@ -9,6 +9,7 @@ from vclab import (
     BudgetError,
     DiscreteDistribution,
     ExplicitSpace,
+    Hypothesis,
     Instance,
     MultiSample,
     Sample,
@@ -31,6 +32,7 @@ from vclab import (
     wilson_interval,
 )
 from vclab.harness import _CHUNK, InverseCDF, draw_multisample, trial_seed
+from vclab.learners import LearningFunction
 from conftest import (
     atoms,
     random_distribution,
@@ -166,6 +168,14 @@ def brute_force_ucp_probability(space, dist, m, eps):
         if naive_u(space, dist, zbar) <= eps:
             total += weight
     return total
+
+
+def fresh_outputs(learner):
+    """The learner, returning a new but equal Hypothesis on every call."""
+    def fn(zbar):
+        h = learner(zbar)
+        return Hypothesis(h.key, h.fn)
+    return LearningFunction("fresh", fn, space=learner.space)
 
 
 def brute_force_pac_probability(learner, space, dist, m, eps):
@@ -415,7 +425,10 @@ class TestEstimatePac:
 
     def test_exact_mode_matches_brute_force(self):
         # sem and const0 are enumerated as multisets, memorize and random
-        # learners as ordered tuples; the oracle always uses ordered tuples.
+        # learners as ordered tuples; the oracle always uses ordered tuples
+        # and scores every state's output afresh.  "fresh" returns a new
+        # but equal Hypothesis on every call, so the estimate's per-output
+        # memo is hit through key equality, not identity.
         rng = random.Random(55)
         for _ in range(10):
             space = random_explicit_space(rng, max_instances=3,
@@ -426,7 +439,8 @@ class TestEstimatePac:
             full = builtin_learners(ExplicitSpace.full(space.domain))
             learners = [sem_learner(space),
                         random_table_learner(space, rng.randrange(100)),
-                        full["const0"], full["memorize"]]
+                        full["const0"], full["memorize"],
+                        fresh_outputs(full["memorize"])]
             for learner in learners:
                 report = estimate_pac_probability(learner, learner.space,
                                                   dist, m=m, eps=eps,

@@ -1,10 +1,19 @@
+import copy
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vclab
 from vclab import (
     DiscreteDistribution,
     ExplicitSpace,
@@ -223,6 +232,42 @@ def test_bridge_identity(data):
         assert true_error(h, dist) == sample_error(h, zbar)
 
 
+def row_walking_dichotomies(space, instances):
+    """Reference oracle: every vector of the space in order, keeping the
+    first one to give each restriction."""
+    positions = [space._index.get(x) for x in instances]
+    witnesses = {}
+    for bits in space._vectors:
+        labeling = tuple(0 if p is None else bits[p] for p in positions)
+        if labeling not in witnesses:
+            witnesses[labeling] = space.hypothesis_from_bits(bits)
+    return witnesses
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_explicit_restrictions_match_row_walk(data):
+    nx = data.draw(st.integers(1, 7))
+    domain = atoms(nx)
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=nx,
+                                       max_size=nx), min_size=1, max_size=40))
+    space = ExplicitSpace(domain, rows)
+    outside = [Instance.atom(f"o{i}") for i in range(3)]
+    instances = data.draw(st.lists(st.sampled_from(domain + outside),
+                                   min_size=1, max_size=nx + 3, unique=True))
+    table = space.dichotomies(instances)
+    reference = row_walking_dichotomies(space, instances)
+    assert table.instances == tuple(instances)
+    assert [(lab, h.key) for lab, h in table.witnesses.items()] == \
+        [(lab, h.key) for lab, h in reference.items()]
+    assert space.dichotomy_count(instances) == len(table)
+    missing = {tuple(r) for r in product((0, 1), repeat=nx)} - \
+        {tuple(r) for r in rows}
+    if missing:
+        with pytest.raises(KeyError):
+            space.hypothesis_from_bits(min(missing))
+
+
 class TestDiscreteDistribution:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -259,6 +304,40 @@ class TestInstances:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             Sample(X0, 2)
+
+    def test_equal_instances_hash_equal(self):
+        ones = [Instance.point(1), Instance.point("1"), Instance.point(1.0),
+                Instance.point(F(2, 2))]
+        assert len(set(ones)) == 1
+        assert {hash(x) for x in ones} == {hash((F(1),))}
+        for x in ones + [Instance.atom("s0"), Instance.point(F(1, 3), -2)]:
+            assert hash(x) == hash(x.value)
+
+    def test_replace_and_copy_keep_the_hash(self):
+        x = Instance.point(F(1, 3), 2)
+        assert dataclasses.asdict(x) == {"value": (F(1, 3), F(2))}
+        moved = dataclasses.replace(x, value=(F(5, 7),))
+        assert moved == Instance.point(F(5, 7))
+        assert hash(moved) == hash((F(5, 7),))
+        for y in (dataclasses.replace(x), copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+        assert repr(x) == "Instance.point('1/3', '2')"
+
+    def test_atom_pickled_under_another_hash_seed(self):
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(vclab.__file__).parents[1])
+        child = ("import pickle, sys\n"
+                 "from vclab import Instance\n"
+                 "sys.stdout.buffer.write(pickle.dumps("
+                 "(hash('s0'), Instance.atom('s0'))))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", child], check=True, capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            timeout=60).stdout
+        child_hash, atom = pickle.loads(out)
+        assert child_hash != hash("s0")
+        assert {Instance.atom("s0"): "found"}.get(atom) == "found"
 
     def test_scalar_accessors(self):
         assert Instance.point(1, 2).dim == 2

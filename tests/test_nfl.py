@@ -7,6 +7,7 @@ import pytest
 
 from vclab import (
     BudgetError,
+    DiscreteDistribution,
     ExplicitSpace,
     MultiSample,
     Sample,
@@ -31,16 +32,27 @@ class TestBuildInstance:
         inst = build_nfl_instance(atoms(2), 1)
         assert inst.t == 4
         assert inst.labelings == ((0, 0), (0, 1), (1, 0), (1, 1))
-        for dist in inst.distributions:
+        for dist in map(inst.distribution, range(inst.t)):
             assert sum(w for _, w in dist.items()) == 1
             assert all(w == F(1, 2) for _, w in dist.items())
 
     def test_each_target_labeling_has_zero_error(self):
         inst = build_nfl_instance(atoms(2), 1)
         space = full_space(inst)
-        for bits, dist in zip(inst.labelings, inst.distributions):
+        for bits, dist in zip(inst.labelings,
+                              map(inst.distribution, range(inst.t))):
             h = space.hypothesis_from_bits(bits)
             assert true_error(h, dist) == 0
+
+    def test_distribution_matches_eager_construction(self):
+        for m in (1, 2):
+            inst = build_nfl_instance(atoms(2 * m), m)
+            weight = F(1, 2 * m)
+            eager = [DiscreteDistribution([(Sample(x, b), weight)
+                                           for x, b in zip(inst.instances,
+                                                           bits)])
+                     for bits in inst.labelings]
+            assert [inst.distribution(i) for i in range(inst.t)] == eager
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
@@ -98,7 +110,7 @@ class TestExpectedErrors:
                 assert list(report.expected_errors) == \
                     nfl_expected_errors(learner, inst)
                 for i, bits in enumerate(inst.labelings):
-                    dist = inst.distributions[i]
+                    dist = inst.distribution(i)
                     errors = [
                         true_error(learner(MultiSample(tuple(
                             Sample(inst.instances[a], bits[a])
@@ -110,11 +122,11 @@ class TestExpectedErrors:
                             sum(1 for e in errors if e > F(1, 8)), k)
 
     def test_budget_refusal(self):
-        inst = build_nfl_instance(atoms(8), 4)
+        inst = build_nfl_instance(atoms(10), 5)
         learner = builtin_learners(full_space(inst))["const0"]
         with pytest.raises(BudgetError) as exc:
             nfl_expected_errors(learner, inst)
-        assert exc.value.required == 8 ** 4 * 2 ** 8
+        assert exc.value.required == 10 ** 5 * 2 ** 10
 
 
 class TestReport:
