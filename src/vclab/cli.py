@@ -33,7 +33,8 @@ from .combinatorics import (
 )
 from .harness import estimate_pac_probability, estimate_ucp_probability
 from .learners import builtin_learners, random_table_learner
-from .model import BudgetError, ExplicitSpace, InexactOracleError, as_instance
+from .model import BudgetError, ExplicitSpace, InexactOracleError, Instance
+from .model import as_instance
 from .nfl import build_nfl_instance, nfl_report
 from .serialize import (
     instance_from_json,
@@ -54,6 +55,8 @@ def json_ready(obj):
         return obj
     if isinstance(obj, Fraction):
         return int(obj) if obj.denominator == 1 else str(obj)
+    if isinstance(obj, Instance):
+        return instance_to_json(obj)
     if hasattr(obj, "as_dict"):
         return json_ready(obj.as_dict())
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -62,8 +65,6 @@ def json_ready(obj):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         return [json_ready(v) for v in obj]
-    if obj.__class__.__name__ == "Instance":
-        return instance_to_json(obj)
     return str(obj)
 
 

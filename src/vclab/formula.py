@@ -8,10 +8,12 @@ rational backend (exp-free formulas only) or an IEEE double backend with
 strict comparisons.
 
 A formula plus a parameter source induces a hypothesis space of indicator
-functions.  Sampled parameter sources of the syntactically recognized
-closed forms (threshold, interval, halfspace, co-singleton) get exact
-restriction oracles; otherwise parameter search yields verified subsets
-only, never claimed exact.
+functions.  Over a sampled parameter source, the threshold, interval and
+co-singleton shapes get their native spaces' exact restriction oracles,
+and a single < or <= atom (or its negation) affine in the parameters is
+decided exactly by Fourier-Motzkin elimination over the parameters;
+otherwise parameter search yields verified subsets only, never claimed
+exact.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -37,9 +40,9 @@ from .model import (
 )
 from .spaces import (
     CoSingletonSpace,
-    HalfspaceSpace,
     IntervalSpace,
     ThresholdSpace,
+    halfspace_dichotomies,
 )
 
 
@@ -519,17 +522,25 @@ def eval_formula(ast: FormulaAst, x: Sequence, w: Sequence = (),
 
 @dataclass(frozen=True)
 class _ClosedForm:
-    """A recognized shape: the native space whose restriction oracle it
-    shares, and for each parameter of that space's witness key the
-    position of the same parameter in the formula's declaration."""
+    """A recognized shape: a proven upper bound on its VC dimension, and
+    its exact restriction oracle, which maps instances to a witness
+    parameter tuple (in declared order) per realized labeling."""
 
     name: str
-    space: HypothesisSpace = field(compare=False)
-    slots: tuple[int, ...]
+    vc: int
+    witnesses: Callable
 
-    def parameters(self, key: tuple) -> tuple[Fraction, ...]:
-        """The formula parameter tuple of a native witness key."""
-        return tuple(value for _, value in sorted(zip(self.slots, key[1:])))
+
+def _native(name: str, space: HypothesisSpace,
+            slots: tuple[int, ...]) -> _ClosedForm:
+    """A native space's closed form; ``slots`` gives, per parameter of its
+    witness key, that parameter's position in the formula's declaration."""
+
+    def witnesses(instances):
+        return {lab: tuple(v for _, v in sorted(zip(slots, h.key[1:])))
+                for lab, h in space.dichotomies(instances).witnesses.items()}
+
+    return _ClosedForm(name, space.known_vc(), witnesses)
 
 
 def _match_var(node, names) -> str | None:
@@ -538,9 +549,60 @@ def _match_var(node, names) -> str | None:
     return None
 
 
+def _param_degree(node, params) -> int:
+    """The degree in the parameters of an exp-free term, read off its
+    syntax: an upper bound, since addends that cancel are still counted."""
+    if isinstance(node, Var):
+        return 1 if node.name in params else 0
+    if isinstance(node, Const):
+        return 0
+    if isinstance(node, Neg):
+        return _param_degree(node.term, params)
+    left = _param_degree(node.left, params)
+    right = _param_degree(node.right, params)
+    return left + right if isinstance(node, Mul) else max(left, right)
+
+
+def _affine(ast: FormulaAst) -> _ClosedForm | None:
+    """A single < or <= atom, or its negation, affine in its k >= 1
+    parameters: u(x, w) >= 0 (> 0 when strict), each point giving the row
+    (u(x, 0), u(x, e_1) - u(x, 0), ...) of ``halfspace_dichotomies``.
+    Its VC dimension is at most k (Dudley 1978): on k + 1 points the
+    vectors (u(x_j, w))_j lie in an affine subspace of dimension <= k, so
+    some c != 0 has c . u constant there, and labeling each x_j against
+    the sign of c_j gives an orthant that misses it."""
+    root, negated = ast.root, False
+    while isinstance(root, Not):
+        root, negated = root.child, not negated
+    k = ast.param_arity
+    if (ast.uses_exp or k == 0 or not isinstance(root, Cmp)
+            or root.op not in ("<", "<=")):
+        return None
+    # s <= t is 0 <= t - s; not (s <= t) is 0 < s - t.
+    low, high = (root.right, root.left) if negated else (root.left, root.right)
+    strict = (root.op == "<") != negated
+    u = Sub(high, low)
+    if _param_degree(u, set(ast.params)) > 1:
+        return None
+    slots = {name: i for i, name in enumerate(ast.objects + ast.params)}
+    term = _compile_term(u, slots, to_fraction)
+    # w = 0, then each unit vector e_i.
+    units = [[int(i == j) for j in range(k)] for i in range(-1, k)]
+
+    def witnesses(instances):
+        rows = []
+        for x in instances:
+            const, *values = [term([*x.coords, *w]) for w in units]
+            rows.append((const, tuple(v - const for v in values)))
+        return dict(halfspace_dichotomies(rows, strict))
+
+    return _ClosedForm("affine", k, witnesses)
+
+
 def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
-    """Detect formulas whose full parameter range has a known combinatorial
-    restriction oracle: co-singleton, threshold, interval, halfspace."""
+    """Detect formulas whose full parameter range has an exact restriction
+    oracle: the native co-singleton, threshold and interval shapes, then
+    any single comparison affine in the parameters."""
     objects, params = set(ast.objects), set(ast.params)
     order = {name: i for i, name in enumerate(ast.params)}
     root = ast.root
@@ -552,9 +614,9 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
         right_par = _match_var(root.right, params)
         if root.op == "!=" and (
                 (left_obj and right_par) or (left_par and right_obj)):
-            return _ClosedForm("co-singleton", CoSingletonSpace(), (0,))
+            return _native("co-singleton", CoSingletonSpace(), (0,))
         if root.op == "<=" and left_par and right_obj:
-            return _ClosedForm("threshold", ThresholdSpace(), (0,))
+            return _native("threshold", ThresholdSpace(), (0,))
 
     if (ast.arity == 1 and ast.param_arity == 2 and isinstance(root, And)
             and isinstance(root.left, Cmp) and isinstance(root.right, Cmp)
@@ -564,69 +626,9 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
         x2 = _match_var(root.right.left, objects)
         hi = _match_var(root.right.right, params)
         if lo and hi and x1 and x2 and x1 == x2 and lo != hi:
-            return _ClosedForm("interval", IntervalSpace(),
-                               (order[lo], order[hi]))
-
-    # HalfspaceSpace needs dimension >= 1; "0 <= b" with no objects is
-    # left to parameter search.
-    if (ast.arity >= 1 and ast.param_arity == ast.arity + 1
-            and isinstance(root, Cmp) and root.op == "<="
-            and root.left == Const(Fraction(0))):
-        linear = _match_affine(root.right, ast)
-        if linear is not None:
-            coeff_params, bias_param = linear
-            return _ClosedForm(
-                "halfspace", HalfspaceSpace(ast.arity),
-                tuple(order[p] for p in coeff_params) + (order[bias_param],))
-    return None
-
-
-def _match_affine(node, ast: FormulaAst):
-    """Match sum of p_j * x_j products (one per object, distinct params)
-    plus exactly one bare parameter; returns (coeff params by object order,
-    bias param) or None."""
-    objects = set(ast.objects)
-    params = set(ast.params)
-    addends: list = []
-
-    def flatten(n):
-        if isinstance(n, Add):
-            flatten(n.left)
-            flatten(n.right)
-        else:
-            addends.append(n)
-
-    flatten(node)
-    coeff_by_object: dict[str, str] = {}
-    bias: str | None = None
-    used_params: set[str] = set()
-    for term in addends:
-        if isinstance(term, Var) and term.name in params:
-            if bias is not None or term.name in used_params:
-                return None
-            bias = term.name
-            used_params.add(term.name)
-        elif isinstance(term, Mul):
-            a, b = term.left, term.right
-            pa, xb = _match_var(a, params), _match_var(b, objects)
-            xa, pb = _match_var(a, objects), _match_var(b, params)
-            if pa and xb:
-                pname, xname = pa, xb
-            elif xa and pb:
-                pname, xname = pb, xa
-            else:
-                return None
-            if xname in coeff_by_object or pname in used_params:
-                return None
-            coeff_by_object[xname] = pname
-            used_params.add(pname)
-        else:
-            return None
-    if bias is None or set(coeff_by_object) != objects:
-        return None
-    if used_params != params:
-        return None
-    return tuple(coeff_by_object[x] for x in ast.objects), bias
+            return _native("interval", IntervalSpace(),
+                           (order[lo], order[hi]))
+    return _affine(ast)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +727,7 @@ class DefinableSpace(HypothesisSpace):
         return self.closed_form is not None
 
     def known_vc(self) -> int | None:
-        return self.closed_form.space.known_vc() if self.closed_form else None
+        return self.closed_form.vc if self.closed_form else None
 
     def hypothesis(self, w: Sequence) -> Hypothesis:
         w = tuple(to_fraction(v) for v in w)
@@ -812,11 +814,10 @@ class DefinableSpace(HypothesisSpace):
         points = [x.coords for x in instances]
 
         if self.closed_form is not None:
-            # The native oracle's witnesses, evaluated by the formula, must
-            # give back exactly the native labelings.
+            # The oracle's witnesses, evaluated by the formula, must give
+            # back exactly the oracle's labelings.
             cf = self.closed_form
-            expected = {lab: cf.parameters(h.key) for lab, h
-                        in cf.space.dichotomies(instances).witnesses.items()}
+            expected = cf.witnesses(instances)
             found, _ = _first_witnesses(self._predicate, points,
                                         expected.values())
             if found != expected:
@@ -879,16 +880,12 @@ def _candidate_parameters(ast: FormulaAst, points, source: SampledParams,
         yield ()
         return
     emitted = 0
-
-    def budget_left() -> bool:
-        return emitted < source.budget
-
     if grid is not None:
         axes = [tuple(to_fraction(v) for v in axis) for axis in grid]
         if len(axes) != arity:
             raise ValueError("grid must have one axis per parameter variable")
         for w in product(*axes):
-            if not budget_left():
+            if emitted >= source.budget:
                 return
             emitted += 1
             yield w
@@ -903,7 +900,7 @@ def _candidate_parameters(ast: FormulaAst, points, source: SampledParams,
     axis = sorted(axis)
     if len(axis) ** arity <= max(0, source.budget - emitted):
         for w in product(axis, repeat=arity):
-            if not budget_left():
+            if emitted >= source.budget:
                 return
             emitted += 1
             yield w
@@ -911,7 +908,7 @@ def _candidate_parameters(ast: FormulaAst, points, source: SampledParams,
     rng = random.Random(source.seed)
     lo = min(source.low, float(coord_values[0]) - 2) if coord_values else source.low
     hi = max(source.high, float(coord_values[-1]) + 2) if coord_values else source.high
-    while budget_left():
+    while emitted < source.budget:
         emitted += 1
         yield tuple(Fraction(rng.uniform(lo, hi)) for _ in range(arity))
 
@@ -993,18 +990,12 @@ def sigmoid_network_formula(n_inputs: int, hidden_units: int) -> FormulaAst:
     def factor(i: int):
         return Add(Const(Fraction(1)), Exp(Neg(pre_activation(i))))
 
-    def prod(terms):
-        node = terms[0]
-        for t in terms[1:]:
-            node = Mul(node, t)
-        return node
-
     all_factors = [factor(i) for i in range(1, hidden_units + 1)]
-    total = Mul(Var("u0"), prod(all_factors))
+    total = Mul(Var("u0"), reduce(Mul, all_factors))
     for i in range(1, hidden_units + 1):
         others = [all_factors[j - 1] for j in range(1, hidden_units + 1)
                   if j != i]
-        contribution = (Mul(Var(f"u{i}"), prod(others)) if others
+        contribution = (Mul(Var(f"u{i}"), reduce(Mul, others)) if others
                         else Var(f"u{i}"))
         total = Add(total, contribution)
     root = Cmp("<=", Const(Fraction(0)), total)

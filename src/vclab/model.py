@@ -335,8 +335,9 @@ class DichotomyTable:
     * halfspaces: the point Fourier-Motzkin back-substitution picks, which
       is not least in any order;
     * formulas: the least parameter tuple of a finite source; over a
-      sampled source, the native witness of a recognized closed form, else
-      the first tuple the seeded search finds.
+      sampled source, the native witness of a threshold, interval or
+      co-singleton shape, the Fourier-Motzkin point of an atom affine in
+      its parameters, else the first tuple the seeded search finds.
 
     ``exact`` means the set of labelings is exactly the restriction of the
     space; otherwise it is a verified subset.
@@ -390,7 +391,8 @@ class HypothesisSpace:
         return len(self.dichotomies(instances))
 
     def known_vc(self) -> int | None:
-        """The provable VC dimension of the family, when it has a closed form."""
+        """A proven upper bound on the family's VC dimension, when it has a
+        closed form; a search that reaches it has found the VC dimension."""
         return None
 
     def hypotheses(self) -> Iterator[Hypothesis]:

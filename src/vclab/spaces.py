@@ -10,12 +10,13 @@ together with a witness parameter chosen by a fixed rule, exactly:
 * halfspaces        h_{w,b}(x) = 1  iff  w . x + b >= 0
 
 Threshold, interval and co-singleton enumeration is combinatorial on the
-sorted points; halfspace enumeration decides each candidate labeling by
-exact Fourier-Motzkin elimination (strict inequalities included) on
-primitive integer rows, each point's row built once for all labelings,
-which also produces an exact rational witness.  ``HalfspaceSpace`` checks
-every witness again in integers, against rows it builds from the
-coordinates apart from the ones the elimination uses.
+sorted points.  ``halfspace_dichotomies`` takes affine functions of the
+parameters (the rows (x, 1) of halfspaces, or a formula atom affine in
+its parameters) and decides each candidate labeling by exact
+Fourier-Motzkin elimination (strict inequalities included) on primitive
+integer rows, each built once for all labelings, which also produces an
+exact rational witness.  ``HalfspaceSpace`` checks every witness again in
+integers, against rows it builds apart from the ones the elimination uses.
 """
 
 from __future__ import annotations
@@ -194,20 +195,23 @@ def fm_witness(constraints, nvars: int) -> tuple[Fraction, ...] | None:
     return tuple(values)
 
 
-def halfspace_dichotomies(points: list[tuple[Fraction, ...]], dim: int
+def halfspace_dichotomies(rows, strict: bool = False
                           ) -> list[tuple[Labeling, tuple[Fraction, ...]]]:
-    """All labelings of the points realizable as h(x) = 1[w.x + b >= 0],
-    each with a rational witness (w_1..w_dim, b)."""
-    nvars = dim + 1
-    # Per point: the integer row of w.x + b >= 0 (label 1) and of its
-    # strict negation (label 0), built once for all labelings.
-    rows = []
-    for x in points:
-        row = _primitive((*x, 1), 0)[1:]
-        rows.append(((tuple(-c for c in row), 0, True), (row, 0, False)))
+    """Every labeling of the rows (const, coeffs), of int or Fraction
+    entries and one length of coeffs, that some rational v realizes, with
+    the v ``fm_witness`` finds: label 1 means const + coeffs . v >= 0
+    (> 0 when ``strict``), label 0 the negation.  Needs at least one row."""
+    nvars = len(rows[0][1])
+    # Per row: the primitive integer constraint of label 0 and of label 1,
+    # built once for all labelings.
+    pairs = []
+    for const, coeffs in rows:
+        const, *coeffs = _primitive(coeffs, const)
+        pairs.append(((tuple(-c for c in coeffs), -const, not strict),
+                      (tuple(coeffs), const, strict)))
     out = []
-    for labeling in product((0, 1), repeat=len(points)):
-        constraints = [pair[lab] for pair, lab in zip(rows, labeling)]
+    for labeling in product((0, 1), repeat=len(rows)):
+        constraints = [pair[lab] for pair, lab in zip(pairs, labeling)]
         witness = fm_witness(constraints, nvars)
         if witness is not None:
             out.append((labeling, witness))
@@ -339,7 +343,8 @@ class HalfspaceSpace(HypothesisSpace):
         # have a dot product of the same sign as w.x + b.
         rows = [_integer_vector((*x, 1)) for x in points]
         witnesses = {}
-        for lab, params in halfspace_dichotomies(points, self.dim):
+        for lab, params in halfspace_dichotomies(
+                [(0, (*x, 1)) for x in points]):
             scaled = _integer_vector(params)
             if tuple(1 if sum(map(mul, scaled, row)) >= 0 else 0
                      for row in rows) != lab:

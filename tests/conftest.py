@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -42,3 +43,87 @@ def random_distribution(rng: random.Random, instances,
 def random_multisample(rng: random.Random, instances, m: int) -> MultiSample:
     return MultiSample(tuple(
         Sample(rng.choice(instances), rng.randint(0, 1)) for _ in range(m)))
+
+
+# ---------------------------------------------------------------------------
+# Reference: Fourier-Motzkin elimination in Fraction arithmetic throughout,
+# the form fm_witness had before it moved to integer rows.  The integer
+# kernel must return exactly the same witnesses.  Constraints are
+# (coeffs, const, strict) with Fraction entries.
+
+
+def reference_normalize(con):
+    coeffs, const, strict = con
+    dens = [c.denominator for c in coeffs] + [const.denominator]
+    scale = Fraction(1)
+    for d in dens:
+        scale *= d
+    ints = [int(c * scale) for c in coeffs] + [int(const * scale)]
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return (tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]), strict)
+
+
+def reference_fm_witness(constraints, nvars):
+    systems = []
+    current = [reference_normalize(c) for c in constraints]
+    for k in range(nvars - 1, -1, -1):
+        systems.append(current)
+        lowers, uppers, rest = [], [], []
+        for coeffs, const, strict in current:
+            a = coeffs[k]
+            if a > 0:
+                lowers.append((coeffs, const, strict))
+            elif a < 0:
+                uppers.append((coeffs, const, strict))
+            else:
+                rest.append((coeffs[:k], const, strict))
+        combined = set(rest)
+        for lc, lconst, lstrict in lowers:
+            a = lc[k]
+            for uc, uconst, ustrict in uppers:
+                c = -uc[k]
+                coeffs = tuple(lc[j] * c + uc[j] * a for j in range(k))
+                const = lconst * c + uconst * a
+                combined.add(reference_normalize(
+                    (coeffs, const, lstrict or ustrict)))
+        current = list(combined)
+    for coeffs, const, strict in current:
+        if const < 0 or (strict and const == 0):
+            return None
+    values = [Fraction(0)] * nvars
+    for k in range(nvars):
+        system = systems[nvars - 1 - k]
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for coeffs, const, strict in system:
+            a = coeffs[k]
+            if a == 0:
+                continue
+            rest = const + sum(coeffs[j] * values[j] for j in range(k))
+            bound = -rest / a
+            if a > 0:
+                if lo is None or bound > lo or (bound == lo and strict):
+                    lo, lo_strict = bound, strict
+            else:
+                if hi is None or bound < hi or (bound == hi and strict):
+                    hi, hi_strict = bound, strict
+        if lo is None and hi is None:
+            values[k] = Fraction(0)
+        elif hi is None:
+            values[k] = lo + 1 if lo_strict else lo
+        elif lo is None:
+            values[k] = hi - 1 if hi_strict else hi
+        else:
+            if lo == hi:
+                if lo_strict or hi_strict:
+                    return None
+                values[k] = lo
+            else:
+                values[k] = (lo + hi) / 2
+    for coeffs, const, strict in systems[0]:
+        total = const + sum(c * v for c, v in zip(coeffs, values))
+        if total < 0 or (strict and total == 0):
+            return None
+    return tuple(values)

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from vclab import ExplicitSpace, MultiSample
-from vclab.cli import main
+from vclab import ExplicitSpace, Instance, MultiSample
+from vclab.cli import json_ready, main
 from vclab.serialize import (
     distribution_from_json,
     distribution_to_json,
@@ -96,6 +96,16 @@ def run(tmp_path, *argv) -> tuple[int, dict | None]:
     return code, payload
 
 
+def test_json_ready_instances():
+    """Instances take their JSON form, wherever they sit in a value."""
+    cases = [(Instance.atom("a"), "a"), (Instance.point(3), 3),
+             (Instance.point(F(1, 2)), {"rat": "1/2"}),
+             (Instance.point(1, F(1, 3)), [1, "1/3"])]
+    for x, want in cases:
+        assert json_ready(x) == want
+        assert json_ready({"best": [x]}) == {"best": [want]}
+
+
 class TestCli:
     def test_sauer(self, tmp_path):
         code, payload = run(tmp_path, "sauer", "--d", "2", "--m", "5")
@@ -129,6 +139,20 @@ class TestCli:
         assert payload["result"]["value"] == 1  # nested thresholds on 4 pts
         assert payload["result"]["status"] == "exact"
         assert str(workdir / "space.json") in payload["manifest"]["inputs"]
+
+    def test_vcdim_quadratic_formula_is_exact(self, tmp_path):
+        """0 <= a*x^2 + b*x + c is affine in its three parameters: its VC
+        dimension is at most 3, and the search over -3..3 reaches it."""
+        (tmp_path / "space.json").write_text(json.dumps(
+            {"kind": "formula-defined", "formula": "0 <= a*x*x + b*x + c",
+             "objects": ["x"], "params": ["a", "b", "c"],
+             "source": {"type": "sampled"}}))
+        code, payload = run(tmp_path, "vcdim",
+                            "--space", str(tmp_path / "space.json"),
+                            "--pool=-3;-2;-1;0;1;2;3")
+        assert code == 0
+        assert payload["result"]["value"] == 3
+        assert payload["result"]["status"] == "exact"
 
     def test_growth(self, workdir):
         code, payload = run(workdir, "growth",

@@ -1,11 +1,15 @@
+import json
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import vclab.formula
 
 from vclab import (
     CoSingletonSpace,
@@ -46,8 +50,10 @@ from vclab.formula import (
     compile_formula,
     recognize_closed_form,
 )
+from vclab.cli import main
 from vclab.model import to_fraction
-from conftest import points
+from vclab.spaces import halfspace_dichotomies
+from conftest import points, reference_fm_witness
 
 RELU_TEXT = "(x < 0 -> y = 0) and (0 <= x -> y = x)"
 
@@ -323,6 +329,18 @@ def test_sigmoid_network_matches_direct_network():
             checked += 1
 
 
+def declared_fm_witness(pool, index, labeling):
+    """The Fraction reference elimination's witness for a labeling of
+    plane points by 0 <= w1 * x1 + w2 * x2 + b, its parameters declared in
+    the order that ``index`` gives into (w1, w2, b)."""
+    constraints = []
+    for x, lab in zip(pool, labeling):
+        row = tuple((*x.coords, F(1))[i] for i in index)
+        constraints.append((row, F(0), False) if lab else
+                           (tuple(-c for c in row), F(0), True))
+    return reference_fm_witness(constraints, len(index))
+
+
 class TestDefinableSpace:
     def test_grid_cosingletons(self):
         ast = parse_formula("x != p", ["x"], ["p"])
@@ -343,31 +361,36 @@ class TestDefinableSpace:
 
     def test_recognized_forms_match_native_spaces(self):
         """Each recognized shape, also with its parameters declared in
-        another order, has the native space's labelings, and each witness
-        is the native witness with its parameters moved to the formula's
-        declared positions.  ``index`` gives, per declared parameter, its
-        position in the native witness key."""
+        another order, has the native space's labelings.  ``index`` gives,
+        per declared parameter, its position in the native witness key.
+        The native shapes' witnesses, and those of the halfspace declared
+        in native order, are the native witnesses with their parameters
+        moved to the declared positions; a halfspace declared in another
+        order (``fm``) gets the Fraction reference elimination's witness
+        over its declared-order rows."""
         plane = [Instance.point(0, 0), Instance.point(1, 0),
                  Instance.point(0, 1), Instance.point(2, 3)]
         cases = [
             ("p <= x", ("x",), ("p",), ThresholdSpace(), points(1, 2, 4),
-             (0,)),
+             (0,), False),
             ("x != p", ("x",), ("p",), CoSingletonSpace(), points(0, 3, 5),
-             (0,)),
+             (0,), False),
             ("p != x", ("x",), ("p",), CoSingletonSpace(), points(0, 3, 5),
-             (0,)),
+             (0,), False),
             ("a <= x and x <= b", ("x",), ("a", "b"), IntervalSpace(),
-             points(1, 2, 3, 4), (0, 1)),
+             points(1, 2, 3, 4), (0, 1), False),
             ("b <= x and x <= a", ("x",), ("a", "b"), IntervalSpace(),
-             points(1, 2, 3, 4), (1, 0)),
+             points(1, 2, 3, 4), (1, 0), False),
             ("0 <= w1 * x1 + w2 * x2 + b", ("x1", "x2"), ("w1", "w2", "b"),
-             HalfspaceSpace(2), plane[:3], (0, 1, 2)),
+             HalfspaceSpace(2), plane[:3], (0, 1, 2), False),
+            ("0 <= w1 * x1 + w2 * x2 + b", ("x1", "x2"), ("w1", "w2", "b"),
+             HalfspaceSpace(2), plane, (0, 1, 2), False),
             ("0 <= w1 * x1 + w2 * x2 + b", ("x1", "x2"), ("b", "w2", "w1"),
-             HalfspaceSpace(2), plane, (2, 1, 0)),
+             HalfspaceSpace(2), plane, (2, 1, 0), True),
             ("0 <= b + x2 * w2 + w1 * x1", ("x1", "x2"), ("w2", "b", "w1"),
-             HalfspaceSpace(2), plane, (1, 2, 0)),
+             HalfspaceSpace(2), plane, (1, 2, 0), True),
         ]
-        for text, objects, params, native, pool, index in cases:
+        for text, objects, params, native, pool, index, fm in cases:
             ast = parse_formula(text, objects, params)
             space = definable_space(ast, SampledParams(budget=50))
             assert space.closed_form is not None
@@ -379,8 +402,11 @@ class TestDefinableSpace:
                 w = h.key[1:]
                 assert tuple(1 if eval_formula(ast, x.coords, w) else 0
                              for x in pool) == labeling
-                native_w = want.witnesses[labeling].key[1:]
-                assert w == tuple(native_w[i] for i in index)
+                if fm:
+                    assert w == declared_fm_witness(pool, index, labeling)
+                else:
+                    native_w = want.witnesses[labeling].key[1:]
+                    assert w == tuple(native_w[i] for i in index)
 
     def test_finite_witnesses_are_least_tuples(self):
         """Grid and explicit sources keep, for each labeling, the least
@@ -413,9 +439,9 @@ class TestDefinableSpace:
         assert exact and got == want
 
     def test_unrecognized_sampled_is_sound_subset(self):
-        ast = parse_formula("p * x <= 1", ["x"], ["p"])
-        space = definable_space(ast, SampledParams(budget=400, seed=1))
+        ast = parse_formula("p * p * x <= 1", ["x"], ["p"])
         assert recognize_closed_form(ast) is None
+        space = definable_space(ast, SampledParams(budget=400, seed=1))
         assert not space.oracle_exact
         pool = points(1, 2)
         table = space.dichotomies(pool)
@@ -438,7 +464,8 @@ class TestDefinableSpace:
             empirical_opt,
             u_statistic,
         )
-        ast = parse_formula("p * x <= 1", ["x"], ["p"])
+        ast = parse_formula("p * p * x <= 1", ["x"], ["p"])
+        assert recognize_closed_form(ast) is None
         space = definable_space(ast, SampledParams(budget=200, seed=2))
         dist = DiscreteDistribution.uniform([((1,), 1), ((2,), 0)])
         zbar = MultiSample.of(((1,), 1), ((2,), 0))
@@ -578,6 +605,105 @@ class TestLabelColumns:
             per_point = Counter(x for x, _ in calls)
             assert set(per_point) == {x.coords for x in pool}
             assert max(per_point.values()) <= max(64, 2 * k)
+
+
+class TestAffineOracle:
+    """A single < or <= atom, or its negation, affine in its k parameters
+    has an exact oracle over a sampled source, with VC dimension at most
+    k (Dudley 1978)."""
+
+    def test_affine_atoms_are_exact(self):
+        line = points(*range(-3, 4))
+        plane = [Instance.point(0, 0), Instance.point(1, 0),
+                 Instance.point(0, 1), Instance.point(1, 1)]
+        cases = [("0 <= a * x * x + b * x + c", ("x",), ("a", "b", "c"),
+                  line, 3),
+                 ("0 <= x - p", ("x",), ("p",), line, 1),
+                 ("p * x <= 1", ("x",), ("p",), line, 1),
+                 ("not (0 <= w1 * x1 + w2 * x2 + b)", ("x1", "x2"),
+                  ("w1", "w2", "b"), plane, 3)]
+        for text, objects, params, pool, vc in cases:
+            ast = parse_formula(text, objects, params)
+            space = definable_space(ast, SampledParams(budget=10))
+            assert space.closed_form.name == "affine"
+            assert space.known_vc() == len(params)
+            verdict = vc_dimension(space, pool)
+            assert (verdict.value, verdict.status) == (vc, "exact"), text
+
+    def test_outside_the_affine_shape_falls_back_to_search(self):
+        cases = [("p * p * x <= 1", ("x",), ("p",)),
+                 ("a * a - a * a <= x", ("x",), ("a",)),
+                 ("0 <= p * exp(x)", ("x",), ("p",)),
+                 ("x = p", ("x",), ("p",)),
+                 ("0 <= x", ("x",), ()),
+                 ("0 <= x - p and x <= 2", ("x",), ("p",))]
+        for text, objects, params in cases:
+            assert recognize_closed_form(
+                parse_formula(text, objects, params)) is None, text
+
+    @pytest.fixture
+    def wrong_witness(self, monkeypatch):
+        """One witness of the affine oracle is replaced by another's."""
+        def swapped(rows, strict=False):
+            out = halfspace_dichotomies(rows, strict)
+            out[0] = (out[0][0], out[-1][1])
+            return out
+        monkeypatch.setattr(vclab.formula, "halfspace_dichotomies", swapped)
+
+    def test_wrong_witness_raises(self, wrong_witness):
+        ast = parse_formula("0 <= x - p", ["x"], ["p"])
+        space = definable_space(ast, SampledParams(budget=10))
+        with pytest.raises(AssertionError):
+            space.dichotomies(points(1, 2))
+
+    def test_wrong_witness_does_not_exit_2(self, wrong_witness, tmp_path):
+        (tmp_path / "space.json").write_text(json.dumps(
+            {"kind": "formula-defined", "formula": "0 <= x - p",
+             "objects": ["x"], "params": ["p"],
+             "source": {"type": "sampled", "budget": 10}}))
+        with pytest.raises(AssertionError):
+            main(["vcdim", "--space", str(tmp_path / "space.json"),
+                  "--pool", "1;2;3", "--out", str(tmp_path)])
+
+
+AFFINE_PARAMS = ("a", "b", "c")
+AFFINE_BASIS = ("x", "x * x", "1")
+GRID_AXIS = [F(k, 2) for k in range(-3, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_affine_oracle_against_grid_and_sauer(data):
+    """Random atoms: each parameter times x, x * x or 1, an optional
+    parameter-free addend on either side, < or <=, an optional not.  Every
+    labeling that a rational parameter grid realizes is in the table, the
+    table has at most sum_{i<=k} C(n, i) labelings (Sauer, an independent
+    check of known_vc = k), and a VC dimension search never raises."""
+    k = data.draw(st.integers(1, 3))
+    addends = [f"{p} * {data.draw(st.sampled_from(AFFINE_BASIS))}"
+               for p in AFFINE_PARAMS[:k]]
+    free = data.draw(st.sampled_from(["0", "1", "x", "2 * x * x - 1"]))
+    op = data.draw(st.sampled_from(["<", "<="]))
+    sides = [" + ".join(addends), free]
+    if data.draw(st.booleans()):
+        sides.reverse()
+    text = f"{sides[0]} {op} {sides[1]}"
+    if data.draw(st.booleans()):
+        text = f"not ({text})"
+    ast = parse_formula(text, ["x"], AFFINE_PARAMS[:k])
+    assert recognize_closed_form(ast).vc == k
+    xs = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5,
+                            unique=True))
+    pool = points(*xs)
+    space = definable_space(ast, SampledParams(budget=10))
+    table = space.dichotomies(pool)
+    assert table.exact
+    predicate = compile_formula(ast)
+    grid = {tuple(1 if predicate(x.coords, w) else 0 for x in pool)
+            for w in product(GRID_AXIS, repeat=k)}
+    assert grid <= table.labelings, text
+    assert len(table) <= sum(math.comb(len(pool), i) for i in range(k + 1))
+    vc_dimension(space, pool)
 
 
 class TestShatterSearch:

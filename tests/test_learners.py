@@ -21,6 +21,7 @@ from vclab import (
     sem_learner,
     table_learner,
 )
+from vclab.formula import recognize_closed_form
 from conftest import atoms, random_explicit_space, random_multisample
 
 
@@ -74,7 +75,8 @@ class TestSemLearner:
         assert learner(zbar).key == learner(zbar).key
 
     def test_inexact_oracle_refused_without_declaration(self):
-        ast = parse_formula("p * x <= 1", ["x"], ["p"])
+        ast = parse_formula("p * p * x <= 1", ["x"], ["p"])
+        assert recognize_closed_form(ast) is None
         space = definable_space(ast, SampledParams(budget=50))
         assert not space.oracle_exact
         with pytest.raises(InexactOracleError):

@@ -18,7 +18,7 @@ from vclab import (
 )
 from vclab.cli import main
 from vclab.spaces import fm_witness, halfspace_dichotomies
-from conftest import points
+from conftest import points, reference_fm_witness
 
 
 def one_dim_halfspace_oracle(values):
@@ -46,7 +46,7 @@ class TestHalfspaceEnumeration:
             k = rng.randint(1, 5)
             values = rng.sample(range(-10, 11), k)
             got = {lab for lab, _ in
-                   halfspace_dichotomies([(F(v),) for v in values], 1)}
+                   halfspace_dichotomies([(0, (v, 1)) for v in values])}
             assert got == one_dim_halfspace_oracle(values)
 
     def test_plane_general_position_counts(self):
@@ -71,7 +71,8 @@ class TestHalfspaceEnumeration:
                    for _ in range(k)]
             if len(set(pts)) != k:
                 continue
-            enumerated = {lab for lab, _ in halfspace_dichotomies(pts, 2)}
+            enumerated = {lab for lab, _ in halfspace_dichotomies(
+                [(0, (x, y, 1)) for x, y in pts])}
             for _ in range(200):
                 w1, w2, b = (F(rng.randint(-9, 9)), F(rng.randint(-9, 9)),
                              F(rng.randint(-9, 9)))
@@ -143,100 +144,17 @@ class TestFmWitness:
         assert feasible >= 30
 
 
-# ---------------------------------------------------------------------------
-# Reference: Fourier-Motzkin elimination in Fraction arithmetic throughout,
-# the form fm_witness had before it moved to integer rows.  The integer
-# kernel must return exactly the same witnesses.
-
-
-def reference_normalize(con):
-    coeffs, const, strict = con
-    dens = [c.denominator for c in coeffs] + [const.denominator]
-    scale = F(1)
-    for d in dens:
-        scale *= d
-    ints = [int(c * scale) for c in coeffs] + [int(const * scale)]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return (tuple(F(v) for v in ints[:-1]), F(ints[-1]), strict)
-
-
-def reference_fm_witness(constraints, nvars):
-    systems = []
-    current = [reference_normalize(c) for c in constraints]
-    for k in range(nvars - 1, -1, -1):
-        systems.append(current)
-        lowers, uppers, rest = [], [], []
-        for coeffs, const, strict in current:
-            a = coeffs[k]
-            if a > 0:
-                lowers.append((coeffs, const, strict))
-            elif a < 0:
-                uppers.append((coeffs, const, strict))
-            else:
-                rest.append((coeffs[:k], const, strict))
-        combined = set(rest)
-        for lc, lconst, lstrict in lowers:
-            a = lc[k]
-            for uc, uconst, ustrict in uppers:
-                c = -uc[k]
-                coeffs = tuple(lc[j] * c + uc[j] * a for j in range(k))
-                const = lconst * c + uconst * a
-                combined.add(reference_normalize(
-                    (coeffs, const, lstrict or ustrict)))
-        current = list(combined)
-    for coeffs, const, strict in current:
-        if const < 0 or (strict and const == 0):
-            return None
-    values = [F(0)] * nvars
-    for k in range(nvars):
-        system = systems[nvars - 1 - k]
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for coeffs, const, strict in system:
-            a = coeffs[k]
-            if a == 0:
-                continue
-            rest = const + sum(coeffs[j] * values[j] for j in range(k))
-            bound = -rest / a
-            if a > 0:
-                if lo is None or bound > lo or (bound == lo and strict):
-                    lo, lo_strict = bound, strict
-            else:
-                if hi is None or bound < hi or (bound == hi and strict):
-                    hi, hi_strict = bound, strict
-        if lo is None and hi is None:
-            values[k] = F(0)
-        elif hi is None:
-            values[k] = lo + 1 if lo_strict else lo
-        elif lo is None:
-            values[k] = hi - 1 if hi_strict else hi
-        else:
-            if lo == hi:
-                if lo_strict or hi_strict:
-                    return None
-                values[k] = lo
-            else:
-                values[k] = (lo + hi) / 2
-    for coeffs, const, strict in systems[0]:
-        total = const + sum(c * v for c, v in zip(coeffs, values))
-        if total < 0 or (strict and total == 0):
-            return None
-    return tuple(values)
-
-
-def reference_halfspace_dichotomies(points, dim):
+def reference_halfspace_dichotomies(rows, strict):
     out = []
-    for labeling in product((0, 1), repeat=len(points)):
+    for labeling in product((0, 1), repeat=len(rows)):
         constraints = []
-        for x, lab in zip(points, labeling):
-            row = tuple(x) + (F(1),)
+        for (const, coeffs), lab in zip(rows, labeling):
             if lab == 1:
-                constraints.append((row, F(0), False))
+                constraints.append((coeffs, const, strict))
             else:
-                constraints.append((tuple(-c for c in row), F(0), True))
-        witness = reference_fm_witness(constraints, dim + 1)
+                constraints.append((tuple(-c for c in coeffs), -const,
+                                    not strict))
+        witness = reference_fm_witness(constraints, len(rows[0][1]))
         if witness is not None:
             out.append((labeling, witness))
     return out
@@ -260,14 +178,17 @@ def test_fm_witness_matches_fraction_reference(data):
     assert got is None or all(type(v) is F for v in got)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_halfspace_dichotomies_match_fraction_reference(data):
-    dim = data.draw(st.integers(1, 3))
-    pts = data.draw(st.lists(st.tuples(*[RATIONALS] * dim),
-                             min_size=1, max_size=5))
-    assert halfspace_dichotomies(pts, dim) == \
-        reference_halfspace_dichotomies(pts, dim)
+    """Random affine rows (const, coeffs), closed and open: the same
+    labelings and witnesses as Fraction elimination."""
+    nvars = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.tuples(RATIONALS, st.tuples(
+        *[RATIONALS] * nvars)), min_size=1, max_size=5))
+    strict = data.draw(st.booleans())
+    assert halfspace_dichotomies(rows, strict) == \
+        reference_halfspace_dichotomies(rows, strict)
 
 
 def _det(rows):
