@@ -81,6 +81,7 @@ from .model import (
     empirical_opt,
     loss,
     realized_dichotomies,
+    restriction_errors,
     sample_error,
     true_error,
 )

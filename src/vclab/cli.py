@@ -335,6 +335,12 @@ def _cmd_formula(args):
 # Parser assembly and dispatch
 
 
+# argparse reads a separate value that starts with "-" as an option.
+_MINUS_HELP = " (write --{0}=-3;-2;-1 when it starts with a minus sign)"
+_POOL_HELP = ("pool JSON file or inline 'x1;x2;...'"
+              + _MINUS_HELP.format("pool"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vclab",
@@ -351,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vcdim", help="VC dimension over a witness pool")
     p.add_argument("--space", required=True, help="space JSON file")
-    p.add_argument("--pool", required=True,
-                   help="pool JSON file or inline 'x1;x2;...'")
+    p.add_argument("--pool", required=True, help=_POOL_HELP)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--budget", type=int, default=None,
                    help="max subsets to test before settling for lower-bound")
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth", help="growth function value over a pool")
     p.add_argument("--space", required=True)
-    p.add_argument("--pool", required=True)
+    p.add_argument("--pool", required=True, help=_POOL_HELP)
     p.add_argument("--m", type=int, required=True)
     add_out(p)
     p.set_defaults(fn=_cmd_growth)
@@ -410,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", default="full",
                    help="'full' or a space JSON file shattering the instances")
     p.add_argument("--instances", default=None,
-                   help="2m instances (JSON file or inline); default 0..2m-1")
+                   help="2m instances, JSON file or inline 'x1;x2;...'; "
+                        "default 0..2m-1" + _MINUS_HELP.format("instances"))
     p.add_argument("--allow-large", action="store_true",
                    help="permit m = 5 and beyond (costly)")
     add_out(p)
@@ -426,9 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None, help="object values, comma-separated")
     p.add_argument("--w", default=None, help="parameter values")
     p.add_argument("--pool", default=None,
-                   help="instances for the space oracle, 'x1;x2;...'")
+                   help="instances for the space oracle, 'x1;x2;...'"
+                        + _MINUS_HELP.format("pool"))
     p.add_argument("--instances", default=None,
-                   help="instances for shattering search")
+                   help="instances for shattering search, 'x1;x2;...'"
+                        + _MINUS_HELP.format("instances"))
     p.add_argument("--params-list", dest="params_list", default=None,
                    help="explicit parameter tuples 'a,b;c,d'")
     p.add_argument("--grid", default=None,

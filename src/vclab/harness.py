@@ -32,8 +32,8 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .learners import LearningFunction
 from .model import (
@@ -41,15 +41,12 @@ from .model import (
     DiscreteDistribution,
     Hypothesis,
     HypothesisSpace,
-    Instance,
     MultiSample,
     Sample,
-    _labeling_sample_error_counts,
-    _labeling_true_error,
-    _table_for,
     approximation_error,
     index_states,
     loss,
+    restriction_errors,
     to_fraction,
     true_error,
 )
@@ -222,8 +219,12 @@ def draw_multisample(cdf: InverseCDF, m: int, rng: random.Random,
 # Deviation statistics
 
 
-def _union_instances(*groups: Sequence[Instance]) -> tuple[Instance, ...]:
-    return tuple(sorted(set().union(*groups), key=Instance.sort_key))
+def _max_deviation(space: HypothesisSpace,
+                   weighted: Iterable[tuple[Sample, int | Fraction]], m: int,
+                   require_exact: bool) -> Fraction:
+    """max over the realized labelings of |weight gotten wrong| / m."""
+    return Fraction(max(abs(wrong) for _, _, wrong in restriction_errors(
+        space, weighted, require_exact)), m)
 
 
 def u_statistic(space: HypothesisSpace, dist: DiscreteDistribution,
@@ -232,17 +233,14 @@ def u_statistic(space: HypothesisSpace, dist: DiscreteDistribution,
 
     Both quantities depend on a hypothesis only through its restriction to
     the support and sample instances, so the supremum is a maximum over the
-    realized labelings of that finite set.  With an inexact oracle (and
-    ``require_exact=False``) the result is a verified lower bound.
+    realized labelings of that finite set, scored under the signed measure
+    m * dist - counts.  With an inexact oracle (and ``require_exact=False``)
+    the result is a verified lower bound.
     """
-    instances = _union_instances(dist.instances(), zbar.instances_sorted())
-    table = _table_for(space, instances, require_exact)
-    positions = {x: i for i, x in enumerate(instances)}
-    counts = zbar.label_counts()
-    return max(abs(_labeling_true_error(lab, positions, dist)
-                   - _labeling_sample_error_counts(lab, positions, counts,
-                                                   zbar.m))
-               for lab in table.witnesses)
+    m = zbar.m
+    weighted = chain(((z, m * w) for z, w in dist.items()),
+                     ((z, -c) for z, c in zbar.tally()))
+    return _max_deviation(space, weighted, m, require_exact)
 
 
 def v_statistic(space: HypothesisSpace, zbar: MultiSample, zbar2: MultiSample,
@@ -251,16 +249,8 @@ def v_statistic(space: HypothesisSpace, zbar: MultiSample, zbar2: MultiSample,
     for two multi-samples of equal length."""
     if zbar.m != zbar2.m:
         raise ValueError("the two multi-samples must have equal length")
-    instances = _union_instances(zbar.instances_sorted(),
-                                 zbar2.instances_sorted())
-    table = _table_for(space, instances, require_exact)
-    positions = {x: i for i, x in enumerate(instances)}
-    counts, counts2 = zbar.label_counts(), zbar2.label_counts()
-    return max(abs(_labeling_sample_error_counts(lab, positions, counts2,
-                                                 zbar.m)
-                   - _labeling_sample_error_counts(lab, positions, counts,
-                                                   zbar.m))
-               for lab in table.witnesses)
+    weighted = chain(zbar2.tally(), ((z, -c) for z, c in zbar.tally()))
+    return _max_deviation(space, weighted, zbar.m, require_exact)
 
 
 def _check_signs(sigma: Sequence[int], m: int) -> tuple[int, ...]:
@@ -292,19 +282,9 @@ def symmetrized_deviation(space: HypothesisSpace, zbar: MultiSample,
     if zbar.m != zbar2.m:
         raise ValueError("the two multi-samples must have equal length")
     signs = _check_signs(sigma, zbar.m)
-    instances = _union_instances(zbar.instances_sorted(),
-                                 zbar2.instances_sorted())
-    table = _table_for(space, instances, require_exact)
-    positions = {x: i for i, x in enumerate(instances)}
-    best = Fraction(0)
-    for lab in table.witnesses:
-        total = 0
-        for s, z1, z2 in zip(signs, zbar.samples, zbar2.samples):
-            l1 = 1 if lab[positions[z1.instance]] != z1.label else 0
-            l2 = 1 if lab[positions[z2.instance]] != z2.label else 0
-            total += s * (l2 - l1)
-        best = max(best, abs(Fraction(total, zbar.m)))
-    return best
+    weighted = chain(zip(zbar2.samples, signs),
+                     zip(zbar.samples, (-s for s in signs)))
+    return _max_deviation(space, weighted, zbar.m, require_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +323,9 @@ def estimate_ucp_probability(space: HypothesisSpace,
     if m < 1:
         raise ValueError("m must be >= 1")
     eps_exact = to_fraction(eps)
-    instances = dist.instances()
-    table = _table_for(space, instances, require_exact=True)
-    positions = {x: i for i, x in enumerate(instances)}
+    positions = {x: i for i, x in enumerate(dist.instances())}
     windows = []
-    for lab in table.witnesses:
-        te = _labeling_true_error(lab, positions, dist)
+    for lab, _, te in restriction_errors(space, dist.items()):
         wrong = tuple(i for i, z in enumerate(dist.support)
                       if lab[positions[z.instance]] != z.label)
         windows.append((wrong, math.ceil(m * (te - eps_exact)),

@@ -2,9 +2,11 @@
 
 The central construction is the sample-error minimizer, which enumerates the
 realized labelings on the sample's instances, picks a labeling of minimal
-sample error (lexicographically least among minimizers), and resolves it to
-the canonically least witness hypothesis.  Tie-breaking is fully
-deterministic so enumeration-based verification is reproducible.
+sample error (lexicographically least among minimizers), and returns the
+witness the space's restriction oracle gives for it (see
+``model.DichotomyTable`` for each family's witness rule; halfspace and
+sampled-formula witnesses are not least in any order).  Tie-breaking is
+fully deterministic so enumeration-based verification is reproducible.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .model import (
     HypothesisSpace,
     InexactOracleError,
     MultiSample,
-    _labeling_sample_error_counts,
     empirical_opt,
+    restriction_errors,
     sample_error,
 )
 
@@ -61,8 +63,9 @@ class LearningFunction:
 
 def apply(learner: LearningFunction, zbar: MultiSample,
           trace: list | None = None) -> Hypothesis:
-    """Evaluate the learner; optionally append (m, sample error of output,
-    minimal sample error) to ``trace`` for harness consumption."""
+    """Evaluate the learner; optionally append a record of m, the output's
+    sample error and, when the learner names its space, the minimal sample
+    error (a verified-subset bound over an inexact oracle) to ``trace``."""
     h = learner(zbar)
     if trace is not None:
         record = {"m": zbar.m, "sample_error": sample_error(h, zbar)}
@@ -90,18 +93,10 @@ def sem_learner(space: HypothesisSpace,
             "slack; pass declared_slack=(eps_of_m, m0_of_eps) to accept it")
 
     def fn(zbar: MultiSample) -> Hypothesis:
-        instances = zbar.instances_sorted()
-        table = space.dichotomies(instances)
-        positions = {x: i for i, x in enumerate(instances)}
-        counts = zbar.label_counts()
-        best_labeling = None
-        best_error = None
-        for labeling in sorted(table.witnesses):
-            err = _labeling_sample_error_counts(labeling, positions, counts,
-                                                zbar.m)
-            if best_error is None or err < best_error:
-                best_labeling, best_error = labeling, err
-        return table.witnesses[best_labeling]
+        # Least count wrong, then lexicographically least labeling.
+        return min(restriction_errors(space, zbar.tally(),
+                                      require_exact=False),
+                   key=lambda scored: (scored[2], scored[0]))[1]
 
     slack, m0 = declared_slack if declared_slack else (_zero_slack, _always_one)
     return LearningFunction(name="sem", fn=fn, space=space,

@@ -5,6 +5,13 @@ with finite restriction oracles, and finitely supported distributions,
 together with the elementary error quantities (pointwise loss, sample error,
 true error, optimal errors) that the rest of the package builds on.
 
+Every supremum or minimum over a space that the package computes (best
+true error, minimal sample error, the U, V and sign-flipped deviations, the
+sample-error minimizer) goes through :func:`restriction_errors`: the weight
+each realized labeling of the points involved gets wrong under a finite,
+possibly signed, measure on the sample space.  The per-hypothesis
+``loss``, ``sample_error`` and ``true_error`` score a given output.
+
 All probabilities and error values are exact ``fractions.Fraction``s.  Floats
 appearing in inputs are converted to their exact binary rational value, so
 equality assertions downstream are meaningful.
@@ -17,7 +24,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import (accumulate, chain, combinations_with_replacement,
-                       compress, groupby, product, repeat)
+                       groupby, product, repeat)
+from operator import getitem
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Labeling = tuple[int, ...]
@@ -228,28 +236,13 @@ class MultiSample:
     def __iter__(self) -> Iterator[Sample]:
         return iter(self.samples)
 
-    def _tally(self) -> Iterable[tuple[Sample, int]]:
-        """(sample, count) pairs; with counts attached, one per support
-        entry, zeros included."""
+    def tally(self) -> Iterable[tuple[Sample, int]]:
+        """(sample, count) pairs of the distinct samples drawn, each count
+        >= 1; with counts attached, in support order, zero counts left
+        out."""
         if self.counts is None:
             return Counter(self.samples).items()
-        return zip(self.support, self.counts)
-
-    def instances_sorted(self) -> tuple[Instance, ...]:
-        """Distinct instances, in canonical order."""
-        drawn = (self.samples if self.counts is None
-                 else compress(self.support, self.counts))
-        return tuple(sorted({z.instance for z in drawn},
-                            key=Instance.sort_key))
-
-    def label_counts(self) -> dict[Instance, tuple[int, int]]:
-        """Per-instance counts (#labeled 0, #labeled 1)."""
-        out: dict[Instance, tuple[int, int]] = {}
-        for z, c in self._tally():
-            if c:
-                n0, n1 = out.get(z.instance, (0, 0))
-                out[z.instance] = (n0, n1 + c) if z.label else (n0 + c, n1)
-        return out
+        return ((z, c) for z, c in zip(self.support, self.counts) if c)
 
     def canonical_bytes(self) -> bytes:
         """Stable byte encoding, used for hashing-based lookup learners."""
@@ -590,32 +583,38 @@ def empirical_distribution(zbar: MultiSample) -> DiscreteDistribution:
     repeated samples' weights accumulated."""
     m = zbar.m
     return DiscreteDistribution(
-        {z: Fraction(c, m) for z, c in zbar._tally() if c})
+        {z: Fraction(c, m) for z, c in zbar.tally()})
 
 
-def _table_for(space: HypothesisSpace, instances: Sequence[Instance],
-               require_exact: bool) -> DichotomyTable:
+def restriction_errors(space: HypothesisSpace,
+                       weighted: Iterable[tuple[Sample, int | Fraction]],
+                       require_exact: bool = True
+                       ) -> Iterator[tuple[Labeling, Hypothesis, int | Fraction]]:
+    """Each realized labeling of the pairs' instances, with its witness and
+    the weight it gets wrong, in table order.
+
+    ``weighted`` is a finite signed measure on the sample space, as
+    (sample, weight) pairs with int or ``Fraction`` weights (repeats add
+    up).  The table is built once, on the distinct instances of the pairs
+    in canonical order, so every pair's instance is in it, zero weight or
+    not.  The weight a labeling gets wrong is the sum over those instances
+    of the weight on the label it does not give; with int weights it is an
+    int, and it may be the int 0 with ``Fraction`` weights.  With
+    ``require_exact`` an inexact table raises ``InexactOracleError``.
+    """
+    mass: dict[Instance, list] = {}
+    for z, w in weighted:
+        mass.setdefault(z.instance, [0, 0])[z.label] += w
+    instances = tuple(sorted(mass, key=Instance.sort_key))
     table = space.dichotomies(instances)
     if require_exact and not table.exact:
         raise InexactOracleError(
             f"{space.kind} space has no exact restriction oracle here; "
             "pass require_exact=False to accept a verified-subset bound")
-    return table
-
-
-def _labeling_true_error(labeling: Labeling, positions: Mapping[Instance, int],
-                         dist: DiscreteDistribution) -> Fraction:
-    return sum((w for z, w in dist.items()
-                if labeling[positions[z.instance]] != z.label), Fraction(0))
-
-
-def _labeling_sample_error_counts(
-        labeling: Labeling, positions: Mapping[Instance, int],
-        counts: Mapping[Instance, tuple[int, int]], m: int) -> Fraction:
-    wrong = 0
-    for x, (n0, n1) in counts.items():
-        wrong += n0 if labeling[positions[x]] == 1 else n1
-    return Fraction(wrong, m)
+    # Labeling an instance y misclassifies the weight on label 1 - y.
+    flipped = [(mass[x][1], mass[x][0]) for x in instances]
+    for labeling, h in table.witnesses.items():
+        yield labeling, h, sum(map(getitem, flipped, labeling))
 
 
 def approximation_error(space: HypothesisSpace, dist: DiscreteDistribution,
@@ -627,23 +626,16 @@ def approximation_error(space: HypothesisSpace, dist: DiscreteDistribution,
     restriction.  With an inexact oracle (and ``require_exact=False``) the
     result is an upper bound only.
     """
-    instances = dist.instances()
-    table = _table_for(space, instances, require_exact)
-    positions = {x: i for i, x in enumerate(instances)}
-    return min(_labeling_true_error(lab, positions, dist)
-               for lab in table.witnesses)
+    return Fraction(min(wrong for _, _, wrong in restriction_errors(
+        space, dist.items(), require_exact)))
 
 
 def empirical_opt(space: HypothesisSpace, zbar: MultiSample,
                   require_exact: bool = True) -> Fraction:
     """Minimal sample error over the space (attained, since restrictions to
     the sample instances are finite)."""
-    instances = zbar.instances_sorted()
-    table = _table_for(space, instances, require_exact)
-    positions = {x: i for i, x in enumerate(instances)}
-    counts = zbar.label_counts()
-    return min(_labeling_sample_error_counts(lab, positions, counts, zbar.m)
-               for lab in table.witnesses)
+    return Fraction(min(wrong for _, _, wrong in restriction_errors(
+        space, zbar.tally(), require_exact)), zbar.m)
 
 
 def realized_dichotomies(space: HypothesisSpace,

@@ -83,7 +83,16 @@ def sample_to_json(z: Sample):
     return [instance_to_json(z.instance), z.label]
 
 
+def _object(obj, what: str) -> Mapping:
+    """``obj`` itself, when it is a JSON object."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got "
+                         f"{type(obj).__name__}")
+    return obj
+
+
 def distribution_from_json(obj) -> DiscreteDistribution:
+    obj = _object(obj, "a distribution")
     support = [sample_from_json(z) for z in obj["support"]]
     weights = [parse_rational(w) for w in obj["weights"]]
     if len(support) != len(weights):
@@ -99,7 +108,7 @@ def distribution_to_json(dist: DiscreteDistribution) -> dict:
 
 
 def _param_source_from_json(obj) -> fm.ParamSource:
-    kind = obj.get("type")
+    kind = _object(obj, "a parameter source").get("type")
     if kind == "explicit":
         return fm.ExplicitParams.of([[parse_rational(v) for v in t]
                                      for t in obj["tuples"]])
@@ -115,6 +124,7 @@ def _param_source_from_json(obj) -> fm.ParamSource:
 
 
 def space_from_json(obj) -> HypothesisSpace:
+    obj = _object(obj, "a space")
     kind = obj.get("kind")
     if kind is None and "instances" in obj and "hypotheses" in obj:
         kind = "finite-explicit"
@@ -146,6 +156,7 @@ def multisample_from_json(obj) -> MultiSample:
 
 
 def learner_from_json(obj, space: HypothesisSpace) -> LearningFunction:
+    obj = _object(obj, "a learner")
     kind = obj.get("type")
     if kind == "builtin":
         name = obj["name"]

@@ -68,6 +68,13 @@ class TestSerialize:
         fallback = learner(MultiSample.of(("b", 1)))
         assert fallback.key == ("explicit", (0, 0))
 
+    def test_non_objects_rejected(self):
+        space = space_from_json({"kind": "full", "instances": ["a"]})
+        for parse in (space_from_json, distribution_from_json,
+                      lambda obj: learner_from_json(obj, space)):
+            with pytest.raises(ValueError, match="must be a JSON object"):
+                parse([1, 2])
+
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError):
             space_from_json({"kind": "nope"})
@@ -275,6 +282,40 @@ class TestCli:
         code, _ = run(tmp_path, "vcdim", "--space",
                       str(tmp_path / "nope.json"), "--pool", "1;2")
         assert code == 2
+
+    def test_non_object_json_exits_2(self, tmp_path, capsys):
+        """A space file, a parameter source or a file: learner that is a
+        JSON array is bad input, not a crash."""
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "formula.json").write_text(json.dumps(
+            {"kind": "formula-defined", "formula": "p <= x",
+             "objects": ["x"], "params": ["p"], "source": [1, 2]}))
+        cases = [
+            ("vcdim", "--space", str(tmp_path / "list.json"), "--pool", "1;2"),
+            ("vcdim", "--space", str(tmp_path / "formula.json"),
+             "--pool", "1;2"),
+            ("nfl", "--m", "1", "--learner",
+             "file:" + str(tmp_path / "list.json")),
+        ]
+        for argv, what in zip(cases, ("a space", "a parameter source",
+                                      "a learner")):
+            code, _ = run(tmp_path, *argv)
+            assert code == 2
+            assert f"{what} must be a JSON object, got list" in \
+                capsys.readouterr().err
+
+    def test_negative_pool_joined_with_equals(self, tmp_path):
+        (tmp_path / "space.json").write_text(json.dumps(
+            {"kind": "threshold-family"}))
+        space = str(tmp_path / "space.json")
+        code, payload = run(tmp_path, "vcdim", "--space", space,
+                            "--pool=-3;-2;-1")
+        assert code == 0
+        assert payload["result"]["value"] == 1
+        assert payload["result"]["status"] == "exact"
+        # Given as a separate word, argparse takes the value for an option.
+        assert run(tmp_path, "vcdim", "--space", space,
+                   "--pool", "-3;-2;-1")[0] == 2
 
     def test_exact_budget_exits_3(self, workdir):
         big_dist = {

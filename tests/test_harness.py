@@ -17,6 +17,7 @@ from vclab import (
     approximation_error,
     builtin_learners,
     empirical_distribution,
+    empirical_opt,
     estimate_pac_probability,
     estimate_ucp_probability,
     hoeffding_tail,
@@ -154,6 +155,78 @@ class TestSymmetrizedDeviation:
             total = sum(signed_deviation(h, z1, z2, sigma)
                         for sigma in product((-1, 1), repeat=m))
             assert total == 0
+
+
+class TestRestrictionErrorCallers:
+    """The callers of ``model.restriction_errors`` against per-hypothesis
+    references, on zero-count multi-samples, and for their return type."""
+
+    def test_symmetrized_matches_signed_deviation_maximum(self):
+        rng = random.Random(27)
+        for _ in range(60):
+            space = random_explicit_space(rng, max_instances=4)
+            m = rng.randint(1, 5)
+            z1 = random_multisample(rng, space.domain, m)
+            z2 = random_multisample(rng, space.domain, m)
+            sigma = [rng.choice((-1, 1)) for _ in range(m)]
+            assert symmetrized_deviation(space, z1, z2, sigma) == max(
+                abs(signed_deviation(h, z1, z2, sigma))
+                for h in space.hypotheses())
+
+    @staticmethod
+    def zero_count_cases(rng, instances):
+        """(counts-carrying multi-sample, plain one with the same samples)
+        pairs, the first over a support some of whose entries have count 0."""
+        pairs = [Sample(x, y) for x in instances for y in (0, 1)]
+        support = tuple(rng.sample(pairs, rng.randint(2, len(pairs))))
+        m = rng.randint(1, 5)
+        indices = [rng.randrange(len(support)) for _ in range(m)]
+        counts = [indices.count(i) for i in range(len(support))]
+        for drawn in (MultiSample.from_draw(support, indices),
+                      MultiSample.from_counts(support, counts)):
+            yield drawn, MultiSample(tuple(drawn.samples))
+
+    def test_zero_counts_change_nothing(self):
+        rng = random.Random(37)
+        threshold_points = [Instance.point(i) for i in range(6)]
+        for trial in range(200):
+            if trial % 2:
+                space, instances = ThresholdSpace(), threshold_points
+            else:
+                space = random_explicit_space(rng, max_instances=5)
+                instances = space.domain
+            learner = sem_learner(space)
+            for drawn, plain in self.zero_count_cases(rng, instances):
+                other = random_multisample(rng, instances, plain.m)
+                assert learner(drawn).key == learner(plain).key
+                assert empirical_opt(space, drawn) == \
+                    empirical_opt(space, plain)
+                assert v_statistic(space, drawn, other) == \
+                    v_statistic(space, plain, other)
+                assert v_statistic(space, other, drawn) == \
+                    v_statistic(space, other, plain)
+
+    def test_fraction_results_when_nothing_is_wrong(self):
+        # The best labeling leaves every weight slot it reads untouched, so
+        # the kernel's sum is the int 0 even for Fraction weights.
+        space = ExplicitSpace.full(atoms(2))
+        zbar = MultiSample.of(("s0", 1), ("s1", 0), ("s1", 0))
+        drawn = MultiSample.from_counts(tuple(dict.fromkeys(zbar)), (1, 2))
+        dist = empirical_distribution(zbar)
+        for sample in (zbar, drawn):
+            values = [approximation_error(space, dist),
+                      empirical_opt(space, sample),
+                      u_statistic(space, dist, sample),
+                      v_statistic(space, sample, zbar),
+                      symmetrized_deviation(space, sample, zbar, (1, -1, 1))]
+            assert values == [0] * 5
+            assert all(type(v) is F for v in values)
+        flipped = MultiSample.of(("s0", 0), ("s1", 1), ("s1", 1))
+        values = [v_statistic(space, zbar, flipped),
+                  symmetrized_deviation(space, zbar, flipped, (1, 1, -1)),
+                  u_statistic(space, dist, flipped)]
+        assert values == [1, F(1, 3), 1]
+        assert all(type(v) is F for v in values)
 
 
 def brute_force_ucp_probability(space, dist, m, eps):

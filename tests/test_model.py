@@ -26,6 +26,7 @@ from vclab import (
     empirical_opt,
     loss,
     realized_dichotomies,
+    restriction_errors,
     sample_error,
     true_error,
 )
@@ -232,6 +233,26 @@ def test_bridge_identity(data):
         assert true_error(h, dist) == sample_error(h, zbar)
 
 
+def test_restriction_errors_match_per_hypothesis_sums():
+    """Each yielded witness gets wrong exactly the signed weight of the
+    pairs it misclassifies, and the labelings come in table order on the
+    pairs' instances sorted canonically (zero-weight pairs included)."""
+    rng = random.Random(5)
+    for _ in range(60):
+        space = random_explicit_space(rng, max_instances=5)
+        pairs = [(Sample(rng.choice(space.domain), rng.randint(0, 1)),
+                  rng.choice((0, 1, -2, F(1, 3), F(-5, 7))))
+                 for _ in range(rng.randint(1, 6))]
+        instances = sorted({z.instance for z, _ in pairs},
+                           key=Instance.sort_key)
+        scored = list(restriction_errors(space, pairs))
+        assert [lab for lab, _, _ in scored] == \
+            list(space.dichotomies(instances).witnesses)
+        for lab, h, wrong in scored:
+            assert tuple(h(x) for x in instances) == lab
+            assert wrong == sum(w for z, w in pairs if loss(h, z))
+
+
 def row_walking_dichotomies(space, instances):
     """Reference oracle: every vector of the space in order, keeping the
     first one to give each restriction."""
@@ -363,18 +384,12 @@ class TestDrawnMultiSample:
             drawn = MultiSample.from_draw(support, indices)
             assert drawn.samples == tuple(support[i] for i in indices)
             assert drawn.counts == tuple(indices.count(i) for i in range(k))
-            zeros, ones = {}, {}
-            for z in drawn.samples:
-                tally = ones if z.label else zeros
-                tally[z.instance] = tally.get(z.instance, 0) + 1
-            seen = set(zeros) | set(ones)
-            assert drawn.label_counts() == {
-                x: (zeros.get(x, 0), ones.get(x, 0)) for x in seen}
-            assert drawn.instances_sorted() == tuple(
-                sorted(seen, key=Instance.sort_key))
+            # tally() leaves out zero counts and keeps support order.
+            assert list(drawn.tally()) == [
+                (z, indices.count(i)) for i, z in enumerate(support)
+                if i in indices]
             plain = MultiSample(drawn.samples)
-            assert plain.label_counts() == drawn.label_counts()
-            assert plain.instances_sorted() == drawn.instances_sorted()
+            assert dict(plain.tally()) == dict(drawn.tally())
             assert plain == drawn and hash(plain) == hash(drawn)
 
     def test_counts_must_agree_with_support_and_length(self):
@@ -406,8 +421,8 @@ class TestDrawnMultiSample:
                                       for _ in range(c)))
             # The count-based views leave the samples unbuilt.
             assert drawn.m == len(drawn) == plain.m == sum(counts)
-            assert drawn.label_counts() == plain.label_counts()
-            assert drawn.instances_sorted() == plain.instances_sorted()
+            assert dict(drawn.tally()) == dict(plain.tally())
+            assert all(c >= 1 for _, c in drawn.tally())
             assert empirical_distribution(drawn) == \
                 empirical_distribution(plain)
             assert "samples" not in vars(drawn)
