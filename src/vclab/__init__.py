@@ -34,13 +34,10 @@ from .formula import (
     DefinableSpace,
     ExplicitParams,
     FormulaAst,
-    GridParams,
     SampledParams,
-    ShatterSearchVerdict,
     definable_space,
     eval_formula,
     format_formula,
-    nip_shatter_search,
     parse_formula,
     relu_graph_formula,
     sigmoid_network_formula,
@@ -57,7 +54,6 @@ from .harness import (
 )
 from .learners import (
     LearningFunction,
-    apply,
     builtin_learners,
     constant_learner,
     memorizing_learner,

@@ -29,6 +29,7 @@ from .combinatorics import (
     growth_function,
     sauer_bound,
     sauer_poly_bound,
+    shatters,
     vc_dimension,
 )
 from .harness import estimate_pac_probability, estimate_ucp_probability
@@ -264,19 +265,21 @@ def _formula_ast(args) -> fm.FormulaAst:
     return fm.parse_formula(text, objects=objects, params=params)
 
 
-def _parse_axes(text: str):
-    return [[v.strip() for v in axis.split(",") if v.strip()]
-            for axis in text.split(";") if axis.strip()]
-
-
 def _formula_source(args) -> fm.ParamSource:
     if args.params_list:
         return fm.ExplicitParams.of(
             [[v.strip() for v in chunk.split(",") if v.strip()]
              for chunk in args.params_list.split(";") if chunk.strip()])
     if args.grid:
-        return fm.GridParams.of(_parse_axes(args.grid))
+        return fm.ExplicitParams.grid(
+            [[v.strip() for v in axis.split(",") if v.strip()]
+             for axis in args.grid.split(";") if axis.strip()])
     return fm.SampledParams(budget=args.budget, seed=args.seed)
+
+
+def _formula_space(args) -> fm.DefinableSpace:
+    return fm.DefinableSpace(_formula_ast(args), _formula_source(args),
+                             backend=args.backend or None)
 
 
 def _cmd_formula(args):
@@ -300,9 +303,7 @@ def _cmd_formula(args):
     if args.action == "space":
         if not args.pool:
             raise UsageError("formula space needs --pool 'x1;x2;...'")
-        ast = _formula_ast(args)
-        space = fm.DefinableSpace(ast, _formula_source(args),
-                                  backend=args.backend or None)
+        space = _formula_space(args)
         pool = _parse_instance_list(args.pool)
         table = space.dichotomies(pool)
         return ({"kind": space.kind,
@@ -316,18 +317,14 @@ def _cmd_formula(args):
     if args.action == "shatter":
         if not args.instances:
             raise UsageError("formula shatter needs --instances 'x1;x2;...'")
-        ast = _formula_ast(args)
-        instances = _parse_instance_list(args.instances)
-        grid = _parse_axes(args.grid) if args.grid else None
-        verdict = fm.nip_shatter_search(ast, instances, budget=args.budget,
-                                        seed=args.seed, grid=grid)
+        verdict = shatters(_formula_space(args),
+                           _parse_instance_list(args.instances))
         witnesses = None
         if verdict.witnesses is not None:
-            witnesses = {"".join(map(str, lab)): [str(v) for v in w]
-                         for lab, w in sorted(verdict.witnesses.items())}
-        return ({"status": verdict.status,
-                 "budget_used": verdict.budget_used,
-                 "witnesses": witnesses}, None, inputs)
+            witnesses = {"".join(map(str, lab)): [str(v) for v in h.key[1:]]
+                         for lab, h in sorted(verdict.witnesses.items())}
+        return ({"status": verdict.status, "witnesses": witnesses},
+                None, inputs)
     raise UsageError(f"unknown formula action {args.action!r}")
 
 
@@ -435,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instances for the space oracle, 'x1;x2;...'"
                         + _MINUS_HELP.format("pool"))
     p.add_argument("--instances", default=None,
-                   help="instances for shattering search, 'x1;x2;...'"
+                   help="instances for the shattering check, 'x1;x2;...'"
                         + _MINUS_HELP.format("instances"))
     p.add_argument("--params-list", dest="params_list", default=None,
                    help="explicit parameter tuples 'a,b;c,d'")

@@ -8,12 +8,15 @@ rational backend (exp-free formulas only) or an IEEE double backend with
 strict comparisons.
 
 A formula plus a parameter source induces a hypothesis space of indicator
-functions.  Over a sampled parameter source, the threshold, interval and
-co-singleton shapes get their native spaces' exact restriction oracles,
-and a single < or <= atom (or its negation) affine in the parameters is
-decided exactly by Fourier-Motzkin elimination over the parameters;
-otherwise parameter search yields verified subsets only, never claimed
-exact.
+functions.  A finite source is one sorted list of parameter tuples (a grid
+is the list of its product), and its restriction oracle is exact.  Over a
+sampled parameter source, the threshold, interval and co-singleton shapes
+get their native spaces' exact restriction oracles, and a single < or <=
+atom (or its negation) affine in the parameters is decided exactly by
+Fourier-Motzkin elimination over the parameters; otherwise parameter
+search yields verified subsets only, never claimed exact.  Shattering is
+decided by ``combinatorics.shatters`` on that space, like VC dimension
+and growth.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .model import (
     HypothesisSpace,
     Instance,
     Labeling,
-    as_instance,
     check_instance_tuple,
     to_fraction,
 )
@@ -637,7 +639,7 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
 
 @dataclass(frozen=True)
 class ExplicitParams:
-    """A finite, explicitly listed parameter family."""
+    """A finite parameter family: its tuples, sorted and deduplicated."""
 
     tuples: tuple[tuple[Fraction, ...], ...]
 
@@ -648,23 +650,14 @@ class ExplicitParams:
             raise ValueError("parameter list must be non-empty")
         return ExplicitParams(tuple(sorted(set(out))))
 
-
-@dataclass(frozen=True)
-class GridParams:
-    """A rectangular grid: one axis of values per parameter variable."""
-
-    axes: tuple[tuple[Fraction, ...], ...]
-
     @staticmethod
-    def of(axes: Sequence[Sequence]) -> "GridParams":
-        out = tuple(tuple(sorted({to_fraction(v) for v in axis}))
-                    for axis in axes)
-        if not out or any(not axis for axis in out):
+    def grid(axes: Sequence[Sequence]) -> "ExplicitParams":
+        """A rectangular grid, one axis of values per parameter variable,
+        listed as its product: sorted and distinct, as each axis is."""
+        axes = [sorted({to_fraction(v) for v in axis}) for axis in axes]
+        if not axes or not all(axes):
             raise ValueError("every grid axis needs at least one value")
-        return GridParams(out)
-
-    def tuples(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(product(*self.axes))
+        return ExplicitParams(tuple(product(*axes)))
 
 
 @dataclass(frozen=True)
@@ -678,19 +671,19 @@ class SampledParams:
     high: float = 10.0
 
 
-ParamSource = ExplicitParams | GridParams | SampledParams
+ParamSource = ExplicitParams | SampledParams
 
 
 class DefinableSpace(HypothesisSpace):
     """Indicator functions 1[phi(. ; w)] of a formula, over a parameter
     source.
 
-    A finite source (explicit or grid) is sorted once.  For every instance
-    point it is asked about, the space keeps a label column for its whole
-    lifetime: an int whose bit j is the formula at that point and candidate
-    j.  A column is evaluated over a prefix of the candidates that doubles
-    (from 64) until the queried points show every labeling or the source
-    runs out, so each (point, candidate) pair is evaluated at most once.
+    Over an explicit source, the space keeps a label column for every
+    instance point it is asked about, for its whole lifetime: an int whose
+    bit j is the formula at that point and the source's j-th tuple.  A
+    column is evaluated over a prefix of the tuples that doubles (from 64)
+    until the queried points show every labeling or the source runs out,
+    so each (point, tuple) pair is evaluated at most once.
     """
 
     kind = "formula-defined"
@@ -710,21 +703,17 @@ class DefinableSpace(HypothesisSpace):
         self.backend = backend
         self.closed_form = (recognize_closed_form(ast)
                             if isinstance(source, SampledParams) else None)
-        if isinstance(source, GridParams) and len(source.axes) != ast.param_arity:
-            raise ValueError("grid must have one axis per parameter variable")
         if isinstance(source, ExplicitParams):
             if any(len(t) != ast.param_arity for t in source.tuples):
                 raise ValueError("parameter tuples must match the parameter "
                                  "arity")
-        self._candidates: list[tuple[Fraction, ...]] | None = None
         # point -> (label column, number of candidates it covers)
         self._columns: dict[tuple[Fraction, ...], tuple[int, int]] = {}
 
     @property
     def oracle_exact(self) -> bool:
-        if isinstance(self.source, (ExplicitParams, GridParams)):
-            return True
-        return self.closed_form is not None
+        return (isinstance(self.source, ExplicitParams)
+                or self.closed_form is not None)
 
     def known_vc(self) -> int | None:
         return self.closed_form.vc if self.closed_form else None
@@ -746,20 +735,11 @@ class DefinableSpace(HypothesisSpace):
     def hypothesis_from_key(self, key) -> Hypothesis:
         return self.hypothesis(key)
 
-    def _sorted_candidates(self) -> list[tuple[Fraction, ...]]:
-        if self._candidates is None:
-            if isinstance(self.source, ExplicitParams):
-                tuples = self.source.tuples
-            elif isinstance(self.source, GridParams):
-                tuples = self.source.tuples()
-            else:
-                raise TypeError("the sampled parameter space is not finitely "
-                                "enumerable")
-            self._candidates = sorted(tuples)
-        return self._candidates
-
     def hypotheses(self) -> Iterator[Hypothesis]:
-        for w in self._sorted_candidates():
+        if isinstance(self.source, SampledParams):
+            raise TypeError("the sampled parameter space is not finitely "
+                            "enumerable")
+        for w in self.source.tuples:
             yield self.hypothesis(w)
 
     def _column(self, point: tuple[Fraction, ...], size: int) -> int:
@@ -769,7 +749,7 @@ class DefinableSpace(HypothesisSpace):
         if done < size:
             predicate = self._predicate
             fresh = "".join("1" if predicate(point, w) else "0" for w
-                            in reversed(self._candidates[done:size]))
+                            in reversed(self.source.tuples[done:size]))
             bits |= int(fresh, 2) << done
             self._columns[point] = bits, size
         return bits
@@ -779,7 +759,7 @@ class DefinableSpace(HypothesisSpace):
         """Map each labeling of the points to the least candidate that
         gives it, in order of that candidate, by splitting the candidate
         set point by point on the label columns."""
-        candidates = self._sorted_candidates()
+        candidates = self.source.tuples
         total = len(candidates)
         target = 2 ** len(points)
         covered = min((self._columns.get(p, (0, 0))[1] for p in points),
@@ -818,19 +798,19 @@ class DefinableSpace(HypothesisSpace):
             # back exactly the oracle's labelings.
             cf = self.closed_form
             expected = cf.witnesses(instances)
-            found, _ = _first_witnesses(self._predicate, points,
-                                        expected.values())
+            found = _first_witnesses(self._predicate, points,
+                                     expected.values())
             if found != expected:
                 raise AssertionError(f"{cf.name} witnesses disagree with "
                                      f"the formula")
             exact = True
-        elif isinstance(self.source, (ExplicitParams, GridParams)):
+        elif isinstance(self.source, ExplicitParams):
             found = self._finite_witnesses(points)
             exact = True
         else:
-            found, _ = _first_witnesses(
+            found = _first_witnesses(
                 self._predicate, points,
-                _candidate_parameters(self.ast, points, self.source, grid=None))
+                _candidate_parameters(self.ast, points, self.source))
             exact = False
         witnesses = {lab: self.hypothesis(w) for lab, w in found.items()}
         return DichotomyTable(instances, witnesses, exact=exact)
@@ -840,56 +820,28 @@ def definable_space(ast: FormulaAst, source, backend: str | None = None,
                     instance_arity: int | None = None) -> DefinableSpace:
     """Build the hypothesis space of a formula over a parameter source.
 
-    ``source`` may be a ParamSource, a list of parameter tuples (explicit),
-    or a list of per-parameter axes wrapped via :class:`GridParams`.
+    ``source`` may be a ParamSource or a list of parameter tuples (made
+    explicit); a grid is ``ExplicitParams.grid(axes)``.
     """
-    if isinstance(source, (ExplicitParams, GridParams, SampledParams)):
-        return DefinableSpace(ast, source, backend, instance_arity)
-    return DefinableSpace(ast, ExplicitParams.of(source), backend,
-                          instance_arity)
+    if not isinstance(source, (ExplicitParams, SampledParams)):
+        source = ExplicitParams.of(source)
+    return DefinableSpace(ast, source, backend, instance_arity)
 
 
 # ---------------------------------------------------------------------------
-# Shattering witness search
+# Parameter search over the sampled source
 
 
-@dataclass(frozen=True)
-class ShatterSearchVerdict:
-    """Outcome of parameter-witness search for shattering.
-
-    ``shattered`` verdicts are sound: each witness is a parameter tuple at
-    which the compiled formula gave that labeling of the instances.  The
-    negative outcome is ``not-found``: parameter search over an infinite
-    space is incomplete, so absence of a witness within budget never proves
-    unshatterability.
-    """
-
-    status: str  # "shattered" | "not-found"
-    witnesses: dict[Labeling, tuple[Fraction, ...]] | None
-    budget_used: int
-
-    @property
-    def shattered(self) -> bool:
-        return self.status == "shattered"
-
-
-def _candidate_parameters(ast: FormulaAst, points, source: SampledParams,
-                          grid) -> Iterator[tuple[Fraction, ...]]:
+def _candidate_parameters(ast: FormulaAst, points, source: SampledParams
+                          ) -> Iterator[tuple[Fraction, ...]]:
+    """Up to ``source.budget`` parameter tuples: the full product of an
+    axis through the points' coordinates, their midpoints, 0, 1, -1 and
+    one step beyond each end when it fits the budget, then seeded uniform
+    draws."""
     arity = ast.param_arity
     if arity == 0:
         yield ()
         return
-    emitted = 0
-    if grid is not None:
-        axes = [tuple(to_fraction(v) for v in axis) for axis in grid]
-        if len(axes) != arity:
-            raise ValueError("grid must have one axis per parameter variable")
-        for w in product(*axes):
-            if emitted >= source.budget:
-                return
-            emitted += 1
-            yield w
-
     coord_values = sorted({c for p in points for c in p})
     axis = set(coord_values) | {Fraction(0), Fraction(1), Fraction(-1)}
     for a, b in zip(coord_values, coord_values[1:]):
@@ -898,10 +850,9 @@ def _candidate_parameters(ast: FormulaAst, points, source: SampledParams,
         axis.add(coord_values[0] - 1)
         axis.add(coord_values[-1] + 1)
     axis = sorted(axis)
-    if len(axis) ** arity <= max(0, source.budget - emitted):
+    emitted = 0
+    if len(axis) ** arity <= source.budget:
         for w in product(axis, repeat=arity):
-            if emitted >= source.budget:
-                return
             emitted += 1
             yield w
 
@@ -916,43 +867,16 @@ def _candidate_parameters(ast: FormulaAst, points, source: SampledParams,
 def _first_witnesses(predicate: Callable[[Sequence, Sequence], bool],
                      points: Sequence[tuple[Fraction, ...]],
                      candidates: Iterable[tuple[Fraction, ...]]
-                     ) -> tuple[dict[Labeling, tuple[Fraction, ...]], int]:
+                     ) -> dict[Labeling, tuple[Fraction, ...]]:
     """Map each labeling of the points to the first candidate parameter
-    tuple that gives it, stopping once all 2^n labelings are found; also
-    return the number of candidates evaluated."""
+    tuple that gives it, stopping once all 2^n labelings are found."""
     target = 2 ** len(points)
     found: dict[Labeling, tuple[Fraction, ...]] = {}
-    used = 0
     for w in candidates:
-        used += 1
         found.setdefault(tuple(1 if predicate(p, w) else 0 for p in points), w)
         if len(found) == target:
             break
-    return found, used
-
-
-def nip_shatter_search(ast: FormulaAst, instances: Sequence,
-                       budget: int = 2000, seed: int = 0,
-                       grid: Sequence[Sequence] | None = None
-                       ) -> ShatterSearchVerdict:
-    """Search parameter space for witnesses realizing every labeling of the
-    instances; a complete witness map means the formula's full hypothesis
-    family shatters the set."""
-    points = [as_instance(x).coords for x in instances]
-    if not points:
-        raise ValueError("instance list must be non-empty")
-    if any(len(p) != ast.arity for p in points):
-        raise ValueError(f"instances must have arity {ast.arity}")
-    predicate = compile_formula(ast, FLOAT if ast.uses_exp else EXACT)
-    found, used = _first_witnesses(
-        predicate, points,
-        _candidate_parameters(ast, points,
-                              SampledParams(budget=budget, seed=seed), grid))
-    if len(found) < 2 ** len(points):
-        return ShatterSearchVerdict(status="not-found", witnesses=None,
-                                    budget_used=used)
-    return ShatterSearchVerdict(status="shattered", witnesses=found,
-                                budget_used=used)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,7 @@ from .model import (
     HypothesisSpace,
     InexactOracleError,
     MultiSample,
-    empirical_opt,
     restriction_errors,
-    sample_error,
 )
 
 SlackSchedule = Callable[[int], Fraction]
@@ -59,21 +57,6 @@ class LearningFunction:
 
     def __call__(self, zbar: MultiSample) -> Hypothesis:
         return self.fn(zbar)
-
-
-def apply(learner: LearningFunction, zbar: MultiSample,
-          trace: list | None = None) -> Hypothesis:
-    """Evaluate the learner; optionally append a record of m, the output's
-    sample error and, when the learner names its space, the minimal sample
-    error (a verified-subset bound over an inexact oracle) to ``trace``."""
-    h = learner(zbar)
-    if trace is not None:
-        record = {"m": zbar.m, "sample_error": sample_error(h, zbar)}
-        if learner.space is not None:
-            record["empirical_opt"] = empirical_opt(
-                learner.space, zbar, require_exact=False)
-        trace.append(record)
-    return h
 
 
 def sem_learner(space: HypothesisSpace,

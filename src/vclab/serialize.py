@@ -113,8 +113,8 @@ def _param_source_from_json(obj) -> fm.ParamSource:
         return fm.ExplicitParams.of([[parse_rational(v) for v in t]
                                      for t in obj["tuples"]])
     if kind == "grid":
-        return fm.GridParams.of([[parse_rational(v) for v in axis]
-                                 for axis in obj["axes"]])
+        return fm.ExplicitParams.grid([[parse_rational(v) for v in axis]
+                                       for axis in obj["axes"]])
     if kind == "sampled":
         return fm.SampledParams(budget=int(obj.get("budget", 2000)),
                                 seed=int(obj.get("seed", 0)),

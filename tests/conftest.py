@@ -19,6 +19,14 @@ def points(*values) -> list[Instance]:
     return [Instance.point(v) for v in values]
 
 
+def heavier_first_state(index_states):
+    """``index_states`` with the weight of its first state one too large."""
+    def patched(k, m, ordered):
+        for i, (idx, weight) in enumerate(index_states(k, m, ordered)):
+            yield idx, weight + (i == 0)
+    return patched
+
+
 def random_explicit_space(rng: random.Random, max_instances: int = 6,
                           max_hypotheses: int = 16) -> ExplicitSpace:
     nx = rng.randint(1, max_instances)

@@ -12,6 +12,7 @@ from vclab import (
     DiscreteDistribution,
     ExplicitSpace,
     MultiSample,
+    SampledParams,
     ThresholdSpace,
     build_nfl_instance,
     builtin_learners,
@@ -28,7 +29,6 @@ from vclab import (
     m0_ucp,
     epsilon0,
     nfl_report,
-    nip_shatter_search,
     parse_formula,
     random_table_learner,
     realized_dichotomies,
@@ -37,6 +37,7 @@ from vclab import (
     sauer_bound,
     sauer_poly_bound,
     sem_learner,
+    shatters,
     signed_deviation,
     true_error,
     u_statistic,
@@ -223,7 +224,6 @@ def test_criterion_7_formula_dsl_suite():
             eval_failures += 1
 
     cos = parse_formula("x != p", ["x"], ["p"])
-    from vclab import SampledParams
     space = definable_space(cos, SampledParams(budget=64))
     labelings, exact = realized_dichotomies(space, points(1, 2, 3))
     cos_ok = exact and labelings == {(1, 1, 1), (0, 1, 1), (1, 0, 1),
@@ -244,13 +244,14 @@ def test_criterion_7_formula_dsl_suite():
         f = parse_formula(text, objects, params)
         size = rng.randint(1, vc)
         instances = rng.sample(range(-4, 8), size)
-        verdict = nip_shatter_search(f, instances, budget=300,
-                                     seed=rng.randint(0, 999))
+        space = definable_space(f, SampledParams(budget=300,
+                                                 seed=rng.randint(0, 999)))
+        verdict = shatters(space, points(*instances))
         if not verdict.shattered:
             continue
         shattered_maps += 1
-        for labeling, w in verdict.witnesses.items():
-            got = tuple(1 if eval_formula(f, (F(v),), w) else 0
+        for labeling, h in verdict.witnesses.items():
+            got = tuple(1 if eval_formula(f, (F(v),), h.key[1:]) else 0
                         for v in instances)
             if got != labeling:
                 unsound += 1

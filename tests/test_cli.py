@@ -4,7 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from vclab import ExplicitSpace, Instance, MultiSample
+from vclab import (
+    ExplicitSpace,
+    Instance,
+    MultiSample,
+    ThresholdSpace,
+    eval_formula,
+    parse_formula,
+)
 from vclab.cli import json_ready, main
 from vclab.serialize import (
     distribution_from_json,
@@ -262,6 +269,68 @@ class TestCli:
         assert code == 0
         assert payload["result"]["status"] == "shattered"
 
+    def test_formula_shatter_closed_form_is_exact(self, tmp_path):
+        code, payload = run(tmp_path, "formula", "shatter", "--text", "p <= x",
+                            "--objects", "x", "--params", "p",
+                            "--instances", "1;2")
+        assert code == 0
+        assert payload["result"] == {"status": "not-shattered",
+                                     "witnesses": None}
+
+    def test_formula_shatter_agrees_with_vcdim_over_finite_source(
+            self, tmp_path):
+        """--grid and --params-list define the whole parameter family: an
+        instance set is shattered iff vcdim over the same source, with the
+        set as its pool, finds it shattered."""
+        formula = {"kind": "formula-defined", "formula": "x != p",
+                   "objects": ["x"], "params": ["p"]}
+        sources = [(("--grid", "1,2,3"),
+                    {"type": "grid", "axes": [["1", "2", "3"]]}),
+                   (("--params-list", "1;2;3"),
+                    {"type": "explicit", "tuples": [["1"], ["2"], ["3"]]})]
+        for option, source in sources:
+            space = tmp_path / "space.json"
+            space.write_text(json.dumps({**formula, "source": source}))
+            for instances in ("2", "1;4", "1;2;3"):
+                size = len(instances.split(";"))
+                code, vc = run(tmp_path, "vcdim", "--space", str(space),
+                               "--pool", instances)
+                assert code == 0
+                code, shatter = run(tmp_path, "formula", "shatter", "--text",
+                                    "x != p", "--objects", "x", "--params",
+                                    "p", "--instances", instances, *option)
+                assert code == 0
+                want = ("shattered" if vc["result"]["value"] == size
+                        else "not-shattered")
+                assert shatter["result"]["status"] == want, (option, instances)
+
+    def test_formula_shatter_bad_instances_exit_2(self, tmp_path):
+        for instances in ("1,2", "1;2;1"):
+            code, _ = run(tmp_path, "formula", "shatter", "--text", "p <= x",
+                          "--objects", "x", "--params", "p",
+                          "--instances", instances)
+            assert code == 2, instances
+
+    def test_formula_shatter_witnesses_give_their_labelings(self, tmp_path):
+        cases = [("p <= x", "p", "3", ()),
+                 ("a <= x and x <= b", "a,b", "1;2", ()),
+                 ("0 <= w * x + b", "w,b", "-1;2", ()),
+                 ("x != p", "p", "2", ("--grid", "1,2,3")),
+                 ("(a <= x and x <= b) or x = c", "a,b,c", "0;2", ())]
+        for text, params, instances, option in cases:
+            code, payload = run(tmp_path, "formula", "shatter", "--text",
+                                text, "--objects", "x", "--params", params,
+                                f"--instances={instances}", *option)
+            assert code == 0 and payload["result"]["status"] == "shattered"
+            ast = parse_formula(text, ["x"], params.split(","))
+            xs = [F(v) for v in instances.split(";")]
+            witnesses = payload["result"]["witnesses"]
+            assert len(witnesses) == 2 ** len(xs)
+            for labeling, w in witnesses.items():
+                got = "".join("1" if eval_formula(ast, (x,), w) else "0"
+                              for x in xs)
+                assert got == labeling, (text, w)
+
     def test_formula_space_requires_pool(self, tmp_path):
         code, _ = run(tmp_path, "formula", "space", "--text", "x != p",
                       "--objects", "x", "--params", "p")
@@ -271,6 +340,17 @@ class TestCli:
         code, _ = run(tmp_path, "formula", "shatter", "--text", "p <= x",
                       "--objects", "x", "--params", "p")
         assert code == 2
+
+    def test_vcdim_above_known_vc_is_a_bug_not_bad_input(self, tmp_path,
+                                                         monkeypatch):
+        """A search that shatters more points than the family's known VC
+        dimension raises AssertionError; it does not exit 2."""
+        monkeypatch.setattr(ThresholdSpace, "known_vc", lambda self: 0)
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"kind": "threshold-family"}))
+        with pytest.raises(AssertionError, match="above the family's VC"):
+            main(["vcdim", "--space", str(space), "--pool", "1;2;3",
+                  "--out", str(tmp_path)])
 
     def test_unknown_subcommand_exits_2(self, tmp_path):
         assert main(["frobnicate"]) == 2

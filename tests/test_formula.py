@@ -15,7 +15,6 @@ from vclab import (
     CoSingletonSpace,
     DefinableSpace,
     ExplicitParams,
-    GridParams,
     HalfspaceSpace,
     Instance,
     IntervalSpace,
@@ -24,10 +23,10 @@ from vclab import (
     definable_space,
     eval_formula,
     format_formula,
-    nip_shatter_search,
     parse_formula,
     realized_dichotomies,
     relu_graph_formula,
+    shatters,
     sigmoid_network_formula,
     vc_dimension,
 )
@@ -344,12 +343,19 @@ def declared_fm_witness(pool, index, labeling):
 class TestDefinableSpace:
     def test_grid_cosingletons(self):
         ast = parse_formula("x != p", ["x"], ["p"])
-        space = definable_space(ast, GridParams.of([[0, 1, 2]]))
+        space = definable_space(ast, ExplicitParams.grid([[0, 1, 2]]))
         assert space.oracle_exact
         assert len(list(space.hypotheses())) == 3
         labelings, exact = realized_dichotomies(space, points(0, 1, 2))
         assert exact
         assert labelings == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
+
+    def test_grid_lists_its_product(self):
+        axes = [[2, "1/2", 2], [1, 0]]
+        assert ExplicitParams.grid(axes) == ExplicitParams.of(product(*axes))
+        for bad in ([], [[1], []]):
+            with pytest.raises(ValueError, match="every grid axis"):
+                ExplicitParams.grid(bad)
 
     def test_sampled_cosingleton_recognized(self):
         ast = parse_formula("x != p", ["x"], ["p"])
@@ -417,7 +423,7 @@ class TestDefinableSpace:
         rng = random.Random(3)
         listed = [(F(rng.randint(-4, 4)), F(rng.randint(-4, 4), 2))
                   for _ in range(30)]
-        cases = [(interval, GridParams.of([axis, axis]),
+        cases = [(interval, ExplicitParams.grid([axis, axis]),
                   [(a, b) for a in axis for b in axis], points(0, 1, 3)),
                  (ratio, ExplicitParams.of(listed), listed, points(-1, 1, 2))]
         for ast, source, tuples, pool in cases:
@@ -529,10 +535,10 @@ def test_label_columns_match_first_witnesses(data):
     with_exp = data.draw(st.booleans())
     ast = FormulaAst(("x",), ("y", "p"), data.draw(FORMULAS[with_exp]))
     if data.draw(st.booleans()):
-        source = GridParams.of(data.draw(st.lists(
+        source = ExplicitParams.grid(data.draw(st.lists(
             st.lists(COORDS, min_size=1, max_size=12), min_size=2,
             max_size=2)))
-        candidates = sorted(source.tuples())
+        candidates = sorted(source.tuples)
     else:
         source = ExplicitParams.of(data.draw(st.lists(
             st.tuples(COORDS, COORDS), min_size=1, max_size=144)))
@@ -570,7 +576,7 @@ class TestLabelColumns:
     def test_vc_dimension_evaluates_each_pair_once(self):
         ast = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
         axis = [F(k, 2) for k in range(-2, 19)]
-        space = definable_space(ast, GridParams.of([axis, axis]))
+        space = definable_space(ast, ExplicitParams.grid([axis, axis]))
         calls = count_predicate_calls(space)
         pool = points(0, 1, 3, 4, 6, 7)
         verdict = vc_dimension(space, pool)
@@ -590,10 +596,10 @@ class TestLabelColumns:
         cases = [(cosingleton, singles, points(5)),
                  (cosingleton, singles, points(64)),
                  (cosingleton, singles, points(150)),
-                 (interval, GridParams.of([axis, axis]), points(1, 2))]
+                 (interval, ExplicitParams.grid([axis, axis]), points(1, 2))]
         for ast, source, pool in cases:
             space = definable_space(ast, source)
-            candidates = space._sorted_candidates()
+            candidates = space.source.tuples
             want = reference_first_witnesses(compile_formula(ast),
                                              [x.coords for x in pool],
                                              candidates)
@@ -706,32 +712,39 @@ def test_affine_oracle_against_grid_and_sauer(data):
     vc_dimension(space, pool)
 
 
+def sampled_shatters(ast, instances, budget, seed=0):
+    """Shattering over the formula's full parameter range, searched with
+    the given budget where no closed form answers exactly."""
+    return shatters(definable_space(ast, SampledParams(budget, seed)),
+                    points(*instances))
+
+
 class TestShatterSearch:
-    def test_cosingleton_pair_not_found(self):
+    def test_cosingleton_pair_not_shattered(self):
         ast = parse_formula("x != p", ["x"], ["p"])
-        verdict = nip_shatter_search(ast, [1, 2], budget=400)
-        assert verdict.status == "not-found"
+        verdict = sampled_shatters(ast, [1, 2], budget=400)
+        assert verdict.status == "not-shattered"
         assert verdict.witnesses is None
 
     def test_threshold_singleton_shattered(self):
         ast = parse_formula("p <= x", ["x"], ["p"])
-        verdict = nip_shatter_search(ast, [1], budget=100)
+        verdict = sampled_shatters(ast, [1], budget=100)
         assert verdict.shattered
-        for labeling, w in verdict.witnesses.items():
-            assert (eval_formula(ast, (F(1),), w),) == \
+        for labeling, h in verdict.witnesses.items():
+            assert (eval_formula(ast, (F(1),), h.key[1:]),) == \
                 (bool(labeling[0]),)
 
-    def test_beyond_known_vc_never_found(self):
+    def test_beyond_known_vc_not_shattered(self):
         ast = parse_formula("p <= x", ["x"], ["p"])
-        verdict = nip_shatter_search(ast, [1, 2], budget=500)
-        assert verdict.status == "not-found"
+        verdict = sampled_shatters(ast, [1, 2], budget=500)
+        assert verdict.status == "not-shattered"
         ast2 = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
-        verdict2 = nip_shatter_search(ast2, [1, 2, 3], budget=800)
-        assert verdict2.status == "not-found"
+        verdict2 = sampled_shatters(ast2, [1, 2, 3], budget=800)
+        assert verdict2.status == "not-shattered"
 
     def test_interval_pair_shattered(self):
         ast = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
-        verdict = nip_shatter_search(ast, [1, 2], budget=500)
+        verdict = sampled_shatters(ast, [1, 2], budget=500)
         assert verdict.shattered
 
     def test_soundness_of_shattered_verdicts(self):
@@ -748,38 +761,30 @@ class TestShatterSearch:
             ast = parse_formula(text, objects, params)
             k = rng.randint(1, 2)
             instances = rng.sample(range(-3, 6), k)
-            verdict = nip_shatter_search(ast, instances, budget=400,
-                                         seed=rng.randint(0, 99))
+            verdict = sampled_shatters(ast, instances, budget=400,
+                                       seed=rng.randint(0, 99))
             if not verdict.shattered:
                 continue
             found += 1
-            for labeling, w in verdict.witnesses.items():
+            for labeling, h in verdict.witnesses.items():
                 got = tuple(
-                    1 if eval_formula(ast, (F(v),), w) else 0
+                    1 if eval_formula(ast, (F(v),), h.key[1:]) else 0
                     for v in instances)
                 assert got == labeling
         assert found >= 20
 
     def test_grid_consistency_with_finite_class_vc(self):
         """Over the same finite parameter grid, explicit-family VC equals the
-        largest shatterable instance-set size found by witness search."""
+        largest size of a shattered instance set."""
         ast = parse_formula("x != p", ["x"], ["p"])
-        grid = [[1, 2, 3]]
-        space = definable_space(ast, GridParams.of(grid))
+        space = definable_space(ast, ExplicitParams.grid([[1, 2, 3]]))
         pool = points(1, 2, 3)
         vc = vc_dimension(space, pool).value
         largest = 0
         from itertools import combinations
         for size in range(1, len(pool) + 1):
-            hit = False
-            for subset in combinations([1, 2, 3], size):
-                verdict = nip_shatter_search(ast, list(subset),
-                                             budget=len(grid[0]), grid=grid)
-                if verdict.shattered:
-                    hit = True
-                    break
-            if hit:
-                largest = size
-            else:
+            if not any(shatters(space, subset).shattered
+                       for subset in combinations(pool, size)):
                 break
+            largest = size
         assert vc == largest == 1

@@ -5,6 +5,7 @@ from itertools import accumulate, product
 
 import pytest
 
+import vclab.harness
 from vclab import (
     BudgetError,
     DiscreteDistribution,
@@ -36,6 +37,7 @@ from vclab.harness import _CHUNK, InverseCDF, draw_multisample, trial_seed
 from vclab.learners import LearningFunction
 from conftest import (
     atoms,
+    heavier_first_state,
     random_distribution,
     random_explicit_space,
     random_multisample,
@@ -295,6 +297,19 @@ class TestEstimateUcp:
                                               exact=True)
             assert report.probability == brute_force_ucp_probability(
                 space, dist, m, eps)
+
+    def test_lost_mass_raises(self, monkeypatch):
+        """A state weight off by one breaks the mass total, and exact mode
+        raises rather than report a probability."""
+        monkeypatch.setattr(vclab.harness, "index_states",
+                            heavier_first_state(vclab.harness.index_states))
+        space = ExplicitSpace(atoms(2), [[0, 1], [1, 1]])
+        dist = DiscreteDistribution([(("s0", 1), F(1, 3)),
+                                     (("s1", 0), F(2, 3))])
+        with pytest.raises(AssertionError,
+                           match="exact enumeration lost probability mass"):
+            estimate_ucp_probability(space, dist, m=2, eps=F(1, 3),
+                                     exact=True)
 
     def test_boundary_counts_as_success(self):
         # singleton with error exactly 1/2 against the empirical measure

@@ -10,7 +10,6 @@ from vclab import (
     MultiSample,
     SampledParams,
     ThresholdSpace,
-    apply,
     builtin_learners,
     definable_space,
     empirical_opt,
@@ -93,15 +92,7 @@ class TestApply:
         learner = constant_learner(h, space=space)
         z1 = MultiSample.of(("s0", 0))
         z2 = MultiSample.of(("s1", 1), ("s0", 0))
-        assert apply(learner, z1) is h and apply(learner, z2) is h
-
-    def test_trace_records_errors(self):
-        space = ExplicitSpace.full(atoms(2))
-        learner = sem_learner(space)
-        trace = []
-        zbar = MultiSample.of(("s0", 1), ("s1", 0))
-        apply(learner, zbar, trace=trace)
-        assert trace == [{"m": 2, "sample_error": F(0), "empirical_opt": F(0)}]
+        assert learner(z1) is h and learner(z2) is h
 
 
 class TestNmseContract:

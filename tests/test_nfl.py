@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import vclab.nfl
 from vclab import (
     BudgetError,
     DiscreteDistribution,
@@ -20,7 +21,7 @@ from vclab import (
 )
 from vclab.learners import LearningFunction
 from vclab.nfl import PairingIdentityError
-from conftest import atoms
+from conftest import atoms, heavier_first_state
 
 
 def full_space(inst):
@@ -163,6 +164,23 @@ class TestReport:
         payload = report.as_dict()
         assert payload["passed"] is True
         assert payload["expected_errors"] == ["0", "1/4", "1/4", "1/2"]
+
+    def test_histogram_row_sums_are_checked(self, monkeypatch):
+        """A walk that skips the empty submask, or a state weight off by
+        one, miscounts the instance tuples of a histogram row.  The Markov
+        bound does not notice; the row-sum check does."""
+        submasks = vclab.nfl._submasks
+        patches = [("_submasks",
+                    lambda mask: (s for s in submasks(mask) if s)),
+                   ("index_states",
+                    heavier_first_state(vclab.nfl.index_states))]
+        inst = build_nfl_instance(atoms(4), 2)
+        learner = builtin_learners(full_space(inst))["sem"]
+        for name, patch in patches:
+            with monkeypatch.context() as patched:
+                patched.setattr(vclab.nfl, name, patch)
+                with pytest.raises(AssertionError, match="histogram row"):
+                    nfl_report(learner, inst)
 
 
 class TestDeterminismProbe:
