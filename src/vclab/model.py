@@ -326,7 +326,8 @@ class DichotomyTable:
       greatest point labeled 1; the point labeled 0; past the largest
       point when no point has that label);
     * halfspaces: the point Fourier-Motzkin back-substitution picks, which
-      is not least in any order;
+      is not least in any order; the witnesses of labelings whose first bit
+      is 1 are computed when they are first read;
     * formulas: the least parameter tuple of a finite source; over a
       sampled source, the native witness of a threshold, interval or
       co-singleton shape, the Fourier-Motzkin point of an atom affine in

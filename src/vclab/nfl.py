@@ -244,12 +244,23 @@ def nfl_expected_errors(learner: LearningFunction, inst: NflInstance,
     return [Fraction(total, k * 2 * inst.m) for total in _totals(hist)]
 
 
+def unseen_error_floor(m: int) -> Fraction:
+    """The part of the average expected error that the points missing from
+    the training tuple add, whatever the learner: each of the 2m points is
+    missing with probability (1 - 1/(2m))^m, and averaged over the
+    labelings the learner's output there, which cannot depend on that
+    point's label, is wrong half the time."""
+    return Fraction(1, 2) * (1 - Fraction(1, 2 * m)) ** m
+
+
 def nfl_report(learner: LearningFunction, inst: NflInstance,
                allow_large: bool = False) -> NflReport:
     """Full evaluation: expected errors, the worst labeling's exact tail
     probability P(error > 1/8) next to its Markov lower bound, and the
     lower-bound assertions (max and average >= 1/4, tail >= 1/7).  Every
-    histogram row must count each of the (2m)^m instance tuples once."""
+    histogram row must count each of the (2m)^m instance tuples once, and
+    the average expected error must reach :func:`unseen_error_floor`, with
+    equality for a learner that always agrees with its training sample."""
     hist = _enumerate(learner, inst, allow_large)
     m = inst.m
     k = (2 * m) ** m
@@ -268,6 +279,9 @@ def nfl_report(learner: LearningFunction, inst: NflInstance,
     space = inst.ambient or ExplicitSpace.full(inst.instances)
     opt = approximation_error(space, inst.distribution(i_star))
     avg = sum(errors, Fraction(0)) / len(errors)
+    if avg < unseen_error_floor(m):
+        raise AssertionError(f"average expected error {avg} is below the "
+                             f"unseen-point floor {unseen_error_floor(m)}")
     return NflReport(
         m=m,
         learner=learner.name,

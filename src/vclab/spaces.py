@@ -15,8 +15,12 @@ parameters (the rows (x, 1) of halfspaces, or a formula atom affine in
 its parameters) and decides each candidate labeling by exact
 Fourier-Motzkin elimination (strict inequalities included) on primitive
 integer rows, each built once for all labelings, which also produces an
-exact rational witness.  ``HalfspaceSpace`` checks every witness again in
-integers, against rows it builds apart from the ones the elimination uses.
+exact rational witness.  ``HalfspaceSpace`` solves only the labelings whose
+first bit is 0: the halfspace labelings of a finite point set are closed
+under complement, so each complement is known to be realized, and its
+witness is eliminated when it is first read.  Every witness is checked
+again in integers, against rows built apart from the ones the elimination
+uses.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .model import (
     DichotomyTable,
@@ -202,13 +206,7 @@ def halfspace_dichotomies(rows, strict: bool = False
     the v ``fm_witness`` finds: label 1 means const + coeffs . v >= 0
     (> 0 when ``strict``), label 0 the negation.  Needs at least one row."""
     nvars = len(rows[0][1])
-    # Per row: the primitive integer constraint of label 0 and of label 1,
-    # built once for all labelings.
-    pairs = []
-    for const, coeffs in rows:
-        const, *coeffs = _primitive(coeffs, const)
-        pairs.append(((tuple(-c for c in coeffs), -const, not strict),
-                      (tuple(coeffs), const, strict)))
+    pairs = _constraint_pairs(rows, strict)
     out = []
     for labeling in product((0, 1), repeat=len(rows)):
         constraints = [pair[lab] for pair, lab in zip(pairs, labeling)]
@@ -216,6 +214,17 @@ def halfspace_dichotomies(rows, strict: bool = False
         if witness is not None:
             out.append((labeling, witness))
     return out
+
+
+def _constraint_pairs(rows, strict: bool) -> list[tuple[tuple, tuple]]:
+    """Per row (const, coeffs): the primitive integer constraint of label 0
+    and of label 1, built once for all labelings."""
+    pairs = []
+    for const, coeffs in rows:
+        const, *coeffs = _primitive(coeffs, const)
+        pairs.append(((tuple(-c for c in coeffs), -const, not strict),
+                      (tuple(coeffs), const, strict)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +309,51 @@ def _integer_vector(values) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+class _ComplementClosedWitnesses(Mapping):
+    """The witnesses of a labeling set closed under complement, given the
+    hypotheses of its labelings whose first bit is 0, in lexicographic
+    order.  The complements follow them, so the keys stay in lexicographic
+    order; ``solve`` builds a complement's hypothesis when it is first read,
+    and it is kept (None there, an infeasible complement, is a bug).
+    ``in``, ``len`` and iteration solve nothing."""
+
+    def __init__(self, first_zero: dict[Labeling, Hypothesis],
+                 solve: Callable[[Labeling], Hypothesis | None]):
+        self._hypotheses = first_zero
+        self._keys = (*first_zero, *(tuple(1 - b for b in lab)
+                                     for lab in reversed(first_zero)))
+        self._realized = frozenset(self._keys)
+        self._solve = solve
+
+    def __getitem__(self, labeling: Labeling) -> Hypothesis:
+        h = self._hypotheses.get(labeling)
+        if h is None:
+            if labeling not in self._realized:
+                raise KeyError(labeling)
+            h = self._solve(labeling)
+            if h is None:
+                raise AssertionError(f"labeling {labeling} is the complement "
+                                     f"of a realized one but is infeasible")
+            self._hypotheses[labeling] = h
+        return h
+
+    def __contains__(self, labeling) -> bool:
+        return labeling in self._realized
+
+    def __iter__(self) -> Iterator[Labeling]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 class HalfspaceSpace(HypothesisSpace):
-    """Affine halfspaces of a fixed dimension: h = 1[w.x + b >= 0]."""
+    """Affine halfspaces of a fixed dimension: h = 1[w.x + b >= 0].
+
+    On finitely many points the labelings are closed under complement: if
+    (w, b) realizes L, then (-w, -b - e) realizes its complement for any
+    0 < e <= min |w.x + b| over the points w.x + b < 0 (or e = 1 if none).
+    """
 
     kind = "halfspace-family"
 
@@ -331,6 +383,9 @@ class HalfspaceSpace(HypothesisSpace):
         return self.hypothesis(key)
 
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+        """Fourier-Motzkin decides the labelings whose first bit is 0; each
+        realized one brings its complement, whose witness is eliminated
+        from the same constraint list as in a full sweep when it is read."""
         instances = check_instance_tuple(instances)
         points = []
         for x in instances:
@@ -338,16 +393,30 @@ class HalfspaceSpace(HypothesisSpace):
             if len(coords) != self.dim:
                 raise TypeError(f"instance {x} is not {self.dim}-dimensional")
             points.append(coords)
+        pairs = _constraint_pairs([(0, (*x, 1)) for x in points],
+                                  strict=False)
         # Every witness is checked apart from the elimination and its rows:
         # (x, 1) and (w, b), each scaled by a positive integer to integers,
         # have a dot product of the same sign as w.x + b.
         rows = [_integer_vector((*x, 1)) for x in points]
-        witnesses = {}
-        for lab, params in halfspace_dichotomies(
-                [(0, (*x, 1)) for x in points]):
+
+        def witness(labeling: Labeling) -> Hypothesis | None:
+            params = fm_witness([pair[lab] for pair, lab
+                                 in zip(pairs, labeling)], self.dim + 1)
+            if params is None:
+                return None
             scaled = _integer_vector(params)
             if tuple(1 if sum(map(mul, scaled, row)) >= 0 else 0
-                     for row in rows) != lab:
+                     for row in rows) != labeling:
                 raise AssertionError("halfspace witness failed verification")
-            witnesses[lab] = self.hypothesis(params)
-        return DichotomyTable(instances, witnesses, exact=True)
+            return self.hypothesis(params)
+
+        first_zero = {}
+        for rest in product((0, 1), repeat=len(points) - 1):
+            labeling = (0, *rest)
+            h = witness(labeling)
+            if h is not None:
+                first_zero[labeling] = h
+        return DichotomyTable(
+            instances, _ComplementClosedWitnesses(first_zero, witness),
+            exact=True)

@@ -506,6 +506,30 @@ class TestDefinableSpace:
         assert exact and labelings == {(0, 1)}
 
 
+def spellings(value: F) -> list:
+    """Ways to write the rational ``value`` in a parameter list."""
+    out = [value, f"{value.numerator}/{value.denominator}"]
+    if value.denominator in (1, 2, 4):
+        out += [float(value), str(float(value))]
+    if value.denominator == 1:
+        out += [int(value), str(int(value))]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_explicit_params_sort_and_deduplicate(data):
+    """Mixed spellings of the same rational, repeated tuples, tuples of one
+    arity: the sorted distinct Fraction tuples."""
+    arity = data.draw(st.integers(1, 3))
+    value = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
+    raw = st.tuples(*[value.flatmap(lambda v: st.sampled_from(spellings(v)))]
+                    * arity)
+    tuples = data.draw(st.lists(raw, min_size=1, max_size=40))
+    assert ExplicitParams.of(tuples).tuples == tuple(sorted(
+        {tuple(to_fraction(v) for v in t) for t in tuples}))
+
+
 # Reference for the label columns of finite sources: the witness loop they
 # replaced, run over the sorted candidates.
 

@@ -182,6 +182,36 @@ class TestReport:
                 with pytest.raises(AssertionError, match="histogram row"):
                     nfl_report(learner, inst)
 
+    def test_unseen_point_floor_is_tight(self):
+        """A learner that agrees with its sample errs only on the points it
+        did not see, and averaged over the labelings it errs there half the
+        time: exactly 1/2 (1 - 1/(2m))^m.  A constant learner errs on seen
+        points too."""
+        floors = [F(1, 4), F(9, 32), F(125, 432)]
+        for m, floor in zip((1, 2, 3), floors):
+            assert vclab.nfl.unseen_error_floor(m) == floor
+            inst = build_nfl_instance(atoms(2 * m), m)
+            learners = builtin_learners(full_space(inst))
+            for name in ("sem", "memorize"):
+                report = nfl_report(learners[name], inst)
+                assert report.average_expected_error == floor
+            assert nfl_report(learners["const0"],
+                              inst).average_expected_error > floor
+
+    def test_unseen_point_floor_is_checked(self, monkeypatch):
+        """Moving each row's mass to c = 0 keeps every row sum, so only the
+        unseen-point check can notice."""
+        enumerate_ = vclab.nfl._enumerate
+
+        def all_correct(learner, inst, allow_large):
+            return [[sum(row)] + [0] * (len(row) - 1)
+                    for row in enumerate_(learner, inst, allow_large)]
+        monkeypatch.setattr(vclab.nfl, "_enumerate", all_correct)
+        inst = build_nfl_instance(atoms(4), 2)
+        learner = builtin_learners(full_space(inst))["sem"]
+        with pytest.raises(AssertionError, match="unseen-point floor"):
+            nfl_report(learner, inst)
+
 
 class TestDeterminismProbe:
     def test_nondeterministic_learner_rejected(self):

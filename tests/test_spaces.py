@@ -243,6 +243,98 @@ def test_cover_count_bounds_any_distinct_points(data):
     assert count <= cover_count(len(pts), dim)
 
 
+POINT_SETS = st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(-2, 2) | st.integers(-30, 30)] * dim),
+    min_size=1, max_size=6, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(POINT_SETS)
+def test_complement_closed_table_matches_full_sweep(pts):
+    """Small coordinate ranges make collinear sets and shared coordinates
+    common.  The table solves half the labelings and reads the rest on
+    demand, yet lists the labelings of a full sweep in the same order, with
+    the same witness for each."""
+    table = HalfspaceSpace(len(pts[0])).dichotomies(
+        [Instance.point(*p) for p in pts])
+    sweep = halfspace_dichotomies([(0, (*p, 1)) for p in pts])
+    assert len(table) == len(sweep)
+    assert all(lab in table for lab, _ in sweep)
+    assert [(lab, h.key) for lab, h in table.witnesses.items()] == \
+        [(lab, ("halfspace", *params)) for lab, params in sweep]
+
+
+class TestComplementClosure:
+    PTS = [Instance.point(0, 0), Instance.point(3, 1), Instance.point(1, 4),
+           Instance.point(2, 2), Instance.point(5, 5)]
+
+    @pytest.fixture
+    def fm_calls(self, monkeypatch):
+        calls = []
+
+        def counted(constraints, nvars):
+            calls.append(constraints)
+            return fm_witness(constraints, nvars)
+        monkeypatch.setattr(vclab.spaces, "fm_witness", counted)
+        return calls
+
+    def test_count_len_and_in_solve_half_the_labelings(self, fm_calls):
+        space = HalfspaceSpace(2)
+        for n in range(1, len(self.PTS) + 1):
+            sweep = [lab for lab, _ in halfspace_dichotomies(
+                [(0, (*p.coords, 1)) for p in self.PTS[:n]])]
+            fm_calls.clear()
+            assert space.dichotomy_count(self.PTS[:n]) == len(sweep)
+            assert len(fm_calls) == 2 ** (n - 1)
+            fm_calls.clear()
+            table = space.dichotomies(self.PTS[:n])
+            assert len(table) == len(sweep)
+            assert [lab for lab in product((0, 1), repeat=n)
+                    if lab in table] == sweep
+            assert len(fm_calls) == 2 ** (n - 1)
+
+    def test_each_complement_witness_is_solved_once(self, fm_calls):
+        table = HalfspaceSpace(2).dichotomies(self.PTS)
+        lab = next(lab for lab in table.witnesses if lab[0] == 1)
+        assert table.witnesses[lab] is table.witnesses[lab]
+        assert len(fm_calls) == 2 ** (len(self.PTS) - 1) + 1
+        # (2, 2) lies between (0, 0) and (5, 5), so it cannot be labeled 0
+        # while both are labeled 1.
+        with pytest.raises(KeyError):
+            table.witnesses[(1, 0, 1, 0, 1)]
+        assert (1, 0, 1, 0, 1) not in table
+
+    @staticmethod
+    def patch_first_bit_1(monkeypatch, change):
+        """Route the systems of first-bit-1 labelings through ``change``:
+        their first constraint is the closed label-1 side of point 0."""
+        def patched(constraints, nvars):
+            witness = fm_witness(constraints, nvars)
+            return witness if constraints[0][2] else change(witness)
+        monkeypatch.setattr(vclab.spaces, "fm_witness", patched)
+
+    def _check_raises(self, tmp_path, match):
+        table = HalfspaceSpace(2).dichotomies(self.PTS[:3])
+        assert len(table) == 8
+        with pytest.raises(AssertionError, match=match):
+            table.witnesses[(1, 1, 1)]
+        (tmp_path / "space.json").write_text(
+            '{"kind": "halfspace-family", "dim": 2}')
+        with pytest.raises(AssertionError, match=match):
+            main(["vcdim", "--space", str(tmp_path / "space.json"),
+                  "--pool", "0,0;3,1;1,4", "--out", str(tmp_path)])
+
+    def test_wrong_complement_witness_raises(self, monkeypatch, tmp_path):
+        # Point 0 is the origin, so b < 0 puts it on the 0 side.
+        self.patch_first_bit_1(monkeypatch,
+                               lambda w: w and (*w[:-1], w[-1] - 1000))
+        self._check_raises(tmp_path, "failed verification")
+
+    def test_infeasible_complement_raises(self, monkeypatch, tmp_path):
+        self.patch_first_bit_1(monkeypatch, lambda w: None)
+        self._check_raises(tmp_path, "complement of a realized one")
+
+
 class TestWitnessCheck:
     """HalfspaceSpace re-checks every witness against integer rows it builds
     from the coordinates itself, apart from the elimination and the rows
