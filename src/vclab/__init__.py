@@ -85,7 +85,6 @@ from .nfl import (
     NflInstance,
     NflReport,
     build_nfl_instance,
-    nfl_expected_errors,
     nfl_report,
 )
 from .spaces import (

@@ -7,7 +7,9 @@ machine-readable result; sweep-style outputs additionally write
 byte-identical result payloads: all randomness flows through ``--seed``,
 which defaults to 0 and is never time-based.
 
-Exit codes: 0 success, 2 input error, 3 enumeration-budget refusal.
+Exit codes: 0 success, 2 input error (a ``ValueError`` or one of the
+package's own input errors), 3 enumeration-budget refusal; anything else
+is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from .model import BudgetError, ExplicitSpace, InexactOracleError, Instance
 from .model import as_instance
 from .nfl import build_nfl_instance, nfl_report
 from .serialize import (
-    instance_from_json,
     instance_to_json,
     learner_from_json,
     distribution_from_json,
+    pool_from_json,
     space_from_json,
 )
 
@@ -104,11 +106,8 @@ def _pool_file(path_or_inline: str) -> list[str]:
 
 
 def _load_pool(path_or_inline: str):
-    path = Path(path_or_inline)
-    if path.exists():
-        obj = _load_json(path_or_inline)
-        entries = obj["instances"] if isinstance(obj, dict) else obj
-        return [instance_from_json(x) for x in entries]
+    if Path(path_or_inline).exists():
+        return pool_from_json(_load_json(path_or_inline))
     return _parse_instance_list(path_or_inline)
 
 
@@ -458,8 +457,8 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, InexactOracleError, ValueError, KeyError, TypeError,
-            OSError, json.JSONDecodeError, fm.FormulaError) as exc:
+    except (UsageError, InexactOracleError, ValueError, OSError,
+            fm.FormulaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     duration = time.monotonic() - started

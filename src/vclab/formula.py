@@ -14,9 +14,11 @@ sampled parameter source, the threshold, interval and co-singleton shapes
 get their native spaces' exact restriction oracles, and a single < or <=
 atom (or its negation) affine in the parameters is decided exactly by
 Fourier-Motzkin elimination over the parameters; otherwise parameter
-search yields verified subsets only, never claimed exact.  Shattering is
-decided by ``combinatorics.shatters`` on that space, like VC dimension
-and growth.
+search yields verified subsets only, never claimed exact.  Whatever the
+source, a restriction maps each labeling to the least tuple of a candidate
+list that gives it, read off per-point label columns by
+``model.split_columns``.  Shattering is decided by
+``combinatorics.shatters`` on that space, like VC dimension and growth.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .model import (
     DichotomyTable,
@@ -38,6 +40,7 @@ from .model import (
     Instance,
     Labeling,
     check_instance_tuple,
+    split_columns,
     to_fraction,
 )
 from .spaces import (
@@ -678,12 +681,13 @@ class DefinableSpace(HypothesisSpace):
     """Indicator functions 1[phi(. ; w)] of a formula, over a parameter
     source.
 
-    Over an explicit source, the space keeps a label column for every
-    instance point it is asked about, for its whole lifetime: an int whose
-    bit j is the formula at that point and the source's j-th tuple.  A
-    column is evaluated over a prefix of the tuples that doubles (from 64)
-    until the queried points show every labeling or the source runs out,
-    so each (point, tuple) pair is evaluated at most once.
+    Every restriction goes through :meth:`_least_witnesses` on a list of
+    candidate tuples: the source's tuples, the witnesses of a closed-form
+    oracle (re-checked by the formula) or the tuples of parameter search.
+    Over an explicit source, the space keeps the label column of every
+    instance point it is asked about for its whole lifetime, so each
+    (point, tuple) pair is evaluated at most once; the other two lists get
+    columns that last one query.
     """
 
     kind = "formula-defined"
@@ -727,7 +731,7 @@ class DefinableSpace(HypothesisSpace):
         def fn(x: Instance, _w=w) -> int:
             coords = x.coords
             if len(coords) != arity:
-                raise TypeError(f"instance {x} does not have arity {arity}")
+                raise ValueError(f"instance {x} does not have arity {arity}")
             return 1 if predicate(coords, _w) else 0
 
         return Hypothesis(key=("formula",) + w, fn=fn)
@@ -742,55 +746,43 @@ class DefinableSpace(HypothesisSpace):
         for w in self.source.tuples:
             yield self.hypothesis(w)
 
-    def _column(self, point: tuple[Fraction, ...], size: int) -> int:
-        """The point's label column, evaluated over at least the first
-        ``size`` candidates."""
-        bits, done = self._columns.get(point, (0, 0))
-        if done < size:
-            predicate = self._predicate
-            fresh = "".join("1" if predicate(point, w) else "0" for w
-                            in reversed(self.source.tuples[done:size]))
-            bits |= int(fresh, 2) << done
-            self._columns[point] = bits, size
-        return bits
-
-    def _finite_witnesses(self, points: Sequence[tuple[Fraction, ...]]
-                          ) -> dict[Labeling, tuple[Fraction, ...]]:
+    def _least_witnesses(self, points: Sequence[tuple[Fraction, ...]],
+                         candidates: Sequence[tuple[Fraction, ...]],
+                         columns: dict[tuple[Fraction, ...], tuple[int, int]]
+                         ) -> dict[Labeling, tuple[Fraction, ...]]:
         """Map each labeling of the points to the least candidate that
-        gives it, in order of that candidate, by splitting the candidate
-        set point by point on the label columns."""
-        candidates = self.source.tuples
+        gives it, in order of that candidate.  ``columns`` maps a point to
+        its label column over ``candidates`` and the number of candidates
+        it covers; they are evaluated over a prefix of the candidates that
+        doubles (from 64) until the points show every labeling or the
+        candidates run out."""
+        predicate = self._predicate
         total = len(candidates)
         target = 2 ** len(points)
-        covered = min((self._columns.get(p, (0, 0))[1] for p in points),
+        covered = min((columns.get(p, (0, 0))[1] for p in points),
                       default=total)
         size = min(total, max(64, covered))
         while True:
-            groups = [((), (1 << size) - 1)]
+            labels = []
             for p in points:
-                column = self._column(p, size)
-                split = []
-                for lab, mask in groups:
-                    ones = mask & column
-                    if ones:
-                        split.append((lab + (1,), ones))
-                    if ones != mask:
-                        split.append((lab + (0,), mask ^ ones))
-                groups = split
-            if len(groups) == target or size == total:
-                break
+                bits, done = columns.get(p, (0, 0))
+                if done < size:
+                    fresh = "".join("1" if predicate(p, w) else "0" for w
+                                    in reversed(candidates[done:size]))
+                    bits |= int(fresh, 2) << done
+                    columns[p] = bits, size
+                labels.append(bits)
+            found = split_columns(labels, size)
+            if len(found) == target or size == total:
+                return {lab: candidates[i] for lab, i in found}
             size = min(total, 2 * size)
-        # mask & -mask is the lowest set bit: the group's least candidate.
-        groups.sort(key=lambda g: g[1] & -g[1])
-        return {lab: candidates[(mask & -mask).bit_length() - 1]
-                for lab, mask in groups}
 
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
         instances = check_instance_tuple(instances)
         for x in instances:
             if len(x.coords) != self.ast.arity:
-                raise TypeError(f"instance {x} does not have arity "
-                                f"{self.ast.arity}")
+                raise ValueError(f"instance {x} does not have arity "
+                                 f"{self.ast.arity}")
         points = [x.coords for x in instances]
 
         if self.closed_form is not None:
@@ -798,19 +790,18 @@ class DefinableSpace(HypothesisSpace):
             # back exactly the oracle's labelings.
             cf = self.closed_form
             expected = cf.witnesses(instances)
-            found = _first_witnesses(self._predicate, points,
-                                     expected.values())
+            found = self._least_witnesses(points, list(expected.values()), {})
             if found != expected:
                 raise AssertionError(f"{cf.name} witnesses disagree with "
                                      f"the formula")
             exact = True
         elif isinstance(self.source, ExplicitParams):
-            found = self._finite_witnesses(points)
+            found = self._least_witnesses(points, self.source.tuples,
+                                          self._columns)
             exact = True
         else:
-            found = _first_witnesses(
-                self._predicate, points,
-                _candidate_parameters(self.ast, points, self.source))
+            found = self._least_witnesses(points, list(_candidate_parameters(
+                self.ast, points, self.source)), {})
             exact = False
         witnesses = {lab: self.hypothesis(w) for lab, w in found.items()}
         return DichotomyTable(instances, witnesses, exact=exact)
@@ -862,21 +853,6 @@ def _candidate_parameters(ast: FormulaAst, points, source: SampledParams
     while emitted < source.budget:
         emitted += 1
         yield tuple(Fraction(rng.uniform(lo, hi)) for _ in range(arity))
-
-
-def _first_witnesses(predicate: Callable[[Sequence, Sequence], bool],
-                     points: Sequence[tuple[Fraction, ...]],
-                     candidates: Iterable[tuple[Fraction, ...]]
-                     ) -> dict[Labeling, tuple[Fraction, ...]]:
-    """Map each labeling of the points to the first candidate parameter
-    tuple that gives it, stopping once all 2^n labelings are found."""
-    target = 2 ** len(points)
-    found: dict[Labeling, tuple[Fraction, ...]] = {}
-    for w in candidates:
-        found.setdefault(tuple(1 if predicate(p, w) else 0 for p in points), w)
-        if len(found) == target:
-            break
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping
 
 from .model import (
@@ -25,55 +24,36 @@ from .model import (
     restriction_errors,
 )
 
-SlackSchedule = Callable[[int], Fraction]
-SampleBoundFn = Callable[[float], int]
-
-
-def _zero_slack(m: int) -> Fraction:
-    return Fraction(0)
-
-
-def _always_one(eps: float) -> int:
-    return 1
-
-
 @dataclass(frozen=True, eq=False)
 class LearningFunction:
-    """A deterministic multi-sample -> hypothesis map with a declared
-    sample-error slack schedule (0 for exact minimizers) and the sample size
-    from which the schedule is honored.  ``order_invariant`` declares that
-    the output depends only on the multiset of samples.  Exact mode and the
-    NFL enumeration then run over multisets instead of ordered tuples, and
-    Monte Carlo hands the learner counts-only draws whose samples come in
-    canonical support order, not in draw order; the NFL determinism probe
-    checks the declaration on reversed samples."""
+    """A deterministic multi-sample -> hypothesis map.  ``order_invariant``
+    declares that the output depends only on the multiset of samples.
+    Exact mode and the NFL enumeration then run over multisets instead of
+    ordered tuples, and Monte Carlo hands the learner counts-only draws
+    whose samples come in canonical support order, not in draw order; the
+    NFL determinism probe checks the declaration on reversed samples."""
 
     name: str
     fn: Callable[[MultiSample], Hypothesis] = field(repr=False)
     space: HypothesisSpace | None = None
-    slack: SlackSchedule = _zero_slack
-    m0_nmse: SampleBoundFn = _always_one
     order_invariant: bool = False
 
     def __call__(self, zbar: MultiSample) -> Hypothesis:
         return self.fn(zbar)
 
 
-def sem_learner(space: HypothesisSpace,
-                declared_slack: tuple[SlackSchedule, SampleBoundFn] | None = None
-                ) -> LearningFunction:
+def sem_learner(space: HypothesisSpace) -> LearningFunction:
     """The sample-error minimizing learner for the space.
 
-    With an exact restriction oracle the output's sample error equals the
-    minimal sample error exactly.  With an inexact oracle the minimum over
-    the *found* labelings may exceed the true minimum by an unknown amount,
-    so construction is refused unless the caller declares a slack schedule
-    explicitly.
+    The output's sample error equals the minimal sample error exactly, so
+    the space needs an exact restriction oracle: over an inexact one the
+    minimum over the *found* labelings may exceed the true minimum by an
+    unknown amount, and construction is refused.
     """
-    if not space.oracle_exact and declared_slack is None:
+    if not space.oracle_exact:
         raise InexactOracleError(
-            "sample-error minimization over an inexact oracle has unknown "
-            "slack; pass declared_slack=(eps_of_m, m0_of_eps) to accept it")
+            "sample-error minimization needs an exact restriction oracle; "
+            f"the {space.kind} space has none here")
 
     def fn(zbar: MultiSample) -> Hypothesis:
         # Least count wrong, then lexicographically least labeling.
@@ -81,9 +61,8 @@ def sem_learner(space: HypothesisSpace,
                                       require_exact=False),
                    key=lambda scored: (scored[2], scored[0]))[1]
 
-    slack, m0 = declared_slack if declared_slack else (_zero_slack, _always_one)
     return LearningFunction(name="sem", fn=fn, space=space,
-                            slack=slack, m0_nmse=m0, order_invariant=True)
+                            order_invariant=True)
 
 
 def constant_learner(h: Hypothesis, name: str = "const",
@@ -101,7 +80,7 @@ def memorizing_learner(space: ExplicitSpace) -> LearningFunction:
     bit-vector, e.g. the full class over a finite domain.
     """
     if not isinstance(space, ExplicitSpace):
-        raise TypeError("memorizing learner needs a finite-explicit space")
+        raise ValueError("memorizing learner needs a finite-explicit space")
 
     def fn(zbar: MultiSample) -> Hypothesis:
         seen: dict = {}
@@ -136,7 +115,7 @@ def random_table_learner(space: ExplicitSpace, seed: int,
     deterministic function.
     """
     if not isinstance(space, ExplicitSpace):
-        raise TypeError("random table learner needs a finite-explicit space")
+        raise ValueError("random table learner needs a finite-explicit space")
     n = len(space)
     vectors = space._vectors
 
@@ -158,7 +137,7 @@ def builtin_learners(space: HypothesisSpace) -> dict[str, LearningFunction]:
         for name, bits in (("const0", (0,) * n), ("const1", (1,) * n)):
             try:
                 h = space.hypothesis_from_bits(bits)
-            except KeyError:
+            except ValueError:
                 continue
             out[name] = constant_learner(h, name=name, space=space)
         out["memorize"] = memorizing_learner(space)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import (accumulate, chain, combinations_with_replacement,
                        groupby, product, repeat)
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Labeling = tuple[int, ...]
@@ -55,10 +55,10 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise TypeError("bool is not a numeric value")
+        raise ValueError("bool is not a numeric value")
     if isinstance(value, (int, float, str)):
         return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+    raise ValueError(f"cannot interpret {value!r} as a rational number")
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ class Instance:
     @property
     def coords(self) -> tuple[Fraction, ...]:
         if self.is_atom:
-            raise TypeError(f"instance {self.value!r} is symbolic, not numeric")
+            raise ValueError(f"instance {self.value!r} is symbolic, not numeric")
         return self.value  # type: ignore[return-value]
 
     @property
@@ -119,7 +119,7 @@ class Instance:
     def scalar(self) -> Fraction:
         coords = self.coords
         if len(coords) != 1:
-            raise TypeError(f"instance {self} is not one-dimensional")
+            raise ValueError(f"instance {self} is not one-dimensional")
         return coords[0]
 
     def sort_key(self):
@@ -333,6 +333,9 @@ class DichotomyTable:
       co-singleton shape, the Fourier-Motzkin point of an atom affine in
       its parameters, else the first tuple the seeded search finds.
 
+    Each "least" or "first" there is the least index in a candidate list,
+    which :func:`split_columns` finds.
+
     ``exact`` means the set of labelings is exactly the restriction of the
     space; otherwise it is a verified subset.
     """
@@ -402,8 +405,9 @@ class ExplicitSpace(HypothesisSpace):
     Hypothesis i labels domain instance j with bit j of its vector, and
     labels everything outside the domain 0.  Duplicate bit-vectors collapse;
     hypotheses enumerate in lexicographic bit-vector order (the canonical
-    order used for tie-breaking).  Each vector is also kept as an int mask
-    (bit j = domain instance j), on which restrictions are computed.
+    order used for tie-breaking).  Restrictions are computed on one label
+    column per domain instance (bit i = vector i's label there, see
+    :func:`split_columns`).
     """
 
     kind = "finite-explicit"
@@ -424,8 +428,9 @@ class ExplicitSpace(HypothesisSpace):
         self._index = {x: i for i, x in enumerate(domain)}
         self._vectors = sorted(vectors)
         self._rows = frozenset(self._vectors)
-        self._masks = [sum(b << i for i, b in enumerate(row))
-                       for row in self._vectors]
+        self._columns = {
+            x: int("".join(str(row[j]) for row in reversed(self._vectors)), 2)
+            for j, x in enumerate(domain)}
 
     @classmethod
     def full(cls, instances: Sequence) -> "ExplicitSpace":
@@ -453,40 +458,49 @@ class ExplicitSpace(HypothesisSpace):
     def hypothesis_from_bits(self, bits: Sequence[int]) -> Hypothesis:
         row = tuple(int(b) for b in bits)
         if row not in self._rows:
-            raise KeyError(f"bit-vector {row} is not in the space")
+            raise ValueError(f"bit-vector {row} is not in the space")
         return self._make_hypothesis(row)
 
     def hypothesis_from_key(self, key) -> Hypothesis:
         return self.hypothesis_from_bits(key)
 
-    def _positions(self, instances: Sequence[Instance]
-                   ) -> tuple[tuple[Instance, ...], list[int | None], int]:
-        """The checked instance tuple, the domain position of each instance
-        (None outside the domain), and the mask of those positions: two
-        vectors restrict alike iff their masks agree on it."""
-        instances = check_instance_tuple(instances)
-        positions = [self._index.get(x) for x in instances]
-        return instances, positions, sum(1 << p for p in positions
-                                         if p is not None)
-
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
         """Each distinct restriction with the least vector that gives it as
-        witness, in order of first appearance among the vectors; instances
-        outside the domain are labeled 0.  Labelings and hypotheses are
-        built only for the distinct masked bit patterns."""
-        instances, positions, mask = self._positions(instances)
-        first: dict[int, Labeling] = {}
-        for bits, row in zip(self._masks, self._vectors):
-            first.setdefault(bits & mask, row)
-        witnesses = {
-            tuple(0 if p is None else row[p] for p in positions):
-                self._make_hypothesis(row)
-            for row in first.values()}
+        witness, in order of that vector; instances outside the domain are
+        labeled 0."""
+        instances = check_instance_tuple(instances)
+        vectors = self._vectors
+        witnesses = {lab: self._make_hypothesis(vectors[i]) for lab, i
+                     in split_columns([self._columns.get(x, 0)
+                                       for x in instances], len(vectors))}
         return DichotomyTable(instances, witnesses, exact=True)
 
     def dichotomy_count(self, instances: Sequence[Instance]) -> int:
-        mask = self._positions(instances)[2]
-        return len({bits & mask for bits in self._masks})
+        return len(split_columns([self._columns.get(x, 0) for x
+                                  in check_instance_tuple(instances)],
+                                 len(self._vectors)))
+
+
+def split_columns(columns: Iterable[int], size: int
+                  ) -> list[tuple[Labeling, int]]:
+    """Each labeling of the points that one of the first ``size``
+    candidates gives, with the least such candidate's index, in order of
+    that index; bit i of the j-th column is candidate i's label on point
+    j.  The candidates are split point by point into the groups that agree
+    on the points so far: one integer AND per group and point."""
+    groups = [((), (1 << size) - 1)]
+    for column in columns:
+        split = []
+        for lab, mask in groups:
+            ones = mask & column
+            if ones:
+                split.append((lab + (1,), ones))
+            if ones != mask:
+                split.append((lab + (0,), mask ^ ones))
+        groups = split
+    # mask & -mask is the lowest set bit: the group's least candidate.
+    return sorted(((lab, (mask & -mask).bit_length() - 1)
+                   for lab, mask in groups), key=itemgetter(1))
 
 
 # ---------------------------------------------------------------------------

@@ -231,19 +231,6 @@ def _enumerate(learner: LearningFunction,
     return hist
 
 
-def _totals(hist: list[list[int]]) -> list[int]:
-    return [sum(c * w for c, w in enumerate(row)) for row in hist]
-
-
-def nfl_expected_errors(learner: LearningFunction, inst: NflInstance,
-                        allow_large: bool = False) -> list[Fraction]:
-    """For each labeling f_i: the exact expected true error of the learner
-    over training tuples drawn from the graph distribution of f_i."""
-    hist = _enumerate(learner, inst, allow_large)
-    k = (2 * inst.m) ** inst.m
-    return [Fraction(total, k * 2 * inst.m) for total in _totals(hist)]
-
-
 def unseen_error_floor(m: int) -> Fraction:
     """The part of the average expected error that the points missing from
     the training tuple add, whatever the learner: each of the 2m points is
@@ -255,9 +242,11 @@ def unseen_error_floor(m: int) -> Fraction:
 
 def nfl_report(learner: LearningFunction, inst: NflInstance,
                allow_large: bool = False) -> NflReport:
-    """Full evaluation: expected errors, the worst labeling's exact tail
-    probability P(error > 1/8) next to its Markov lower bound, and the
-    lower-bound assertions (max and average >= 1/4, tail >= 1/7).  Every
+    """Full evaluation: for each labeling f_i, the learner's exact expected
+    true error over training tuples drawn from the graph distribution of
+    f_i; the worst labeling's exact tail probability P(error > 1/8) next to
+    its Markov lower bound; and the lower-bound assertions (max and
+    average >= 1/4, tail >= 1/7).  Every
     histogram row must count each of the (2m)^m instance tuples once, and
     the average expected error must reach :func:`unseen_error_floor`, with
     equality for a learner that always agrees with its training sample."""
@@ -268,7 +257,8 @@ def nfl_report(learner: LearningFunction, inst: NflInstance,
         if sum(row) != k:
             raise AssertionError(f"histogram row {i} counts {sum(row)} "
                                  f"instance tuples, not {k}")
-    errors = [Fraction(total, k * 2 * m) for total in _totals(hist)]
+    errors = [Fraction(sum(c * w for c, w in enumerate(row)), k * 2 * m)
+              for row in hist]
     best = max(errors)
     i_star = errors.index(best)
     # error > 1/8 over 2m points  <=>  mismatches/2m > 1/8.

@@ -16,7 +16,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import formula as fm
 from .learners import (
@@ -45,7 +45,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Mapping):
         if set(value) != {"rat"}:
             raise ValueError(f"bad rational object {value!r}")
-        return Fraction(value["rat"])
+        value = value["rat"]
     return to_fraction(value)
 
 
@@ -91,10 +91,41 @@ def _object(obj, what: str) -> Mapping:
     return obj
 
 
+def _field(obj: Mapping, name: str, what: str,
+           parse: Callable = lambda value: value, default=None):
+    """``parse(obj[name])``, or ``default`` when the field is absent and a
+    default is given.  A missing field, or one of a JSON type that
+    ``parse`` cannot read (a ``TypeError``), is a ``ValueError`` that names
+    the field."""
+    if name not in obj:
+        if default is None:
+            raise ValueError(f"{what} has no {name!r} field")
+        return default
+    try:
+        return parse(obj[name])
+    except TypeError as exc:
+        raise ValueError(f"{what} has a malformed {name!r} field: "
+                         f"{exc}") from exc
+
+
+def _instances(values) -> list[Instance]:
+    return [instance_from_json(x) for x in values]
+
+
+def pool_from_json(obj) -> list[Instance]:
+    """Instances given as a JSON list, or as an object's ``instances``
+    field."""
+    if not isinstance(obj, Mapping):
+        obj = {"instances": obj}
+    return _field(obj, "instances", "a pool", _instances)
+
+
 def distribution_from_json(obj) -> DiscreteDistribution:
     obj = _object(obj, "a distribution")
-    support = [sample_from_json(z) for z in obj["support"]]
-    weights = [parse_rational(w) for w in obj["weights"]]
+    support = _field(obj, "support", "a distribution",
+                     lambda zs: [sample_from_json(z) for z in zs])
+    weights = _field(obj, "weights", "a distribution",
+                     lambda ws: [parse_rational(w) for w in ws])
     if len(support) != len(weights):
         raise ValueError("support and weights must have equal length")
     return DiscreteDistribution(zip(support, weights))
@@ -108,32 +139,37 @@ def distribution_to_json(dist: DiscreteDistribution) -> dict:
 
 
 def _param_source_from_json(obj) -> fm.ParamSource:
-    kind = _object(obj, "a parameter source").get("type")
+    what = "a parameter source"
+    kind = _object(obj, what).get("type")
+
+    def lists(name: str) -> list[list[Fraction]]:
+        return _field(obj, name, what, lambda rows: [
+            [parse_rational(v) for v in row] for row in rows])
+
     if kind == "explicit":
-        return fm.ExplicitParams.of([[parse_rational(v) for v in t]
-                                     for t in obj["tuples"]])
+        return fm.ExplicitParams.of(lists("tuples"))
     if kind == "grid":
-        return fm.ExplicitParams.grid([[parse_rational(v) for v in axis]
-                                       for axis in obj["axes"]])
+        return fm.ExplicitParams.grid(lists("axes"))
     if kind == "sampled":
-        return fm.SampledParams(budget=int(obj.get("budget", 2000)),
-                                seed=int(obj.get("seed", 0)),
-                                low=float(obj.get("low", -10.0)),
-                                high=float(obj.get("high", 10.0)))
+        return fm.SampledParams(budget=_field(obj, "budget", what, int, 2000),
+                                seed=_field(obj, "seed", what, int, 0),
+                                low=_field(obj, "low", what, float, -10.0),
+                                high=_field(obj, "high", what, float, 10.0))
     raise ValueError(f"unknown parameter source type {kind!r}")
 
 
 def space_from_json(obj) -> HypothesisSpace:
-    obj = _object(obj, "a space")
+    what = "a space"
+    obj = _object(obj, what)
     kind = obj.get("kind")
     if kind is None and "instances" in obj and "hypotheses" in obj:
         kind = "finite-explicit"
     if kind == "finite-explicit":
-        return ExplicitSpace([instance_from_json(x) for x in obj["instances"]],
-                             obj["hypotheses"])
+        instances = _field(obj, "instances", what, _instances)
+        return _field(obj, "hypotheses", what,
+                      lambda rows: ExplicitSpace(instances, rows))
     if kind == "full":
-        return ExplicitSpace.full(
-            [instance_from_json(x) for x in obj["instances"]])
+        return ExplicitSpace.full(_field(obj, "instances", what, _instances))
     if kind == "threshold-family":
         return ThresholdSpace()
     if kind == "interval-family":
@@ -141,12 +177,13 @@ def space_from_json(obj) -> HypothesisSpace:
     if kind == "co-singleton-family":
         return CoSingletonSpace()
     if kind == "halfspace-family":
-        return HalfspaceSpace(int(obj["dim"]))
+        return HalfspaceSpace(_field(obj, "dim", what, int))
     if kind == "formula-defined":
-        ast = fm.parse_formula(obj["formula"],
-                               objects=tuple(obj["objects"]),
-                               params=tuple(obj.get("params", ())))
-        source = _param_source_from_json(obj["source"])
+        objects = _field(obj, "objects", what, tuple)
+        params = _field(obj, "params", what, tuple, ())
+        ast = _field(obj, "formula", what,
+                     lambda text: fm.parse_formula(text, objects, params))
+        source = _param_source_from_json(_field(obj, "source", what))
         return fm.DefinableSpace(ast, source, backend=obj.get("backend"))
     raise ValueError(f"unknown space kind {kind!r}")
 
@@ -156,10 +193,11 @@ def multisample_from_json(obj) -> MultiSample:
 
 
 def learner_from_json(obj, space: HypothesisSpace) -> LearningFunction:
-    obj = _object(obj, "a learner")
+    what = "a learner"
+    obj = _object(obj, what)
     kind = obj.get("type")
     if kind == "builtin":
-        name = obj["name"]
+        name = _field(obj, "name", what, str)
         available = builtin_learners(space)
         if name not in available:
             raise ValueError(
@@ -167,9 +205,10 @@ def learner_from_json(obj, space: HypothesisSpace) -> LearningFunction:
                 f"space; choose from {sorted(available)}")
         return available[name]
     if kind == "table":
-        table = {multisample_from_json(entry): space.hypothesis_from_key(key)
-                 for entry, key in obj["table"]}
-        default = space.hypothesis_from_key(obj["default"])
+        table = _field(obj, "table", what, lambda entries: {
+            multisample_from_json(entry): space.hypothesis_from_key(key)
+            for entry, key in entries})
+        default = _field(obj, "default", what, space.hypothesis_from_key)
         return table_learner(space, table, default,
                              name=obj.get("name", "table"))
     raise ValueError(f"unknown learner type {kind!r}")

@@ -46,7 +46,7 @@ def _scalars(instances: Sequence[Instance]) -> list[Fraction]:
     return [x.scalar for x in instances]
 
 
-def _sorted_positions(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
+def _argsort(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
     order = sorted(range(len(values)), key=lambda i: values[i])
     return [values[i] for i in order], order
 
@@ -57,7 +57,7 @@ def _sorted_positions(values: list[Fraction]) -> tuple[list[Fraction], list[int]
 
 
 def threshold_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Fraction]]:
-    srt, order = _sorted_positions(values)
+    srt, order = _argsort(values)
     k = len(srt)
     out = []
     for cut in range(k + 1):
@@ -71,7 +71,7 @@ def threshold_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Fracti
 
 def interval_dichotomies(values: list[Fraction]
                          ) -> list[tuple[Labeling, tuple[Fraction, Fraction]]]:
-    srt, order = _sorted_positions(values)
+    srt, order = _argsort(values)
     k = len(srt)
     out = []
     empty = srt[-1] + 1
@@ -374,7 +374,7 @@ class HalfspaceSpace(HypothesisSpace):
         def fn(x: Instance, _w=w, _b=b) -> int:
             coords = x.coords
             if len(coords) != len(_w):
-                raise TypeError("instance dimension mismatch")
+                raise ValueError("instance dimension mismatch")
             return 1 if sum(c * v for c, v in zip(_w, coords)) + _b >= 0 else 0
 
         return Hypothesis(key=("halfspace",) + params, fn=fn)
@@ -391,7 +391,7 @@ class HalfspaceSpace(HypothesisSpace):
         for x in instances:
             coords = x.coords
             if len(coords) != self.dim:
-                raise TypeError(f"instance {x} is not {self.dim}-dimensional")
+                raise ValueError(f"instance {x} is not {self.dim}-dimensional")
             points.append(coords)
         pairs = _constraint_pairs([(0, (*x, 1)) for x in points],
                                   strict=False)

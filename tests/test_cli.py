@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import vclab.cli
+
 from vclab import (
     ExplicitSpace,
     Instance,
@@ -383,6 +385,54 @@ class TestCli:
             assert code == 2
             assert f"{what} must be a JSON object, got list" in \
                 capsys.readouterr().err
+
+    def test_missing_or_mistyped_field_exits_2_naming_it(self, workdir,
+                                                         capsys):
+        """A space, distribution, learner or pool file with a field that is
+        absent or of the wrong JSON type is bad input, reported by name."""
+        space, dist = str(workdir / "space.json"), str(workdir / "dist.json")
+        formula = {"kind": "formula-defined", "formula": "p <= x",
+                   "objects": ["x"], "params": ["p"]}
+        cases = [
+            ("space", {"kind": "halfspace-family"}, "dim"),
+            ("space", {"kind": "halfspace-family", "dim": None}, "dim"),
+            ("space", {"kind": "finite-explicit", "instances": [1],
+                       "hypotheses": 5}, "hypotheses"),
+            ("space", {**formula, "formula": 5}, "formula"),
+            ("space", {**formula, "source": {"type": "sampled",
+                                             "budget": [1]}}, "budget"),
+            ("dist", {"weights": ["1"]}, "support"),
+            ("dist", {"support": [[1, 1]], "weights": 1}, "weights"),
+            ("learner", {"type": "builtin"}, "name"),
+            ("learner", {"type": "table", "table": [5], "default": [0] * 4},
+             "table"),
+            ("pool", {"instances": 5}, "instances"),
+        ]
+        for what, obj, field in cases:
+            bad = workdir / "bad.json"
+            bad.write_text(json.dumps(obj))
+            argv = {"space": ("vcdim", "--space", str(bad), "--pool", "1;2"),
+                    "pool": ("vcdim", "--space", space, "--pool", str(bad)),
+                    "dist": ("ucp-sim", "--space", space, "--dist", str(bad),
+                             "--m", "2", "--eps", "0.5"),
+                    "learner": ("pac-sim", "--space", space, "--dist", dist,
+                                "--m", "2", "--eps", "0.5",
+                                "--learner", f"file:{bad}")}[what]
+            code, _ = run(workdir, *argv)
+            assert code == 2, obj
+            assert f"'{field}' field" in capsys.readouterr().err, obj
+
+    def test_internal_type_or_key_error_is_not_bad_input(self, workdir,
+                                                         monkeypatch):
+        """Only ValueError and the package's own errors mean bad input; a
+        TypeError or KeyError from inside a computation propagates."""
+        for error in (TypeError, KeyError):
+            def broken(*args, **kwargs):
+                raise error("internal")
+            monkeypatch.setattr(vclab.cli, "vc_dimension", broken)
+            with pytest.raises(error):
+                main(["vcdim", "--space", str(workdir / "space.json"),
+                      "--pool", "1;2", "--out", str(workdir)])
 
     def test_negative_pool_joined_with_equals(self, tmp_path):
         (tmp_path / "space.json").write_text(json.dumps(

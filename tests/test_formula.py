@@ -496,7 +496,7 @@ class TestDefinableSpace:
         with pytest.raises(ValueError):
             DefinableSpace(ast, SampledParams(), instance_arity=2)
         space = definable_space(ast, SampledParams())
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             space.dichotomies([Instance.point(1, 2)])
 
     def test_parameterless_formula_gives_singleton(self):
@@ -548,25 +548,29 @@ def reference_first_witnesses(predicate, points, candidates):
 COORDS = st.integers(-8, 8).map(lambda k: F(k, 2))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_label_columns_match_first_witnesses(data):
-    """Finite sources answer from their cached label columns with the same
-    witnesses, in the same order, as the first-witness loop: random
-    formulas over random explicit and grid sources (up to 144 candidates,
-    so the prefix doubles), both backends, several queries on one space,
-    the empty point tuple included."""
+    """Every source answers from label columns with the same witnesses, in
+    the same order, as the first-witness loop: random formulas over random
+    explicit and grid sources (up to 144 candidates, so the prefix
+    doubles) and over sampled sources (the loop runs over the search's
+    candidates), both backends, several queries on one space, the empty
+    point tuple included for finite sources."""
     with_exp = data.draw(st.booleans())
     ast = FormulaAst(("x",), ("y", "p"), data.draw(FORMULAS[with_exp]))
-    if data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from(["grid", "explicit", "sampled"]))
+    if kind == "grid":
         source = ExplicitParams.grid(data.draw(st.lists(
             st.lists(COORDS, min_size=1, max_size=12), min_size=2,
             max_size=2)))
-        candidates = sorted(source.tuples)
-    else:
+    elif kind == "explicit" or recognize_closed_form(ast) is not None:
         source = ExplicitParams.of(data.draw(st.lists(
             st.tuples(COORDS, COORDS), min_size=1, max_size=144)))
-        candidates = sorted(source.tuples)
+    else:
+        source = SampledParams(budget=data.draw(st.integers(1, 300)),
+                               seed=data.draw(st.integers(0, 3)))
+    finite = isinstance(source, ExplicitParams)
     backend = "float" if with_exp else data.draw(
         st.sampled_from(["exact", "float"]))
     space = DefinableSpace(ast, source, backend)
@@ -574,11 +578,16 @@ def test_label_columns_match_first_witnesses(data):
     for _ in range(data.draw(st.integers(1, 4))):
         xs = data.draw(st.lists(COORDS, max_size=4, unique=True))
         pool = [(x,) for x in xs]
+        candidates = (sorted(source.tuples) if finite else
+                      vclab.formula._candidate_parameters(ast, pool, source))
         want = reference_first_witnesses(predicate, pool, candidates)
-        assert list(space._finite_witnesses(pool).items()) == \
-            list(want.items())
+        if finite:
+            assert list(space._least_witnesses(pool, source.tuples,
+                                               space._columns).items()) == \
+                list(want.items())
         if xs:
             table = space.dichotomies(points(*xs))
+            assert table.exact == finite
             assert [(lab, h.key[1:]) for lab, h in table.witnesses.items()] \
                 == list(want.items())
 

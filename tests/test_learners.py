@@ -6,7 +6,6 @@ import pytest
 from vclab import (
     ExplicitSpace,
     InexactOracleError,
-    LearningFunction,
     MultiSample,
     SampledParams,
     ThresholdSpace,
@@ -80,8 +79,6 @@ class TestSemLearner:
         assert not space.oracle_exact
         with pytest.raises(InexactOracleError):
             sem_learner(space)
-        learner = sem_learner(space, declared_slack=(lambda m: F(1), lambda e: 1))
-        assert learner.slack(4) == 1
 
 
 class TestApply:
@@ -101,37 +98,11 @@ class TestNmseContract:
         space = ExplicitSpace.full(atoms(2))
         learner = sem_learner(space)
         for m in (1, 2, 5):
-            assert learner.m0_nmse(0.25) == 1
             for _ in range(10):
                 zbar = random_multisample(rng, space.domain, m)
                 gap = (sample_error(learner(zbar), zbar)
                        - empirical_opt(space, zbar))
-                assert gap <= learner.slack(m) == 0
-
-    def test_declared_slack_is_honored(self):
-        space = ExplicitSpace(atoms(1), [[0], [1]])
-        exact = sem_learner(space)
-        worst = {0: space.hypothesis_from_bits((1,)),
-                 1: space.hypothesis_from_bits((0,))}
-
-        def fn(zbar):
-            if zbar.m < 3:
-                return worst[zbar.samples[0].label]  # anti-learn tiny samples
-            return exact(zbar)
-
-        sloppy = LearningFunction(
-            name="sloppy", fn=fn, space=space,
-            slack=lambda m: F(1) if m < 3 else F(0),
-            m0_nmse=lambda eps: 3)
-        rng = random.Random(5)
-        for eps in (F(1, 4), F(1, 2)):
-            m0 = sloppy.m0_nmse(eps)
-            for m in range(m0, m0 + 3):
-                for _ in range(10):
-                    zbar = random_multisample(rng, space.domain, m)
-                    gap = (sample_error(sloppy(zbar), zbar)
-                           - empirical_opt(space, zbar))
-                    assert gap <= eps
+                assert gap == 0
 
 
 class TestTableLearners:
@@ -165,7 +136,7 @@ class TestMemorizer:
         assert h.key == ("explicit", (0, 1, 0))  # first occurrence wins
 
     def test_requires_explicit_space(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             memorizing_learner(ThresholdSpace())
 
 

@@ -82,7 +82,7 @@ class TestHalfspaceEnumeration:
 
     def test_duplicate_point_dimensions_rejected(self):
         space = HalfspaceSpace(2)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             space.dichotomies([Instance.point(1)])
 
 
@@ -407,5 +407,5 @@ class TestParametricWitnesses:
             assert tuple(h(x) for x in instances) == labeling
 
     def test_atoms_rejected_by_numeric_families(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             ThresholdSpace().dichotomies([Instance.atom("a")])
