@@ -482,16 +482,13 @@ def _compile_node(node, slots, const):
     return lambda env: (not f(env)) or g(env)
 
 
-def compile_formula(ast: FormulaAst, backend: str = EXACT
-                    ) -> Callable[[Sequence, Sequence], bool]:
-    """Compile the formula once into a predicate ``(x, w) -> bool``.
-
-    The backend, and whether it can evaluate ``exp``, are checked here; the
-    predicate checks only the lengths of x and w.  Every input value is
-    first read as an exact rational (so both backends accept the same
-    inputs, "1/3" included); the float backend then rounds it once to the
-    nearest double.  Operations run in tree order on both backends.
-    """
+def _compile(ast: FormulaAst, backend: str
+             ) -> tuple[Callable, Callable[[Sequence], bool]]:
+    """The formula compiled once for a backend, as ``(convert, holds)``:
+    ``convert`` reads one input value as a value of the backend (an exact
+    rational, or the double nearest to it), and ``holds`` evaluates the
+    formula on the converted values ``(*x, *w)``, checking nothing.  The
+    backend, and whether it can evaluate ``exp``, are checked here."""
     if backend not in (EXACT, FLOAT):
         raise BackendError(f"unknown backend {backend!r}")
     if backend == EXACT and ast.uses_exp:
@@ -501,7 +498,22 @@ def compile_formula(ast: FormulaAst, backend: str = EXACT
     const = to_fraction if exact else float
     convert = to_fraction if exact else (lambda v: float(to_fraction(v)))
     slots = {name: i for i, name in enumerate(ast.objects + ast.params)}
-    root = _compile_node(ast.root, slots, const)
+    return convert, _compile_node(ast.root, slots, const)
+
+
+def compile_formula(ast: FormulaAst, backend: str = EXACT
+                    ) -> Callable[[Sequence, Sequence], bool]:
+    """Compile the formula once into a predicate ``(x, w) -> bool``.
+
+    The backend, and whether it can evaluate ``exp``, are checked here; the
+    predicate checks the lengths of x and w.  Every input value is first
+    read as an exact rational (so both backends accept the same inputs,
+    "1/3" included); the float backend then rounds it once to the nearest
+    double.  Operations run in tree order on both backends.  The predicate
+    converts its inputs on every call; ``DefinableSpace`` converts each
+    point and parameter tuple once and evaluates the same compiled tree.
+    """
+    convert, holds = _compile(ast, backend)
     arity, param_arity = ast.arity, ast.param_arity
 
     def predicate(x: Sequence, w: Sequence) -> bool:
@@ -510,7 +522,7 @@ def compile_formula(ast: FormulaAst, backend: str = EXACT
         if len(w) != param_arity:
             raise ValueError(f"expected {param_arity} parameter values, "
                              f"got {len(w)}")
-        return root([*map(convert, x), *map(convert, w)])
+        return holds([*map(convert, x), *map(convert, w)])
 
     return predicate
 
@@ -673,6 +685,11 @@ class SampledParams:
     low: float = -10.0
     high: float = 10.0
 
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError(f"a sampled parameter source needs a budget "
+                             f">= 1, got {self.budget}")
+
 
 ParamSource = ExplicitParams | SampledParams
 
@@ -685,9 +702,12 @@ class DefinableSpace(HypothesisSpace):
     candidate tuples: the source's tuples, the witnesses of a closed-form
     oracle (re-checked by the formula) or the tuples of parameter search.
     Over an explicit source, the space keeps the label column of every
-    instance point it is asked about for its whole lifetime, so each
-    (point, tuple) pair is evaluated at most once; the other two lists get
-    columns that last one query.
+    instance point it is asked about, and the tuples converted to the
+    backend, for its whole lifetime, so each (point, tuple) pair is
+    evaluated at most once and each tuple converted once; the other two
+    lists get columns and conversions that last one query.  Evaluation
+    runs the compiled tree (``_holds``) on values converted once, with the
+    public predicate's truth values on both backends.
     """
 
     kind = "formula-defined"
@@ -701,7 +721,7 @@ class DefinableSpace(HypothesisSpace):
                 f"{instance_arity}")
         if backend is None:
             backend = FLOAT if ast.uses_exp else EXACT
-        self._predicate = compile_formula(ast, backend)
+        self._convert, self._holds = _compile(ast, backend)
         self.ast = ast
         self.source = source
         self.backend = backend
@@ -711,8 +731,10 @@ class DefinableSpace(HypothesisSpace):
             if any(len(t) != ast.param_arity for t in source.tuples):
                 raise ValueError("parameter tuples must match the parameter "
                                  "arity")
-        # point -> (label column, number of candidates it covers)
+        # point -> (label column, number of candidates it covers), and the
+        # source's tuples converted to the backend as far as they are read
         self._columns: dict[tuple[Fraction, ...], tuple[int, int]] = {}
+        self._values: list[tuple] = []
 
     @property
     def oracle_exact(self) -> bool:
@@ -726,13 +748,14 @@ class DefinableSpace(HypothesisSpace):
         w = tuple(to_fraction(v) for v in w)
         if len(w) != self.ast.param_arity:
             raise ValueError("parameter tuple has wrong arity")
-        arity, predicate = self.ast.arity, self._predicate
+        arity, convert, holds = self.ast.arity, self._convert, self._holds
+        values = tuple(map(convert, w))
 
-        def fn(x: Instance, _w=w) -> int:
+        def fn(x: Instance, _values=values) -> int:
             coords = x.coords
             if len(coords) != arity:
                 raise ValueError(f"instance {x} does not have arity {arity}")
-            return 1 if predicate(coords, _w) else 0
+            return 1 if holds((*map(convert, coords), *_values)) else 0
 
         return Hypothesis(key=("formula",) + w, fn=fn)
 
@@ -748,27 +771,35 @@ class DefinableSpace(HypothesisSpace):
 
     def _least_witnesses(self, points: Sequence[tuple[Fraction, ...]],
                          candidates: Sequence[tuple[Fraction, ...]],
-                         columns: dict[tuple[Fraction, ...], tuple[int, int]]
+                         columns: dict[tuple[Fraction, ...], tuple[int, int]],
+                         values: list[tuple]
                          ) -> dict[Labeling, tuple[Fraction, ...]]:
         """Map each labeling of the points to the least candidate that
         gives it, in order of that candidate.  ``columns`` maps a point to
         its label column over ``candidates`` and the number of candidates
         it covers; they are evaluated over a prefix of the candidates that
         doubles (from 64) until the points show every labeling or the
-        candidates run out."""
-        predicate = self._predicate
+        candidates run out.  ``values`` holds the candidates converted to
+        the backend, as far as a column has needed them; each point is
+        converted once per call, so ``_holds`` is the only work per
+        (point, candidate) pair."""
+        convert, holds = self._convert, self._holds
         total = len(candidates)
         target = 2 ** len(points)
         covered = min((columns.get(p, (0, 0))[1] for p in points),
                       default=total)
         size = min(total, max(64, covered))
+        converted = [tuple(map(convert, p)) for p in points]
         while True:
             labels = []
-            for p in points:
+            for p, x in zip(points, converted):
                 bits, done = columns.get(p, (0, 0))
                 if done < size:
-                    fresh = "".join("1" if predicate(p, w) else "0" for w
-                                    in reversed(candidates[done:size]))
+                    if len(values) < size:
+                        values.extend(tuple(map(convert, w)) for w
+                                      in candidates[len(values):size])
+                    fresh = "".join("1" if holds(x + w) else "0" for w
+                                    in reversed(values[done:size]))
                     bits |= int(fresh, 2) << done
                     columns[p] = bits, size
                 labels.append(bits)
@@ -790,18 +821,19 @@ class DefinableSpace(HypothesisSpace):
             # back exactly the oracle's labelings.
             cf = self.closed_form
             expected = cf.witnesses(instances)
-            found = self._least_witnesses(points, list(expected.values()), {})
+            found = self._least_witnesses(points, list(expected.values()),
+                                          {}, [])
             if found != expected:
                 raise AssertionError(f"{cf.name} witnesses disagree with "
                                      f"the formula")
             exact = True
         elif isinstance(self.source, ExplicitParams):
             found = self._least_witnesses(points, self.source.tuples,
-                                          self._columns)
+                                          self._columns, self._values)
             exact = True
         else:
             found = self._least_witnesses(points, list(_candidate_parameters(
-                self.ast, points, self.source)), {})
+                self.ast, points, self.source)), {}, [])
             exact = False
         witnesses = {lab: self.hypothesis(w) for lab, w in found.items()}
         return DichotomyTable(instances, witnesses, exact=exact)

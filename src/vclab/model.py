@@ -61,6 +61,15 @@ def to_fraction(value) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as a rational number")
 
 
+def to_bit(value, what: str = "bit") -> int:
+    """0 or 1 from a value equal to it (``1.0`` and ``True`` included);
+    anything else, ``1.5`` or ``"1"``, is a ``ValueError`` naming
+    ``what``."""
+    if value in (0, 1):
+        return int(value)
+    raise ValueError(f"{what} must be 0 or 1, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Instances and samples
 
@@ -166,7 +175,7 @@ def as_sample(value) -> Sample:
     if isinstance(value, Sample):
         return value
     instance, label = value
-    return Sample(as_instance(instance), int(label))
+    return Sample(as_instance(instance), to_bit(label, "label"))
 
 
 @dataclass(frozen=True)
@@ -327,7 +336,8 @@ class DichotomyTable:
       point when no point has that label);
     * halfspaces: the point Fourier-Motzkin back-substitution picks, which
       is not least in any order; the witnesses of labelings whose first bit
-      is 1 are computed when they are first read;
+      is 1 are computed, and every witness's ``Hypothesis`` built, when it
+      is first read;
     * formulas: the least parameter tuple of a finite source; over a
       sampled source, the native witness of a threshold, interval or
       co-singleton shape, the Fourier-Motzkin point of an atom affine in
@@ -416,18 +426,18 @@ class ExplicitSpace(HypothesisSpace):
         domain = check_instance_tuple([as_instance(x) for x in instances])
         vectors = set()
         for bits in bitvectors:
-            row = tuple(int(b) for b in bits)
+            row = tuple(to_bit(b, "a bit-vector entry") for b in bits)
             if len(row) != len(domain):
                 raise ValueError("bit-vector length must equal domain size")
-            if any(b not in (0, 1) for b in row):
-                raise ValueError("bit-vectors must be 0/1")
             vectors.add(row)
         if not vectors:
             raise ValueError("hypothesis space must be non-empty")
         self.domain = domain
         self._index = {x: i for i, x in enumerate(domain)}
         self._vectors = sorted(vectors)
-        self._rows = frozenset(self._vectors)
+        # Each vector keyed by itself: a lookup by a tuple equal to it, such
+        # as (1.0, True), returns the vector of ints.
+        self._rows = {row: row for row in self._vectors}
         self._columns = {
             x: int("".join(str(row[j]) for row in reversed(self._vectors)), 2)
             for j, x in enumerate(domain)}
@@ -456,8 +466,9 @@ class ExplicitSpace(HypothesisSpace):
             yield self._make_hypothesis(bits)
 
     def hypothesis_from_bits(self, bits: Sequence[int]) -> Hypothesis:
-        row = tuple(int(b) for b in bits)
-        if row not in self._rows:
+        row = self._rows.get(tuple(bits))
+        if row is None:
+            row = tuple(to_bit(b, "a bit-vector entry") for b in bits)
             raise ValueError(f"bit-vector {row} is not in the space")
         return self._make_hypothesis(row)
 

@@ -31,6 +31,7 @@ from .model import (
     Instance,
     MultiSample,
     Sample,
+    to_bit,
     to_fraction,
 )
 from .spaces import (
@@ -76,7 +77,7 @@ def instance_to_json(x: Instance):
 
 def sample_from_json(obj) -> Sample:
     instance, label = obj
-    return Sample(instance_from_json(instance), int(label))
+    return Sample(instance_from_json(instance), to_bit(label, "label"))
 
 
 def sample_to_json(z: Sample):
@@ -91,19 +92,29 @@ def _object(obj, what: str) -> Mapping:
     return obj
 
 
+def _integer(value) -> int:
+    """A JSON number with an integral value as an int: ``2`` and ``2.0``,
+    not ``2.7``, ``"2"`` or ``true``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _field(obj: Mapping, name: str, what: str,
            parse: Callable = lambda value: value, default=None):
     """``parse(obj[name])``, or ``default`` when the field is absent and a
-    default is given.  A missing field, or one of a JSON type that
-    ``parse`` cannot read (a ``TypeError``), is a ``ValueError`` that names
-    the field."""
+    default is given.  A missing field, or one that ``parse`` cannot read
+    (a ``TypeError`` or ``ValueError``: a wrong JSON type or value), is a
+    ``ValueError`` that names the field."""
     if name not in obj:
         if default is None:
             raise ValueError(f"{what} has no {name!r} field")
         return default
     try:
         return parse(obj[name])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} has a malformed {name!r} field: "
                          f"{exc}") from exc
 
@@ -151,8 +162,9 @@ def _param_source_from_json(obj) -> fm.ParamSource:
     if kind == "grid":
         return fm.ExplicitParams.grid(lists("axes"))
     if kind == "sampled":
-        return fm.SampledParams(budget=_field(obj, "budget", what, int, 2000),
-                                seed=_field(obj, "seed", what, int, 0),
+        return fm.SampledParams(budget=_field(obj, "budget", what, _integer,
+                                              2000),
+                                seed=_field(obj, "seed", what, _integer, 0),
                                 low=_field(obj, "low", what, float, -10.0),
                                 high=_field(obj, "high", what, float, 10.0))
     raise ValueError(f"unknown parameter source type {kind!r}")
@@ -177,7 +189,7 @@ def space_from_json(obj) -> HypothesisSpace:
     if kind == "co-singleton-family":
         return CoSingletonSpace()
     if kind == "halfspace-family":
-        return HalfspaceSpace(_field(obj, "dim", what, int))
+        return HalfspaceSpace(_field(obj, "dim", what, _integer))
     if kind == "formula-defined":
         objects = _field(obj, "objects", what, tuple)
         params = _field(obj, "params", what, tuple, ())

@@ -15,12 +15,15 @@ parameters (the rows (x, 1) of halfspaces, or a formula atom affine in
 its parameters) and decides each candidate labeling by exact
 Fourier-Motzkin elimination (strict inequalities included) on primitive
 integer rows, each built once for all labelings, which also produces an
-exact rational witness.  ``HalfspaceSpace`` solves only the labelings whose
-first bit is 0: the halfspace labelings of a finite point set are closed
-under complement, so each complement is known to be realized, and its
-witness is eliminated when it is first read.  Every witness is checked
-again in integers, against rows built apart from the ones the elimination
-uses.
+exact rational witness.  Elimination and back-substitution both run in
+integers; a ``Fraction`` is built only for the value chosen per variable.
+``HalfspaceSpace`` solves only the labelings whose first bit is 0: the
+halfspace labelings of a finite point set are closed under complement, so
+each complement is known to be realized, and its witness is eliminated
+when it is first read.  Every witness is checked again in integers when it
+is solved, against rows built apart from the ones the elimination uses;
+the table keeps parameter tuples and builds a ``Hypothesis`` only when a
+witness is read.
 """
 
 from __future__ import annotations
@@ -124,9 +127,12 @@ def fm_witness(constraints, nvars: int) -> tuple[Fraction, ...] | None:
     Back-substitution takes, per variable, the largest lower and the
     smallest upper bound (a strict bound wins a tie), then the bound itself,
     the bound plus or minus 1 when it is strict and one-sided, the midpoint,
-    or 0 when unbounded.  The values are carried as integer numerators over
-    one common denominator, and the point is checked against the input
-    system in integers before it is returned as exact Fractions.
+    or 0 when unbounded.  The values found so far are carried as integer
+    numerators over one common denominator, each bound as an integer pair
+    over it, and bounds are compared by cross-multiplication; only the
+    chosen value of each variable becomes a Fraction.  The point is checked
+    against the input system in integers before it is returned as exact
+    Fractions.
     """
     initial = system = {(_primitive(coeffs, const), strict)
                         for coeffs, const, strict in constraints}
@@ -160,7 +166,9 @@ def fm_witness(constraints, nvars: int) -> tuple[Fraction, ...] | None:
     values: list[Fraction] = []
     for system in reversed(systems):
         den = point[0]
-        lo = hi = None
+        # A bound is num / (q * den) with q > 0, kept as (num, q); bounds
+        # are compared by cross-multiplication, den > 0 cancelling.
+        lo_num = hi_num = None
         lo_strict = hi_strict = False
         for row, strict in system:
             a = row[-1]
@@ -168,25 +176,37 @@ def fm_witness(constraints, nvars: int) -> tuple[Fraction, ...] | None:
                 continue
             # zip stops before a: rest = den * (const + sum_j c_j v_j).
             rest = sum(map(mul, row, point))
-            bound = Fraction(-rest, a * den)
             if a > 0:
-                if lo is None or bound > lo or (bound == lo and strict):
-                    lo, lo_strict = bound, strict
+                # v >= -rest / (a * den)
+                if lo_num is None:
+                    lo_num, lo_q, lo_strict = -rest, a, strict
+                else:
+                    diff = -rest * lo_q - lo_num * a
+                    if diff > 0 or (diff == 0 and strict):
+                        lo_num, lo_q, lo_strict = -rest, a, strict
             else:
-                if hi is None or bound < hi or (bound == hi and strict):
-                    hi, hi_strict = bound, strict
-        if lo is None and hi is None:
+                # v <= rest / (-a * den)
+                if hi_num is None:
+                    hi_num, hi_q, hi_strict = rest, -a, strict
+                else:
+                    diff = rest * hi_q + hi_num * a
+                    if diff < 0 or (diff == 0 and strict):
+                        hi_num, hi_q, hi_strict = rest, -a, strict
+        if lo_num is None and hi_num is None:
             value = Fraction(0)
-        elif hi is None:
-            value = lo + 1 if lo_strict else lo
-        elif lo is None:
-            value = hi - 1 if hi_strict else hi
-        elif lo == hi:
+        elif hi_num is None:
+            q = lo_q * den
+            value = Fraction(lo_num + q if lo_strict else lo_num, q)
+        elif lo_num is None:
+            q = hi_q * den
+            value = Fraction(hi_num - q if hi_strict else hi_num, q)
+        elif lo_num * hi_q == hi_num * lo_q:
             if lo_strict or hi_strict:
                 return None
-            value = lo
+            value = Fraction(lo_num, lo_q * den)
         else:
-            value = (lo + hi) / 2
+            value = Fraction(lo_num * hi_q + hi_num * lo_q,
+                             2 * lo_q * hi_q * den)
         values.append(value)
         scale = value.denominator // math.gcd(den, value.denominator)
         if scale > 1:
@@ -311,30 +331,37 @@ def _integer_vector(values) -> list[int]:
 
 class _ComplementClosedWitnesses(Mapping):
     """The witnesses of a labeling set closed under complement, given the
-    hypotheses of its labelings whose first bit is 0, in lexicographic
+    parameters of its labelings whose first bit is 0, in lexicographic
     order.  The complements follow them, so the keys stay in lexicographic
-    order; ``solve`` builds a complement's hypothesis when it is first read,
-    and it is kept (None there, an infeasible complement, is a bug).
-    ``in``, ``len`` and iteration solve nothing."""
+    order.  A labeling's hypothesis is built by ``build`` when it is first
+    read, and kept; a complement's parameters come from ``solve`` then
+    (None there, an infeasible complement, is a bug).  ``in``, ``len`` and
+    iteration solve and build nothing."""
 
-    def __init__(self, first_zero: dict[Labeling, Hypothesis],
-                 solve: Callable[[Labeling], Hypothesis | None]):
-        self._hypotheses = first_zero
+    def __init__(self, first_zero: dict[Labeling, tuple],
+                 solve: Callable[[Labeling], tuple | None],
+                 build: Callable[[tuple], Hypothesis]):
+        self._params = first_zero
+        self._hypotheses: dict[Labeling, Hypothesis] = {}
         self._keys = (*first_zero, *(tuple(1 - b for b in lab)
                                      for lab in reversed(first_zero)))
         self._realized = frozenset(self._keys)
         self._solve = solve
+        self._build = build
 
     def __getitem__(self, labeling: Labeling) -> Hypothesis:
         h = self._hypotheses.get(labeling)
         if h is None:
             if labeling not in self._realized:
                 raise KeyError(labeling)
-            h = self._solve(labeling)
-            if h is None:
-                raise AssertionError(f"labeling {labeling} is the complement "
-                                     f"of a realized one but is infeasible")
-            self._hypotheses[labeling] = h
+            params = self._params.get(labeling)
+            if params is None:
+                params = self._solve(labeling)
+                if params is None:
+                    raise AssertionError(
+                        f"labeling {labeling} is the complement of a "
+                        f"realized one but is infeasible")
+            h = self._hypotheses[labeling] = self._build(params)
         return h
 
     def __contains__(self, labeling) -> bool:
@@ -383,9 +410,12 @@ class HalfspaceSpace(HypothesisSpace):
         return self.hypothesis(key)
 
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
-        """Fourier-Motzkin decides the labelings whose first bit is 0; each
-        realized one brings its complement, whose witness is eliminated
-        from the same constraint list as in a full sweep when it is read."""
+        """Fourier-Motzkin decides the labelings whose first bit is 0, and
+        each witness is checked in integers then; each realized labeling
+        brings its complement, whose witness is eliminated from the same
+        constraint list as in a full sweep, and checked, when it is read.
+        The table keeps parameter tuples and builds a labeling's
+        ``Hypothesis`` when it is first read."""
         instances = check_instance_tuple(instances)
         points = []
         for x in instances:
@@ -400,7 +430,7 @@ class HalfspaceSpace(HypothesisSpace):
         # have a dot product of the same sign as w.x + b.
         rows = [_integer_vector((*x, 1)) for x in points]
 
-        def witness(labeling: Labeling) -> Hypothesis | None:
+        def witness(labeling: Labeling) -> tuple[Fraction, ...] | None:
             params = fm_witness([pair[lab] for pair, lab
                                  in zip(pairs, labeling)], self.dim + 1)
             if params is None:
@@ -409,14 +439,15 @@ class HalfspaceSpace(HypothesisSpace):
             if tuple(1 if sum(map(mul, scaled, row)) >= 0 else 0
                      for row in rows) != labeling:
                 raise AssertionError("halfspace witness failed verification")
-            return self.hypothesis(params)
+            return params
 
         first_zero = {}
         for rest in product((0, 1), repeat=len(points) - 1):
             labeling = (0, *rest)
-            h = witness(labeling)
-            if h is not None:
-                first_zero[labeling] = h
+            params = witness(labeling)
+            if params is not None:
+                first_zero[labeling] = params
         return DichotomyTable(
-            instances, _ComplementClosedWitnesses(first_zero, witness),
+            instances,
+            _ComplementClosedWitnesses(first_zero, witness, self.hypothesis),
             exact=True)

@@ -422,6 +422,57 @@ class TestCli:
             assert code == 2, obj
             assert f"'{field}' field" in capsys.readouterr().err, obj
 
+    def test_non_integral_or_non_bit_values_exit_2_naming_them(self, workdir,
+                                                              capsys):
+        """Integer fields and bits are not truncated: 2.7, 1.5 and a budget
+        below 1 are bad input, reported by name; integral 2.0 is read as
+        2."""
+        space, dist = str(workdir / "space.json"), str(workdir / "dist.json")
+        formula = {"kind": "formula-defined",
+                   "formula": "not (a <= x and x <= b)",
+                   "objects": ["x"], "params": ["a", "b"]}
+        cases = [
+            ("space", {"kind": "halfspace-family", "dim": 2.7}, "'dim'"),
+            ("space", {"kind": "halfspace-family", "dim": "2"}, "'dim'"),
+            ("space", {"kind": "finite-explicit", "instances": [1, 2],
+                       "hypotheses": [[0, 1.5]]}, "'hypotheses'"),
+            ("space", {"kind": "finite-explicit", "instances": [1, 2],
+                       "hypotheses": [[0, 2]]}, "'hypotheses'"),
+            ("space", {**formula, "source": {"type": "sampled",
+                                             "budget": -5}}, "budget"),
+            ("space", {**formula, "source": {"type": "sampled",
+                                             "budget": 0}}, "budget"),
+            ("space", {**formula, "source": {"type": "sampled",
+                                             "budget": 10.5}}, "'budget'"),
+            ("space", {**formula, "source": {"type": "sampled",
+                                             "seed": 1.5}}, "'seed'"),
+            ("dist", {"support": [[1, 1.5]], "weights": ["1"]}, "'support'"),
+            ("learner", {"type": "table", "table": [],
+                         "default": [1, 1, 0.5, 0]}, "'default'"),
+        ]
+        for what, obj, field in cases:
+            bad = workdir / "bad.json"
+            bad.write_text(json.dumps(obj))
+            argv = {"space": ("vcdim", "--space", str(bad), "--pool", "1;2"),
+                    "dist": ("ucp-sim", "--space", space, "--dist", str(bad),
+                             "--m", "2", "--eps", "0.5"),
+                    "learner": ("pac-sim", "--space", space, "--dist", dist,
+                                "--m", "2", "--eps", "0.5",
+                                "--learner", f"file:{bad}")}[what]
+            code, _ = run(workdir, *argv)
+            assert code == 2, obj
+            assert field in capsys.readouterr().err, obj
+        code, _ = run(workdir, "formula", "space", "--text", "a <= x",
+                      "--objects", "x", "--params", "a", "--pool", "1;2",
+                      "--budget", "0")
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+        halfspace = workdir / "halfspace.json"
+        halfspace.write_text('{"kind": "halfspace-family", "dim": 2.0}')
+        code, payload = run(workdir, "vcdim", "--space", str(halfspace),
+                            "--pool", "0,0;1,0;0,1")
+        assert code == 0 and payload["result"]["value"] == 3
+
     def test_internal_type_or_key_error_is_not_bad_input(self, workdir,
                                                          monkeypatch):
         """Only ValueError and the package's own errors mean bad input; a

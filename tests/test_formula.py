@@ -341,6 +341,12 @@ def declared_fm_witness(pool, index, labeling):
 
 
 class TestDefinableSpace:
+    def test_sampled_budget_below_one_rejected(self):
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget"):
+                SampledParams(budget=budget)
+        assert SampledParams(budget=1).budget == 1
+
     def test_grid_cosingletons(self):
         ast = parse_formula("x != p", ["x"], ["p"])
         space = definable_space(ast, ExplicitParams.grid([[0, 1, 2]]))
@@ -582,9 +588,9 @@ def test_label_columns_match_first_witnesses(data):
                       vclab.formula._candidate_parameters(ast, pool, source))
         want = reference_first_witnesses(predicate, pool, candidates)
         if finite:
-            assert list(space._least_witnesses(pool, source.tuples,
-                                               space._columns).items()) == \
-                list(want.items())
+            assert list(space._least_witnesses(
+                pool, source.tuples, space._columns,
+                space._values).items()) == list(want.items())
         if xs:
             table = space.dichotomies(points(*xs))
             assert table.exact == finite
@@ -593,15 +599,17 @@ def test_label_columns_match_first_witnesses(data):
 
 
 def count_predicate_calls(space: DefinableSpace) -> Counter:
-    """Make the space count its predicate calls per (point, candidate)."""
+    """Make the space count its formula evaluations per (point, candidate):
+    ``_holds`` gets the converted values (*x, *w), which equal the exact
+    inputs on the exact backend."""
     calls = Counter()
-    predicate = space._predicate
+    holds, arity = space._holds, space.ast.arity
 
-    def counted(x, w):
-        calls[tuple(x), tuple(w)] += 1
-        return predicate(x, w)
+    def counted(values):
+        calls[tuple(values[:arity]), tuple(values[arity:])] += 1
+        return holds(values)
 
-    space._predicate = counted
+    space._holds = counted
     return calls
 
 
@@ -644,6 +652,58 @@ class TestLabelColumns:
             per_point = Counter(x for x, _ in calls)
             assert set(per_point) == {x.coords for x in pool}
             assert max(per_point.values()) <= max(64, 2 * k)
+
+
+class TestConvertedValues:
+    """A space converts each point once per query and each candidate once
+    per list, then evaluates the compiled tree; its tables must be the
+    first witnesses of the public predicate, which converts on every
+    call, on both backends and for every kind of source."""
+
+    AXIS = [F(k, 3) for k in range(-4, 5)]
+    POOL = points(F(1, 10), F(1, 3), F(-2, 3), 1)
+
+    def sources(self):
+        return [ExplicitParams.of([(a, b) for a in self.AXIS
+                                   for b in self.AXIS[::3]]),
+                ExplicitParams.grid([self.AXIS, self.AXIS]),
+                SampledParams(budget=300, seed=1)]
+
+    def test_tables_match_the_public_predicate(self):
+        for text, backend in [("a * x <= b or x = a", "exact"),
+                              ("a * x <= b or x = a", "float"),
+                              ("exp(a * x) <= b + x", "float")]:
+            ast = parse_formula(text, ["x"], ["a", "b"])
+            predicate = compile_formula(ast, backend)
+            for source in self.sources():
+                space = DefinableSpace(ast, source, backend)
+                assert space.closed_form is None
+                for pool in (self.POOL[:2], self.POOL, self.POOL[1:]):
+                    coords = [x.coords for x in pool]
+                    candidates = (
+                        source.tuples if isinstance(source, ExplicitParams)
+                        else vclab.formula._candidate_parameters(
+                            ast, coords, source))
+                    want = reference_first_witnesses(predicate, coords,
+                                                      candidates)
+                    table = space.dichotomies(pool)
+                    assert [(lab, h.key[1:]) for lab, h
+                            in table.witnesses.items()] == \
+                        list(want.items()), (text, backend, source)
+                    for lab, h in table.witnesses.items():
+                        assert tuple(h(x) for x in pool) == lab
+
+    def test_float_backend_rounds_once(self):
+        """1/10 + 1/5 = 3/10 holds exactly but not in doubles."""
+        ast = parse_formula("x + b = a", ["x"], ["a", "b"])
+        source = ExplicitParams.of([(F(3, 10), F(1, 5))])
+        x, w = (F(1, 10),), source.tuples[0]
+        for backend, label in (("exact", 1), ("float", 0)):
+            assert compile_formula(ast, backend)(x, w) == bool(label)
+            table = DefinableSpace(ast, source, backend).dichotomies(
+                points(x[0]))
+            assert table.labelings == {(label,)}
+            assert table.witnesses[(label,)](Instance.point(*x)) == label
 
 
 class TestAffineOracle:

@@ -335,6 +335,21 @@ class TestInstances:
         with pytest.raises(ValueError):
             Sample(X0, 2)
 
+    def test_bits_and_labels_are_not_truncated(self):
+        """1.5 is not read as 1, anywhere a bit or label is read; values
+        equal to 0 or 1 are."""
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            MultiSample.of((X0, 1.5))
+        with pytest.raises(ValueError, match="bit-vector entry"):
+            ExplicitSpace([X0], [[1.5]])
+        space = ExplicitSpace(atoms(2), [[True, 0.0], [1, 1]])
+        assert len(space) == 2
+        assert space.hypothesis_from_bits((1.0, False)).key == \
+            ("explicit", (1, 0))
+        for bits in [(1.5, 0), ("1", 0)]:
+            with pytest.raises(ValueError, match="bit-vector entry"):
+                space.hypothesis_from_bits(bits)
+
     def test_equal_instances_hash_equal(self):
         ones = [Instance.point(1), Instance.point("1"), Instance.point(1.0),
                 Instance.point(F(2, 2))]

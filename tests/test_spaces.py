@@ -113,6 +113,25 @@ class TestFmWitness:
                 assert fm_witness(lower[:1] + upper[:1], 1) == \
                     (None if strict_first else (F(c),))
 
+    def test_strict_bound_wins_a_tie_between_unreduced_bounds(self):
+        # v0 = 1/2 is solved first, so v1's bounds are weighed over the
+        # common denominator 2.  v1 + v0 - 1 >= 0 and 2 v1 + c v0 + k >= 0
+        # (k = -1 - c/2) both bound v1 by 1/2, written over different
+        # denominators; the strict one decides the witness, one step past
+        # the tie, in whichever order the rows are met.
+        fix = [((F(2), F(0)), F(-1), False), ((F(-2), F(0)), F(1), False)]
+        for sign in (1, -1):
+            for c in (0, 4, 8, -4, -8):
+                for strict_first in (False, True):
+                    ties = [((F(sign), F(sign)), F(-sign), strict_first),
+                            ((F(sign * c), F(2 * sign)),
+                             F(-sign * (2 + c), 2), not strict_first)]
+                    constraints = fix + ties
+                    want = (F(1, 2), F(1, 2) + sign)
+                    assert reference_fm_witness(constraints, 2) == want
+                    assert fm_witness(constraints, 2) == want
+                    assert fm_witness(fix + ties[::-1], 2) == want
+
     def test_random_systems_verified(self):
         rng = random.Random(63)
         feasible = 0
@@ -176,6 +195,31 @@ def test_fm_witness_matches_fraction_reference(data):
     got = fm_witness(constraints, nvars)
     assert got == reference_fm_witness(constraints, nvars)
     assert got is None or all(type(v) is F for v in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tied_bounds_over_a_common_denominator(data):
+    """v0 is fixed to a fraction p/d with d > 1, and v1 gets two lower (or
+    two upper) bounds of one value t, one strict and one not, from
+    different primitive rows, so they meet as unequal (num, q) pairs over
+    the denominator d.  The strict one wins the tie: v1 = t + 1 (t - 1),
+    the reference's witness."""
+    v0 = data.draw(RATIONALS)
+    assume(v0.denominator > 1)
+    t = data.draw(RATIONALS)
+    sign = data.draw(st.sampled_from([1, -1]))
+    constraints = [((F(1), F(0)), -v0, False), ((F(-1), F(0)), v0, False)]
+    for strict in data.draw(st.permutations([False, True])):
+        a = sign * data.draw(st.integers(1, 6))
+        c = data.draw(RATIONALS)
+        # c v0 + a v1 + k = 0 at v1 = t, and a v1 >= -c v0 - k bounds v1
+        # from below when a > 0, from above when a < 0.
+        constraints.append(((c, F(a)), -a * t - c * v0, strict))
+    assume(vclab.spaces._primitive(*constraints[2][:2]) !=
+           vclab.spaces._primitive(*constraints[3][:2]))
+    got = fm_witness(constraints, 2)
+    assert got == reference_fm_witness(constraints, 2) == (v0, t + sign)
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,6 +379,43 @@ class TestComplementClosure:
         self._check_raises(tmp_path, "complement of a realized one")
 
 
+class TestDeferredHypotheses:
+    """A halfspace table keeps each witness as a parameter tuple and builds
+    its ``Hypothesis`` when it is first read."""
+
+    PTS = TestComplementClosure.PTS
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        hypothesis = HalfspaceSpace.hypothesis
+
+        def counted(space, params):
+            calls.append(params)
+            return hypothesis(space, params)
+        monkeypatch.setattr(HalfspaceSpace, "hypothesis", counted)
+        return calls
+
+    def test_count_builds_none(self, built):
+        space = HalfspaceSpace(2)
+        sweep = halfspace_dichotomies([(0, (*p.coords, 1)) for p in self.PTS])
+        assert space.dichotomy_count(self.PTS) == len(sweep) == 20
+        table = space.dichotomies(self.PTS)
+        assert len(table) == 20 and (0,) * 5 in table
+        assert list(table.witnesses) == sorted(table.witnesses)
+        assert built == []
+
+    def test_each_read_builds_one_once(self, built):
+        table = HalfspaceSpace(2).dichotomies(self.PTS)
+        for lab in ((0,) * 5, (1,) * 5):
+            h = table.witnesses[lab]
+            assert tuple(h(x) for x in self.PTS) == lab
+            assert len(built) == 1 and built[0] == h.key[1:]
+            assert table.witnesses[lab] is h
+            assert len(built) == 1
+            built.clear()
+
+
 class TestWitnessCheck:
     """HalfspaceSpace re-checks every witness against integer rows it builds
     from the coordinates itself, apart from the elimination and the rows
@@ -354,12 +435,21 @@ class TestWitnessCheck:
                                            Instance.point(1, 0),
                                            Instance.point(0, 1)])
 
+    def test_dichotomy_count_raises(self, negated_witnesses):
+        """The check runs when a labeling is solved, not when its
+        hypothesis is read, so a count that reads none still makes it."""
+        with pytest.raises(AssertionError, match="failed verification"):
+            HalfspaceSpace(2).dichotomy_count([Instance.point(0, 0),
+                                               Instance.point(1, 0),
+                                               Instance.point(0, 1)])
+
     def test_cli_does_not_exit_2(self, negated_witnesses, tmp_path):
         (tmp_path / "space.json").write_text(
             '{"kind": "halfspace-family", "dim": 2}')
-        with pytest.raises(AssertionError):
-            main(["vcdim", "--space", str(tmp_path / "space.json"),
-                  "--pool", "0,0;1,0;0,1", "--out", str(tmp_path)])
+        for argv in (["vcdim"], ["growth", "--m", "3"]):
+            with pytest.raises(AssertionError, match="failed verification"):
+                main([*argv, "--space", str(tmp_path / "space.json"),
+                      "--pool", "0,0;1,0;0,1", "--out", str(tmp_path)])
 
     @pytest.fixture
     def denominators_dropped(self, monkeypatch):
