@@ -239,11 +239,14 @@ def _cmd_nfl(args):
     else:
         instances = [as_instance(i) for i in range(2 * args.m)]
     if args.space == "full":
-        space = ExplicitSpace.full(instances)
+        # The full class is implied, and built once m and the instances
+        # are known to be valid.
+        inst = build_nfl_instance(instances, args.m)
+        space = ExplicitSpace.full(inst.instances)
     else:
         space = space_from_json(_load_json(args.space))
         inputs.append(args.space)
-    inst = build_nfl_instance(instances, args.m, ambient=space)
+        inst = build_nfl_instance(instances, args.m, ambient=space)
     learner = _resolve_learner(args.learner, space)
     report = nfl_report(learner, inst, allow_large=args.allow_large)
     if args.learner.startswith("file:"):

@@ -80,12 +80,14 @@ def vc_dimension(space: HypothesisSpace, pool: Sequence[Instance],
     ``ExplicitSpace`` search also ends at floor(log2 |H|), since shattering
     d points takes 2^d hypotheses (Linial, Mansour and Rivest 1991); a set
     of that size is the exact VC dimension.  Each subset tested costs one
-    node against ``node_budget``.
+    node against ``node_budget``, which must be >= 1 when given.
     """
     pool = tuple(sorted(check_instance_tuple(pool), key=Instance.sort_key))
     max_size = len(pool) if limit is None else min(limit, len(pool))
     if max_size < 0:
         raise ValueError("limit must be >= 0")
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"the node budget must be >= 1, got {node_budget}")
     log2_size = (len(space).bit_length() - 1
                  if isinstance(space, ExplicitSpace) else None)
 

@@ -127,9 +127,9 @@ def build_nfl_instance(instances: Sequence, m: int,
     When an ambient space is supplied it must shatter the instance set
     (verified); otherwise the full class over the instances is implied.
     """
-    points = check_instance_tuple([as_instance(x) for x in instances])
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ValueError(f"m must be >= 1, got {m}")
+    points = check_instance_tuple([as_instance(x) for x in instances])
     if len(points) != 2 * m:
         raise ValueError(f"need exactly 2m = {2 * m} distinct instances, "
                          f"got {len(points)}")

@@ -11,19 +11,20 @@ together with a witness parameter chosen by a fixed rule, exactly:
 
 Threshold, interval and co-singleton enumeration is combinatorial on the
 sorted points.  ``halfspace_dichotomies`` takes affine functions of the
-parameters (the rows (x, 1) of halfspaces, or a formula atom affine in
-its parameters) and decides each candidate labeling by exact
-Fourier-Motzkin elimination (strict inequalities included) on primitive
-integer rows, each built once for all labelings, which also produces an
-exact rational witness.  Elimination and back-substitution both run in
-integers; a ``Fraction`` is built only for the value chosen per variable.
-``HalfspaceSpace`` solves only the labelings whose first bit is 0: the
-halfspace labelings of a finite point set are closed under complement, so
-each complement is known to be realized, and its witness is eliminated
-when it is first read.  Every witness is checked again in integers when it
-is solved, against rows built apart from the ones the elimination uses;
-the table keeps parameter tuples and builds a ``Hypothesis`` only when a
-witness is read.
+parameters (a formula atom affine in its parameters) and decides each
+candidate labeling by exact Fourier-Motzkin elimination (strict
+inequalities included).  ``fm_witness`` works in integers from input to
+output: it takes primitive integer rows, made primitive once where they
+are built, and returns an integer point (den, n_1, ..., n_k) standing for
+the exact rational witness v_i = n_i / den; ``halfspace_dichotomies``
+turns that point into Fractions.  ``HalfspaceSpace`` keeps each instance
+point's rows for its lifetime and solves only the labelings whose first
+bit is 0: the halfspace labelings of a finite point set are closed under
+complement, so each complement is known to be realized, and its witness is
+eliminated when it is first read.  Every witness point is checked again in
+integers when it is solved, against check rows built apart from the ones
+the elimination uses; the table keeps integer points and builds Fractions
+and a ``Hypothesis`` only when a witness is read.
 """
 
 from __future__ import annotations
@@ -100,10 +101,12 @@ def cosingleton_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Frac
 # ---------------------------------------------------------------------------
 # Exact Fourier-Motzkin elimination on integer rows
 
-# A constraint is (coeffs, const, strict) encoding  coeffs.v + const >= 0,
-# or > 0 when strict.  Inside fm_witness it becomes (row, strict) with the
-# primitive integer row (const, c_1, ..., c_k): the constant first, then the
-# coefficient of each variable still present, the last one eliminated next.
+# A constraint is (row, strict) with the primitive integer row
+# (const, c_1, ..., c_k), encoding  const + c . v >= 0,  or > 0 when strict:
+# the constant first, then the coefficient of each variable still present,
+# the last one eliminated next.  A point is (den, n_1, ..., n_k) with
+# den > 0, standing for v_i = n_i / den, so const + c . v has the sign of
+# the row's dot product with the point.
 
 
 def _primitive(coeffs, const) -> tuple[int, ...]:
@@ -117,25 +120,26 @@ def _primitive(coeffs, const) -> tuple[int, ...]:
     return tuple([v // g for v in ints] if g > 1 else ints)
 
 
-def fm_witness(constraints, nvars: int) -> tuple[Fraction, ...] | None:
-    """Find a rational point satisfying all linear constraints, or None.
+def fm_witness(system, nvars: int) -> tuple[int, ...] | None:
+    """Find an integer point (den, n_1, ..., n_k), den > 0, whose rational
+    point v_i = n_i / den satisfies every constraint of ``system``, or None.
 
-    Each constraint (coeffs, const, strict), with int or Fraction entries,
-    is scaled once to a primitive integer row.  Variables are eliminated
-    from the highest index down on those rows, every combination reduced by
-    its gcd and the rows of each stage deduplicated in a set.
-    Back-substitution takes, per variable, the largest lower and the
-    smallest upper bound (a strict bound wins a tie), then the bound itself,
-    the bound plus or minus 1 when it is strict and one-sided, the midpoint,
-    or 0 when unbounded.  The values found so far are carried as integer
-    numerators over one common denominator, each bound as an integer pair
-    over it, and bounds are compared by cross-multiplication; only the
-    chosen value of each variable becomes a Fraction.  The point is checked
-    against the input system in integers before it is returned as exact
-    Fractions.
+    ``system`` holds (row, strict) pairs whose rows (const, c_1, ..., c_k)
+    are already primitive integer rows (``_primitive``); they are used as
+    given.  Variables are eliminated from the highest index down, every
+    combination reduced by its gcd and the rows of each stage deduplicated
+    in a set.  Back-substitution takes, per variable, the largest lower and
+    the smallest upper bound (a strict bound wins a tie), then the bound
+    itself, the bound plus or minus 1 when it is strict and one-sided, the
+    midpoint, or 0 when unbounded.  The values found so far are carried as
+    integer numerators over one common denominator, each bound as an
+    integer pair over it, and bounds are compared by cross-multiplication;
+    the chosen value is reduced by its gcd, so ``den`` is the lcm of the
+    reduced denominators and each n_i / den is the value a Fraction
+    elimination chooses.  The point is checked against the input system in
+    integers before it is returned.
     """
-    initial = system = {(_primitive(coeffs, const), strict)
-                        for coeffs, const, strict in constraints}
+    initial = system = set(system)
     systems = []
     for _ in range(nvars):
         systems.append(system)
@@ -161,9 +165,7 @@ def fm_witness(constraints, nvars: int) -> tuple[Fraction, ...] | None:
     for (const,), strict in system:
         if const < 0 or (strict and const == 0):
             return None
-    # point = (den, n_1, ..., n_k): the values found so far are n_j / den.
     point = [1]
-    values: list[Fraction] = []
     for system in reversed(systems):
         den = point[0]
         # A bound is num / (q * den) with q > 0, kept as (num, q); bounds
@@ -192,59 +194,66 @@ def fm_witness(constraints, nvars: int) -> tuple[Fraction, ...] | None:
                     diff = rest * hi_q + hi_num * a
                     if diff < 0 or (diff == 0 and strict):
                         hi_num, hi_q, hi_strict = rest, -a, strict
+        # The value is num / q with q > 0.
         if lo_num is None and hi_num is None:
-            value = Fraction(0)
+            num, q = 0, 1
         elif hi_num is None:
             q = lo_q * den
-            value = Fraction(lo_num + q if lo_strict else lo_num, q)
+            num = lo_num + q if lo_strict else lo_num
         elif lo_num is None:
             q = hi_q * den
-            value = Fraction(hi_num - q if hi_strict else hi_num, q)
+            num = hi_num - q if hi_strict else hi_num
         elif lo_num * hi_q == hi_num * lo_q:
             if lo_strict or hi_strict:
                 return None
-            value = Fraction(lo_num, lo_q * den)
+            num, q = lo_num, lo_q * den
         else:
-            value = Fraction(lo_num * hi_q + hi_num * lo_q,
-                             2 * lo_q * hi_q * den)
-        values.append(value)
-        scale = value.denominator // math.gcd(den, value.denominator)
+            num, q = lo_num * hi_q + hi_num * lo_q, 2 * lo_q * hi_q * den
+        g = math.gcd(num, q)
+        if g > 1:
+            num //= g
+            q //= g
+        scale = q // math.gcd(den, q)
         if scale > 1:
             point = [v * scale for v in point]
-        point.append(value.numerator * (point[0] // value.denominator))
+        point.append(num * (point[0] // q))
     for row, strict in initial:
         total = sum(map(mul, row, point))
         if total < 0 or (strict and total == 0):
             return None
-    return tuple(values)
+    return tuple(point)
+
+
+def _fractions(point: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The rational values (n_1 / den, ..., n_k / den) of an integer point."""
+    den = point[0]
+    return tuple(Fraction(n, den) for n in point[1:])
 
 
 def halfspace_dichotomies(rows, strict: bool = False
                           ) -> list[tuple[Labeling, tuple[Fraction, ...]]]:
     """Every labeling of the rows (const, coeffs), of int or Fraction
     entries and one length of coeffs, that some rational v realizes, with
-    the v ``fm_witness`` finds: label 1 means const + coeffs . v >= 0
-    (> 0 when ``strict``), label 0 the negation.  Needs at least one row."""
+    the v ``fm_witness`` finds, as Fractions: label 1 means
+    const + coeffs . v >= 0 (> 0 when ``strict``), label 0 the negation.
+    Each row is made primitive once for all labelings.  Needs at least one
+    row."""
     nvars = len(rows[0][1])
-    pairs = _constraint_pairs(rows, strict)
+    pairs = [_constraint_pair(const, coeffs, strict) for const, coeffs in rows]
     out = []
     for labeling in product((0, 1), repeat=len(rows)):
-        constraints = [pair[lab] for pair, lab in zip(pairs, labeling)]
-        witness = fm_witness(constraints, nvars)
-        if witness is not None:
-            out.append((labeling, witness))
+        point = fm_witness([pair[lab] for pair, lab in zip(pairs, labeling)],
+                           nvars)
+        if point is not None:
+            out.append((labeling, _fractions(point)))
     return out
 
 
-def _constraint_pairs(rows, strict: bool) -> list[tuple[tuple, tuple]]:
-    """Per row (const, coeffs): the primitive integer constraint of label 0
-    and of label 1, built once for all labelings."""
-    pairs = []
-    for const, coeffs in rows:
-        const, *coeffs = _primitive(coeffs, const)
-        pairs.append(((tuple(-c for c in coeffs), -const, not strict),
-                      (tuple(coeffs), const, strict)))
-    return pairs
+def _constraint_pair(const, coeffs, strict: bool) -> tuple[tuple, tuple]:
+    """The primitive integer constraints of label 0 and of label 1 of the
+    affine function const + coeffs . v (>= 0, or > 0 when ``strict``)."""
+    row = _primitive(coeffs, const)
+    return (tuple([-v for v in row]), not strict), (row, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +340,18 @@ def _integer_vector(values) -> list[int]:
 
 class _ComplementClosedWitnesses(Mapping):
     """The witnesses of a labeling set closed under complement, given the
-    parameters of its labelings whose first bit is 0, in lexicographic
-    order.  The complements follow them, so the keys stay in lexicographic
-    order.  A labeling's hypothesis is built by ``build`` when it is first
-    read, and kept; a complement's parameters come from ``solve`` then
-    (None there, an infeasible complement, is a bug).  ``in``, ``len`` and
-    iteration solve and build nothing."""
+    integer points (``fm_witness``'s (den, n_1, ..., n_k)) of its labelings
+    whose first bit is 0, in lexicographic order.  The complements follow
+    them, so the keys stay in lexicographic order.  When a labeling is
+    first read, its point is turned into Fractions and those into a
+    hypothesis by ``build``, which is kept; a complement's point comes from
+    ``solve`` then (None there, an infeasible complement, is a bug).
+    ``in``, ``len`` and iteration solve and build nothing."""
 
-    def __init__(self, first_zero: dict[Labeling, tuple],
-                 solve: Callable[[Labeling], tuple | None],
-                 build: Callable[[tuple], Hypothesis]):
-        self._params = first_zero
+    def __init__(self, first_zero: dict[Labeling, tuple[int, ...]],
+                 solve: Callable[[Labeling], tuple[int, ...] | None],
+                 build: Callable[[tuple[Fraction, ...]], Hypothesis]):
+        self._points = first_zero
         self._hypotheses: dict[Labeling, Hypothesis] = {}
         self._keys = (*first_zero, *(tuple(1 - b for b in lab)
                                      for lab in reversed(first_zero)))
@@ -354,14 +364,14 @@ class _ComplementClosedWitnesses(Mapping):
         if h is None:
             if labeling not in self._realized:
                 raise KeyError(labeling)
-            params = self._params.get(labeling)
-            if params is None:
-                params = self._solve(labeling)
-                if params is None:
+            point = self._points.get(labeling)
+            if point is None:
+                point = self._solve(labeling)
+                if point is None:
                     raise AssertionError(
                         f"labeling {labeling} is the complement of a "
                         f"realized one but is infeasible")
-            h = self._hypotheses[labeling] = self._build(params)
+            h = self._hypotheses[labeling] = self._build(_fractions(point))
         return h
 
     def __contains__(self, labeling) -> bool:
@@ -380,6 +390,10 @@ class HalfspaceSpace(HypothesisSpace):
     On finitely many points the labelings are closed under complement: if
     (w, b) realizes L, then (-w, -b - e) realizes its complement for any
     0 < e <= min |w.x + b| over the points w.x + b < 0 (or e = 1 if none).
+
+    The space keeps, for its whole lifetime, each instance point's rows:
+    the primitive constraint pair that ``fm_witness`` reads and, built
+    apart from it, the integer check row (x, 1) scaled to integers.
     """
 
     kind = "halfspace-family"
@@ -388,6 +402,8 @@ class HalfspaceSpace(HypothesisSpace):
         if dim < 1:
             raise ValueError("halfspace dimension must be >= 1")
         self.dim = dim
+        # point -> (constraint pair of labels 0 and 1, integer check row)
+        self._rows: dict[Instance, tuple[tuple, list[int]]] = {}
 
     def known_vc(self) -> int:
         return self.dim + 1
@@ -409,44 +425,47 @@ class HalfspaceSpace(HypothesisSpace):
     def hypothesis_from_key(self, key) -> Hypothesis:
         return self.hypothesis(key)
 
-    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
-        """Fourier-Motzkin decides the labelings whose first bit is 0, and
-        each witness is checked in integers then; each realized labeling
-        brings its complement, whose witness is eliminated from the same
-        constraint list as in a full sweep, and checked, when it is read.
-        The table keeps parameter tuples and builds a labeling's
-        ``Hypothesis`` when it is first read."""
-        instances = check_instance_tuple(instances)
-        points = []
-        for x in instances:
+    def _point_rows(self, x: Instance) -> tuple[tuple, list[int]]:
+        rows = self._rows.get(x)
+        if rows is None:
             coords = x.coords
             if len(coords) != self.dim:
                 raise ValueError(f"instance {x} is not {self.dim}-dimensional")
-            points.append(coords)
-        pairs = _constraint_pairs([(0, (*x, 1)) for x in points],
-                                  strict=False)
-        # Every witness is checked apart from the elimination and its rows:
-        # (x, 1) and (w, b), each scaled by a positive integer to integers,
-        # have a dot product of the same sign as w.x + b.
-        rows = [_integer_vector((*x, 1)) for x in points]
+            rows = self._rows[x] = (_constraint_pair(0, (*coords, 1), False),
+                                    _integer_vector((*coords, 1)))
+        return rows
 
-        def witness(labeling: Labeling) -> tuple[Fraction, ...] | None:
-            params = fm_witness([pair[lab] for pair, lab
-                                 in zip(pairs, labeling)], self.dim + 1)
-            if params is None:
+    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+        """Fourier-Motzkin decides the labelings whose first bit is 0, on
+        each point's kept constraint pair.  Each integer point
+        (den, den*w, den*b) it returns is checked then, apart from the
+        elimination and its rows: with den > 0, the dot product of
+        (den*w, den*b) with a point's check row has the sign of w.x + b.
+        Each realized labeling brings its complement, whose point is
+        eliminated from the same constraints as in a full sweep, and
+        checked, when it is read.  The table keeps integer points and
+        builds a labeling's ``Hypothesis`` when it is first read."""
+        instances = check_instance_tuple(instances)
+        pairs, checks = zip(*map(self._point_rows, instances))
+        nvars = self.dim + 1
+
+        def witness(labeling: Labeling) -> tuple[int, ...] | None:
+            point = fm_witness([pair[lab] for pair, lab
+                                in zip(pairs, labeling)], nvars)
+            if point is None:
                 return None
-            scaled = _integer_vector(params)
-            if tuple(1 if sum(map(mul, scaled, row)) >= 0 else 0
-                     for row in rows) != labeling:
+            numerators = point[1:]
+            if tuple(1 if sum(map(mul, numerators, row)) >= 0 else 0
+                     for row in checks) != labeling:
                 raise AssertionError("halfspace witness failed verification")
-            return params
+            return point
 
         first_zero = {}
-        for rest in product((0, 1), repeat=len(points) - 1):
+        for rest in product((0, 1), repeat=len(instances) - 1):
             labeling = (0, *rest)
-            params = witness(labeling)
-            if params is not None:
-                first_zero[labeling] = params
+            point = witness(labeling)
+            if point is not None:
+                first_zero[labeling] = point
         return DichotomyTable(
             instances,
             _ComplementClosedWitnesses(first_zero, witness, self.hypothesis),

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+from vclab import spaces
 from vclab import (
     DiscreteDistribution,
     ExplicitSpace,
@@ -51,6 +52,21 @@ def random_distribution(rng: random.Random, instances,
 def random_multisample(rng: random.Random, instances, m: int) -> MultiSample:
     return MultiSample(tuple(
         Sample(rng.choice(instances), rng.randint(0, 1)) for _ in range(m)))
+
+
+def fm_solve(constraints, nvars):
+    """``fm_witness`` on constraints (coeffs, const, strict) of int or
+    Fraction entries: each is made the primitive row the kernel takes, and
+    the integer point it returns, (den, n_1, ..., n_k) with den > 0, is read
+    back as the Fractions n_i / den (or None)."""
+    point = spaces.fm_witness(
+        [(spaces._primitive(coeffs, const), strict)
+         for coeffs, const, strict in constraints], nvars)
+    if point is None:
+        return None
+    assert all(type(v) is int for v in point) and point[0] > 0
+    assert len(point) == nvars + 1
+    return tuple(Fraction(n, point[0]) for n in point[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,27 @@ class TestCli:
                             "--pool", "0,0;1,0;0,1")
         assert code == 0 and payload["result"]["value"] == 3
 
+    def test_vcdim_budget_below_one_exits_2(self, workdir, capsys):
+        """A node budget below 1 is bad input, in either spelling; it used
+        to run no subset and report value 0 as a lower bound."""
+        for budget in (("--budget", "0"), ("--budget=-3",)):
+            code, payload = run(workdir, "vcdim", "--space",
+                                str(workdir / "space.json"), "--pool",
+                                "1;2;3", *budget)
+            assert code == 2 and payload is None, budget
+            assert "node budget must be >= 1" in capsys.readouterr().err
+        code, payload = run(workdir, "vcdim", "--space",
+                            str(workdir / "space.json"), "--pool", "1;2;3",
+                            "--budget", "1")
+        assert code == 0 and payload["result"]["nodes_used"] == 1
+
+    def test_nfl_m_below_one_names_m(self, tmp_path, capsys):
+        for m in (("--m", "0"), ("--m=-1",)):
+            code, _ = run(tmp_path, "nfl", *m)
+            assert code == 2, m
+            err = capsys.readouterr().err
+            assert "m must be >= 1" in err and "non-empty" not in err, m
+
     def test_internal_type_or_key_error_is_not_bad_input(self, workdir,
                                                          monkeypatch):
         """Only ValueError and the package's own errors mean bad input; a

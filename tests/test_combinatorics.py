@@ -155,6 +155,13 @@ class TestVcDimension:
         assert verdict.status == "lower-bound"
         assert verdict.nodes_used <= 2
 
+    def test_budget_below_one_rejected(self):
+        space = ExplicitSpace.full(atoms(4))
+        for budget in (0, -3):
+            with pytest.raises(ValueError, match="node budget"):
+                vc_dimension(space, atoms(4), node_budget=budget)
+        assert vc_dimension(space, atoms(4), node_budget=1).nodes_used == 1
+
     def test_limit_caps_value(self):
         space = ExplicitSpace.full(atoms(4))
         verdict = vc_dimension(space, atoms(4), limit=2)

@@ -58,6 +58,13 @@ class TestBuildInstance:
         with pytest.raises(ValueError):
             build_nfl_instance(atoms(3), 1)
 
+    def test_m_below_one_named_before_the_instances(self):
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                build_nfl_instance([], m)
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                build_nfl_instance(atoms(2), m)
+
     def test_non_shattering_ambient_rejected(self):
         narrow = ExplicitSpace(atoms(2), [[0, 0], [1, 1]])
         with pytest.raises(ValueError):

@@ -17,8 +17,9 @@ from vclab import (
     ThresholdSpace,
 )
 from vclab.cli import main
+from vclab.combinatorics import vc_dimension
 from vclab.spaces import fm_witness, halfspace_dichotomies
-from conftest import points, reference_fm_witness
+from conftest import fm_solve, points, reference_fm_witness
 
 
 def one_dim_halfspace_oracle(values):
@@ -90,14 +91,14 @@ class TestFmWitness:
     def test_infeasible_strict_cycle(self):
         # x > 0 and -x > 0
         constraints = [((F(1),), F(0), True), ((F(-1),), F(0), True)]
-        assert fm_witness(constraints, 1) is None
+        assert fm_solve(constraints, 1) is None
 
     def test_boundary_feasible_only_non_strict(self):
         # x >= 3 and x <= 3 feasible; strict variant infeasible
         closed = [((F(1),), F(-3), False), ((F(-1),), F(3), False)]
-        assert fm_witness(closed, 1) == (F(3),)
+        assert fm_solve(closed, 1) == (F(3),)
         half_open = [((F(1),), F(-3), True), ((F(-1),), F(3), False)]
-        assert fm_witness(half_open, 1) is None
+        assert fm_solve(half_open, 1) is None
 
     def test_strict_bound_wins_a_tie(self):
         # x >= c and x > c tie at c; the strict bound decides the witness
@@ -108,9 +109,9 @@ class TestFmWitness:
                          ((F(1),), F(-c), not strict_first)]
                 upper = [((F(-1),), F(c), strict_first),
                          ((F(-1),), F(c), not strict_first)]
-                assert fm_witness(lower, 1) == (F(c + 1),)
-                assert fm_witness(upper, 1) == (F(c - 1),)
-                assert fm_witness(lower[:1] + upper[:1], 1) == \
+                assert fm_solve(lower, 1) == (F(c + 1),)
+                assert fm_solve(upper, 1) == (F(c - 1),)
+                assert fm_solve(lower[:1] + upper[:1], 1) == \
                     (None if strict_first else (F(c),))
 
     def test_strict_bound_wins_a_tie_between_unreduced_bounds(self):
@@ -129,8 +130,8 @@ class TestFmWitness:
                     constraints = fix + ties
                     want = (F(1, 2), F(1, 2) + sign)
                     assert reference_fm_witness(constraints, 2) == want
-                    assert fm_witness(constraints, 2) == want
-                    assert fm_witness(fix + ties[::-1], 2) == want
+                    assert fm_solve(constraints, 2) == want
+                    assert fm_solve(fix + ties[::-1], 2) == want
 
     def test_random_systems_verified(self):
         rng = random.Random(63)
@@ -142,7 +143,7 @@ class TestFmWitness:
                 coeffs = tuple(F(rng.randint(-3, 3)) for _ in range(nvars))
                 constraints.append((coeffs, F(rng.randint(-4, 4)),
                                     rng.random() < 0.4))
-            witness = fm_witness(constraints, nvars)
+            witness = fm_solve(constraints, nvars)
             if witness is None:
                 # cross-check with a coarse grid: no grid point n / 2 may
                 # satisfy a system that elimination called infeasible
@@ -186,13 +187,14 @@ RATIONALS = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 @given(st.data())
 def test_fm_witness_matches_fraction_reference(data):
     """Random rational systems, strict and non-strict mixed: the integer
-    kernel returns the reference's witness, Fraction for Fraction, or None
-    in the same cases."""
+    kernel returns an integer point with den > 0 whose values are the
+    reference's witness, Fraction for Fraction, or None in the same
+    cases."""
     nvars = data.draw(st.integers(1, 3))
     constraint = st.tuples(st.tuples(*[RATIONALS] * nvars), RATIONALS,
                            st.booleans())
     constraints = data.draw(st.lists(constraint, min_size=1, max_size=6))
-    got = fm_witness(constraints, nvars)
+    got = fm_solve(constraints, nvars)
     assert got == reference_fm_witness(constraints, nvars)
     assert got is None or all(type(v) is F for v in got)
 
@@ -218,7 +220,7 @@ def test_tied_bounds_over_a_common_denominator(data):
         constraints.append(((c, F(a)), -a * t - c * v0, strict))
     assume(vclab.spaces._primitive(*constraints[2][:2]) !=
            vclab.spaces._primitive(*constraints[3][:2]))
-    got = fm_witness(constraints, 2)
+    got = fm_solve(constraints, 2)
     assert got == reference_fm_witness(constraints, 2) == (v0, t + sign)
 
 
@@ -308,6 +310,60 @@ def test_complement_closed_table_matches_full_sweep(pts):
         [(lab, ("halfspace", *params)) for lab, params in sweep]
 
 
+COORDS = st.integers(-3, 3) | st.builds(F, st.integers(-6, 6),
+                                        st.integers(2, 3))
+MIXED_POINT_SETS = st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.tuples(*[COORDS] * dim), min_size=1, max_size=6, unique=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(MIXED_POINT_SETS, st.data())
+def test_kept_rows_match_a_fresh_space(pts, data):
+    """One space keeps each point's rows across queries: overlapping
+    subsets, met in shuffled order, give the labelings, key order and
+    witnesses of a fresh space and of a full sweep."""
+    pool = [Instance.point(*p) for p in pts]
+    space = HalfspaceSpace(len(pts[0]))
+    seen = set()
+    for _ in range(data.draw(st.integers(2, 5))):
+        subset = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                    max_size=5, unique=True))
+        table = space.dichotomies(subset)
+        fresh = HalfspaceSpace(len(pts[0])).dichotomies(subset)
+        sweep = halfspace_dichotomies([(0, (*x.coords, 1)) for x in subset])
+        assert list(table.witnesses) == list(fresh.witnesses) == \
+            [lab for lab, _ in sweep]
+        assert [h.key for h in table.witnesses.values()] == \
+            [h.key for h in fresh.witnesses.values()] == \
+            [("halfspace", *params) for _, params in sweep]
+        seen.update(subset)
+        assert space._rows.keys() == seen
+
+
+def test_each_pool_point_made_primitive_once(monkeypatch):
+    """``vc_dimension`` over a pool of 8 builds each point's rows once, for
+    all the subsets and FM calls it makes."""
+    primitive_calls, fm_calls = [], []
+    primitive = vclab.spaces._primitive
+
+    def counted_primitive(coeffs, const):
+        primitive_calls.append((const, *coeffs))
+        return primitive(coeffs, const)
+
+    def counted_fm(system, nvars):
+        fm_calls.append(system)
+        return fm_witness(system, nvars)
+    monkeypatch.setattr(vclab.spaces, "_primitive", counted_primitive)
+    monkeypatch.setattr(vclab.spaces, "fm_witness", counted_fm)
+    pool = [Instance.point(*p) for p in
+            [(0, 0), (3, 1), (1, 4), (2, 2), (5, 5), (-1, 3), (4, -2),
+             (F(1, 2), F(7, 3))]]
+    verdict = vc_dimension(HalfspaceSpace(2), pool)
+    assert verdict.value == 3 and verdict.status == "exact"
+    assert len(fm_calls) > 100
+    assert sorted(primitive_calls) == sorted((0, *p.coords, 1) for p in pool)
+
+
 class TestComplementClosure:
     PTS = [Instance.point(0, 0), Instance.point(3, 1), Instance.point(1, 4),
            Instance.point(2, 2), Instance.point(5, 5)]
@@ -351,10 +407,11 @@ class TestComplementClosure:
     @staticmethod
     def patch_first_bit_1(monkeypatch, change):
         """Route the systems of first-bit-1 labelings through ``change``:
-        their first constraint is the closed label-1 side of point 0."""
+        their first constraint (row, strict) is the closed label-1 side of
+        point 0."""
         def patched(constraints, nvars):
             witness = fm_witness(constraints, nvars)
-            return witness if constraints[0][2] else change(witness)
+            return witness if constraints[0][1] else change(witness)
         monkeypatch.setattr(vclab.spaces, "fm_witness", patched)
 
     def _check_raises(self, tmp_path, match):
@@ -369,9 +426,10 @@ class TestComplementClosure:
                   "--pool", "0,0;3,1;1,4", "--out", str(tmp_path)])
 
     def test_wrong_complement_witness_raises(self, monkeypatch, tmp_path):
-        # Point 0 is the origin, so b < 0 puts it on the 0 side.
-        self.patch_first_bit_1(monkeypatch,
-                               lambda w: w and (*w[:-1], w[-1] - 1000))
+        # Point 0 is the origin, so b < 0 puts it on the 0 side; the point
+        # is (den, den*w, den*b), so b - 1000 is den*b - 1000*den.
+        self.patch_first_bit_1(
+            monkeypatch, lambda w: w and (*w[:-1], w[-1] - 1000 * w[0]))
         self._check_raises(tmp_path, "failed verification")
 
     def test_infeasible_complement_raises(self, monkeypatch, tmp_path):
@@ -424,9 +482,11 @@ class TestWitnessCheck:
 
     @pytest.fixture
     def negated_witnesses(self, monkeypatch):
+        # (den, -n_1, ..., -n_k): the negated values, den kept > 0.
         def negated(constraints, nvars):
             witness = fm_witness(constraints, nvars)
-            return None if witness is None else tuple(-v for v in witness)
+            return None if witness is None else (
+                witness[0], *(-v for v in witness[1:]))
         monkeypatch.setattr(vclab.spaces, "fm_witness", negated)
 
     def test_dichotomies_raise(self, negated_witnesses):
