@@ -20,17 +20,21 @@ equality assertions downstream are meaningful.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import (accumulate, chain, combinations_with_replacement,
                        groupby, product, repeat)
 from operator import getitem, itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Labeling = tuple[int, ...]
 
 _WEIGHT_SUM_TOL = Fraction(1, 10**9)
+
+# Tables an ExplicitSpace keeps, least recently used dropped first.
+EXPLICIT_TABLE_MEMO = 2048
 
 
 class InexactOracleError(Exception):
@@ -329,7 +333,9 @@ class DichotomyTable:
     to one hypothesis that gives it, chosen deterministically by the
     family:
 
-    * ``ExplicitSpace``: the least bit-vector;
+    * ``ExplicitSpace``: the least bit-vector; the table is shared by
+      every later call on the same instance tuple, so its ``witnesses``
+      is a read-only ``MappingProxyType``;
     * thresholds, intervals, co-singletons: the canonical parameter of the
       combinatorial enumerator (the least point labeled 1; the least and
       greatest point labeled 1; the point labeled 0; past the largest
@@ -417,7 +423,9 @@ class ExplicitSpace(HypothesisSpace):
     hypotheses enumerate in lexicographic bit-vector order (the canonical
     order used for tie-breaking).  Restrictions are computed on one label
     column per domain instance (bit i = vector i's label there, see
-    :func:`split_columns`).
+    :func:`split_columns`).  The space keeps the tables of the last
+    ``EXPLICIT_TABLE_MEMO`` instance tuples it was asked about, and returns
+    the same table object when a tuple comes again.
     """
 
     kind = "finite-explicit"
@@ -441,6 +449,7 @@ class ExplicitSpace(HypothesisSpace):
         self._columns = {
             x: int("".join(str(row[j]) for row in reversed(self._vectors)), 2)
             for j, x in enumerate(domain)}
+        self._tables: OrderedDict[tuple, DichotomyTable] = OrderedDict()
 
     @classmethod
     def full(cls, instances: Sequence) -> "ExplicitSpace":
@@ -478,13 +487,23 @@ class ExplicitSpace(HypothesisSpace):
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
         """Each distinct restriction with the least vector that gives it as
         witness, in order of that vector; instances outside the domain are
-        labeled 0."""
-        instances = check_instance_tuple(instances)
+        labeled 0.  A tuple asked about before gets its memoized table."""
+        tables = self._tables
+        key = tuple(instances)
+        table = tables.get(key)
+        if table is not None:
+            tables.move_to_end(key)
+            return table
+        instances = check_instance_tuple(key)
         vectors = self._vectors
         witnesses = {lab: self._make_hypothesis(vectors[i]) for lab, i
                      in split_columns([self._columns.get(x, 0)
                                        for x in instances], len(vectors))}
-        return DichotomyTable(instances, witnesses, exact=True)
+        table = tables[key] = DichotomyTable(
+            instances, MappingProxyType(witnesses), exact=True)
+        if len(tables) > EXPLICIT_TABLE_MEMO:
+            tables.popitem(last=False)
+        return table
 
     def dichotomy_count(self, instances: Sequence[Instance]) -> int:
         return len(split_columns([self._columns.get(x, 0) for x

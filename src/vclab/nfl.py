@@ -7,8 +7,10 @@ built, to score the space's best error under it.  A deterministic learner
 is evaluated against every labeling exactly as if it enumerated all
 (2m)^m instance tuples under each one.  It builds each distinct training
 sample once (an index tuple with labels on the points it uses, or a
-multiset of indices for an order-invariant learner) and scores the
-learner's output against every labeling that agrees with those labels.
+multiset of indices for an order-invariant learner), evaluates each
+distinct learner output on S once, and scores the output against every
+labeling that agrees with the sample's labels in one walk per class of
+samples that share the unused points, the labels and the output's mask.
 All quantities are exact rationals.  The pairing argument behind the 1/4
 lower bound needs a deterministic learner, so a seeded probe calls the
 learner again on about one in eight samples and raises on any output that
@@ -28,6 +30,7 @@ from .model import (
     BudgetError,
     DiscreteDistribution,
     ExplicitSpace,
+    Hypothesis,
     HypothesisSpace,
     Instance,
     MultiSample,
@@ -184,9 +187,12 @@ def _enumerate(learner: LearningFunction,
     Each distinct training sample is built and passed to the learner once:
     an instance tuple (a multiset of instances, weighted by the number of
     tuples it stands for, when the learner is order-invariant) together
-    with one labeling of the points it uses.  The output is scored against
-    all labelings that agree with the sample, found by walking the
-    submasks of the unused points.
+    with one labeling of the points it uses.  The output's mask on S is
+    computed the first time an equal hypothesis appears (equal keys
+    evaluate identically, see :class:`~vclab.model.Hypothesis`).  The
+    weights add up per class (unused points, labels seen, mask); after the
+    loop each class is scored against all labelings that agree with its
+    labels, found by walking the submasks of its unused points once.
 
     A probe seeded by m calls the learner again on the first sample and on
     about one in PROBE_ONE_IN of the rest, on the reversed sample when the
@@ -200,14 +206,17 @@ def _enumerate(learner: LearningFunction,
     labeled = [(Sample(x, 0), Sample(x, 1)) for x in points]
     ordered = not learner.order_invariant
     probe = random.Random(f"nfl-probe:{inst.m}")
-    # Labeling i of an NflInstance is in lexicographic bit order, so its
-    # mask over S is i itself.
-    hist = [[0] * (n + 1) for _ in range(inst.t)]
+    masks: dict[Hypothesis, int] = {}
 
     def learned_mask(zbar: MultiSample) -> int:
         h = learner(zbar)
-        return sum(b for x, b in zip(points, bits) if h(x))
+        mask = masks.get(h)
+        if mask is None:
+            mask = masks[h] = sum(b for x, b in zip(points, bits) if h(x))
+        return mask
 
+    # (unused points, labels seen, learned mask) -> number of tuples.
+    classes: dict[tuple[int, int, int], int] = {}
     first = True
     for idx, weight in index_states(n, inst.m, ordered):
         used = 0
@@ -225,9 +234,15 @@ def _enumerate(learner: LearningFunction,
                     raise PairingIdentityError(
                         f"learner {learner.name!r} gave a different hypothesis "
                         f"when called again on the sample {again.samples}")
-            for sub in _submasks(free):
-                f = seen | sub
-                hist[f][(mask ^ f).bit_count()] += weight
+            key = (free, seen, mask)
+            classes[key] = classes.get(key, 0) + weight
+    # Labeling i of an NflInstance is in lexicographic bit order, so its
+    # mask over S is i itself.
+    hist = [[0] * (n + 1) for _ in range(inst.t)]
+    for (free, seen, mask), weight in classes.items():
+        for sub in _submasks(free):
+            f = seen | sub
+            hist[f][(mask ^ f).bit_count()] += weight
     return hist
 
 

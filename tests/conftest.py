@@ -10,6 +10,8 @@ from vclab import (
     MultiSample,
     Sample,
 )
+from vclab.model import index_states
+from vclab.nfl import PROBE_ONE_IN
 
 
 def atoms(n: int) -> list[Instance]:
@@ -151,3 +153,55 @@ def reference_fm_witness(constraints, nvars):
         if total < 0 or (strict and total == 0):
             return None
     return tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the NFL histogram walk as it was before it added up state
+# weights per class, scoring every training sample's output on its own
+# with a submask walk of the unused points and evaluating the output on
+# every point of S.  It calls the learner, and draws the determinism
+# probe, in the same order and number as ``nfl._enumerate``; its
+# histograms must be identical.
+
+
+def reference_submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def reference_enumerate(learner, inst):
+    points = inst.instances
+    n = len(points)
+    bits = [1 << (n - 1 - j) for j in range(n)]
+    labeled = [(Sample(x, 0), Sample(x, 1)) for x in points]
+    ordered = not learner.order_invariant
+    probe = random.Random(f"nfl-probe:{inst.m}")
+    hist = [[0] * (n + 1) for _ in range(inst.t)]
+
+    def learned_mask(zbar):
+        h = learner(zbar)
+        return sum(b for x, b in zip(points, bits) if h(x))
+
+    first = True
+    for idx, weight in index_states(n, inst.m, ordered):
+        used = 0
+        for a in idx:
+            used |= bits[a]
+        free = used ^ ((1 << n) - 1)
+        for seen in reference_submasks(used):
+            zbar = MultiSample(tuple(labeled[a][1 if seen & bits[a] else 0]
+                                     for a in idx))
+            mask = learned_mask(zbar)
+            if first or probe.randrange(PROBE_ONE_IN) == 0:
+                first = False
+                again = zbar if ordered else MultiSample(zbar.samples[::-1])
+                if learned_mask(again) != mask:
+                    raise AssertionError("nondeterministic learner")
+            for sub in reference_submasks(free):
+                f = seen | sub
+                hist[f][(mask ^ f).bit_count()] += weight
+    return hist

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -587,3 +591,69 @@ class TestCli:
                             "--instances", str(tmp_path / "inst.json"))
         assert code == 0
         assert str(tmp_path / "inst.json") in payload["manifest"]["inputs"]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once and parses every later argv with
+    it; ``import vclab.cli`` builds none."""
+
+    def sequence(self, workdir, capsys):
+        space, pool = str(workdir / "space.json"), str(workdir / "pool.json")
+        out = []
+        for argv in (["vcdim", "--space", space, "--pool", pool],
+                     ["vcdim", "--space", space, "--limit", "x"],
+                     ["--version"],
+                     ["growth", "--space", space, "--pool", pool,
+                      "--m", "2"]):
+            report = workdir / "report.json"
+            report.unlink(missing_ok=True)
+            code = main([*argv, "--out", str(workdir)])
+            payload = (json.loads(report.read_text()) if report.exists()
+                       else None)
+            if payload is not None:
+                del payload["manifest"]["duration_s"]
+            out.append((code, capsys.readouterr(), payload))
+        return out
+
+    def test_one_parser_gives_the_fresh_parser_reports(self, workdir,
+                                                       capsys, monkeypatch):
+        built = []
+        build = vclab.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+        monkeypatch.setattr(vclab.cli, "build_parser", counting)
+        vclab.cli._parser.cache_clear()
+        reused = self.sequence(workdir, capsys)
+        assert len(built) == 1
+        with monkeypatch.context() as patched:
+            patched.setattr(vclab.cli, "_parser", counting)
+            fresh = self.sequence(workdir, capsys)
+        assert len(built) == 5
+        assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+        assert reused == fresh
+        assert reused[0][2]["result"]["value"] == 1
+        assert reused[3][2]["result"]["value"] == 3
+
+    def test_import_builds_no_parser(self):
+        child = ("import argparse\n"
+                 "built = []\n"
+                 "init = argparse.ArgumentParser.__init__\n"
+                 "def counting(self, *args, **kwargs):\n"
+                 "    built.append(1)\n"
+                 "    init(self, *args, **kwargs)\n"
+                 "argparse.ArgumentParser.__init__ = counting\n"
+                 "import vclab.cli\n"
+                 "print(len(built), vclab.cli._parser.cache_info().currsize)\n"
+                 "vclab.cli.main(['--version'])\n"
+                 "once = len(built)\n"
+                 "vclab.cli.main(['--version'])\n"
+                 "print(once > 0, len(built) == once)\n")
+        src = str(Path(vclab.cli.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", child], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=60).stdout
+        assert out.splitlines()[0] == "0 0"
+        assert out.splitlines()[-1] == "True True"

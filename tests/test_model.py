@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vclab
+import vclab.model
 from vclab import (
     DiscreteDistribution,
     ExplicitSpace,
@@ -28,7 +29,9 @@ from vclab import (
     realized_dichotomies,
     restriction_errors,
     sample_error,
+    shatters,
     true_error,
+    vc_dimension,
 )
 from conftest import atoms, random_explicit_space, random_multisample
 
@@ -296,6 +299,69 @@ def test_explicit_restrictions_match_row_walk(data):
     if missing:
         with pytest.raises(ValueError):
             space.hypothesis_from_bits(min(missing))
+
+
+class TestExplicitTableMemo:
+    """``ExplicitSpace.dichotomies`` keeps the tables of the last
+    ``EXPLICIT_TABLE_MEMO`` instance tuples and shares them read-only."""
+
+    def test_repeated_tuple_returns_the_same_table(self):
+        space = ExplicitSpace.full(atoms(3))
+        xs = atoms(3)[1:]
+        table = space.dichotomies(xs)
+        assert space.dichotomies(tuple(xs)) is table
+        assert space.dichotomies(xs[::-1]) is not table
+
+    def test_memo_is_bounded_least_recently_used_first(self):
+        bound = vclab.model.EXPLICIT_TABLE_MEMO
+        domain = atoms(50)
+        space = ExplicitSpace(domain, [[0] * 50, [1] * 50])
+        tuples = [(x, y) for x in domain for y in domain if x != y]
+        assert len(tuples) > bound + 1
+        first = space.dichotomies(tuples[0])
+        kept = space.dichotomies(tuples[1])
+        for xs in tuples[2:bound + 1]:
+            space.dichotomies(xs)
+        assert space.dichotomies(tuples[1]) is kept  # now the most recent
+        space.dichotomies(tuples[bound + 1])
+        assert len(space._tables) <= bound
+        assert space.dichotomies(tuples[1]) is kept
+        assert space.dichotomies(tuples[0]) is not first
+        assert len(space._tables) <= bound
+
+    def test_witnesses_are_read_only(self):
+        space = ExplicitSpace.full(atoms(2))
+        table = space.dichotomies(atoms(2))
+        h = table.witnesses[0, 1]
+        with pytest.raises(TypeError):
+            table.witnesses[0, 1] = table.witnesses[1, 0]
+        assert space.dichotomies(atoms(2)).witnesses[0, 1] is h
+
+    def test_shatters_and_vc_dimension_copy_the_witnesses(self):
+        space = ExplicitSpace.full(atoms(2))
+        table = space.dichotomies(atoms(2))
+        for witnesses in (shatters(space, atoms(2)).witnesses,
+                          vc_dimension(space, atoms(2)).witnesses):
+            assert type(witnesses) is dict
+            assert witnesses == dict(table.witnesses)
+            witnesses.clear()
+        assert len(space.dichotomies(atoms(2)).witnesses) == 4
+
+    def test_warm_memo_gives_the_fresh_space_restriction_errors(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            space = random_explicit_space(rng, max_instances=5)
+            rows = [[h(x) for x in space.domain] for h in space.hypotheses()]
+            for _ in range(4):
+                pairs = [(Sample(rng.choice(space.domain), rng.randint(0, 1)),
+                          rng.choice((1, 2, F(1, 3))))
+                         for _ in range(rng.randint(1, 5))]
+                fresh = ExplicitSpace(space.domain, rows)
+                for _ in range(2):
+                    assert [(lab, h.key, wrong) for lab, h, wrong
+                            in restriction_errors(space, pairs)] == \
+                        [(lab, h.key, wrong) for lab, h, wrong
+                         in restriction_errors(fresh, pairs)]
 
 
 class TestDiscreteDistribution:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -10,17 +11,21 @@ from vclab import (
     BudgetError,
     DiscreteDistribution,
     ExplicitSpace,
+    HalfspaceSpace,
+    Hypothesis,
     MultiSample,
     Sample,
     build_nfl_instance,
     builtin_learners,
     nfl_report,
     random_table_learner,
+    sem_learner,
+    table_learner,
     true_error,
 )
 from vclab.learners import LearningFunction
 from vclab.nfl import PairingIdentityError
-from conftest import atoms, heavier_first_state
+from conftest import atoms, heavier_first_state, reference_enumerate
 
 
 def full_space(inst):
@@ -245,3 +250,95 @@ class TestDeterminismProbe:
                 assert learner.order_invariant
                 ordered = dataclasses.replace(learner, order_invariant=False)
                 assert nfl_report(ordered, inst) == nfl_report(learner, inst)
+
+
+def counted(learner):
+    """The learner with a list that records every sample it is called on."""
+    calls = []
+
+    def fn(zbar):
+        calls.append(zbar)
+        return learner(zbar)
+    return dataclasses.replace(learner, fn=fn), calls
+
+
+def some_table_learner(inst):
+    """A lookup learner mapping a few ordered samples of inst to
+    hypotheses of the full class, with a fallback."""
+    space = full_space(inst)
+    hypotheses = list(space.hypotheses())
+    rng = random.Random(inst.m)
+    table = {}
+    for _ in range(4 * inst.m):
+        idx = [rng.randrange(len(inst.instances)) for _ in range(inst.m)]
+        labels = [rng.randint(0, 1) for _ in idx]
+        zbar = MultiSample(tuple(Sample(inst.instances[a], y)
+                                 for a, y in zip(idx, labels)))
+        table[zbar] = rng.choice(hypotheses)
+    return table_learner(space, table, default=hypotheses[-1])
+
+
+class TestClassWalk:
+    """``_enumerate`` adds the state weights up per class before its one
+    submask walk per class; the per-sample walk of ``tests/conftest.py``
+    must give the same histograms from the same learner calls."""
+
+    def learners(self, inst):
+        space = full_space(inst)
+        out = builtin_learners(space)
+        yield from (out[name] for name in ("sem", "memorize", "const0",
+                                           "const1"))
+        for seed in (0, 1, 7):
+            yield random_table_learner(space, seed)
+        yield some_table_learner(inst)
+
+    def test_histograms_and_calls_match_the_per_sample_walk(self):
+        for m in (1, 2, 3):
+            inst = build_nfl_instance(atoms(2 * m), m)
+            for learner in self.learners(inst):
+                learner, calls = counted(learner)
+                got = vclab.nfl._enumerate(learner, inst, False)
+                ours = list(calls)
+                calls.clear()
+                assert got == reference_enumerate(learner, inst), \
+                    (m, learner.name)
+                assert ours == calls, (m, learner.name)
+
+    def test_sem_over_3d_halfspaces_matches_the_per_sample_walk(self):
+        space = HalfspaceSpace(3)
+        inst = build_nfl_instance(
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, ambient=space)
+        learner, calls = counted(sem_learner(space))
+        got = vclab.nfl._enumerate(learner, inst, False)
+        ours = len(calls)
+        calls.clear()
+        assert got == reference_enumerate(learner, inst)
+        assert ours == len(calls) > 0
+
+
+class TestMaskCache:
+    """``learned_mask`` evaluates an output on S once per key: equal keys
+    evaluate identically (``model.Hypothesis``)."""
+
+    def test_fresh_equal_hypotheses_give_the_shared_report(self):
+        inst = build_nfl_instance(atoms(4), 2)
+        space = full_space(inst)
+        shared = {h.key: h for h in space.hypotheses()}
+        evaluated = []
+
+        def fresh(h):
+            def fn(x):
+                evaluated.append(h.key)
+                return h(x)
+            return Hypothesis(key=h.key, fn=fn)
+
+        const = shared["explicit", (0, 1, 1, 0)]
+        for base in (lambda zbar: const, builtin_learners(space)["memorize"]):
+            evaluated.clear()
+            fresh_report, shared_report = (
+                nfl_report(LearningFunction("out", fn, space=space), inst)
+                for fn in (lambda zbar: fresh(base(zbar)),
+                           lambda zbar: shared[base(zbar).key]))
+            assert fresh_report == shared_report
+            # Each distinct output is evaluated once on each point of S.
+            assert set(Counter(evaluated).values()) == {len(inst.instances)}
