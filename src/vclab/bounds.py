@@ -7,9 +7,9 @@ All logarithms are natural: the formulas pair logs with e (as in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .combinatorics import sauer_bound
+from .model import Record
 
 
 def hoeffding_tail(m: int, eps: float) -> float:
@@ -58,8 +58,7 @@ def m0_singleton(eps: float, delta: float) -> int:
     return max(1, math.ceil(2.0 * math.log(2.0 / delta) / (eps * eps)))
 
 
-@dataclass(frozen=True)
-class UcpSampleBound:
+class UcpSampleBound(Record):
     """Uniform-convergence sample bound with its three components.
 
     ``m0 = ceil(max(m_h, m0_1, m0_2, m0_3))`` for VC dimension d >= 1; for
@@ -122,8 +121,7 @@ def m0_pac(eps: float, delta: float, d: int, m_h: int = 1,
     return max(m_h, m0_ucp(d, eps / 4.0, delta, m_h).m0, m0_nmse)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     """Record of every evaluated sample-complexity quantity for one
     (d, eps, delta, m_h) input, echoing the inputs."""
 
@@ -140,22 +138,13 @@ class BoundsReport:
     epsilon0: float
 
     def as_dict(self) -> dict:
-        growth = self.growth_at_2m
-        return {
-            "d": self.d,
-            "eps": self.eps,
-            "delta": self.delta,
-            "m_h": self.m_h,
-            "m0_nmse": self.m0_nmse,
-            "m0_singleton": self.m0_singleton,
-            "m0_components": [self.ucp.m0_1, self.ucp.m0_2, self.ucp.m0_3],
-            "m0_ucp": self.ucp.m0,
-            "m0_pac": self.m0_pac,
-            "m_eval": self.m_eval,
-            # Huge integers are reported as floats to keep payloads small.
-            "growth_at_2m": growth if growth < 2 ** 53 else float(growth),
-            "epsilon0": self.epsilon0,
-        }
+        out = self._asdict()
+        ucp = out.pop("ucp")
+        out.update(m0_components=[ucp.m0_1, ucp.m0_2, ucp.m0_3], m0_ucp=ucp.m0)
+        # Huge integers are reported as floats to keep payloads small.
+        if self.growth_at_2m >= 2 ** 53:
+            out["growth_at_2m"] = float(self.growth_at_2m)
+        return out
 
 
 def bounds_report(d: int, eps: float, delta: float, m_h: int = 1,

@@ -21,7 +21,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,8 +62,6 @@ def json_ready(obj):
         return instance_to_json(obj)
     if hasattr(obj, "as_dict"):
         return json_ready(obj.as_dict())
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return json_ready(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

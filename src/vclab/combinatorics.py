@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from itertools import combinations
-from typing import Mapping, Sequence
 
 from .model import (
     ExplicitSpace,
@@ -13,6 +12,7 @@ from .model import (
     HypothesisSpace,
     Instance,
     Labeling,
+    Record,
     check_instance_tuple,
 )
 
@@ -20,8 +20,7 @@ EXACT = "exact"
 LOWER_BOUND = "lower-bound"
 
 
-@dataclass(frozen=True)
-class ShatterResult:
+class ShatterResult(Record):
     """Outcome of a shattering check.
 
     With an exact oracle the answer is definitive either way.  With an
@@ -40,8 +39,7 @@ class ShatterResult:
         return "not-shattered" if self.exact else "not-found"
 
 
-@dataclass(frozen=True)
-class VcVerdict:
+class VcVerdict(Record):
     """VC dimension search result.
 
     ``status`` is ``exact`` when ``value`` provably equals the VC dimension

@@ -27,11 +27,10 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from typing import Callable, Iterator, Sequence
 
 from .model import (
     DichotomyTable,
@@ -39,6 +38,7 @@ from .model import (
     HypothesisSpace,
     Instance,
     Labeling,
+    Record,
     check_instance_tuple,
     split_columns,
     to_fraction,
@@ -71,77 +71,65 @@ class BackendError(FormulaError):
 # AST
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
-    pos: int = field(default=-1, compare=False)
+    pos: int = -1
+    _not_compared = ("pos",)
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     term: object
 
 
-@dataclass(frozen=True)
-class Exp:
+class Exp(Record):
     term: object
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(Record):
     op: str  # one of < <= = !=
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     child: object
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class FormulaAst:
+class FormulaAst(Record):
     """A parsed partitioned formula: object variables, parameter variables,
     and the root node."""
 
@@ -185,8 +173,7 @@ _QUANTIFIERS = {"forall", "exists"}
 RESERVED_WORDS = _KEYWORDS | _QUANTIFIERS
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # num | ident | keyword | op | end
     value: str
     pos: int
@@ -537,8 +524,7 @@ def eval_formula(ast: FormulaAst, x: Sequence, w: Sequence = (),
 # Closed-form recognition
 
 
-@dataclass(frozen=True)
-class _ClosedForm:
+class _ClosedForm(Record):
     """A recognized shape: a proven upper bound on its VC dimension, and
     its exact restriction oracle, which maps instances to a witness
     parameter tuple (in declared order) per realized labeling."""
@@ -652,8 +638,7 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
 # Parameter sources and definable hypothesis spaces
 
 
-@dataclass(frozen=True)
-class ExplicitParams:
+class ExplicitParams(Record):
     """A finite parameter family: its tuples, sorted and deduplicated."""
 
     tuples: tuple[tuple[Fraction, ...], ...]
@@ -675,8 +660,7 @@ class ExplicitParams:
         return ExplicitParams(tuple(product(*axes)))
 
 
-@dataclass(frozen=True)
-class SampledParams:
+class SampledParams(Record):
     """The full parameter space, explored by seeded random search within a
     budget.  Induced oracles are exact only for recognized closed forms."""
 

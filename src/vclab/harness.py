@@ -30,10 +30,9 @@ import math
 import random
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .learners import LearningFunction
 from .model import (
@@ -42,6 +41,7 @@ from .model import (
     Hypothesis,
     HypothesisSpace,
     MultiSample,
+    Record,
     Sample,
     approximation_error,
     index_states,
@@ -57,8 +57,7 @@ SEED_RULE = "sha256(master_seed:trial_index)"
 _Z95 = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(Record):
     """Outcome of a probability estimation run.
 
     Monte Carlo mode fills trials/successes and the Wilson 95% interval;
@@ -80,19 +79,11 @@ class TrialReport:
     seed_rule: str = SEED_RULE
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mode": self.mode,
-            "m": self.m,
-            "eps": self.eps,
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimate": self.estimate,
-            "ci95": [self.ci_low, self.ci_high],
-            "probability": None if self.probability is None else str(self.probability),
-            "seed": self.seed,
-            "seed_rule": self.seed_rule,
-        }
+        out = self._asdict()
+        out["ci95"] = [out.pop("ci_low"), out.pop("ci_high")]
+        if self.probability is not None:
+            out["probability"] = str(self.probability)
+        return out
 
 
 def wilson_interval(successes: int, trials: int,

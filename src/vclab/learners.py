@@ -12,8 +12,7 @@ fully deterministic so enumeration-based verification is reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .model import (
     ExplicitSpace,
@@ -21,11 +20,12 @@ from .model import (
     HypothesisSpace,
     InexactOracleError,
     MultiSample,
+    Record,
     restriction_errors,
 )
 
-@dataclass(frozen=True, eq=False)
-class LearningFunction:
+
+class LearningFunction(Record):
     """A deterministic multi-sample -> hypothesis map.  ``order_invariant``
     declares that the output depends only on the multiset of samples.
     Exact mode and the NFL enumeration then run over multisets instead of
@@ -34,9 +34,12 @@ class LearningFunction:
     NFL determinism probe checks the declaration on reversed samples."""
 
     name: str
-    fn: Callable[[MultiSample], Hypothesis] = field(repr=False)
+    fn: Callable[[MultiSample], Hypothesis]
     space: HypothesisSpace | None = None
     order_invariant: bool = False
+    _not_shown = ("fn",)
+    # Two learners are equal only when they are the same object.
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __call__(self, zbar: MultiSample) -> Hypothesis:
         return self.fn(zbar)

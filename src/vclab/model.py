@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import (accumulate, chain, combinations_with_replacement,
                        groupby, product, repeat)
 from operator import getitem, itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Labeling = tuple[int, ...]
 
@@ -75,26 +74,90 @@ def to_bit(value, what: str = "bit") -> int:
 
 
 # ---------------------------------------------------------------------------
-# Instances and samples
+# Records, instances and samples
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Instance:
+class Record:
+    """Base of the package's immutable value classes.  A frozen dataclass
+    compiles its methods with ``exec`` at import, about 1 ms per class on
+    CPython 3.11; a record builds nothing.  Its fields are the names a
+    subclass annotates, after its bases', and a class attribute of that
+    name is a default.  ``_not_compared`` and ``_not_shown`` name fields
+    left out of ``==`` (by exact class) and ``hash``, and out of the repr;
+    ``_asdict`` and ``_replace`` work as on a named tuple.  Setting or
+    deleting an attribute raises ``AttributeError``.  Classes built in
+    inner loops write their own ``__init__``."""
+
+    _fields = _not_compared = _not_shown = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields
+                         if hasattr(cls, f)}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__name__}() takes {fields}, got "
+                            f"{len(args)} positional and {sorted(kwargs)}")
+        for f in fields:
+            _set(self, f, values[f])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields
+                      if f not in self._not_compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields
+            if f not in self._not_shown))
+
+    def _asdict(self) -> dict:
+        return {f: getattr(self, f) for f in self._fields}
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class Instance(Record):
     """A point of the instance space: a symbolic atom or a rational vector.
 
     ``hash(self.value)`` is computed once, at construction, and returned by
     ``__hash__``; hashing a tuple of ``Fraction``s otherwise takes a modular
     inverse per coordinate on every lookup.  The stored hash is not a
-    dataclass field, so it takes no part in ``repr``, comparisons or
-    ``asdict``.  Pickling goes back through ``Instance(value)``, so an
-    atom's hash, which depends on the process's ``PYTHONHASHSEED``, is
-    recomputed in the process that loads it.
+    field, so it takes no part in ``repr``, comparisons or ``_replace``.
+    Pickling goes back through ``Instance(value)``, so an atom's hash,
+    which depends on the process's ``PYTHONHASHSEED``, is recomputed in
+    the process that loads it.
     """
 
     value: str | tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.value))
+    def __init__(self, value):
+        _set(self, "value", value)
+        _set(self, "_hash", hash(value))
 
     def __hash__(self) -> int:
         return self._hash
@@ -160,16 +223,25 @@ def as_instance(value) -> Instance:
     return Instance.point(value)
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(Record):
     """A labeled example (x, y) with y in {0, 1}."""
 
     instance: Instance
     label: int
 
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
+    def __init__(self, instance, label):
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
+        _set(self, "instance", instance)
+        _set(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.instance, self.label) == (other.instance, other.label)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.instance, self.label))
 
     def sort_key(self):
         return (self.instance.sort_key(), self.label)
@@ -182,8 +254,7 @@ def as_sample(value) -> Sample:
     return Sample(as_instance(instance), to_bit(label, "label"))
 
 
-@dataclass(frozen=True)
-class MultiSample:
+class MultiSample(Record):
     """An ordered sequence of samples of length m >= 1 (repeats allowed).
 
     A multi-sample drawn from a support (see :meth:`from_draw` and
@@ -195,16 +266,15 @@ class MultiSample:
     """
 
     samples: tuple[Sample, ...]
-    support: tuple[Sample, ...] | None = field(default=None, init=False,
-                                               compare=False, repr=False)
-    counts: tuple[int, ...] | None = field(default=None, init=False,
-                                           compare=False, repr=False)
+    # Not fields: the support and draw counts, when attached.
+    support = counts = None
 
-    def __post_init__(self):
-        if not self.samples:
+    def __init__(self, samples):
+        if not samples:
             raise ValueError("a multi-sample must contain at least one sample")
-        if not all(isinstance(z, Sample) for z in self.samples):
+        if not all(isinstance(z, Sample) for z in samples):
             raise TypeError("multi-sample entries must be Samples")
+        _set(self, "samples", samples)
 
     @staticmethod
     def of(*entries) -> "MultiSample":
@@ -272,9 +342,9 @@ class MultiSample:
 class _CanonicalSamples:
     """The ``samples`` of a counts-only multi-sample, built in canonical
     support order on first access and then stored on the instance, where
-    they shadow this non-data descriptor.  Installed after the dataclass
-    is built, so that ``samples`` stays a required field; unlike a
-    ``__getattr__`` hook it adds nothing to other attribute lookups."""
+    they shadow this non-data descriptor.  Installed after the class is
+    built, so that ``samples`` has no default; unlike a ``__getattr__``
+    hook it adds nothing to other attribute lookups."""
 
     def __get__(self, zbar, owner=None):
         if zbar is None:
@@ -307,8 +377,7 @@ def index_states(k: int, m: int, ordered: bool
 # Hypotheses and hypothesis spaces
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(Record):
     """A total binary classifier with a canonical identity key.
 
     Equality, ordering and hashing go through the key; two hypotheses with
@@ -316,7 +385,20 @@ class Hypothesis:
     """
 
     key: tuple
-    fn: Callable[[Instance], int] = field(compare=False, repr=False)
+    fn: Callable[[Instance], int]
+    _not_compared = _not_shown = ("fn",)
+
+    def __init__(self, key, fn):
+        _set(self, "key", key)
+        _set(self, "fn", fn)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.key,))
 
     def __call__(self, x: Instance) -> int:
         return self.fn(x)
@@ -325,8 +407,7 @@ class Hypothesis:
         return self.key
 
 
-@dataclass(frozen=True)
-class DichotomyTable:
+class DichotomyTable(Record):
     """Restrictions of a hypothesis space to a fixed ordered instance tuple.
 
     ``witnesses`` maps each realized labeling (aligned with ``instances``)
@@ -359,6 +440,11 @@ class DichotomyTable:
     instances: tuple[Instance, ...]
     witnesses: Mapping[Labeling, Hypothesis]
     exact: bool
+
+    def __init__(self, instances, witnesses, exact):
+        _set(self, "instances", instances)
+        _set(self, "witnesses", witnesses)
+        _set(self, "exact", exact)
 
     @property
     def labelings(self) -> frozenset[Labeling]:

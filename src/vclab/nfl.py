@@ -20,9 +20,8 @@ differs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .combinatorics import shatters
 from .learners import LearningFunction
@@ -34,6 +33,7 @@ from .model import (
     HypothesisSpace,
     Instance,
     MultiSample,
+    Record,
     Sample,
     approximation_error,
     as_instance,
@@ -58,8 +58,7 @@ class PairingIdentityError(Exception):
     deterministic learner."""
 
 
-@dataclass(frozen=True)
-class NflInstance:
+class NflInstance(Record):
     """The adversarial construction for one sample size m: a set S of 2m
     instances and all T = 2^(2m) labelings of S in lexicographic bit order.
     Labeling i stands for the uniform distribution on its graph, which
@@ -82,8 +81,7 @@ class NflInstance:
              for x, b in zip(self.instances, self.labelings[i])])
 
 
-@dataclass(frozen=True)
-class NflReport:
+class NflReport(Record):
     """Exact per-labeling expected errors and the tail bound for the worst
     labeling, with the lower-bound assertions evaluated."""
 
@@ -106,21 +104,11 @@ class NflReport:
                 and self.tail_at_least_seventh)
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "learner": self.learner,
-            "expected_errors": [str(e) for e in self.expected_errors],
-            "max_expected_error": str(self.max_expected_error),
-            "argmax_index": self.argmax_index,
-            "average_expected_error": str(self.average_expected_error),
-            "tail_probability": str(self.tail_probability),
-            "markov_lower_bound": str(self.markov_lower_bound),
-            "opt_of_chosen": str(self.opt_of_chosen),
-            "max_at_least_quarter": self.max_at_least_quarter,
-            "average_at_least_quarter": self.average_at_least_quarter,
-            "tail_at_least_seventh": self.tail_at_least_seventh,
-            "passed": self.passed,
-        }
+        # Every Fraction as a string, integral ones too.
+        out = {f: str(v) if isinstance(v, Fraction) else v
+               for f, v in self._asdict().items()}
+        out["expected_errors"] = [str(e) for e in self.expected_errors]
+        return {**out, "passed": self.passed}
 
 
 def build_nfl_instance(instances: Sequence, m: int,

@@ -15,8 +15,8 @@ Conventions:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping
 
 from . import formula as fm
 from .learners import (

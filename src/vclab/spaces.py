@@ -30,10 +30,10 @@ and a ``Hypothesis`` only when a witness is read.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .model import (
     DichotomyTable,

@@ -657,3 +657,36 @@ class TestParserReuse:
             timeout=60).stdout
         assert out.splitlines()[0] == "0 0"
         assert out.splitlines()[-1] == "True True"
+
+    def test_import_generates_no_code(self):
+        """No exec, eval or compile on behalf of a vclab module while
+        ``vclab.cli`` is imported (a dataclass makes several per class),
+        and no dataclasses, inspect or typing loaded.  A call counts for
+        the module whose top level is running when it is made; the
+        import system's own exec of each module's code does not count."""
+        child = ("import builtins, sys\n"
+                 "calls = []\n"
+                 "def counted(real):\n"
+                 "    def wrapper(*args, **kwargs):\n"
+                 "        frame = sys._getframe(1)\n"
+                 "        if not frame.f_code.co_filename.startswith(\n"
+                 "                '<frozen importlib'):\n"
+                 "            while frame.f_code.co_name != '<module>':\n"
+                 "                frame = frame.f_back\n"
+                 "            calls.append(frame.f_globals['__name__'])\n"
+                 "        return real(*args, **kwargs)\n"
+                 "    return wrapper\n"
+                 "for name in ('exec', 'eval', 'compile'):\n"
+                 "    real = getattr(builtins, name)\n"
+                 "    setattr(builtins, name, counted(real))\n"
+                 "sys.path.insert(0, sys.argv[1])\n"
+                 "import vclab.cli\n"
+                 "print(sorted({c for c in calls\n"
+                 "              if c.split('.')[0] == 'vclab'}))\n"
+                 "print(sorted({'dataclasses', 'inspect', 'typing'}\n"
+                 "             & set(sys.modules)))\n")
+        src = str(Path(vclab.cli.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", child, src], check=True,
+            capture_output=True, text=True, timeout=60).stdout
+        assert out.splitlines() == ["[]", "[]"]

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import os
 import pickle
 import random
@@ -426,11 +425,12 @@ class TestInstances:
 
     def test_replace_and_copy_keep_the_hash(self):
         x = Instance.point(F(1, 3), 2)
-        assert dataclasses.asdict(x) == {"value": (F(1, 3), F(2))}
-        moved = dataclasses.replace(x, value=(F(5, 7),))
+        assert Instance._fields == ("value",)
+        assert x.value == (F(1, 3), F(2))
+        moved = x._replace(value=(F(5, 7),))
         assert moved == Instance.point(F(5, 7))
         assert hash(moved) == hash((F(5, 7),))
-        for y in (dataclasses.replace(x), copy.copy(x), copy.deepcopy(x),
+        for y in (x._replace(), copy.copy(x), copy.deepcopy(x),
                   pickle.loads(pickle.dumps(x))):
             assert y == x and hash(y) == hash(x)
         assert repr(x) == "Instance.point('1/3', '2')"
@@ -543,3 +543,87 @@ def test_index_states_weights_count_ordered_tuples():
             [(idx, 1) for idx in tuples]
         multisets = dict(index_states(k, m, ordered=False))
         assert multisets == Counter(tuple(sorted(idx)) for idx in tuples)
+
+
+class TestRecord:
+    """The value classes built on ``model.Record`` behave as the frozen
+    dataclasses they replace did; the reprs were captured from those."""
+
+    def test_reprs(self):
+        from vclab import parse_formula
+        ast = parse_formula("a <= x and x <= b", objects=("x",),
+                            params=("a", "b"))
+        assert repr(ast) == (
+            "FormulaAst(objects=('x',), params=('a', 'b'), root=And("
+            "left=Cmp(op='<=', left=Var(name='a', pos=0), "
+            "right=Var(name='x', pos=5)), right=Cmp(op='<=', "
+            "left=Var(name='x', pos=11), right=Var(name='b', pos=16))))")
+        verdict = vc_dimension(ThresholdSpace(),
+                               [Instance.point(1), Instance.point(2)])
+        assert repr(verdict) == (
+            "VcVerdict(value=1, status='exact', "
+            "witness_set=(Instance.point(1),), witnesses={(1,): "
+            "Hypothesis(key=('threshold', Fraction(1, 1))), (0,): "
+            "Hypothesis(key=('threshold', Fraction(2, 1)))}, "
+            "pool=(Instance.point(1), Instance.point(2)), nodes_used=2)")
+
+    def test_equality_and_hash(self):
+        from vclab.formula import Add, Const, Sub, Var
+        assert Var("x", 1) == Var("x", 2)
+        assert hash(Var("x", 1)) == hash(Var("x", 2)) == hash(("x",))
+        assert Var("x") != Var("y")
+        a, b = Var("a"), Const(F(1))
+        assert Add(a, b) == Add(a, b) and Add(a, b) != Sub(a, b)
+        x = Instance.point(3)
+        assert hash(Sample(x, 1)) == hash((x, 1))
+        assert Sample(x, 1) == Sample(Instance.point(3), 1) != Sample(x, 0)
+        h = ExplicitSpace.full([x]).hypothesis_from_bits((1,))
+        assert h == vclab.model.Hypothesis(("explicit", (1,)), len)
+        assert hash(h) == hash((h.key,))
+
+    def test_frozen(self):
+        from vclab.formula import SampledParams
+        params = SampledParams()
+        for record, name in ((params, "budget"), (Instance.atom("s"), "value"),
+                             (Sample(X0, 1), "label"), (params, "other")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert params.budget == 2000
+
+    def test_constructor_arguments(self):
+        from vclab.formula import SampledParams, Var
+        assert SampledParams(5, high=2.0) == \
+            SampledParams(budget=5, seed=0, low=-10.0, high=2.0)
+        for args, kwargs in (((), {}), ((1, 2, 3), {}), (("x", 1, 2), {}),
+                             (("x",), {"name": "y"}), (("x",), {"size": 1})):
+            with pytest.raises(TypeError):
+                Var(*args, **kwargs)
+        for cls, args in ((Sample, (X0,)), (Sample, (X0, 1, 2)),
+                          (Instance, ()), (MultiSample, ())):
+            with pytest.raises(TypeError):
+                cls(*args)
+
+    def test_post_init_and_replace(self):
+        from vclab.formula import SampledParams
+        with pytest.raises(ValueError, match="budget"):
+            SampledParams(budget=0)
+        with pytest.raises(ValueError, match="budget"):
+            SampledParams()._replace(budget=0)
+        assert SampledParams()._replace(seed=4) == SampledParams(seed=4)
+        assert SampledParams(seed=4)._asdict() == {
+            "budget": 2000, "seed": 4, "low": -10.0, "high": 10.0}
+        zbar = MultiSample.of((X0, 1))
+        assert zbar._replace() == zbar
+        assert zbar._replace().counts is None
+
+    def test_copy_and_pickle(self):
+        from vclab import parse_formula
+        from vclab.formula import SampledParams
+        ast = parse_formula("x < a", objects=("x",), params=("a",))
+        for record in (SampledParams(seed=3), MultiSample.of((X0, 0)), ast):
+            for twin in (copy.copy(record), copy.deepcopy(record),
+                         pickle.loads(pickle.dumps(record))):
+                assert twin == record and hash(twin) == hash(record)
+                assert repr(twin) == repr(record)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -236,8 +235,8 @@ class TestDeterminismProbe:
         # The table learner hashes the samples in order, so the multiset
         # path would score one ordering for all of them.
         inst = build_nfl_instance(atoms(4), 2)
-        learner = dataclasses.replace(
-            random_table_learner(full_space(inst), 0), order_invariant=True)
+        learner = random_table_learner(full_space(inst), 0)._replace(
+            order_invariant=True)
         with pytest.raises(PairingIdentityError):
             nfl_report(learner, inst)
 
@@ -248,7 +247,7 @@ class TestDeterminismProbe:
             for name in ("sem", "const1"):
                 learner = learners[name]
                 assert learner.order_invariant
-                ordered = dataclasses.replace(learner, order_invariant=False)
+                ordered = learner._replace(order_invariant=False)
                 assert nfl_report(ordered, inst) == nfl_report(learner, inst)
 
 
@@ -259,7 +258,7 @@ def counted(learner):
     def fn(zbar):
         calls.append(zbar)
         return learner(zbar)
-    return dataclasses.replace(learner, fn=fn), calls
+    return learner._replace(fn=fn), calls
 
 
 def some_table_learner(inst):
