@@ -138,13 +138,22 @@ class BoundsReport(Record):
     epsilon0: float
 
     def as_dict(self) -> dict:
-        out = self._asdict()
-        ucp = out.pop("ucp")
-        out.update(m0_components=[ucp.m0_1, ucp.m0_2, ucp.m0_3], m0_ucp=ucp.m0)
-        # Huge integers are reported as floats to keep payloads small.
-        if self.growth_at_2m >= 2 ** 53:
-            out["growth_at_2m"] = float(self.growth_at_2m)
-        return out
+        growth = self.growth_at_2m
+        return {
+            "d": self.d,
+            "eps": self.eps,
+            "delta": self.delta,
+            "m_h": self.m_h,
+            "m0_nmse": self.m0_nmse,
+            "m0_singleton": self.m0_singleton,
+            "m0_components": [self.ucp.m0_1, self.ucp.m0_2, self.ucp.m0_3],
+            "m0_ucp": self.ucp.m0,
+            "m0_pac": self.m0_pac,
+            "m_eval": self.m_eval,
+            # Huge integers are reported as floats to keep payloads small.
+            "growth_at_2m": growth if growth < 2 ** 53 else float(growth),
+            "epsilon0": self.epsilon0,
+        }
 
 
 def bounds_report(d: int, eps: float, delta: float, m_h: int = 1,

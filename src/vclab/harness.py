@@ -79,11 +79,19 @@ class TrialReport(Record):
     seed_rule: str = SEED_RULE
 
     def as_dict(self) -> dict:
-        out = self._asdict()
-        out["ci95"] = [out.pop("ci_low"), out.pop("ci_high")]
-        if self.probability is not None:
-            out["probability"] = str(self.probability)
-        return out
+        return {
+            "kind": self.kind,
+            "mode": self.mode,
+            "m": self.m,
+            "eps": self.eps,
+            "trials": self.trials,
+            "successes": self.successes,
+            "estimate": self.estimate,
+            "ci95": [self.ci_low, self.ci_high],
+            "probability": None if self.probability is None else str(self.probability),
+            "seed": self.seed,
+            "seed_rule": self.seed_rule,
+        }
 
 
 def wilson_interval(successes: int, trials: int,

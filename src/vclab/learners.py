@@ -38,7 +38,6 @@ class LearningFunction(Record):
     space: HypothesisSpace | None = None
     order_invariant: bool = False
     _not_shown = ("fn",)
-    # Two learners are equal only when they are the same object.
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __call__(self, zbar: MultiSample) -> Hypothesis:

@@ -76,19 +76,15 @@ def to_bit(value, what: str = "bit") -> int:
 # ---------------------------------------------------------------------------
 # Records, instances and samples
 
-_set = object.__setattr__
-
 
 class Record:
-    """Base of the package's immutable value classes.  A frozen dataclass
-    compiles its methods with ``exec`` at import, about 1 ms per class on
-    CPython 3.11; a record builds nothing.  Its fields are the names a
-    subclass annotates, after its bases', and a class attribute of that
-    name is a default.  ``_not_compared`` and ``_not_shown`` name fields
-    left out of ``==`` (by exact class) and ``hash``, and out of the repr;
-    ``_asdict`` and ``_replace`` work as on a named tuple.  Setting or
-    deleting an attribute raises ``AttributeError``.  Classes built in
-    inner loops write their own ``__init__``."""
+    """Base of the package's immutable value classes.  On CPython 3.11 a
+    frozen dataclass compiles its methods with ``exec`` at import, about
+    1 ms per class; a record builds nothing.  Its fields are the names a
+    subclass annotates, after its bases'; a class attribute of that name
+    is a default.  ``_not_compared`` fields are left out of ``==`` (by
+    exact class) and ``hash``, ``_not_shown`` ones out of the repr.
+    Classes built thousands of times per run write their own ``__init__``."""
 
     _fields = _not_compared = _not_shown = ()
 
@@ -102,18 +98,16 @@ class Record:
         values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
         if (len(args) > len(fields) or values.keys() != set(fields)
                 or not kwargs.keys().isdisjoint(fields[:len(args)])):
-            raise TypeError(f"{type(self).__name__}() takes {fields}, got "
-                            f"{len(args)} positional and {sorted(kwargs)}")
+            raise TypeError(f"{type(self).__name__}() takes {fields}")
         for f in fields:
-            _set(self, f, values[f])
+            object.__setattr__(self, f, values[f])
         self.__post_init__()
 
     def __post_init__(self):
         pass
 
     def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete {name!r}: "
-                             f"{type(self).__name__} is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
@@ -134,11 +128,9 @@ class Record:
             f"{f}={getattr(self, f)!r}" for f in self._fields
             if f not in self._not_shown))
 
-    def _asdict(self) -> dict:
-        return {f: getattr(self, f) for f in self._fields}
-
     def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields},
+                             **changes})
 
 
 class Instance(Record):
@@ -155,9 +147,8 @@ class Instance(Record):
 
     value: str | tuple[Fraction, ...]
 
-    def __init__(self, value):
-        _set(self, "value", value)
-        _set(self, "_hash", hash(value))
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.value))
 
     def __hash__(self) -> int:
         return self._hash
@@ -229,16 +220,9 @@ class Sample(Record):
     instance: Instance
     label: int
 
-    def __init__(self, instance, label):
-        if label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {label!r}")
-        _set(self, "instance", instance)
-        _set(self, "label", label)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.instance, self.label) == (other.instance, other.label)
-        return NotImplemented
+    def __post_init__(self):
+        if self.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
     def __hash__(self) -> int:
         return hash((self.instance, self.label))
@@ -266,7 +250,6 @@ class MultiSample(Record):
     """
 
     samples: tuple[Sample, ...]
-    # Not fields: the support and draw counts, when attached.
     support = counts = None
 
     def __init__(self, samples):
@@ -274,7 +257,7 @@ class MultiSample(Record):
             raise ValueError("a multi-sample must contain at least one sample")
         if not all(isinstance(z, Sample) for z in samples):
             raise TypeError("multi-sample entries must be Samples")
-        _set(self, "samples", samples)
+        object.__setattr__(self, "samples", samples)
 
     @staticmethod
     def of(*entries) -> "MultiSample":
@@ -386,11 +369,11 @@ class Hypothesis(Record):
 
     key: tuple
     fn: Callable[[Instance], int]
-    _not_compared = _not_shown = ("fn",)
+    _not_shown = ("fn",)
 
     def __init__(self, key, fn):
-        _set(self, "key", key)
-        _set(self, "fn", fn)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "fn", fn)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -440,11 +423,6 @@ class DichotomyTable(Record):
     instances: tuple[Instance, ...]
     witnesses: Mapping[Labeling, Hypothesis]
     exact: bool
-
-    def __init__(self, instances, witnesses, exact):
-        _set(self, "instances", instances)
-        _set(self, "witnesses", witnesses)
-        _set(self, "exact", exact)
 
     @property
     def labelings(self) -> frozenset[Labeling]:

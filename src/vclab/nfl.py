@@ -104,11 +104,21 @@ class NflReport(Record):
                 and self.tail_at_least_seventh)
 
     def as_dict(self) -> dict:
-        # Every Fraction as a string, integral ones too.
-        out = {f: str(v) if isinstance(v, Fraction) else v
-               for f, v in self._asdict().items()}
-        out["expected_errors"] = [str(e) for e in self.expected_errors]
-        return {**out, "passed": self.passed}
+        return {
+            "m": self.m,
+            "learner": self.learner,
+            "expected_errors": [str(e) for e in self.expected_errors],
+            "max_expected_error": str(self.max_expected_error),
+            "argmax_index": self.argmax_index,
+            "average_expected_error": str(self.average_expected_error),
+            "tail_probability": str(self.tail_probability),
+            "markov_lower_bound": str(self.markov_lower_bound),
+            "opt_of_chosen": str(self.opt_of_chosen),
+            "max_at_least_quarter": self.max_at_least_quarter,
+            "average_at_least_quarter": self.average_at_least_quarter,
+            "tail_at_least_seventh": self.tail_at_least_seventh,
+            "passed": self.passed,
+        }
 
 
 def build_nfl_instance(instances: Sequence, m: int,

@@ -612,8 +612,9 @@ class TestRecord:
         with pytest.raises(ValueError, match="budget"):
             SampledParams()._replace(budget=0)
         assert SampledParams()._replace(seed=4) == SampledParams(seed=4)
-        assert SampledParams(seed=4)._asdict() == {
-            "budget": 2000, "seed": 4, "low": -10.0, "high": 10.0}
+        assert SampledParams._fields == ("budget", "seed", "low", "high")
+        assert [getattr(SampledParams(seed=4), f)
+                for f in SampledParams._fields] == [2000, 4, -10.0, 10.0]
         zbar = MultiSample.of((X0, 1))
         assert zbar._replace() == zbar
         assert zbar._replace().counts is None
