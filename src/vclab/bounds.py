@@ -7,6 +7,7 @@ All logarithms are natural: the formulas pair logs with e (as in
 from __future__ import annotations
 
 import math
+import sys
 
 from .combinatorics import sauer_bound
 from .model import Record
@@ -150,8 +151,10 @@ class BoundsReport(Record):
             "m0_ucp": self.ucp.m0,
             "m0_pac": self.m0_pac,
             "m_eval": self.m_eval,
-            # Huge integers are reported as floats to keep payloads small.
-            "growth_at_2m": growth if growth < 2 ** 53 else float(growth),
+            # Huge integers are reported as floats to keep payloads small,
+            # and exactly past the float range.
+            "growth_at_2m": (float(growth) if 2 ** 53 <= growth
+                             <= sys.float_info.max else growth),
             "epsilon0": self.epsilon0,
         }
 

@@ -405,9 +405,11 @@ class DichotomyTable(Record):
       greatest point labeled 1; the point labeled 0; past the largest
       point when no point has that label);
     * halfspaces: the point Fourier-Motzkin back-substitution picks, which
-      is not least in any order; the witnesses of labelings whose first bit
-      is 1 are computed, and every witness's ``Hypothesis`` built, when it
-      is first read;
+      is not least in any order.  Every witness's ``Hypothesis`` is built
+      when it is first read.  Its point is eliminated then too, except for
+      the labelings whose first bit is 0 in a swept table (more than
+      dim + 2 points, or an affine kernel of dimension 2 or more), which
+      are solved when the table is built;
     * formulas: the least parameter tuple of a finite source; over a
       sampled source, the native witness of a threshold, interval or
       co-singleton shape, the Fourier-Motzkin point of an atom affine in

@@ -18,13 +18,16 @@ output: it takes primitive integer rows, made primitive once where they
 are built, and returns an integer point (den, n_1, ..., n_k) standing for
 the exact rational witness v_i = n_i / den; ``halfspace_dichotomies``
 turns that point into Fractions.  ``HalfspaceSpace`` keeps each instance
-point's rows for its lifetime and solves only the labelings whose first
-bit is 0: the halfspace labelings of a finite point set are closed under
-complement, so each complement is known to be realized, and its witness is
-eliminated when it is first read.  Every witness point is checked again in
-integers when it is solved, against check rows built apart from the ones
-the elimination uses; the table keeps integer points and builds Fractions
-and a ``Hypothesis`` only when a witness is read.
+point's rows for its lifetime.  At most dim + 2 points whose rows (x, 1)
+have a left kernel of dimension at most 1 are decided by the signs of one
+integer kernel vector (Radon; Motzkin's transposition theorem), proven by
+a rank certificate; other point sets are swept, solving only the labelings
+whose first bit is 0, since the halfspace labelings of a finite point set
+are closed under complement.  Every other witness is eliminated when it
+is first read.  Every witness point is checked again in integers when it
+is solved, against check rows built apart from the ones the elimination
+uses; the table keeps integer points and builds Fractions and a
+``Hypothesis`` only when a witness is read.
 """
 
 from __future__ import annotations
@@ -338,50 +341,109 @@ def _integer_vector(values) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-class _ComplementClosedWitnesses(Mapping):
-    """The witnesses of a labeling set closed under complement, given the
-    integer points (``fm_witness``'s (den, n_1, ..., n_k)) of its labelings
-    whose first bit is 0, in lexicographic order.  The complements follow
-    them, so the keys stay in lexicographic order.  When a labeling is
-    first read, its point is turned into Fractions and those into a
-    hypothesis by ``build``, which is kept; a complement's point comes from
-    ``solve`` then (None there, an infeasible complement, is a bug).
-    ``in``, ``len`` and iteration solve and build nothing."""
+def _affine_dependence(rows: Sequence[list[int]]) -> tuple | None:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of [rows^T | I]:
+    every division is exact, and each pivot ends equal to the last, den.
+    None when the rows' left kernel has dimension 2 or more, else
+    (lam, cert, den): lam spans the kernel (None when it is 0), and cert[i]
+    is an integer c_i with row_j . c_i = den * [i = j] over every row but
+    the one without a pivot (whose cert is None)."""
+    n, width = len(rows), len(rows[0])
+    m = [[*col, *(int(i == k) for k in range(width))]
+         for i, col in enumerate(zip(*rows))]
+    pivots, free, prev = [], [], 1
+    for j in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, width) if m[i][j]), None)
+        if i is None:
+            if free:
+                return None
+            free.append(j)
+            continue
+        m[r], m[i] = m[i], m[r]
+        top = m[r]
+        p = top[j]
+        for i in range(width):
+            if i != r:
+                a = m[i][j]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        pivots.append(j)
+    cert = [None] * n
+    for q, j in enumerate(pivots):
+        cert[j] = m[q][n:]
+    if not free:
+        return None, cert, prev
+    lam = [0] * n
+    lam[free[0]] = prev
+    for q, j in enumerate(pivots):
+        lam[j] = -m[q][free[0]]
+    return lam, cert, prev
 
-    def __init__(self, first_zero: dict[Labeling, tuple[int, ...]],
+
+class _ComplementClosedWitnesses(Mapping):
+    """The witnesses of the halfspace labelings of n points, keyed in
+    lexicographic order, given by one of:
+
+    * ``first_zero``: the integer points (``fm_witness``'s
+      (den, n_1, ..., n_k)) of the labelings whose first bit is 0; their
+      complements are the rest;
+    * ``lam``: an integer vector spanning the points' affine kernel (None
+      when it is 0); every labeling is realized but [lam_i > 0] and
+      [lam_i < 0] wherever lam_i != 0 (see ``HalfspaceSpace``).
+
+    A labeling's point (from ``first_zero``, else from ``solve``; None
+    there is a bug) is turned into a hypothesis by ``build`` when it is
+    first read, and kept.  ``in``, ``len`` and iteration solve nothing."""
+
+    def __init__(self, n: int,
                  solve: Callable[[Labeling], tuple[int, ...] | None],
-                 build: Callable[[tuple[Fraction, ...]], Hypothesis]):
-        self._points = first_zero
+                 build: Callable[[tuple[Fraction, ...]], Hypothesis],
+                 first_zero: dict[Labeling, tuple[int, ...]] | None = None,
+                 lam: list[int] | None = None):
+        self._n = n
+        self._first_zero = first_zero
         self._hypotheses: dict[Labeling, Hypothesis] = {}
-        self._keys = (*first_zero, *(tuple(1 - b for b in lab)
-                                     for lab in reversed(first_zero)))
-        self._realized = frozenset(self._keys)
         self._solve = solve
         self._build = build
+        if first_zero is not None:
+            self._len = 2 * len(first_zero)
+        else:
+            self._signs = [(i, v > 0) for i, v in enumerate(lam or ()) if v]
+            self._len = 2 ** n - (2 ** (n - len(self._signs) + 1) if lam
+                                  else 0)
 
     def __getitem__(self, labeling: Labeling) -> Hypothesis:
         h = self._hypotheses.get(labeling)
         if h is None:
-            if labeling not in self._realized:
+            if labeling not in self:
                 raise KeyError(labeling)
-            point = self._points.get(labeling)
+            point = (self._first_zero or {}).get(labeling)
             if point is None:
                 point = self._solve(labeling)
                 if point is None:
+                    why = ("the complement of a realized one"
+                           if self._first_zero is not None else
+                           "realized by its points' affine dependence")
                     raise AssertionError(
-                        f"labeling {labeling} is the complement of a "
-                        f"realized one but is infeasible")
+                        f"labeling {labeling} is {why} but is infeasible")
             h = self._hypotheses[labeling] = self._build(_fractions(point))
         return h
 
     def __contains__(self, labeling) -> bool:
-        return labeling in self._realized
+        if not (isinstance(labeling, tuple) and len(labeling) == self._n
+                and set(labeling) <= {0, 1}):
+            return False
+        if self._first_zero is not None:
+            return (labeling if labeling[0] == 0 else tuple(
+                1 - b for b in labeling)) in self._first_zero
+        return len({labeling[i] == s for i, s in self._signs}) != 1
 
     def __iter__(self) -> Iterator[Labeling]:
-        return iter(self._keys)
+        return filter(self.__contains__, product((0, 1), repeat=self._n))
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._len
 
 
 class HalfspaceSpace(HypothesisSpace):
@@ -390,6 +452,11 @@ class HalfspaceSpace(HypothesisSpace):
     On finitely many points the labelings are closed under complement: if
     (w, b) realizes L, then (-w, -b - e) realizes its complement for any
     0 < e <= min |w.x + b| over the points w.x + b < 0 (or e = 1 if none).
+    If the rows (x_i, 1) have a left kernel spanned by lam, a labeling is
+    realized unless it is [lam_i > 0] or [lam_i < 0] wherever lam_i != 0:
+    those two give every term of sum_i lam_i (w.x_i + b) = 0 one sign and
+    some term a strict one, and by Motzkin's transposition theorem any other
+    infeasibility certificate would be a second kernel vector.
 
     The space keeps, for its whole lifetime, each instance point's rows:
     the primitive constraint pair that ``fm_witness`` reads and, built
@@ -436,18 +503,20 @@ class HalfspaceSpace(HypothesisSpace):
         return rows
 
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
-        """Fourier-Motzkin decides the labelings whose first bit is 0, on
-        each point's kept constraint pair.  Each integer point
-        (den, den*w, den*b) it returns is checked then, apart from the
-        elimination and its rows: with den > 0, the dot product of
-        (den*w, den*b) with a point's check row has the sign of w.x + b.
-        Each realized labeling brings its complement, whose point is
-        eliminated from the same constraints as in a full sweep, and
-        checked, when it is read.  The table keeps integer points and
-        builds a labeling's ``Hypothesis`` when it is first read."""
+        """At most dim + 2 points whose check rows have a left kernel of
+        dimension at most 1 are decided by ``_affine_dependence``, with no
+        Fourier-Motzkin call: its lam and rank certificate are checked in
+        integers against the check rows, which proves the kernel is 0 or
+        spanned by lam.  Other point sets are swept: Fourier-Motzkin decides
+        the labelings whose first bit is 0 on each point's kept constraint
+        pair.  Every other witness is eliminated, from the same constraints
+        as in a full sweep, when it is first read.  Each point
+        (den, den*w, den*b) is checked when it is found, apart from the
+        elimination and its rows: with den > 0, its dot product with a
+        point's check row has the sign of w.x + b."""
         instances = check_instance_tuple(instances)
         pairs, checks = zip(*map(self._point_rows, instances))
-        nvars = self.dim + 1
+        n, nvars = len(instances), self.dim + 1
 
         def witness(labeling: Labeling) -> tuple[int, ...] | None:
             point = fm_witness([pair[lab] for pair, lab
@@ -460,13 +529,26 @@ class HalfspaceSpace(HypothesisSpace):
                 raise AssertionError("halfspace witness failed verification")
             return point
 
-        first_zero = {}
-        for rest in product((0, 1), repeat=len(instances) - 1):
-            labeling = (0, *rest)
-            point = witness(labeling)
-            if point is not None:
-                first_zero[labeling] = point
-        return DichotomyTable(
-            instances,
-            _ComplementClosedWitnesses(first_zero, witness, self.hypothesis),
-            exact=True)
+        found = _affine_dependence(checks) if n <= nvars + 1 else None
+        if found is None:
+            first_zero = {}
+            for rest in product((0, 1), repeat=n - 1):
+                labeling = (0, *rest)
+                point = witness(labeling)
+                if point is not None:
+                    first_zero[labeling] = point
+            witnesses = _ComplementClosedWitnesses(
+                n, witness, self.hypothesis, first_zero=first_zero)
+        else:
+            lam, cert, den = found
+            if lam is not None and (not any(lam) or any(
+                    sum(map(mul, lam, column)) for column in zip(*checks))):
+                raise AssertionError("affine dependence failed verification")
+            kept = [i for i, c in enumerate(cert) if c is not None]
+            if den == 0 or len(kept) != n - (lam is not None) or any(
+                    sum(map(mul, checks[j], cert[i])) != (den if i == j else 0)
+                    for i in kept for j in kept):
+                raise AssertionError("rank certificate failed verification")
+            witnesses = _ComplementClosedWitnesses(
+                n, witness, self.hypothesis, lam=lam)
+        return DichotomyTable(instances, witnesses, exact=True)

@@ -19,6 +19,7 @@ from vclab import (
     parse_formula,
 )
 from vclab.cli import json_ready, main
+from vclab.combinatorics import sauer_bound
 from vclab.serialize import (
     distribution_from_json,
     distribution_to_json,
@@ -139,6 +140,37 @@ class TestCli:
                             "--delta", "0.5")
         assert code == 0
         assert payload["result"]["m0_ucp"] == 3273
+
+    def test_bounds_growth_past_the_float_range_is_exact(self, tmp_path):
+        """A growth value too large for a float is written as the exact
+        integer, and the report stays valid JSON with no Infinity."""
+        code = main(["bounds", "--d", "40", "--eps", "0.01", "--delta",
+                     "0.01", "--out", str(tmp_path)])
+        assert code == 0
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in report.json")
+        payload = json.loads((tmp_path / "report.json").read_text(),
+                             parse_constant=no_constant)
+        result = payload["result"]
+        growth = sauer_bound(40, 2 * result["m_eval"])
+        assert growth > sys.float_info.max
+        assert result["growth_at_2m"] == growth
+        assert isinstance(result["growth_at_2m"], int)
+
+    @pytest.mark.parametrize("d, growth_type", [(1, int), (4, float)])
+    def test_bounds_growth_payload_below_the_float_range(self, tmp_path, d,
+                                                         growth_type):
+        """Below 2**53 the growth value is the integer, from there to the
+        float range a float, as before."""
+        code, payload = run(tmp_path, "bounds", "--d", str(d), "--eps", "0.5",
+                            "--delta", "0.5")
+        assert code == 0
+        result = payload["result"]
+        growth = sauer_bound(d, 2 * result["m_eval"])
+        assert type(result["growth_at_2m"]) is growth_type
+        assert result["growth_at_2m"] == growth_type(growth)
+        assert (growth < 2 ** 53) == (growth_type is int)
 
     def test_bounds_csv_sweep(self, tmp_path):
         code, _ = run(tmp_path, "bounds", "--d", "1", "--eps", "0.5",

@@ -1,8 +1,10 @@
+import json
 import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +19,7 @@ from vclab import (
     ThresholdSpace,
 )
 from vclab.cli import main
-from vclab.combinatorics import vc_dimension
+from vclab.combinatorics import growth_function, vc_dimension
 from vclab.spaces import fm_witness, halfspace_dichotomies
 from conftest import fm_solve, points, reference_fm_witness
 
@@ -340,9 +342,79 @@ def test_kept_rows_match_a_fresh_space(pts, data):
         assert space._rows.keys() == seen
 
 
+@st.composite
+def rule_point_sets(draw):
+    """At most dim + 2 distinct points, dim in {1, 2, 3}, of integer and
+    fractional coordinates, often with several of them moved onto the line
+    through the first two, so collinear sets and shared coordinates are
+    common."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, dim + 2))
+    pts = draw(st.lists(st.tuples(*[COORDS] * dim), min_size=n, max_size=n,
+                        unique=True))
+    on_line = draw(st.integers(0, n))
+    if on_line >= 3:
+        (p, q), rest = pts[:2], pts[on_line:]
+        ts = draw(st.lists(st.sampled_from([F(-1), F(1, 2), F(2), F(-2, 3)]),
+                           min_size=on_line - 2, max_size=on_line - 2,
+                           unique=True))
+        pts = [p, q, *(tuple(a + t * (b - a) for a, b in zip(p, q))
+                       for t in ts), *rest]
+        assume(len(set(pts)) == n)
+    return draw(st.permutations(pts))
+
+
+def affine_kernel_dimension(pts) -> int:
+    """n minus the rank of the rows (x, 1), by Fraction elimination."""
+    rows = [[F(v) for v in (*p, 1)] for p in pts]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            f = r[col] / pivot[col]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return len(pts) - rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_point_sets())
+def test_rule_matches_the_sweep(pts):
+    """On at most dim + 2 points the table gives the keys, order, ``len``,
+    ``in`` and witnesses of the table swept with the rule switched off and
+    of a full sweep.  A count makes no FM call exactly when the affine
+    kernel has dimension at most 1."""
+    instances = [Instance.point(*p) for p in pts]
+    dim = len(pts[0])
+    calls = []
+
+    def counted(constraints, nvars):
+        calls.append(constraints)
+        return fm_witness(constraints, nvars)
+    with mock.patch.object(vclab.spaces, "fm_witness", counted):
+        table = HalfspaceSpace(dim).dichotomies(instances)
+    assert (calls == []) == (affine_kernel_dimension(pts) <= 1)
+    with mock.patch.object(vclab.spaces, "_affine_dependence",
+                           lambda rows: None):
+        swept = HalfspaceSpace(dim).dichotomies(instances)
+    sweep = halfspace_dichotomies([(0, (*p, 1)) for p in pts])
+    assert len(table) == len(swept) == len(sweep)
+    assert list(table.witnesses) == list(swept.witnesses) == \
+        [lab for lab, _ in sweep]
+    assert [lab in table for lab in product((0, 1), repeat=len(pts))] == \
+        [lab in swept for lab in product((0, 1), repeat=len(pts))]
+    assert [h.key for h in table.witnesses.values()] == \
+        [h.key for h in swept.witnesses.values()] == \
+        [("halfspace", *params) for _, params in sweep]
+
+
 def test_each_pool_point_made_primitive_once(monkeypatch):
-    """``vc_dimension`` over a pool of 8 builds each point's rows once, for
-    all the subsets and FM calls it makes."""
+    """``vc_dimension`` and ``growth_function`` over a pool of 8 build each
+    point's rows once, for all the subsets and FM calls they make."""
     primitive_calls, fm_calls = [], []
     primitive = vclab.spaces._primitive
 
@@ -358,40 +430,62 @@ def test_each_pool_point_made_primitive_once(monkeypatch):
     pool = [Instance.point(*p) for p in
             [(0, 0), (3, 1), (1, 4), (2, 2), (5, 5), (-1, 3), (4, -2),
              (F(1, 2), F(7, 3))]]
-    verdict = vc_dimension(HalfspaceSpace(2), pool)
+    space = HalfspaceSpace(2)
+    verdict = vc_dimension(space, pool)
     assert verdict.value == 3 and verdict.status == "exact"
+    assert growth_function(space, 5, pool) == 22
     assert len(fm_calls) > 100
     assert sorted(primitive_calls) == sorted((0, *p.coords, 1) for p in pool)
 
 
+@pytest.fixture
+def fm_calls(monkeypatch):
+    calls = []
+
+    def counted(constraints, nvars):
+        calls.append(constraints)
+        return fm_witness(constraints, nvars)
+    monkeypatch.setattr(vclab.spaces, "fm_witness", counted)
+    return calls
+
+
+HALFSPACE_2D = '{"kind": "halfspace-family", "dim": 2}'
+
+
 class TestComplementClosure:
-    PTS = [Instance.point(0, 0), Instance.point(3, 1), Instance.point(1, 4),
-           Instance.point(2, 2), Instance.point(5, 5)]
+    """A table of more than dim + 2 points, or of points whose affine
+    kernel has dimension 2 or more, is swept: FM solves the labelings whose
+    first bit is 0, and each complement when it is read."""
 
-    @pytest.fixture
-    def fm_calls(self, monkeypatch):
-        calls = []
-
-        def counted(constraints, nvars):
-            calls.append(constraints)
-            return fm_witness(constraints, nvars)
-        monkeypatch.setattr(vclab.spaces, "fm_witness", counted)
-        return calls
+    COORDS = [(0, 0), (3, 1), (1, 4), (2, 2), (5, 5)]
+    PTS = [Instance.point(*p) for p in COORDS]
+    MORE = PTS + [Instance.point(-1, 3), Instance.point(4, -2)]
 
     def test_count_len_and_in_solve_half_the_labelings(self, fm_calls):
         space = HalfspaceSpace(2)
-        for n in range(1, len(self.PTS) + 1):
+        for n in range(len(self.PTS), len(self.MORE) + 1):
             sweep = [lab for lab, _ in halfspace_dichotomies(
-                [(0, (*p.coords, 1)) for p in self.PTS[:n]])]
+                [(0, (*p.coords, 1)) for p in self.MORE[:n]])]
             fm_calls.clear()
-            assert space.dichotomy_count(self.PTS[:n]) == len(sweep)
+            assert space.dichotomy_count(self.MORE[:n]) == len(sweep)
             assert len(fm_calls) == 2 ** (n - 1)
             fm_calls.clear()
-            table = space.dichotomies(self.PTS[:n])
+            table = space.dichotomies(self.MORE[:n])
             assert len(table) == len(sweep)
             assert [lab for lab in product((0, 1), repeat=n)
                     if lab in table] == sweep
             assert len(fm_calls) == 2 ** (n - 1)
+
+    def test_a_kernel_of_dimension_2_is_swept(self, fm_calls):
+        """Four collinear points in the plane are at most dim + 2 points,
+        but their affine kernel has dimension 2."""
+        pts = [Instance.point(i, 2 * i + 1) for i in range(4)]
+        sweep = [lab for lab, _ in halfspace_dichotomies(
+            [(0, (*p.coords, 1)) for p in pts])]
+        fm_calls.clear()
+        table = HalfspaceSpace(2).dichotomies(pts)
+        assert len(fm_calls) == 2 ** 3
+        assert list(table.witnesses) == sweep and len(table) == 8
 
     def test_each_complement_witness_is_solved_once(self, fm_calls):
         table = HalfspaceSpace(2).dichotomies(self.PTS)
@@ -414,27 +508,181 @@ class TestComplementClosure:
             return witness if constraints[0][1] else change(witness)
         monkeypatch.setattr(vclab.spaces, "fm_witness", patched)
 
-    def _check_raises(self, tmp_path, match):
-        table = HalfspaceSpace(2).dichotomies(self.PTS[:3])
-        assert len(table) == 8
-        with pytest.raises(AssertionError, match=match):
-            table.witnesses[(1, 1, 1)]
-        (tmp_path / "space.json").write_text(
-            '{"kind": "halfspace-family", "dim": 2}')
-        with pytest.raises(AssertionError, match=match):
-            main(["vcdim", "--space", str(tmp_path / "space.json"),
-                  "--pool", "0,0;3,1;1,4", "--out", str(tmp_path)])
-
-    def test_wrong_complement_witness_raises(self, monkeypatch, tmp_path):
+    @staticmethod
+    def wrong_witness(w):
         # Point 0 is the origin, so b < 0 puts it on the 0 side; the point
         # is (den, den*w, den*b), so b - 1000 is den*b - 1000*den.
-        self.patch_first_bit_1(
-            monkeypatch, lambda w: w and (*w[:-1], w[-1] - 1000 * w[0]))
+        return w and (*w[:-1], w[-1] - 1000 * w[0])
+
+    def _check_raises(self, tmp_path, match):
+        """The swept table of the 5 points raises when the complement
+        (1, 1, 1, 1, 1) is read, and so does ``ucp-sim``, which reads
+        every witness of the table of its support."""
+        table = HalfspaceSpace(2).dichotomies(self.PTS)
+        assert len(table) == 20
+        with pytest.raises(AssertionError, match=match):
+            table.witnesses[(1,) * 5]
+        (tmp_path / "space.json").write_text(HALFSPACE_2D)
+        (tmp_path / "dist.json").write_text(json.dumps(
+            {"support": [[list(p), 1] for p in self.COORDS],
+             "weights": ["1/5"] * 5}))
+        with pytest.raises(AssertionError, match=match):
+            main(["ucp-sim", "--space", str(tmp_path / "space.json"),
+                  "--dist", str(tmp_path / "dist.json"), "--m", "1",
+                  "--eps", "0.5", "--exact", "--out", str(tmp_path)])
+
+    def test_wrong_complement_witness_raises(self, monkeypatch, tmp_path):
+        self.patch_first_bit_1(monkeypatch, self.wrong_witness)
         self._check_raises(tmp_path, "failed verification")
 
     def test_infeasible_complement_raises(self, monkeypatch, tmp_path):
         self.patch_first_bit_1(monkeypatch, lambda w: None)
         self._check_raises(tmp_path, "complement of a realized one")
+
+
+def _check_rule_raises(tmp_path, match):
+    """The rule's table of 3 points of the plane makes no FM call until
+    (1, 1, 1) is read, and ``vcdim`` reads every witness of the 3 points it
+    finds shattered."""
+    pts = TestComplementClosure.PTS[:3]
+    table = HalfspaceSpace(2).dichotomies(pts)
+    assert len(table) == 8
+    with pytest.raises(AssertionError, match=match):
+        table.witnesses[(1, 1, 1)]
+    (tmp_path / "space.json").write_text(HALFSPACE_2D)
+    with pytest.raises(AssertionError, match=match):
+        main(["vcdim", "--space", str(tmp_path / "space.json"),
+              "--pool", "0,0;3,1;1,4", "--out", str(tmp_path)])
+
+
+class TestAffineDependenceRule:
+    """At most dim + 2 points whose affine kernel has dimension at most 1
+    are decided by the signs of a kernel vector, with no FM call until a
+    witness is read."""
+
+    PTS = TestComplementClosure.PTS[:4]
+
+    def test_count_len_and_in_make_no_fm_call(self, fm_calls):
+        space = HalfspaceSpace(2)
+        for n in range(1, len(self.PTS) + 1):
+            sweep = [lab for lab, _ in halfspace_dichotomies(
+                [(0, (*p.coords, 1)) for p in self.PTS[:n]])]
+            fm_calls.clear()
+            assert space.dichotomy_count(self.PTS[:n]) == len(sweep)
+            table = space.dichotomies(self.PTS[:n])
+            assert len(table) == len(sweep)
+            assert [lab for lab in product((0, 1), repeat=n)
+                    if lab in table] == list(table.witnesses) == sweep
+            assert fm_calls == []
+
+    @pytest.mark.parametrize("coords", [
+        [(0,), (1,), (3,)],
+        [(0, 0), (3, 1), (1, 4), (2, 2)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 0)]])
+    def test_a_witness_read_solves_one_system(self, fm_calls, coords):
+        pts = [Instance.point(*p) for p in coords]
+        space = HalfspaceSpace(len(coords[0]))
+        sweep = halfspace_dichotomies([(0, (*p, 1)) for p in coords])
+        fm_calls.clear()
+        assert space.dichotomy_count(pts) == len(sweep)
+        table = space.dichotomies(pts)
+        assert fm_calls == []
+        lab, params = sweep[len(sweep) // 2]
+        h = table.witnesses[lab]
+        assert h.key == ("halfspace", *params) and len(fm_calls) == 1
+        assert table.witnesses[lab] is h and len(fm_calls) == 1
+        missing = next(lab for lab in product((0, 1), repeat=len(pts))
+                       if lab not in table)
+        with pytest.raises(KeyError):
+            table.witnesses[missing]
+        assert len(fm_calls) == 1
+
+    def test_in_rejects_what_is_not_a_labeling(self):
+        for pts in (self.PTS[:3], TestComplementClosure.PTS):
+            witnesses = HalfspaceSpace(2).dichotomies(pts).witnesses
+            n = len(pts)
+            assert (0,) * n in witnesses
+            for bad in ((0,) * (n - 1), (0,) * (n + 1), (2,) + (0,) * (n - 1),
+                        [0] * n, None):
+                assert bad not in witnesses
+
+    def test_wrong_rule_witness_raises(self, monkeypatch, tmp_path):
+        TestComplementClosure.patch_first_bit_1(
+            monkeypatch, TestComplementClosure.wrong_witness)
+        _check_rule_raises(tmp_path, "failed verification")
+
+    def test_infeasible_rule_labeling_raises(self, monkeypatch, tmp_path):
+        """An FM None on a labeling the rule calls realized is a bug."""
+        TestComplementClosure.patch_first_bit_1(monkeypatch, lambda w: None)
+        _check_rule_raises(tmp_path, "realized by its points' affine "
+                                     "dependence but is infeasible")
+
+
+def _patch_dependence(monkeypatch, change):
+    """Route every result of ``_affine_dependence`` through ``change``."""
+    dependence = vclab.spaces._affine_dependence
+
+    def patched(rows):
+        found = dependence(rows)
+        return found and change(*found)
+    monkeypatch.setattr(vclab.spaces, "_affine_dependence", patched)
+
+
+def _vcdim_raises(tmp_path, match, pool="0,0;1,0;0,1;1,1"):
+    (tmp_path / "space.json").write_text(HALFSPACE_2D)
+    with pytest.raises(AssertionError, match=match):
+        main(["vcdim", "--space", str(tmp_path / "space.json"),
+              "--pool", pool, "--out", str(tmp_path)])
+
+
+class TestRuleChecks:
+    """The kernel vector and the rank certificate are checked in integers
+    against the check rows before the rule is used; a wrong one is a bug,
+    not bad input."""
+
+    def test_flipped_lambda_sign_raises(self, monkeypatch, tmp_path):
+        def flip(lam, cert, den):
+            if lam is None:
+                return lam, cert, den
+            k = next(i for i, v in enumerate(lam) if v)
+            return [-v if i == k else v for i, v in enumerate(lam)], cert, den
+        _patch_dependence(monkeypatch, flip)
+        with pytest.raises(AssertionError, match="affine dependence failed"):
+            HalfspaceSpace(2).dichotomy_count(TestAffineDependenceRule.PTS)
+        _vcdim_raises(tmp_path, "affine dependence failed verification")
+
+    def test_zero_lambda_raises(self, monkeypatch, tmp_path):
+        _patch_dependence(monkeypatch, lambda lam, cert, den: (
+            lam and [0] * len(lam), cert, den))
+        _vcdim_raises(tmp_path, "affine dependence failed verification")
+
+    @pytest.mark.parametrize("change", [
+        lambda lam, cert, den: (lam, [c and [c[0] + 1, *c[1:]]
+                                      for c in cert], den),
+        lambda lam, cert, den: (lam, cert, 2 * den),
+        lambda lam, cert, den: (lam, [[0] * len(c) if c else c
+                                      for c in cert], 0),
+        lambda lam, cert, den: (lam, [None, *cert[1:]], den),
+        lambda lam, cert, den: (None, cert, den),
+    ], ids=["entry", "den", "zero", "dropped", "independence"])
+    def test_corrupted_rank_certificate_raises(self, monkeypatch, tmp_path,
+                                               change):
+        """A vcdim run meets a one-point table first (kernel 0, one
+        certificate vector) and a four-point one last (a kernel vector and
+        three certificate vectors)."""
+        _patch_dependence(monkeypatch, change)
+        _vcdim_raises(tmp_path, "rank certificate failed verification")
+
+    def test_a_rule_claiming_every_labeling_reaches_known_vc(
+            self, monkeypatch, tmp_path):
+        """If the rule counted all 2^n labelings of dim + 2 points,
+        ``vc_dimension`` would find 4 points of the plane shattered, above
+        the family's VC dimension 3."""
+        monkeypatch.setattr(vclab.spaces._ComplementClosedWitnesses,
+                            "__len__", lambda self: 2 ** self._n)
+        _vcdim_raises(tmp_path, "search found d=4 above the family's VC "
+                                "dimension 3")
 
 
 class TestDeferredHypotheses:
@@ -480,6 +728,12 @@ class TestWitnessCheck:
     that feed it; a kernel that returns a wrong witness, or a wrong row
     builder, is caught and is not reported as bad input."""
 
+    PTS = TestComplementClosure.PTS
+    FRACTIONAL = [Instance.point(F(1, 2), 0), Instance.point(0, F(1, 3)),
+                  Instance.point(F(2, 3), F(3, 4)),
+                  Instance.point(F(5, 2), F(1, 5)),
+                  Instance.point(F(-1, 3), F(7, 2))]
+
     @pytest.fixture
     def negated_witnesses(self, monkeypatch):
         # (den, -n_1, ..., -n_k): the negated values, den kept > 0.
@@ -491,25 +745,36 @@ class TestWitnessCheck:
 
     def test_dichotomies_raise(self, negated_witnesses):
         with pytest.raises(AssertionError):
-            HalfspaceSpace(2).dichotomies([Instance.point(0, 0),
-                                           Instance.point(1, 0),
-                                           Instance.point(0, 1)])
+            HalfspaceSpace(2).dichotomies(self.PTS)
+
+    def test_rule_dichotomies_raise_when_a_witness_is_read(
+            self, negated_witnesses):
+        table = HalfspaceSpace(2).dichotomies(self.PTS[:3])
+        with pytest.raises(AssertionError, match="failed verification"):
+            table.witnesses[(0, 1, 1)]
 
     def test_dichotomy_count_raises(self, negated_witnesses):
         """The check runs when a labeling is solved, not when its
         hypothesis is read, so a count that reads none still makes it."""
         with pytest.raises(AssertionError, match="failed verification"):
-            HalfspaceSpace(2).dichotomy_count([Instance.point(0, 0),
-                                               Instance.point(1, 0),
-                                               Instance.point(0, 1)])
+            HalfspaceSpace(2).dichotomy_count(self.PTS)
+
+    def test_rule_count_solves_nothing_until_a_witness_is_read(
+            self, negated_witnesses):
+        space = HalfspaceSpace(2)
+        assert space.dichotomy_count(self.PTS[:3]) == 8
+        with pytest.raises(AssertionError, match="failed verification"):
+            space.dichotomies(self.PTS[:3]).witnesses[(0, 0, 0)]
 
     def test_cli_does_not_exit_2(self, negated_witnesses, tmp_path):
-        (tmp_path / "space.json").write_text(
-            '{"kind": "halfspace-family", "dim": 2}')
-        for argv in (["vcdim"], ["growth", "--m", "3"]):
+        """``vcdim`` reads the witnesses of the set it finds shattered;
+        ``growth --m 5`` sweeps 5 points of the plane."""
+        (tmp_path / "space.json").write_text(HALFSPACE_2D)
+        for argv in (["vcdim"], ["growth", "--m", "5"]):
             with pytest.raises(AssertionError, match="failed verification"):
                 main([*argv, "--space", str(tmp_path / "space.json"),
-                      "--pool", "0,0;1,0;0,1", "--out", str(tmp_path)])
+                      "--pool", "0,0;1,0;0,1;3,1;1,4", "--out",
+                      str(tmp_path)])
 
     @pytest.fixture
     def denominators_dropped(self, monkeypatch):
@@ -519,9 +784,14 @@ class TestWitnessCheck:
 
     def test_wrong_rows_raise(self, denominators_dropped):
         with pytest.raises(AssertionError):
-            HalfspaceSpace(2).dichotomies([Instance.point(F(1, 2), 0),
-                                           Instance.point(0, F(1, 3)),
-                                           Instance.point(F(2, 3), F(3, 4))])
+            HalfspaceSpace(2).dichotomies(self.FRACTIONAL)
+
+    def test_wrong_rows_raise_when_rule_witnesses_are_read(
+            self, denominators_dropped):
+        table = HalfspaceSpace(2).dichotomies(self.FRACTIONAL[:3])
+        assert len(table) == 8
+        with pytest.raises(AssertionError, match="failed verification"):
+            dict(table.witnesses)
 
     def test_wrong_rows_do_not_exit_2(self, denominators_dropped, tmp_path):
         (tmp_path / "space.json").write_text(
