@@ -140,6 +140,11 @@ class BoundsReport(Record):
 
     def as_dict(self) -> dict:
         growth = self.growth_at_2m
+        limit = sys.get_int_max_str_digits()  # json.dumps refuses more
+        if limit and growth >= 10 ** limit:
+            raise ValueError(f"growth_at_2m has more than {limit} decimal "
+                             f"digits, the limit of integer to string "
+                             f"conversion, so it cannot be reported exactly")
         return {
             "d": self.d,
             "eps": self.eps,

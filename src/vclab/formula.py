@@ -30,7 +30,7 @@ import re
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import product, zip_longest
 
 from .model import (
     DichotomyTable,
@@ -645,10 +645,16 @@ class ExplicitParams(Record):
 
     @staticmethod
     def of(tuples: Sequence[Sequence]) -> "ExplicitParams":
-        out = tuple(tuple(to_fraction(v) for v in t) for t in tuples)
+        """Sorted and deduplicated on integer keys: per coordinate, the
+        numerators over that coordinate's lcm of denominators."""
+        out = [tuple(to_fraction(v) for v in t) for t in tuples]
         if not out:
             raise ValueError("parameter list must be non-empty")
-        return ExplicitParams(tuple(sorted(set(out))))
+        scales = [math.lcm(*[v.denominator for v in column]) for column
+                  in zip_longest(*out, fillvalue=Fraction(0))]
+        keyed = {tuple([v.numerator * (s // v.denominator)
+                        for v, s in zip(t, scales)]): t for t in out}
+        return ExplicitParams(tuple([keyed[k] for k in sorted(keyed)]))
 
     @staticmethod
     def grid(axes: Sequence[Sequence]) -> "ExplicitParams":

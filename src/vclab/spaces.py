@@ -11,23 +11,26 @@ together with a witness parameter chosen by a fixed rule, exactly:
 
 Threshold, interval and co-singleton enumeration is combinatorial on the
 sorted points.  ``halfspace_dichotomies`` takes affine functions of the
-parameters (a formula atom affine in its parameters) and decides each
-candidate labeling by exact Fourier-Motzkin elimination (strict
-inequalities included).  ``fm_witness`` works in integers from input to
-output: it takes primitive integer rows, made primitive once where they
-are built, and returns an integer point (den, n_1, ..., n_k) standing for
-the exact rational witness v_i = n_i / den; ``halfspace_dichotomies``
-turns that point into Fractions.  ``HalfspaceSpace`` keeps each instance
-point's rows for its lifetime.  At most dim + 2 points whose rows (x, 1)
-have a left kernel of dimension at most 1 are decided by the signs of one
-integer kernel vector (Radon; Motzkin's transposition theorem), proven by
-a rank certificate; other point sets are swept, solving only the labelings
-whose first bit is 0, since the halfspace labelings of a finite point set
-are closed under complement.  Every other witness is eliminated when it
-is first read.  Every witness point is checked again in integers when it
-is solved, against check rows built apart from the ones the elimination
-uses; the table keeps integer points and builds Fractions and a
-``Hypothesis`` only when a witness is read.
+parameters (a formula atom affine in its parameters) and decides its
+labelings by exact Fourier-Motzkin elimination (strict inequalities
+included), grown point by point (``_label_tree``): one elimination per
+realized prefix, O(n^(k+1)) for n rows in k variables, not 2^n.
+``fm_witness`` works in integers from input to output: it takes primitive
+integer rows, made primitive once where they are built, and returns an
+integer point (den, n_1, ..., n_k) standing for the exact rational witness
+v_i = n_i / den; ``halfspace_dichotomies`` turns that point into
+Fractions.  ``HalfspaceSpace`` keeps each instance point's rows for its
+lifetime.  At most dim + 2 points whose rows (x, 1) have a left kernel of
+dimension at most 1 are decided by the signs of one integer kernel vector
+(Radon; Motzkin's transposition theorem), proven by a rank certificate;
+other point sets grow only the labelings whose first bit is 0, since the
+halfspace labelings of a finite point set are closed under complement.
+Every witness is the point ``fm_witness`` finds on its labeling's full
+system; one not found at the tree's last level is eliminated when it is
+first read.  Every witness point is checked again in integers when it is
+solved, against check rows built apart from the ones the elimination uses;
+the table keeps integer points and builds Fractions and a ``Hypothesis``
+only when a witness is read.
 """
 
 from __future__ import annotations
@@ -233,23 +236,71 @@ def _fractions(point: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, den) for n in point[1:])
 
 
+def _label_tree(tests, solve: Callable[[Labeling], tuple[int, ...] | None],
+                prefix: Labeling, point: tuple[int, ...]
+                ) -> dict[Labeling, tuple[int, ...] | None]:
+    """The realized labelings of the len(tests) points that extend
+    ``prefix`` (shorter than that), in lexicographic order, each with an
+    integer point or None, grown one point at a time from ``point``, which
+    realizes ``prefix``.  A realized prefix's point realizes the label it
+    gives the next point j: 1 iff row . point >= 0 (> 0 when strict) for
+    (row, strict) = tests[j].  The other label is realized iff ``solve``
+    returns a point for it, which that labeling keeps.  So a table costs
+    one ``solve`` per realized prefix of its first n - 1 points.  A
+    labeling of all n points realized by its prefix's point gets None."""
+    level = [(prefix, point)]
+    for j in range(len(prefix), len(tests)):
+        row, strict = tests[j]
+        grown = []
+        for prefix, point in level:
+            dot = sum(map(mul, row, point))
+            free = 1 if dot > 0 or (dot == 0 and not strict) else 0
+            for lab in (0, 1):
+                labeling = (*prefix, lab)
+                if lab == free:
+                    grown.append((labeling, point if j + 1 < len(tests)
+                                  else None))
+                else:
+                    found = solve(labeling)
+                    if found is not None:
+                        grown.append((labeling, found))
+        level = grown
+    return dict(level)
+
+
+def _solved(solve, labeling: Labeling, why: str) -> tuple[int, ...]:
+    """``solve(labeling)`` for a labeling known to be realized."""
+    point = solve(labeling)
+    if point is None:
+        raise AssertionError(f"labeling {labeling} is {why} but is infeasible")
+    return point
+
+
+_INHERITED = "realized by the witness of its prefix"
+
+
 def halfspace_dichotomies(rows, strict: bool = False
                           ) -> list[tuple[Labeling, tuple[Fraction, ...]]]:
     """Every labeling of the rows (const, coeffs), of int or Fraction
     entries and one length of coeffs, that some rational v realizes, with
-    the v ``fm_witness`` finds, as Fractions: label 1 means
+    the v ``fm_witness`` finds on the labeling's full system, as
+    Fractions, in lexicographic order: label 1 means
     const + coeffs . v >= 0 (> 0 when ``strict``), label 0 the negation.
-    Each row is made primitive once for all labelings.  Needs at least one
+    Each row is made primitive once for all labelings, and its label-1 row
+    is the ``_label_tree`` test, grown from v = 0.  Needs at least one
     row."""
     nvars = len(rows[0][1])
     pairs = [_constraint_pair(const, coeffs, strict) for const, coeffs in rows]
-    out = []
-    for labeling in product((0, 1), repeat=len(rows)):
-        point = fm_witness([pair[lab] for pair, lab in zip(pairs, labeling)],
-                           nvars)
-        if point is not None:
-            out.append((labeling, _fractions(point)))
-    return out
+
+    def solve(labeling: Labeling) -> tuple[int, ...] | None:
+        return fm_witness([pair[lab] for pair, lab in zip(pairs, labeling)],
+                          nvars)
+
+    tree = _label_tree([pair[1] for pair in pairs], solve, (),
+                       (1, *[0] * nvars))
+    return [(labeling, _fractions(point or _solved(solve, labeling,
+                                                   _INHERITED)))
+            for labeling, point in tree.items()]
 
 
 def _constraint_pair(const, coeffs, strict: bool) -> tuple[tuple, tuple]:
@@ -385,9 +436,10 @@ class _ComplementClosedWitnesses(Mapping):
     """The witnesses of the halfspace labelings of n points, keyed in
     lexicographic order, given by one of:
 
-    * ``first_zero``: the integer points (``fm_witness``'s
-      (den, n_1, ..., n_k)) of the labelings whose first bit is 0; their
-      complements are the rest;
+    * ``first_zero``: the labelings whose first bit is 0 (``_label_tree``),
+      each with its integer point (``fm_witness``'s (den, n_1, ..., n_k))
+      or None when its prefix's witness realizes it; their complements are
+      the rest;
     * ``lam``: an integer vector spanning the points' affine kernel (None
       when it is 0); every labeling is realized but [lam_i > 0] and
       [lam_i < 0] wherever lam_i != 0 (see ``HalfspaceSpace``).
@@ -420,13 +472,11 @@ class _ComplementClosedWitnesses(Mapping):
                 raise KeyError(labeling)
             point = (self._first_zero or {}).get(labeling)
             if point is None:
-                point = self._solve(labeling)
-                if point is None:
-                    why = ("the complement of a realized one"
-                           if self._first_zero is not None else
-                           "realized by its points' affine dependence")
-                    raise AssertionError(
-                        f"labeling {labeling} is {why} but is infeasible")
+                why = ("realized by its points' affine dependence"
+                       if self._first_zero is None else
+                       "the complement of a realized one" if labeling[0]
+                       else _INHERITED)
+                point = _solved(self._solve, labeling, why)
             h = self._hypotheses[labeling] = self._build(_fractions(point))
         return h
 
@@ -456,7 +506,8 @@ class HalfspaceSpace(HypothesisSpace):
     realized unless it is [lam_i > 0] or [lam_i < 0] wherever lam_i != 0:
     those two give every term of sum_i lam_i (w.x_i + b) = 0 one sign and
     some term a strict one, and by Motzkin's transposition theorem any other
-    infeasibility certificate would be a second kernel vector.
+    infeasibility certificate would be a second kernel vector.  Other
+    point sets cost O(n^(dim+1)) Fourier-Motzkin calls (Cover 1965).
 
     The space keeps, for its whole lifetime, each instance point's rows:
     the primitive constraint pair that ``fm_witness`` reads and, built
@@ -507,13 +558,14 @@ class HalfspaceSpace(HypothesisSpace):
         dimension at most 1 are decided by ``_affine_dependence``, with no
         Fourier-Motzkin call: its lam and rank certificate are checked in
         integers against the check rows, which proves the kernel is 0 or
-        spanned by lam.  Other point sets are swept: Fourier-Motzkin decides
-        the labelings whose first bit is 0 on each point's kept constraint
-        pair.  Every other witness is eliminated, from the same constraints
-        as in a full sweep, when it is first read.  Each point
-        (den, den*w, den*b) is checked when it is found, apart from the
-        elimination and its rows: with den > 0, its dot product with a
-        point's check row has the sign of w.x + b."""
+        spanned by lam.  Other point sets grow a ``_label_tree`` of the
+        labelings whose first bit is 0 from w = 0, b = -1, with the check
+        rows as its tests and Fourier-Motzkin on the kept constraint pairs.
+        A labeling that its prefix's witness realizes at the last point,
+        and every complement, is eliminated from its full system when it
+        is first read.  Each point (den, den*w, den*b) is checked when it is
+        found, apart from the elimination and its rows: with den > 0, its
+        dot product with a point's check row has the sign of w.x + b."""
         instances = check_instance_tuple(instances)
         pairs, checks = zip(*map(self._point_rows, instances))
         n, nvars = len(instances), self.dim + 1
@@ -525,18 +577,14 @@ class HalfspaceSpace(HypothesisSpace):
                 return None
             numerators = point[1:]
             if tuple(1 if sum(map(mul, numerators, row)) >= 0 else 0
-                     for row in checks) != labeling:
+                     for row in checks[:len(labeling)]) != labeling:
                 raise AssertionError("halfspace witness failed verification")
             return point
 
         found = _affine_dependence(checks) if n <= nvars + 1 else None
         if found is None:
-            first_zero = {}
-            for rest in product((0, 1), repeat=n - 1):
-                labeling = (0, *rest)
-                point = witness(labeling)
-                if point is not None:
-                    first_zero[labeling] = point
+            first_zero = _label_tree([((0, *row), False) for row in checks],
+                                     witness, (0,), (1, *[0] * self.dim, -1))
             witnesses = _ComplementClosedWitnesses(
                 n, witness, self.hypothesis, first_zero=first_zero)
         else:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from vclab import spaces
 from vclab import (
@@ -153,6 +154,40 @@ def reference_fm_witness(constraints, nvars):
         if total < 0 or (strict and total == 0):
             return None
     return tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the halfspace sweep as ``spaces`` ran it before it grew realized
+# prefixes point by point: ``fm_witness`` on the full system of every one
+# of the 2^n labelings.  The prefix tree must list the same labelings, in
+# the same order, with the same witness for each.  The kernel is bound at
+# import, so that a test which counts or corrupts ``spaces.fm_witness``
+# leaves the reference as it is.
+SWEPT_FM_WITNESS = spaces.fm_witness
+
+
+def sweep_dichotomies(rows, strict=False):
+    """Every labeling of the rows (const, coeffs) that ``fm_witness``
+    finds feasible on its full system, in lexicographic order, with the
+    witness as Fractions: label 1 is const + coeffs . v >= 0 (> 0 when
+    ``strict``), label 0 the negation."""
+    nvars = len(rows[0][1])
+    pairs = [spaces._constraint_pair(const, coeffs, strict)
+             for const, coeffs in rows]
+    out = []
+    for labeling in product((0, 1), repeat=len(rows)):
+        point = SWEPT_FM_WITNESS(
+            [pair[lab] for pair, lab in zip(pairs, labeling)], nvars)
+        if point is not None:
+            out.append((labeling, spaces._fractions(point)))
+    return out
+
+
+def sweep_table(pts):
+    """``sweep_dichotomies`` of the halfspace rows (x, 1) of points given
+    as coordinate tuples or as ``Instance`` points."""
+    return sweep_dichotomies([(0, (*getattr(p, "coords", p), 1))
+                              for p in pts])
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,20 @@ class TestCli:
         assert result["growth_at_2m"] == growth
         assert isinstance(result["growth_at_2m"], int)
 
+    def test_bounds_growth_past_the_digit_limit_exits_2(self, tmp_path,
+                                                        capsys):
+        """A growth value of more digits than ``json.dumps`` converts is
+        refused as bad input, naming the field and the limit, before any
+        output is written."""
+        out = tmp_path / "out"
+        code = main(["bounds", "--d", "800", "--eps", "0.01", "--delta",
+                     "0.01", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "growth_at_2m" in err
+        assert f"{sys.get_int_max_str_digits()} decimal digits" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("d, growth_type", [(1, int), (4, float)])
     def test_bounds_growth_payload_below_the_float_range(self, tmp_path, d,
                                                          growth_type):

@@ -536,6 +536,21 @@ def test_explicit_params_sort_and_deduplicate(data):
         {tuple(to_fraction(v) for v in t) for t in tuples}))
 
 
+WIDE_RATIONALS = st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                           st.integers(1, 10 ** 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(WIDE_RATIONALS | st.integers(-3, 3), max_size=3),
+                min_size=1, max_size=60))
+def test_explicit_params_of_matches_sorted_set(tuples):
+    """Tuples of arity 0 to 3 mixed, of ints and of Fractions with large
+    and unrelated denominators: the integer keys sort and deduplicate as
+    the Fraction tuples do."""
+    assert ExplicitParams.of(tuples).tuples == tuple(sorted(set(
+        tuple(F(v) for v in t) for t in tuples)))
+
+
 # Reference for the label columns of finite sources: the witness loop they
 # replaced, run over the sorted candidates.
 

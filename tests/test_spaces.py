@@ -21,7 +21,13 @@ from vclab import (
 from vclab.cli import main
 from vclab.combinatorics import growth_function, vc_dimension
 from vclab.spaces import fm_witness, halfspace_dichotomies
-from conftest import fm_solve, points, reference_fm_witness
+from conftest import (
+    fm_solve,
+    points,
+    reference_fm_witness,
+    sweep_dichotomies,
+    sweep_table,
+)
 
 
 def one_dim_halfspace_oracle(values):
@@ -293,23 +299,7 @@ def test_cover_count_bounds_any_distinct_points(data):
 
 POINT_SETS = st.integers(1, 3).flatmap(lambda dim: st.lists(
     st.tuples(*[st.integers(-2, 2) | st.integers(-30, 30)] * dim),
-    min_size=1, max_size=6, unique=True))
-
-
-@settings(max_examples=60, deadline=None)
-@given(POINT_SETS)
-def test_complement_closed_table_matches_full_sweep(pts):
-    """Small coordinate ranges make collinear sets and shared coordinates
-    common.  The table solves half the labelings and reads the rest on
-    demand, yet lists the labelings of a full sweep in the same order, with
-    the same witness for each."""
-    table = HalfspaceSpace(len(pts[0])).dichotomies(
-        [Instance.point(*p) for p in pts])
-    sweep = halfspace_dichotomies([(0, (*p, 1)) for p in pts])
-    assert len(table) == len(sweep)
-    assert all(lab in table for lab, _ in sweep)
-    assert [(lab, h.key) for lab, h in table.witnesses.items()] == \
-        [(lab, ("halfspace", *params)) for lab, params in sweep]
+    min_size=1, max_size=9, unique=True))
 
 
 COORDS = st.integers(-3, 3) | st.builds(F, st.integers(-6, 6),
@@ -332,7 +322,7 @@ def test_kept_rows_match_a_fresh_space(pts, data):
                                     max_size=5, unique=True))
         table = space.dichotomies(subset)
         fresh = HalfspaceSpace(len(pts[0])).dichotomies(subset)
-        sweep = halfspace_dichotomies([(0, (*x.coords, 1)) for x in subset])
+        sweep = sweep_table(subset)
         assert list(table.witnesses) == list(fresh.witnesses) == \
             [lab for lab, _ in sweep]
         assert [h.key for h in table.witnesses.values()] == \
@@ -343,19 +333,20 @@ def test_kept_rows_match_a_fresh_space(pts, data):
 
 
 @st.composite
-def rule_point_sets(draw):
-    """At most dim + 2 distinct points, dim in {1, 2, 3}, of integer and
-    fractional coordinates, often with several of them moved onto the line
-    through the first two, so collinear sets and shared coordinates are
-    common."""
+def rule_point_sets(draw, most=None):
+    """At most dim + 2 (or ``most``) distinct points, dim in {1, 2, 3}, of
+    integer and fractional coordinates, often with several of them moved
+    onto the line through the first two, so collinear sets and shared
+    coordinates are common."""
     dim = draw(st.integers(1, 3))
-    n = draw(st.integers(1, dim + 2))
+    n = draw(st.integers(1, most or dim + 2))
     pts = draw(st.lists(st.tuples(*[COORDS] * dim), min_size=n, max_size=n,
                         unique=True))
     on_line = draw(st.integers(0, n))
     if on_line >= 3:
         (p, q), rest = pts[:2], pts[on_line:]
-        ts = draw(st.lists(st.sampled_from([F(-1), F(1, 2), F(2), F(-2, 3)]),
+        ts = draw(st.lists(st.sampled_from([F(-1), F(1, 2), F(2), F(-2, 3),
+                                            F(3), F(1, 3), F(-3, 2)]),
                            min_size=on_line - 2, max_size=on_line - 2,
                            unique=True))
         pts = [p, q, *(tuple(a + t * (b - a) for a, b in zip(p, q))
@@ -385,8 +376,8 @@ def affine_kernel_dimension(pts) -> int:
 @given(rule_point_sets())
 def test_rule_matches_the_sweep(pts):
     """On at most dim + 2 points the table gives the keys, order, ``len``,
-    ``in`` and witnesses of the table swept with the rule switched off and
-    of a full sweep.  A count makes no FM call exactly when the affine
+    ``in`` and witnesses of the prefix-tree table (the rule switched off)
+    and of a full sweep.  A count makes no FM call exactly when the affine
     kernel has dimension at most 1."""
     instances = [Instance.point(*p) for p in pts]
     dim = len(pts[0])
@@ -401,7 +392,7 @@ def test_rule_matches_the_sweep(pts):
     with mock.patch.object(vclab.spaces, "_affine_dependence",
                            lambda rows: None):
         swept = HalfspaceSpace(dim).dichotomies(instances)
-    sweep = halfspace_dichotomies([(0, (*p, 1)) for p in pts])
+    sweep = sweep_table(pts)
     assert len(table) == len(swept) == len(sweep)
     assert list(table.witnesses) == list(swept.witnesses) == \
         [lab for lab, _ in sweep]
@@ -410,6 +401,66 @@ def test_rule_matches_the_sweep(pts):
     assert [h.key for h in table.witnesses.values()] == \
         [h.key for h in swept.witnesses.values()] == \
         [("halfspace", *params) for _, params in sweep]
+
+
+@settings(max_examples=40, deadline=None)
+@given(POINT_SETS | rule_point_sets(most=9))
+def test_complement_closed_table_matches_full_sweep(pts):
+    """Up to 9 points: small coordinate ranges, and points moved onto a
+    line, make collinear sets and shared coordinates common.  The table,
+    with the rule and with the rule switched off (so always the prefix
+    tree), solves at most half the labelings and reads the rest on demand,
+    yet gives the keys, order, ``len`` and ``in`` of a full sweep, and the
+    sweep's witness for each labeling."""
+    instances = [Instance.point(*p) for p in pts]
+    sweep = sweep_table(pts)
+    realized = {lab for lab, _ in sweep}
+    tables = [HalfspaceSpace(len(pts[0])).dichotomies(instances)]
+    with mock.patch.object(vclab.spaces, "_affine_dependence",
+                           lambda rows: None):
+        tables.append(HalfspaceSpace(len(pts[0])).dichotomies(instances))
+    for table in tables:
+        assert len(table) == len(sweep)
+        assert all((lab in table) == (lab in realized)
+                   for lab in product((0, 1), repeat=len(pts)))
+        assert [(lab, h.key) for lab, h in table.witnesses.items()] == \
+            [(lab, ("halfspace", *params)) for lab, params in sweep]
+
+
+AFFINE_ROWS = st.integers(1, 3).flatmap(lambda nvars: st.lists(
+    st.tuples(RATIONALS, st.tuples(*[RATIONALS] * nvars)),
+    min_size=1, max_size=9))
+POINT_ROWS = rule_point_sets(most=9).map(lambda pts: [(0, (*p, 1))
+                                                      for p in pts])
+
+
+@settings(max_examples=25, deadline=None)
+@given(AFFINE_ROWS | POINT_ROWS, st.booleans())
+def test_halfspace_dichotomies_match_the_sweep(rows, strict):
+    """Up to 9 rows (const, coeffs), closed and open: random affine rows
+    in up to 3 variables, and the rows (0, (x, 1)) of halfspaces on
+    collinear and shared-coordinate points.  The prefix tree gives the
+    sweep's list of labelings and witnesses."""
+    assert halfspace_dichotomies(rows, strict) == \
+        sweep_dichotomies(rows, strict)
+
+
+def plane_points_in_general_position(rng, n, span=50):
+    """n distinct integer points of [-span, span]^2, no three collinear."""
+    pts = []
+    while len(pts) < n:
+        cand = (rng.randint(-span, span), rng.randint(-span, span))
+        if cand not in pts and in_general_position([*pts, cand], 2):
+            pts.append(cand)
+    return pts
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(8, 14), st.integers(0, 2 ** 32))
+def test_cover_count_up_to_14_points_of_the_plane(n, seed):
+    pts = plane_points_in_general_position(random.Random(seed), n, span=1000)
+    assert HalfspaceSpace(2).dichotomy_count(
+        [Instance.point(*p) for p in pts]) == cover_count(n, 2)
 
 
 def test_each_pool_point_made_primitive_once(monkeypatch):
@@ -454,44 +505,51 @@ HALFSPACE_2D = '{"kind": "halfspace-family", "dim": 2}'
 
 class TestComplementClosure:
     """A table of more than dim + 2 points, or of points whose affine
-    kernel has dimension 2 or more, is swept: FM solves the labelings whose
-    first bit is 0, and each complement when it is read."""
+    kernel has dimension 2 or more, grows its labelings whose first bit is
+    0 point by point: one FM call per realized first-bit-0 prefix of its
+    first n - 1 points, and one for each other witness when it is read."""
 
     COORDS = [(0, 0), (3, 1), (1, 4), (2, 2), (5, 5)]
     PTS = [Instance.point(*p) for p in COORDS]
     MORE = PTS + [Instance.point(-1, 3), Instance.point(4, -2)]
 
-    def test_count_len_and_in_solve_half_the_labelings(self, fm_calls):
+    def test_count_len_and_in_solve_one_system_per_realized_prefix(
+            self, fm_calls):
+        """The first 1..7 points have 2, 4, 8, 14, 20, 30 and 40 labelings,
+        half of them with first bit 0."""
         space = HalfspaceSpace(2)
-        for n in range(len(self.PTS), len(self.MORE) + 1):
-            sweep = [lab for lab, _ in halfspace_dichotomies(
-                [(0, (*p.coords, 1)) for p in self.MORE[:n]])]
+        for n, calls in ((5, 1 + 2 + 4 + 7), (6, 24), (7, 39)):
+            prefixes = [sweep_table(self.MORE[:j]) for j in range(1, n)]
+            assert calls == sum(len(sweep) // 2 for sweep in prefixes)
+            sweep = [lab for lab, _ in sweep_table(self.MORE[:n])]
             fm_calls.clear()
             assert space.dichotomy_count(self.MORE[:n]) == len(sweep)
-            assert len(fm_calls) == 2 ** (n - 1)
+            assert len(fm_calls) == calls
             fm_calls.clear()
             table = space.dichotomies(self.MORE[:n])
             assert len(table) == len(sweep)
             assert [lab for lab in product((0, 1), repeat=n)
-                    if lab in table] == sweep
-            assert len(fm_calls) == 2 ** (n - 1)
+                    if lab in table] == list(table.witnesses) == sweep
+            assert len(fm_calls) == calls
 
-    def test_a_kernel_of_dimension_2_is_swept(self, fm_calls):
+    def test_a_kernel_of_dimension_2_grows_a_prefix_tree(self, fm_calls):
         """Four collinear points in the plane are at most dim + 2 points,
-        but their affine kernel has dimension 2."""
+        but their affine kernel has dimension 2.  The first j of them have
+        j labelings whose first bit is 0, so the tree makes 1 + 2 + 3 FM
+        calls where a sweep makes 2^3."""
         pts = [Instance.point(i, 2 * i + 1) for i in range(4)]
-        sweep = [lab for lab, _ in halfspace_dichotomies(
-            [(0, (*p.coords, 1)) for p in pts])]
+        sweep = [lab for lab, _ in sweep_table(pts)]
         fm_calls.clear()
         table = HalfspaceSpace(2).dichotomies(pts)
-        assert len(fm_calls) == 2 ** 3
+        assert len(fm_calls) == 6
         assert list(table.witnesses) == sweep and len(table) == 8
 
     def test_each_complement_witness_is_solved_once(self, fm_calls):
         table = HalfspaceSpace(2).dichotomies(self.PTS)
+        assert len(fm_calls) == 1 + 2 + 4 + 7
         lab = next(lab for lab in table.witnesses if lab[0] == 1)
         assert table.witnesses[lab] is table.witnesses[lab]
-        assert len(fm_calls) == 2 ** (len(self.PTS) - 1) + 1
+        assert len(fm_calls) == 1 + 2 + 4 + 7 + 1
         # (2, 2) lies between (0, 0) and (5, 5), so it cannot be labeled 0
         # while both are labeled 1.
         with pytest.raises(KeyError):
@@ -515,13 +573,17 @@ class TestComplementClosure:
         return w and (*w[:-1], w[-1] - 1000 * w[0])
 
     def _check_raises(self, tmp_path, match):
-        """The swept table of the 5 points raises when the complement
-        (1, 1, 1, 1, 1) is read, and so does ``ucp-sim``, which reads
-        every witness of the table of its support."""
+        """The table of the 5 points raises when the complement
+        (1, 1, 1, 1, 1) is read, and so does ``ucp-sim``."""
         table = HalfspaceSpace(2).dichotomies(self.PTS)
         assert len(table) == 20
         with pytest.raises(AssertionError, match=match):
             table.witnesses[(1,) * 5]
+        self._ucp_sim_raises(tmp_path, match)
+
+    def _ucp_sim_raises(self, tmp_path, match):
+        """``ucp-sim`` reads every witness of the table of its support, the
+        5 points."""
         (tmp_path / "space.json").write_text(HALFSPACE_2D)
         (tmp_path / "dist.json").write_text(json.dumps(
             {"support": [[list(p), 1] for p in self.COORDS],
@@ -538,6 +600,56 @@ class TestComplementClosure:
     def test_infeasible_complement_raises(self, monkeypatch, tmp_path):
         self.patch_first_bit_1(monkeypatch, lambda w: None)
         self._check_raises(tmp_path, "complement of a realized one")
+
+    def test_a_16_point_table_solves_one_system_per_realized_prefix(
+            self, fm_calls):
+        """The first j of 16 points of the plane in general position have
+        Cover's count of labelings, half of them with first bit 0, so the
+        table makes sum_{j<16} C(j)/2 = 575 FM calls where a sweep makes
+        2^15 = 32,768."""
+        pts = plane_points_in_general_position(random.Random(16), 16)
+        table = HalfspaceSpace(2).dichotomies([Instance.point(*p)
+                                               for p in pts])
+        assert sum(cover_count(j, 2) // 2 for j in range(1, 16)) == 575
+        assert len(fm_calls) == 575
+        assert len(table) == cover_count(16, 2)
+
+    @staticmethod
+    def patch_systems(monkeypatch, size, change):
+        """Route the result of every FM system of ``size`` constraints, or
+        of fewer when ``size`` is negative, through ``change``."""
+        def patched(constraints, nvars):
+            witness = fm_witness(constraints, nvars)
+            n = len(constraints)
+            return change(witness) if (
+                n == size if size > 0 else n < -size) else witness
+        monkeypatch.setattr(vclab.spaces, "fm_witness", patched)
+
+    def test_wrong_prefix_witness_raises(self, monkeypatch, tmp_path):
+        """A wrong point for a prefix of at most 4 of the 5 points fails
+        its integer re-check when the table is grown, in ``growth`` too."""
+        self.patch_systems(monkeypatch, -5, self.wrong_witness)
+        with pytest.raises(AssertionError, match="failed verification"):
+            HalfspaceSpace(2).dichotomies(self.PTS)
+        (tmp_path / "space.json").write_text(HALFSPACE_2D)
+        with pytest.raises(AssertionError, match="failed verification"):
+            main(["growth", "--space", str(tmp_path / "space.json"),
+                  "--pool", ";".join(f"{x},{y}" for x, y in self.COORDS),
+                  "--m", "5", "--out", str(tmp_path)])
+
+    def test_infeasible_inherited_labeling_raises(self, monkeypatch,
+                                                  tmp_path):
+        """(0, 0, 0, 0, 0) is realized by the root's witness all the way
+        down, so its full system is solved only when it is read."""
+        self.patch_systems(monkeypatch, 5, lambda w: None)
+        table = HalfspaceSpace(2).dichotomies(self.PTS)
+        assert (0,) * 5 in table
+        match = "realized by the witness of its prefix but is infeasible"
+        with pytest.raises(AssertionError, match=match):
+            table.witnesses[(0,) * 5]
+        self._ucp_sim_raises(tmp_path, match)
+        with pytest.raises(AssertionError, match=match):
+            halfspace_dichotomies([(0, (*p, 1)) for p in self.COORDS])
 
 
 def _check_rule_raises(tmp_path, match):
@@ -565,8 +677,7 @@ class TestAffineDependenceRule:
     def test_count_len_and_in_make_no_fm_call(self, fm_calls):
         space = HalfspaceSpace(2)
         for n in range(1, len(self.PTS) + 1):
-            sweep = [lab for lab, _ in halfspace_dichotomies(
-                [(0, (*p.coords, 1)) for p in self.PTS[:n]])]
+            sweep = [lab for lab, _ in sweep_table(self.PTS[:n])]
             fm_calls.clear()
             assert space.dichotomy_count(self.PTS[:n]) == len(sweep)
             table = space.dichotomies(self.PTS[:n])
@@ -583,7 +694,7 @@ class TestAffineDependenceRule:
     def test_a_witness_read_solves_one_system(self, fm_calls, coords):
         pts = [Instance.point(*p) for p in coords]
         space = HalfspaceSpace(len(coords[0]))
-        sweep = halfspace_dichotomies([(0, (*p, 1)) for p in coords])
+        sweep = sweep_table(coords)
         fm_calls.clear()
         assert space.dichotomy_count(pts) == len(sweep)
         table = space.dichotomies(pts)
@@ -704,7 +815,7 @@ class TestDeferredHypotheses:
 
     def test_count_builds_none(self, built):
         space = HalfspaceSpace(2)
-        sweep = halfspace_dichotomies([(0, (*p.coords, 1)) for p in self.PTS])
+        sweep = sweep_table(self.PTS)
         assert space.dichotomy_count(self.PTS) == len(sweep) == 20
         table = space.dichotomies(self.PTS)
         assert len(table) == 20 and (0,) * 5 in table
@@ -765,6 +876,22 @@ class TestWitnessCheck:
         assert space.dichotomy_count(self.PTS[:3]) == 8
         with pytest.raises(AssertionError, match="failed verification"):
             space.dichotomies(self.PTS[:3]).witnesses[(0, 0, 0)]
+
+    def test_a_witness_blind_to_the_new_point_raises(self, monkeypatch,
+                                                    tmp_path):
+        """A kernel that drops the last constraint of every system returns
+        the prefix's own point for the label that point does not give the
+        new point; the re-check of the new point's label catches it."""
+        def blind(constraints, nvars):
+            return fm_witness(constraints[:-1], nvars)
+        monkeypatch.setattr(vclab.spaces, "fm_witness", blind)
+        with pytest.raises(AssertionError, match="failed verification"):
+            HalfspaceSpace(2).dichotomy_count(self.PTS)
+        (tmp_path / "space.json").write_text(HALFSPACE_2D)
+        with pytest.raises(AssertionError, match="failed verification"):
+            main(["growth", "--space", str(tmp_path / "space.json"),
+                  "--pool", "0,0;1,0;0,1;3,1;1,4", "--m", "5", "--out",
+                  str(tmp_path)])
 
     def test_cli_does_not_exit_2(self, negated_witnesses, tmp_path):
         """``vcdim`` reads the witnesses of the set it finds shattered;
