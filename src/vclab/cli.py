@@ -103,6 +103,11 @@ def _pool_file(path_or_inline: str) -> list[str]:
     return [path_or_inline] if Path(path_or_inline).is_file() else []
 
 
+def _learner_file(ref: str) -> list[str]:
+    """The learner reference as a manifest input, when it names a file."""
+    return [ref.split(":", 1)[1]] if ref.startswith("file:") else []
+
+
 def _load_pool(path_or_inline: str):
     if Path(path_or_inline).exists():
         return pool_from_json(_load_json(path_or_inline))
@@ -226,7 +231,8 @@ def _cmd_pac_sim(args):
         return estimate_pac_probability(learner, space, dist, m, args.eps,
                                         trials=args.trials, seed=args.seed,
                                         exact=args.exact)
-    return _sim_common(args, runner)
+    result, sweep, inputs = _sim_common(args, runner)
+    return result, sweep, inputs + _learner_file(args.learner)
 
 
 def _cmd_nfl(args):
@@ -247,9 +253,7 @@ def _cmd_nfl(args):
         inst = build_nfl_instance(instances, args.m, ambient=space)
     learner = _resolve_learner(args.learner, space)
     report = nfl_report(learner, inst, allow_large=args.allow_large)
-    if args.learner.startswith("file:"):
-        inputs.append(args.learner.split(":", 1)[1])
-    return report.as_dict(), None, inputs
+    return report.as_dict(), None, inputs + _learner_file(args.learner)
 
 
 def _formula_ast(args) -> fm.FormulaAst:

@@ -38,6 +38,7 @@ from .model import (
     HypothesisSpace,
     Instance,
     Labeling,
+    LazyWitnesses,
     Record,
     check_instance_tuple,
     split_columns,
@@ -534,14 +535,13 @@ class _ClosedForm(Record):
     witnesses: Callable
 
 
-def _native(name: str, space: HypothesisSpace,
-            slots: tuple[int, ...]) -> _ClosedForm:
-    """A native space's closed form; ``slots`` gives, per parameter of its
-    witness key, that parameter's position in the formula's declaration."""
+def _native(name: str, space: HypothesisSpace, params) -> _ClosedForm:
+    """A native space's closed form, read off its witness keys: ``params``
+    turns a key into the formula's parameters in declared order."""
 
     def witnesses(instances):
-        return {lab: tuple(v for _, v in sorted(zip(slots, h.key[1:])))
-                for lab, h in space.dichotomies(instances).witnesses.items()}
+        keys = space.dichotomies(instances).witnesses.witness_keys
+        return {lab: params(key) for lab, key in keys.items()}
 
     return _ClosedForm(name, space.known_vc(), witnesses)
 
@@ -617,9 +617,10 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
         right_par = _match_var(root.right, params)
         if root.op == "!=" and (
                 (left_obj and right_par) or (left_par and right_obj)):
-            return _native("co-singleton", CoSingletonSpace(), (0,))
+            return _native("co-singleton", CoSingletonSpace(),
+                           lambda w: (w,))
         if root.op == "<=" and left_par and right_obj:
-            return _native("threshold", ThresholdSpace(), (0,))
+            return _native("threshold", ThresholdSpace(), lambda w: (w,))
 
     if (ast.arity == 1 and ast.param_arity == 2 and isinstance(root, And)
             and isinstance(root.left, Cmp) and isinstance(root.right, Cmp)
@@ -629,8 +630,8 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
         x2 = _match_var(root.right.left, objects)
         hi = _match_var(root.right.right, params)
         if lo and hi and x1 and x2 and x1 == x2 and lo != hi:
-            return _native("interval", IntervalSpace(),
-                           (order[lo], order[hi]))
+            return _native("interval", IntervalSpace(), lambda key: (
+                key if order[lo] < order[hi] else key[::-1]))
     return _affine(ast)
 
 
@@ -749,9 +750,6 @@ class DefinableSpace(HypothesisSpace):
 
         return Hypothesis(key=("formula",) + w, fn=fn)
 
-    def hypothesis_from_key(self, key) -> Hypothesis:
-        return self.hypothesis(key)
-
     def hypotheses(self) -> Iterator[Hypothesis]:
         if isinstance(self.source, SampledParams):
             raise TypeError("the sampled parameter space is not finitely "
@@ -825,8 +823,8 @@ class DefinableSpace(HypothesisSpace):
             found = self._least_witnesses(points, list(_candidate_parameters(
                 self.ast, points, self.source)), {}, [])
             exact = False
-        witnesses = {lab: self.hypothesis(w) for lab, w in found.items()}
-        return DichotomyTable(instances, witnesses, exact=exact)
+        return DichotomyTable(instances, LazyWitnesses(
+            found, self.hypothesis_from_key), exact=exact)
 
 
 def definable_space(ast: FormulaAst, source, backend: str | None = None,

@@ -222,8 +222,8 @@ def _max_deviation(space: HypothesisSpace,
                    weighted: Iterable[tuple[Sample, int | Fraction]], m: int,
                    require_exact: bool) -> Fraction:
     """max over the realized labelings of |weight gotten wrong| / m."""
-    return Fraction(max(abs(wrong) for _, _, wrong in restriction_errors(
-        space, weighted, require_exact)), m)
+    _, scored = restriction_errors(space, weighted, require_exact)
+    return Fraction(max(abs(wrong) for wrong, _ in scored), m)
 
 
 def u_statistic(space: HypothesisSpace, dist: DiscreteDistribution,
@@ -324,7 +324,7 @@ def estimate_ucp_probability(space: HypothesisSpace,
     eps_exact = to_fraction(eps)
     positions = {x: i for i, x in enumerate(dist.instances())}
     windows = []
-    for lab, _, te in restriction_errors(space, dist.items()):
+    for te, lab in restriction_errors(space, dist.items())[1]:
         wrong = tuple(i for i, z in enumerate(dist.support)
                       if lab[positions[z.instance]] != z.label)
         windows.append((wrong, math.ceil(m * (te - eps_exact)),

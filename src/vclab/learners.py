@@ -50,7 +50,8 @@ def sem_learner(space: HypothesisSpace) -> LearningFunction:
     The output's sample error equals the minimal sample error exactly, so
     the space needs an exact restriction oracle: over an inexact one the
     minimum over the *found* labelings may exceed the true minimum by an
-    unknown amount, and construction is refused.
+    unknown amount, and construction is refused.  A call reads only the
+    witness it returns.
     """
     if not space.oracle_exact:
         raise InexactOracleError(
@@ -59,9 +60,9 @@ def sem_learner(space: HypothesisSpace) -> LearningFunction:
 
     def fn(zbar: MultiSample) -> Hypothesis:
         # Least count wrong, then lexicographically least labeling.
-        return min(restriction_errors(space, zbar.tally(),
-                                      require_exact=False),
-                   key=lambda scored: (scored[2], scored[0]))[1]
+        witnesses, scored = restriction_errors(space, zbar.tally(),
+                                               require_exact=False)
+        return witnesses[min(scored)[1]]
 
     return LearningFunction(name="sem", fn=fn, space=space,
                             order_invariant=True)

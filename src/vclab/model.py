@@ -9,8 +9,10 @@ Every supremum or minimum over a space that the package computes (best
 true error, minimal sample error, the U, V and sign-flipped deviations, the
 sample-error minimizer) goes through :func:`restriction_errors`: the weight
 each realized labeling of the points involved gets wrong under a finite,
-possibly signed, measure on the sample space.  The per-hypothesis
-``loss``, ``sample_error`` and ``true_error`` score a given output.
+possibly signed, measure on the sample space; it reads no witness, and a
+table builds a ``Hypothesis`` only when one is read (:class:`LazyWitnesses`).
+The per-hypothesis ``loss``, ``sample_error`` and ``true_error`` score a
+given output.
 
 All probabilities and error values are exact ``fractions.Fraction``s.  Floats
 appearing in inputs are converted to their exact binary rational value, so
@@ -26,7 +28,6 @@ from fractions import Fraction
 from itertools import (accumulate, chain, combinations_with_replacement,
                        groupby, product, repeat)
 from operator import getitem, itemgetter
-from types import MappingProxyType
 
 Labeling = tuple[int, ...]
 
@@ -363,8 +364,8 @@ def index_states(k: int, m: int, ordered: bool
 class Hypothesis(Record):
     """A total binary classifier with a canonical identity key.
 
-    Equality, ordering and hashing go through the key; two hypotheses with
-    equal keys must evaluate identically everywhere.
+    Equality and hashing go through the key; two hypotheses with equal
+    keys must evaluate identically everywhere.
     """
 
     key: tuple
@@ -386,30 +387,51 @@ class Hypothesis(Record):
     def __call__(self, x: Instance) -> int:
         return self.fn(x)
 
-    def sort_key(self):
-        return self.key
+
+class LazyWitnesses(Mapping):
+    """Read-only witnesses: each labeling's witness key, turned into a
+    ``Hypothesis`` by ``build`` on the labeling's first read and kept.
+    ``in``, ``len`` and iteration go to ``witness_keys``, building none."""
+
+    def __init__(self, witness_keys: Mapping[Labeling, object],
+                 build: Callable[[object], Hypothesis]):
+        self.witness_keys, self._build, self._built = witness_keys, build, {}
+
+    def __getitem__(self, labeling: Labeling) -> Hypothesis:
+        h = self._built.get(labeling)
+        if h is None:
+            h = self._built[labeling] = self._build(
+                self.witness_keys[labeling])
+        return h
+
+    def __contains__(self, labeling) -> bool:
+        return labeling in self.witness_keys
+
+    def __iter__(self) -> Iterator[Labeling]:
+        return iter(self.witness_keys)
+
+    def __len__(self) -> int:
+        return len(self.witness_keys)
 
 
 class DichotomyTable(Record):
     """Restrictions of a hypothesis space to a fixed ordered instance tuple.
 
     ``witnesses`` maps each realized labeling (aligned with ``instances``)
-    to one hypothesis that gives it, chosen deterministically by the
-    family:
+    to one hypothesis that gives it, built when first read from a witness
+    key chosen deterministically by the family (:class:`LazyWitnesses`):
 
     * ``ExplicitSpace``: the least bit-vector; the table is shared by
-      every later call on the same instance tuple, so its ``witnesses``
-      is a read-only ``MappingProxyType``;
+      every later call on the same instance tuple;
     * thresholds, intervals, co-singletons: the canonical parameter of the
       combinatorial enumerator (the least point labeled 1; the least and
       greatest point labeled 1; the point labeled 0; past the largest
       point when no point has that label);
     * halfspaces: the point Fourier-Motzkin back-substitution picks, which
-      is not least in any order.  Every witness's ``Hypothesis`` is built
-      when it is first read.  Its point is eliminated then too, except for
-      the labelings whose first bit is 0 in a swept table (more than
-      dim + 2 points, or an affine kernel of dimension 2 or more), which
-      are solved when the table is built;
+      is not least in any order.  A grown table (more than dim + 2 points,
+      or an affine kernel of dimension 2 or more) keeps the point it solved
+      for each labeling whose first bit is 0 and that its prefix's witness
+      does not realize; every other point is solved when first read;
     * formulas: the least parameter tuple of a finite source; over a
       sampled source, the native witness of a threshold, interval or
       co-singleton shape, the Fourier-Motzkin point of an atom affine in
@@ -478,7 +500,7 @@ class HypothesisSpace:
         raise NotImplementedError(f"{self.kind} space is not finitely enumerable")
 
     def hypothesis_from_key(self, key) -> Hypothesis:
-        raise NotImplementedError(f"{self.kind} space has no key-based lookup")
+        return self.hypothesis(key)
 
 
 class ExplicitSpace(HypothesisSpace):
@@ -507,7 +529,17 @@ class ExplicitSpace(HypothesisSpace):
         if not vectors:
             raise ValueError("hypothesis space must be non-empty")
         self.domain = domain
-        self._index = {x: i for i, x in enumerate(domain)}
+        index = self._index = {x: i for i, x in enumerate(domain)}
+
+        # Not a method: a memoized table referring to the space is a cycle.
+        def build(bits: Labeling) -> Hypothesis:
+            def fn(x: Instance, _bits=bits, _index=index) -> int:
+                i = _index.get(x)
+                return 0 if i is None else _bits[i]
+
+            return Hypothesis(key=("explicit", bits), fn=fn)
+
+        self._build = build
         self._vectors = sorted(vectors)
         # Each vector keyed by itself: a lookup by a tuple equal to it, such
         # as (1.0, True), returns the vector of ints.
@@ -527,25 +559,15 @@ class ExplicitSpace(HypothesisSpace):
     def __len__(self) -> int:
         return len(self._vectors)
 
-    def _make_hypothesis(self, bits: Labeling) -> Hypothesis:
-        index = self._index
-
-        def fn(x: Instance, _bits=bits, _index=index) -> int:
-            i = _index.get(x)
-            return 0 if i is None else _bits[i]
-
-        return Hypothesis(key=("explicit", bits), fn=fn)
-
     def hypotheses(self) -> Iterator[Hypothesis]:
-        for bits in self._vectors:
-            yield self._make_hypothesis(bits)
+        return map(self._build, self._vectors)
 
     def hypothesis_from_bits(self, bits: Sequence[int]) -> Hypothesis:
         row = self._rows.get(tuple(bits))
         if row is None:
             row = tuple(to_bit(b, "a bit-vector entry") for b in bits)
             raise ValueError(f"bit-vector {row} is not in the space")
-        return self._make_hypothesis(row)
+        return self._build(row)
 
     def hypothesis_from_key(self, key) -> Hypothesis:
         return self.hypothesis_from_bits(key)
@@ -562,11 +584,10 @@ class ExplicitSpace(HypothesisSpace):
             return table
         instances = check_instance_tuple(key)
         vectors = self._vectors
-        witnesses = {lab: self._make_hypothesis(vectors[i]) for lab, i
-                     in split_columns([self._columns.get(x, 0)
-                                       for x in instances], len(vectors))}
+        keys = {lab: vectors[i] for lab, i in split_columns(
+            [self._columns.get(x, 0) for x in instances], len(vectors))}
         table = tables[key] = DichotomyTable(
-            instances, MappingProxyType(witnesses), exact=True)
+            instances, LazyWitnesses(keys, self._build), exact=True)
         if len(tables) > EXPLICIT_TABLE_MEMO:
             tables.popitem(last=False)
         return table
@@ -700,9 +721,9 @@ def empirical_distribution(zbar: MultiSample) -> DiscreteDistribution:
 def restriction_errors(space: HypothesisSpace,
                        weighted: Iterable[tuple[Sample, int | Fraction]],
                        require_exact: bool = True
-                       ) -> Iterator[tuple[Labeling, Hypothesis, int | Fraction]]:
-    """Each realized labeling of the pairs' instances, with its witness and
-    the weight it gets wrong, in table order.
+                       ) -> tuple[Mapping[Labeling, Hypothesis], Iterator]:
+    """The table's witnesses, and (wrong, labeling) for each realized
+    labeling of the pairs' instances in table order; no witness is read.
 
     ``weighted`` is a finite signed measure on the sample space, as
     (sample, weight) pairs with int or ``Fraction`` weights (repeats add
@@ -724,8 +745,9 @@ def restriction_errors(space: HypothesisSpace,
             "pass require_exact=False to accept a verified-subset bound")
     # Labeling an instance y misclassifies the weight on label 1 - y.
     flipped = [(mass[x][1], mass[x][0]) for x in instances]
-    for labeling, h in table.witnesses.items():
-        yield labeling, h, sum(map(getitem, flipped, labeling))
+    witnesses = table.witnesses
+    return witnesses, ((sum(map(getitem, flipped, labeling)), labeling)
+                       for labeling in witnesses)
 
 
 def approximation_error(space: HypothesisSpace, dist: DiscreteDistribution,
@@ -737,16 +759,16 @@ def approximation_error(space: HypothesisSpace, dist: DiscreteDistribution,
     restriction.  With an inexact oracle (and ``require_exact=False``) the
     result is an upper bound only.
     """
-    return Fraction(min(wrong for _, _, wrong in restriction_errors(
-        space, dist.items(), require_exact)))
+    _, scored = restriction_errors(space, dist.items(), require_exact)
+    return Fraction(min(wrong for wrong, _ in scored))
 
 
 def empirical_opt(space: HypothesisSpace, zbar: MultiSample,
                   require_exact: bool = True) -> Fraction:
     """Minimal sample error over the space (attained, since restrictions to
     the sample instances are finite)."""
-    return Fraction(min(wrong for _, _, wrong in restriction_errors(
-        space, zbar.tally(), require_exact)), zbar.m)
+    _, scored = restriction_errors(space, zbar.tally(), require_exact)
+    return Fraction(min(wrong for wrong, _ in scored), zbar.m)
 
 
 def realized_dichotomies(space: HypothesisSpace,

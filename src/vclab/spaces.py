@@ -26,11 +26,10 @@ dimension at most 1 are decided by the signs of one integer kernel vector
 other point sets grow only the labelings whose first bit is 0, since the
 halfspace labelings of a finite point set are closed under complement.
 Every witness is the point ``fm_witness`` finds on its labeling's full
-system; one not found at the tree's last level is eliminated when it is
-first read.  Every witness point is checked again in integers when it is
-solved, against check rows built apart from the ones the elimination uses;
-the table keeps integer points and builds Fractions and a ``Hypothesis``
-only when a witness is read.
+system, checked again in integers when it is solved, against check rows
+built apart from the ones the elimination uses.  A table keeps the points
+its tree found and solves any other when its witness is first read; only
+then are Fractions and a ``Hypothesis`` built (``model.LazyWitnesses``).
 """
 
 from __future__ import annotations
@@ -47,13 +46,10 @@ from .model import (
     HypothesisSpace,
     Instance,
     Labeling,
+    LazyWitnesses,
     check_instance_tuple,
     to_fraction,
 )
-
-
-def _scalars(instances: Sequence[Instance]) -> list[Fraction]:
-    return [x.scalar for x in instances]
 
 
 def _argsort(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
@@ -102,6 +98,14 @@ def cosingleton_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Frac
         labeling = tuple(0 if j == i else 1 for j in range(k))
         out.append((labeling, values[i]))
     return out
+
+
+def _line_table(space: HypothesisSpace, instances: Sequence[Instance],
+                enumerate_labelings) -> DichotomyTable:
+    """A table keyed by the parameters of a line family's enumerator."""
+    instances = check_instance_tuple(instances)
+    return DichotomyTable(instances, LazyWitnesses(dict(enumerate_labelings(
+        [x.scalar for x in instances])), space.hypothesis_from_key), exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +331,8 @@ class ThresholdSpace(HypothesisSpace):
         return Hypothesis(key=("threshold", w),
                           fn=lambda x, _w=w: 1 if x.scalar >= _w else 0)
 
-    def hypothesis_from_key(self, key) -> Hypothesis:
-        return self.hypothesis(key)
-
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
-        instances = check_instance_tuple(instances)
-        witnesses = {lab: self.hypothesis(w)
-                     for lab, w in threshold_dichotomies(_scalars(instances))}
-        return DichotomyTable(instances, witnesses, exact=True)
+        return _line_table(self, instances, threshold_dichotomies)
 
 
 class IntervalSpace(HypothesisSpace):
@@ -357,10 +355,7 @@ class IntervalSpace(HypothesisSpace):
         return self.hypothesis(a, b)
 
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
-        instances = check_instance_tuple(instances)
-        witnesses = {lab: self.hypothesis(a, b)
-                     for lab, (a, b) in interval_dichotomies(_scalars(instances))}
-        return DichotomyTable(instances, witnesses, exact=True)
+        return _line_table(self, instances, interval_dichotomies)
 
 
 class CoSingletonSpace(HypothesisSpace):
@@ -376,14 +371,8 @@ class CoSingletonSpace(HypothesisSpace):
         return Hypothesis(key=("co-singleton", w),
                           fn=lambda x, _w=w: 0 if x.scalar == _w else 1)
 
-    def hypothesis_from_key(self, key) -> Hypothesis:
-        return self.hypothesis(key)
-
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
-        instances = check_instance_tuple(instances)
-        witnesses = {lab: self.hypothesis(w)
-                     for lab, w in cosingleton_dichotomies(_scalars(instances))}
-        return DichotomyTable(instances, witnesses, exact=True)
+        return _line_table(self, instances, cosingleton_dichotomies)
 
 
 def _integer_vector(values) -> list[int]:
@@ -433,7 +422,7 @@ def _affine_dependence(rows: Sequence[list[int]]) -> tuple | None:
 
 
 class _ComplementClosedWitnesses(Mapping):
-    """The witnesses of the halfspace labelings of n points, keyed in
+    """The witness keys of the halfspace labelings of n points, keyed in
     lexicographic order, given by one of:
 
     * ``first_zero``: the labelings whose first bit is 0 (``_label_tree``),
@@ -444,20 +433,17 @@ class _ComplementClosedWitnesses(Mapping):
       when it is 0); every labeling is realized but [lam_i > 0] and
       [lam_i < 0] wherever lam_i != 0 (see ``HalfspaceSpace``).
 
-    A labeling's point (from ``first_zero``, else from ``solve``; None
-    there is a bug) is turned into a hypothesis by ``build`` when it is
-    first read, and kept.  ``in``, ``len`` and iteration solve nothing."""
+    A labeling's key, (w, b) as Fractions, is read from its point (from
+    ``first_zero``, else from ``solve``; None there is a bug) on every
+    read.  ``in``, ``len`` and iteration solve nothing."""
 
     def __init__(self, n: int,
                  solve: Callable[[Labeling], tuple[int, ...] | None],
-                 build: Callable[[tuple[Fraction, ...]], Hypothesis],
                  first_zero: dict[Labeling, tuple[int, ...]] | None = None,
                  lam: list[int] | None = None):
         self._n = n
         self._first_zero = first_zero
-        self._hypotheses: dict[Labeling, Hypothesis] = {}
         self._solve = solve
-        self._build = build
         if first_zero is not None:
             self._len = 2 * len(first_zero)
         else:
@@ -465,20 +451,17 @@ class _ComplementClosedWitnesses(Mapping):
             self._len = 2 ** n - (2 ** (n - len(self._signs) + 1) if lam
                                   else 0)
 
-    def __getitem__(self, labeling: Labeling) -> Hypothesis:
-        h = self._hypotheses.get(labeling)
-        if h is None:
-            if labeling not in self:
-                raise KeyError(labeling)
-            point = (self._first_zero or {}).get(labeling)
-            if point is None:
-                why = ("realized by its points' affine dependence"
-                       if self._first_zero is None else
-                       "the complement of a realized one" if labeling[0]
-                       else _INHERITED)
-                point = _solved(self._solve, labeling, why)
-            h = self._hypotheses[labeling] = self._build(_fractions(point))
-        return h
+    def __getitem__(self, labeling: Labeling) -> tuple[Fraction, ...]:
+        if labeling not in self:
+            raise KeyError(labeling)
+        point = (self._first_zero or {}).get(labeling)
+        if point is None:
+            why = ("realized by its points' affine dependence"
+                   if self._first_zero is None else
+                   "the complement of a realized one" if labeling[0]
+                   else _INHERITED)
+            point = _solved(self._solve, labeling, why)
+        return _fractions(point)
 
     def __contains__(self, labeling) -> bool:
         if not (isinstance(labeling, tuple) and len(labeling) == self._n
@@ -540,9 +523,6 @@ class HalfspaceSpace(HypothesisSpace):
 
         return Hypothesis(key=("halfspace",) + params, fn=fn)
 
-    def hypothesis_from_key(self, key) -> Hypothesis:
-        return self.hypothesis(key)
-
     def _point_rows(self, x: Instance) -> tuple[tuple, list[int]]:
         rows = self._rows.get(x)
         if rows is None:
@@ -585,8 +565,8 @@ class HalfspaceSpace(HypothesisSpace):
         if found is None:
             first_zero = _label_tree([((0, *row), False) for row in checks],
                                      witness, (0,), (1, *[0] * self.dim, -1))
-            witnesses = _ComplementClosedWitnesses(
-                n, witness, self.hypothesis, first_zero=first_zero)
+            keys = _ComplementClosedWitnesses(n, witness,
+                                              first_zero=first_zero)
         else:
             lam, cert, den = found
             if lam is not None and (not any(lam) or any(
@@ -597,6 +577,6 @@ class HalfspaceSpace(HypothesisSpace):
                     sum(map(mul, checks[j], cert[i])) != (den if i == j else 0)
                     for i in kept for j in kept):
                 raise AssertionError("rank certificate failed verification")
-            witnesses = _ComplementClosedWitnesses(
-                n, witness, self.hypothesis, lam=lam)
-        return DichotomyTable(instances, witnesses, exact=True)
+            keys = _ComplementClosedWitnesses(n, witness, lam=lam)
+        return DichotomyTable(instances, LazyWitnesses(
+            keys, self.hypothesis_from_key), exact=True)

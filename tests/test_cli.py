@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -253,6 +254,31 @@ class TestCli:
         assert code == 0
         assert payload["result"]["passed"] is True
         assert str(tmp_path / "table.json") in payload["manifest"]["inputs"]
+
+    def test_pac_sim_file_learner_is_digested(self, tmp_path):
+        """``pac-sim`` lists a ``file:`` learner among its manifest inputs,
+        with the digest of the file's bytes."""
+        files = {
+            "space.json": {"kind": "threshold-family"},
+            "dist.json": {"support": [[1, 0], [2, 1]],
+                          "weights": ["1/2", "1/2"]},
+            "table.json": {"type": "table",
+                           "table": [[[[1, 0]], "2"], [[[2, 1]], "3/2"]],
+                           "default": "3"},
+        }
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        code, payload = run(tmp_path, "pac-sim",
+                            "--space", str(tmp_path / "space.json"),
+                            "--dist", str(tmp_path / "dist.json"),
+                            "--m", "1", "--eps", "0", "--exact", "--learner",
+                            "file:" + str(tmp_path / "table.json"))
+        assert code == 0
+        assert payload["result"]["probability"] == "1"
+        assert payload["manifest"]["inputs"] == {
+            str(tmp_path / name): hashlib.sha256(
+                (tmp_path / name).read_bytes()).hexdigest()
+            for name in files}
 
     def test_nfl_random_learner(self, tmp_path):
         code, payload = run(tmp_path, "nfl", "--m", "2",

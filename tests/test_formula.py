@@ -420,6 +420,32 @@ class TestDefinableSpace:
                     native_w = want.witnesses[labeling].key[1:]
                     assert w == tuple(native_w[i] for i in index)
 
+    @pytest.mark.parametrize("text, params, native", [
+        ("p <= x", ["p"], ThresholdSpace),
+        ("x != p", ["p"], CoSingletonSpace),
+        ("b <= x and x <= a", ["a", "b"], IntervalSpace)])
+    def test_native_closed_forms_read_keys_not_hypotheses(
+            self, monkeypatch, text, params, native):
+        """A native shape's table, and every witness read from it, is
+        built from the native table's witness keys: no native
+        ``Hypothesis`` is constructed."""
+        calls = []
+        hypothesis = native.hypothesis
+
+        def counted(space, *args):
+            calls.append(args)
+            return hypothesis(space, *args)
+        monkeypatch.setattr(native, "hypothesis", counted)
+        space = definable_space(parse_formula(text, ["x"], params),
+                                SampledParams(budget=30))
+        pool = points(3, 1, 2)
+        table = space.dichotomies(pool)
+        assert space.closed_form is not None and len(table) >= 4
+        for labeling, h in dict(table.witnesses).items():
+            assert h.key[0] == "formula"
+            assert tuple(h(x) for x in pool) == labeling
+        assert calls == []
+
     def test_finite_witnesses_are_least_tuples(self):
         """Grid and explicit sources keep, for each labeling, the least
         parameter tuple that gives it."""

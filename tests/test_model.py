@@ -1,4 +1,5 @@
 import copy
+import gc
 import os
 import pickle
 import random
@@ -7,6 +8,7 @@ import sys
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
+from weakref import ref
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +17,24 @@ from hypothesis import strategies as st
 import vclab
 import vclab.model
 from vclab import (
+    CoSingletonSpace,
     DiscreteDistribution,
+    ExplicitParams,
     ExplicitSpace,
+    HalfspaceSpace,
+    Hypothesis,
     Instance,
+    IntervalSpace,
     MultiSample,
     Sample,
+    SampledParams,
     ThresholdSpace,
     approximation_error,
+    definable_space,
     empirical_distribution,
     empirical_opt,
     loss,
+    parse_formula,
     realized_dichotomies,
     restriction_errors,
     sample_error,
@@ -32,7 +42,7 @@ from vclab import (
     true_error,
     vc_dimension,
 )
-from conftest import atoms, random_explicit_space, random_multisample
+from conftest import atoms, points, random_explicit_space, random_multisample
 
 X0 = Instance.atom("x0")
 CONST0 = ExplicitSpace([X0], [[0]]).hypothesis_from_bits((0,))
@@ -236,9 +246,10 @@ def test_bridge_identity(data):
 
 
 def test_restriction_errors_match_per_hypothesis_sums():
-    """Each yielded witness gets wrong exactly the signed weight of the
-    pairs it misclassifies, and the labelings come in table order on the
-    pairs' instances sorted canonically (zero-weight pairs included)."""
+    """The witness of each scored labeling gets wrong exactly the signed
+    weight of the pairs it misclassifies, and the labelings come in table
+    order on the pairs' instances sorted canonically (zero-weight pairs
+    included)."""
     rng = random.Random(5)
     for _ in range(60):
         space = random_explicit_space(rng, max_instances=5)
@@ -247,12 +258,21 @@ def test_restriction_errors_match_per_hypothesis_sums():
                  for _ in range(rng.randint(1, 6))]
         instances = sorted({z.instance for z, _ in pairs},
                            key=Instance.sort_key)
-        scored = list(restriction_errors(space, pairs))
-        assert [lab for lab, _, _ in scored] == \
+        witnesses, scored = restriction_errors(space, pairs)
+        scored = list(scored)
+        assert [lab for _, lab in scored] == \
             list(space.dichotomies(instances).witnesses)
-        for lab, h, wrong in scored:
+        for wrong, lab in scored:
+            h = witnesses[lab]
             assert tuple(h(x) for x in instances) == lab
             assert wrong == sum(w for z, w in pairs if loss(h, z))
+
+
+def scored_witnesses(space, pairs):
+    """(labeling, witness key, wrong weight) of each labeling
+    ``restriction_errors`` scores, its witness read from the table."""
+    witnesses, scored = restriction_errors(space, pairs)
+    return [(lab, witnesses[lab].key, wrong) for wrong, lab in scored]
 
 
 def row_walking_dichotomies(space, instances):
@@ -298,6 +318,91 @@ def test_explicit_restrictions_match_row_walk(data):
     if missing:
         with pytest.raises(ValueError):
             space.hypothesis_from_bits(min(missing))
+
+
+PLANE = [Instance.point(*p) for p in [(0, 0), (3, 1), (1, 4), (2, 2), (5, 5)]]
+
+
+def formula_space(text, params, source):
+    return definable_space(parse_formula(text, ["x"], params), source)
+
+
+# Every family's table on a few instances: halfspaces on at most dim + 2
+# points (the affine-dependence rule) and on more (the prefix tree), and
+# formulas over a grid, a native closed form, an affine closed form and a
+# searched sampled source.
+LAZY_TABLES = {
+    "explicit": (lambda: ExplicitSpace.full(atoms(3)), atoms(3)),
+    "threshold": (ThresholdSpace, points(3, 1, 2)),
+    "interval": (IntervalSpace, points(3, 1, 2)),
+    "co-singleton": (CoSingletonSpace, points(3, 1, 2)),
+    "halfspace-rule": (lambda: HalfspaceSpace(2), PLANE[:3]),
+    "halfspace-tree": (lambda: HalfspaceSpace(2), PLANE),
+    "formula-grid": (lambda: formula_space(
+        "a <= x and x <= b", ["a", "b"],
+        ExplicitParams.grid([range(5), range(5)])), points(1, 2, 3)),
+    "formula-native": (lambda: formula_space(
+        "p <= x", ["p"], SampledParams(budget=20)), points(1, 2, 3)),
+    "formula-affine": (lambda: formula_space(
+        "0 <= a * x + b", ["a", "b"], SampledParams(budget=20)),
+        points(1, 2, 3)),
+    "formula-sampled": (lambda: formula_space(
+        "p * p * x <= 1", ["p"], SampledParams(budget=400, seed=1)),
+        points(1, 2)),
+}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The keys of the hypotheses constructed while the fixture lives."""
+    keys = []
+    init = Hypothesis.__init__
+
+    def counted(self, key, fn):
+        keys.append(key)
+        init(self, key, fn)
+    monkeypatch.setattr(Hypothesis, "__init__", counted)
+    return keys
+
+
+@pytest.mark.parametrize("family", sorted(LAZY_TABLES))
+def test_a_table_builds_a_hypothesis_only_when_one_is_read(built, family):
+    """Building, counting, ``in``, ``len`` and iteration construct no
+    ``Hypothesis``; the first read of a labeling constructs exactly one,
+    which a re-read returns."""
+    make, instances = LAZY_TABLES[family]
+    space = make()
+    built.clear()
+    table = space.dichotomies(instances)
+    labelings = list(table.witnesses)
+    assert space.dichotomy_count(instances) == len(table) == \
+        len(table.witnesses) == len(labelings) > 1
+    assert all(lab in table and lab in table.witnesses for lab in labelings)
+    assert table.labelings == set(labelings)
+    assert built == []
+    lab = labelings[-1]
+    h = table.witnesses[lab]
+    assert built == [h.key]
+    assert table.witnesses[lab] is h and built == [h.key]
+    assert tuple(h(x) for x in instances) == lab
+
+
+def test_a_memoized_table_keeps_no_reference_to_its_space():
+    """An ``ExplicitSpace`` whose memo holds a table with a read witness
+    is freed when its last reference goes, without the cyclic collector:
+    no witness builder of the table refers back to the space."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        space = ExplicitSpace.full(atoms(3))
+        table = space.dichotomies(atoms(2))
+        assert table.witnesses[0, 1](atoms(3)[1]) == 1
+        alive = ref(space)
+        del space, table
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestExplicitTableMemo:
@@ -357,10 +462,8 @@ class TestExplicitTableMemo:
                          for _ in range(rng.randint(1, 5))]
                 fresh = ExplicitSpace(space.domain, rows)
                 for _ in range(2):
-                    assert [(lab, h.key, wrong) for lab, h, wrong
-                            in restriction_errors(space, pairs)] == \
-                        [(lab, h.key, wrong) for lab, h, wrong
-                         in restriction_errors(fresh, pairs)]
+                    assert scored_witnesses(space, pairs) == \
+                        scored_witnesses(fresh, pairs)
 
 
 class TestDiscreteDistribution:

@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 import vclab.spaces
 from vclab import (
     CoSingletonSpace,
+    DiscreteDistribution,
     HalfspaceSpace,
     Instance,
     IntervalSpace,
+    MultiSample,
     ThresholdSpace,
+    approximation_error,
+    sem_learner,
 )
 from vclab.cli import main
 from vclab.combinatorics import growth_function, vc_dimension
@@ -557,13 +561,15 @@ class TestComplementClosure:
         assert (1, 0, 1, 0, 1) not in table
 
     @staticmethod
-    def patch_first_bit_1(monkeypatch, change):
-        """Route the systems of first-bit-1 labelings through ``change``:
-        their first constraint (row, strict) is the closed label-1 side of
-        point 0."""
+    def patch_first_bit_1(monkeypatch, change, size=None):
+        """Route the systems of first-bit-1 labelings, of ``size``
+        constraints when it is given, through ``change``: their first
+        constraint (row, strict) is the closed label-1 side of point 0."""
         def patched(constraints, nvars):
             witness = fm_witness(constraints, nvars)
-            return witness if constraints[0][1] else change(witness)
+            if constraints[0][1] or size not in (None, len(constraints)):
+                return witness
+            return change(witness)
         monkeypatch.setattr(vclab.spaces, "fm_witness", patched)
 
     @staticmethod
@@ -574,31 +580,35 @@ class TestComplementClosure:
 
     def _check_raises(self, tmp_path, match):
         """The table of the 5 points raises when the complement
-        (1, 1, 1, 1, 1) is read, and so does ``ucp-sim``."""
+        (1, 1, 1, 1, 1) is read, and so does ``pac-sim``."""
         table = HalfspaceSpace(2).dichotomies(self.PTS)
         assert len(table) == 20
         with pytest.raises(AssertionError, match=match):
             table.witnesses[(1,) * 5]
-        self._ucp_sim_raises(tmp_path, match)
+        self._pac_sim_raises(tmp_path, match, 1)
 
-    def _ucp_sim_raises(self, tmp_path, match):
-        """``ucp-sim`` reads every witness of the table of its support, the
-        5 points."""
+    def _pac_sim_raises(self, tmp_path, match, label):
+        """``pac-sim --exact --m 5`` with sem, on the 5 points all labeled
+        ``label``: the last multiset it enumerates draws each point once,
+        and sem reads the witness of that constant labeling of all 5, the
+        one labeling with no error.  Every earlier draw has at most 4
+        distinct points."""
         (tmp_path / "space.json").write_text(HALFSPACE_2D)
         (tmp_path / "dist.json").write_text(json.dumps(
-            {"support": [[list(p), 1] for p in self.COORDS],
+            {"support": [[list(p), label] for p in self.COORDS],
              "weights": ["1/5"] * 5}))
         with pytest.raises(AssertionError, match=match):
-            main(["ucp-sim", "--space", str(tmp_path / "space.json"),
-                  "--dist", str(tmp_path / "dist.json"), "--m", "1",
-                  "--eps", "0.5", "--exact", "--out", str(tmp_path)])
+            main(["pac-sim", "--space", str(tmp_path / "space.json"),
+                  "--dist", str(tmp_path / "dist.json"), "--m", "5",
+                  "--eps", "0.5", "--exact", "--learner", "builtin:sem",
+                  "--out", str(tmp_path)])
 
     def test_wrong_complement_witness_raises(self, monkeypatch, tmp_path):
-        self.patch_first_bit_1(monkeypatch, self.wrong_witness)
+        self.patch_first_bit_1(monkeypatch, self.wrong_witness, size=5)
         self._check_raises(tmp_path, "failed verification")
 
     def test_infeasible_complement_raises(self, monkeypatch, tmp_path):
-        self.patch_first_bit_1(monkeypatch, lambda w: None)
+        self.patch_first_bit_1(monkeypatch, lambda w: None, size=5)
         self._check_raises(tmp_path, "complement of a realized one")
 
     def test_a_16_point_table_solves_one_system_per_realized_prefix(
@@ -613,6 +623,26 @@ class TestComplementClosure:
         assert sum(cover_count(j, 2) // 2 for j in range(1, 16)) == 575
         assert len(fm_calls) == 575
         assert len(table) == cover_count(16, 2)
+
+    def test_scoring_labelings_solves_only_the_table(self, fm_calls):
+        """``approximation_error`` reads no witness, and ``sem`` reads only
+        the one it returns, so over 10 points of the plane in general
+        position each makes the table's sum_{j<10} C(j)/2 = 129 FM calls.
+        Reading every witness made 212: one more for each of the 46
+        complements and the 37 labelings that a prefix's witness realizes.
+        The labeling that gives only the last point in canonical order 1
+        keeps the point its tree found, so sem's one read solves nothing."""
+        pts = sorted(plane_points_in_general_position(random.Random(5), 10))
+        labeled = [(Instance.point(*p), int(p == pts[-1])) for p in pts]
+        space = HalfspaceSpace(2)
+        assert sum(cover_count(j, 2) // 2 for j in range(1, 10)) == 129
+        assert approximation_error(
+            space, DiscreteDistribution.uniform(labeled)) == 0
+        assert len(fm_calls) == 129
+        fm_calls.clear()
+        h = sem_learner(space)(MultiSample.of(*labeled))
+        assert [h(x) for x, _ in labeled] == [y for _, y in labeled]
+        assert len(fm_calls) == 129
 
     @staticmethod
     def patch_systems(monkeypatch, size, change):
@@ -647,7 +677,7 @@ class TestComplementClosure:
         match = "realized by the witness of its prefix but is infeasible"
         with pytest.raises(AssertionError, match=match):
             table.witnesses[(0,) * 5]
-        self._ucp_sim_raises(tmp_path, match)
+        self._pac_sim_raises(tmp_path, match, 0)
         with pytest.raises(AssertionError, match=match):
             halfspace_dichotomies([(0, (*p, 1)) for p in self.COORDS])
 
