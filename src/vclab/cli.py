@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import sys
 import time
@@ -35,7 +36,7 @@ from .combinatorics import (
     vc_dimension,
 )
 from .harness import estimate_pac_probability, estimate_ucp_probability
-from .learners import builtin_learners, random_table_learner
+from .learners import random_table_learner
 from .model import BudgetError, ExplicitSpace, InexactOracleError, Instance
 from .model import as_instance
 from .nfl import build_nfl_instance, nfl_report
@@ -43,6 +44,7 @@ from .serialize import (
     instance_to_json,
     learner_from_json,
     distribution_from_json,
+    param_source_from_json,
     pool_from_json,
     space_from_json,
 )
@@ -69,12 +71,19 @@ def json_ready(obj):
     return str(obj)
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+class Inputs(dict):
+    """The files a run reads, each path mapped to the SHA-256 of the bytes
+    it parsed: the manifest's ``inputs``.  Every file goes through
+    :meth:`text` or :meth:`json`, which read it once."""
 
+    def text(self, path: str) -> str:
+        """The file decoded as ``Path.read_text`` decodes it."""
+        data = Path(path).read_bytes()
+        self[path] = hashlib.sha256(data).hexdigest()
+        return io.TextIOWrapper(io.BytesIO(data)).read()
 
-def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+    def json(self, path: str):
+        return json.loads(self.text(path))
 
 
 def _parse_instance_list(text: str):
@@ -98,19 +107,9 @@ def _parse_instance_list(text: str):
     return out
 
 
-def _pool_file(path_or_inline: str) -> list[str]:
-    """The pool argument as a manifest input, when it names a file."""
-    return [path_or_inline] if Path(path_or_inline).is_file() else []
-
-
-def _learner_file(ref: str) -> list[str]:
-    """The learner reference as a manifest input, when it names a file."""
-    return [ref.split(":", 1)[1]] if ref.startswith("file:") else []
-
-
-def _load_pool(path_or_inline: str):
+def _load_pool(path_or_inline: str, inputs: Inputs):
     if Path(path_or_inline).exists():
-        return pool_from_json(_load_json(path_or_inline))
+        return pool_from_json(inputs.json(path_or_inline))
     return _parse_instance_list(path_or_inline)
 
 
@@ -122,30 +121,27 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
-def _resolve_learner(ref: str, space):
+def _resolve_learner(ref: str, space, inputs: Inputs):
+    arg = ref.split(":", 1)[-1]
     if ref.startswith("builtin:"):
-        name = ref.split(":", 1)[1]
-        available = builtin_learners(space)
-        if name not in available:
-            raise UsageError(f"unknown builtin learner {name!r}; "
-                             f"choose from {sorted(available)}")
-        return available[name]
+        return learner_from_json({"type": "builtin", "name": arg}, space)
     if ref.startswith("file:"):
-        return learner_from_json(_load_json(ref.split(":", 1)[1]), space)
+        return learner_from_json(inputs.json(arg), space)
     if ref.startswith("random:"):
-        return random_table_learner(space, seed=int(ref.split(":", 1)[1]))
+        return random_table_learner(space, seed=int(arg))
     raise UsageError(
         f"learner reference {ref!r} must be builtin:NAME, file:PATH, or "
         "random:SEED")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each returns (result, sweep_rows_or_None, input_paths)
+# Subcommands: each reads its files through ``inputs`` and returns
+# (result, sweep_rows_or_None)
 
 
-def _cmd_vcdim(args):
-    space = space_from_json(_load_json(args.space))
-    pool = _load_pool(args.pool)
+def _cmd_vcdim(args, inputs):
+    space = space_from_json(inputs.json(args.space))
+    pool = _load_pool(args.pool, inputs)
     verdict = vc_dimension(space, pool, limit=args.limit,
                            node_budget=args.budget)
     result = {
@@ -159,28 +155,27 @@ def _cmd_vcdim(args):
         "nodes_used": verdict.nodes_used,
         "pool": [instance_to_json(x) for x in verdict.pool],
     }
-    return result, None, [args.space, *_pool_file(args.pool)]
+    return result, None
 
 
-def _cmd_growth(args):
-    space = space_from_json(_load_json(args.space))
-    pool = _load_pool(args.pool)
+def _cmd_growth(args, inputs):
+    space = space_from_json(inputs.json(args.space))
+    pool = _load_pool(args.pool, inputs)
     value = growth_function(space, args.m, pool)
     return ({"m": args.m, "value": value,
-             "pool": [instance_to_json(x) for x in pool]}, None,
-            [args.space, *_pool_file(args.pool)])
+             "pool": [instance_to_json(x) for x in pool]}, None)
 
 
-def _cmd_sauer(args):
+def _cmd_sauer(args, inputs):
     result = {"d": args.d, "m": args.m, "value": sauer_bound(args.d, args.m)}
     if args.d >= 1 and args.m > args.d + 1:
         result["poly"] = sauer_poly_bound(args.d, args.m)
     else:
         result["poly"] = None
-    return result, None, []
+    return result, None
 
 
-def _cmd_bounds(args):
+def _cmd_bounds(args, inputs):
     eps_grid = _parse_float_list(args.eps_grid) if args.eps_grid else [args.eps]
     delta_grid = (_parse_float_list(args.delta_grid) if args.delta_grid
                   else [args.delta])
@@ -197,15 +192,22 @@ def _cmd_bounds(args):
                 sweep.append((r.d, r.eps, r.delta, r.m_h, r.m0_singleton,
                               r.ucp.m0_1, r.ucp.m0_2, r.ucp.m0_3, r.ucp.m0,
                               r.m0_pac, r.epsilon0))
-    return report.as_dict(), sweep, []
+    return report.as_dict(), sweep
 
 
-def _sim_common(args, runner):
-    space = space_from_json(_load_json(args.space))
-    dist = distribution_from_json(_load_json(args.dist))
-    inputs = [args.space, args.dist]
+def _cmd_sim(args, inputs):
+    """``ucp-sim``, or ``pac-sim`` with its learner resolved once."""
+    space = space_from_json(inputs.json(args.space))
+    dist = distribution_from_json(inputs.json(args.dist))
     m_values = _parse_int_list(args.m)
-    reports = [runner(space, dist, m) for m in m_values]
+    if args.command == "pac-sim":
+        estimate = functools.partial(
+            estimate_pac_probability,
+            _resolve_learner(args.learner, space, inputs))
+    else:
+        estimate = estimate_ucp_probability
+    reports = [estimate(space, dist, m, args.eps, trials=args.trials,
+                        seed=args.seed, exact=args.exact) for m in m_values]
     sweep = [("m", "mode", "trials", "successes", "estimate", "ci_low",
               "ci_high", "probability")]
     for r in reports:
@@ -214,32 +216,12 @@ def _sim_common(args, runner):
                       "" if r.probability is None else str(r.probability)))
     result = (reports[0].as_dict() if len(reports) == 1
               else [r.as_dict() for r in reports])
-    return result, sweep, inputs
+    return result, sweep
 
 
-def _cmd_ucp_sim(args):
-    def runner(space, dist, m):
-        return estimate_ucp_probability(space, dist, m, args.eps,
-                                        trials=args.trials, seed=args.seed,
-                                        exact=args.exact)
-    return _sim_common(args, runner)
-
-
-def _cmd_pac_sim(args):
-    def runner(space, dist, m):
-        learner = _resolve_learner(args.learner, space)
-        return estimate_pac_probability(learner, space, dist, m, args.eps,
-                                        trials=args.trials, seed=args.seed,
-                                        exact=args.exact)
-    result, sweep, inputs = _sim_common(args, runner)
-    return result, sweep, inputs + _learner_file(args.learner)
-
-
-def _cmd_nfl(args):
-    inputs = []
+def _cmd_nfl(args, inputs):
     if args.instances:
-        instances = _load_pool(args.instances)
-        inputs += _pool_file(args.instances)
+        instances = _load_pool(args.instances, inputs)
     else:
         instances = [as_instance(i) for i in range(2 * args.m)]
     if args.space == "full":
@@ -248,17 +230,16 @@ def _cmd_nfl(args):
         inst = build_nfl_instance(instances, args.m)
         space = ExplicitSpace.full(inst.instances)
     else:
-        space = space_from_json(_load_json(args.space))
-        inputs.append(args.space)
+        space = space_from_json(inputs.json(args.space))
         inst = build_nfl_instance(instances, args.m, ambient=space)
-    learner = _resolve_learner(args.learner, space)
+    learner = _resolve_learner(args.learner, space, inputs)
     report = nfl_report(learner, inst, allow_large=args.allow_large)
-    return report.as_dict(), None, inputs + _learner_file(args.learner)
+    return report.as_dict(), None
 
 
-def _formula_ast(args) -> fm.FormulaAst:
+def _formula_ast(args, inputs) -> fm.FormulaAst:
     if args.file:
-        text = Path(args.file).read_text()
+        text = inputs.text(args.file)
     elif args.text is not None:
         text = args.text
     else:
@@ -269,46 +250,45 @@ def _formula_ast(args) -> fm.FormulaAst:
     return fm.parse_formula(text, objects=objects, params=params)
 
 
-def _formula_source(args) -> fm.ParamSource:
+def _formula_space(args, inputs) -> fm.DefinableSpace:
+    """The formula over the parameter source its flags give, built as the
+    JSON source object that a space file would hold."""
+    def rows(text):
+        return [[v.strip() for v in row.split(",") if v.strip()]
+                for row in text.split(";") if row.strip()]
     if args.params_list:
-        return fm.ExplicitParams.of(
-            [[v.strip() for v in chunk.split(",") if v.strip()]
-             for chunk in args.params_list.split(";") if chunk.strip()])
-    if args.grid:
-        return fm.ExplicitParams.grid(
-            [[v.strip() for v in axis.split(",") if v.strip()]
-             for axis in args.grid.split(";") if axis.strip()])
-    return fm.SampledParams(budget=args.budget, seed=args.seed)
-
-
-def _formula_space(args) -> fm.DefinableSpace:
-    return fm.DefinableSpace(_formula_ast(args), _formula_source(args),
+        source = {"type": "explicit", "tuples": rows(args.params_list)}
+    elif args.grid:
+        source = {"type": "grid", "axes": rows(args.grid)}
+    else:
+        source = {"type": "sampled", "budget": args.budget, "seed": args.seed}
+    return fm.DefinableSpace(_formula_ast(args, inputs),
+                             param_source_from_json(source),
                              backend=args.backend or None)
 
 
-def _cmd_formula(args):
-    inputs = [args.file] if args.file else []
+def _cmd_formula(args, inputs):
     if args.action == "parse":
-        ast = _formula_ast(args)
+        ast = _formula_ast(args, inputs)
         formatted = fm.format_formula(ast)
         reparsed = fm.parse_formula(formatted, ast.objects, ast.params)
         return ({"formatted": formatted,
                  "objects": list(ast.objects),
                  "params": list(ast.params),
                  "uses_exp": ast.uses_exp,
-                 "round_trips": reparsed == ast}, None, inputs)
+                 "round_trips": reparsed == ast}, None)
     if args.action == "eval":
-        ast = _formula_ast(args)
+        ast = _formula_ast(args, inputs)
         x = [v.strip() for v in args.x.split(",")] if args.x else []
         w = [v.strip() for v in args.w.split(",")] if args.w else []
         backend = args.backend or (fm.FLOAT if ast.uses_exp else fm.EXACT)
         value = fm.eval_formula(ast, x, w, backend=backend)
-        return ({"value": value, "backend": backend}, None, inputs)
+        return ({"value": value, "backend": backend}, None)
     if args.action == "space":
         if not args.pool:
             raise UsageError("formula space needs --pool 'x1;x2;...'")
-        space = _formula_space(args)
-        pool = _parse_instance_list(args.pool)
+        space = _formula_space(args, inputs)
+        pool = _load_pool(args.pool, inputs)
         table = space.dichotomies(pool)
         return ({"kind": space.kind,
                  "oracle_exact": table.exact,
@@ -317,18 +297,17 @@ def _cmd_formula(args):
                  "pool": [instance_to_json(x) for x in pool],
                  "dichotomies": sorted("".join(map(str, lab))
                                        for lab in table.labelings)},
-                None, inputs)
+                None)
     if args.action == "shatter":
         if not args.instances:
             raise UsageError("formula shatter needs --instances 'x1;x2;...'")
-        verdict = shatters(_formula_space(args),
-                           _parse_instance_list(args.instances))
+        verdict = shatters(_formula_space(args, inputs),
+                           _load_pool(args.instances, inputs))
         witnesses = None
         if verdict.witnesses is not None:
             witnesses = {"".join(map(str, lab)): [str(v) for v in h.key[1:]]
                          for lab, h in sorted(verdict.witnesses.items())}
-        return ({"status": verdict.status, "witnesses": witnesses},
-                None, inputs)
+        return {"status": verdict.status, "witnesses": witnesses}, None
     raise UsageError(f"unknown formula action {args.action!r}")
 
 
@@ -392,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(fn=_cmd_bounds)
 
-    for name, fn, with_learner in (("ucp-sim", _cmd_ucp_sim, False),
-                                   ("pac-sim", _cmd_pac_sim, True)):
+    for name in ("ucp-sim", "pac-sim"):
         p = sub.add_parser(name, help=f"{name.split('-')[0].upper()} event "
                                       "probability (Monte Carlo or exact)")
         p.add_argument("--space", required=True)
@@ -404,11 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--exact", action="store_true")
-        if with_learner:
+        if name == "pac-sim":
             p.add_argument("--learner", required=True,
                            help="builtin:NAME, file:PATH, or random:SEED")
         add_out(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_sim)
 
     p = sub.add_parser("nfl", help="adversarial lower-bound enumeration")
     p.add_argument("--m", type=int, required=True)
@@ -433,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None, help="object values, comma-separated")
     p.add_argument("--w", default=None, help="parameter values")
     p.add_argument("--pool", default=None,
-                   help="instances for the space oracle, 'x1;x2;...'"
-                        + _MINUS_HELP.format("pool"))
+                   help="instances for the space oracle: " + _POOL_HELP)
     p.add_argument("--instances", default=None,
-                   help="instances for the shattering check, 'x1;x2;...'"
+                   help="instances for the shattering check, JSON file or "
+                        "inline 'x1;x2;...'"
                         + _MINUS_HELP.format("instances"))
     p.add_argument("--params-list", dest="params_list", default=None,
                    help="explicit parameter tuples 'a,b;c,d'")
@@ -462,9 +440,10 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    inputs = Inputs()
     started = time.monotonic()
     try:
-        result, sweep, input_paths = args.fn(args)
+        result, sweep = args.fn(args, inputs)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -479,7 +458,7 @@ def main(argv=None) -> int:
     manifest = {
         "subcommand": args.command,
         "config": json_ready(config),
-        "inputs": {p: _sha256_file(Path(p)) for p in input_paths},
+        "inputs": inputs,
         "seed": getattr(args, "seed", 0),
         "version": __version__,
         "duration_s": round(duration, 6),

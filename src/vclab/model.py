@@ -509,8 +509,10 @@ class ExplicitSpace(HypothesisSpace):
     Hypothesis i labels domain instance j with bit j of its vector, and
     labels everything outside the domain 0.  Duplicate bit-vectors collapse;
     hypotheses enumerate in lexicographic bit-vector order (the canonical
-    order used for tie-breaking).  Restrictions are computed on one label
-    column per domain instance (bit i = vector i's label there, see
+    order used for tie-breaking); each vector's ``Hypothesis`` is built on
+    its first request and kept, so every later request, witness reads
+    included, returns the same object.  Restrictions are computed on one
+    label column per domain instance (bit i = vector i's label there, see
     :func:`split_columns`).  The space keeps the tables of the last
     ``EXPLICIT_TABLE_MEMO`` instance tuples it was asked about, and returns
     the same table object when a tuple comes again.
@@ -530,20 +532,24 @@ class ExplicitSpace(HypothesisSpace):
             raise ValueError("hypothesis space must be non-empty")
         self.domain = domain
         index = self._index = {x: i for i, x in enumerate(domain)}
+        self._vectors = sorted(vectors)
+        # Each vector keyed by itself until its Hypothesis is first asked
+        # for, then by that Hypothesis: a lookup by a tuple equal to the
+        # vector, such as (1.0, True), finds the same entry.
+        hypotheses = self._hypotheses = {row: row for row in self._vectors}
 
         # Not a method: a memoized table referring to the space is a cycle.
-        def build(bits: Labeling) -> Hypothesis:
-            def fn(x: Instance, _bits=bits, _index=index) -> int:
-                i = _index.get(x)
-                return 0 if i is None else _bits[i]
+        def hypothesis(bits: Labeling) -> Hypothesis:
+            h = hypotheses[bits]
+            if h.__class__ is not Hypothesis:
+                def fn(x: Instance, _bits=h, _index=index) -> int:
+                    i = _index.get(x)
+                    return 0 if i is None else _bits[i]
 
-            return Hypothesis(key=("explicit", bits), fn=fn)
+                h = hypotheses[bits] = Hypothesis(key=("explicit", h), fn=fn)
+            return h
 
-        self._build = build
-        self._vectors = sorted(vectors)
-        # Each vector keyed by itself: a lookup by a tuple equal to it, such
-        # as (1.0, True), returns the vector of ints.
-        self._rows = {row: row for row in self._vectors}
+        self._hypothesis = hypothesis
         self._columns = {
             x: int("".join(str(row[j]) for row in reversed(self._vectors)), 2)
             for j, x in enumerate(domain)}
@@ -560,14 +566,14 @@ class ExplicitSpace(HypothesisSpace):
         return len(self._vectors)
 
     def hypotheses(self) -> Iterator[Hypothesis]:
-        return map(self._build, self._vectors)
+        return map(self._hypothesis, self._vectors)
 
     def hypothesis_from_bits(self, bits: Sequence[int]) -> Hypothesis:
-        row = self._rows.get(tuple(bits))
-        if row is None:
+        bits = tuple(bits)
+        if bits not in self._hypotheses:
             row = tuple(to_bit(b, "a bit-vector entry") for b in bits)
             raise ValueError(f"bit-vector {row} is not in the space")
-        return self._build(row)
+        return self._hypothesis(bits)
 
     def hypothesis_from_key(self, key) -> Hypothesis:
         return self.hypothesis_from_bits(key)
@@ -587,7 +593,7 @@ class ExplicitSpace(HypothesisSpace):
         keys = {lab: vectors[i] for lab, i in split_columns(
             [self._columns.get(x, 0) for x in instances], len(vectors))}
         table = tables[key] = DichotomyTable(
-            instances, LazyWitnesses(keys, self._build), exact=True)
+            instances, LazyWitnesses(keys, self._hypothesis), exact=True)
         if len(tables) > EXPLICIT_TABLE_MEMO:
             tables.popitem(last=False)
         return table

@@ -149,7 +149,7 @@ def distribution_to_json(dist: DiscreteDistribution) -> dict:
     }
 
 
-def _param_source_from_json(obj) -> fm.ParamSource:
+def param_source_from_json(obj) -> fm.ParamSource:
     what = "a parameter source"
     kind = _object(obj, what).get("type")
 
@@ -195,7 +195,7 @@ def space_from_json(obj) -> HypothesisSpace:
         params = _field(obj, "params", what, tuple, ())
         ast = _field(obj, "formula", what,
                      lambda text: fm.parse_formula(text, objects, params))
-        source = _param_source_from_json(_field(obj, "source", what))
+        source = param_source_from_json(_field(obj, "source", what))
         return fm.DefinableSpace(ast, source, backend=obj.get("backend"))
     raise ValueError(f"unknown space kind {kind!r}")
 

@@ -118,6 +118,10 @@ def run(tmp_path, *argv) -> tuple[int, dict | None]:
     return code, payload
 
 
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_json_ready_instances():
     """Instances take their JSON form, wherever they sit in a value."""
     cases = [(Instance.atom("a"), "a"), (Instance.point(3), 3),
@@ -663,6 +667,136 @@ class TestCli:
                             "--instances", str(tmp_path / "inst.json"))
         assert code == 0
         assert str(tmp_path / "inst.json") in payload["manifest"]["inputs"]
+
+    def test_nfl_space_file(self, tmp_path):
+        """``nfl --space FILE`` reads and digests a space that shatters the
+        instances, and refuses, with exit 2, one that does not."""
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"kind": "full", "instances": [0, 1]}))
+        code, payload = run(tmp_path, "nfl", "--m", "1", "--space", str(path))
+        assert code == 0 and payload["result"]["passed"] is True
+        assert payload["manifest"]["inputs"] == {str(path): sha256(path)}
+        path.write_text(json.dumps({"kind": "threshold-family"}))
+        assert run(tmp_path, "nfl", "--m", "1", "--space", str(path))[0] == 2
+
+    def test_formula_parse_file(self, tmp_path):
+        path = tmp_path / "formula.txt"
+        path.write_text("(x < 0 -> y = 0) and (0 <= x -> y = x)\n")
+        code, payload = run(tmp_path, "formula", "parse", "--file", str(path),
+                            "--objects", "x,y")
+        assert code == 0
+        assert payload["result"]["round_trips"] is True
+        assert payload["manifest"]["inputs"] == {str(path): sha256(path)}
+
+    def test_builtin_learner_file_matches_the_builtin_reference(
+            self, tmp_path):
+        path = tmp_path / "sem.json"
+        path.write_text(json.dumps({"type": "builtin", "name": "sem"}))
+        code, by_file = run(tmp_path, "nfl", "--m", "2",
+                            "--learner", "file:" + str(path))
+        assert code == 0
+        assert by_file["manifest"]["inputs"] == {str(path): sha256(path)}
+        code, by_name = run(tmp_path, "nfl", "--m", "2",
+                            "--learner", "builtin:sem")
+        assert code == 0 and by_name["manifest"]["inputs"] == {}
+        assert by_file["result"] == by_name["result"]
+
+    @pytest.mark.parametrize("mode", [("--exact",), ("--trials", "40")],
+                             ids=["exact", "monte-carlo"])
+    def test_pac_sim_sweep_reads_a_file_learner_once(self, tmp_path,
+                                                     monkeypatch, mode):
+        """A sweep over m resolves ``--learner`` once, and each row is the
+        run at that m alone."""
+        files = {"space.json": {"kind": "threshold-family"},
+                 "dist.json": {"support": [[1, 0], [2, 1], [3, 1]],
+                               "weights": ["1/4", "1/4", "1/2"]},
+                 "table.json": {"type": "table",
+                                "table": [[[[1, 0]], "2"], [[[2, 1]], "3/2"]],
+                                "default": "3"}}
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        reads = []
+        text = vclab.cli.Inputs.text
+
+        def counted(self, path):
+            reads.append(Path(path).name)
+            return text(self, path)
+        monkeypatch.setattr(vclab.cli.Inputs, "text", counted)
+
+        def pac(m):
+            return run(tmp_path, "pac-sim",
+                       "--space", str(tmp_path / "space.json"),
+                       "--dist", str(tmp_path / "dist.json"),
+                       "--m", m, "--eps", "0.25", *mode, "--learner",
+                       "file:" + str(tmp_path / "table.json"))
+        code, sweep = pac("1,2,3")
+        assert code == 0
+        assert sorted(reads) == sorted(files)
+        for m, row in zip("123", sweep["result"], strict=True):
+            code, single = pac(m)
+            assert code == 0 and single["result"] == row
+            assert single["manifest"]["inputs"] == sweep["manifest"]["inputs"]
+
+    def test_inputs_hold_the_bytes_that_were_parsed(self, workdir,
+                                                    monkeypatch):
+        """A file rewritten while the run computes keeps, in the manifest,
+        the digest of the bytes the run parsed."""
+        space = workdir / "space.json"
+        parsed = sha256(space)
+        vc_dimension = vclab.cli.vc_dimension
+
+        def rewriting(*args, **kwargs):
+            space.write_text(json.dumps({"kind": "threshold-family"}))
+            return vc_dimension(*args, **kwargs)
+        monkeypatch.setattr(vclab.cli, "vc_dimension", rewriting)
+        code, payload = run(workdir, "vcdim", "--space", str(space),
+                            "--pool", "1;2")
+        assert code == 0 and sha256(space) != parsed
+        assert payload["manifest"]["inputs"] == {str(space): parsed}
+
+
+# Input files, by name, for the subcommands that read files.
+INPUT_FILES = {
+    "space.json": {"instances": [1, 2, 3, 4], "hypotheses":
+                   [[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0]]},
+    "dist.json": {"support": [[1, 1], [2, 0]], "weights": ["1/2", "1/2"]},
+    "pool.json": [1, 2, 3],
+    "pair.json": [0, 1],
+    "full.json": {"kind": "full", "instances": [0, 1]},
+    "sem.json": {"type": "builtin", "name": "sem"},
+    "formula.txt": "x != p",
+}
+FORMULA = ("--file", "formula.txt", "--objects", "x", "--params", "p")
+
+
+@pytest.mark.parametrize("argv", [
+    ("vcdim", "--space", "space.json", "--pool", "pool.json"),
+    ("growth", "--space", "space.json", "--pool", "pool.json", "--m", "2"),
+    ("ucp-sim", "--space", "space.json", "--dist", "dist.json",
+     "--m", "2", "--eps", "0.25", "--exact"),
+    ("pac-sim", "--space", "space.json", "--dist", "dist.json",
+     "--m", "2", "--eps", "0.25", "--exact", "--learner", "file:sem.json"),
+    ("nfl", "--m", "1", "--instances", "pair.json", "--space", "full.json",
+     "--learner", "file:sem.json"),
+    ("formula", "parse", *FORMULA),
+    ("formula", "eval", *FORMULA, "--x", "2", "--w", "2"),
+    ("formula", "space", *FORMULA, "--pool", "pool.json"),
+    ("formula", "shatter", *FORMULA, "--instances", "pair.json"),
+], ids=lambda argv: "-".join(argv[:2 if argv[0] == "formula" else 1]))
+def test_manifest_inputs_are_exactly_the_files_given(tmp_path, argv):
+    for name, content in INPUT_FILES.items():
+        (tmp_path / name).write_text(
+            content if isinstance(content, str) else json.dumps(content))
+
+    def path(arg):
+        kind, colon, name = arg.rpartition(":")
+        return kind + colon + str(tmp_path / name) if name in INPUT_FILES \
+            else arg
+    code, payload = run(tmp_path, *map(path, argv))
+    assert code == 0
+    assert payload["manifest"]["inputs"] == {
+        str(tmp_path / name): sha256(tmp_path / name)
+        for name in INPUT_FILES if any(name in a for a in argv)}
 
 
 class TestParserReuse:

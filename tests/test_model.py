@@ -34,6 +34,7 @@ from vclab import (
     empirical_distribution,
     empirical_opt,
     loss,
+    memorizing_learner,
     parse_formula,
     realized_dichotomies,
     restriction_errors,
@@ -403,6 +404,32 @@ def test_a_memoized_table_keeps_no_reference_to_its_space():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_explicit_space_builds_each_hypothesis_once(built):
+    """``hypothesis_from_bits``, ``hypotheses()``, table witnesses and a
+    memorizing learner share one ``Hypothesis`` per bit-vector, built on
+    its first request, also when asked by an equal tuple of other types."""
+    space = ExplicitSpace(atoms(2), [[1, 1], [True, 0.0], [0, 0]])
+    built.clear()
+    h = space.hypothesis_from_bits((1, 0))
+    assert space.hypothesis_from_bits((1, 0)) is h
+    assert space.hypothesis_from_bits((1.0, False)) is h
+    assert h.key == ("explicit", (1, 0)) and built == [h.key]
+    assert space.dichotomies(atoms(2)).witnesses[1, 0] is h
+    listed = list(space.hypotheses())
+    assert [g.key[1] for g in listed] == [(0, 0), (1, 0), (1, 1)]
+    assert listed[1] is h
+    assert all(a is b for a, b in zip(space.hypotheses(), listed, strict=True))
+    learner = memorizing_learner(ExplicitSpace.full(atoms(2)))
+    samples = [MultiSample.of(*z) for z in product(
+        [(x, y) for x in atoms(2) for y in (0, 1)], repeat=2)]
+    built.clear()
+    outputs = [learner(zbar) for zbar in samples]
+    assert sorted(built) == sorted({g.key for g in outputs})
+    assert len(built) == 4
+    with pytest.raises(ValueError, match="not in the space"):
+        space.hypothesis_from_bits((0, 1))
 
 
 class TestExplicitTableMemo:
