@@ -35,8 +35,6 @@ from .formula import (
     ExplicitParams,
     FormulaAst,
     SampledParams,
-    definable_space,
-    eval_formula,
     format_formula,
     parse_formula,
     relu_graph_formula,
@@ -76,7 +74,6 @@ from .model import (
     empirical_distribution,
     empirical_opt,
     loss,
-    realized_dichotomies,
     restriction_errors,
     sample_error,
     true_error,

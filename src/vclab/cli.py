@@ -55,20 +55,19 @@ class UsageError(Exception):
 
 
 def json_ready(obj):
-    """Recursively convert package values to JSON-serializable data."""
+    """Recursively convert package values to JSON-serializable data; any
+    other value is a bug and raises ``TypeError``."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return int(obj) if obj.denominator == 1 else str(obj)
     if isinstance(obj, Instance):
         return instance_to_json(obj)
-    if hasattr(obj, "as_dict"):
-        return json_ready(obj.as_dict())
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         return [json_ready(v) for v in obj]
-    return str(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 class Inputs(dict):
@@ -113,12 +112,12 @@ def _load_pool(path_or_inline: str, inputs: Inputs):
     return _parse_instance_list(path_or_inline)
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _parse_list(text: str, kind: type) -> list:
+    """Comma-separated values of one kind; at least one is required."""
+    out = [kind(v) for v in text.split(",") if v.strip()]
+    if not out:
+        raise UsageError(f"empty value list {text!r}")
+    return out
 
 
 def _resolve_learner(ref: str, space, inputs: Inputs):
@@ -176,8 +175,9 @@ def _cmd_sauer(args, inputs):
 
 
 def _cmd_bounds(args, inputs):
-    eps_grid = _parse_float_list(args.eps_grid) if args.eps_grid else [args.eps]
-    delta_grid = (_parse_float_list(args.delta_grid) if args.delta_grid
+    eps_grid = (_parse_list(args.eps_grid, float) if args.eps_grid
+                else [args.eps])
+    delta_grid = (_parse_list(args.delta_grid, float) if args.delta_grid
                   else [args.delta])
     report = bounds_report(args.d, args.eps, args.delta, m_h=args.mh,
                            m0_nmse=args.m0_nmse)
@@ -199,7 +199,7 @@ def _cmd_sim(args, inputs):
     """``ucp-sim``, or ``pac-sim`` with its learner resolved once."""
     space = space_from_json(inputs.json(args.space))
     dist = distribution_from_json(inputs.json(args.dist))
-    m_values = _parse_int_list(args.m)
+    m_values = _parse_list(args.m, int)
     if args.command == "pac-sim":
         estimate = functools.partial(
             estimate_pac_probability,
@@ -264,7 +264,7 @@ def _formula_space(args, inputs) -> fm.DefinableSpace:
         source = {"type": "sampled", "budget": args.budget, "seed": args.seed}
     return fm.DefinableSpace(_formula_ast(args, inputs),
                              param_source_from_json(source),
-                             backend=args.backend or None)
+                             backend=args.backend)
 
 
 def _cmd_formula(args, inputs):
@@ -281,8 +281,8 @@ def _cmd_formula(args, inputs):
         ast = _formula_ast(args, inputs)
         x = [v.strip() for v in args.x.split(",")] if args.x else []
         w = [v.strip() for v in args.w.split(",")] if args.w else []
-        backend = args.backend or (fm.FLOAT if ast.uses_exp else fm.EXACT)
-        value = fm.eval_formula(ast, x, w, backend=backend)
+        backend = args.backend or ast.default_backend
+        value = fm.compile_formula(ast, backend)(x, w)
         return ({"value": value, "backend": backend}, None)
     if args.action == "space":
         if not args.pool:
@@ -298,17 +298,16 @@ def _cmd_formula(args, inputs):
                  "dichotomies": sorted("".join(map(str, lab))
                                        for lab in table.labelings)},
                 None)
-    if args.action == "shatter":
-        if not args.instances:
-            raise UsageError("formula shatter needs --instances 'x1;x2;...'")
-        verdict = shatters(_formula_space(args, inputs),
-                           _load_pool(args.instances, inputs))
-        witnesses = None
-        if verdict.witnesses is not None:
-            witnesses = {"".join(map(str, lab)): [str(v) for v in h.key[1:]]
-                         for lab, h in sorted(verdict.witnesses.items())}
-        return {"status": verdict.status, "witnesses": witnesses}, None
-    raise UsageError(f"unknown formula action {args.action!r}")
+    # argparse's choices leave "shatter" as the only other action.
+    if not args.instances:
+        raise UsageError("formula shatter needs --instances 'x1;x2;...'")
+    verdict = shatters(_formula_space(args, inputs),
+                       _load_pool(args.instances, inputs))
+    witnesses = None
+    if verdict.witnesses is not None:
+        witnesses = {"".join(map(str, lab)): [str(v) for v in h.key[1:]]
+                     for lab, h in sorted(verdict.witnesses.items())}
+    return {"status": verdict.status, "witnesses": witnesses}, None
 
 
 # ---------------------------------------------------------------------------

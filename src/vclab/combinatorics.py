@@ -26,6 +26,8 @@ class ShatterResult(Record):
     With an exact oracle the answer is definitive either way.  With an
     inexact oracle a positive answer is still sound (witnesses verify), but
     a negative one only means no witness was found within budget.
+    ``witnesses`` is the table's read-only mapping, which builds each
+    hypothesis when its labeling is first read.
     """
 
     shattered: bool
@@ -62,7 +64,7 @@ def shatters(space: HypothesisSpace, instances: Sequence[Instance]) -> ShatterRe
     table = space.dichotomies(instances)
     full = len(table) == 2 ** len(instances)
     return ShatterResult(shattered=full, exact=table.exact,
-                         witnesses=dict(table.witnesses) if full else None)
+                         witnesses=table.witnesses if full else None)
 
 
 def vc_dimension(space: HypothesisSpace, pool: Sequence[Instance],

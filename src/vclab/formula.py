@@ -150,6 +150,13 @@ class FormulaAst(Record):
     def uses_exp(self) -> bool:
         return any(isinstance(n, Exp) for n in walk(self.root))
 
+    @property
+    def default_backend(self) -> str:
+        """The backend used when none is named: ``float`` if the formula
+        uses ``exp``, which the exact backend cannot evaluate, else
+        ``exact``."""
+        return FLOAT if self.uses_exp else EXACT
+
 
 def walk(node) -> Iterator:
     yield node
@@ -515,12 +522,6 @@ def compile_formula(ast: FormulaAst, backend: str = EXACT
     return predicate
 
 
-def eval_formula(ast: FormulaAst, x: Sequence, w: Sequence = (),
-                 backend: str = EXACT) -> bool:
-    """Truth value of the formula at object tuple x and parameter tuple w."""
-    return compile_formula(ast, backend)(x, w)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form recognition
 
@@ -704,14 +705,9 @@ class DefinableSpace(HypothesisSpace):
     kind = "formula-defined"
 
     def __init__(self, ast: FormulaAst, source: ParamSource,
-                 backend: str | None = None,
-                 instance_arity: int | None = None):
-        if instance_arity is not None and instance_arity != ast.arity:
-            raise ValueError(
-                f"formula has object arity {ast.arity}, expected "
-                f"{instance_arity}")
+                 backend: str | None = None):
         if backend is None:
-            backend = FLOAT if ast.uses_exp else EXACT
+            backend = ast.default_backend
         self._convert, self._holds = _compile(ast, backend)
         self.ast = ast
         self.source = source
@@ -825,18 +821,6 @@ class DefinableSpace(HypothesisSpace):
             exact = False
         return DichotomyTable(instances, LazyWitnesses(
             found, self.hypothesis_from_key), exact=exact)
-
-
-def definable_space(ast: FormulaAst, source, backend: str | None = None,
-                    instance_arity: int | None = None) -> DefinableSpace:
-    """Build the hypothesis space of a formula over a parameter source.
-
-    ``source`` may be a ParamSource or a list of parameter tuples (made
-    explicit); a grid is ``ExplicitParams.grid(axes)``.
-    """
-    if not isinstance(source, (ExplicitParams, SampledParams)):
-        source = ExplicitParams.of(source)
-    return DefinableSpace(ast, source, backend, instance_arity)
 
 
 # ---------------------------------------------------------------------------

@@ -775,12 +775,3 @@ def empirical_opt(space: HypothesisSpace, zbar: MultiSample,
     the sample instances are finite)."""
     _, scored = restriction_errors(space, zbar.tally(), require_exact)
     return Fraction(min(wrong for wrong, _ in scored), zbar.m)
-
-
-def realized_dichotomies(space: HypothesisSpace,
-                         instances: Sequence[Instance]
-                         ) -> tuple[frozenset[Labeling], bool]:
-    """The labelings of ``instances`` realized by the space, plus an
-    exactness flag (False means: verified subset)."""
-    table = space.dichotomies(check_instance_tuple(instances))
-    return table.labelings, table.exact

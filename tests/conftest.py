@@ -1,7 +1,12 @@
+import importlib.util
 import math
 import random
+import statistics
+import sys
+import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from vclab import spaces
 from vclab import (
@@ -13,6 +18,53 @@ from vclab import (
 )
 from vclab.model import index_states
 from vclab.nfl import PROBE_ONE_IN
+
+
+# The suite's wall time is reported at the end of the session, also scaled
+# to a fixed CPU speed by perfbench's reference task.  The machine's speed
+# drifts within minutes, so the task is timed at the start of the session,
+# after half of its tests and at its end, and the median of the three is
+# used.
+PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+_bench = None
+_references: list[float] = []
+_started = 0.0
+_halfway = 0
+
+
+def pytest_sessionstart(session):
+    global _bench, _started
+    path = sys.path[:]
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  PERFBENCH_RUN)
+    _bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(_bench)  # run.py puts perfbench/ on sys.path
+    sys.path[:] = path
+    _references.append(_bench.reference_seconds())
+    _started = time.perf_counter()
+
+
+def pytest_collection_finish(session):
+    global _halfway
+    _halfway = len(session.items) // 2
+
+
+def pytest_runtest_logfinish(nodeid, location):
+    global _halfway
+    _halfway -= 1
+    if _halfway == 0:
+        _references.append(_bench.reference_seconds())
+
+
+def pytest_terminal_summary(terminalreporter):
+    wall = time.perf_counter() - _started
+    _references.append(_bench.reference_seconds())
+    reference = statistics.median(_references)
+    terminalreporter.write_line(
+        f"session time: {wall:.1f} s wall, "
+        f"{wall * _bench.REF_SECONDS / reference:.1f} s scaled (reference "
+        f"task median of {len(_references)}: {reference:.3f} s, scaled to "
+        f"{_bench.REF_SECONDS} s)")
 
 
 def atoms(n: int) -> list[Instance]:

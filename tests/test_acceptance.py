@@ -9,6 +9,7 @@ from fractions import Fraction as F
 from itertools import product
 
 from vclab import (
+    DefinableSpace,
     DiscreteDistribution,
     ExplicitSpace,
     MultiSample,
@@ -16,11 +17,9 @@ from vclab import (
     ThresholdSpace,
     build_nfl_instance,
     builtin_learners,
-    definable_space,
     empirical_opt,
     estimate_pac_probability,
     estimate_ucp_probability,
-    eval_formula,
     format_formula,
     growth_function,
     hoeffding_tail,
@@ -31,7 +30,6 @@ from vclab import (
     nfl_report,
     parse_formula,
     random_table_learner,
-    realized_dichotomies,
     relu_graph_formula,
     sample_error,
     sauer_bound,
@@ -44,6 +42,7 @@ from vclab import (
     v_statistic,
     vc_dimension,
 )
+from vclab.formula import compile_formula
 from conftest import (
     atoms,
     points,
@@ -215,19 +214,20 @@ def test_criterion_7_formula_dsl_suite():
     reparsed = parse_formula(format_formula(ast), ast.objects, ast.params)
     round_trips = reparsed == ast
 
+    relu = compile_formula(ast)
     eval_failures = 0
     for _ in range(1000):
         x = F(rng.randint(-50, 50), rng.randint(1, 9))
         y = (max(F(0), x) if rng.random() < 0.5
              else F(rng.randint(-50, 50), rng.randint(1, 9)))
-        if eval_formula(ast, (x, y)) is not (y == max(F(0), x)):
+        if relu((x, y), ()) is not (y == max(F(0), x)):
             eval_failures += 1
 
     cos = parse_formula("x != p", ["x"], ["p"])
-    space = definable_space(cos, SampledParams(budget=64))
-    labelings, exact = realized_dichotomies(space, points(1, 2, 3))
-    cos_ok = exact and labelings == {(1, 1, 1), (0, 1, 1), (1, 0, 1),
-                                     (1, 1, 0)}
+    table = DefinableSpace(cos, SampledParams(budget=64)).dichotomies(
+        points(1, 2, 3))
+    cos_ok = table.exact and table.labelings == {(1, 1, 1), (0, 1, 1),
+                                                 (1, 0, 1), (1, 1, 0)}
 
     pool = [
         ("x != p", ("x",), ("p",), 1),
@@ -244,14 +244,15 @@ def test_criterion_7_formula_dsl_suite():
         f = parse_formula(text, objects, params)
         size = rng.randint(1, vc)
         instances = rng.sample(range(-4, 8), size)
-        space = definable_space(f, SampledParams(budget=300,
-                                                 seed=rng.randint(0, 999)))
+        space = DefinableSpace(f, SampledParams(budget=300,
+                                                seed=rng.randint(0, 999)))
         verdict = shatters(space, points(*instances))
         if not verdict.shattered:
             continue
         shattered_maps += 1
+        predicate = compile_formula(f)
         for labeling, h in verdict.witnesses.items():
-            got = tuple(1 if eval_formula(f, (F(v),), h.key[1:]) else 0
+            got = tuple(1 if predicate((F(v),), h.key[1:]) else 0
                         for v in instances)
             if got != labeling:
                 unsound += 1

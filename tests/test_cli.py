@@ -16,10 +16,10 @@ from vclab import (
     Instance,
     MultiSample,
     ThresholdSpace,
-    eval_formula,
     parse_formula,
 )
 from vclab.cli import json_ready, main
+from vclab.formula import compile_formula
 from vclab.combinatorics import sauer_bound
 from vclab.serialize import (
     distribution_from_json,
@@ -130,6 +130,13 @@ def test_json_ready_instances():
     for x, want in cases:
         assert json_ready(x) == want
         assert json_ready({"best": [x]}) == {"best": [want]}
+
+
+def test_json_ready_refuses_unknown_values():
+    """A value with no JSON form is a bug, not a string in the payload."""
+    for value in (object(), {"result": [object()]}):
+        with pytest.raises(TypeError, match="no JSON form for object"):
+            json_ready(value)
 
 
 class TestCli:
@@ -404,14 +411,32 @@ class TestCli:
                                 text, "--objects", "x", "--params", params,
                                 f"--instances={instances}", *option)
             assert code == 0 and payload["result"]["status"] == "shattered"
-            ast = parse_formula(text, ["x"], params.split(","))
+            predicate = compile_formula(
+                parse_formula(text, ["x"], params.split(",")))
             xs = [F(v) for v in instances.split(";")]
             witnesses = payload["result"]["witnesses"]
             assert len(witnesses) == 2 ** len(xs)
             for labeling, w in witnesses.items():
-                got = "".join("1" if eval_formula(ast, (x,), w) else "0"
+                got = "".join("1" if predicate((x,), w) else "0"
                               for x in xs)
                 assert got == labeling, (text, w)
+
+    @pytest.mark.parametrize("text, params, instances, want", [
+        ("0 <= w * x + b", "w,b", "-1;2",
+         {"00": ["0", "-1"], "01": ["1", "-1/2"], "10": ["-1", "1/2"],
+          "11": ["0", "0"]}),
+        ("(a <= x and x <= b) or x = c", "a,b,c", "0;2",
+         {"00": ["-1", "-1", "-1"], "01": ["-1", "-1", "2"],
+          "10": ["-1", "-1", "0"], "11": ["-1", "0", "2"]})])
+    def test_formula_shatter_witnesses_are_pinned(self, tmp_path, text,
+                                                  params, instances, want):
+        """The witnesses of an affine closed form (solved when read) and
+        of parameter search, as the command has always written them."""
+        code, payload = run(tmp_path, "formula", "shatter", "--text", text,
+                            "--objects", "x", "--params", params,
+                            f"--instances={instances}")
+        assert code == 0
+        assert payload["result"] == {"status": "shattered", "witnesses": want}
 
     def test_formula_space_requires_pool(self, tmp_path):
         code, _ = run(tmp_path, "formula", "space", "--text", "x != p",
@@ -896,3 +921,84 @@ class TestParserReuse:
             [sys.executable, "-I", "-S", "-c", child, src], check=True,
             capture_output=True, text=True, timeout=60).stdout
         assert out.splitlines() == ["[]", "[]"]
+
+
+def write_files(tmp_path, files: dict) -> None:
+    for name, content in files.items():
+        (tmp_path / name).write_text(
+            content if isinstance(content, str) else json.dumps(content))
+
+
+@pytest.mark.parametrize("argv", [
+    ("ucp-sim", "--space", "space.json", "--dist", "dist.json",
+     "--m", ",", "--eps", "0.25"),
+    ("pac-sim", "--space", "space.json", "--dist", "dist.json",
+     "--m", ",", "--eps", "0.25", "--learner", "builtin:sem"),
+    ("bounds", "--d", "1", "--eps", "0.5", "--delta", "0.5", "--csv",
+     "--eps-grid", ","),
+], ids=lambda argv: argv[0])
+def test_empty_value_list_exits_2(tmp_path, capsys, argv):
+    """A list option that parses to no value is bad input: no report and
+    no sweep are written."""
+    write_files(tmp_path, INPUT_FILES)
+    argv = [str(tmp_path / a) if a in INPUT_FILES else a for a in argv]
+    code, payload = run(tmp_path, *argv)
+    assert code == 2 and payload is None
+    assert not (tmp_path / "sweep.csv").exists()
+    assert "empty value list ','" in capsys.readouterr().err
+
+
+# Input files for the branches of input parsing that the tests above do not
+# reach.
+BRANCH_FILES = {
+    "atoms.json": {"kind": "full", "instances": ["a", "b"]},
+    "interval.json": {"kind": "interval-family"},
+    "cosingleton.json": {"kind": "co-singleton-family"},
+    "short.json": {"support": [[1, 1], [2, 0]], "weights": ["1"]},
+    "bogus.json": {"kind": "formula-defined", "formula": "x != p",
+                   "objects": ["x"], "params": ["p"],
+                   "source": {"type": "bogus"}},
+    "rat.json": [{"rat": "1/2", "x": 1}],
+}
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (("nfl", "--m", "1", "--learner", "foo:1"), 2,
+     "learner reference 'foo:1' must be builtin:NAME, file:PATH, or "
+     "random:SEED"),
+    (("formula", "parse", "--objects", "x"), 2,
+     "provide the formula via --text or --file"),
+    (("vcdim", "--space", "atoms.json", "--pool", "a;;b"), 0,
+     {"value": 2, "pool": ["a", "b"]}),
+    (("vcdim", "--space", "atoms.json", "--pool", ";"), 2,
+     "empty instance list"),
+    (("vcdim", "--space", "interval.json", "--pool", "1;2;3"), 0,
+     {"value": 2, "status": "exact"}),
+    (("vcdim", "--space", "cosingleton.json", "--pool", "1;2;3"), 0,
+     {"value": 1, "status": "exact"}),
+    (("ucp-sim", "--space", "interval.json", "--dist", "short.json",
+      "--m", "1", "--eps", "0.5"), 2,
+     "support and weights must have equal length"),
+    (("vcdim", "--space", "bogus.json", "--pool", "1;2"), 2,
+     "unknown parameter source type 'bogus'"),
+    (("nfl", "--m", "1", "--learner", "builtin:nope"), 2,
+     "builtin learner 'nope' not available for a finite-explicit space; "
+     "choose from ['const0', 'const1', 'memorize', 'sem']"),
+    (("vcdim", "--space", "interval.json", "--pool", "rat.json"), 2,
+     "a pool has a malformed 'instances' field: bad rational object "
+     "{'rat': '1/2', 'x': 1}"),
+], ids=["learner-reference", "formula-text", "pool-empty-entry", "pool-empty",
+        "interval-family", "co-singleton-family", "dist-short-weights",
+        "source-type", "builtin-learner", "rational-object"])
+def test_input_branches(tmp_path, capsys, argv, code, expected):
+    """Each input branch gives its exit code, and either the result's
+    values or its error message."""
+    write_files(tmp_path, BRANCH_FILES)
+    argv = [str(tmp_path / a) if a in BRANCH_FILES else a for a in argv]
+    got, payload = run(tmp_path, *argv)
+    assert got == code
+    if code == 0:
+        assert {k: payload["result"][k] for k in expected} == expected
+    else:
+        assert payload is None
+        assert f"error: {expected}" in capsys.readouterr().err

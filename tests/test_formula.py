@@ -20,11 +20,8 @@ from vclab import (
     IntervalSpace,
     SampledParams,
     ThresholdSpace,
-    definable_space,
-    eval_formula,
     format_formula,
     parse_formula,
-    realized_dichotomies,
     relu_graph_formula,
     shatters,
     sigmoid_network_formula,
@@ -147,34 +144,36 @@ def test_sigmoid_network_round_trips():
 
 class TestEval:
     def test_relu_examples(self):
-        ast = relu_graph_formula()
-        assert eval_formula(ast, (-2, 0)) is True
-        assert eval_formula(ast, (3, 3)) is True
-        assert eval_formula(ast, (3, 0)) is False
+        relu = compile_formula(relu_graph_formula())
+        assert relu((-2, 0), ()) is True
+        assert relu((3, 3), ()) is True
+        assert relu((3, 0), ()) is False
 
     def test_relu_against_oracle(self):
-        ast = relu_graph_formula()
+        relu = compile_formula(relu_graph_formula())
         rng = random.Random(123)
         for _ in range(500):
             x = F(rng.randint(-60, 60), rng.randint(1, 10))
             y = (max(F(0), x) if rng.random() < 0.5
                  else F(rng.randint(-60, 60), rng.randint(1, 10)))
-            assert eval_formula(ast, (x, y)) is (y == max(F(0), x))
+            assert relu((x, y), ()) is (y == max(F(0), x))
 
     def test_exact_backend_rejects_exp(self):
         ast = sigmoid_network_formula(1, 1)
         with pytest.raises(BackendError):
-            eval_formula(ast, (1,), (0,) * len(ast.params), backend="exact")
+            compile_formula(ast, "exact")
 
     def test_arity_validation(self):
-        ast = parse_formula("x != p", ["x"], ["p"])
+        predicate = compile_formula(parse_formula("x != p", ["x"], ["p"]))
         with pytest.raises(ValueError):
-            eval_formula(ast, (1, 2), (0,))
+            predicate((1, 2), (0,))
         with pytest.raises(ValueError):
-            eval_formula(ast, (1,), ())
+            predicate((1,), ())
 
     def test_backend_agreement_away_from_boundaries(self):
         ast = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
+        exact = compile_formula(ast, "exact")
+        inexact = compile_formula(ast, "float")
         rng = random.Random(6)
         checked = 0
         while checked < 200:
@@ -183,14 +182,12 @@ class TestEval:
             b = F(rng.randint(-100, 100), 8)
             if x == a or x == b:
                 continue
-            exact = eval_formula(ast, (x,), (a, b), backend="exact")
-            inexact = eval_formula(ast, (x,), (a, b), backend="float")
-            assert exact == inexact
+            assert exact((x,), (a, b)) == inexact((x,), (a, b))
             checked += 1
 
     def test_exp_overflow_is_inf(self):
         ast = parse_formula("exp(x) < y", ["x", "y"])
-        assert eval_formula(ast, (10000, 5), backend="float") is False
+        assert compile_formula(ast, "float")((10000, 5), ()) is False
 
 
 # Reference evaluator: a recursive walk over the AST that shares no code
@@ -290,7 +287,7 @@ FORMULAS = {with_exp: formulas(with_exp) for with_exp in (False, True)}
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_compiled_evaluator_matches_reference(data):
-    """eval_formula agrees with the tree walk on random formulas: on both
+    """compile_formula agrees with the tree walk on random formulas: on both
     backends without exp, on the float backend with it.  Float results
     agree exactly, because both run the same operations in the same
     order."""
@@ -299,7 +296,7 @@ def test_compiled_evaluator_matches_reference(data):
     x = (data.draw(VALUES), data.draw(VALUES))
     w = (data.draw(VALUES),)
     for backend in (("float",) if ast.uses_exp else ("exact", "float")):
-        assert eval_formula(ast, x, w, backend) is \
+        assert compile_formula(ast, backend)(x, w) is \
             reference_eval(ast, x, w, backend)
 
 
@@ -311,6 +308,7 @@ def test_sigmoid_network_matches_direct_network():
     rng = random.Random(99)
     for n, k in ((1, 1), (2, 2), (2, 3)):
         ast = sigmoid_network_formula(n, k)
+        network = compile_formula(ast, "float")
         checked = 0
         while checked < 200:
             w = {p: rng.uniform(-4, 4) for p in ast.params}
@@ -322,8 +320,7 @@ def test_sigmoid_network_matches_direct_network():
                 total += w[f"u{i}"] * sigmoid(pre)
             if abs(total) < 1e-9:
                 continue  # resample near the decision boundary
-            got = eval_formula(ast, x, [w[p] for p in ast.params],
-                               backend="float")
+            got = network(x, [w[p] for p in ast.params])
             assert got is (total >= 0)
             checked += 1
 
@@ -349,12 +346,12 @@ class TestDefinableSpace:
 
     def test_grid_cosingletons(self):
         ast = parse_formula("x != p", ["x"], ["p"])
-        space = definable_space(ast, ExplicitParams.grid([[0, 1, 2]]))
+        space = DefinableSpace(ast, ExplicitParams.grid([[0, 1, 2]]))
         assert space.oracle_exact
         assert len(list(space.hypotheses())) == 3
-        labelings, exact = realized_dichotomies(space, points(0, 1, 2))
-        assert exact
-        assert labelings == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
+        table = space.dichotomies(points(0, 1, 2))
+        assert table.exact
+        assert table.labelings == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
 
     def test_grid_lists_its_product(self):
         axes = [[2, "1/2", 2], [1, 0]]
@@ -365,11 +362,12 @@ class TestDefinableSpace:
 
     def test_sampled_cosingleton_recognized(self):
         ast = parse_formula("x != p", ["x"], ["p"])
-        space = definable_space(ast, SampledParams(budget=100))
+        space = DefinableSpace(ast, SampledParams(budget=100))
         assert space.closed_form.name == "co-singleton"
-        labelings, exact = realized_dichotomies(space, points(1, 2, 3))
-        assert exact
-        assert labelings == {(1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
+        table = space.dichotomies(points(1, 2, 3))
+        assert table.exact
+        assert table.labelings == {(1, 1, 1), (0, 1, 1), (1, 0, 1),
+                                   (1, 1, 0)}
 
     def test_recognized_forms_match_native_spaces(self):
         """Each recognized shape, also with its parameters declared in
@@ -404,7 +402,8 @@ class TestDefinableSpace:
         ]
         for text, objects, params, native, pool, index, fm in cases:
             ast = parse_formula(text, objects, params)
-            space = definable_space(ast, SampledParams(budget=50))
+            predicate = compile_formula(ast)
+            space = DefinableSpace(ast, SampledParams(budget=50))
             assert space.closed_form is not None
             table = space.dichotomies(pool)
             want = native.dichotomies(pool)
@@ -412,7 +411,7 @@ class TestDefinableSpace:
             assert space.known_vc() == native.known_vc()
             for labeling, h in table.witnesses.items():
                 w = h.key[1:]
-                assert tuple(1 if eval_formula(ast, x.coords, w) else 0
+                assert tuple(1 if predicate(x.coords, w) else 0
                              for x in pool) == labeling
                 if fm:
                     assert w == declared_fm_witness(pool, index, labeling)
@@ -436,8 +435,8 @@ class TestDefinableSpace:
             calls.append(args)
             return hypothesis(space, *args)
         monkeypatch.setattr(native, "hypothesis", counted)
-        space = definable_space(parse_formula(text, ["x"], params),
-                                SampledParams(budget=30))
+        space = DefinableSpace(parse_formula(text, ["x"], params),
+                               SampledParams(budget=30))
         pool = points(3, 1, 2)
         table = space.dichotomies(pool)
         assert space.closed_form is not None and len(table) >= 4
@@ -459,27 +458,28 @@ class TestDefinableSpace:
                   [(a, b) for a in axis for b in axis], points(0, 1, 3)),
                  (ratio, ExplicitParams.of(listed), listed, points(-1, 1, 2))]
         for ast, source, tuples, pool in cases:
+            predicate = compile_formula(ast)
             least = {}
             for w in sorted(tuples):
-                labeling = tuple(1 if eval_formula(ast, x.coords, w) else 0
+                labeling = tuple(1 if predicate(x.coords, w) else 0
                                  for x in pool)
                 least.setdefault(labeling, w)
-            table = definable_space(ast, source).dichotomies(pool)
+            table = DefinableSpace(ast, source).dichotomies(pool)
             assert {lab: h.key[1:] for lab, h in table.witnesses.items()} \
                 == least
 
     def test_interval_recognition_with_swapped_declaration_order(self):
         ast = parse_formula("b <= x and x <= a", ["x"], ["a", "b"])
-        space = definable_space(ast, SampledParams(budget=30))
+        space = DefinableSpace(ast, SampledParams(budget=30))
         assert space.closed_form.name == "interval"
-        got, exact = realized_dichotomies(space, points(1, 2, 3))
-        want, _ = realized_dichotomies(IntervalSpace(), points(1, 2, 3))
-        assert exact and got == want
+        got = space.dichotomies(points(1, 2, 3))
+        want = IntervalSpace().dichotomies(points(1, 2, 3))
+        assert got.exact and got.labelings == want.labelings
 
     def test_unrecognized_sampled_is_sound_subset(self):
         ast = parse_formula("p * p * x <= 1", ["x"], ["p"])
         assert recognize_closed_form(ast) is None
-        space = definable_space(ast, SampledParams(budget=400, seed=1))
+        space = DefinableSpace(ast, SampledParams(budget=400, seed=1))
         assert not space.oracle_exact
         pool = points(1, 2)
         table = space.dichotomies(pool)
@@ -489,9 +489,9 @@ class TestDefinableSpace:
 
     def test_explicit_params(self):
         ast = parse_formula("p <= x", ["x"], ["p"])
-        space = definable_space(ast, [[0], [2]])
-        labelings, exact = realized_dichotomies(space, points(1,))
-        assert exact and labelings == {(0,), (1,)}
+        space = DefinableSpace(ast, ExplicitParams.of([[0], [2]]))
+        table = space.dichotomies(points(1,))
+        assert table.exact and table.labelings == {(0,), (1,)}
 
     def test_inexact_oracle_gates_error_operations(self):
         from vclab import (
@@ -504,7 +504,7 @@ class TestDefinableSpace:
         )
         ast = parse_formula("p * p * x <= 1", ["x"], ["p"])
         assert recognize_closed_form(ast) is None
-        space = definable_space(ast, SampledParams(budget=200, seed=2))
+        space = DefinableSpace(ast, SampledParams(budget=200, seed=2))
         dist = DiscreteDistribution.uniform([((1,), 1), ((2,), 0)])
         zbar = MultiSample.of(((1,), 1), ((2,), 0))
         for fn, args in ((approximation_error, (space, dist)),
@@ -525,17 +525,15 @@ class TestDefinableSpace:
 
     def test_arity_mismatch_rejected(self):
         ast = parse_formula("x != p", ["x"], ["p"])
-        with pytest.raises(ValueError):
-            DefinableSpace(ast, SampledParams(), instance_arity=2)
-        space = definable_space(ast, SampledParams())
+        space = DefinableSpace(ast, SampledParams())
         with pytest.raises(ValueError):
             space.dichotomies([Instance.point(1, 2)])
 
     def test_parameterless_formula_gives_singleton(self):
         ast = parse_formula("0 <= x", ["x"])
-        space = definable_space(ast, [[]])
-        labelings, exact = realized_dichotomies(space, points(-1, 1))
-        assert exact and labelings == {(0, 1)}
+        space = DefinableSpace(ast, ExplicitParams.of([[]]))
+        table = space.dichotomies(points(-1, 1))
+        assert table.exact and table.labelings == {(0, 1)}
 
 
 def spellings(value: F) -> list:
@@ -658,7 +656,7 @@ class TestLabelColumns:
     def test_vc_dimension_evaluates_each_pair_once(self):
         ast = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
         axis = [F(k, 2) for k in range(-2, 19)]
-        space = definable_space(ast, ExplicitParams.grid([axis, axis]))
+        space = DefinableSpace(ast, ExplicitParams.grid([axis, axis]))
         calls = count_predicate_calls(space)
         pool = points(0, 1, 3, 4, 6, 7)
         verdict = vc_dimension(space, pool)
@@ -680,7 +678,7 @@ class TestLabelColumns:
                  (cosingleton, singles, points(150)),
                  (interval, ExplicitParams.grid([axis, axis]), points(1, 2))]
         for ast, source, pool in cases:
-            space = definable_space(ast, source)
+            space = DefinableSpace(ast, source)
             candidates = space.source.tuples
             want = reference_first_witnesses(compile_formula(ast),
                                              [x.coords for x in pool],
@@ -764,7 +762,7 @@ class TestAffineOracle:
                   ("w1", "w2", "b"), plane, 3)]
         for text, objects, params, pool, vc in cases:
             ast = parse_formula(text, objects, params)
-            space = definable_space(ast, SampledParams(budget=10))
+            space = DefinableSpace(ast, SampledParams(budget=10))
             assert space.closed_form.name == "affine"
             assert space.known_vc() == len(params)
             verdict = vc_dimension(space, pool)
@@ -792,7 +790,7 @@ class TestAffineOracle:
 
     def test_wrong_witness_raises(self, wrong_witness):
         ast = parse_formula("0 <= x - p", ["x"], ["p"])
-        space = definable_space(ast, SampledParams(budget=10))
+        space = DefinableSpace(ast, SampledParams(budget=10))
         with pytest.raises(AssertionError):
             space.dichotomies(points(1, 2))
 
@@ -835,7 +833,7 @@ def test_affine_oracle_against_grid_and_sauer(data):
     xs = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5,
                             unique=True))
     pool = points(*xs)
-    space = definable_space(ast, SampledParams(budget=10))
+    space = DefinableSpace(ast, SampledParams(budget=10))
     table = space.dichotomies(pool)
     assert table.exact
     predicate = compile_formula(ast)
@@ -849,7 +847,7 @@ def test_affine_oracle_against_grid_and_sauer(data):
 def sampled_shatters(ast, instances, budget, seed=0):
     """Shattering over the formula's full parameter range, searched with
     the given budget where no closed form answers exactly."""
-    return shatters(definable_space(ast, SampledParams(budget, seed)),
+    return shatters(DefinableSpace(ast, SampledParams(budget, seed)),
                     points(*instances))
 
 
@@ -864,9 +862,9 @@ class TestShatterSearch:
         ast = parse_formula("p <= x", ["x"], ["p"])
         verdict = sampled_shatters(ast, [1], budget=100)
         assert verdict.shattered
+        predicate = compile_formula(ast)
         for labeling, h in verdict.witnesses.items():
-            assert (eval_formula(ast, (F(1),), h.key[1:]),) == \
-                (bool(labeling[0]),)
+            assert (predicate((F(1),), h.key[1:]),) == (bool(labeling[0]),)
 
     def test_beyond_known_vc_not_shattered(self):
         ast = parse_formula("p <= x", ["x"], ["p"])
@@ -900,10 +898,10 @@ class TestShatterSearch:
             if not verdict.shattered:
                 continue
             found += 1
+            predicate = compile_formula(ast)
             for labeling, h in verdict.witnesses.items():
-                got = tuple(
-                    1 if eval_formula(ast, (F(v),), h.key[1:]) else 0
-                    for v in instances)
+                got = tuple(1 if predicate((F(v),), h.key[1:]) else 0
+                            for v in instances)
                 assert got == labeling
         assert found >= 20
 
@@ -911,7 +909,7 @@ class TestShatterSearch:
         """Over the same finite parameter grid, explicit-family VC equals the
         largest size of a shattered instance set."""
         ast = parse_formula("x != p", ["x"], ["p"])
-        space = definable_space(ast, ExplicitParams.grid([[1, 2, 3]]))
+        space = DefinableSpace(ast, ExplicitParams.grid([[1, 2, 3]]))
         pool = points(1, 2, 3)
         vc = vc_dimension(space, pool).value
         largest = 0

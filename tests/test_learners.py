@@ -4,13 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from vclab import (
+    DefinableSpace,
     ExplicitSpace,
     InexactOracleError,
     MultiSample,
     SampledParams,
     ThresholdSpace,
     builtin_learners,
-    definable_space,
     empirical_opt,
     memorizing_learner,
     parse_formula,
@@ -75,7 +75,7 @@ class TestSemLearner:
     def test_inexact_oracle_refused_without_declaration(self):
         ast = parse_formula("p * p * x <= 1", ["x"], ["p"])
         assert recognize_closed_form(ast) is None
-        space = definable_space(ast, SampledParams(budget=50))
+        space = DefinableSpace(ast, SampledParams(budget=50))
         assert not space.oracle_exact
         with pytest.raises(InexactOracleError):
             sem_learner(space)

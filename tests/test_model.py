@@ -18,6 +18,7 @@ import vclab
 import vclab.model
 from vclab import (
     CoSingletonSpace,
+    DefinableSpace,
     DiscreteDistribution,
     ExplicitParams,
     ExplicitSpace,
@@ -30,13 +31,11 @@ from vclab import (
     SampledParams,
     ThresholdSpace,
     approximation_error,
-    definable_space,
     empirical_distribution,
     empirical_opt,
     loss,
     memorizing_learner,
     parse_formula,
-    realized_dichotomies,
     restriction_errors,
     sample_error,
     shatters,
@@ -182,20 +181,21 @@ class TestEmpiricalDistribution:
 
 class TestRealizedDichotomies:
     def test_full_class_two_points(self):
-        labelings, exact = realized_dichotomies(ExplicitSpace.full(atoms(2)),
-                                                atoms(2))
-        assert exact and labelings == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        table = ExplicitSpace.full(atoms(2)).dichotomies(atoms(2))
+        assert table.exact
+        assert table.labelings == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_thresholds(self):
-        labelings, exact = realized_dichotomies(ThresholdSpace(), points_12())
-        assert exact and labelings == {(0, 0), (0, 1), (1, 1)}
+        table = ThresholdSpace().dichotomies(points_12())
+        assert table.exact and table.labelings == {(0, 0), (0, 1), (1, 1)}
 
     def test_cosingletons(self):
         from vclab import CoSingletonSpace
         instances = [Instance.point(i) for i in (1, 2, 3)]
-        labelings, exact = realized_dichotomies(CoSingletonSpace(), instances)
-        assert exact
-        assert labelings == {(1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
+        table = CoSingletonSpace().dichotomies(instances)
+        assert table.exact
+        assert table.labelings == {(1, 1, 1), (0, 1, 1), (1, 0, 1),
+                                   (1, 1, 0)}
 
     def test_explicit_matches_brute_force(self):
         rng = random.Random(3)
@@ -203,9 +203,9 @@ class TestRealizedDichotomies:
             space = random_explicit_space(rng)
             k = rng.randint(1, len(space.domain))
             subset = rng.sample(space.domain, k)
-            labelings, exact = realized_dichotomies(space, subset)
+            table = space.dichotomies(subset)
             brute = {tuple(h(x) for x in subset) for h in space.hypotheses()}
-            assert exact and labelings == brute
+            assert table.exact and table.labelings == brute
             assert space.dichotomy_count(subset) == len(brute)
 
     def test_monotone_in_instances(self):
@@ -218,13 +218,12 @@ class TestRealizedDichotomies:
             big = small + extra
             if not extra:
                 continue
-            a, _ = realized_dichotomies(space, small)
-            b, _ = realized_dichotomies(space, big)
-            assert len(a) <= len(b)
+            assert len(space.dichotomies(small)) <= len(
+                space.dichotomies(big))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            realized_dichotomies(ThresholdSpace(), [])
+            ThresholdSpace().dichotomies([])
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,7 +324,7 @@ PLANE = [Instance.point(*p) for p in [(0, 0), (3, 1), (1, 4), (2, 2), (5, 5)]]
 
 
 def formula_space(text, params, source):
-    return definable_space(parse_formula(text, ["x"], params), source)
+    return DefinableSpace(parse_formula(text, ["x"], params), source)
 
 
 # Every family's table on a few instances: halfspaces on at most dim + 2
@@ -468,14 +467,19 @@ class TestExplicitTableMemo:
             table.witnesses[0, 1] = table.witnesses[1, 0]
         assert space.dichotomies(atoms(2)).witnesses[0, 1] is h
 
-    def test_shatters_and_vc_dimension_copy_the_witnesses(self):
+    def test_shatters_shares_and_vc_dimension_copies_the_witnesses(self):
+        """``shatters`` hands over the memoized table's read-only
+        witnesses; ``vc_dimension`` copies them into a dict of its own."""
         space = ExplicitSpace.full(atoms(2))
         table = space.dichotomies(atoms(2))
-        for witnesses in (shatters(space, atoms(2)).witnesses,
-                          vc_dimension(space, atoms(2)).witnesses):
-            assert type(witnesses) is dict
-            assert witnesses == dict(table.witnesses)
-            witnesses.clear()
+        shared = shatters(space, atoms(2)).witnesses
+        assert shared is table.witnesses
+        with pytest.raises(TypeError):
+            shared[0, 1] = shared[1, 0]
+        copied = vc_dimension(space, atoms(2)).witnesses
+        assert type(copied) is dict
+        assert copied == dict(table.witnesses)
+        copied.clear()
         assert len(space.dichotomies(atoms(2)).witnesses) == 4
 
     def test_warm_memo_gives_the_fresh_space_restriction_errors(self):

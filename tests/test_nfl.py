@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import vclab.nfl
+import vclab.spaces
 from vclab import (
     BudgetError,
     DiscreteDistribution,
@@ -19,6 +20,7 @@ from vclab import (
     nfl_report,
     random_table_learner,
     sem_learner,
+    shatters,
     table_learner,
     true_error,
 )
@@ -78,6 +80,28 @@ class TestBuildInstance:
         inst = build_nfl_instance(atoms(2), 1,
                                   ambient=ExplicitSpace.full(atoms(2)))
         assert inst.ambient is not None
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0), (1, 0)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]])
+    def test_halfspace_ambient_solves_no_witness(self, monkeypatch, points):
+        """Checking that halfspaces shatter the instances reads no witness,
+        so Fourier-Motzkin runs only when a witness is read."""
+        calls = []
+        fm_witness = vclab.spaces.fm_witness
+
+        def counted(constraints, nvars):
+            calls.append(constraints)
+            return fm_witness(constraints, nvars)
+        monkeypatch.setattr(vclab.spaces, "fm_witness", counted)
+        space = HalfspaceSpace(len(points[0]))
+        inst = build_nfl_instance(points, len(points) // 2, ambient=space)
+        assert calls == []
+        witnesses = shatters(space, inst.instances).witnesses
+        for labeling in inst.labelings:
+            h = witnesses[labeling]
+            assert tuple(map(h, inst.instances)) == labeling
+        assert len(calls) == 2 ** len(points)
 
 
 class TestExpectedErrors:
