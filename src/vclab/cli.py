@@ -175,14 +175,18 @@ def _cmd_sauer(args, inputs):
 
 
 def _cmd_bounds(args, inputs):
-    eps_grid = (_parse_list(args.eps_grid, float) if args.eps_grid
-                else [args.eps])
-    delta_grid = (_parse_list(args.delta_grid, float) if args.delta_grid
-                  else [args.delta])
+    if not args.csv and (args.eps_grid is not None
+                         or args.delta_grid is not None):
+        raise UsageError("--eps-grid and --delta-grid only set the grid of "
+                         "the --csv sweep; add --csv")
     report = bounds_report(args.d, args.eps, args.delta, m_h=args.mh,
                            m0_nmse=args.m0_nmse)
     sweep = None
     if args.csv:
+        eps_grid = (_parse_list(args.eps_grid, float) if args.eps_grid
+                    else [args.eps])
+        delta_grid = (_parse_list(args.delta_grid, float) if args.delta_grid
+                      else [args.delta])
         sweep = [("d", "eps", "delta", "m_h", "m0_singleton", "m0_1", "m0_2",
                   "m0_3", "m0_ucp", "m0_pac", "epsilon0")]
         for eps in eps_grid:
@@ -365,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true",
                    help="also write a sweep.csv over the eps/delta grids")
     p.add_argument("--eps-grid", dest="eps_grid", default=None,
-                   help="comma-separated eps values for the sweep")
-    p.add_argument("--delta-grid", dest="delta_grid", default=None)
+                   help="comma-separated eps values for the --csv sweep")
+    p.add_argument("--delta-grid", dest="delta_grid", default=None,
+                   help="comma-separated delta values for the --csv sweep")
     add_out(p)
     p.set_defaults(fn=_cmd_bounds)
 

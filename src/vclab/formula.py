@@ -17,7 +17,9 @@ Fourier-Motzkin elimination over the parameters; otherwise parameter
 search yields verified subsets only, never claimed exact.  Whatever the
 source, a restriction maps each labeling to the least tuple of a candidate
 list that gives it, read off per-point label columns by
-``model.split_columns``.  Shattering is decided by
+``model.split_columns``; a column is built atom by atom, each comparison
+evaluated once per group of candidates agreeing on the parameters it
+reads.  Shattering is decided by
 ``combinatorics.shatters`` on that space, like VC dimension and growth.
 """
 
@@ -436,54 +438,96 @@ _COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
             "!=": operator.ne}
 
 
+def _slots(ast: FormulaAst) -> dict[str, tuple[int, int]]:
+    """Each variable's place: (1 if a parameter, index in x or in w)."""
+    return {name: (in_w, i) for in_w, names in enumerate(
+        (ast.objects, ast.params)) for i, name in enumerate(names)}
+
+
 def _compile_term(node, slots, const):
+    """A term as a function of a point x and a parameter tuple w."""
     if isinstance(node, Const):
         value = const(node.value)
-        return lambda env: value
+        return lambda x, w: value
     if isinstance(node, Var):
-        i = slots[node.name]
-        return lambda env: env[i]
+        in_w, i = slots[node.name]
+        return (lambda x, w: w[i]) if in_w else (lambda x, w: x[i])
     if isinstance(node, Neg):
         f = _compile_term(node.term, slots, const)
-        return lambda env: -f(env)
+        return lambda x, w: -f(x, w)
     if isinstance(node, Exp):
         f = _compile_term(node.term, slots, const)
-        return lambda env: _exp_overflow_safe(f(env))
+        return lambda x, w: _exp_overflow_safe(f(x, w))
     op = _BINARY.get(type(node))
     if op is None:
         raise TypeError(f"not a term node: {node!r}")
     f = _compile_term(node.left, slots, const)
     g = _compile_term(node.right, slots, const)
-    return lambda env: op(f(env), g(env))
+    return lambda x, w: op(f(x, w), g(x, w))
 
 
-def _compile_node(node, slots, const):
+def _compile_node(node, slots, const, atoms):
+    """A formula node as a mask function ``(x, bound, care) -> mask``: the
+    candidates in the bit mask ``care`` at which it holds on point x.  Each
+    atom is appended to ``atoms`` as ``(test(x, w), parameter slots it
+    reads)``; atom k tests once per group ``(w, bits)`` of ``bound[k]``
+    that meets ``care``.  The right side of ``and`` and ``->`` is evaluated
+    only where the left holds, that of ``or`` only where it fails."""
     if isinstance(node, Cmp):
-        op = _COMPARE[node.op]
+        k, op = len(atoms), _COMPARE[node.op]
         f = _compile_term(node.left, slots, const)
         g = _compile_term(node.right, slots, const)
-        return lambda env: op(f(env), g(env))
+        reads = sorted({slots[v.name][1] for v in walk(node)
+                        if isinstance(v, Var) and slots[v.name][0]})
+        atoms.append((lambda x, w: op(f(x, w), g(x, w)), tuple(reads)))
+
+        def atom(x, bound, care):
+            test, groups = bound[k]
+            out = 0
+            for w, bits in groups:
+                hit = bits & care
+                if hit and test(x, w):
+                    out |= hit
+            return out
+
+        return atom
     if isinstance(node, Not):
-        f = _compile_node(node.child, slots, const)
-        return lambda env: not f(env)
+        f = _compile_node(node.child, slots, const, atoms)
+        return lambda x, bound, care: care & ~f(x, bound, care)
     if not isinstance(node, (And, Or, Implies)):
         raise TypeError(f"not a formula node: {node!r}")
-    f = _compile_node(node.left, slots, const)
-    g = _compile_node(node.right, slots, const)
-    if isinstance(node, And):
-        return lambda env: f(env) and g(env)
+    f = _compile_node(node.left, slots, const, atoms)
+    g = _compile_node(node.right, slots, const, atoms)
     if isinstance(node, Or):
-        return lambda env: f(env) or g(env)
-    return lambda env: (not f(env)) or g(env)
+        def either(x, bound, care):
+            left = f(x, bound, care)
+            rest = care & ~left
+            return (left | g(x, bound, rest)) if rest else left
+        return either
+    if isinstance(node, And):
+        def both(x, bound, care):
+            left = f(x, bound, care)
+            return g(x, bound, left) if left else 0
+        return both
+
+    def implies(x, bound, care):
+        left = f(x, bound, care)
+        return (care & ~left | g(x, bound, left)) if left else care
+    return implies
 
 
-def _compile(ast: FormulaAst, backend: str
-             ) -> tuple[Callable, Callable[[Sequence], bool]]:
-    """The formula compiled once for a backend, as ``(convert, holds)``:
-    ``convert`` reads one input value as a value of the backend (an exact
-    rational, or the double nearest to it), and ``holds`` evaluates the
-    formula on the converted values ``(*x, *w)``, checking nothing.  The
-    backend, and whether it can evaluate ``exp``, are checked here."""
+def _single(atoms, w) -> list:
+    """``bound`` for the one candidate w, as bit 0."""
+    return [(test, ((w, 1),)) for test, _ in atoms]
+
+
+def _compile(ast: FormulaAst, backend: str) -> tuple[Callable, Callable, list]:
+    """The formula compiled once for a backend, as ``(convert, evaluate,
+    atoms)``: ``convert`` reads one input value as a value of the backend
+    (an exact rational, or the double nearest to it), ``evaluate`` is the
+    root's mask function (see :func:`_compile_node`) on converted values,
+    checking nothing, and ``atoms`` lists its atoms' ``(test, reads)``.
+    The backend, and whether it can evaluate ``exp``, are checked here."""
     if backend not in (EXACT, FLOAT):
         raise BackendError(f"unknown backend {backend!r}")
     if backend == EXACT and ast.uses_exp:
@@ -492,8 +536,8 @@ def _compile(ast: FormulaAst, backend: str
     exact = backend == EXACT
     const = to_fraction if exact else float
     convert = to_fraction if exact else (lambda v: float(to_fraction(v)))
-    slots = {name: i for i, name in enumerate(ast.objects + ast.params)}
-    return convert, _compile_node(ast.root, slots, const)
+    atoms = []
+    return convert, _compile_node(ast.root, _slots(ast), const, atoms), atoms
 
 
 def compile_formula(ast: FormulaAst, backend: str = EXACT
@@ -505,10 +549,11 @@ def compile_formula(ast: FormulaAst, backend: str = EXACT
     read as an exact rational (so both backends accept the same inputs,
     "1/3" included); the float backend then rounds it once to the nearest
     double.  Operations run in tree order on both backends.  The predicate
-    converts its inputs on every call; ``DefinableSpace`` converts each
-    point and parameter tuple once and evaluates the same compiled tree.
+    converts its inputs on every call and evaluates the compiled formula
+    on one candidate; ``DefinableSpace`` converts each point and parameter
+    tuple once and evaluates the same atoms over many candidates.
     """
-    convert, holds = _compile(ast, backend)
+    convert, evaluate, atoms = _compile(ast, backend)
     arity, param_arity = ast.arity, ast.param_arity
 
     def predicate(x: Sequence, w: Sequence) -> bool:
@@ -517,7 +562,8 @@ def compile_formula(ast: FormulaAst, backend: str = EXACT
         if len(w) != param_arity:
             raise ValueError(f"expected {param_arity} parameter values, "
                              f"got {len(w)}")
-        return holds([*map(convert, x), *map(convert, w)])
+        return evaluate(tuple(map(convert, x)),
+                        _single(atoms, tuple(map(convert, w))), 1) == 1
 
     return predicate
 
@@ -588,15 +634,14 @@ def _affine(ast: FormulaAst) -> _ClosedForm | None:
     u = Sub(high, low)
     if _param_degree(u, set(ast.params)) > 1:
         return None
-    slots = {name: i for i, name in enumerate(ast.objects + ast.params)}
-    term = _compile_term(u, slots, to_fraction)
+    term = _compile_term(u, _slots(ast), to_fraction)
     # w = 0, then each unit vector e_i.
     units = [[int(i == j) for j in range(k)] for i in range(-1, k)]
 
     def witnesses(instances):
         rows = []
         for x in instances:
-            const, *values = [term([*x.coords, *w]) for w in units]
+            const, *values = [term(x.coords, w) for w in units]
             rows.append((const, tuple(v - const for v in values)))
         return dict(halfspace_dichotomies(rows, strict))
 
@@ -694,12 +739,12 @@ class DefinableSpace(HypothesisSpace):
     candidate tuples: the source's tuples, the witnesses of a closed-form
     oracle (re-checked by the formula) or the tuples of parameter search.
     Over an explicit source, the space keeps the label column of every
-    instance point it is asked about, and the tuples converted to the
-    backend, for its whole lifetime, so each (point, tuple) pair is
-    evaluated at most once and each tuple converted once; the other two
-    lists get columns and conversions that last one query.  Evaluation
-    runs the compiled tree (``_holds``) on values converted once, with the
-    public predicate's truth values on both backends.
+    instance point it is asked about, the tuples converted to the backend,
+    and per atom the groups of tuples that agree on the parameters it
+    reads, for its whole lifetime: an atom is evaluated once per point,
+    column extension and group (over a grid, once per value of what it
+    reads).  The other two lists get columns that last one query, each
+    tuple its own group.  Truth values are the public predicate's.
     """
 
     kind = "formula-defined"
@@ -708,7 +753,7 @@ class DefinableSpace(HypothesisSpace):
                  backend: str | None = None):
         if backend is None:
             backend = ast.default_backend
-        self._convert, self._holds = _compile(ast, backend)
+        self._convert, self._evaluate, self._atoms = _compile(ast, backend)
         self.ast = ast
         self.source = source
         self.backend = backend
@@ -718,10 +763,12 @@ class DefinableSpace(HypothesisSpace):
             if any(len(t) != ast.param_arity for t in source.tuples):
                 raise ValueError("parameter tuples must match the parameter "
                                  "arity")
-        # point -> (label column, number of candidates it covers), and the
-        # source's tuples converted to the backend as far as they are read
+        # point -> (label column, number of candidates it covers), the
+        # source's tuples converted to the backend as far as they are read,
+        # and per atom its groups: projection -> [first tuple, bits]
         self._columns: dict[tuple[Fraction, ...], tuple[int, int]] = {}
         self._values: list[tuple] = []
+        self._groups: list[dict] = [{} for _ in self._atoms]
 
     @property
     def oracle_exact(self) -> bool:
@@ -735,14 +782,15 @@ class DefinableSpace(HypothesisSpace):
         w = tuple(to_fraction(v) for v in w)
         if len(w) != self.ast.param_arity:
             raise ValueError("parameter tuple has wrong arity")
-        arity, convert, holds = self.ast.arity, self._convert, self._holds
-        values = tuple(map(convert, w))
+        arity, convert = self.ast.arity, self._convert
+        evaluate = self._evaluate
+        bound = _single(self._atoms, tuple(map(convert, w)))
 
-        def fn(x: Instance, _values=values) -> int:
+        def fn(x: Instance) -> int:
             coords = x.coords
             if len(coords) != arity:
                 raise ValueError(f"instance {x} does not have arity {arity}")
-            return 1 if holds((*map(convert, coords), *_values)) else 0
+            return evaluate(tuple(map(convert, coords)), bound, 1)
 
         return Hypothesis(key=("formula",) + w, fn=fn)
 
@@ -756,18 +804,19 @@ class DefinableSpace(HypothesisSpace):
     def _least_witnesses(self, points: Sequence[tuple[Fraction, ...]],
                          candidates: Sequence[tuple[Fraction, ...]],
                          columns: dict[tuple[Fraction, ...], tuple[int, int]],
-                         values: list[tuple]
+                         values: list[tuple], groups: list[dict] | None
                          ) -> dict[Labeling, tuple[Fraction, ...]]:
         """Map each labeling of the points to the least candidate that
         gives it, in order of that candidate.  ``columns`` maps a point to
-        its label column over ``candidates`` and the number of candidates
-        it covers; they are evaluated over a prefix of the candidates that
-        doubles (from 64) until the points show every labeling or the
-        candidates run out.  ``values`` holds the candidates converted to
-        the backend, as far as a column has needed them; each point is
-        converted once per call, so ``_holds`` is the only work per
-        (point, candidate) pair."""
-        convert, holds = self._convert, self._holds
+        its label column over ``candidates`` (bit j for the j-th) and the
+        number of candidates it covers; they are evaluated over a prefix
+        of the candidates that doubles (from 64) until the points show
+        every labeling or the candidates run out.  ``values`` holds the
+        candidates converted to the backend as far as needed, and
+        ``groups[k]`` atom k's groups; with ``groups`` None (a one-query
+        list) each candidate is its own group, ``values`` holding
+        ``(w, 1 << j)``."""
+        convert, evaluate, atoms = self._convert, self._evaluate, self._atoms
         total = len(candidates)
         target = 2 ** len(points)
         covered = min((columns.get(p, (0, 0))[1] for p in points),
@@ -775,16 +824,27 @@ class DefinableSpace(HypothesisSpace):
         size = min(total, max(64, covered))
         converted = [tuple(map(convert, p)) for p in points]
         while True:
+            start = len(values)
+            fresh = [tuple(map(convert, w)) for w in candidates[start:size]]
+            if groups is None:
+                values.extend((w, 1 << j) for j, w in enumerate(fresh, start))
+            else:
+                values.extend(fresh)
+                for (_, reads), by_key in zip(atoms, groups):
+                    key = (operator.itemgetter(*reads) if reads
+                           else lambda w: ())
+                    for j, w in enumerate(fresh, start):
+                        by_key.setdefault(key(w), [w, 0])[1] |= 1 << j
+                bound = [(test, by_key.values())
+                         for (test, _), by_key in zip(atoms, groups)]
             labels = []
             for p, x in zip(points, converted):
                 bits, done = columns.get(p, (0, 0))
                 if done < size:
-                    if len(values) < size:
-                        values.extend(tuple(map(convert, w)) for w
-                                      in candidates[len(values):size])
-                    fresh = "".join("1" if holds(x + w) else "0" for w
-                                    in reversed(values[done:size]))
-                    bits |= int(fresh, 2) << done
+                    if groups is None:
+                        chunk = values[done:size]
+                        bound = [(test, chunk) for test, _ in atoms]
+                    bits |= evaluate(x, bound, (1 << size) - (1 << done))
                     columns[p] = bits, size
                 labels.append(bits)
             found = split_columns(labels, size)
@@ -806,18 +866,19 @@ class DefinableSpace(HypothesisSpace):
             cf = self.closed_form
             expected = cf.witnesses(instances)
             found = self._least_witnesses(points, list(expected.values()),
-                                          {}, [])
+                                          {}, [], None)
             if found != expected:
                 raise AssertionError(f"{cf.name} witnesses disagree with "
                                      f"the formula")
             exact = True
         elif isinstance(self.source, ExplicitParams):
             found = self._least_witnesses(points, self.source.tuples,
-                                          self._columns, self._values)
+                                          self._columns, self._values,
+                                          self._groups)
             exact = True
         else:
             found = self._least_witnesses(points, list(_candidate_parameters(
-                self.ast, points, self.source)), {}, [])
+                self.ast, points, self.source)), {}, [], None)
             exact = False
         return DichotomyTable(instances, LazyWitnesses(
             found, self.hypothesis_from_key), exact=exact)

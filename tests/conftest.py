@@ -20,20 +20,21 @@ from vclab.model import index_states
 from vclab.nfl import PROBE_ONE_IN
 
 
-# The suite's wall time is reported at the end of the session, also scaled
-# to a fixed CPU speed by perfbench's reference task.  The machine's speed
-# drifts within minutes, so the task is timed at the start of the session,
-# after half of its tests and at its end, and the median of the three is
-# used.
+# The suite's wall time and the CPU time of its process are reported at the
+# end of the session, each also scaled to a fixed CPU speed by perfbench's
+# reference task.  The machine's speed drifts within minutes, so the task is
+# timed at the start of the session, after half of its tests and at its
+# end, and the median of the three is used.
 PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 _bench = None
 _references: list[float] = []
 _started = 0.0
+_cpu_started = 0.0
 _halfway = 0
 
 
 def pytest_sessionstart(session):
-    global _bench, _started
+    global _bench, _started, _cpu_started
     path = sys.path[:]
     spec = importlib.util.spec_from_file_location("perfbench_run",
                                                   PERFBENCH_RUN)
@@ -42,6 +43,7 @@ def pytest_sessionstart(session):
     sys.path[:] = path
     _references.append(_bench.reference_seconds())
     _started = time.perf_counter()
+    _cpu_started = time.process_time()
 
 
 def pytest_collection_finish(session):
@@ -58,12 +60,14 @@ def pytest_runtest_logfinish(nodeid, location):
 
 def pytest_terminal_summary(terminalreporter):
     wall = time.perf_counter() - _started
+    cpu = time.process_time() - _cpu_started
     _references.append(_bench.reference_seconds())
     reference = statistics.median(_references)
+    scale = _bench.REF_SECONDS / reference
     terminalreporter.write_line(
-        f"session time: {wall:.1f} s wall, "
-        f"{wall * _bench.REF_SECONDS / reference:.1f} s scaled (reference "
-        f"task median of {len(_references)}: {reference:.3f} s, scaled to "
+        f"session time: {wall:.1f} s wall, {wall * scale:.1f} s scaled; "
+        f"{cpu:.1f} s CPU, {cpu * scale:.1f} s scaled (reference task "
+        f"median of {len(_references)}: {reference:.3f} s, scaled to "
         f"{_bench.REF_SECONDS} s)")
 
 

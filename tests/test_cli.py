@@ -948,6 +948,17 @@ def test_empty_value_list_exits_2(tmp_path, capsys, argv):
     assert "empty value list ','" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--eps-grid", "--delta-grid"])
+def test_bounds_grid_without_csv_exits_2(tmp_path, capsys, flag):
+    """A grid only sets the sweep of --csv: without it the run is refused,
+    and no report is written, instead of ignoring the grid."""
+    code, payload = run(tmp_path, "bounds", "--d", "1", "--eps", "0.5",
+                        "--delta", "0.5", flag, "0.25,0.5")
+    assert code == 2 and payload is None
+    assert not (tmp_path / "sweep.csv").exists()
+    assert "--csv" in capsys.readouterr().err
+
+
 # Input files for the branches of input parsing that the tests above do not
 # reach.
 BRANCH_FILES = {

@@ -628,8 +628,8 @@ def test_label_columns_match_first_witnesses(data):
         want = reference_first_witnesses(predicate, pool, candidates)
         if finite:
             assert list(space._least_witnesses(
-                pool, source.tuples, space._columns,
-                space._values).items()) == list(want.items())
+                pool, source.tuples, space._columns, space._values,
+                space._groups).items()) == list(want.items())
         if xs:
             table = space.dichotomies(points(*xs))
             assert table.exact == finite
@@ -637,38 +637,53 @@ def test_label_columns_match_first_witnesses(data):
                 == list(want.items())
 
 
-def count_predicate_calls(space: DefinableSpace) -> Counter:
-    """Make the space count its formula evaluations per (point, candidate):
-    ``_holds`` gets the converted values (*x, *w), which equal the exact
-    inputs on the exact backend."""
-    calls = Counter()
-    holds, arity = space._holds, space.ast.arity
+def count_atom_evaluations(space: DefinableSpace) -> list[Counter]:
+    """Make the space count its atom evaluations, one Counter per column
+    extension (a call of the compiled formula on one point over a range
+    of candidates), keyed by (point, atom, projection): the point and the
+    values of the parameters the atom reads, both converted to the
+    backend (on the exact backend, the exact inputs)."""
+    extensions = []
+    evaluate = space._evaluate
 
-    def counted(values):
-        calls[tuple(values[:arity]), tuple(values[arity:])] += 1
-        return holds(values)
+    def extend(x, bound, care):
+        extensions.append(Counter())
+        return evaluate(x, bound, care)
 
-    space._holds = counted
-    return calls
+    def counted(k, test, reads):
+        def test_k(x, w):
+            extensions[-1][x, k, tuple(w[s] for s in reads)] += 1
+            return test(x, w)
+        return test_k
+
+    space._evaluate = extend
+    space._atoms[:] = [(counted(k, test, reads), reads)
+                       for k, (test, reads) in enumerate(space._atoms)]
+    return extensions
 
 
 class TestLabelColumns:
     def test_vc_dimension_evaluates_each_pair_once(self):
+        """The interval grid has 441 tuples but 21 values per parameter:
+        each atom is evaluated once per point, column extension and value
+        of the parameter it reads."""
         ast = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
         axis = [F(k, 2) for k in range(-2, 19)]
         space = DefinableSpace(ast, ExplicitParams.grid([axis, axis]))
-        calls = count_predicate_calls(space)
+        extensions = count_atom_evaluations(space)
         pool = points(0, 1, 3, 4, 6, 7)
         verdict = vc_dimension(space, pool)
         assert verdict.value == 2
         assert verdict.nodes_used == 2 + 20  # every triple is tested
-        assert max(calls.values()) == 1
-        assert {x for x, _ in calls} == {x.coords for x in pool}
+        assert all(max(counts.values()) == 1 for counts in extensions)
+        assert sum(counts.total() for counts in extensions) <= 600
+        assert {x for counts in extensions for x, _, _ in counts} \
+            == {x.coords for x in pool}
 
     def test_fresh_space_stops_early(self):
         """A fresh space whose instance set is shattered within the first
-        k sorted candidates evaluates at most max(64, 2k) of them per
-        point."""
+        k sorted candidates evaluates each atom at each point at most
+        max(64, 2k) times, on projections of those candidates only."""
         cosingleton = parse_formula("x != p", ["x"], ["p"])
         singles = ExplicitParams.of([[k] for k in range(1000)])
         interval = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
@@ -685,12 +700,118 @@ class TestLabelColumns:
                                              candidates)
             assert len(want) == 2 ** len(pool)
             k = 1 + max(candidates.index(w) for w in want.values())
-            assert max(64, 2 * k) < len(candidates)
-            calls = count_predicate_calls(space)
+            limit = max(64, 2 * k)
+            assert limit < len(candidates)
+            extensions = count_atom_evaluations(space)
             assert space.dichotomy_count(pool) == 2 ** len(pool)
-            per_point = Counter(x for x, _ in calls)
-            assert set(per_point) == {x.coords for x in pool}
-            assert max(per_point.values()) <= max(64, 2 * k)
+            evaluations = sum(extensions, Counter())
+            assert {x for x, _, _ in evaluations} == {x.coords for x in pool}
+            per_atom = Counter((x, a) for x, a, _ in evaluations.elements())
+            assert max(per_atom.values()) <= limit
+            reads = [reads for _, reads in space._atoms]
+            seen = {(a, tuple(w[s] for s in reads[a]))
+                    for w in candidates[:limit] for a in range(len(reads))}
+            assert {(a, w) for _, a, w in evaluations} <= seen
+
+
+def reference_atom_counts(ast, backend, pool, candidates) -> Counter:
+    """Atom evaluations of a short-circuit walk of the formula at every
+    point of the pool and candidate, keyed by (point converted to the
+    backend, atom in walk order)."""
+    convert = to_fraction if backend == "exact" else (
+        lambda v: float(to_fraction(v)))
+    index = {id(n): k for k, n in enumerate(
+        n for n in vclab.formula.walk(ast.root) if isinstance(n, Cmp))}
+    counts = Counter()
+
+    def holds(node, x, env):
+        if isinstance(node, Cmp):
+            counts[x, index[id(node)]] += 1
+            return _reference_formula(node, env, backend)
+        if isinstance(node, Not):
+            return not holds(node.child, x, env)
+        if isinstance(node, And):
+            return holds(node.left, x, env) and holds(node.right, x, env)
+        if isinstance(node, Or):
+            return holds(node.left, x, env) or holds(node.right, x, env)
+        return not holds(node.left, x, env) or holds(node.right, x, env)
+
+    for p in pool:
+        x = tuple(map(convert, p))
+        for w in candidates:
+            holds(ast.root, x, dict(zip(ast.objects + ast.params,
+                                        (*x, *map(convert, w)))))
+    return counts
+
+
+def doubled_prefix(want, n: int, total: int) -> int:
+    """The candidates a query on n fresh points evaluates: a prefix from
+    64 that doubles until it shows all 2^n labelings (``want`` maps each
+    to its first candidate's index), or all of them."""
+    size = min(total, 64)
+    need = 1 + max(want.values()) if len(want) == 2 ** n else total
+    while size < need:
+        size = min(total, 2 * size)
+    return size
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_atoms_evaluated_at_most_as_often_as_short_circuit_walk(data):
+    """Each atom is evaluated at each point at most as often as a
+    short-circuit walk of every candidate the point's column covers: as
+    often over a list kept for one query (each candidate its own group),
+    at most as often over a finite source, whose candidates are grouped
+    by the parameters each atom reads.  Random formulas whose atoms read
+    no, one or both parameters, on explicit, grid and sampled sources
+    (the closed-form re-check included) and both backends."""
+    with_exp = data.draw(st.booleans())
+    ast = FormulaAst(("x",), ("y", "p"), data.draw(FORMULAS[with_exp]))
+    kind = data.draw(st.sampled_from(["grid", "explicit", "sampled"]))
+    if kind == "grid":
+        source = ExplicitParams.grid(data.draw(st.lists(
+            st.lists(COORDS, min_size=1, max_size=12), min_size=2,
+            max_size=2)))
+    elif kind == "explicit":
+        source = ExplicitParams.of(data.draw(st.lists(
+            st.tuples(COORDS, COORDS), min_size=1, max_size=144)))
+    else:
+        source = SampledParams(budget=data.draw(st.integers(1, 300)),
+                               seed=data.draw(st.integers(0, 3)))
+    finite = isinstance(source, ExplicitParams)
+    backend = "float" if with_exp else data.draw(
+        st.sampled_from(["exact", "float"]))
+    space = DefinableSpace(ast, source, backend)
+    predicate = compile_formula(ast, backend)
+    extensions = count_atom_evaluations(space)
+    covered, total = {}, Counter()
+    for _ in range(data.draw(st.integers(1, 4))):
+        xs = data.draw(st.lists(COORDS, min_size=1, max_size=4, unique=True))
+        pool = [(x,) for x in xs]
+        del extensions[:]
+        space.dichotomies(points(*xs))
+        got = Counter((x, a) for counts in extensions
+                      for x, a, _ in counts.elements())
+        if finite:
+            total += got
+            covered.update((p, space._columns[p][1]) for p in pool)
+            continue
+        if space.closed_form is None:
+            candidates = list(vclab.formula._candidate_parameters(
+                ast, pool, source))
+        else:
+            candidates = list(space.closed_form.witnesses(
+                points(*xs)).values())
+        first = {lab: candidates.index(w) for lab, w in
+                 reference_first_witnesses(predicate, pool,
+                                           candidates).items()}
+        size = doubled_prefix(first, len(pool), len(candidates))
+        assert got == reference_atom_counts(ast, backend, pool,
+                                            candidates[:size])
+    want = Counter()
+    for p, size in covered.items():
+        want += reference_atom_counts(ast, backend, [p], source.tuples[:size])
+    assert all(total[key] <= want[key] for key in total)
 
 
 class TestConvertedValues:
