@@ -229,10 +229,11 @@ def _cmd_nfl(args, inputs):
     else:
         instances = [as_instance(i) for i in range(2 * args.m)]
     if args.space == "full":
-        # The full class is implied, and built once m and the instances
-        # are known to be valid.
+        # The full class is implied, built once m and the instances are
+        # known to be valid, and is the report's ambient space unchecked.
         inst = build_nfl_instance(instances, args.m)
         space = ExplicitSpace.full(inst.instances)
+        inst = inst._replace(ambient=space)
     else:
         space = space_from_json(inputs.json(args.space))
         inst = build_nfl_instance(instances, args.m, ambient=space)

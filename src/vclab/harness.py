@@ -44,6 +44,7 @@ from .model import (
     Record,
     Sample,
     approximation_error,
+    common_denominator,
     index_states,
     loss,
     restriction_errors,
@@ -353,13 +354,14 @@ def estimate_pac_probability(learner: LearningFunction,
         raise ValueError("m must be >= 1")
     eps_exact = to_fraction(eps)
     opt = approximation_error(space, dist)
-    errors: dict[Hypothesis, Fraction] = {}
+    verdicts: dict[tuple, bool] = {}
 
     def success(zbar: MultiSample) -> bool:
         h = learner(zbar)
-        if h not in errors:
-            errors[h] = true_error(h, dist)
-        return errors[h] - opt <= eps_exact
+        ok = verdicts.get(h.key)
+        if ok is None:
+            ok = verdicts[h.key] = true_error(h, dist) - opt <= eps_exact
+        return ok
 
     return _estimate("pac", dist, m, eps_exact, trials, seed, exact, success,
                      ordered=not learner.order_invariant)
@@ -406,13 +408,11 @@ def _exact_event_probability(dist: DiscreteDistribution, m: int,
     support = dist.support
     k = len(support)
     _exact_budget_check(k, m, ordered)
-    weights = [w for _, w in dist.items()]
-    denom = math.lcm(*(w.denominator for w in weights))
-    nums = [w.numerator * (denom // w.denominator) for w in weights]
+    denom, nums = common_denominator([w for _, w in dist.items()])
     mass_succ = mass_fail = 0
     for idx, weight in index_states(k, m, ordered):
         zbar = MultiSample.from_draw(support, idx)
-        mass = weight * math.prod(n ** c for n, c in zip(nums, zbar.counts))
+        mass = weight * math.prod(map(nums.__getitem__, idx))
         if success(zbar):
             mass_succ += mass
         else:

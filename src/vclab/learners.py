@@ -11,6 +11,7 @@ fully deterministic so enumeration-based verification is reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections.abc import Callable, Mapping
 
@@ -21,6 +22,7 @@ from .model import (
     InexactOracleError,
     MultiSample,
     Record,
+    Sample,
     restriction_errors,
 )
 
@@ -115,16 +117,21 @@ def random_table_learner(space: ExplicitSpace, seed: int,
 
     The output hypothesis for each multi-sample is chosen by hashing the
     sample against the seed, so the map is an arbitrary-looking but fully
-    deterministic function.
+    deterministic function.  The hashed bytes are the seed's prefix and
+    :meth:`MultiSample.canonical_bytes`, which the learner builds from a
+    memo of each sample's encoding, bounded by the distinct samples it
+    sees.
     """
     if not isinstance(space, ExplicitSpace):
         raise ValueError("random table learner needs a finite-explicit space")
     n = len(space)
     vectors = space._vectors
+    prefix = f"table:{seed}:".encode()
+    encode = functools.cache(Sample.canonical_bytes)
 
     def fn(zbar: MultiSample) -> Hypothesis:
         digest = hashlib.sha256(
-            f"table:{seed}:".encode() + zbar.canonical_bytes()).digest()
+            prefix + zbar.canonical_bytes(encode)).digest()
         idx = int.from_bytes(digest[:8], "big") % n
         return space.hypothesis_from_bits(vectors[idx])
 

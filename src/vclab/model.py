@@ -231,6 +231,13 @@ class Sample(Record):
     def sort_key(self):
         return (self.instance.sort_key(), self.label)
 
+    def canonical_bytes(self) -> bytes:
+        """``a:NAME:LABEL`` or ``v:C1,...,Cd:LABEL``, UTF-8 encoded."""
+        v = self.instance.value
+        if isinstance(v, str):
+            return f"a:{v}:{self.label}".encode()
+        return ("v:" + ",".join(map(str, v)) + f":{self.label}").encode()
+
 
 def as_sample(value) -> Sample:
     if isinstance(value, Sample):
@@ -273,11 +280,9 @@ class MultiSample(Record):
         if not indices or not all(isinstance(z, Sample) for z in support):
             raise ValueError("a draw needs indices and a support of Samples")
         tally = Counter(indices)
-        drawn = object.__new__(MultiSample)
-        drawn.__dict__.update(
+        return MultiSample.unchecked(
             samples=tuple(map(support.__getitem__, indices)), support=support,
             counts=tuple(map(tally.__getitem__, range(len(support)))))
-        return drawn
 
     @staticmethod
     def from_counts(support: tuple[Sample, ...],
@@ -289,8 +294,14 @@ class MultiSample(Record):
                 or not all(isinstance(z, Sample) for z in support)):
             raise ValueError("a draw needs non-negative counts, at least one "
                              "positive, one per entry of a support of Samples")
+        return MultiSample.unchecked(support=support, counts=tuple(counts))
+
+    @staticmethod
+    def unchecked(**fields) -> "MultiSample":
+        """The multi-sample of the given ``samples``, or ``support`` and
+        ``counts``, unchecked: for callers that built them themselves."""
         drawn = object.__new__(MultiSample)
-        drawn.__dict__.update(support=support, counts=tuple(counts))
+        drawn.__dict__.update(fields)
         return drawn
 
     @property
@@ -311,16 +322,12 @@ class MultiSample(Record):
             return Counter(self.samples).items()
         return ((z, c) for z, c in zip(self.support, self.counts) if c)
 
-    def canonical_bytes(self) -> bytes:
-        """Stable byte encoding, used for hashing-based lookup learners."""
-        parts = []
-        for z in self.samples:
-            v = z.instance.value
-            if isinstance(v, str):
-                parts.append(f"a:{v}:{z.label}")
-            else:
-                parts.append("v:" + ",".join(str(c) for c in v) + f":{z.label}")
-        return "|".join(parts).encode()
+    def canonical_bytes(self, encode: Callable[[Sample], bytes]
+                        = Sample.canonical_bytes) -> bytes:
+        """Stable byte encoding for hashing-based lookup learners: each
+        sample's :meth:`Sample.canonical_bytes` (``encode``, or a memo of
+        it), joined by ``|``."""
+        return b"|".join(map(encode, self.samples))
 
 
 class _CanonicalSamples:
@@ -697,6 +704,13 @@ class DiscreteDistribution:
         return f"DiscreteDistribution({{{inner}}})"
 
 
+def common_denominator(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator D of the weights, and each weight
+    times D."""
+    denom = math.lcm(*(w.denominator for w in weights))
+    return denom, [w.numerator * (denom // w.denominator) for w in weights]
+
+
 # ---------------------------------------------------------------------------
 # Elementary error quantities
 
@@ -763,10 +777,14 @@ def approximation_error(space: HypothesisSpace, dist: DiscreteDistribution,
     Equals the minimum over realized restrictions to the support instances,
     since the true error depends on a hypothesis only through that
     restriction.  With an inexact oracle (and ``require_exact=False``) the
-    result is an upper bound only.
+    result is an upper bound only.  Labelings are scored in integer
+    numerators over the weights' common denominator, with one ``Fraction``
+    at the end.
     """
-    _, scored = restriction_errors(space, dist.items(), require_exact)
-    return Fraction(min(wrong for wrong, _ in scored))
+    denom, nums = common_denominator([w for _, w in dist.items()])
+    _, scored = restriction_errors(space, zip(dist.support, nums),
+                                   require_exact)
+    return Fraction(min(wrong for wrong, _ in scored), denom)
 
 
 def empirical_opt(space: HypothesisSpace, zbar: MultiSample,

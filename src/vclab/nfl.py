@@ -29,7 +29,6 @@ from .model import (
     BudgetError,
     DiscreteDistribution,
     ExplicitSpace,
-    Hypothesis,
     HypothesisSpace,
     Instance,
     MultiSample,
@@ -185,9 +184,11 @@ def _enumerate(learner: LearningFunction,
     Each distinct training sample is built and passed to the learner once:
     an instance tuple (a multiset of instances, weighted by the number of
     tuples it stands for, when the learner is order-invariant) together
-    with one labeling of the points it uses.  The output's mask on S is
-    computed the first time an equal hypothesis appears (equal keys
-    evaluate identically, see :class:`~vclab.model.Hypothesis`).  The
+    with one labeling of the points it uses.  The samples come from the
+    enumerator's own ``Sample`` pairs, so the ``MultiSample`` re-checks none
+    of them.  The output's mask on S is computed the first time its
+    hypothesis key appears, and kept by that key (equal keys evaluate
+    identically, see :class:`~vclab.model.Hypothesis`).  The
     weights add up per class (unused points, labels seen, mask); after the
     loop each class is scored against all labelings that agree with its
     labels, found by walking the submasks of its unused points once.
@@ -204,13 +205,13 @@ def _enumerate(learner: LearningFunction,
     labeled = [(Sample(x, 0), Sample(x, 1)) for x in points]
     ordered = not learner.order_invariant
     probe = random.Random(f"nfl-probe:{inst.m}")
-    masks: dict[Hypothesis, int] = {}
+    masks: dict[tuple, int] = {}
 
     def learned_mask(zbar: MultiSample) -> int:
         h = learner(zbar)
-        mask = masks.get(h)
+        mask = masks.get(h.key)
         if mask is None:
-            mask = masks[h] = sum(b for x, b in zip(points, bits) if h(x))
+            mask = masks[h.key] = sum(b for x, b in zip(points, bits) if h(x))
         return mask
 
     # (unused points, labels seen, learned mask) -> number of tuples.
@@ -222,12 +223,13 @@ def _enumerate(learner: LearningFunction,
             used |= bits[a]
         free = used ^ ((1 << n) - 1)
         for seen in _submasks(used):
-            zbar = MultiSample(tuple(labeled[a][1 if seen & bits[a] else 0]
-                                     for a in idx))
+            zbar = MultiSample.unchecked(samples=tuple(
+                [labeled[a][1 if seen & bits[a] else 0] for a in idx]))
             mask = learned_mask(zbar)
             if first or probe.randrange(PROBE_ONE_IN) == 0:
                 first = False
-                again = zbar if ordered else MultiSample(zbar.samples[::-1])
+                again = zbar if ordered else MultiSample.unchecked(
+                    samples=zbar.samples[::-1])
                 if learned_mask(again) != mask:
                     raise PairingIdentityError(
                         f"learner {learner.name!r} gave a different hypothesis "
@@ -270,10 +272,11 @@ def nfl_report(learner: LearningFunction, inst: NflInstance,
         if sum(row) != k:
             raise AssertionError(f"histogram row {i} counts {sum(row)} "
                                  f"instance tuples, not {k}")
-    errors = [Fraction(sum(c * w for c, w in enumerate(row)), k * 2 * m)
-              for row in hist]
-    best = max(errors)
-    i_star = errors.index(best)
+    # Expected errors as numerators over k * 2m: one Fraction each.
+    wrong = [sum(c * w for c, w in enumerate(row)) for row in hist]
+    errors = [Fraction(w, k * 2 * m) for w in wrong]
+    i_star = wrong.index(max(wrong))
+    best = errors[i_star]
     # error > 1/8 over 2m points  <=>  mismatches/2m > 1/8.
     tail_hits = sum(w for c, w in enumerate(hist[i_star])
                     if Fraction(c, 2 * m) > ERROR_THRESHOLD)
@@ -281,7 +284,7 @@ def nfl_report(learner: LearningFunction, inst: NflInstance,
     markov = (best - ERROR_THRESHOLD) / (1 - ERROR_THRESHOLD)
     space = inst.ambient or ExplicitSpace.full(inst.instances)
     opt = approximation_error(space, inst.distribution(i_star))
-    avg = sum(errors, Fraction(0)) / len(errors)
+    avg = Fraction(sum(wrong), k * 2 * m * len(wrong))
     if avg < unseen_error_floor(m):
         raise AssertionError(f"average expected error {avg} is below the "
                              f"unseen-point floor {unseen_error_floor(m)}")

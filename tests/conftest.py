@@ -113,6 +113,20 @@ def random_multisample(rng: random.Random, instances, m: int) -> MultiSample:
         Sample(rng.choice(instances), rng.randint(0, 1)) for _ in range(m)))
 
 
+def reference_approximation_error(space, dist, require_exact=True):
+    """The least weight a realized labeling of the support's instances
+    gets wrong, summed in ``Fraction``s sample by sample: the form
+    ``approximation_error`` had before it scored integer numerators."""
+    instances = dist.instances()
+    table = space.dichotomies(instances)
+    assert table.exact or not require_exact
+    position = {x: i for i, x in enumerate(instances)}
+    return min(sum((w for z, w in dist.items()
+                    if labeling[position[z.instance]] != z.label),
+                   Fraction(0))
+               for labeling in table.witnesses)
+
+
 def fm_solve(constraints, nvars):
     """``fm_witness`` on constraints (coeffs, const, strict) of int or
     Fraction entries: each is made the primitive row the kernel takes, and

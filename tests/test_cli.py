@@ -1013,3 +1013,34 @@ def test_input_branches(tmp_path, capsys, argv, code, expected):
     else:
         assert payload is None
         assert f"error: {expected}" in capsys.readouterr().err
+
+
+# Exact probabilities for m = 1, 2, 3, 4 on a 10-point threshold support
+# with coprime-denominator weights, computed before exact mode moved to
+# integer state masses and ``approximation_error`` to integer numerators.
+EXACT_SUPPORT = {
+    "support": [[-7, 0], [-3, 1], [0, 0], [{"rat": "1/3"}, 1], [1, 1],
+                [2, 0], [{"rat": "5/2"}, 1], [4, 1], [9, 0], [12, 1]],
+    "weights": ["1/7", "1/12", "1/5", "1/9", "1/20", "1/11", "1/13", "1/10",
+                "1/8", "7159/360360"],
+}
+EXACT_PROBABILITIES = {
+    ("pac-sim", "0.05"): ["1/9", "511/3564", "66107087/366949440",
+                          "979464031583/4722639292800"],
+    ("ucp-sim", "0.4"): ["0", "376/6435", "285125207/883396800",
+                         "73275771008521/136431801792000"],
+}
+
+
+@pytest.mark.parametrize("command, eps", sorted(EXACT_PROBABILITIES))
+def test_exact_probabilities_are_the_pinned_ones(tmp_path, command, eps):
+    space, dist = tmp_path / "space.json", tmp_path / "dist.json"
+    space.write_text(json.dumps({"kind": "threshold-family"}))
+    dist.write_text(json.dumps(EXACT_SUPPORT))
+    learner = ["--learner", "builtin:sem"] if command == "pac-sim" else []
+    code, payload = run(tmp_path, command, "--space", str(space), "--dist",
+                        str(dist), "--m", "1,2,3,4", "--eps", eps, "--exact",
+                        *learner)
+    assert code == 0
+    assert [r["probability"] for r in payload["result"]] == \
+        EXACT_PROBABILITIES[command, eps]

@@ -1,13 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
+import vclab.learners
 from vclab import (
     DefinableSpace,
     ExplicitSpace,
     InexactOracleError,
+    Instance,
     MultiSample,
+    Sample,
     SampledParams,
     ThresholdSpace,
     builtin_learners,
@@ -126,6 +131,59 @@ class TestTableLearners:
                    for s in range(12)}
         assert len(outputs) > 1
         assert c(zbar).key in {h.key for h in space.hypotheses()}
+
+
+def old_canonical_bytes(zbar):
+    """``MultiSample.canonical_bytes`` as it was written before each
+    sample's encoding became its own method."""
+    parts = []
+    for z in zbar.samples:
+        v = z.instance.value
+        if isinstance(v, str):
+            parts.append(f"a:{v}:{z.label}")
+        else:
+            parts.append("v:" + ",".join(str(c) for c in v) + f":{z.label}")
+    return "|".join(parts).encode()
+
+
+@pytest.mark.parametrize("domain", [
+    atoms(3) + [Instance.atom("é|:")],
+    [Instance.point(v) for v in (-2, 0, 7, 12)],
+    [Instance.point(v) for v in (F(1, 3), F(-5, 2), 4, F(7, 9))],
+    [Instance.point(*p) for p in ((0, 0), (1, F(1, 2)), (F(-2, 3), 5))],
+], ids=["atoms", "ints", "fractions", "points-2d"])
+def test_random_table_hashes_the_seed_prefix_and_canonical_bytes(
+        domain, monkeypatch):
+    """One learner, called on samples that use both labels of an instance
+    (plain and counts-only multi-samples), hashes exactly the bytes it
+    hashed before its per-sample encoding memo, and picks the vector they
+    index."""
+    space = ExplicitSpace.full(domain)
+    learner = random_table_learner(space, seed=31)
+    hashed = []
+    sha256 = hashlib.sha256
+
+    def recording(data):
+        hashed.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(vclab.learners, "hashlib",
+                        SimpleNamespace(sha256=recording))
+    rng = random.Random(len(domain))
+    support = tuple(Sample(x, y) for x in domain for y in (0, 1))
+    for _ in range(40):
+        if rng.random() < 0.5:
+            zbar = MultiSample(tuple(rng.choice(support)
+                                     for _ in range(rng.randint(1, 4))))
+        else:
+            zbar = MultiSample.from_counts(
+                support, [rng.randint(0, 2) for _ in support[:-1]] + [1])
+        want = b"table:31:" + old_canonical_bytes(zbar)
+        assert zbar.canonical_bytes() == old_canonical_bytes(zbar)
+        h = learner(zbar)
+        assert hashed.pop() == want
+        index = int.from_bytes(sha256(want).digest()[:8], "big") % len(space)
+        assert h.key == ("explicit", space._vectors[index])
 
 
 class TestMemorizer:

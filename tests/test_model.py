@@ -42,7 +42,8 @@ from vclab import (
     true_error,
     vc_dimension,
 )
-from conftest import atoms, points, random_explicit_space, random_multisample
+from conftest import (atoms, points, random_explicit_space, random_multisample,
+                      reference_approximation_error)
 
 X0 = Instance.atom("x0")
 CONST0 = ExplicitSpace([X0], [[0]]).hypothesis_from_bits((0,))
@@ -131,6 +132,57 @@ class TestApproximationError:
             opt = approximation_error(space, dist)
             errors = [true_error(h, dist) for h in space.hypotheses()]
             assert opt == min(errors)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def drawn_weights(data, k):
+    """k positive weights summing to 1: k - 1 of them 1/p for primes p > k
+    and the rest, so the denominators are mixed and coprime; or floats
+    i / total, which the distribution renormalizes to an exact unit sum
+    when they miss it."""
+    if data.draw(st.booleans()):
+        head = [F(1, data.draw(st.sampled_from([p for p in PRIMES if p > k])))
+                for _ in range(k - 1)]
+        return head + [1 - sum(head)]
+    raw = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=k,
+                             max_size=k))
+    return [r / sum(raw) for r in raw]
+
+
+# Each family with a strategy for its instances.  The formula space's
+# sampled source has no exact oracle, so it is scored with
+# require_exact=False.
+APPROXIMATION_FAMILIES = {
+    "threshold": (ThresholdSpace, st.builds(
+        Instance.point, st.fractions(-5, 5, max_denominator=6))),
+    "interval": (IntervalSpace, st.builds(
+        Instance.point, st.fractions(-5, 5, max_denominator=6))),
+    "explicit": (lambda: ExplicitSpace(atoms(4), [[0, 1, 1, 0], [1, 1, 0, 0],
+                                                  [0, 0, 0, 1]]),
+                 st.sampled_from(atoms(5))),
+    "halfspace": (lambda: HalfspaceSpace(2), st.builds(
+        Instance.point, st.integers(-4, 4), st.integers(-4, 4))),
+    "formula-sampled": (lambda: formula_space(
+        "p * p * x <= 1", ["p"], SampledParams(budget=60, seed=1)),
+        st.builds(Instance.point, st.integers(-3, 6))),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_approximation_error_matches_the_fraction_sum_reference(data):
+    family = data.draw(st.sampled_from(sorted(APPROXIMATION_FAMILIES)))
+    make, instances = APPROXIMATION_FAMILIES[family]
+    pairs = data.draw(st.lists(st.tuples(instances, st.integers(0, 1)),
+                               min_size=1, max_size=5, unique=True))
+    dist = DiscreteDistribution(
+        zip((Sample(x, y) for x, y in pairs),
+            drawn_weights(data, len(pairs))))
+    exact = family != "formula-sampled"
+    assert approximation_error(make(), dist, require_exact=exact) == \
+        reference_approximation_error(make(), dist, require_exact=exact)
 
 
 class TestEmpiricalOpt:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -7,12 +9,14 @@ import pytest
 
 import vclab.nfl
 import vclab.spaces
+from vclab.cli import main
 from vclab import (
     BudgetError,
     DiscreteDistribution,
     ExplicitSpace,
     HalfspaceSpace,
     Hypothesis,
+    Instance,
     MultiSample,
     Sample,
     build_nfl_instance,
@@ -365,3 +369,66 @@ class TestMaskCache:
             assert fresh_report == shared_report
             # Each distinct output is evaluated once on each point of S.
             assert set(Counter(evaluated).values()) == {len(inst.instances)}
+
+
+# sha256 of the JSON list of the m = 1, 2, 3 reports (``as_dict``, sorted
+# keys), computed before the enumerator and the report moved to integer
+# scoring: on 2m atoms, on 2m numbers with fractions, and through
+# ``vclab nfl`` on its default instances 0, ..., 2m - 1.
+NFL_REPORT_SHA256 = {
+    ("atoms", "sem"):
+        "3167e3801b2491948fc5d2a814a892f613645d8e1024b1cda4862b35f4e0fafa",
+    ("atoms", "memorize"):
+        "2c9ed9b6cdb73ea0aa06d3cce649cf34da3c693b91d7a3b799a17ee861fd33b9",
+    ("atoms", "const0"):
+        "7c15920b39067cda769c84d215db11f877b5536cfdf3dcfad4712686e4b1aabf",
+    ("atoms", "const1"):
+        "ed7eae421d98845d03f79e4d63dcd60653019d592e7af604a181dff7466323c8",
+    ("atoms", "random:5"):
+        "ad581f60d2d61b9a8dceffb95dcef32381db369d0831febf47c4d3ad995b071d",
+    ("numbers", "sem"):
+        "3167e3801b2491948fc5d2a814a892f613645d8e1024b1cda4862b35f4e0fafa",
+    ("numbers", "memorize"):
+        "2c9ed9b6cdb73ea0aa06d3cce649cf34da3c693b91d7a3b799a17ee861fd33b9",
+    ("numbers", "const0"):
+        "7c15920b39067cda769c84d215db11f877b5536cfdf3dcfad4712686e4b1aabf",
+    ("numbers", "const1"):
+        "ed7eae421d98845d03f79e4d63dcd60653019d592e7af604a181dff7466323c8",
+    ("numbers", "random:5"):
+        "3bb2cc60e63a513796b5ebdeeb263d5f2b987ab022e33bd40e5f1832fd44ebba",
+    ("cli", "sem"):
+        "3167e3801b2491948fc5d2a814a892f613645d8e1024b1cda4862b35f4e0fafa",
+    ("cli", "memorize"):
+        "2c9ed9b6cdb73ea0aa06d3cce649cf34da3c693b91d7a3b799a17ee861fd33b9",
+    ("cli", "const0"):
+        "7c15920b39067cda769c84d215db11f877b5536cfdf3dcfad4712686e4b1aabf",
+    ("cli", "const1"):
+        "ed7eae421d98845d03f79e4d63dcd60653019d592e7af604a181dff7466323c8",
+    ("cli", "random:5"):
+        "773041e214b1d240e96bf3f8053d19fc4aff3206076c58a76d19fb76f27d6b15",
+}
+NUMBERS = (F(1, 3), -2, F(5, 2), 7, F(-1, 6), 4)
+
+
+def pinned_report(kind, learner, m, tmp_path):
+    if kind == "cli":
+        ref = learner if learner == "random:5" else f"builtin:{learner}"
+        assert main(["nfl", "--m", str(m), "--learner", ref,
+                     "--out", str(tmp_path)]) == 0
+        return json.loads((tmp_path / "report.json").read_text())["result"]
+    xs = (atoms(2 * m) if kind == "atoms"
+          else [Instance.point(v) for v in NUMBERS[:2 * m]])
+    inst = build_nfl_instance(xs, m)
+    space = full_space(inst)
+    lf = (random_table_learner(space, 5) if learner == "random:5"
+          else builtin_learners(space)[learner])
+    return nfl_report(lf, inst).as_dict()
+
+
+@pytest.mark.parametrize("kind, learner", sorted(NFL_REPORT_SHA256))
+def test_reports_are_byte_identical_to_the_pinned_ones(kind, learner,
+                                                       tmp_path, capsys):
+    reports = [pinned_report(kind, learner, m, tmp_path) for m in (1, 2, 3)]
+    digest = hashlib.sha256(
+        json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == NFL_REPORT_SHA256[kind, learner]
