@@ -30,7 +30,7 @@ import math
 import random
 import struct
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain
 
@@ -121,8 +121,9 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 # b = w1 >> 6 for the next two 32-bit Mersenne Twister words, and
 # getrandbits(64 * n) returns the next 2n words least significant first.  So
 # draw i of a chunk reads w0, w1 from bytes 8i to 8i+7 of the chunk's
-# little-endian bytes, and byte 8i+3, the top byte of w0, is the top byte of
-# the 53-bit numerator N = a * 2**26 + b.  test_harness has a canary for it.
+# little-endian bytes, and bytes 8i+3 and 8i+2, the top two bytes of w0, are
+# the top two bytes of the 53-bit numerator N = a * 2**26 + b.  test_harness
+# has a canary for it.
 _WORD_PAIR = struct.Struct("<II")
 _CHUNK = 4096  # draws per getrandbits call: 32 KiB of words
 
@@ -137,12 +138,16 @@ class InverseCDF:
     monotone in N, so ``thresholds[j]`` is the least N that reaches cum[j]
     (2**53 if none does) and the index is ``bisect_right(thresholds, N)``.
 
-    The top byte of N settles the index unless a threshold has the same
-    top byte: ``below[v]`` counts the thresholds with top byte < v, and the
-    draws whose top byte is in ``split`` (the thresholds' top bytes) are
-    resolved one by one.  ``rank`` maps a top byte to the position of its
-    ``below`` value in ``bases``, the distinct ``below`` values, so that a
-    translated chunk can be counted per index in C.
+    The top byte v of N settles the index, ``below[v]``, the number of
+    thresholds with top byte < v, unless v is split: some threshold has top
+    byte v.  Each split v has a 256-entry table, ``tables[v]``, looked up by
+    the second byte s of N: ``below[v]`` plus the number of thresholds with
+    top byte v and second byte < s, or None when a threshold has the same
+    top and second byte, and only then is N decoded in full.  ``rank`` maps
+    a top byte that is not split to the position of its ``below`` value in
+    ``bases``, the distinct such values, so that a translated chunk can be
+    counted per index in C; a split top byte maps to ``len(bases)``, which
+    is never counted.
     """
 
     def __init__(self, support: tuple[Sample, ...], cum: Sequence[float]):
@@ -151,20 +156,20 @@ class InverseCDF:
         self.thresholds = tuple(_least_reaching(c, total) for c in cum[:-1])
         tops = [t >> 45 for t in self.thresholds]
         self.below = tuple(bisect_left(tops, v) for v in range(256))
-        self.split = bytes(sorted({v for v in tops if v < 256}))
-        self.bases = sorted(set(self.below))
-        self.rank = bytes(map(self.bases.index, self.below))
-
-    def resolve(self, raw: bytes, top: bytes) -> Iterator[tuple[int, int]]:
-        """(position, support index) of each draw in the chunk ``raw`` whose
-        top byte, ``top[position]``, is split."""
-        thresholds = self.thresholds
-        for v in self.split:
-            i = top.find(v)
-            while i >= 0:
-                w0, w1 = _WORD_PAIR.unpack_from(raw, 8 * i)
-                yield i, bisect_right(thresholds, (w0 >> 5) << 26 | w1 >> 6)
-                i = top.find(v, i + 1)
+        self.tables = {}
+        for v in sorted({v for v in tops if v < 256}):
+            seconds = [t >> 37 & 255 for t in self.thresholds[
+                self.below[v]:bisect_left(tops, v + 1)]]
+            table = list(accumulate(map(seconds.count, range(255)),
+                                    initial=self.below[v]))
+            for s in seconds:
+                table[s] = None
+            self.tables[v] = tuple(table)
+        self.bases = sorted({b for v, b in enumerate(self.below)
+                             if v not in self.tables})
+        self.rank = bytes(len(self.bases) if v in self.tables
+                          else self.bases.index(b)
+                          for v, b in enumerate(self.below))
 
 
 def _least_reaching(c: float, total: float) -> int:
@@ -191,7 +196,7 @@ def draw_multisample(cdf: InverseCDF, m: int, rng: random.Random,
     canonical support order, unless ``ordered``: then it also holds the
     index sequence in draw order, for learners that depend on it.
     """
-    below = cdf.below
+    below, thresholds = cdf.below, cdf.thresholds
     counts = [0] * len(cdf.support)
     indices: list[int] = []
     for done in range(0, m, _CHUNK):
@@ -200,16 +205,24 @@ def draw_multisample(cdf: InverseCDF, m: int, rng: random.Random,
         top = raw[3::8]
         if ordered:
             chunk = list(map(below.__getitem__, top))
-            for i, j in cdf.resolve(raw, top):
-                chunk[i] = j
+        else:
+            ranks = top.translate(cdf.rank)
+            for r, j in enumerate(cdf.bases):
+                counts[j] += ranks.count(r)
+        for v, table in cdf.tables.items():
+            i = top.find(v)
+            while i >= 0:
+                j = table[raw[8 * i + 2]]
+                if j is None:
+                    w0, w1 = _WORD_PAIR.unpack_from(raw, 8 * i)
+                    j = bisect_right(thresholds, (w0 >> 5) << 26 | w1 >> 6)
+                if ordered:
+                    chunk[i] = j
+                else:
+                    counts[j] += 1
+                i = top.find(v, i + 1)
+        if ordered:
             indices += chunk
-            continue
-        ranks = top.translate(cdf.rank)
-        for r, j in enumerate(cdf.bases):
-            counts[j] += ranks.count(r)
-        for i, j in cdf.resolve(raw, top):
-            counts[below[top[i]]] -= 1
-            counts[j] += 1
     if ordered:
         return MultiSample.from_draw(cdf.support, indices)
     return MultiSample.from_counts(cdf.support, counts)
@@ -381,10 +394,11 @@ def _estimate(kind: str, dist: DiscreteDistribution, m: int, eps: Fraction,
         raise ValueError("trials must be >= 1")
     cdf = InverseCDF(dist.support,
                      list(accumulate(float(w) for _, w in dist.items())))
-    successes = sum(
-        success(draw_multisample(cdf, m, random.Random(trial_seed(seed, t)),
-                                 ordered))
-        for t in range(trials))
+    rng = random.Random()
+    successes = 0
+    for t in range(trials):
+        rng.seed(trial_seed(seed, t))
+        successes += success(draw_multisample(cdf, m, rng, ordered))
     lo, hi = wilson_interval(successes, trials)
     return TrialReport(kind=kind, mode="monte-carlo", m=m, eps=float(eps),
                        trials=trials, successes=successes,

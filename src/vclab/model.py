@@ -225,6 +225,13 @@ class Sample(Record):
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.label == other.label and (
+                self.instance is other.instance
+                or self.instance == other.instance)
+        return NotImplemented
+
     def __hash__(self) -> int:
         return hash((self.instance, self.label))
 
@@ -282,7 +289,7 @@ class MultiSample(Record):
         tally = Counter(indices)
         return MultiSample.unchecked(
             samples=tuple(map(support.__getitem__, indices)), support=support,
-            counts=tuple(map(tally.__getitem__, range(len(support)))))
+            counts=tuple(map(tally.get, range(len(support)), repeat(0))))
 
     @staticmethod
     def from_counts(support: tuple[Sample, ...],

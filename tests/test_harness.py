@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
 from itertools import accumulate, product
@@ -459,6 +460,49 @@ class TestDrawMultisample:
         ordered = draw_multisample(cdf, 50, random.Random(1), ordered=True)
         assert ordered.counts == drawn.counts
         assert ordered.samples != drawn.samples
+
+    def test_stub_words_at_every_threshold(self):
+        # A generator stub hands out chosen draws N, so that each threshold
+        # t is met at N = t - 1, t and t + 1.  The thresholds share top
+        # bytes with different second bytes, two share both (so their draws
+        # are decoded in full), and a zero weight repeats one threshold.
+        # Low bits 0 and 2**37 - 1 put t - 1 or t + 1 in the next table
+        # entry, or in the next top byte.
+        low = (1 << 37) - 1
+        thresholds = [v << 45 | s << 37 | r for v, s, r in (
+            (0x00, 0x00, 1), (0x40, 0x10, 0), (0x40, 0x80, 0x1234),
+            (0x40, 0x80, 0x1234), (0x40, 0x80, 0x5678), (0x41, 0x00, 0),
+            (0x7F, 0x20, low), (0x7F, 0xFF, 0x99), (0xFF, 0xFF, low - 1))]
+        cum = [t * 2.0 ** -53 for t in thresholds] + [1.0]
+        support = tuple(Sample(Instance.atom(f"s{i}"), i % 2)
+                        for i in range(len(cum)))
+        cdf = InverseCDF(support, cum)
+        assert cdf.thresholds == tuple(thresholds)
+        draws = [n for t in thresholds for n in (t - 1, t, t + 1)
+                 if 0 <= n < 1 << 53]
+        # One draw per second byte of every split top byte reads each
+        # table entry.
+        draws += [v << 45 | s << 37 | 0x3000 for v in cdf.tables
+                  for s in range(256)] + [0, (1 << 53) - 1]
+        want = [bisect_right(thresholds, n) for n in draws]
+
+        class StubRandom:
+            def __init__(self):
+                # random() reads N from w0 >> 5 and w1 >> 6; the low bits
+                # of each word are filled to show that they are ignored.
+                self.words = [(n >> 26) << 5 | 0x15
+                              | ((n & (1 << 26) - 1) << 6 | 0x2A) << 32
+                              for n in draws]
+
+            def getrandbits(self, k):
+                n = k // 64
+                words, self.words = self.words[:n], self.words[n:]
+                return sum(w << 64 * i for i, w in enumerate(words))
+
+        drawn = draw_multisample(cdf, len(draws), StubRandom())
+        assert drawn.counts == tuple(want.count(j) for j in range(len(cum)))
+        ordered = draw_multisample(cdf, len(draws), StubRandom(), True)
+        assert ordered.samples == tuple(support[j] for j in want)
 
 
 class TestEstimateMatchesChoices:

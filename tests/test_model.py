@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -719,8 +720,23 @@ class TestDrawnMultiSample:
             MultiSample.from_counts(self.SUPPORT, (1,) * k).missing
 
 
+@given(st.data())
+def test_from_draw_counts_match_a_counter(data):
+    """Counts of a draw that leaves some support entries undrawn."""
+    k = data.draw(st.integers(2, 8))
+    support = tuple(Sample(Instance.atom(f"s{i}"), i % 2) for i in range(k))
+    used = data.draw(st.sets(st.integers(0, k - 1), min_size=1,
+                             max_size=k - 1))
+    indices = data.draw(st.lists(st.sampled_from(sorted(used)), min_size=1,
+                                 max_size=30))
+    drawn = MultiSample.from_draw(support, indices)
+    tally = Counter(indices)
+    assert drawn.counts == tuple(tally[i] for i in range(k))
+    assert 0 in drawn.counts
+    assert drawn.samples == tuple(support[i] for i in indices)
+
+
 def test_index_states_weights_count_ordered_tuples():
-    from collections import Counter
     from itertools import product
     from vclab.model import index_states
     for k, m in ((1, 3), (2, 1), (3, 3), (4, 2)):
@@ -766,6 +782,23 @@ class TestRecord:
         h = ExplicitSpace.full([x]).hypothesis_from_bits((1,))
         assert h == vclab.model.Hypothesis(("explicit", (1,)), len)
         assert hash(h) == hash((h.key,))
+
+    def test_sample_equality_and_hash_follow_the_fields(self):
+        instances = (Instance.point(3), Instance.point(F(6, 2)),
+                     Instance.point(4), Instance.atom("3"), Instance.atom("3"))
+        samples = [Sample(x, y) for x in instances for y in (0, 1)]
+        for a in samples:
+            assert hash(a) == hash((a.instance, a.label))
+            for b in samples:
+                same = (a.instance.value, a.label) == \
+                    (b.instance.value, b.label)
+                assert (a == b) is same and (a != b) is not same
+                assert not same or hash(a) == hash(b)
+        z = samples[0]
+        for other in ((z.instance, z.label), z.instance, 1, None):
+            assert z.__eq__(other) is NotImplemented
+            assert z != other and other != z
+        assert len({z, Sample(Instance.point(3), 0), samples[2]}) == 1
 
     def test_frozen(self):
         from vclab.formula import SampledParams
