@@ -151,6 +151,11 @@ class Instance(Record):
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(self.value))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -442,10 +447,12 @@ class DichotomyTable(Record):
       greatest point labeled 1; the point labeled 0; past the largest
       point when no point has that label);
     * halfspaces: the point Fourier-Motzkin back-substitution picks, which
-      is not least in any order.  A grown table (more than dim + 2 points,
-      or an affine kernel of dimension 2 or more) keeps the point it solved
-      for each labeling whose first bit is 0 and that its prefix's witness
-      does not realize; every other point is solved when first read;
+      is not least in any order.  A table in general position has Cover's
+      count and decides nothing until first read.  A grown one (more than
+      dim + 2 points, or an affine kernel of dimension 2 or more), checked
+      against Cover's count, keeps the point it solved for each labeling
+      whose first bit is 0 that its prefix's witness does not realize;
+      every other point is solved when first read;
     * formulas: the least parameter tuple of a finite source; over a
       sampled source, the native witness of a threshold, interval or
       co-singleton shape, the Fourier-Motzkin point of an atom affine in

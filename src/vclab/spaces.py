@@ -20,16 +20,16 @@ integer rows, made primitive once where they are built, and returns an
 integer point (den, n_1, ..., n_k) standing for the exact rational witness
 v_i = n_i / den; ``halfspace_dichotomies`` turns that point into
 Fractions.  ``HalfspaceSpace`` keeps each instance point's rows for its
-lifetime.  At most dim + 2 points whose rows (x, 1) have a left kernel of
-dimension at most 1 are decided by the signs of one integer kernel vector
-(Radon; Motzkin's transposition theorem), proven by a rank certificate;
-other point sets grow only the labelings whose first bit is 0, since the
-halfspace labelings of a finite point set are closed under complement.
-Every witness is the point ``fm_witness`` finds on its labeling's full
-system, checked again in integers when it is solved, against check rows
-built apart from the ones the elimination uses.  A table keeps the points
-its tree found and solves any other when its witness is first read; only
-then are Fractions and a ``Hypothesis`` built (``model.LazyWitnesses``).
+lifetime.  A table of points in general position takes Cover's count as
+its length and is decided when first read, any other table at once.  At
+most dim + 2 points whose rows (x, 1) have a left kernel of dimension at
+most 1 are decided by the signs of one integer kernel vector (Radon;
+Motzkin), proven by a rank certificate; other point sets grow only the
+labelings whose first bit is 0 (the rest are their complements), checked
+against Cover's count.  Every witness is the point ``fm_witness`` finds
+on its labeling's full system, re-checked in integers against check rows
+built apart from the elimination's.  A table keeps the points its tree
+found and solves any other when its witness is first read.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 
 from .model import (
@@ -422,34 +422,55 @@ def _affine_dependence(rows: Sequence[list[int]]) -> tuple | None:
 
 
 class _ComplementClosedWitnesses(Mapping):
-    """The witness keys of the halfspace labelings of n points, keyed in
-    lexicographic order, given by one of:
+    """The witness keys of the halfspace labelings of the points of check
+    rows ``checks`` in lexicographic order; ``solve`` gives a labeling's
+    checked integer point (den, n_1, ..., n_k) or None.  ``_decide`` runs
+    at once, or, in ``general`` position, where ``len`` is Cover's count
+    ``cover``, on the first ``in``, iteration or read.  It keeps one of:
 
     * ``first_zero``: the labelings whose first bit is 0 (``_label_tree``),
-      each with its integer point (``fm_witness``'s (den, n_1, ..., n_k))
-      or None when its prefix's witness realizes it; their complements are
-      the rest;
-    * ``lam``: an integer vector spanning the points' affine kernel (None
-      when it is 0); every labeling is realized but [lam_i > 0] and
-      [lam_i < 0] wherever lam_i != 0 (see ``HalfspaceSpace``).
+      each with its point, or None when its prefix's witness realizes it;
+      their complements are the rest;
+    * ``signs``: (i, lam_i > 0) wherever lam_i != 0, for lam spanning the
+      points' affine kernel (none if it is 0); every labeling is realized
+      but [lam_i > 0] and [lam_i < 0] there (see ``HalfspaceSpace``).
 
     A labeling's key, (w, b) as Fractions, is read from its point (from
-    ``first_zero``, else from ``solve``; None there is a bug) on every
-    read.  ``in``, ``len`` and iteration solve nothing."""
+    ``first_zero``, else from ``solve``; None there is a bug) on every read."""
 
-    def __init__(self, n: int,
+    def __init__(self, checks: tuple[list[int], ...],
                  solve: Callable[[Labeling], tuple[int, ...] | None],
-                 first_zero: dict[Labeling, tuple[int, ...]] | None = None,
-                 lam: list[int] | None = None):
-        self._n = n
-        self._first_zero = first_zero
-        self._solve = solve
-        if first_zero is not None:
-            self._len = 2 * len(first_zero)
-        else:
-            self._signs = [(i, v > 0) for i, v in enumerate(lam or ()) if v]
-            self._len = 2 ** n - (2 ** (n - len(self._signs) + 1) if lam
-                                  else 0)
+                 cover: int, general: bool):
+        self._n, self._checks, self._solve = len(checks), checks, solve
+        self._cover, self._general = cover, general
+        self._len = cover if general else self._decide()
+
+    def _decide(self) -> int:
+        """Decide the labelings (``HalfspaceSpace.dichotomies``) and count."""
+        checks, n, cover = self._checks, self._n, self._cover
+        self._first_zero = None
+        found = _affine_dependence(checks) if n <= len(checks[0]) + 1 else None
+        if found is None:
+            first_zero = _label_tree(
+                [((0, *row), False) for row in checks], self._solve, (0,),
+                (1, *[0] * (len(checks[0]) - 1), -1))
+            count = 2 * len(first_zero)
+            if count > cover or self._general and count < cover:
+                raise AssertionError(f"{count} labelings, Cover's {cover}")
+            self._first_zero, self._checks = first_zero, None
+            return count
+        lam, cert, den = found
+        if lam is not None and (not any(lam) or any(
+                sum(map(mul, lam, column)) for column in zip(*checks))):
+            raise AssertionError("affine dependence failed verification")
+        kept = [i for i, c in enumerate(cert) if c is not None]
+        if den == 0 or len(kept) != n - (lam is not None) or any(
+                sum(map(mul, checks[j], cert[i])) != (den if i == j else 0)
+                for i in kept for j in kept):
+            raise AssertionError("rank certificate failed verification")
+        self._signs = [(i, v > 0) for i, v in enumerate(lam or ()) if v]
+        self._checks = None
+        return 2 ** n - (2 ** (n - len(self._signs) + 1) if lam else 0)
 
     def __getitem__(self, labeling: Labeling) -> tuple[Fraction, ...]:
         if labeling not in self:
@@ -467,6 +488,8 @@ class _ComplementClosedWitnesses(Mapping):
         if not (isinstance(labeling, tuple) and len(labeling) == self._n
                 and set(labeling) <= {0, 1}):
             return False
+        if self._checks is not None:
+            self._decide()
         if self._first_zero is not None:
             return (labeling if labeling[0] == 0 else tuple(
                 1 - b for b in labeling)) in self._first_zero
@@ -490,7 +513,9 @@ class HalfspaceSpace(HypothesisSpace):
     those two give every term of sum_i lam_i (w.x_i + b) = 0 one sign and
     some term a strict one, and by Motzkin's transposition theorem any other
     infeasibility certificate would be a second kernel vector.  Other
-    point sets cost O(n^(dim+1)) Fourier-Motzkin calls (Cover 1965).
+    point sets cost O(n^(dim+1)) Fourier-Motzkin calls.  Any n points have
+    at most Cover's count 2 * sum_{i<=dim} C(n - 1, i) labelings, exactly
+    as many in general position: every dim + 1 rows (x, 1) independent.
 
     The space keeps, for its whole lifetime, each instance point's rows:
     the primitive constraint pair that ``fm_witness`` reads and, built
@@ -503,8 +528,10 @@ class HalfspaceSpace(HypothesisSpace):
         if dim < 1:
             raise ValueError("halfspace dimension must be >= 1")
         self.dim = dim
-        # point -> (constraint pair of labels 0 and 1, integer check row)
-        self._rows: dict[Instance, tuple[tuple, list[int]]] = {}
+        # point -> (constraint pair of labels 0 and 1, check row, id bit)
+        self._rows: dict[Instance, tuple[tuple, list[int], int]] = {}
+        # sum of the ids of dim + 1 points -> their determinant is nonzero
+        self._nonzero: dict[int, bool] = {}
 
     def known_vc(self) -> int:
         return self.dim + 1
@@ -523,32 +550,54 @@ class HalfspaceSpace(HypothesisSpace):
 
         return Hypothesis(key=("halfspace",) + params, fn=fn)
 
-    def _point_rows(self, x: Instance) -> tuple[tuple, list[int]]:
+    def _point_rows(self, x: Instance) -> tuple[tuple, list[int], int]:
         rows = self._rows.get(x)
         if rows is None:
             coords = x.coords
             if len(coords) != self.dim:
                 raise ValueError(f"instance {x} is not {self.dim}-dimensional")
             rows = self._rows[x] = (_constraint_pair(0, (*coords, 1), False),
-                                    _integer_vector((*coords, 1)))
+                                    _integer_vector((*coords, 1)),
+                                    1 << len(self._rows))
         return rows
 
+    def _cover(self, n: int) -> int:
+        return 2 * sum(math.comb(n - 1, i) for i in range(self.dim + 1))
+
+    def _independent(self, ids: tuple[int, ...], rows) -> bool:
+        """Whether the dim + 1 check rows have a nonzero determinant, by
+        fraction-free (Bareiss) elimination, kept by the sum of ``ids``."""
+        key = sum(ids)
+        if key not in self._nonzero:
+            m, prev = list(rows), 1
+            while len(m) > 1 and (top := next((r for r in m if r[0]), None)):
+                m = [[(top[0] * x - r[0] * y) // prev for x, y in zip(
+                    r[1:], top[1:])] for r in m if r is not top]
+                prev = top[0]
+            self._nonzero[key] = m[0][0] != 0
+        return self._nonzero[key]
+
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
-        """At most dim + 2 points whose check rows have a left kernel of
-        dimension at most 1 are decided by ``_affine_dependence``, with no
-        Fourier-Motzkin call: its lam and rank certificate are checked in
-        integers against the check rows, which proves the kernel is 0 or
-        spanned by lam.  Other point sets grow a ``_label_tree`` of the
-        labelings whose first bit is 0 from w = 0, b = -1, with the check
-        rows as its tests and Fourier-Motzkin on the kept constraint pairs.
-        A labeling that its prefix's witness realizes at the last point,
-        and every complement, is eliminated from its full system when it
-        is first read.  Each point (den, den*w, den*b) is checked when it is
-        found, apart from the elimination and its rows: with den > 0, its
-        dot product with a point's check row has the sign of w.x + b."""
+        """At least dim + 1 points in general position take Cover's count as
+        ``len``; the rest waits for the first ``in``, iteration or read.  At
+        most dim + 2 points whose check rows have a left kernel of dimension
+        at most 1 are decided by ``_affine_dependence``, with no FM call: its
+        lam and rank certificate are checked in integers against the check
+        rows, which proves the kernel is 0 or spanned by lam.  Other point
+        sets grow a ``_label_tree`` of the labelings whose first bit is 0
+        from w = 0, b = -1 (check rows as tests, FM on the constraint
+        pairs); a count above Cover's, or off it in general position, is an
+        AssertionError.  A labeling that its prefix's witness realizes at
+        the last point, and every complement, is solved when first read.
+        Each point (den, den*w, den*b) is checked when it is found, apart
+        from FM and its rows: with den > 0, its dot product with a point's
+        check row has the sign of w.x + b."""
         instances = check_instance_tuple(instances)
-        pairs, checks = zip(*map(self._point_rows, instances))
+        pairs, checks, ids = zip(*map(self._point_rows, instances))
         n, nvars = len(instances), self.dim + 1
+        cover = self._cover(n)
+        general = n >= nvars and all(map(self._independent, combinations(
+            ids, nvars), combinations(checks, nvars)))
 
         def witness(labeling: Labeling) -> tuple[int, ...] | None:
             point = fm_witness([pair[lab] for pair, lab
@@ -561,22 +610,6 @@ class HalfspaceSpace(HypothesisSpace):
                 raise AssertionError("halfspace witness failed verification")
             return point
 
-        found = _affine_dependence(checks) if n <= nvars + 1 else None
-        if found is None:
-            first_zero = _label_tree([((0, *row), False) for row in checks],
-                                     witness, (0,), (1, *[0] * self.dim, -1))
-            keys = _ComplementClosedWitnesses(n, witness,
-                                              first_zero=first_zero)
-        else:
-            lam, cert, den = found
-            if lam is not None and (not any(lam) or any(
-                    sum(map(mul, lam, column)) for column in zip(*checks))):
-                raise AssertionError("affine dependence failed verification")
-            kept = [i for i, c in enumerate(cert) if c is not None]
-            if den == 0 or len(kept) != n - (lam is not None) or any(
-                    sum(map(mul, checks[j], cert[i])) != (den if i == j else 0)
-                    for i in kept for j in kept):
-                raise AssertionError("rank certificate failed verification")
-            keys = _ComplementClosedWitnesses(n, witness, lam=lam)
+        keys = _ComplementClosedWitnesses(checks, witness, cover, general)
         return DichotomyTable(instances, LazyWitnesses(
             keys, self.hypothesis_from_key), exact=True)

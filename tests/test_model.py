@@ -800,6 +800,24 @@ class TestRecord:
             assert z != other and other != z
         assert len({z, Sample(Instance.point(3), 0), samples[2]}) == 1
 
+    def test_instance_equality_compares_values(self):
+        """Instances built apart with equal values are equal; atoms and
+        points of other values, and an atom and a point, are not."""
+        instances = (Instance.atom("a"), Instance.atom("a"),
+                     Instance.atom("b"), Instance.atom("1"),
+                     Instance.point(1, 2), Instance.point(F(2, 2), 2),
+                     Instance.point(1, 3), Instance.point(1))
+        for a in instances:
+            for b in instances:
+                same = a.value == b.value
+                assert (a == b) is same and (a != b) is not same
+                assert not same or hash(a) == hash(b)
+        assert instances[0] is not instances[1]
+        x = instances[4]
+        for other in (x.value, Sample(x, 0), 1, None):
+            assert x.__eq__(other) is NotImplemented
+            assert x != other and other != x
+
     def test_frozen(self):
         from vclab.formula import SampledParams
         params = SampledParams()

@@ -281,13 +281,33 @@ def cover_count(n, dim):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_cover_count_in_general_position(data):
+    """On points in general position the table's ``len`` is Cover's count
+    before any FM call, and equals the number of labelings its first
+    ``in`` grows (``_label_tree``, or the affine dependence rule on at most
+    dim + 2 points).  In the plane and in space the same space then meets
+    the points with the third moved onto the line through the first two:
+    no Cover count is taken for them, and their count is the sweep's."""
     dim = data.draw(st.integers(1, 3))
     pts = data.draw(st.lists(st.tuples(*[st.integers(-20, 20)] * dim),
                              min_size=1, max_size=7, unique=True))
     assume(in_general_position(pts, dim))
-    count = HalfspaceSpace(dim).dichotomy_count(
-        [Instance.point(*p) for p in pts])
-    assert count == cover_count(len(pts), dim)
+    space = HalfspaceSpace(dim)
+    calls = []
+
+    def counted(constraints, nvars):
+        calls.append(constraints)
+        return fm_witness(constraints, nvars)
+    with mock.patch.object(vclab.spaces, "fm_witness", counted):
+        table = space.dichotomies([Instance.point(*p) for p in pts])
+        assert len(table) == cover_count(len(pts), dim) and calls == []
+        assert sum(1 for _ in table.witnesses) == len(table)
+    if dim >= 2 and len(pts) >= 3:
+        p, q = pts[:2]
+        moved = [*pts[:2], tuple(2 * b - a for a, b in zip(p, q)), *pts[3:]]
+        assume(len(set(moved)) == len(moved))
+        count = space.dichotomy_count([Instance.point(*x) for x in moved])
+        assert count == len(sweep_table(moved))
+        assert count < cover_count(len(pts), dim)
 
 
 @settings(max_examples=40, deadline=None)
@@ -462,9 +482,11 @@ def plane_points_in_general_position(rng, n, span=50):
 @settings(max_examples=8, deadline=None)
 @given(st.integers(8, 14), st.integers(0, 2 ** 32))
 def test_cover_count_up_to_14_points_of_the_plane(n, seed):
+    """The count is Cover's; the tree the first ``in`` grows agrees."""
     pts = plane_points_in_general_position(random.Random(seed), n, span=1000)
-    assert HalfspaceSpace(2).dichotomy_count(
-        [Instance.point(*p) for p in pts]) == cover_count(n, 2)
+    table = HalfspaceSpace(2).dichotomies([Instance.point(*p) for p in pts])
+    assert len(table) == cover_count(n, 2)
+    assert sum(1 for _ in table.witnesses) == cover_count(n, 2)
 
 
 def test_each_pool_point_made_primitive_once(monkeypatch):
@@ -505,6 +527,111 @@ def fm_calls(monkeypatch):
 
 
 HALFSPACE_2D = '{"kind": "halfspace-family", "dim": 2}'
+
+
+def _not_independent(monkeypatch):
+    """Make every space see no point set in general position, so that
+    each table is decided, and grown if need be, when it is built."""
+    monkeypatch.setattr(HalfspaceSpace, "_independent",
+                        lambda self, ids, rows: False)
+
+
+class TestCoverRule:
+    """A table of at least dim + 1 points in general position takes
+    Cover's count as its length and is decided when first read; any other
+    table is decided when it is built.  A grown table's count above
+    Cover's, or off it in general position, raises."""
+
+    GENERAL = [Instance.point(*p) for p in
+               [(0, 0), (3, 1), (1, 4), (-1, 3), (4, -2), (6, 5)]]
+
+    @pytest.mark.parametrize("coords", [
+        [(0, 0), (1, 0), (2, 0), (0, 1), (5, 3), (-1, 4)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (2, 3, 5)],
+    ], ids=["collinear-triple", "coplanar-quadruple"])
+    def test_a_degenerate_pool_does_not_take_the_rule(self, fm_calls,
+                                                       coords):
+        """Six points with one collinear triple in the plane, or one
+        coplanar quadruple in space, grow their table when it is built;
+        their count is the sweep's, 30 and 50, below Cover's 32 and 52."""
+        dim = len(coords[0])
+        table = HalfspaceSpace(dim).dichotomies(
+            [Instance.point(*p) for p in coords])
+        assert fm_calls
+        assert len(table) == len(sweep_table(coords)) < cover_count(6, dim)
+
+    @staticmethod
+    def patch_tree(monkeypatch, change):
+        """Route every ``_label_tree`` through ``change``."""
+        tree = vclab.spaces._label_tree
+        monkeypatch.setattr(vclab.spaces, "_label_tree",
+                            lambda *args: change(tree(*args)))
+
+    @staticmethod
+    def extra_labeling(tree):
+        """The tree with one more labeling of first bit 0."""
+        n = len(next(iter(tree)))
+        return {**tree, next(lab for lab in product((0, 1), repeat=n)
+                             if lab[0] == 0 and lab not in tree): None}
+
+    def test_the_six_points_are_in_general_position(self):
+        assert in_general_position([p.coords for p in self.GENERAL], 2)
+        assert len(HalfspaceSpace(2).dichotomies(self.GENERAL)) == 32
+
+    def test_an_extra_labeling_raises(self, monkeypatch):
+        """One labeling too many is a bug, whether or not the points are
+        seen to be in general position: built at once when they are not,
+        grown at the first ``in`` when they are."""
+        self.patch_tree(monkeypatch, self.extra_labeling)
+        table = HalfspaceSpace(2).dichotomies(self.GENERAL)
+        assert len(table) == 32
+        with pytest.raises(AssertionError, match="34 labelings, Cover's 32"):
+            (0,) * 6 in table
+        _not_independent(monkeypatch)
+        with pytest.raises(AssertionError, match="34 labelings, Cover's 32"):
+            HalfspaceSpace(2).dichotomies(self.GENERAL)
+
+    def test_a_missing_labeling_raises_in_general_position(self,
+                                                          monkeypatch):
+        """One labeling too few raises only when the points are in general
+        position, on every read; below Cover's count is no bug otherwise."""
+        self.patch_tree(monkeypatch,
+                        lambda tree: dict(list(tree.items())[:-1]))
+        table = HalfspaceSpace(2).dichotomies(self.GENERAL)
+        for _ in range(2):
+            with pytest.raises(AssertionError,
+                               match="30 labelings, Cover's 32"):
+                (0,) * 6 in table
+        _not_independent(monkeypatch)
+        assert len(HalfspaceSpace(2).dichotomies(self.GENERAL)) == 30
+
+    def growth(self, tmp_path, pool, m):
+        (tmp_path / "space.json").write_text(HALFSPACE_2D)
+        assert main(["growth", "--space", str(tmp_path / "space.json"),
+                     f"--pool={pool}", "--m", str(m), "--out",
+                     str(tmp_path)]) == 0
+        return json.loads((tmp_path / "report.json").read_text()
+                          )["result"]["value"]
+
+    def test_growth_on_the_bench_pool_through_the_grown_table(
+            self, tmp_path, monkeypatch, fm_calls):
+        """``perfbench``'s seed-0 ``oracle`` growth pool: 7 points in
+        general position.  ``growth --m 7`` reads Cover's count, 44, with
+        no FM call; the table grown with general position unseen has 44
+        labelings too, the value ``growth`` read before it took Cover's
+        count."""
+        pool = "-2,15;11,-11;-9,7;-17,-13;-5,-11;2,-2;4,-19"
+        assert self.growth(tmp_path, pool, 7) == 44 and fm_calls == []
+        _not_independent(monkeypatch)
+        assert self.growth(tmp_path, pool, 7) == 44 and fm_calls
+
+    @pytest.mark.parametrize("m, value", [(7, 40), (9, 58)])
+    def test_growth_on_a_grid_pool(self, tmp_path, m, value):
+        """No 7 points of the grid {0, 1, 2}^2 are in general position, so
+        every table is grown; the values, pinned from before ``growth``
+        took Cover's count, are below Cover's counts 44 and 74."""
+        pool = ";".join(f"{x},{y}" for x in range(3) for y in range(3))
+        assert self.growth(tmp_path, pool, m) == value < cover_count(m, 2)
 
 
 class TestComplementClosure:
@@ -615,11 +742,14 @@ class TestComplementClosure:
             self, fm_calls):
         """The first j of 16 points of the plane in general position have
         Cover's count of labelings, half of them with first bit 0, so the
-        table makes sum_{j<16} C(j)/2 = 575 FM calls where a sweep makes
-        2^15 = 32,768."""
+        table makes sum_{j<16} C(j)/2 = 575 FM calls when it is first read,
+        where a sweep makes 2^15 = 32,768.  Its ``len`` makes none."""
         pts = plane_points_in_general_position(random.Random(16), 16)
         table = HalfspaceSpace(2).dichotomies([Instance.point(*p)
                                                for p in pts])
+        assert len(table) == cover_count(16, 2)
+        assert len(fm_calls) == 0
+        assert (0,) * 16 in table
         assert sum(cover_count(j, 2) // 2 for j in range(1, 16)) == 575
         assert len(fm_calls) == 575
         assert len(table) == cover_count(16, 2)
@@ -770,7 +900,12 @@ def _patch_dependence(monkeypatch, change):
     monkeypatch.setattr(vclab.spaces, "_affine_dependence", patched)
 
 
-def _vcdim_raises(tmp_path, match, pool="0,0;1,0;0,1;1,1"):
+# Three collinear points and one off their line: not in general position,
+# so every table of all four is decided when it is built.
+COLLINEAR_TRIPLE = "0,0;1,0;2,0;0,1"
+
+
+def _vcdim_raises(tmp_path, match, pool=COLLINEAR_TRIPLE):
     (tmp_path / "space.json").write_text(HALFSPACE_2D)
     with pytest.raises(AssertionError, match=match):
         main(["vcdim", "--space", str(tmp_path / "space.json"),
@@ -780,7 +915,11 @@ def _vcdim_raises(tmp_path, match, pool="0,0;1,0;0,1;1,1"):
 class TestRuleChecks:
     """The kernel vector and the rank certificate are checked in integers
     against the check rows before the rule is used; a wrong one is a bug,
-    not bad input."""
+    not bad input.  The ``vcdim`` pool has a collinear triple, so its
+    four-point table takes the rule when it is built, not Cover's count."""
+
+    PTS = [Instance.point(*map(int, p.split(",")))
+           for p in COLLINEAR_TRIPLE.split(";")]
 
     def test_flipped_lambda_sign_raises(self, monkeypatch, tmp_path):
         def flip(lam, cert, den):
@@ -790,7 +929,7 @@ class TestRuleChecks:
             return [-v if i == k else v for i, v in enumerate(lam)], cert, den
         _patch_dependence(monkeypatch, flip)
         with pytest.raises(AssertionError, match="affine dependence failed"):
-            HalfspaceSpace(2).dichotomy_count(TestAffineDependenceRule.PTS)
+            HalfspaceSpace(2).dichotomy_count(self.PTS)
         _vcdim_raises(tmp_path, "affine dependence failed verification")
 
     def test_zero_lambda_raises(self, monkeypatch, tmp_path):
@@ -811,19 +950,21 @@ class TestRuleChecks:
                                                change):
         """A vcdim run meets a one-point table first (kernel 0, one
         certificate vector) and a four-point one last (a kernel vector and
-        three certificate vectors)."""
+        three certificate vectors), which a lam of None makes claim a
+        kernel of 0 with one row left without a certificate."""
         _patch_dependence(monkeypatch, change)
         _vcdim_raises(tmp_path, "rank certificate failed verification")
 
     def test_a_rule_claiming_every_labeling_reaches_known_vc(
             self, monkeypatch, tmp_path):
-        """If the rule counted all 2^n labelings of dim + 2 points,
-        ``vc_dimension`` would find 4 points of the plane shattered, above
-        the family's VC dimension 3."""
-        monkeypatch.setattr(vclab.spaces._ComplementClosedWitnesses,
-                            "__len__", lambda self: 2 ** self._n)
+        """If Cover's count were all 2^n labelings, ``vc_dimension`` would
+        find the 4 points of the plane, in general position, shattered,
+        above the family's VC dimension 3.  Reading their witnesses takes
+        the affine dependence rule, which is proven and is not checked
+        against Cover's count."""
+        monkeypatch.setattr(HalfspaceSpace, "_cover", lambda self, n: 2 ** n)
         _vcdim_raises(tmp_path, "search found d=4 above the family's VC "
-                                "dimension 3")
+                                "dimension 3", pool="0,0;1,0;0,1;1,1")
 
 
 class TestDeferredHypotheses:
@@ -870,6 +1011,9 @@ class TestWitnessCheck:
     builder, is caught and is not reported as bad input."""
 
     PTS = TestComplementClosure.PTS
+    # The 5 points of PTS, with a collinear triple: ``growth --m 5`` grows
+    # their table, and ``vcdim`` reads the witnesses of 3 of them.
+    POOL = ";".join(f"{x},{y}" for x, y in TestComplementClosure.COORDS)
     FRACTIONAL = [Instance.point(F(1, 2), 0), Instance.point(0, F(1, 3)),
                   Instance.point(F(2, 3), F(3, 4)),
                   Instance.point(F(5, 2), F(1, 5)),
@@ -920,18 +1064,16 @@ class TestWitnessCheck:
         (tmp_path / "space.json").write_text(HALFSPACE_2D)
         with pytest.raises(AssertionError, match="failed verification"):
             main(["growth", "--space", str(tmp_path / "space.json"),
-                  "--pool", "0,0;1,0;0,1;3,1;1,4", "--m", "5", "--out",
-                  str(tmp_path)])
+                  "--pool", self.POOL, "--m", "5", "--out", str(tmp_path)])
 
     def test_cli_does_not_exit_2(self, negated_witnesses, tmp_path):
         """``vcdim`` reads the witnesses of the set it finds shattered;
-        ``growth --m 5`` sweeps 5 points of the plane."""
+        ``growth --m 5`` grows the table of 5 points of the plane."""
         (tmp_path / "space.json").write_text(HALFSPACE_2D)
         for argv in (["vcdim"], ["growth", "--m", "5"]):
             with pytest.raises(AssertionError, match="failed verification"):
                 main([*argv, "--space", str(tmp_path / "space.json"),
-                      "--pool", "0,0;1,0;0,1;3,1;1,4", "--out",
-                      str(tmp_path)])
+                      "--pool", self.POOL, "--out", str(tmp_path)])
 
     @pytest.fixture
     def denominators_dropped(self, monkeypatch):
@@ -940,8 +1082,11 @@ class TestWitnessCheck:
         monkeypatch.setattr(vclab.spaces, "_primitive", numerators)
 
     def test_wrong_rows_raise(self, denominators_dropped):
-        with pytest.raises(AssertionError):
-            HalfspaceSpace(2).dichotomies(self.FRACTIONAL)
+        """The 5 points are in general position, so their table grows, and
+        solves with the wrong rows, when ``in`` first needs it."""
+        table = HalfspaceSpace(2).dichotomies(self.FRACTIONAL)
+        with pytest.raises(AssertionError, match="failed verification"):
+            (0,) * 5 in table
 
     def test_wrong_rows_raise_when_rule_witnesses_are_read(
             self, denominators_dropped):
