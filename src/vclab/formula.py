@@ -10,16 +10,16 @@ strict comparisons.
 A formula plus a parameter source induces a hypothesis space of indicator
 functions.  A finite source is one sorted list of parameter tuples (a grid
 is the list of its product), and its restriction oracle is exact.  Over a
-sampled parameter source, the threshold, interval and co-singleton shapes
-get their native spaces' exact restriction oracles, and a single < or <=
-atom (or its negation) affine in the parameters is decided exactly by
-Fourier-Motzkin elimination over the parameters; otherwise parameter
-search yields verified subsets only, never claimed exact.  Whatever the
-source, a restriction maps each labeling to the least tuple of a candidate
-list that gives it, read off per-point label columns by
-``model.split_columns``; a column is built atom by atom, each comparison
-evaluated once per group of candidates agreeing on the parameters it
-reads.  Shattering is decided by
+sampled source on the exact backend, the threshold, interval and
+co-singleton shapes get their native spaces' exact oracles, and a single
+< or <= atom (or its negation) affine in the parameters is decided by
+Fourier-Motzkin elimination over them, each witness checked by the
+formula when read; otherwise parameter search yields verified subsets
+only, never claimed exact.  Every other restriction maps each labeling
+to the least tuple of a candidate list that gives it, read off
+per-point label columns by ``model.split_columns``; a column is built
+atom by atom, each comparison evaluated once per group of candidates
+agreeing on the parameters it reads.  Shattering is decided by
 ``combinatorics.shatters`` on that space, like VC dimension and growth.
 """
 
@@ -46,11 +46,13 @@ from .model import (
     split_columns,
     to_fraction,
 )
+from .combinatorics import sauer_bound
 from .spaces import (
+    AffineWitnesses,
     CoSingletonSpace,
     IntervalSpace,
     ThresholdSpace,
-    halfspace_dichotomies,
+    _constraint_pair,
 )
 
 
@@ -616,11 +618,12 @@ def _param_degree(node, params) -> int:
 def _affine(ast: FormulaAst) -> _ClosedForm | None:
     """A single < or <= atom, or its negation, affine in its k >= 1
     parameters: u(x, w) >= 0 (> 0 when strict), each point giving the row
-    (u(x, 0), u(x, e_1) - u(x, 0), ...) of ``halfspace_dichotomies``.
-    Its VC dimension is at most k (Dudley 1978): on k + 1 points the
-    vectors (u(x_j, w))_j lie in an affine subspace of dimension <= k, so
-    some c != 0 has c . u constant there, and labeling each x_j against
-    the sign of c_j gives an orthant that misses it."""
+    (u(x, 0), u(x, e_1) - u(x, 0), ...) of ``AffineWitnesses``, bounded by
+    Sauer's sum_{i<=k} C(n, i).  Its VC dimension is at most k (Dudley
+    1978): on k + 1 points the vectors (u(x_j, w))_j lie in an affine
+    subspace of dimension <= k, so some c != 0 has c . u constant there,
+    and labeling each x_j against the sign of c_j gives an orthant that
+    misses it."""
     root, negated = ast.root, False
     while isinstance(root, Not):
         root, negated = root.child, not negated
@@ -639,11 +642,12 @@ def _affine(ast: FormulaAst) -> _ClosedForm | None:
     units = [[int(i == j) for j in range(k)] for i in range(-1, k)]
 
     def witnesses(instances):
-        rows = []
+        pairs = []
         for x in instances:
             const, *values = [term(x.coords, w) for w in units]
-            rows.append((const, tuple(v - const for v in values)))
-        return dict(halfspace_dichotomies(rows, strict))
+            pairs.append(_constraint_pair(const, [v - const for v in values],
+                                          strict))
+        return AffineWitnesses(pairs, sauer_bound(k, len(pairs)), "Sauer's")
 
     return _ClosedForm("affine", k, witnesses)
 
@@ -735,9 +739,10 @@ class DefinableSpace(HypothesisSpace):
     """Indicator functions 1[phi(. ; w)] of a formula, over a parameter
     source.
 
-    Every restriction goes through :meth:`_least_witnesses` on a list of
-    candidate tuples: the source's tuples, the witnesses of a closed-form
-    oracle (re-checked by the formula) or the tuples of parameter search.
+    Over a sampled source on the exact backend, a recognized closed form
+    gives the table, each witness checked by the formula when it is read.
+    Every other restriction goes through :meth:`_least_witnesses` on a
+    list of candidate tuples: the source's tuples or those of search.
     Over an explicit source, the space keeps the label column of every
     instance point it is asked about, the tuples converted to the backend,
     and per atom the groups of tuples that agree on the parameters it
@@ -757,8 +762,8 @@ class DefinableSpace(HypothesisSpace):
         self.ast = ast
         self.source = source
         self.backend = backend
-        self.closed_form = (recognize_closed_form(ast)
-                            if isinstance(source, SampledParams) else None)
+        self.closed_form = (recognize_closed_form(ast) if backend == EXACT
+                            and isinstance(source, SampledParams) else None)
         if isinstance(source, ExplicitParams):
             if any(len(t) != ast.param_arity for t in source.tuples):
                 raise ValueError("parameter tuples must match the parameter "
@@ -858,30 +863,40 @@ class DefinableSpace(HypothesisSpace):
             if len(x.coords) != self.ast.arity:
                 raise ValueError(f"instance {x} does not have arity "
                                  f"{self.ast.arity}")
-        points = [x.coords for x in instances]
-
         if self.closed_form is not None:
-            # The oracle's witnesses, evaluated by the formula, must give
-            # back exactly the oracle's labelings.
-            cf = self.closed_form
-            expected = cf.witnesses(instances)
-            found = self._least_witnesses(points, list(expected.values()),
-                                          {}, [], None)
-            if found != expected:
-                raise AssertionError(f"{cf.name} witnesses disagree with "
-                                     f"the formula")
-            exact = True
-        elif isinstance(self.source, ExplicitParams):
+            return DichotomyTable(instances, _CheckedWitnesses(
+                self, instances), exact=True)
+        points = [x.coords for x in instances]
+        exact = isinstance(self.source, ExplicitParams)
+        if exact:
             found = self._least_witnesses(points, self.source.tuples,
                                           self._columns, self._values,
                                           self._groups)
-            exact = True
         else:
             found = self._least_witnesses(points, list(_candidate_parameters(
                 self.ast, points, self.source)), {}, [], None)
-            exact = False
         return DichotomyTable(instances, LazyWitnesses(
             found, self.hypothesis_from_key), exact=exact)
+
+
+class _CheckedWitnesses(LazyWitnesses):
+    """A closed form's witness tuples for the instances, each checked when
+    its hypothesis is first built: the formula, evaluated at every
+    instance once, must give the labeling."""
+
+    def __init__(self, space: DefinableSpace, instances):
+        super().__init__(space.closed_form.witnesses(instances),
+                         space.hypothesis_from_key)
+        self._name, self._instances = space.closed_form.name, instances
+
+    def __getitem__(self, labeling: Labeling) -> Hypothesis:
+        if labeling not in self._built:
+            h = self._build(self.witness_keys[labeling])
+            if tuple(map(h, self._instances)) != labeling:
+                raise AssertionError(f"{self._name} witnesses disagree with "
+                                     f"the formula")
+            self._built[labeling] = h
+        return self._built[labeling]
 
 
 # ---------------------------------------------------------------------------

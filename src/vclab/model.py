@@ -446,17 +446,16 @@ class DichotomyTable(Record):
       combinatorial enumerator (the least point labeled 1; the least and
       greatest point labeled 1; the point labeled 0; past the largest
       point when no point has that label);
-    * halfspaces: the point Fourier-Motzkin back-substitution picks, which
-      is not least in any order.  A table in general position has Cover's
-      count and decides nothing until first read.  A grown one (more than
-      dim + 2 points, or an affine kernel of dimension 2 or more), checked
-      against Cover's count, keeps the point it solved for each labeling
-      whose first bit is 0 that its prefix's witness does not realize;
-      every other point is solved when first read;
+    * halfspaces: the point Fourier-Motzkin back-substitution picks on the
+      labeling's full system, which is not least in any order, kept if
+      the table's tree found it and else solved when first read
+      (``spaces.AffineWitnesses``);
     * formulas: the least parameter tuple of a finite source; over a
-      sampled source, the native witness of a threshold, interval or
-      co-singleton shape, the Fourier-Motzkin point of an atom affine in
-      its parameters, else the first tuple the seeded search finds.
+      sampled source on the exact backend, the native witness of a
+      threshold, interval or co-singleton shape, or, by the halfspaces'
+      rule, the Fourier-Motzkin point of an atom affine in its parameters,
+      each checked by the formula when first read; else the first tuple
+      the seeded search finds.
 
     Each "least" or "first" there is the least index in a candidate list,
     which :func:`split_columns` finds.

@@ -10,26 +10,28 @@ together with a witness parameter chosen by a fixed rule, exactly:
 * halfspaces        h_{w,b}(x) = 1  iff  w . x + b >= 0
 
 Threshold, interval and co-singleton enumeration is combinatorial on the
-sorted points.  ``halfspace_dichotomies`` takes affine functions of the
-parameters (a formula atom affine in its parameters) and decides its
-labelings by exact Fourier-Motzkin elimination (strict inequalities
-included), grown point by point (``_label_tree``): one elimination per
-realized prefix, O(n^(k+1)) for n rows in k variables, not 2^n.
-``fm_witness`` works in integers from input to output: it takes primitive
-integer rows, made primitive once where they are built, and returns an
-integer point (den, n_1, ..., n_k) standing for the exact rational witness
-v_i = n_i / den; ``halfspace_dichotomies`` turns that point into
-Fractions.  ``HalfspaceSpace`` keeps each instance point's rows for its
-lifetime.  A table of points in general position takes Cover's count as
-its length and is decided when first read, any other table at once.  At
-most dim + 2 points whose rows (x, 1) have a left kernel of dimension at
-most 1 are decided by the signs of one integer kernel vector (Radon;
-Motzkin), proven by a rank certificate; other point sets grow only the
-labelings whose first bit is 0 (the rest are their complements), checked
-against Cover's count.  Every witness is the point ``fm_witness`` finds
-on its labeling's full system, re-checked in integers against check rows
-built apart from the elimination's.  A table keeps the points its tree
-found and solves any other when its witness is first read.
+sorted points.  ``AffineWitnesses`` decides the labelings of affine
+constraint rows in k variables (a halfspace's in (w, b), or those of a
+formula atom affine in its parameters) by exact Fourier-Motzkin
+elimination (strict inequalities included), grown point by point
+(``_label_tree``): one elimination per realized prefix, O(n^(k+1)) for n
+rows, not 2^n.  ``fm_witness`` works in integers from input to output: it
+takes primitive integer rows, made primitive once where they are built,
+and returns an integer point (den, n_1, ..., n_k) standing for the exact
+rational witness v_i = n_i / den; a labeling's witness is that point of
+its full system, as Fractions.  Rows of constant 0 in which one variable
+has a coefficient of one sign (a halfspace's, through b) have labelings
+closed under complement: only those whose first bit is 0 are grown, and
+at most k + 1 such rows whose left kernel has dimension at most 1 are
+decided by the signs of one integer kernel vector (Radon; Motzkin),
+proven by a rank certificate.  A grown count is checked against the
+caller's bound: Cover's count for ``HalfspaceSpace``, which keeps each
+instance point's rows for its lifetime, takes Cover's count as the length
+of a table in general position and decides it when first read, and
+re-checks every witness in integers against check rows built apart from
+the elimination's; Sauer's bound for a formula atom.  A table keeps the
+points its tree found and solves any other when its witness is first
+read.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import mul
 
 from .model import (
@@ -234,12 +236,6 @@ def fm_witness(system, nvars: int) -> tuple[int, ...] | None:
     return tuple(point)
 
 
-def _fractions(point: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """The rational values (n_1 / den, ..., n_k / den) of an integer point."""
-    den = point[0]
-    return tuple(Fraction(n, den) for n in point[1:])
-
-
 def _label_tree(tests, solve: Callable[[Labeling], tuple[int, ...] | None],
                 prefix: Labeling, point: tuple[int, ...]
                 ) -> dict[Labeling, tuple[int, ...] | None]:
@@ -272,46 +268,173 @@ def _label_tree(tests, solve: Callable[[Labeling], tuple[int, ...] | None],
     return dict(level)
 
 
-def _solved(solve, labeling: Labeling, why: str) -> tuple[int, ...]:
-    """``solve(labeling)`` for a labeling known to be realized."""
-    point = solve(labeling)
-    if point is None:
-        raise AssertionError(f"labeling {labeling} is {why} but is infeasible")
-    return point
-
-
-_INHERITED = "realized by the witness of its prefix"
-
-
-def halfspace_dichotomies(rows, strict: bool = False
-                          ) -> list[tuple[Labeling, tuple[Fraction, ...]]]:
-    """Every labeling of the rows (const, coeffs), of int or Fraction
-    entries and one length of coeffs, that some rational v realizes, with
-    the v ``fm_witness`` finds on the labeling's full system, as
-    Fractions, in lexicographic order: label 1 means
-    const + coeffs . v >= 0 (> 0 when ``strict``), label 0 the negation.
-    Each row is made primitive once for all labelings, and its label-1 row
-    is the ``_label_tree`` test, grown from v = 0.  Needs at least one
-    row."""
-    nvars = len(rows[0][1])
-    pairs = [_constraint_pair(const, coeffs, strict) for const, coeffs in rows]
-
-    def solve(labeling: Labeling) -> tuple[int, ...] | None:
-        return fm_witness([pair[lab] for pair, lab in zip(pairs, labeling)],
-                          nvars)
-
-    tree = _label_tree([pair[1] for pair in pairs], solve, (),
-                       (1, *[0] * nvars))
-    return [(labeling, _fractions(point or _solved(solve, labeling,
-                                                   _INHERITED)))
-            for labeling, point in tree.items()]
-
-
 def _constraint_pair(const, coeffs, strict: bool) -> tuple[tuple, tuple]:
     """The primitive integer constraints of label 0 and of label 1 of the
     affine function const + coeffs . v (>= 0, or > 0 when ``strict``)."""
     row = _primitive(coeffs, const)
     return (tuple([-v for v in row]), not strict), (row, strict)
+
+
+def _affine_dependence(rows: Sequence[list[int]]) -> tuple | None:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of [rows^T | I]:
+    every division is exact, and each pivot ends equal to the last, den.
+    None when the rows' left kernel has dimension 2 or more, else
+    (lam, cert, den): lam spans the kernel (None when it is 0), and cert[i]
+    is an integer c_i with row_j . c_i = den * [i = j] over every row but
+    the one without a pivot (whose cert is None)."""
+    n, width = len(rows), len(rows[0])
+    m = [[*col, *(int(i == k) for k in range(width))]
+         for i, col in enumerate(zip(*rows))]
+    pivots, free, prev = [], [], 1
+    for j in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, width) if m[i][j]), None)
+        if i is None:
+            if free:
+                return None
+            free.append(j)
+            continue
+        m[r], m[i] = m[i], m[r]
+        top = m[r]
+        p = top[j]
+        for i in range(width):
+            if i != r:
+                a = m[i][j]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        pivots.append(j)
+    cert = [None] * n
+    for q, j in enumerate(pivots):
+        cert[j] = m[q][n:]
+    if not free:
+        return None, cert, prev
+    lam = [0] * n
+    lam[free[0]] = prev
+    for q, j in enumerate(pivots):
+        lam[j] = -m[q][free[0]]
+    return lam, cert, prev
+
+
+class AffineWitnesses(Mapping):
+    """The labelings of the constraint ``pairs`` (per point, the primitive
+    constraints of its label 0 and label 1, ``_constraint_pair``, in k >= 1
+    variables) that some rational v realizes, in lexicographic order, each
+    mapped to its witness: the point ``fm_witness`` finds on its full
+    system, as Fractions, solved when first read unless the tree holds it.
+    ``check(labeling, point)``, when given, sees every point found and
+    raises on a wrong one.  With ``general``, ``len`` is ``bound`` and
+    ``_decide`` waits for the first ``in``, iteration or read; otherwise it
+    runs at once.  A grown count above ``bound`` (``named``'s), or off it
+    with ``general``, is an AssertionError.
+
+    If every label-1 row (0, c) has constant 0 and some c_j has one sign s
+    in every row, the labelings are closed under complement: if v realizes
+    L, then -v - t s e_j (-v + t s e_j for strict rows) realizes its
+    complement for small t > 0, the shift moving each c . (-v) strictly to
+    the complement's side.  ``tree`` then keeps the labelings whose first
+    bit is 0, grown by ``_label_tree`` from v = -s e_j, which labels every
+    point 0; other rows keep every labeling, grown from v = 0.  Each keeps
+    its point, or None when its prefix's point realizes it.  At most k + 1
+    closed rows whose left kernel is 0 or spanned by lam (``signs``; lam
+    and its rank certificate checked in integers) need no FM call: a
+    labeling is realized unless it is [lam_i > 0] or [lam_i < 0] wherever
+    lam_i != 0.  lam has both signs, as sum_i lam_i c_ij = 0, so each of
+    the two gives every term of sum_i lam_i (c_i . v) = 0 one sign and some
+    term a strict one; by Motzkin's transposition theorem any other
+    infeasibility certificate would be a second kernel vector.  Constant 0
+    alone is not enough: the rows (0, 1) and (0, -1) realize (1, 1) at
+    v = 0 but not (0, 0)."""
+
+    def __init__(self, pairs: Sequence[tuple[tuple, tuple]], bound: int,
+                 named: str, general: bool = False,
+                 check: Callable[[Labeling, tuple[int, ...]], None]
+                 | None = None):
+        self._pairs, self._n, self._check = pairs, len(pairs), check
+        self._nvars = len(pairs[0][1][0]) - 1
+        self._bound, self._named, self._general = bound, named, general
+        self._signs = self._tree = self._closed = None
+        self._len = bound if general else self._decide()
+
+    def _solve(self, labeling: Labeling) -> tuple[int, ...] | None:
+        point = fm_witness([pair[lab] for pair, lab
+                            in zip(self._pairs, labeling)], self._nvars)
+        if point is not None and self._check is not None:
+            self._check(labeling, point)
+        return point
+
+    def _decide(self) -> int:
+        """Decide the labelings, as the class docstring says, and count."""
+        tests = [pair[1] for pair in self._pairs]
+        rows = [row for row, _ in tests]
+        n, nvars = self._n, self._nvars
+        self._closed = not any(row[0] for row in rows) and next((
+            (j, s) for j in range(nvars, 0, -1) for s in (1, -1)
+            if all(row[j] * s > 0 for row in rows)), None)
+        coeffs = [row[1:] for row in rows]
+        found = (_affine_dependence(coeffs) if self._closed
+                 and n <= nvars + 1 else None)
+        if found is not None:
+            lam, cert, den = found
+            if lam is not None and (not any(lam) or any(
+                    sum(map(mul, lam, column)) for column in zip(*coeffs))):
+                raise AssertionError("affine dependence failed verification")
+            kept = [i for i, c in enumerate(cert) if c is not None]
+            if den == 0 or len(kept) != n - (lam is not None) or any(
+                    sum(map(mul, coeffs[j], cert[i])) != (den if i == j
+                                                          else 0)
+                    for i in kept for j in kept):
+                raise AssertionError("rank certificate failed verification")
+            self._signs = [(i, v > 0) for i, v in enumerate(lam or ()) if v]
+            return 2 ** n - (2 ** (n - len(self._signs) + 1) if lam else 0)
+        start, prefix = [1, *[0] * nvars], ()
+        if self._closed:
+            j, s = self._closed
+            start[j], prefix = -s, (0,)
+        tree = _label_tree(tests, self._solve, prefix, tuple(start))
+        count = len(tree) * (2 if self._closed else 1)
+        if count > self._bound or self._general and count < self._bound:
+            raise AssertionError(f"{count} labelings, {self._named} "
+                                 f"{self._bound}")
+        self._tree = tree
+        return count
+
+    def __getitem__(self, labeling: Labeling) -> tuple[Fraction, ...]:
+        if labeling not in self:
+            raise KeyError(labeling)
+        point = (self._tree or {}).get(labeling) or self._solve(labeling)
+        if point is None:
+            why = ("realized by its points' affine dependence"
+                   if self._signs is not None else
+                   "the complement of a realized one"
+                   if self._closed and labeling[0] else
+                   "realized by the witness of its prefix")
+            raise AssertionError(f"labeling {labeling} is {why} but is "
+                                 f"infeasible")
+        return tuple(Fraction(v, point[0]) for v in point[1:])
+
+    def __contains__(self, labeling) -> bool:
+        if not (isinstance(labeling, tuple) and len(labeling) == self._n
+                and set(labeling) <= {0, 1}):
+            return False
+        if self._signs is None and self._tree is None:
+            self._decide()
+        if self._signs is not None:
+            return len({labeling[i] == s for i, s in self._signs}) != 1
+        if self._closed and labeling[0]:
+            labeling = tuple([1 - b for b in labeling])
+        return labeling in self._tree
+
+    def __iter__(self) -> Iterator[Labeling]:
+        if self._signs is None and self._tree is None:
+            self._decide()
+        if self._signs is not None:
+            return filter(self.__contains__, product((0, 1), repeat=self._n))
+        flipped = (tuple([1 - b for b in labeling])
+                   for labeling in reversed(self._tree))
+        return chain(self._tree, flipped if self._closed else ())
+
+    def __len__(self) -> int:
+        return self._len
 
 
 # ---------------------------------------------------------------------------
@@ -381,141 +504,16 @@ def _integer_vector(values) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _affine_dependence(rows: Sequence[list[int]]) -> tuple | None:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of [rows^T | I]:
-    every division is exact, and each pivot ends equal to the last, den.
-    None when the rows' left kernel has dimension 2 or more, else
-    (lam, cert, den): lam spans the kernel (None when it is 0), and cert[i]
-    is an integer c_i with row_j . c_i = den * [i = j] over every row but
-    the one without a pivot (whose cert is None)."""
-    n, width = len(rows), len(rows[0])
-    m = [[*col, *(int(i == k) for k in range(width))]
-         for i, col in enumerate(zip(*rows))]
-    pivots, free, prev = [], [], 1
-    for j in range(n):
-        r = len(pivots)
-        i = next((i for i in range(r, width) if m[i][j]), None)
-        if i is None:
-            if free:
-                return None
-            free.append(j)
-            continue
-        m[r], m[i] = m[i], m[r]
-        top = m[r]
-        p = top[j]
-        for i in range(width):
-            if i != r:
-                a = m[i][j]
-                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-        pivots.append(j)
-    cert = [None] * n
-    for q, j in enumerate(pivots):
-        cert[j] = m[q][n:]
-    if not free:
-        return None, cert, prev
-    lam = [0] * n
-    lam[free[0]] = prev
-    for q, j in enumerate(pivots):
-        lam[j] = -m[q][free[0]]
-    return lam, cert, prev
-
-
-class _ComplementClosedWitnesses(Mapping):
-    """The witness keys of the halfspace labelings of the points of check
-    rows ``checks`` in lexicographic order; ``solve`` gives a labeling's
-    checked integer point (den, n_1, ..., n_k) or None.  ``_decide`` runs
-    at once, or, in ``general`` position, where ``len`` is Cover's count
-    ``cover``, on the first ``in``, iteration or read.  It keeps one of:
-
-    * ``first_zero``: the labelings whose first bit is 0 (``_label_tree``),
-      each with its point, or None when its prefix's witness realizes it;
-      their complements are the rest;
-    * ``signs``: (i, lam_i > 0) wherever lam_i != 0, for lam spanning the
-      points' affine kernel (none if it is 0); every labeling is realized
-      but [lam_i > 0] and [lam_i < 0] there (see ``HalfspaceSpace``).
-
-    A labeling's key, (w, b) as Fractions, is read from its point (from
-    ``first_zero``, else from ``solve``; None there is a bug) on every read."""
-
-    def __init__(self, checks: tuple[list[int], ...],
-                 solve: Callable[[Labeling], tuple[int, ...] | None],
-                 cover: int, general: bool):
-        self._n, self._checks, self._solve = len(checks), checks, solve
-        self._cover, self._general = cover, general
-        self._len = cover if general else self._decide()
-
-    def _decide(self) -> int:
-        """Decide the labelings (``HalfspaceSpace.dichotomies``) and count."""
-        checks, n, cover = self._checks, self._n, self._cover
-        self._first_zero = None
-        found = _affine_dependence(checks) if n <= len(checks[0]) + 1 else None
-        if found is None:
-            first_zero = _label_tree(
-                [((0, *row), False) for row in checks], self._solve, (0,),
-                (1, *[0] * (len(checks[0]) - 1), -1))
-            count = 2 * len(first_zero)
-            if count > cover or self._general and count < cover:
-                raise AssertionError(f"{count} labelings, Cover's {cover}")
-            self._first_zero, self._checks = first_zero, None
-            return count
-        lam, cert, den = found
-        if lam is not None and (not any(lam) or any(
-                sum(map(mul, lam, column)) for column in zip(*checks))):
-            raise AssertionError("affine dependence failed verification")
-        kept = [i for i, c in enumerate(cert) if c is not None]
-        if den == 0 or len(kept) != n - (lam is not None) or any(
-                sum(map(mul, checks[j], cert[i])) != (den if i == j else 0)
-                for i in kept for j in kept):
-            raise AssertionError("rank certificate failed verification")
-        self._signs = [(i, v > 0) for i, v in enumerate(lam or ()) if v]
-        self._checks = None
-        return 2 ** n - (2 ** (n - len(self._signs) + 1) if lam else 0)
-
-    def __getitem__(self, labeling: Labeling) -> tuple[Fraction, ...]:
-        if labeling not in self:
-            raise KeyError(labeling)
-        point = (self._first_zero or {}).get(labeling)
-        if point is None:
-            why = ("realized by its points' affine dependence"
-                   if self._first_zero is None else
-                   "the complement of a realized one" if labeling[0]
-                   else _INHERITED)
-            point = _solved(self._solve, labeling, why)
-        return _fractions(point)
-
-    def __contains__(self, labeling) -> bool:
-        if not (isinstance(labeling, tuple) and len(labeling) == self._n
-                and set(labeling) <= {0, 1}):
-            return False
-        if self._checks is not None:
-            self._decide()
-        if self._first_zero is not None:
-            return (labeling if labeling[0] == 0 else tuple(
-                1 - b for b in labeling)) in self._first_zero
-        return len({labeling[i] == s for i, s in self._signs}) != 1
-
-    def __iter__(self) -> Iterator[Labeling]:
-        return filter(self.__contains__, product((0, 1), repeat=self._n))
-
-    def __len__(self) -> int:
-        return self._len
-
-
 class HalfspaceSpace(HypothesisSpace):
     """Affine halfspaces of a fixed dimension: h = 1[w.x + b >= 0].
 
-    On finitely many points the labelings are closed under complement: if
-    (w, b) realizes L, then (-w, -b - e) realizes its complement for any
-    0 < e <= min |w.x + b| over the points w.x + b < 0 (or e = 1 if none).
-    If the rows (x_i, 1) have a left kernel spanned by lam, a labeling is
-    realized unless it is [lam_i > 0] or [lam_i < 0] wherever lam_i != 0:
-    those two give every term of sum_i lam_i (w.x_i + b) = 0 one sign and
-    some term a strict one, and by Motzkin's transposition theorem any other
-    infeasibility certificate would be a second kernel vector.  Other
-    point sets cost O(n^(dim+1)) Fourier-Motzkin calls.  Any n points have
-    at most Cover's count 2 * sum_{i<=dim} C(n - 1, i) labelings, exactly
-    as many in general position: every dim + 1 rows (x, 1) independent.
+    Each point x gives the homogeneous row (0, x, 1) in (w, b), whose
+    coefficient of b is 1, so ``AffineWitnesses`` closes its labelings
+    under complement and decides at most dim + 2 points by the signs of an
+    affine dependence; other point sets cost O(n^(dim+1)) Fourier-Motzkin
+    calls.  Any n points have at most Cover's count
+    2 * sum_{i<=dim} C(n - 1, i) labelings, exactly as many in general
+    position: every dim + 1 rows (x, 1) independent.
 
     The space keeps, for its whole lifetime, each instance point's rows:
     the primitive constraint pair that ``fm_witness`` reads and, built
@@ -578,38 +576,23 @@ class HalfspaceSpace(HypothesisSpace):
         return self._nonzero[key]
 
     def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
-        """At least dim + 1 points in general position take Cover's count as
-        ``len``; the rest waits for the first ``in``, iteration or read.  At
-        most dim + 2 points whose check rows have a left kernel of dimension
-        at most 1 are decided by ``_affine_dependence``, with no FM call: its
-        lam and rank certificate are checked in integers against the check
-        rows, which proves the kernel is 0 or spanned by lam.  Other point
-        sets grow a ``_label_tree`` of the labelings whose first bit is 0
-        from w = 0, b = -1 (check rows as tests, FM on the constraint
-        pairs); a count above Cover's, or off it in general position, is an
-        AssertionError.  A labeling that its prefix's witness realizes at
-        the last point, and every complement, is solved when first read.
-        Each point (den, den*w, den*b) is checked when it is found, apart
-        from FM and its rows: with den > 0, its dot product with a point's
-        check row has the sign of w.x + b."""
+        """``AffineWitnesses`` bounded by Cover's count, its ``len`` at
+        once for dim + 1 or more points in general position.  Each point
+        (den, den*w, den*b) found is checked apart from FM and its rows:
+        its dot product with a check row has the sign of w.x + b."""
         instances = check_instance_tuple(instances)
         pairs, checks, ids = zip(*map(self._point_rows, instances))
         n, nvars = len(instances), self.dim + 1
-        cover = self._cover(n)
         general = n >= nvars and all(map(self._independent, combinations(
             ids, nvars), combinations(checks, nvars)))
 
-        def witness(labeling: Labeling) -> tuple[int, ...] | None:
-            point = fm_witness([pair[lab] for pair, lab
-                                in zip(pairs, labeling)], nvars)
-            if point is None:
-                return None
+        def check(labeling: Labeling, point: tuple[int, ...]) -> None:
             numerators = point[1:]
             if tuple(1 if sum(map(mul, numerators, row)) >= 0 else 0
                      for row in checks[:len(labeling)]) != labeling:
                 raise AssertionError("halfspace witness failed verification")
-            return point
 
-        keys = _ComplementClosedWitnesses(checks, witness, cover, general)
+        keys = AffineWitnesses(pairs, self._cover(n), "Cover's", general,
+                               check)
         return DichotomyTable(instances, LazyWitnesses(
             keys, self.hypothesis_from_key), exact=True)

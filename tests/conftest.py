@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import pytest
+
 from vclab import spaces
 from vclab import (
     DiscreteDistribution,
@@ -16,6 +18,7 @@ from vclab import (
     MultiSample,
     Sample,
 )
+from vclab.combinatorics import sauer_bound
 from vclab.model import index_states
 from vclab.nfl import PROBE_ONE_IN
 
@@ -249,8 +252,31 @@ def sweep_dichotomies(rows, strict=False):
         point = SWEPT_FM_WITNESS(
             [pair[lab] for pair, lab in zip(pairs, labeling)], nvars)
         if point is not None:
-            out.append((labeling, spaces._fractions(point)))
+            out.append((labeling, tuple(Fraction(v, point[0])
+                                        for v in point[1:])))
     return out
+
+
+def kernel_table(rows, strict=False):
+    """``spaces.AffineWitnesses`` of the rows (const, coeffs), bounded by
+    Sauer's sum_{i<=k} C(n, i) for n rows in k variables: label 1 is
+    const + coeffs . v >= 0 (> 0 when ``strict``), label 0 the negation."""
+    pairs = [spaces._constraint_pair(const, coeffs, strict)
+             for const, coeffs in rows]
+    return spaces.AffineWitnesses(pairs, sauer_bound(len(rows[0][1]),
+                                                     len(rows)), "Sauer's")
+
+
+@pytest.fixture
+def fm_calls(monkeypatch):
+    """The systems ``spaces.fm_witness`` is called on, in order."""
+    calls = []
+
+    def counted(constraints, nvars):
+        calls.append(constraints)
+        return SWEPT_FM_WITNESS(constraints, nvars)
+    monkeypatch.setattr(spaces, "fm_witness", counted)
+    return calls
 
 
 def sweep_table(pts):

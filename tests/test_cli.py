@@ -366,6 +366,18 @@ class TestCli:
         assert payload["result"] == {"status": "not-shattered",
                                      "witnesses": None}
 
+    def test_formula_shatter_float_backend_has_no_closed_form(self,
+                                                              tmp_path):
+        """Doubles cannot tell 1/3 from a point 1/10^20 above it, so the
+        float backend gets parameter search, not the exact threshold
+        oracle, and reports that it found no witness of (0, 1)."""
+        code, payload = run(
+            tmp_path, "formula", "shatter", "--text", "w <= x", "--objects",
+            "x", "--params", "w", "--backend", "float", "--instances",
+            "1/3;100000000000000000001/300000000000000000000")
+        assert code == 0
+        assert payload["result"]["status"] == "not-found"
+
     def test_formula_shatter_agrees_with_vcdim_over_finite_source(
             self, tmp_path):
         """--grid and --params-list define the whole parameter family: an

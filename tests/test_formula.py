@@ -48,8 +48,8 @@ from vclab.formula import (
 )
 from vclab.cli import main
 from vclab.model import to_fraction
-from vclab.spaces import halfspace_dichotomies
-from conftest import points, reference_fm_witness
+from vclab.spaces import AffineWitnesses
+from conftest import points, reference_fm_witness, sweep_table
 
 RELU_TEXT = "(x < 0 -> y = 0) and (0 <= x -> y = x)"
 
@@ -445,6 +445,23 @@ class TestDefinableSpace:
             assert tuple(h(x) for x in pool) == labeling
         assert calls == []
 
+    @pytest.mark.parametrize("text, params", [
+        ("p <= x", ["p"]), ("b <= x and x <= a", ["a", "b"]),
+        ("0 <= a * x * x + b * x + c", ["a", "b", "c"])])
+    def test_closed_forms_evaluate_only_witness_reads(self, text, params):
+        """A closed form's table evaluates no atom; reading every witness
+        walks the formula once per point and witness."""
+        ast = parse_formula(text, ["x"], params)
+        space = DefinableSpace(ast, SampledParams(budget=10))
+        extensions = count_atom_evaluations(space)
+        pool = points(-1, 0, 2)
+        table = space.dichotomies(pool)
+        assert len(table) >= 4 and extensions == []
+        witnesses = [h.key[1:] for h in dict(table.witnesses).values()]
+        assert Counter((x, a) for counts in extensions for x, a, _
+                       in counts.elements()) == reference_atom_counts(
+            ast, "exact", [x.coords for x in pool], witnesses)
+
     def test_finite_witnesses_are_least_tuples(self):
         """Grid and explicit sources keep, for each labeling, the least
         parameter tuple that gives it."""
@@ -764,7 +781,8 @@ def test_atoms_evaluated_at_most_as_often_as_short_circuit_walk(data):
     at most as often over a finite source, whose candidates are grouped
     by the parameters each atom reads.  Random formulas whose atoms read
     no, one or both parameters, on explicit, grid and sampled sources
-    (the closed-form re-check included) and both backends."""
+    and both backends.  A closed form's table evaluates no atom until a
+    witness is read, and a read walks the formula once per point."""
     with_exp = data.draw(st.booleans())
     ast = FormulaAst(("x",), ("y", "p"), data.draw(FORMULAS[with_exp]))
     kind = data.draw(st.sampled_from(["grid", "explicit", "sampled"]))
@@ -789,19 +807,24 @@ def test_atoms_evaluated_at_most_as_often_as_short_circuit_walk(data):
         xs = data.draw(st.lists(COORDS, min_size=1, max_size=4, unique=True))
         pool = [(x,) for x in xs]
         del extensions[:]
-        space.dichotomies(points(*xs))
+        table = space.dichotomies(points(*xs))
         got = Counter((x, a) for counts in extensions
                       for x, a, _ in counts.elements())
         if finite:
             total += got
             covered.update((p, space._columns[p][1]) for p in pool)
             continue
-        if space.closed_form is None:
-            candidates = list(vclab.formula._candidate_parameters(
-                ast, pool, source))
-        else:
-            candidates = list(space.closed_form.witnesses(
-                points(*xs)).values())
+        if space.closed_form is not None:
+            # A count evaluates nothing; a read evaluates the formula at
+            # every point once, with the witness.
+            assert got == Counter()
+            witnesses = [h.key[1:] for h in dict(table.witnesses).values()]
+            assert Counter((x, a) for counts in extensions for x, a, _
+                           in counts.elements()) == reference_atom_counts(
+                ast, backend, pool, witnesses)
+            continue
+        candidates = list(vclab.formula._candidate_parameters(
+            ast, pool, source))
         first = {lab: candidates.index(w) for lab, w in
                  reference_first_witnesses(predicate, pool,
                                            candidates).items()}
@@ -902,18 +925,25 @@ class TestAffineOracle:
 
     @pytest.fixture
     def wrong_witness(self, monkeypatch):
-        """One witness of the affine oracle is replaced by another's."""
-        def swapped(rows, strict=False):
-            out = halfspace_dichotomies(rows, strict)
-            out[0] = (out[0][0], out[-1][1])
-            return out
-        monkeypatch.setattr(vclab.formula, "halfspace_dichotomies", swapped)
+        """The affine oracle's first labeling reads the last one's
+        witness."""
+        class Swapped(AffineWitnesses):
+            def __getitem__(self, labeling):
+                first, *_, last = self
+                return super().__getitem__(
+                    last if labeling == first else labeling)
+        monkeypatch.setattr(vclab.formula, "AffineWitnesses", Swapped)
 
     def test_wrong_witness_raises(self, wrong_witness):
+        """The table counts without reading a witness; the read of the
+        swapped one raises."""
         ast = parse_formula("0 <= x - p", ["x"], ["p"])
         space = DefinableSpace(ast, SampledParams(budget=10))
-        with pytest.raises(AssertionError):
-            space.dichotomies(points(1, 2))
+        table = space.dichotomies(points(1, 2))
+        assert len(table) == 3 and (0, 0) in table
+        table.witnesses[(1, 1)]
+        with pytest.raises(AssertionError, match="affine witnesses disagree"):
+            table.witnesses[(0, 0)]
 
     def test_wrong_witness_does_not_exit_2(self, wrong_witness, tmp_path):
         (tmp_path / "space.json").write_text(json.dumps(
@@ -923,6 +953,116 @@ class TestAffineOracle:
         with pytest.raises(AssertionError):
             main(["vcdim", "--space", str(tmp_path / "space.json"),
                   "--pool", "1;2;3", "--out", str(tmp_path)])
+
+
+def seed5_plane_pool() -> list[Instance]:
+    """10 distinct integer points of [-50, 50]^2 drawn by Random(5)."""
+    rng, pool = random.Random(5), []
+    while len(pool) < 10:
+        p = (rng.randint(-50, 50), rng.randint(-50, 50))
+        if p not in pool:
+            pool.append(p)
+    return [Instance.point(*p) for p in pool]
+
+
+HALFSPACE_TEXT = "0 <= w1 * x1 + w2 * x2 + b"
+
+
+class TestAffineKernel:
+    """An affine atom's table is ``AffineWitnesses`` over its rows in the
+    declared parameters, the kernel ``HalfspaceSpace`` uses: rows of
+    constant 0 with one parameter of one sign in every row are closed
+    under complement and take the affine dependence rule, so a count
+    solves only the realized prefixes of a grown tree, and a witness read
+    solves one system."""
+
+    def test_halfspace_formula_solves_no_more_than_the_space(self,
+                                                            fm_calls):
+        pool = seed5_plane_pool()
+        ast = parse_formula(HALFSPACE_TEXT, ["x1", "x2"], ["w1", "w2", "b"])
+        verdict = vc_dimension(DefinableSpace(ast, SampledParams()), pool)
+        formula_calls = len(fm_calls)
+        fm_calls.clear()
+        native = vc_dimension(HalfspaceSpace(2), pool)
+        assert (verdict.value, verdict.status) == (native.value,
+                                                   native.status) == (
+            3, "exact")
+        assert [(lab, h.key[1:]) for lab, h in verdict.witnesses.items()] \
+            == [(lab, h.key[1:]) for lab, h in native.witnesses.items()]
+        assert formula_calls <= len(fm_calls) == 8
+
+    def test_quadratic_threshold_solves_only_witness_reads(self, fm_calls):
+        """Every subset of -3..3 has at most 4 points, whose rows
+        (0, x*x, x, 1) take the affine dependence rule; the 8 reads of the
+        shattered triple's witnesses solve one system each, and evaluate
+        the formula once per point each."""
+        ast = parse_formula("0 <= a * x * x + b * x + c", ["x"],
+                            ["a", "b", "c"])
+        space = DefinableSpace(ast, SampledParams())
+        extensions = count_atom_evaluations(space)
+        verdict = vc_dimension(space, points(*range(-3, 4)))
+        assert (verdict.value, verdict.status) == (3, "exact")
+        assert len(fm_calls) == 8
+        assert [counts.total() for counts in extensions] == [1] * 8 * 3
+
+    def test_mixed_signs_are_not_closed_under_complement(self):
+        """0 <= p * x on {-1, 1}: both rows have constant 0, but p has no
+        one sign, and p = 0 gives (1, 1) while no p gives (0, 0)."""
+        space = DefinableSpace(parse_formula("0 <= p * x", ["x"], ["p"]),
+                               SampledParams())
+        pool = points(-1, 1)
+        table = space.dichotomies(pool)
+        assert list(table.witnesses) == [(0, 1), (1, 0), (1, 1)]
+        assert (0, 0) not in table and len(table) == 3
+        for lab, h in table.witnesses.items():
+            assert tuple(h(x) for x in pool) == lab
+
+    @pytest.mark.parametrize("coords", [
+        [(0, 0), (3, 1), (1, 4), (-1, 3), (4, -2), (6, 5)],
+        [(3, 3), (1, 1), (4, 2), (2, 5), (6, 6), (7, 2)]],
+        ids=["mixed-signs", "positive-first-inside"])
+    @pytest.mark.parametrize("params, index", [
+        (("b", "w2", "w1"), (2, 1, 0)), (("w2", "b", "w1"), (1, 2, 0))])
+    def test_declared_order_witnesses(self, fm_calls, coords, params,
+                                      index):
+        """Six points, b declared before w1 (and, on the positive points,
+        w1 of one sign in every row too; the first of them lies inside the
+        others' hull, so its label 1 alone is not realized, nor is its
+        label 0 with every other 1): the count solves one system per
+        realized prefix of the first five points with first bit 0, and
+        every witness is the Fraction elimination's over the
+        declared-order rows, in the native table's lexicographic order."""
+        pool = [Instance.point(*p) for p in coords]
+        ast = parse_formula(HALFSPACE_TEXT, ["x1", "x2"], params)
+        table = DefinableSpace(ast, SampledParams()).dichotomies(pool)
+        assert len(fm_calls) == sum(len(sweep_table(coords[:j])) // 2
+                                    for j in range(1, 6))
+        assert list(table.witnesses) == [lab for lab, _ in
+                                         sweep_table(coords)]
+        for lab, h in table.witnesses.items():
+            assert h.key[1:] == declared_fm_witness(pool, index, lab)
+
+    def test_a_labeling_over_sauers_bound_raises(self, monkeypatch,
+                                                 tmp_path):
+        """The rows (x, -1) of 0 <= x - p have constants, so every
+        labeling is grown; one extra makes 5 of 3 points, above
+        sum_{i<=1} C(3, i) = 4, a bug and not bad input."""
+        tree = vclab.spaces._label_tree
+
+        def extra(*args):
+            grown = tree(*args)
+            n = len(next(iter(grown)))
+            missing = next(lab for lab in product((0, 1), repeat=n)
+                           if lab not in grown)
+            return {**grown, missing: None}
+        monkeypatch.setattr(vclab.spaces, "_label_tree", extra)
+        (tmp_path / "space.json").write_text(json.dumps(
+            {"kind": "formula-defined", "formula": "0 <= x - p",
+             "objects": ["x"], "params": ["p"],
+             "source": {"type": "sampled", "budget": 10}}))
+        with pytest.raises(AssertionError, match="5 labelings, Sauer's 4"):
+            main(["growth", "--space", str(tmp_path / "space.json"),
+                  "--pool", "1;2;3", "--m", "3", "--out", str(tmp_path)])
 
 
 AFFINE_PARAMS = ("a", "b", "c")

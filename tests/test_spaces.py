@@ -24,9 +24,10 @@ from vclab import (
 )
 from vclab.cli import main
 from vclab.combinatorics import growth_function, vc_dimension
-from vclab.spaces import fm_witness, halfspace_dichotomies
+from vclab.spaces import fm_witness
 from conftest import (
     fm_solve,
+    kernel_table,
     points,
     reference_fm_witness,
     sweep_dichotomies,
@@ -58,8 +59,7 @@ class TestHalfspaceEnumeration:
         for _ in range(40):
             k = rng.randint(1, 5)
             values = rng.sample(range(-10, 11), k)
-            got = {lab for lab, _ in
-                   halfspace_dichotomies([(0, (v, 1)) for v in values])}
+            got = set(kernel_table([(0, (v, 1)) for v in values]))
             assert got == one_dim_halfspace_oracle(values)
 
     def test_plane_general_position_counts(self):
@@ -84,8 +84,7 @@ class TestHalfspaceEnumeration:
                    for _ in range(k)]
             if len(set(pts)) != k:
                 continue
-            enumerated = {lab for lab, _ in halfspace_dichotomies(
-                [(0, (x, y, 1)) for x, y in pts])}
+            enumerated = set(kernel_table([(0, (x, y, 1)) for x, y in pts]))
             for _ in range(200):
                 w1, w2, b = (F(rng.randint(-9, 9)), F(rng.randint(-9, 9)),
                              F(rng.randint(-9, 9)))
@@ -239,13 +238,15 @@ def test_tied_bounds_over_a_common_denominator(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_halfspace_dichotomies_match_fraction_reference(data):
-    """Random affine rows (const, coeffs), closed and open: the same
-    labelings and witnesses as Fraction elimination."""
+    """Random affine rows (const, coeffs), closed and open, and often of
+    constant 0: the kernel's labelings and witnesses, in lexicographic
+    order, are those of Fraction elimination."""
     nvars = data.draw(st.integers(1, 3))
-    rows = data.draw(st.lists(st.tuples(RATIONALS, st.tuples(
+    const = RATIONALS | st.just(F(0))
+    rows = data.draw(st.lists(st.tuples(const, st.tuples(
         *[RATIONALS] * nvars)), min_size=1, max_size=5))
     strict = data.draw(st.booleans())
-    assert halfspace_dichotomies(rows, strict) == \
+    assert list(kernel_table(rows, strict).items()) == \
         reference_halfspace_dichotomies(rows, strict)
 
 
@@ -463,9 +464,9 @@ POINT_ROWS = rule_point_sets(most=9).map(lambda pts: [(0, (*p, 1))
 def test_halfspace_dichotomies_match_the_sweep(rows, strict):
     """Up to 9 rows (const, coeffs), closed and open: random affine rows
     in up to 3 variables, and the rows (0, (x, 1)) of halfspaces on
-    collinear and shared-coordinate points.  The prefix tree gives the
-    sweep's list of labelings and witnesses."""
-    assert halfspace_dichotomies(rows, strict) == \
+    collinear and shared-coordinate points.  The kernel gives the sweep's
+    labelings and witnesses, in lexicographic order."""
+    assert list(kernel_table(rows, strict).items()) == \
         sweep_dichotomies(rows, strict)
 
 
@@ -513,17 +514,6 @@ def test_each_pool_point_made_primitive_once(monkeypatch):
     assert growth_function(space, 5, pool) == 22
     assert len(fm_calls) > 100
     assert sorted(primitive_calls) == sorted((0, *p.coords, 1) for p in pool)
-
-
-@pytest.fixture
-def fm_calls(monkeypatch):
-    calls = []
-
-    def counted(constraints, nvars):
-        calls.append(constraints)
-        return fm_witness(constraints, nvars)
-    monkeypatch.setattr(vclab.spaces, "fm_witness", counted)
-    return calls
 
 
 HALFSPACE_2D = '{"kind": "halfspace-family", "dim": 2}'
@@ -808,8 +798,10 @@ class TestComplementClosure:
         with pytest.raises(AssertionError, match=match):
             table.witnesses[(0,) * 5]
         self._pac_sim_raises(tmp_path, match, 0)
+        table = kernel_table([(0, (*p, 1)) for p in self.COORDS])
+        assert (0,) * 5 in table
         with pytest.raises(AssertionError, match=match):
-            halfspace_dichotomies([(0, (*p, 1)) for p in self.COORDS])
+            dict(table)
 
 
 def _check_rule_raises(tmp_path, match):
