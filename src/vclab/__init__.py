@@ -61,7 +61,6 @@ from .learners import (
 )
 from .model import (
     BudgetError,
-    DichotomyTable,
     DiscreteDistribution,
     ExplicitSpace,
     Hypothesis,

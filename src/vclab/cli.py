@@ -296,12 +296,12 @@ def _cmd_formula(args, inputs):
         pool = _load_pool(args.pool, inputs)
         table = space.dichotomies(pool)
         return ({"kind": space.kind,
-                 "oracle_exact": table.exact,
+                 "oracle_exact": space.oracle_exact,
                  "closed_form": (space.closed_form.name
                                  if space.closed_form else None),
                  "pool": [instance_to_json(x) for x in pool],
                  "dichotomies": sorted("".join(map(str, lab))
-                                       for lab in table.labelings)},
+                                       for lab in table)},
                 None)
     # argparse's choices leave "shatter" as the only other action.
     if not args.instances:

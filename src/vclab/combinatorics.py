@@ -26,7 +26,7 @@ class ShatterResult(Record):
     With an exact oracle the answer is definitive either way.  With an
     inexact oracle a positive answer is still sound (witnesses verify), but
     a negative one only means no witness was found within budget.
-    ``witnesses`` is the table's read-only mapping, which builds each
+    ``witnesses`` is the space's read-only table, which builds each
     hypothesis when its labeling is first read.
     """
 
@@ -63,8 +63,8 @@ def shatters(space: HypothesisSpace, instances: Sequence[Instance]) -> ShatterRe
     instances = check_instance_tuple(instances)
     table = space.dichotomies(instances)
     full = len(table) == 2 ** len(instances)
-    return ShatterResult(shattered=full, exact=table.exact,
-                         witnesses=table.witnesses if full else None)
+    return ShatterResult(shattered=full, exact=space.oracle_exact,
+                         witnesses=table if full else None)
 
 
 def vc_dimension(space: HypothesisSpace, pool: Sequence[Instance],
@@ -120,7 +120,7 @@ def vc_dimension(space: HypothesisSpace, pool: Sequence[Instance],
 
     witnesses: Mapping[Labeling, Hypothesis] = {}
     if best_set:
-        witnesses = dict(space.dichotomies(best_set).witnesses)
+        witnesses = dict(space.dichotomies(best_set))
 
     status = LOWER_BOUND
     if space.oracle_exact and not budget_hit:

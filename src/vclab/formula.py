@@ -9,13 +9,15 @@ strict comparisons.
 
 A formula plus a parameter source induces a hypothesis space of indicator
 functions.  A finite source is one sorted list of parameter tuples (a grid
-is the list of its product), and its restriction oracle is exact.  Over a
-sampled source on the exact backend, the threshold, interval and
-co-singleton shapes get their native spaces' exact oracles, and a single
-< or <= atom (or its negation) affine in the parameters is decided by
-Fourier-Motzkin elimination over them, each witness checked by the
-formula when read; otherwise parameter search yields verified subsets
-only, never claimed exact.  Every other restriction maps each labeling
+is the list of its product), and its restriction oracle is exact on the
+exact backend; no oracle of the float backend, whose doubles may round a
+comparison the wrong way, is claimed exact.  Over a sampled source on the
+exact backend, the threshold, interval and co-singleton shapes get their
+native spaces' exact oracles, and a single < or <= atom (or its
+negation) affine in the parameters is decided by Fourier-Motzkin
+elimination over them, each witness checked by the formula when read;
+otherwise parameter search yields verified subsets only, never claimed
+exact.  Every other restriction maps each labeling
 to the least tuple of a candidate list that gives it, read off
 per-point label columns by ``model.split_columns``; a column is built
 atom by atom, each comparison evaluated once per group of candidates
@@ -35,7 +37,6 @@ from functools import reduce
 from itertools import product, zip_longest
 
 from .model import (
-    DichotomyTable,
     Hypothesis,
     HypothesisSpace,
     Instance,
@@ -589,7 +590,7 @@ def _native(name: str, space: HypothesisSpace, params) -> _ClosedForm:
     turns a key into the formula's parameters in declared order."""
 
     def witnesses(instances):
-        keys = space.dichotomies(instances).witnesses.witness_keys
+        keys = space.dichotomies(instances).witness_keys
         return {lab: params(key) for lab, key in keys.items()}
 
     return _ClosedForm(name, space.known_vc(), witnesses)
@@ -619,11 +620,12 @@ def _affine(ast: FormulaAst) -> _ClosedForm | None:
     """A single < or <= atom, or its negation, affine in its k >= 1
     parameters: u(x, w) >= 0 (> 0 when strict), each point giving the row
     (u(x, 0), u(x, e_1) - u(x, 0), ...) of ``AffineWitnesses``, bounded by
-    Sauer's sum_{i<=k} C(n, i).  Its VC dimension is at most k (Dudley
-    1978): on k + 1 points the vectors (u(x_j, w))_j lie in an affine
-    subspace of dimension <= k, so some c != 0 has c . u constant there,
-    and labeling each x_j against the sign of c_j gives an orthant that
-    misses it."""
+    Sauer's sum_{i<=k} C(n, i).  Each point's constraint pair is built
+    once and kept for the closed form's lifetime.  Its VC dimension is at
+    most k (Dudley 1978): on k + 1 points the vectors (u(x_j, w))_j lie in
+    an affine subspace of dimension <= k, so some c != 0 has c . u
+    constant there, and labeling each x_j against the sign of c_j gives
+    an orthant that misses it."""
     root, negated = ast.root, False
     while isinstance(root, Not):
         root, negated = root.child, not negated
@@ -641,12 +643,17 @@ def _affine(ast: FormulaAst) -> _ClosedForm | None:
     # w = 0, then each unit vector e_i.
     units = [[int(i == j) for j in range(k)] for i in range(-1, k)]
 
+    rows: dict[Instance, tuple[tuple, tuple]] = {}
+
     def witnesses(instances):
         pairs = []
         for x in instances:
-            const, *values = [term(x.coords, w) for w in units]
-            pairs.append(_constraint_pair(const, [v - const for v in values],
-                                          strict))
+            pair = rows.get(x)
+            if pair is None:
+                const, *values = [term(x.coords, w) for w in units]
+                pair = rows[x] = _constraint_pair(
+                    const, [v - const for v in values], strict)
+            pairs.append(pair)
         return AffineWitnesses(pairs, sauer_bound(k, len(pairs)), "Sauer's")
 
     return _ClosedForm("affine", k, witnesses)
@@ -749,7 +756,9 @@ class DefinableSpace(HypothesisSpace):
     reads, for its whole lifetime: an atom is evaluated once per point,
     column extension and group (over a grid, once per value of what it
     reads).  The other two lists get columns that last one query, each
-    tuple its own group.  Truth values are the public predicate's.
+    tuple its own group.  Truth values are the public predicate's.  The
+    oracle is exact over an explicit source or a closed form, and only on
+    the exact backend: a double may put a point on the wrong side.
     """
 
     kind = "formula-defined"
@@ -777,8 +786,9 @@ class DefinableSpace(HypothesisSpace):
 
     @property
     def oracle_exact(self) -> bool:
-        return (isinstance(self.source, ExplicitParams)
-                or self.closed_form is not None)
+        return self.backend == EXACT and (
+            isinstance(self.source, ExplicitParams)
+            or self.closed_form is not None)
 
     def known_vc(self) -> int | None:
         return self.closed_form.vc if self.closed_form else None
@@ -857,26 +867,23 @@ class DefinableSpace(HypothesisSpace):
                 return {lab: candidates[i] for lab, i in found}
             size = min(total, 2 * size)
 
-    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+    def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         instances = check_instance_tuple(instances)
         for x in instances:
             if len(x.coords) != self.ast.arity:
                 raise ValueError(f"instance {x} does not have arity "
                                  f"{self.ast.arity}")
         if self.closed_form is not None:
-            return DichotomyTable(instances, _CheckedWitnesses(
-                self, instances), exact=True)
+            return _CheckedWitnesses(self, instances)
         points = [x.coords for x in instances]
-        exact = isinstance(self.source, ExplicitParams)
-        if exact:
+        if isinstance(self.source, ExplicitParams):
             found = self._least_witnesses(points, self.source.tuples,
                                           self._columns, self._values,
                                           self._groups)
         else:
             found = self._least_witnesses(points, list(_candidate_parameters(
                 self.ast, points, self.source)), {}, [], None)
-        return DichotomyTable(instances, LazyWitnesses(
-            found, self.hypothesis_from_key), exact=exact)
+        return LazyWitnesses(found, self.hypothesis_from_key)
 
 
 class _CheckedWitnesses(LazyWitnesses):

@@ -4,8 +4,8 @@ The central construction is the sample-error minimizer, which enumerates the
 realized labelings on the sample's instances, picks a labeling of minimal
 sample error (lexicographically least among minimizers), and returns the
 witness the space's restriction oracle gives for it (see
-``model.DichotomyTable`` for each family's witness rule; halfspace and
-sampled-formula witnesses are not least in any order).  Tie-breaking is
+``HypothesisSpace.dichotomies`` for each family's witness rule; halfspace
+and sampled-formula witnesses are not least in any order).  Tie-breaking is
 fully deterministic so enumeration-based verification is reproducible.
 """
 

@@ -433,52 +433,6 @@ class LazyWitnesses(Mapping):
         return len(self.witness_keys)
 
 
-class DichotomyTable(Record):
-    """Restrictions of a hypothesis space to a fixed ordered instance tuple.
-
-    ``witnesses`` maps each realized labeling (aligned with ``instances``)
-    to one hypothesis that gives it, built when first read from a witness
-    key chosen deterministically by the family (:class:`LazyWitnesses`):
-
-    * ``ExplicitSpace``: the least bit-vector; the table is shared by
-      every later call on the same instance tuple;
-    * thresholds, intervals, co-singletons: the canonical parameter of the
-      combinatorial enumerator (the least point labeled 1; the least and
-      greatest point labeled 1; the point labeled 0; past the largest
-      point when no point has that label);
-    * halfspaces: the point Fourier-Motzkin back-substitution picks on the
-      labeling's full system, which is not least in any order, kept if
-      the table's tree found it and else solved when first read
-      (``spaces.AffineWitnesses``);
-    * formulas: the least parameter tuple of a finite source; over a
-      sampled source on the exact backend, the native witness of a
-      threshold, interval or co-singleton shape, or, by the halfspaces'
-      rule, the Fourier-Motzkin point of an atom affine in its parameters,
-      each checked by the formula when first read; else the first tuple
-      the seeded search finds.
-
-    Each "least" or "first" there is the least index in a candidate list,
-    which :func:`split_columns` finds.
-
-    ``exact`` means the set of labelings is exactly the restriction of the
-    space; otherwise it is a verified subset.
-    """
-
-    instances: tuple[Instance, ...]
-    witnesses: Mapping[Labeling, Hypothesis]
-    exact: bool
-
-    @property
-    def labelings(self) -> frozenset[Labeling]:
-        return frozenset(self.witnesses)
-
-    def __len__(self) -> int:
-        return len(self.witnesses)
-
-    def __contains__(self, labeling: Labeling) -> bool:
-        return tuple(labeling) in self.witnesses
-
-
 def check_instance_tuple(instances: Sequence[Instance]) -> tuple[Instance, ...]:
     out = tuple(instances)
     if not out:
@@ -502,10 +456,36 @@ class HypothesisSpace:
     @property
     def oracle_exact(self) -> bool:
         """True when dichotomies() returns exactly the restriction of the
-        family on every finite instance set."""
+        family on every finite instance set; otherwise a verified subset."""
         return True
 
-    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+    def dichotomies(self, instances: Sequence[Instance]
+                    ) -> Mapping[Labeling, Hypothesis]:
+        """The restrictions of the space to the ordered instance tuple: a
+        read-only mapping from each realized labeling (aligned with the
+        instances) to one hypothesis that gives it.  ``in`` takes tuples.
+        The hypothesis is built when first read from a witness key chosen
+        deterministically by the family (:class:`LazyWitnesses`):
+
+        * ``ExplicitSpace``: the least bit-vector; the mapping is shared by
+          every later call on the same instance tuple;
+        * thresholds, intervals, co-singletons: the canonical parameter of
+          the combinatorial enumerator (the least point labeled 1; the
+          least and greatest point labeled 1; the point labeled 0; past
+          the largest point when no point has that label);
+        * halfspaces: the point Fourier-Motzkin back-substitution picks on
+          the labeling's full system, which is not least in any order,
+          kept if the table's tree found it and else solved when first
+          read (``spaces.AffineWitnesses``);
+        * formulas: the least parameter tuple of a finite source; over a
+          sampled source on the exact backend, the native witness of a
+          threshold, interval or co-singleton shape, or, by the
+          halfspaces' rule, the Fourier-Motzkin point of an atom affine in
+          its parameters, each checked by the formula when first read;
+          else the first tuple the seeded search finds.
+
+        Each "least" or "first" there is the least index in a candidate
+        list, which :func:`split_columns` finds."""
         raise NotImplementedError
 
     def dichotomy_count(self, instances: Sequence[Instance]) -> int:
@@ -573,7 +553,7 @@ class ExplicitSpace(HypothesisSpace):
         self._columns = {
             x: int("".join(str(row[j]) for row in reversed(self._vectors)), 2)
             for j, x in enumerate(domain)}
-        self._tables: OrderedDict[tuple, DichotomyTable] = OrderedDict()
+        self._tables: OrderedDict[tuple, LazyWitnesses] = OrderedDict()
 
     @classmethod
     def full(cls, instances: Sequence) -> "ExplicitSpace":
@@ -598,7 +578,7 @@ class ExplicitSpace(HypothesisSpace):
     def hypothesis_from_key(self, key) -> Hypothesis:
         return self.hypothesis_from_bits(key)
 
-    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+    def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         """Each distinct restriction with the least vector that gives it as
         witness, in order of that vector; instances outside the domain are
         labeled 0.  A tuple asked about before gets its memoized table."""
@@ -612,8 +592,7 @@ class ExplicitSpace(HypothesisSpace):
         vectors = self._vectors
         keys = {lab: vectors[i] for lab, i in split_columns(
             [self._columns.get(x, 0) for x in instances], len(vectors))}
-        table = tables[key] = DichotomyTable(
-            instances, LazyWitnesses(keys, self._hypothesis), exact=True)
+        table = tables[key] = LazyWitnesses(keys, self._hypothesis)
         if len(tables) > EXPLICIT_TABLE_MEMO:
             tables.popitem(last=False)
         return table
@@ -717,8 +696,9 @@ class DiscreteDistribution:
         return f"DiscreteDistribution({{{inner}}})"
 
 
-def common_denominator(weights: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The least common denominator D of the weights, and each weight
+def common_denominator(weights: Sequence[int | Fraction]
+                       ) -> tuple[int, list[int]]:
+    """The least common denominator D of the rationals, and each one
     times D."""
     denom = math.lcm(*(w.denominator for w in weights))
     return denom, [w.numerator * (denom // w.denominator) for w in weights]
@@ -765,22 +745,22 @@ def restriction_errors(space: HypothesisSpace,
     not.  The weight a labeling gets wrong is the sum over those instances
     of the weight on the label it does not give; with int weights it is an
     int, and it may be the int 0 with ``Fraction`` weights.  With
-    ``require_exact`` an inexact table raises ``InexactOracleError``.
+    ``require_exact`` a space whose oracle is inexact raises
+    ``InexactOracleError`` before any table is built.
     """
+    if require_exact and not space.oracle_exact:
+        raise InexactOracleError(
+            f"{space.kind} space has no exact restriction oracle here; "
+            "pass require_exact=False to accept a verified-subset bound")
     mass: dict[Instance, list] = {}
     for z, w in weighted:
         mass.setdefault(z.instance, [0, 0])[z.label] += w
     instances = tuple(sorted(mass, key=Instance.sort_key))
     table = space.dichotomies(instances)
-    if require_exact and not table.exact:
-        raise InexactOracleError(
-            f"{space.kind} space has no exact restriction oracle here; "
-            "pass require_exact=False to accept a verified-subset bound")
     # Labeling an instance y misclassifies the weight on label 1 - y.
     flipped = [(mass[x][1], mass[x][0]) for x in instances]
-    witnesses = table.witnesses
-    return witnesses, ((sum(map(getitem, flipped, labeling)), labeling)
-                       for labeling in witnesses)
+    return table, ((sum(map(getitem, flipped, labeling)), labeling)
+                   for labeling in table)
 
 
 def approximation_error(space: HypothesisSpace, dist: DiscreteDistribution,

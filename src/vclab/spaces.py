@@ -43,13 +43,13 @@ from itertools import chain, combinations, product
 from operator import mul
 
 from .model import (
-    DichotomyTable,
     Hypothesis,
     HypothesisSpace,
     Instance,
     Labeling,
     LazyWitnesses,
     check_instance_tuple,
+    common_denominator,
     to_fraction,
 )
 
@@ -103,11 +103,11 @@ def cosingleton_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Frac
 
 
 def _line_table(space: HypothesisSpace, instances: Sequence[Instance],
-                enumerate_labelings) -> DichotomyTable:
+                enumerate_labelings) -> LazyWitnesses:
     """A table keyed by the parameters of a line family's enumerator."""
-    instances = check_instance_tuple(instances)
-    return DichotomyTable(instances, LazyWitnesses(dict(enumerate_labelings(
-        [x.scalar for x in instances])), space.hypothesis_from_key), exact=True)
+    return LazyWitnesses(dict(enumerate_labelings([
+        x.scalar for x in check_instance_tuple(instances)])),
+        space.hypothesis_from_key)
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +123,9 @@ def _line_table(space: HypothesisSpace, instances: Sequence[Instance],
 
 def _primitive(coeffs, const) -> tuple[int, ...]:
     """The row (const, *coeffs) of ints or Fractions scaled by a positive
-    rational to coprime integers: times the lcm of the denominators, then
+    rational to coprime integers: over their common denominator, then
     divided by the gcd.  An all-zero row stays all zero."""
-    values = (const, *coeffs)
-    scale = math.lcm(*[v.denominator for v in values])
-    ints = [v.numerator * (scale // v.denominator) for v in values]
+    _, ints = common_denominator((const, *coeffs))
     g = math.gcd(*ints)
     return tuple([v // g for v in ints] if g > 1 else ints)
 
@@ -454,7 +452,7 @@ class ThresholdSpace(HypothesisSpace):
         return Hypothesis(key=("threshold", w),
                           fn=lambda x, _w=w: 1 if x.scalar >= _w else 0)
 
-    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+    def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         return _line_table(self, instances, threshold_dichotomies)
 
 
@@ -477,7 +475,7 @@ class IntervalSpace(HypothesisSpace):
         a, b = key
         return self.hypothesis(a, b)
 
-    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+    def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         return _line_table(self, instances, interval_dichotomies)
 
 
@@ -494,14 +492,8 @@ class CoSingletonSpace(HypothesisSpace):
         return Hypothesis(key=("co-singleton", w),
                           fn=lambda x, _w=w: 0 if x.scalar == _w else 1)
 
-    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+    def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         return _line_table(self, instances, cosingleton_dichotomies)
-
-
-def _integer_vector(values) -> list[int]:
-    """The rationals times the lcm of their denominators."""
-    scale = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 class HalfspaceSpace(HypothesisSpace):
@@ -555,7 +547,7 @@ class HalfspaceSpace(HypothesisSpace):
             if len(coords) != self.dim:
                 raise ValueError(f"instance {x} is not {self.dim}-dimensional")
             rows = self._rows[x] = (_constraint_pair(0, (*coords, 1), False),
-                                    _integer_vector((*coords, 1)),
+                                    common_denominator((*coords, 1))[1],
                                     1 << len(self._rows))
         return rows
 
@@ -575,7 +567,7 @@ class HalfspaceSpace(HypothesisSpace):
             self._nonzero[key] = m[0][0] != 0
         return self._nonzero[key]
 
-    def dichotomies(self, instances: Sequence[Instance]) -> DichotomyTable:
+    def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         """``AffineWitnesses`` bounded by Cover's count, its ``len`` at
         once for dim + 1 or more points in general position.  Each point
         (den, den*w, den*b) found is checked apart from FM and its rows:
@@ -592,7 +584,6 @@ class HalfspaceSpace(HypothesisSpace):
                      for row in checks[:len(labeling)]) != labeling:
                 raise AssertionError("halfspace witness failed verification")
 
-        keys = AffineWitnesses(pairs, self._cover(n), "Cover's", general,
-                               check)
-        return DichotomyTable(instances, LazyWitnesses(
-            keys, self.hypothesis_from_key), exact=True)
+        return LazyWitnesses(AffineWitnesses(
+            pairs, self._cover(n), "Cover's", general, check),
+            self.hypothesis_from_key)

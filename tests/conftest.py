@@ -122,12 +122,12 @@ def reference_approximation_error(space, dist, require_exact=True):
     ``approximation_error`` had before it scored integer numerators."""
     instances = dist.instances()
     table = space.dichotomies(instances)
-    assert table.exact or not require_exact
+    assert space.oracle_exact or not require_exact
     position = {x: i for i, x in enumerate(instances)}
     return min(sum((w for z, w in dist.items()
                     if labeling[position[z.instance]] != z.label),
                    Fraction(0))
-               for labeling in table.witnesses)
+               for labeling in table)
 
 
 def fm_solve(constraints, nvars):

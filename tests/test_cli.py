@@ -378,6 +378,40 @@ class TestCli:
         assert code == 0
         assert payload["result"]["status"] == "not-found"
 
+    def test_float_backend_oracle_is_not_exact(self, tmp_path, capsys):
+        """1/10 + 1/5 = 3/10 is false in doubles, so the float table over
+        one tuple lacks label 1, which the exact backend realizes: the
+        float space claims no exact oracle, and the error operations that
+        need one refuse it."""
+        flags = ("--text", "x + b = a", "--objects", "x", "--params", "a,b",
+                 "--params-list", "3/10,1/5", "--backend", "float")
+        code, payload = run(tmp_path, "formula", "shatter", *flags,
+                            "--instances", "1/10")
+        assert code == 0
+        assert payload["result"]["status"] == "not-found"
+        code, payload = run(tmp_path, "formula", "space", *flags,
+                            "--pool", "1/10")
+        assert code == 0
+        assert payload["result"]["oracle_exact"] is False
+        assert payload["result"]["dichotomies"] == ["0"]
+        space = {"kind": "formula-defined", "formula": "x + b = a",
+                 "objects": ["x"], "params": ["a", "b"], "backend": "float",
+                 "source": {"type": "explicit", "tuples": [["3/10", "1/5"]]}}
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        dist = {"support": [[{"rat": "1/10"}, 1], [{"rat": "1/2"}, 0]],
+                "weights": ["1/2", "1/2"]}
+        (tmp_path / "dist.json").write_text(json.dumps(dist))
+        common = ("--space", str(tmp_path / "space.json"), "--dist",
+                  str(tmp_path / "dist.json"), "--m", "2", "--eps", "0.5",
+                  "--exact")
+        for argv in (("ucp-sim", *common),
+                     ("pac-sim", *common, "--learner", "builtin:sem")):
+            out = tmp_path / argv[0]
+            out.mkdir()
+            capsys.readouterr()
+            assert run(out, *argv) == (2, None)
+            assert "exact restriction oracle" in capsys.readouterr().err
+
     def test_formula_shatter_agrees_with_vcdim_over_finite_source(
             self, tmp_path):
         """--grid and --params-list define the whole parameter family: an

@@ -47,7 +47,7 @@ class TestShatters:
         result = shatters(ThresholdSpace(), points(1, 2))
         assert not result.shattered
         assert result.status == "not-shattered"
-        labelings = ThresholdSpace().dichotomies(points(1, 2)).labelings
+        labelings = set(ThresholdSpace().dichotomies(points(1, 2)))
         assert (1, 0) not in labelings
 
     def test_singleton_space(self):

@@ -350,8 +350,7 @@ class TestDefinableSpace:
         assert space.oracle_exact
         assert len(list(space.hypotheses())) == 3
         table = space.dichotomies(points(0, 1, 2))
-        assert table.exact
-        assert table.labelings == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
+        assert set(table) == {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
 
     def test_grid_lists_its_product(self):
         axes = [[2, "1/2", 2], [1, 0]]
@@ -365,9 +364,8 @@ class TestDefinableSpace:
         space = DefinableSpace(ast, SampledParams(budget=100))
         assert space.closed_form.name == "co-singleton"
         table = space.dichotomies(points(1, 2, 3))
-        assert table.exact
-        assert table.labelings == {(1, 1, 1), (0, 1, 1), (1, 0, 1),
-                                   (1, 1, 0)}
+        assert space.oracle_exact
+        assert set(table) == {(1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
 
     def test_recognized_forms_match_native_spaces(self):
         """Each recognized shape, also with its parameters declared in
@@ -407,16 +405,16 @@ class TestDefinableSpace:
             assert space.closed_form is not None
             table = space.dichotomies(pool)
             want = native.dichotomies(pool)
-            assert table.exact and table.labelings == want.labelings
+            assert space.oracle_exact and set(table) == set(want)
             assert space.known_vc() == native.known_vc()
-            for labeling, h in table.witnesses.items():
+            for labeling, h in table.items():
                 w = h.key[1:]
                 assert tuple(1 if predicate(x.coords, w) else 0
                              for x in pool) == labeling
                 if fm:
                     assert w == declared_fm_witness(pool, index, labeling)
                 else:
-                    native_w = want.witnesses[labeling].key[1:]
+                    native_w = want[labeling].key[1:]
                     assert w == tuple(native_w[i] for i in index)
 
     @pytest.mark.parametrize("text, params, native", [
@@ -440,7 +438,7 @@ class TestDefinableSpace:
         pool = points(3, 1, 2)
         table = space.dichotomies(pool)
         assert space.closed_form is not None and len(table) >= 4
-        for labeling, h in dict(table.witnesses).items():
+        for labeling, h in dict(table).items():
             assert h.key[0] == "formula"
             assert tuple(h(x) for x in pool) == labeling
         assert calls == []
@@ -457,7 +455,7 @@ class TestDefinableSpace:
         pool = points(-1, 0, 2)
         table = space.dichotomies(pool)
         assert len(table) >= 4 and extensions == []
-        witnesses = [h.key[1:] for h in dict(table.witnesses).values()]
+        witnesses = [h.key[1:] for h in dict(table).values()]
         assert Counter((x, a) for counts in extensions for x, a, _
                        in counts.elements()) == reference_atom_counts(
             ast, "exact", [x.coords for x in pool], witnesses)
@@ -482,8 +480,7 @@ class TestDefinableSpace:
                                  for x in pool)
                 least.setdefault(labeling, w)
             table = DefinableSpace(ast, source).dichotomies(pool)
-            assert {lab: h.key[1:] for lab, h in table.witnesses.items()} \
-                == least
+            assert {lab: h.key[1:] for lab, h in table.items()} == least
 
     def test_interval_recognition_with_swapped_declaration_order(self):
         ast = parse_formula("b <= x and x <= a", ["x"], ["a", "b"])
@@ -491,7 +488,7 @@ class TestDefinableSpace:
         assert space.closed_form.name == "interval"
         got = space.dichotomies(points(1, 2, 3))
         want = IntervalSpace().dichotomies(points(1, 2, 3))
-        assert got.exact and got.labelings == want.labelings
+        assert space.oracle_exact and set(got) == set(want)
 
     def test_unrecognized_sampled_is_sound_subset(self):
         ast = parse_formula("p * p * x <= 1", ["x"], ["p"])
@@ -500,15 +497,14 @@ class TestDefinableSpace:
         assert not space.oracle_exact
         pool = points(1, 2)
         table = space.dichotomies(pool)
-        assert not table.exact
-        for labeling, h in table.witnesses.items():
+        for labeling, h in table.items():
             assert tuple(h(x) for x in pool) == labeling
 
     def test_explicit_params(self):
         ast = parse_formula("p <= x", ["x"], ["p"])
         space = DefinableSpace(ast, ExplicitParams.of([[0], [2]]))
         table = space.dichotomies(points(1,))
-        assert table.exact and table.labelings == {(0,), (1,)}
+        assert space.oracle_exact and set(table) == {(0,), (1,)}
 
     def test_inexact_oracle_gates_error_operations(self):
         from vclab import (
@@ -550,7 +546,7 @@ class TestDefinableSpace:
         ast = parse_formula("0 <= x", ["x"])
         space = DefinableSpace(ast, ExplicitParams.of([[]]))
         table = space.dichotomies(points(-1, 1))
-        assert table.exact and table.labelings == {(0, 1)}
+        assert space.oracle_exact and set(table) == {(0, 1)}
 
 
 def spellings(value: F) -> list:
@@ -649,8 +645,8 @@ def test_label_columns_match_first_witnesses(data):
                 space._groups).items()) == list(want.items())
         if xs:
             table = space.dichotomies(points(*xs))
-            assert table.exact == finite
-            assert [(lab, h.key[1:]) for lab, h in table.witnesses.items()] \
+            assert space.oracle_exact == (finite and backend == "exact")
+            assert [(lab, h.key[1:]) for lab, h in table.items()] \
                 == list(want.items())
 
 
@@ -818,7 +814,7 @@ def test_atoms_evaluated_at_most_as_often_as_short_circuit_walk(data):
             # A count evaluates nothing; a read evaluates the formula at
             # every point once, with the witness.
             assert got == Counter()
-            witnesses = [h.key[1:] for h in dict(table.witnesses).values()]
+            witnesses = [h.key[1:] for h in dict(table).values()]
             assert Counter((x, a) for counts in extensions for x, a, _
                            in counts.elements()) == reference_atom_counts(
                 ast, backend, pool, witnesses)
@@ -870,23 +866,24 @@ class TestConvertedValues:
                     want = reference_first_witnesses(predicate, coords,
                                                       candidates)
                     table = space.dichotomies(pool)
-                    assert [(lab, h.key[1:]) for lab, h
-                            in table.witnesses.items()] == \
-                        list(want.items()), (text, backend, source)
-                    for lab, h in table.witnesses.items():
+                    assert [(lab, h.key[1:]) for lab, h in table.items()] \
+                        == list(want.items()), (text, backend, source)
+                    for lab, h in table.items():
                         assert tuple(h(x) for x in pool) == lab
 
     def test_float_backend_rounds_once(self):
-        """1/10 + 1/5 = 3/10 holds exactly but not in doubles."""
+        """1/10 + 1/5 = 3/10 holds exactly but not in doubles, so the
+        float backend's oracle is not exact."""
         ast = parse_formula("x + b = a", ["x"], ["a", "b"])
         source = ExplicitParams.of([(F(3, 10), F(1, 5))])
         x, w = (F(1, 10),), source.tuples[0]
         for backend, label in (("exact", 1), ("float", 0)):
             assert compile_formula(ast, backend)(x, w) == bool(label)
-            table = DefinableSpace(ast, source, backend).dichotomies(
-                points(x[0]))
-            assert table.labelings == {(label,)}
-            assert table.witnesses[(label,)](Instance.point(*x)) == label
+            space = DefinableSpace(ast, source, backend)
+            table = space.dichotomies(points(x[0]))
+            assert set(table) == {(label,)}
+            assert table[(label,)](Instance.point(*x)) == label
+            assert space.oracle_exact == (backend == "exact")
 
 
 class TestAffineOracle:
@@ -941,9 +938,9 @@ class TestAffineOracle:
         space = DefinableSpace(ast, SampledParams(budget=10))
         table = space.dichotomies(points(1, 2))
         assert len(table) == 3 and (0, 0) in table
-        table.witnesses[(1, 1)]
+        table[(1, 1)]
         with pytest.raises(AssertionError, match="affine witnesses disagree"):
-            table.witnesses[(0, 0)]
+            table[(0, 0)]
 
     def test_wrong_witness_does_not_exit_2(self, wrong_witness, tmp_path):
         (tmp_path / "space.json").write_text(json.dumps(
@@ -991,6 +988,32 @@ class TestAffineKernel:
             == [(lab, h.key[1:]) for lab, h in native.witnesses.items()]
         assert formula_calls <= len(fm_calls) == 8
 
+    def test_rows_are_kept_for_the_space_lifetime(self, monkeypatch):
+        """A second table over the same points, here in reverse order,
+        evaluates the compiled term 0 times, and has the labelings and
+        witnesses of a fresh space's table."""
+        calls = []
+        compile_term = vclab.formula._compile_term
+
+        def counted(node, slots, const):
+            term = compile_term(node, slots, const)
+
+            def evaluate(x, w):
+                calls.append(node)
+                return term(x, w)
+            return evaluate
+        monkeypatch.setattr(vclab.formula, "_compile_term", counted)
+        pool = seed5_plane_pool()
+        ast = parse_formula(HALFSPACE_TEXT, ["x1", "x2"], ["w1", "w2", "b"])
+        space = DefinableSpace(ast, SampledParams())
+        assert len(space.dichotomies(pool)) > 0 and calls
+        calls.clear()
+        table = space.dichotomies(pool[::-1])
+        assert len(table) > 0 and calls == []
+        fresh = DefinableSpace(ast, SampledParams()).dichotomies(pool[::-1])
+        assert [(lab, h.key) for lab, h in table.items()] == \
+            [(lab, h.key) for lab, h in fresh.items()]
+
     def test_quadratic_threshold_solves_only_witness_reads(self, fm_calls):
         """Every subset of -3..3 has at most 4 points, whose rows
         (0, x*x, x, 1) take the affine dependence rule; the 8 reads of the
@@ -1012,9 +1035,9 @@ class TestAffineKernel:
                                SampledParams())
         pool = points(-1, 1)
         table = space.dichotomies(pool)
-        assert list(table.witnesses) == [(0, 1), (1, 0), (1, 1)]
+        assert list(table) == [(0, 1), (1, 0), (1, 1)]
         assert (0, 0) not in table and len(table) == 3
-        for lab, h in table.witnesses.items():
+        for lab, h in table.items():
             assert tuple(h(x) for x in pool) == lab
 
     @pytest.mark.parametrize("coords", [
@@ -1037,9 +1060,8 @@ class TestAffineKernel:
         table = DefinableSpace(ast, SampledParams()).dichotomies(pool)
         assert len(fm_calls) == sum(len(sweep_table(coords[:j])) // 2
                                     for j in range(1, 6))
-        assert list(table.witnesses) == [lab for lab, _ in
-                                         sweep_table(coords)]
-        for lab, h in table.witnesses.items():
+        assert list(table) == [lab for lab, _ in sweep_table(coords)]
+        for lab, h in table.items():
             assert h.key[1:] == declared_fm_witness(pool, index, lab)
 
     def test_a_labeling_over_sauers_bound_raises(self, monkeypatch,
@@ -1096,11 +1118,11 @@ def test_affine_oracle_against_grid_and_sauer(data):
     pool = points(*xs)
     space = DefinableSpace(ast, SampledParams(budget=10))
     table = space.dichotomies(pool)
-    assert table.exact
+    assert space.oracle_exact
     predicate = compile_formula(ast)
     grid = {tuple(1 if predicate(x.coords, w) else 0 for x in pool)
             for w in product(GRID_AXIS, repeat=k)}
-    assert grid <= table.labelings, text
+    assert grid <= set(table), text
     assert len(table) <= sum(math.comb(len(pool), i) for i in range(k + 1))
     vc_dimension(space, pool)
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -234,21 +235,23 @@ class TestEmpiricalDistribution:
 
 class TestRealizedDichotomies:
     def test_full_class_two_points(self):
-        table = ExplicitSpace.full(atoms(2)).dichotomies(atoms(2))
-        assert table.exact
-        assert table.labelings == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        space = ExplicitSpace.full(atoms(2))
+        table = space.dichotomies(atoms(2))
+        assert space.oracle_exact
+        assert set(table) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_thresholds(self):
-        table = ThresholdSpace().dichotomies(points_12())
-        assert table.exact and table.labelings == {(0, 0), (0, 1), (1, 1)}
+        space = ThresholdSpace()
+        table = space.dichotomies(points_12())
+        assert space.oracle_exact and set(table) == {(0, 0), (0, 1), (1, 1)}
 
     def test_cosingletons(self):
         from vclab import CoSingletonSpace
         instances = [Instance.point(i) for i in (1, 2, 3)]
-        table = CoSingletonSpace().dichotomies(instances)
-        assert table.exact
-        assert table.labelings == {(1, 1, 1), (0, 1, 1), (1, 0, 1),
-                                   (1, 1, 0)}
+        space = CoSingletonSpace()
+        table = space.dichotomies(instances)
+        assert space.oracle_exact
+        assert set(table) == {(1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
 
     def test_explicit_matches_brute_force(self):
         rng = random.Random(3)
@@ -258,7 +261,7 @@ class TestRealizedDichotomies:
             subset = rng.sample(space.domain, k)
             table = space.dichotomies(subset)
             brute = {tuple(h(x) for x in subset) for h in space.hypotheses()}
-            assert table.exact and table.labelings == brute
+            assert space.oracle_exact and set(table) == brute
             assert space.dichotomy_count(subset) == len(brute)
 
     def test_monotone_in_instances(self):
@@ -314,7 +317,7 @@ def test_restriction_errors_match_per_hypothesis_sums():
         witnesses, scored = restriction_errors(space, pairs)
         scored = list(scored)
         assert [lab for _, lab in scored] == \
-            list(space.dichotomies(instances).witnesses)
+            list(space.dichotomies(instances))
         for wrong, lab in scored:
             h = witnesses[lab]
             assert tuple(h(x) for x in instances) == lab
@@ -362,8 +365,7 @@ def test_explicit_restrictions_match_row_walk(data):
                                    min_size=1, max_size=nx + 3, unique=True))
     table = space.dichotomies(instances)
     reference = row_walking_dichotomies(space, instances)
-    assert table.instances == tuple(instances)
-    assert [(lab, h.key) for lab, h in table.witnesses.items()] == \
+    assert [(lab, h.key) for lab, h in table.items()] == \
         [(lab, h.key) for lab, h in reference.items()]
     assert space.dichotomy_count(instances) == len(table)
     missing = {tuple(r) for r in product((0, 1), repeat=nx)} - \
@@ -402,7 +404,13 @@ LAZY_TABLES = {
     "formula-sampled": (lambda: formula_space(
         "p * p * x <= 1", ["p"], SampledParams(budget=400, seed=1)),
         points(1, 2)),
+    "formula-float-grid": (lambda: DefinableSpace(parse_formula(
+        "a <= x and x <= b", ["x"], ["a", "b"]),
+        ExplicitParams.grid([range(5), range(5)]), "float"), points(1, 2, 3)),
 }
+# The families whose restriction oracle is not exact: parameter search,
+# and the float backend.
+INEXACT_TABLES = {"formula-sampled", "formula-float-grid"}
 
 
 @pytest.fixture
@@ -427,17 +435,34 @@ def test_a_table_builds_a_hypothesis_only_when_one_is_read(built, family):
     space = make()
     built.clear()
     table = space.dichotomies(instances)
-    labelings = list(table.witnesses)
+    labelings = list(table)
     assert space.dichotomy_count(instances) == len(table) == \
-        len(table.witnesses) == len(labelings) > 1
-    assert all(lab in table and lab in table.witnesses for lab in labelings)
-    assert table.labelings == set(labelings)
+        len(labelings) > 1
+    assert all(lab in table for lab in labelings)
+    assert set(table) == set(labelings)
     assert built == []
     lab = labelings[-1]
-    h = table.witnesses[lab]
+    h = table[lab]
     assert built == [h.key]
-    assert table.witnesses[lab] is h and built == [h.key]
+    assert table[lab] is h and built == [h.key]
     assert tuple(h(x) for x in instances) == lab
+
+
+@pytest.mark.parametrize("family", sorted(LAZY_TABLES))
+def test_dichotomies_is_a_mapping_whose_views_agree(family):
+    """Every family's table is a ``Mapping``: its ``len``, ``in`` and
+    iteration agree, and ``shatters`` reports the space's own exactness
+    flag."""
+    make, instances = LAZY_TABLES[family]
+    space = make()
+    table = space.dichotomies(instances)
+    assert isinstance(table, Mapping)
+    labelings = list(table)
+    assert len(table) == len(set(labelings)) == len(labelings)
+    assert [lab for lab in product((0, 1), repeat=len(instances))
+            if lab in table] == sorted(labelings)
+    assert space.oracle_exact is (family not in INEXACT_TABLES)
+    assert shatters(space, instances).exact is space.oracle_exact
 
 
 def test_a_memoized_table_keeps_no_reference_to_its_space():
@@ -449,7 +474,7 @@ def test_a_memoized_table_keeps_no_reference_to_its_space():
     try:
         space = ExplicitSpace.full(atoms(3))
         table = space.dichotomies(atoms(2))
-        assert table.witnesses[0, 1](atoms(3)[1]) == 1
+        assert table[0, 1](atoms(3)[1]) == 1
         alive = ref(space)
         del space, table
         assert alive() is None
@@ -468,7 +493,7 @@ def test_explicit_space_builds_each_hypothesis_once(built):
     assert space.hypothesis_from_bits((1, 0)) is h
     assert space.hypothesis_from_bits((1.0, False)) is h
     assert h.key == ("explicit", (1, 0)) and built == [h.key]
-    assert space.dichotomies(atoms(2)).witnesses[1, 0] is h
+    assert space.dichotomies(atoms(2))[1, 0] is h
     listed = list(space.hypotheses())
     assert [g.key[1] for g in listed] == [(0, 0), (1, 0), (1, 1)]
     assert listed[1] is h
@@ -515,10 +540,10 @@ class TestExplicitTableMemo:
     def test_witnesses_are_read_only(self):
         space = ExplicitSpace.full(atoms(2))
         table = space.dichotomies(atoms(2))
-        h = table.witnesses[0, 1]
+        h = table[0, 1]
         with pytest.raises(TypeError):
-            table.witnesses[0, 1] = table.witnesses[1, 0]
-        assert space.dichotomies(atoms(2)).witnesses[0, 1] is h
+            table[0, 1] = table[1, 0]
+        assert space.dichotomies(atoms(2))[0, 1] is h
 
     def test_shatters_shares_and_vc_dimension_copies_the_witnesses(self):
         """``shatters`` hands over the memoized table's read-only
@@ -526,14 +551,14 @@ class TestExplicitTableMemo:
         space = ExplicitSpace.full(atoms(2))
         table = space.dichotomies(atoms(2))
         shared = shatters(space, atoms(2)).witnesses
-        assert shared is table.witnesses
+        assert shared is table
         with pytest.raises(TypeError):
             shared[0, 1] = shared[1, 0]
         copied = vc_dimension(space, atoms(2)).witnesses
         assert type(copied) is dict
-        assert copied == dict(table.witnesses)
+        assert copied == dict(table)
         copied.clear()
-        assert len(space.dichotomies(atoms(2)).witnesses) == 4
+        assert len(space.dichotomies(atoms(2))) == 4
 
     def test_warm_memo_gives_the_fresh_space_restriction_errors(self):
         rng = random.Random(11)

@@ -69,7 +69,7 @@ class TestHalfspaceEnumeration:
                Instance.point(3, 1)]
         space = HalfspaceSpace(2)
         for m in (3, 4, 5):
-            best = max(len(space.dichotomies(subset).witnesses)
+            best = max(len(space.dichotomies(subset))
                        for subset in combinations(pts, m))
             from math import comb
             assert best == 2 * sum(comb(m - 1, i) for i in range(3))
@@ -301,7 +301,7 @@ def test_cover_count_in_general_position(data):
     with mock.patch.object(vclab.spaces, "fm_witness", counted):
         table = space.dichotomies([Instance.point(*p) for p in pts])
         assert len(table) == cover_count(len(pts), dim) and calls == []
-        assert sum(1 for _ in table.witnesses) == len(table)
+        assert sum(1 for _ in table) == len(table)
     if dim >= 2 and len(pts) >= 3:
         p, q = pts[:2]
         moved = [*pts[:2], tuple(2 * b - a for a, b in zip(p, q)), *pts[3:]]
@@ -348,10 +348,10 @@ def test_kept_rows_match_a_fresh_space(pts, data):
         table = space.dichotomies(subset)
         fresh = HalfspaceSpace(len(pts[0])).dichotomies(subset)
         sweep = sweep_table(subset)
-        assert list(table.witnesses) == list(fresh.witnesses) == \
+        assert list(table) == list(fresh) == \
             [lab for lab, _ in sweep]
-        assert [h.key for h in table.witnesses.values()] == \
-            [h.key for h in fresh.witnesses.values()] == \
+        assert [h.key for h in table.values()] == \
+            [h.key for h in fresh.values()] == \
             [("halfspace", *params) for _, params in sweep]
         seen.update(subset)
         assert space._rows.keys() == seen
@@ -419,12 +419,12 @@ def test_rule_matches_the_sweep(pts):
         swept = HalfspaceSpace(dim).dichotomies(instances)
     sweep = sweep_table(pts)
     assert len(table) == len(swept) == len(sweep)
-    assert list(table.witnesses) == list(swept.witnesses) == \
+    assert list(table) == list(swept) == \
         [lab for lab, _ in sweep]
     assert [lab in table for lab in product((0, 1), repeat=len(pts))] == \
         [lab in swept for lab in product((0, 1), repeat=len(pts))]
-    assert [h.key for h in table.witnesses.values()] == \
-        [h.key for h in swept.witnesses.values()] == \
+    assert [h.key for h in table.values()] == \
+        [h.key for h in swept.values()] == \
         [("halfspace", *params) for _, params in sweep]
 
 
@@ -448,7 +448,7 @@ def test_complement_closed_table_matches_full_sweep(pts):
         assert len(table) == len(sweep)
         assert all((lab in table) == (lab in realized)
                    for lab in product((0, 1), repeat=len(pts)))
-        assert [(lab, h.key) for lab, h in table.witnesses.items()] == \
+        assert [(lab, h.key) for lab, h in table.items()] == \
             [(lab, ("halfspace", *params)) for lab, params in sweep]
 
 
@@ -487,7 +487,7 @@ def test_cover_count_up_to_14_points_of_the_plane(n, seed):
     pts = plane_points_in_general_position(random.Random(seed), n, span=1000)
     table = HalfspaceSpace(2).dichotomies([Instance.point(*p) for p in pts])
     assert len(table) == cover_count(n, 2)
-    assert sum(1 for _ in table.witnesses) == cover_count(n, 2)
+    assert sum(1 for _ in table) == cover_count(n, 2)
 
 
 def test_each_pool_point_made_primitive_once(monkeypatch):
@@ -650,7 +650,7 @@ class TestComplementClosure:
             table = space.dichotomies(self.MORE[:n])
             assert len(table) == len(sweep)
             assert [lab for lab in product((0, 1), repeat=n)
-                    if lab in table] == list(table.witnesses) == sweep
+                    if lab in table] == list(table) == sweep
             assert len(fm_calls) == calls
 
     def test_a_kernel_of_dimension_2_grows_a_prefix_tree(self, fm_calls):
@@ -663,18 +663,18 @@ class TestComplementClosure:
         fm_calls.clear()
         table = HalfspaceSpace(2).dichotomies(pts)
         assert len(fm_calls) == 6
-        assert list(table.witnesses) == sweep and len(table) == 8
+        assert list(table) == sweep and len(table) == 8
 
     def test_each_complement_witness_is_solved_once(self, fm_calls):
         table = HalfspaceSpace(2).dichotomies(self.PTS)
         assert len(fm_calls) == 1 + 2 + 4 + 7
-        lab = next(lab for lab in table.witnesses if lab[0] == 1)
-        assert table.witnesses[lab] is table.witnesses[lab]
+        lab = next(lab for lab in table if lab[0] == 1)
+        assert table[lab] is table[lab]
         assert len(fm_calls) == 1 + 2 + 4 + 7 + 1
         # (2, 2) lies between (0, 0) and (5, 5), so it cannot be labeled 0
         # while both are labeled 1.
         with pytest.raises(KeyError):
-            table.witnesses[(1, 0, 1, 0, 1)]
+            table[(1, 0, 1, 0, 1)]
         assert (1, 0, 1, 0, 1) not in table
 
     @staticmethod
@@ -701,7 +701,7 @@ class TestComplementClosure:
         table = HalfspaceSpace(2).dichotomies(self.PTS)
         assert len(table) == 20
         with pytest.raises(AssertionError, match=match):
-            table.witnesses[(1,) * 5]
+            table[(1,) * 5]
         self._pac_sim_raises(tmp_path, match, 1)
 
     def _pac_sim_raises(self, tmp_path, match, label):
@@ -796,7 +796,7 @@ class TestComplementClosure:
         assert (0,) * 5 in table
         match = "realized by the witness of its prefix but is infeasible"
         with pytest.raises(AssertionError, match=match):
-            table.witnesses[(0,) * 5]
+            table[(0,) * 5]
         self._pac_sim_raises(tmp_path, match, 0)
         table = kernel_table([(0, (*p, 1)) for p in self.COORDS])
         assert (0,) * 5 in table
@@ -812,7 +812,7 @@ def _check_rule_raises(tmp_path, match):
     table = HalfspaceSpace(2).dichotomies(pts)
     assert len(table) == 8
     with pytest.raises(AssertionError, match=match):
-        table.witnesses[(1, 1, 1)]
+        table[(1, 1, 1)]
     (tmp_path / "space.json").write_text(HALFSPACE_2D)
     with pytest.raises(AssertionError, match=match):
         main(["vcdim", "--space", str(tmp_path / "space.json"),
@@ -835,7 +835,7 @@ class TestAffineDependenceRule:
             table = space.dichotomies(self.PTS[:n])
             assert len(table) == len(sweep)
             assert [lab for lab in product((0, 1), repeat=n)
-                    if lab in table] == list(table.witnesses) == sweep
+                    if lab in table] == list(table) == sweep
             assert fm_calls == []
 
     @pytest.mark.parametrize("coords", [
@@ -852,23 +852,23 @@ class TestAffineDependenceRule:
         table = space.dichotomies(pts)
         assert fm_calls == []
         lab, params = sweep[len(sweep) // 2]
-        h = table.witnesses[lab]
+        h = table[lab]
         assert h.key == ("halfspace", *params) and len(fm_calls) == 1
-        assert table.witnesses[lab] is h and len(fm_calls) == 1
+        assert table[lab] is h and len(fm_calls) == 1
         missing = next(lab for lab in product((0, 1), repeat=len(pts))
                        if lab not in table)
         with pytest.raises(KeyError):
-            table.witnesses[missing]
+            table[missing]
         assert len(fm_calls) == 1
 
     def test_in_rejects_what_is_not_a_labeling(self):
         for pts in (self.PTS[:3], TestComplementClosure.PTS):
-            witnesses = HalfspaceSpace(2).dichotomies(pts).witnesses
+            table = HalfspaceSpace(2).dichotomies(pts)
             n = len(pts)
-            assert (0,) * n in witnesses
+            assert (0,) * n in table
             for bad in ((0,) * (n - 1), (0,) * (n + 1), (2,) + (0,) * (n - 1),
                         [0] * n, None):
-                assert bad not in witnesses
+                assert bad not in table
 
     def test_wrong_rule_witness_raises(self, monkeypatch, tmp_path):
         TestComplementClosure.patch_first_bit_1(
@@ -982,16 +982,16 @@ class TestDeferredHypotheses:
         assert space.dichotomy_count(self.PTS) == len(sweep) == 20
         table = space.dichotomies(self.PTS)
         assert len(table) == 20 and (0,) * 5 in table
-        assert list(table.witnesses) == sorted(table.witnesses)
+        assert list(table) == sorted(table)
         assert built == []
 
     def test_each_read_builds_one_once(self, built):
         table = HalfspaceSpace(2).dichotomies(self.PTS)
         for lab in ((0,) * 5, (1,) * 5):
-            h = table.witnesses[lab]
+            h = table[lab]
             assert tuple(h(x) for x in self.PTS) == lab
             assert len(built) == 1 and built[0] == h.key[1:]
-            assert table.witnesses[lab] is h
+            assert table[lab] is h
             assert len(built) == 1
             built.clear()
 
@@ -1028,7 +1028,7 @@ class TestWitnessCheck:
             self, negated_witnesses):
         table = HalfspaceSpace(2).dichotomies(self.PTS[:3])
         with pytest.raises(AssertionError, match="failed verification"):
-            table.witnesses[(0, 1, 1)]
+            table[(0, 1, 1)]
 
     def test_dichotomy_count_raises(self, negated_witnesses):
         """The check runs when a labeling is solved, not when its
@@ -1041,7 +1041,7 @@ class TestWitnessCheck:
         space = HalfspaceSpace(2)
         assert space.dichotomy_count(self.PTS[:3]) == 8
         with pytest.raises(AssertionError, match="failed verification"):
-            space.dichotomies(self.PTS[:3]).witnesses[(0, 0, 0)]
+            space.dichotomies(self.PTS[:3])[(0, 0, 0)]
 
     def test_a_witness_blind_to_the_new_point_raises(self, monkeypatch,
                                                     tmp_path):
@@ -1085,7 +1085,7 @@ class TestWitnessCheck:
         table = HalfspaceSpace(2).dichotomies(self.FRACTIONAL[:3])
         assert len(table) == 8
         with pytest.raises(AssertionError, match="failed verification"):
-            dict(table.witnesses)
+            dict(table)
 
     def test_wrong_rows_do_not_exit_2(self, denominators_dropped, tmp_path):
         (tmp_path / "space.json").write_text(
@@ -1101,7 +1101,7 @@ class TestParametricWitnesses:
         instances = points(3, 1, 2)  # unsorted on purpose
         table = space.dichotomies(instances)
         assert len(table) == 4
-        for labeling, h in table.witnesses.items():
+        for labeling, h in table.items():
             assert tuple(h(x) for x in instances) == labeling
 
     def test_interval_witnesses_reverify(self):
@@ -1109,15 +1109,15 @@ class TestParametricWitnesses:
         instances = points(5, 1, 3)
         table = space.dichotomies(instances)
         assert len(table) == 7
-        for labeling, h in table.witnesses.items():
+        for labeling, h in table.items():
             assert tuple(h(x) for x in instances) == labeling
 
     def test_cosingleton_witnesses_reverify(self):
         space = CoSingletonSpace()
         instances = points(2, 7)
         table = space.dichotomies(instances)
-        assert table.labelings == {(1, 1), (0, 1), (1, 0)}
-        for labeling, h in table.witnesses.items():
+        assert set(table) == {(1, 1), (0, 1), (1, 0)}
+        for labeling, h in table.items():
             assert tuple(h(x) for x in instances) == labeling
 
     def test_atoms_rejected_by_numeric_families(self):
