@@ -6,9 +6,9 @@ either by exact enumeration (small state spaces) or by seeded Monte Carlo
 with Wilson confidence intervals.
 
 Both modes work on counts over support indices: a drawn multi-sample
-carries how often each support entry was drawn, and exact mode enumerates
-multisets of support indices with multinomial weights (ordered tuples only
-for learners that depend on sample order).
+carries how often each support entry was drawn, exact mode enumerates
+multisets of indices with multinomial weights (ordered tuples only for
+order-dependent learners), and a UCP trial packs all windows in integers.
 
 Reproducibility: each trial runs on its own PRNG seeded by
 sha256(master_seed, trial_index), so results are independent of execution
@@ -33,6 +33,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain
+from operator import mul
 
 from .learners import LearningFunction
 from .model import (
@@ -147,10 +148,12 @@ class InverseCDF:
     a top byte that is not split to the position of its ``below`` value in
     ``bases``, the distinct such values, so that a translated chunk can be
     counted per index in C; a split top byte maps to ``len(bases)``, which
-    is never counted.
+    is never counted.  The support is checked for ``Sample``s once, here.
     """
 
     def __init__(self, support: tuple[Sample, ...], cum: Sequence[float]):
+        if not all(isinstance(z, Sample) for z in support):
+            raise ValueError("an inverse CDF needs a support of Samples")
         total = cum[-1] + 0.0
         self.support = support
         self.thresholds = tuple(_least_reaching(c, total) for c in cum[:-1])
@@ -191,10 +194,10 @@ def draw_multisample(cdf: InverseCDF, m: int, rng: random.Random,
     ``rng.choices`` draws with the cumulative weights ``cdf`` was built
     from, leaving the generator in the same state.
 
-    The 2m raw words come in chunks of ``_CHUNK`` draws and are decoded by
-    ``cdf``.  The result carries only the per-index counts, its samples in
-    canonical support order, unless ``ordered``: then it also holds the
-    index sequence in draw order, for learners that depend on it.
+    The 2m raw words come in chunks of ``_CHUNK`` draws, decoded by ``cdf``
+    into counts that must add up to m.  The result carries only those, its
+    samples in canonical support order, unless ``ordered``: then it also
+    holds the index sequence in draw order, for learners that depend on it.
     """
     below, thresholds = cdf.below, cdf.thresholds
     counts = [0] * len(cdf.support)
@@ -225,7 +228,9 @@ def draw_multisample(cdf: InverseCDF, m: int, rng: random.Random,
             indices += chunk
     if ordered:
         return MultiSample.from_draw(cdf.support, indices)
-    return MultiSample.from_counts(cdf.support, counts)
+    if sum(counts) != m:
+        raise AssertionError(f"decoded {sum(counts)} draws, not {m}")
+    return MultiSample.unchecked(support=cdf.support, counts=tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +333,44 @@ def estimate_ucp_probability(space: HypothesisSpace,
     """Probability that the supremum deviation statistic is <= eps for an
     m-sample drawn from the distribution.
 
-    |true error - wrong/m| <= eps holds iff the labeling's wrong-count lies
-    in the integer window [ceil(m(te - eps)), floor(m(te + eps))], so a
-    draw succeeds iff every realized labeling's count of drawn support
-    entries it gets wrong lies in its window.
+    A labeling of true error te and wrong-count c has |te - c/m| <= eps iff
+    c lies in [lo, hi] = [ceil(m(te - eps)), floor(m(te + eps))], found in
+    integers over the common denominator of eps and the weights; a draw
+    succeeds iff every realized labeling w's count c_w lies in its window.
+
+    The windows are tested at once in fields of W = (m + 1).bit_length() + 1
+    bits, so m + 1 < H = 2**(W-1).  V_i has a 1 in field w iff window w gets
+    entry i wrong, so s = sum_i counts[i] * V_i has c_w in field w.  LOW,
+    HIGH and TOP have H - lo, H + hi and H there, with lo clamped into
+    [0, m + 1] and hi into [-1, m], which changes no verdict.  Field w of
+    s + LOW is c_w + H - lo and of HIGH - s is H + hi - c_w, both within
+    [H - m - 1, H + m] in [0, 2**W): nothing carries or borrows, and their
+    top bits say c_w >= lo, c_w <= hi: success is (s+LOW)&(HIGH-s)&TOP == TOP.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     eps_exact = to_fraction(eps)
+    denom, (reach, *nums) = common_denominator(
+        [eps_exact, *(w for _, w in dist.items())])
     positions = {x: i for i, x in enumerate(dist.instances())}
-    windows = []
-    for te, lab in restriction_errors(space, dist.items())[1]:
-        wrong = tuple(i for i, z in enumerate(dist.support)
-                      if lab[positions[z.instance]] != z.label)
-        windows.append((wrong, math.ceil(m * (te - eps_exact)),
-                        math.floor(m * (te + eps_exact))))
+    width = (m + 1).bit_length() + 1
+    half = 1 << (width - 1)
+    vectors = [0] * len(nums)
+    low = high = top = 0
+    scored = restriction_errors(space, zip(dist.support, nums))[1]
+    for w, (wrong, lab) in enumerate(scored):
+        shift = width * w
+        vectors = [v | (lab[positions[z.instance]] != z.label) << shift
+                   for v, z in zip(vectors, dist.support)]
+        lo = min(max(-(m * (reach - wrong) // denom), 0), m + 1)
+        hi = min(max(m * (wrong + reach) // denom, -1), m)
+        low |= (half - lo) << shift
+        high |= (half + hi) << shift
+        top |= half << shift
 
     def success(zbar: MultiSample) -> bool:
-        counts = zbar.counts
-        return all(lo <= sum(map(counts.__getitem__, wrong)) <= hi
-                   for wrong, lo, hi in windows)
+        s = sum(map(mul, zbar.counts, vectors))
+        return (s + low) & (high - s) & top == top
 
     return _estimate("ucp", dist, m, eps_exact, trials, seed, exact, success)
 

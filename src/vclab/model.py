@@ -54,12 +54,14 @@ def to_fraction(value) -> Fraction:
     """Convert int/float/str/Fraction to an exact Fraction.
 
     Floats convert to their exact binary value; strings accept "p/q" and
-    decimal forms.
+    decimal forms.  An infinite or NaN float is a ``ValueError``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ValueError("bool is not a numeric value")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
     if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise ValueError(f"cannot interpret {value!r} as a rational number")
@@ -424,7 +426,7 @@ class LazyWitnesses(Mapping):
         return h
 
     def __contains__(self, labeling) -> bool:
-        return labeling in self.witness_keys
+        return isinstance(labeling, tuple) and labeling in self.witness_keys
 
     def __iter__(self) -> Iterator[Labeling]:
         return iter(self.witness_keys)

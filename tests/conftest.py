@@ -27,13 +27,15 @@ from vclab.nfl import PROBE_ONE_IN
 # end of the session, each also scaled to a fixed CPU speed by perfbench's
 # reference task.  The machine's speed drifts within minutes, so the task is
 # timed at the start of the session, after half of its tests and at its
-# end, and the median of the three is used.
+# end, and the median of the three is used.  The line also names the three
+# slowest tests, setup and teardown included, with their unscaled wall times.
 PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 _bench = None
 _references: list[float] = []
 _started = 0.0
 _cpu_started = 0.0
 _halfway = 0
+_durations: dict[str, float] = {}
 
 
 def pytest_sessionstart(session):
@@ -61,17 +63,24 @@ def pytest_runtest_logfinish(nodeid, location):
         _references.append(_bench.reference_seconds())
 
 
+def pytest_runtest_logreport(report):
+    _durations[report.nodeid] = (_durations.get(report.nodeid, 0.0)
+                                 + report.duration)
+
+
 def pytest_terminal_summary(terminalreporter):
     wall = time.perf_counter() - _started
     cpu = time.process_time() - _cpu_started
     _references.append(_bench.reference_seconds())
     reference = statistics.median(_references)
     scale = _bench.REF_SECONDS / reference
+    slowest = sorted(_durations.items(), key=lambda item: -item[1])[:3]
     terminalreporter.write_line(
         f"session time: {wall:.1f} s wall, {wall * scale:.1f} s scaled; "
         f"{cpu:.1f} s CPU, {cpu * scale:.1f} s scaled (reference task "
         f"median of {len(_references)}: {reference:.3f} s, scaled to "
-        f"{_bench.REF_SECONDS} s)")
+        f"{_bench.REF_SECONDS} s); slowest: "
+        + ", ".join(f"{nodeid} {seconds:.2f} s" for nodeid, seconds in slowest))
 
 
 def atoms(n: int) -> list[Instance]:

@@ -994,6 +994,33 @@ def test_empty_value_list_exits_2(tmp_path, capsys, argv):
     assert "empty value list ','" in capsys.readouterr().err
 
 
+NON_FINITE = {
+    "ucp-eps": ("ucp-sim", "--space", "space.json", "--dist", "dist.json",
+                "--m", "2", "--eps=inf"),
+    "pac-eps": ("pac-sim", "--space", "space.json", "--dist", "dist.json",
+                "--m", "2", "--eps=1e400", "--learner", "builtin:sem"),
+    "weight": ("ucp-sim", "--space", "space.json", "--dist", "inf-dist.json",
+               "--m", "2", "--eps", "0.25"),
+    "pool": ("vcdim", "--space", "space.json", "--pool", "inf-pool.json"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(NON_FINITE))
+def test_non_finite_number_exits_2(tmp_path, capsys, route):
+    """An infinite eps, distribution weight or pool coordinate is bad
+    input, not an ``OverflowError`` out of ``Fraction``."""
+    write_files(tmp_path, {
+        **INPUT_FILES,
+        "inf-dist.json": '{"support": [[1, 1], [2, 0]], '
+                         '"weights": [Infinity, "1/2"]}',
+        "inf-pool.json": "[1, Infinity]"})
+    argv = [str(tmp_path / a) if a.endswith(".json") else a
+            for a in NON_FINITE[route]]
+    code, payload = run(tmp_path, *argv)
+    assert code == 2 and payload is None
+    assert "inf is not a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--eps-grid", "--delta-grid"])
 def test_bounds_grid_without_csv_exits_2(tmp_path, capsys, flag):
     """A grid only sets the sweep of --csv: without it the run is refused,

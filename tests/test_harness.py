@@ -1,10 +1,14 @@
+import math
 import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
 from itertools import accumulate, product
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vclab.harness
 from vclab import (
@@ -36,6 +40,7 @@ from vclab import (
 )
 from vclab.harness import _CHUNK, InverseCDF, draw_multisample, trial_seed
 from vclab.learners import LearningFunction
+from vclab.model import restriction_errors
 from conftest import (
     atoms,
     heavier_first_state,
@@ -363,6 +368,99 @@ class TestEstimateUcp:
                                               trials=t, seed=seed)
             assert report.successes == sum(u <= eps for u in u_values[:t])
 
+    def test_full_class_on_eight_atoms_matches_u_statistic_per_trial(self):
+        # 256 windows on 16 entries of weight 1/16; m = 32 and eps = 3/16
+        # put every window edge on an integer, and 14 of the 60 draws
+        # land on the widest window's edge.
+        space = ExplicitSpace.full(atoms(8))
+        dist = DiscreteDistribution.uniform(
+            [(x, y) for x in space.domain for y in (0, 1)])
+        m, eps, seed, trials = 32, F(3, 16), 4, 60
+        assert len(space.dichotomies(dist.instances())) == 256
+        cdf = InverseCDF(dist.support, [(i + 1) / 16 for i in range(16)])
+        success = packed_success(space, dist, m, eps)
+        u_values = []
+        for t in range(trials):
+            drawn = draw_multisample(cdf, m, random.Random(
+                trial_seed(seed, t)))
+            u_values.append(u_statistic(space, dist, drawn))
+            assert success(drawn) == (u_values[-1] <= eps), t
+        assert min(u_values) < eps < max(u_values) and eps in u_values
+        report = estimate_ucp_probability(space, dist, m=m, eps=eps,
+                                          trials=trials, seed=seed)
+        assert report.successes == sum(u <= eps for u in u_values)
+
+
+def packed_success(space, dist, m, eps):
+    """The per-trial test that ``estimate_ucp_probability`` hands to
+    ``_estimate``, taken before any trial runs."""
+    captured = []
+    with mock.patch.object(vclab.harness, "_estimate",
+                           lambda *args: captured.append(args[-1])):
+        estimate_ucp_probability(space, dist, m, eps)
+    return captured[0]
+
+
+def per_window_success(space, dist, m, eps, counts):
+    """Whether every realized labeling's wrong count, summed entry by
+    entry, lies in its unclamped window [ceil(m(te - eps)),
+    floor(m(te + eps))]: the test one window at a time."""
+    positions = {x: i for i, x in enumerate(dist.instances())}
+    for te, lab in restriction_errors(space, dist.items())[1]:
+        wrong = sum(c for c, z in zip(counts, dist.support)
+                    if lab[positions[z.instance]] != z.label)
+        if not (math.ceil(m * (te - eps)) <= wrong
+                <= math.floor(m * (te + eps))):
+            return False
+    return True
+
+
+# m = 1 and m next to a power of two, where the field width
+# (m + 1).bit_length() + 1 steps, or any m up to 3000.
+SAMPLE_LENGTHS = st.one_of(
+    st.just(1),
+    st.integers(1, 11).flatmap(
+        lambda j: st.sampled_from([2 ** j - 1, 2 ** j, 2 ** j + 1])),
+    st.integers(1, 3000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), m=SAMPLE_LENGTHS,
+       eps=st.fractions(0, 4, max_denominator=64), one_entry=st.booleans(),
+       edge=st.sampled_from([None, 0, -1]))
+# All of m = 2**j on one entry, with eps = 4: every window clamped on both
+# sides, and a count of m in some field.
+@example(seed=3, m=64, eps=F(4), one_entry=True, edge=None)
+# eps = 0 on m = 1: windows with lo > hi.
+@example(seed=5, m=1, eps=F(0), one_entry=False, edge=None)
+# eps at the deviation and just below it: a count on a window's edge.
+@example(seed=7, m=7, eps=F(0), one_entry=False, edge=0)
+@example(seed=7, m=7, eps=F(0), one_entry=False, edge=-1)
+def test_packed_window_test_matches_per_window_sums(seed, m, eps, one_entry,
+                                                    edge):
+    """The packed test of all windows agrees with summing each window's
+    wrong counts on its own, and with the U statistic, on random spaces,
+    supports and count vectors.  ``edge`` replaces eps by the draw's U
+    statistic (0) or by a hair below it (-1), so that the largest
+    deviation's count lies on its window's edge or just outside."""
+    rng = random.Random(seed)
+    space = random_explicit_space(rng, max_instances=4)
+    dist = random_distribution(rng, space.domain, max_support=6)
+    k = len(dist.support)
+    if one_entry:
+        counts = [0] * k
+        counts[rng.randrange(k)] = m
+    else:
+        cuts = sorted(rng.randint(0, m) for _ in range(k - 1))
+        counts = [b - a for a, b in zip([0, *cuts], [*cuts, m])]
+    zbar = MultiSample.from_counts(dist.support, counts)
+    u = u_statistic(space, dist, zbar)
+    if edge is not None:
+        eps = u + F(edge, 4 * m * m)
+    want = per_window_success(space, dist, m, eps, counts)
+    assert want == (u <= eps)
+    assert packed_success(space, dist, m, eps)(zbar) == want
+
 
 def cumulative(weights):
     return list(accumulate(float(w) for w in weights))
@@ -460,6 +558,19 @@ class TestDrawMultisample:
         ordered = draw_multisample(cdf, 50, random.Random(1), ordered=True)
         assert ordered.counts == drawn.counts
         assert ordered.samples != drawn.samples
+
+    def test_decoded_counts_short_of_m_raise(self):
+        # With the last base dropped, draws whose top byte maps to it are
+        # counted nowhere, and the counts add up to less than m.
+        support = tuple(Sample(Instance.atom(f"s{i}"), 0) for i in range(3))
+        cdf = InverseCDF(support, cumulative([F(1)] * 3))
+        cdf.bases = cdf.bases[:-1]
+        with pytest.raises(AssertionError, match="decoded .* draws, not 300"):
+            draw_multisample(cdf, 300, random.Random(0))
+
+    def test_cdf_refuses_a_support_of_non_samples(self):
+        with pytest.raises(ValueError, match="support of Samples"):
+            InverseCDF(("not a sample",), [1.0])
 
     def test_stub_words_at_every_threshold(self):
         # A generator stub hands out chosen draws N, so that each threshold

@@ -465,6 +465,19 @@ def test_dichotomies_is_a_mapping_whose_views_agree(family):
     assert shatters(space, instances).exact is space.oracle_exact
 
 
+@pytest.mark.parametrize("family", sorted(LAZY_TABLES))
+def test_a_labeling_that_is_not_a_tuple_is_not_in_a_table(family):
+    """``in`` answers False for a labeling that is not a tuple, even an
+    unhashable list of a realized labeling's bits, as it does for any
+    labeling the table lacks."""
+    make, instances = LAZY_TABLES[family]
+    table = make().dichotomies(instances)
+    lab = next(iter(table))
+    assert lab in table
+    for other in (list(lab), bytes(lab), None, {0: 1}):
+        assert other not in table
+
+
 def test_a_memoized_table_keeps_no_reference_to_its_space():
     """An ``ExplicitSpace`` whose memo holds a table with a read witness
     is freed when its last reference goes, without the cyclic collector:
@@ -592,6 +605,13 @@ class TestDiscreteDistribution:
     def test_far_from_one_rejected_even_for_floats(self):
         with pytest.raises(ValueError):
             DiscreteDistribution([(("a", 1), 0.5), (("b", 0), 0.6)])
+
+    def test_non_finite_weight_rejected(self):
+        for w in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="not a finite number"):
+                DiscreteDistribution([(("a", 1), w)])
+            with pytest.raises(ValueError, match="not a finite number"):
+                Instance.point(w)
 
     def test_support_in_canonical_order(self):
         dist = DiscreteDistribution.uniform([("b", 0), ("a", 1), ("a", 0)])
