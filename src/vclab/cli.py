@@ -224,21 +224,17 @@ def _cmd_sim(args, inputs):
 
 
 def _cmd_nfl(args, inputs):
-    if args.instances:
-        instances = _load_pool(args.instances, inputs)
-    else:
-        instances = [as_instance(i) for i in range(2 * args.m)]
-    if args.space == "full":
+    instances = (_load_pool(args.instances, inputs) if args.instances
+                 else range(2 * args.m))
+    ambient = (None if args.space == "full"
+               else space_from_json(inputs.json(args.space)))
+    inst = build_nfl_instance(instances, args.m, ambient, args.allow_large)
+    if ambient is None:
         # The full class is implied, built once m and the instances are
         # known to be valid, and is the report's ambient space unchecked.
-        inst = build_nfl_instance(instances, args.m)
-        space = ExplicitSpace.full(inst.instances)
-        inst = inst._replace(ambient=space)
-    else:
-        space = space_from_json(inputs.json(args.space))
-        inst = build_nfl_instance(instances, args.m, ambient=space)
-    learner = _resolve_learner(args.learner, space, inputs)
-    report = nfl_report(learner, inst, allow_large=args.allow_large)
+        inst = inst._replace(ambient=ExplicitSpace.full(inst.instances))
+    learner = _resolve_learner(args.learner, inst.ambient, inputs)
+    report = nfl_report(learner, inst)
     return report.as_dict(), None
 
 

@@ -5,10 +5,10 @@ enumeration, and estimates event probabilities over product distributions
 either by exact enumeration (small state spaces) or by seeded Monte Carlo
 with Wilson confidence intervals.
 
-Both modes work on counts over support indices: a drawn multi-sample
-carries how often each support entry was drawn, exact mode enumerates
-multisets of indices with multinomial weights (ordered tuples only for
-order-dependent learners), and a UCP trial packs all windows in integers.
+Both modes build each multi-sample in one form: as counts over the support
+(exact mode: multisets of indices with multinomial weights), which a UCP
+trial tests with all windows packed in integers, or, for an order-dependent
+learner, as samples in draw order (exact mode: every ordered index tuple).
 
 Reproducibility: each trial runs on its own PRNG seeded by
 sha256(master_seed, trial_index), so results are independent of execution
@@ -195,13 +195,13 @@ def draw_multisample(cdf: InverseCDF, m: int, rng: random.Random,
     from, leaving the generator in the same state.
 
     The 2m raw words come in chunks of ``_CHUNK`` draws, decoded by ``cdf``
-    into counts that must add up to m.  The result carries only those, its
-    samples in canonical support order, unless ``ordered``: then it also
-    holds the index sequence in draw order, for learners that depend on it.
+    into counts that must add up to m.  The result holds only those, its
+    samples in canonical support order, unless ``ordered``: then it holds
+    only the samples in draw order, for learners that depend on it.
     """
-    below, thresholds = cdf.below, cdf.thresholds
-    counts = [0] * len(cdf.support)
-    indices: list[int] = []
+    below, thresholds, support = cdf.below, cdf.thresholds, cdf.support
+    counts = [0] * len(support)
+    samples: list[Sample] = []
     for done in range(0, m, _CHUNK):
         n = min(_CHUNK, m - done)
         raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
@@ -225,12 +225,12 @@ def draw_multisample(cdf: InverseCDF, m: int, rng: random.Random,
                     counts[j] += 1
                 i = top.find(v, i + 1)
         if ordered:
-            indices += chunk
+            samples += map(support.__getitem__, chunk)
     if ordered:
-        return MultiSample.from_draw(cdf.support, indices)
+        return MultiSample.unchecked(samples=tuple(samples))
     if sum(counts) != m:
         raise AssertionError(f"decoded {sum(counts)} draws, not {m}")
-    return MultiSample.unchecked(support=cdf.support, counts=tuple(counts))
+    return MultiSample.unchecked(support=support, counts=tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +326,16 @@ def _exact_budget_check(k: int, m: int, ordered: bool) -> None:
         "in all); use Monte Carlo", required=states)
 
 
+def _checked_eps(m: int, eps) -> Fraction:
+    """eps as a Fraction, for m >= 1 and eps >= 0; else a ValueError."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    eps = to_fraction(eps)
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    return eps
+
+
 def estimate_ucp_probability(space: HypothesisSpace,
                              dist: DiscreteDistribution,
                              m: int, eps, trials: int = 1000, seed: int = 0,
@@ -347,9 +357,7 @@ def estimate_ucp_probability(space: HypothesisSpace,
     [H - m - 1, H + m] in [0, 2**W): nothing carries or borrows, and their
     top bits say c_w >= lo, c_w <= hi: success is (s+LOW)&(HIGH-s)&TOP == TOP.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    eps_exact = to_fraction(eps)
+    eps_exact = _checked_eps(m, eps)
     denom, (reach, *nums) = common_denominator(
         [eps_exact, *(w for _, w in dist.items())])
     positions = {x: i for i, x in enumerate(dist.instances())}
@@ -386,9 +394,7 @@ def estimate_pac_probability(learner: LearningFunction,
     learner declares itself order-invariant.  Each distinct output is
     scored once per estimate: hypotheses with equal keys evaluate
     identically, so they share one true error."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    eps_exact = to_fraction(eps)
+    eps_exact = _checked_eps(m, eps)
     opt = approximation_error(space, dist)
     verdicts: dict[tuple, bool] = {}
 
@@ -435,9 +441,9 @@ def _exact_event_probability(dist: DiscreteDistribution, m: int,
     """Exact probability that ``success`` holds for an m-sample from the
     distribution.
 
-    Enumerates the multisets of support indices, each weighted by its
-    multinomial coefficient times the product of its weights; with
-    ``ordered`` it enumerates every ordered index tuple instead, for
+    Enumerates the multisets of support indices, as counts, each weighted
+    by its multinomial coefficient times the product of its weights; with
+    ``ordered`` it enumerates every ordered index tuple, as samples, for
     predicates that depend on sample order.  Masses are integers over the
     common denominator D^m of the weights; the success and failure masses
     are accumulated separately and must sum to exactly D^m.
@@ -448,7 +454,15 @@ def _exact_event_probability(dist: DiscreteDistribution, m: int,
     denom, nums = common_denominator([w for _, w in dist.items()])
     mass_succ = mass_fail = 0
     for idx, weight in index_states(k, m, ordered):
-        zbar = MultiSample.from_draw(support, idx)
+        if ordered:
+            zbar = MultiSample.unchecked(
+                samples=tuple(map(support.__getitem__, idx)))
+        else:
+            counts = [0] * k
+            for i in idx:
+                counts[i] += 1
+            zbar = MultiSample.unchecked(support=support,
+                                         counts=tuple(counts))
         mass = weight * math.prod(map(nums.__getitem__, idx))
         if success(zbar):
             mass_succ += mass

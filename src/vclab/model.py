@@ -261,14 +261,15 @@ def as_sample(value) -> Sample:
 
 
 class MultiSample(Record):
-    """An ordered sequence of samples of length m >= 1 (repeats allowed).
-
-    A multi-sample drawn from a support (see :meth:`from_draw` and
-    :meth:`from_counts`) also keeps how often each support entry was drawn
-    (only they attach them), so the count-based views cost O(|support|)
-    rather than O(m).  A counts-only multi-sample builds its ``samples`` on
-    first access, in canonical support order.  Equality and hashing use
-    ``samples`` only.
+    """An ordered sequence of samples of length m >= 1 (repeats allowed),
+    held in exactly one form: its ``samples`` (a caller's, an NFL training
+    sample, or a draw for an order-dependent learner, in draw order), or a
+    ``support`` with ``counts``, how often each entry was drawn (a draw for
+    the UCP test or an order-invariant learner), whose ``samples`` are
+    built on first read, in canonical support order.  The UCP test reads
+    ``counts``; ``m`` and :meth:`tally` (sem, the U and V statistics, the
+    empirical distribution) read either form; the rest reads ``samples``,
+    as do equality and hashing.
     """
 
     samples: tuple[Sample, ...]
@@ -286,33 +287,8 @@ class MultiSample(Record):
         return MultiSample(tuple(as_sample(z) for z in entries))
 
     @staticmethod
-    def from_draw(support: tuple[Sample, ...],
-                  indices: Sequence[int]) -> "MultiSample":
-        """The multi-sample ``support[i] for i in indices``, with the
-        per-index draw counts attached.  It bypasses ``__init__`` to
-        type-check the k support entries instead of the m drawn ones."""
-        if not indices or not all(isinstance(z, Sample) for z in support):
-            raise ValueError("a draw needs indices and a support of Samples")
-        tally = Counter(indices)
-        return MultiSample.unchecked(
-            samples=tuple(map(support.__getitem__, indices)), support=support,
-            counts=tuple(map(tally.get, range(len(support)), repeat(0))))
-
-    @staticmethod
-    def from_counts(support: tuple[Sample, ...],
-                    counts: Sequence[int]) -> "MultiSample":
-        """The multi-sample with ``counts[i]`` copies of ``support[i]``, in
-        support order; its ``samples`` are built only if something reads
-        them."""
-        if (len(counts) != len(support) or min(counts) < 0 or not sum(counts)
-                or not all(isinstance(z, Sample) for z in support)):
-            raise ValueError("a draw needs non-negative counts, at least one "
-                             "positive, one per entry of a support of Samples")
-        return MultiSample.unchecked(support=support, counts=tuple(counts))
-
-    @staticmethod
     def unchecked(**fields) -> "MultiSample":
-        """The multi-sample of the given ``samples``, or ``support`` and
+        """The multi-sample of the given ``samples``, or of ``support`` and
         ``counts``, unchecked: for callers that built them themselves."""
         drawn = object.__new__(MultiSample)
         drawn.__dict__.update(fields)
@@ -330,7 +306,7 @@ class MultiSample(Record):
 
     def tally(self) -> Iterable[tuple[Sample, int]]:
         """(sample, count) pairs of the distinct samples drawn, each count
-        >= 1; with counts attached, in support order, zero counts left
+        >= 1; of the counts form, in support order, zero counts left
         out."""
         if self.counts is None:
             return Counter(self.samples).items()
@@ -345,7 +321,7 @@ class MultiSample(Record):
 
 
 class _CanonicalSamples:
-    """The ``samples`` of a counts-only multi-sample, built in canonical
+    """The ``samples`` of a multi-sample held as counts, built in canonical
     support order on first access and then stored on the instance, where
     they shadow this non-data descriptor.  Installed after the class is
     built, so that ``samples`` has no default; unlike a ``__getattr__``

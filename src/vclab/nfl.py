@@ -20,7 +20,7 @@ differs.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .combinatorics import shatters
@@ -59,25 +59,27 @@ class PairingIdentityError(Exception):
 
 class NflInstance(Record):
     """The adversarial construction for one sample size m: a set S of 2m
-    instances and all T = 2^(2m) labelings of S in lexicographic bit order.
+    instances and its T = 2^(2m) labelings in lexicographic bit order, none
+    of them stored: labeling i < T gives the j-th point bit 2m - 1 - j of i.
     Labeling i stands for the uniform distribution on its graph, which
     :meth:`distribution` builds when asked."""
 
     m: int
     instances: tuple[Instance, ...]
-    labelings: tuple[tuple[int, ...], ...]
     ambient: HypothesisSpace | None
 
     @property
     def t(self) -> int:
-        return len(self.labelings)
+        return 2 ** len(self.instances)
 
     def distribution(self, i: int) -> DiscreteDistribution:
         """The uniform distribution on the graph of labeling i."""
-        weight = Fraction(1, len(self.instances))
+        if not 0 <= i < self.t:
+            raise IndexError(f"labeling {i} is not below T = {self.t}")
+        n = len(self.instances)
         return DiscreteDistribution(
-            [(Sample(x, b), weight)
-             for x, b in zip(self.instances, self.labelings[i])])
+            [(Sample(x, i >> (n - 1 - j) & 1), Fraction(1, n))
+             for j, x in enumerate(self.instances)])
 
 
 class NflReport(Record):
@@ -120,15 +122,23 @@ class NflReport(Record):
         }
 
 
-def build_nfl_instance(instances: Sequence, m: int,
-                       ambient: HypothesisSpace | None = None) -> NflInstance:
+def build_nfl_instance(instances: Iterable, m: int,
+                       ambient: HypothesisSpace | None = None,
+                       allow_large: bool = False) -> NflInstance:
     """Assemble the construction over the given 2m distinct instances.
 
-    When an ambient space is supplied it must shatter the instance set
-    (verified); otherwise the full class over the instances is implied.
+    m past DEFAULT_MAX_M is refused unless ``allow_large``, before the
+    instances are read.  When an ambient space is supplied it must shatter
+    the instance set (verified); otherwise the full class over the
+    instances is implied.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if m > DEFAULT_MAX_M and not allow_large:
+        raise BudgetError(
+            f"m = {m} enumerates {2 * m}^{m} instance tuples x 2^{2 * m} "
+            f"labelings; pass allow_large=True (--allow-large) beyond "
+            f"m = {DEFAULT_MAX_M}", required=required_learner_calls(m))
     points = check_instance_tuple([as_instance(x) for x in instances])
     if len(points) != 2 * m:
         raise ValueError(f"need exactly 2m = {2 * m} distinct instances, "
@@ -139,28 +149,13 @@ def build_nfl_instance(instances: Sequence, m: int,
             raise ValueError(
                 f"the ambient space does not shatter the instance set "
                 f"({result.status})")
-    n = len(points)
-    labelings = tuple(
-        tuple((i >> (n - 1 - j)) & 1 for j in range(n))
-        for i in range(2 ** n))
-    return NflInstance(m=m, instances=points, labelings=labelings,
-                       ambient=ambient)
+    return NflInstance(m=m, instances=points, ambient=ambient)
 
 
 def required_learner_calls(m: int) -> int:
     """The number of (instance tuple, labeling) pairs, an upper bound on
     the learner calls one enumeration makes."""
     return (2 * m) ** m * 2 ** (2 * m)
-
-
-def _check_budget(m: int, allow_large: bool) -> None:
-    if m <= DEFAULT_MAX_M or allow_large:
-        return
-    raise BudgetError(
-        f"m = {m} enumerates {2 * m}^{m} instance tuples x 2^{2 * m} "
-        f"labelings; pass allow_large=True to enumerate beyond "
-        f"m = {DEFAULT_MAX_M}",
-        required=required_learner_calls(m))
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -174,7 +169,7 @@ def _submasks(mask: int) -> Iterator[int]:
 
 
 def _enumerate(learner: LearningFunction,
-               inst: NflInstance, allow_large: bool) -> list[list[int]]:
+               inst: NflInstance) -> list[list[int]]:
     """Core enumeration.
 
     Returns ``hist``: ``hist[i][c]`` is the number of the (2m)^m instance
@@ -198,7 +193,6 @@ def _enumerate(learner: LearningFunction,
     learner is order-invariant, and raises PairingIdentityError if the
     output differs.
     """
-    _check_budget(inst.m, allow_large)
     points = inst.instances
     n = len(points)
     bits = [1 << (n - 1 - j) for j in range(n)]
@@ -255,8 +249,7 @@ def unseen_error_floor(m: int) -> Fraction:
     return Fraction(1, 2) * (1 - Fraction(1, 2 * m)) ** m
 
 
-def nfl_report(learner: LearningFunction, inst: NflInstance,
-               allow_large: bool = False) -> NflReport:
+def nfl_report(learner: LearningFunction, inst: NflInstance) -> NflReport:
     """Full evaluation: for each labeling f_i, the learner's exact expected
     true error over training tuples drawn from the graph distribution of
     f_i; the worst labeling's exact tail probability P(error > 1/8) next to
@@ -265,7 +258,7 @@ def nfl_report(learner: LearningFunction, inst: NflInstance,
     histogram row must count each of the (2m)^m instance tuples once, and
     the average expected error must reach :func:`unseen_error_floor`, with
     equality for a learner that always agrees with its training sample."""
-    hist = _enumerate(learner, inst, allow_large)
+    hist = _enumerate(learner, inst)
     m = inst.m
     k = (2 * m) ** m
     for i, row in enumerate(hist):

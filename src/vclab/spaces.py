@@ -322,8 +322,9 @@ class AffineWitnesses(Mapping):
     ``check(labeling, point)``, when given, sees every point found and
     raises on a wrong one.  With ``general``, ``len`` is ``bound`` and
     ``_decide`` waits for the first ``in``, iteration or read; otherwise it
-    runs at once.  A grown count above ``bound`` (``named``'s), or off it
-    with ``general``, is an AssertionError.
+    runs at once.  A count above ``bound`` (``named``'s), or off it with
+    ``general``, is an AssertionError, whether the table was grown or
+    decided by the rule below.
 
     If every label-1 row (0, c) has constant 0 and some c_j has one sign s
     in every row, the labelings are closed under complement: if v realizes
@@ -371,6 +372,7 @@ class AffineWitnesses(Mapping):
         coeffs = [row[1:] for row in rows]
         found = (_affine_dependence(coeffs) if self._closed
                  and n <= nvars + 1 else None)
+        signs = tree = None
         if found is not None:
             lam, cert, den = found
             if lam is not None and (not any(lam) or any(
@@ -382,18 +384,19 @@ class AffineWitnesses(Mapping):
                                                           else 0)
                     for i in kept for j in kept):
                 raise AssertionError("rank certificate failed verification")
-            self._signs = [(i, v > 0) for i, v in enumerate(lam or ()) if v]
-            return 2 ** n - (2 ** (n - len(self._signs) + 1) if lam else 0)
-        start, prefix = [1, *[0] * nvars], ()
-        if self._closed:
-            j, s = self._closed
-            start[j], prefix = -s, (0,)
-        tree = _label_tree(tests, self._solve, prefix, tuple(start))
-        count = len(tree) * (2 if self._closed else 1)
+            signs = [(i, v > 0) for i, v in enumerate(lam or ()) if v]
+            count = 2 ** n - (2 ** (n - len(signs) + 1) if lam else 0)
+        else:
+            start, prefix = [1, *[0] * nvars], ()
+            if self._closed:
+                j, s = self._closed
+                start[j], prefix = -s, (0,)
+            tree = _label_tree(tests, self._solve, prefix, tuple(start))
+            count = len(tree) * (2 if self._closed else 1)
         if count > self._bound or self._general and count < self._bound:
             raise AssertionError(f"{count} labelings, {self._named} "
                                  f"{self._bound}")
-        self._tree = tree
+        self._signs, self._tree = signs, tree
         return count
 
     def __getitem__(self, labeling: Labeling) -> tuple[Fraction, ...]:

@@ -252,6 +252,17 @@ class TestCli:
                       "--learner", "builtin:const0", "--space", "full")
         assert code == 3
 
+    def test_nfl_large_m_is_refused_before_the_construction(self, tmp_path,
+                                                             capsys):
+        """m = 30 without --allow-large exits 3 at once and writes no
+        report: the refusal comes before the 2^60 labelings and their full
+        class are built."""
+        started = time.monotonic()
+        code, payload = run(tmp_path, "nfl", "--m", "30")
+        assert time.monotonic() - started < 1
+        assert code == 3 and payload is None
+        assert "m = 30 enumerates 60^30" in capsys.readouterr().err
+
     def test_nfl_file_learner(self, tmp_path):
         table = {
             "type": "table",
@@ -1019,6 +1030,35 @@ def test_non_finite_number_exits_2(tmp_path, capsys, route):
     code, payload = run(tmp_path, *argv)
     assert code == 2 and payload is None
     assert "inf is not a finite number" in capsys.readouterr().err
+
+
+THRESHOLD_FILES = {
+    "threshold.json": {"kind": "threshold-family"},
+    "dist.json": {"support": [[1, 0], [2, 1]], "weights": ["1/2", "1/2"]}}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["mc", "exact"])
+@pytest.mark.parametrize("command, probability", [("ucp-sim", "3/8"),
+                                                  ("pac-sim", "1")])
+def test_negative_eps_exits_2_and_zero_eps_runs(tmp_path, capsys, command,
+                                                probability, exact):
+    """A negative eps is bad input in either estimator and either mode; it
+    used to run and report probability 0.  eps = 0 asks for no deviation:
+    at m = 4 every threshold's sample error is its true error iff two
+    draws are (1, 0), with probability C(4, 2) / 16, and sem's output has
+    true error 0 on every sample."""
+    write_files(tmp_path, THRESHOLD_FILES)
+    argv = [command, "--space", str(tmp_path / "threshold.json"),
+            "--dist", str(tmp_path / "dist.json"), "--m", "4",
+            *(["--exact"] if exact else []),
+            *(["--learner", "builtin:sem"] if command == "pac-sim" else [])]
+    code, payload = run(tmp_path, *argv, "--eps=-0.5")
+    assert code == 2 and payload is None
+    assert "eps must be >= 0, got -1/2" in capsys.readouterr().err
+    code, payload = run(tmp_path, *argv, "--eps=0")
+    assert code == 0 and payload["result"]["eps"] == 0
+    if exact:
+        assert payload["result"]["probability"] == probability
 
 
 @pytest.mark.parametrize("flag", ["--eps-grid", "--delta-grid"])

@@ -21,6 +21,7 @@ from vclab import (
     Sample,
     ThresholdSpace,
     approximation_error,
+    build_nfl_instance,
     builtin_learners,
     empirical_distribution,
     empirical_opt,
@@ -28,6 +29,7 @@ from vclab import (
     estimate_ucp_probability,
     hoeffding_tail,
     loss,
+    nfl_report,
     random_table_learner,
     sample_error,
     sem_learner,
@@ -182,17 +184,16 @@ class TestRestrictionErrorCallers:
                 for h in space.hypotheses())
 
     @staticmethod
-    def zero_count_cases(rng, instances):
-        """(counts-carrying multi-sample, plain one with the same samples)
-        pairs, the first over a support some of whose entries have count 0."""
+    def zero_count_case(rng, instances):
+        """A multi-sample held as counts over a support some of whose
+        entries have count 0, and a plain one with the same samples."""
         pairs = [Sample(x, y) for x in instances for y in (0, 1)]
         support = tuple(rng.sample(pairs, rng.randint(2, len(pairs))))
         m = rng.randint(1, 5)
         indices = [rng.randrange(len(support)) for _ in range(m)]
-        counts = [indices.count(i) for i in range(len(support))]
-        for drawn in (MultiSample.from_draw(support, indices),
-                      MultiSample.from_counts(support, counts)):
-            yield drawn, MultiSample(tuple(drawn.samples))
+        drawn = MultiSample.unchecked(support=support, counts=tuple(
+            indices.count(i) for i in range(len(support))))
+        return drawn, MultiSample(tuple(drawn.samples))
 
     def test_zero_counts_change_nothing(self):
         rng = random.Random(37)
@@ -204,22 +205,22 @@ class TestRestrictionErrorCallers:
                 space = random_explicit_space(rng, max_instances=5)
                 instances = space.domain
             learner = sem_learner(space)
-            for drawn, plain in self.zero_count_cases(rng, instances):
-                other = random_multisample(rng, instances, plain.m)
-                assert learner(drawn).key == learner(plain).key
-                assert empirical_opt(space, drawn) == \
-                    empirical_opt(space, plain)
-                assert v_statistic(space, drawn, other) == \
-                    v_statistic(space, plain, other)
-                assert v_statistic(space, other, drawn) == \
-                    v_statistic(space, other, plain)
+            drawn, plain = self.zero_count_case(rng, instances)
+            other = random_multisample(rng, instances, plain.m)
+            assert learner(drawn).key == learner(plain).key
+            assert empirical_opt(space, drawn) == empirical_opt(space, plain)
+            assert v_statistic(space, drawn, other) == \
+                v_statistic(space, plain, other)
+            assert v_statistic(space, other, drawn) == \
+                v_statistic(space, other, plain)
 
     def test_fraction_results_when_nothing_is_wrong(self):
         # The best labeling leaves every weight slot it reads untouched, so
         # the kernel's sum is the int 0 even for Fraction weights.
         space = ExplicitSpace.full(atoms(2))
         zbar = MultiSample.of(("s0", 1), ("s1", 0), ("s1", 0))
-        drawn = MultiSample.from_counts(tuple(dict.fromkeys(zbar)), (1, 2))
+        drawn = MultiSample.unchecked(support=tuple(dict.fromkeys(zbar)),
+                                      counts=(1, 2))
         dist = empirical_distribution(zbar)
         for sample in (zbar, drawn):
             values = [approximation_error(space, dist),
@@ -436,13 +437,16 @@ SAMPLE_LENGTHS = st.one_of(
 # eps at the deviation and just below it: a count on a window's edge.
 @example(seed=7, m=7, eps=F(0), one_entry=False, edge=0)
 @example(seed=7, m=7, eps=F(0), one_entry=False, edge=-1)
+# A hair below a U statistic of 0: a negative eps.
+@example(seed=0, m=7, eps=F(0), one_entry=False, edge=-1)
 def test_packed_window_test_matches_per_window_sums(seed, m, eps, one_entry,
                                                     edge):
     """The packed test of all windows agrees with summing each window's
     wrong counts on its own, and with the U statistic, on random spaces,
     supports and count vectors.  ``edge`` replaces eps by the draw's U
     statistic (0) or by a hair below it (-1), so that the largest
-    deviation's count lies on its window's edge or just outside."""
+    deviation's count lies on its window's edge or just outside; below a U
+    statistic of 0 that eps is negative and refused."""
     rng = random.Random(seed)
     space = random_explicit_space(rng, max_instances=4)
     dist = random_distribution(rng, space.domain, max_support=6)
@@ -453,12 +457,18 @@ def test_packed_window_test_matches_per_window_sums(seed, m, eps, one_entry,
     else:
         cuts = sorted(rng.randint(0, m) for _ in range(k - 1))
         counts = [b - a for a, b in zip([0, *cuts], [*cuts, m])]
-    zbar = MultiSample.from_counts(dist.support, counts)
+    zbar = MultiSample.unchecked(support=dist.support, counts=tuple(counts))
     u = u_statistic(space, dist, zbar)
     if edge is not None:
         eps = u + F(edge, 4 * m * m)
     want = per_window_success(space, dist, m, eps, counts)
     assert want == (u <= eps)
+    if eps < 0:
+        # A hair below U = 0 is a negative eps: bad input, refused before
+        # any window is built.
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            packed_success(space, dist, m, eps)
+        return
     assert packed_success(space, dist, m, eps)(zbar) == want
 
 
@@ -475,8 +485,65 @@ def reference_successes(dist, m, trials, seed, success):
     """Monte Carlo successes with each trial drawn by ``rng.choices``."""
     support = dist.support
     cum = cumulative(w for _, w in dist.items())
-    return sum(success(MultiSample.from_draw(support, reference_indices(
-        cum, m, random.Random(trial_seed(seed, t))))) for t in range(trials))
+    successes = 0
+    for t in range(trials):
+        indices = reference_indices(cum, m, random.Random(trial_seed(seed, t)))
+        successes += success(MultiSample(tuple(map(support.__getitem__,
+                                                   indices))))
+    return successes
+
+
+def test_every_multi_sample_holds_one_form(monkeypatch):
+    """Each multi-sample that Monte Carlo and exact mode hand to their
+    success test, ordered and not, that the NFL enumerator hands to a
+    learner, or that ``MultiSample.of`` builds, holds one form: its samples
+    (every ordered path, NFL and ``of``) or its counts over a support
+    (every other path), never both.  Its tally counts its samples."""
+    space = ExplicitSpace.full(atoms(2))
+    dist = DiscreteDistribution.uniform([("s0", 0), ("s0", 1), ("s1", 1)])
+    held = []  # (path, fields set when the multi-sample arrived, it)
+
+    def recorded(path, fn):
+        def fn_recording(zbar):
+            held.append((path, set(vars(zbar)), zbar))
+            return fn(zbar)
+        return fn_recording
+
+    estimate = vclab.harness._estimate
+
+    def estimate_recording(kind, dist, m, eps, trials, seed, exact, success,
+                           ordered=False):
+        path = (kind, "exact" if exact else "monte-carlo",
+                "ordered" if ordered else "multiset")
+        return estimate(kind, dist, m, eps, trials, seed, exact,
+                        recorded(path, success), ordered)
+    monkeypatch.setattr(vclab.harness, "_estimate", estimate_recording)
+    learners = (sem_learner(space), random_table_learner(space, 0))
+    for exact in (False, True):
+        estimate_ucp_probability(space, dist, 3, F(1, 4), trials=5,
+                                 exact=exact)
+        for learner in learners:
+            estimate_pac_probability(learner, space, dist, 3, F(1, 4),
+                                     trials=5, exact=exact)
+    inst = build_nfl_instance(atoms(4), 2)
+    full = ExplicitSpace.full(inst.instances)
+    for learner in (sem_learner(full), random_table_learner(full, 1)):
+        path = ("nfl", "ordered" if not learner.order_invariant
+                else "multiset")
+        nfl_report(learner._replace(fn=recorded(path, learner.fn)), inst)
+    recorded(("of",), lambda zbar: None)(MultiSample.of(("s0", 1), ("s0", 1)))
+    forms = {}
+    for path, fields, zbar in held:
+        forms.setdefault(path, set()).add(frozenset(fields))
+        assert dict(zbar.tally()) == Counter(zbar.samples), path
+    samples, counts = frozenset({"samples"}), frozenset({"support", "counts"})
+    assert forms == {
+        **{(kind, mode, "multiset"): {counts} for kind in ("ucp", "pac")
+           for mode in ("monte-carlo", "exact")},
+        ("pac", "monte-carlo", "ordered"): {samples},
+        ("pac", "exact", "ordered"): {samples},
+        ("nfl", "multiset"): {samples}, ("nfl", "ordered"): {samples},
+        ("of",): {samples}}
 
 
 class TestDrawMultisample:
@@ -509,10 +576,11 @@ class TestDrawMultisample:
         for ordered in (False, True):
             rng = random.Random(seed)
             drawn = draw_multisample(cdf, m, rng, ordered)
-            assert drawn.counts == tuple(tally[i] for i in range(k))
-            assert rng.getstate() == reference.getstate()
             if ordered:
                 assert drawn.samples == tuple(support[i] for i in want)
+            else:
+                assert drawn.counts == tuple(tally[i] for i in range(k))
+            assert rng.getstate() == reference.getstate()
 
     def test_bit_identical_to_choices_on_edge_cases(self):
         thirds = [F(1, 3)] * 3
@@ -556,7 +624,8 @@ class TestDrawMultisample:
         assert drawn.samples == tuple(sorted(drawn.samples,
                                              key=Sample.sort_key))
         ordered = draw_multisample(cdf, 50, random.Random(1), ordered=True)
-        assert ordered.counts == drawn.counts
+        assert ordered.counts is None
+        assert Counter(ordered.samples) == Counter(drawn.samples)
         assert ordered.samples != drawn.samples
 
     def test_decoded_counts_short_of_m_raise(self):

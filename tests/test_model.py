@@ -703,34 +703,24 @@ class TestDrawnMultiSample:
             k = rng.randint(1, len(self.SUPPORT))
             support = self.SUPPORT[:k]
             indices = [rng.randrange(k) for _ in range(rng.randint(1, 12))]
-            drawn = MultiSample.from_draw(support, indices)
-            assert drawn.samples == tuple(support[i] for i in indices)
-            assert drawn.counts == tuple(indices.count(i) for i in range(k))
+            counts = tuple(indices.count(i) for i in range(k))
+            drawn = MultiSample.unchecked(support=support, counts=counts)
+            assert drawn.m == len(indices)
             # tally() leaves out zero counts and keeps support order.
             assert list(drawn.tally()) == [
-                (z, indices.count(i)) for i, z in enumerate(support)
-                if i in indices]
-            plain = MultiSample(drawn.samples)
+                (z, c) for z, c in zip(support, counts) if c]
+            plain = MultiSample(tuple(support[i] for i in indices))
             assert dict(plain.tally()) == dict(drawn.tally())
-            assert plain == drawn and hash(plain) == hash(drawn)
+            canonical = MultiSample(tuple(sorted(plain, key=support.index)))
+            assert canonical == drawn and hash(canonical) == hash(drawn)
 
     def test_counts_must_agree_with_support_and_length(self):
-        # Counts are attached only by from_draw, which builds them from the
-        # same indices as the samples.
+        # The checked constructor takes samples alone; counts come only
+        # through MultiSample.unchecked, from callers that built them.
         samples = (self.SUPPORT[0], self.SUPPORT[0])
         with pytest.raises(TypeError):
             MultiSample(samples, self.SUPPORT, (1, 0, 0, 0))
         assert MultiSample(samples).counts is None
-        drawn = MultiSample.from_draw(self.SUPPORT, (0, 0))
-        assert drawn.samples == samples
-        assert drawn.counts == (2,) + (0,) * (len(self.SUPPORT) - 1)
-        with pytest.raises(ValueError):
-            MultiSample.from_draw(self.SUPPORT, ())
-        with pytest.raises(IndexError):
-            MultiSample.from_draw(self.SUPPORT, (len(self.SUPPORT),))
-        with pytest.raises(ValueError):
-            MultiSample.from_draw(("not a sample",), (0,))
-
 
     def test_counts_only_matches_canonical_order_samples(self):
         rng = random.Random(13)
@@ -738,7 +728,8 @@ class TestDrawnMultiSample:
         for _ in range(50):
             counts = [rng.choice((0, 0, 1, 2, 5)) for _ in range(k)]
             counts[rng.randrange(k)] += 1
-            drawn = MultiSample.from_counts(self.SUPPORT, counts)
+            drawn = MultiSample.unchecked(support=self.SUPPORT,
+                                          counts=tuple(counts))
             plain = MultiSample(tuple(z for z, c in zip(self.SUPPORT, counts)
                                       for _ in range(c)))
             # The count-based views leave the samples unbuilt.
@@ -753,32 +744,8 @@ class TestDrawnMultiSample:
             assert drawn == plain and hash(drawn) == hash(plain)
             assert drawn.canonical_bytes() == plain.canonical_bytes()
             assert drawn.counts == tuple(counts)
-
-    def test_counts_only_validation(self):
-        k = len(self.SUPPORT)
-        for counts in ((0,) * k, (1,) * (k - 1), (2, -1) + (0,) * (k - 2)):
-            with pytest.raises(ValueError):
-                MultiSample.from_counts(self.SUPPORT, counts)
-        with pytest.raises(ValueError):
-            MultiSample.from_counts(("not a sample",), (1,))
-        with pytest.raises(AttributeError):
-            MultiSample.from_counts(self.SUPPORT, (1,) * k).missing
-
-
-@given(st.data())
-def test_from_draw_counts_match_a_counter(data):
-    """Counts of a draw that leaves some support entries undrawn."""
-    k = data.draw(st.integers(2, 8))
-    support = tuple(Sample(Instance.atom(f"s{i}"), i % 2) for i in range(k))
-    used = data.draw(st.sets(st.integers(0, k - 1), min_size=1,
-                             max_size=k - 1))
-    indices = data.draw(st.lists(st.sampled_from(sorted(used)), min_size=1,
-                                 max_size=30))
-    drawn = MultiSample.from_draw(support, indices)
-    tally = Counter(indices)
-    assert drawn.counts == tuple(tally[i] for i in range(k))
-    assert 0 in drawn.counts
-    assert drawn.samples == tuple(support[i] for i in indices)
+            with pytest.raises(AttributeError):
+                drawn.missing
 
 
 def test_index_states_weights_count_ordered_tuples():

@@ -37,19 +37,29 @@ def full_space(inst):
     return ExplicitSpace.full(inst.instances)
 
 
+def all_labelings(inst):
+    """The labelings of inst's points in lexicographic order, labeling i
+    at position i."""
+    return list(product((0, 1), repeat=len(inst.instances)))
+
+
 class TestBuildInstance:
     def test_m1_shape(self):
         inst = build_nfl_instance(atoms(2), 1)
         assert inst.t == 4
-        assert inst.labelings == ((0, 0), (0, 1), (1, 0), (1, 1))
-        for dist in map(inst.distribution, range(inst.t)):
+        for i, bits in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            dist = inst.distribution(i)
+            assert set(dist.support) == set(map(Sample, inst.instances, bits))
             assert sum(w for _, w in dist.items()) == 1
             assert all(w == F(1, 2) for _, w in dist.items())
+        for i in (-1, 4):
+            with pytest.raises(IndexError, match="not below T = 4"):
+                inst.distribution(i)
 
     def test_each_target_labeling_has_zero_error(self):
         inst = build_nfl_instance(atoms(2), 1)
         space = full_space(inst)
-        for bits, dist in zip(inst.labelings,
+        for bits, dist in zip(all_labelings(inst),
                               map(inst.distribution, range(inst.t))):
             h = space.hypothesis_from_bits(bits)
             assert true_error(h, dist) == 0
@@ -61,7 +71,7 @@ class TestBuildInstance:
             eager = [DiscreteDistribution([(Sample(x, b), weight)
                                            for x, b in zip(inst.instances,
                                                            bits)])
-                     for bits in inst.labelings]
+                     for bits in all_labelings(inst)]
             assert [inst.distribution(i) for i in range(inst.t)] == eager
 
     def test_wrong_size_rejected(self):
@@ -102,7 +112,7 @@ class TestBuildInstance:
         inst = build_nfl_instance(points, len(points) // 2, ambient=space)
         assert calls == []
         witnesses = shatters(space, inst.instances).witnesses
-        for labeling in inst.labelings:
+        for labeling in all_labelings(inst):
             h = witnesses[labeling]
             assert tuple(map(h, inst.instances)) == labeling
         assert len(calls) == 2 ** len(points)
@@ -146,7 +156,7 @@ class TestExpectedErrors:
             k = (2 * m) ** m
             for learner in learners:
                 report = nfl_report(learner, inst)
-                for i, bits in enumerate(inst.labelings):
+                for i, bits in enumerate(all_labelings(inst)):
                     dist = inst.distribution(i)
                     errors = [
                         true_error(learner(MultiSample(tuple(
@@ -159,11 +169,20 @@ class TestExpectedErrors:
                             sum(1 for e in errors if e > F(1, 8)), k)
 
     def test_budget_refusal(self):
-        inst = build_nfl_instance(atoms(10), 5)
-        learner = builtin_learners(full_space(inst))["const0"]
+        """m = 5 is refused when the construction is built, not when it is
+        enumerated, unless it is allowed."""
         with pytest.raises(BudgetError) as exc:
-            nfl_report(learner, inst)
+            build_nfl_instance(atoms(10), 5)
         assert exc.value.required == 10 ** 5 * 2 ** 10
+        inst = build_nfl_instance(atoms(10), 5, allow_large=True)
+        assert inst.t == 2 ** 10
+
+    def test_budget_refusal_reads_no_instance(self):
+        def unread():
+            raise AssertionError("an instance was read")
+            yield
+        with pytest.raises(BudgetError):
+            build_nfl_instance(unread(), 30)
 
 
 class TestReport:
@@ -238,9 +257,9 @@ class TestReport:
         unseen-point check can notice."""
         enumerate_ = vclab.nfl._enumerate
 
-        def all_correct(learner, inst, allow_large):
+        def all_correct(learner, inst):
             return [[sum(row)] + [0] * (len(row) - 1)
-                    for row in enumerate_(learner, inst, allow_large)]
+                    for row in enumerate_(learner, inst)]
         monkeypatch.setattr(vclab.nfl, "_enumerate", all_correct)
         inst = build_nfl_instance(atoms(4), 2)
         learner = builtin_learners(full_space(inst))["sem"]
@@ -324,7 +343,7 @@ class TestClassWalk:
             inst = build_nfl_instance(atoms(2 * m), m)
             for learner in self.learners(inst):
                 learner, calls = counted(learner)
-                got = vclab.nfl._enumerate(learner, inst, False)
+                got = vclab.nfl._enumerate(learner, inst)
                 ours = list(calls)
                 calls.clear()
                 assert got == reference_enumerate(learner, inst), \
@@ -336,7 +355,7 @@ class TestClassWalk:
         inst = build_nfl_instance(
             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, ambient=space)
         learner, calls = counted(sem_learner(space))
-        got = vclab.nfl._enumerate(learner, inst, False)
+        got = vclab.nfl._enumerate(learner, inst)
         ours = len(calls)
         calls.clear()
         assert got == reference_enumerate(learner, inst)

@@ -24,7 +24,7 @@ from vclab import (
 )
 from vclab.cli import main
 from vclab.combinatorics import growth_function, vc_dimension
-from vclab.spaces import fm_witness
+from vclab.spaces import AffineWitnesses, fm_witness
 from conftest import (
     fm_solve,
     kernel_table,
@@ -949,14 +949,34 @@ class TestRuleChecks:
 
     def test_a_rule_claiming_every_labeling_reaches_known_vc(
             self, monkeypatch, tmp_path):
-        """If Cover's count were all 2^n labelings, ``vc_dimension`` would
-        find the 4 points of the plane, in general position, shattered,
-        above the family's VC dimension 3.  Reading their witnesses takes
-        the affine dependence rule, which is proven and is not checked
-        against Cover's count."""
+        """If Cover's count were all 2^n labelings, the 4 points of the
+        plane, in general position, would be taken as shattered.  Reading
+        their witnesses takes the affine dependence rule, whose count of
+        14 is checked against Cover's like a grown table's, so the run
+        stops there, before ``vc_dimension`` would report d=4 above the
+        family's VC dimension 3."""
         monkeypatch.setattr(HalfspaceSpace, "_cover", lambda self, n: 2 ** n)
-        _vcdim_raises(tmp_path, "search found d=4 above the family's VC "
-                                "dimension 3", pool="0,0;1,0;0,1;1,1")
+        _vcdim_raises(tmp_path, "14 labelings, Cover's 16",
+                      pool="0,0;1,0;0,1;1,1")
+
+    # The closed rows of (0, 0), (1, 0) and (0, 1): affinely independent,
+    # so the rule decides them, all 8 labelings realized.
+    CORNER_PAIRS = [vclab.spaces._constraint_pair(0, (x, y, 1), False)
+                    for x, y in ((0, 0), (1, 0), (0, 1))]
+
+    def test_a_rule_count_above_the_bound_raises(self):
+        with pytest.raises(AssertionError, match="8 labelings, test's 7"):
+            AffineWitnesses(self.CORNER_PAIRS, 7, "test's")
+        assert len(AffineWitnesses(self.CORNER_PAIRS, 8, "test's")) == 8
+
+    def test_a_rule_count_off_a_general_bound_raises(self):
+        """With ``general`` the bound is the length until the table is
+        decided, and the rule's count must then equal it."""
+        table = AffineWitnesses(self.CORNER_PAIRS, 5, "test's", general=True)
+        assert len(table) == 5
+        for decide in (list, lambda t: (0, 0, 0) in t):
+            with pytest.raises(AssertionError, match="8 labelings, test's 5"):
+                decide(table)
 
 
 class TestDeferredHypotheses:
