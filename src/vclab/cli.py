@@ -37,7 +37,7 @@ from .combinatorics import (
 )
 from .harness import estimate_pac_probability, estimate_ucp_probability
 from .learners import random_table_learner
-from .model import BudgetError, ExplicitSpace, InexactOracleError, Instance
+from .model import BudgetError, InexactOracleError, Instance
 from .model import as_instance
 from .nfl import build_nfl_instance, nfl_report
 from .serialize import (
@@ -229,10 +229,6 @@ def _cmd_nfl(args, inputs):
     ambient = (None if args.space == "full"
                else space_from_json(inputs.json(args.space)))
     inst = build_nfl_instance(instances, args.m, ambient, args.allow_large)
-    if ambient is None:
-        # The full class is implied, built once m and the instances are
-        # known to be valid, and is the report's ambient space unchecked.
-        inst = inst._replace(ambient=ExplicitSpace.full(inst.instances))
     learner = _resolve_learner(args.learner, inst.ambient, inputs)
     report = nfl_report(learner, inst)
     return report.as_dict(), None

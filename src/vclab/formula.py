@@ -47,7 +47,6 @@ from .model import (
     split_columns,
     to_fraction,
 )
-from .combinatorics import sauer_bound
 from .spaces import (
     AffineWitnesses,
     CoSingletonSpace,
@@ -619,13 +618,12 @@ def _param_degree(node, params) -> int:
 def _affine(ast: FormulaAst) -> _ClosedForm | None:
     """A single < or <= atom, or its negation, affine in its k >= 1
     parameters: u(x, w) >= 0 (> 0 when strict), each point giving the row
-    (u(x, 0), u(x, e_1) - u(x, 0), ...) of ``AffineWitnesses``, bounded by
-    Sauer's sum_{i<=k} C(n, i).  Each point's constraint pair is built
-    once and kept for the closed form's lifetime.  Its VC dimension is at
-    most k (Dudley 1978): on k + 1 points the vectors (u(x_j, w))_j lie in
-    an affine subspace of dimension <= k, so some c != 0 has c . u
-    constant there, and labeling each x_j against the sign of c_j gives
-    an orthant that misses it."""
+    (u(x, 0), u(x, e_1) - u(x, 0), ...) of ``AffineWitnesses``.  Each
+    point's constraint pair is built once and kept for the closed form's
+    lifetime.  Its VC dimension is at most k (Dudley 1978): on k + 1
+    points the vectors (u(x_j, w))_j lie in an affine subspace of
+    dimension <= k, so some c != 0 has c . u constant there, and labeling
+    each x_j against the sign of c_j gives an orthant that misses it."""
     root, negated = ast.root, False
     while isinstance(root, Not):
         root, negated = root.child, not negated
@@ -654,7 +652,7 @@ def _affine(ast: FormulaAst) -> _ClosedForm | None:
                 pair = rows[x] = _constraint_pair(
                     const, [v - const for v in values], strict)
             pairs.append(pair)
-        return AffineWitnesses(pairs, sauer_bound(k, len(pairs)), "Sauer's")
+        return AffineWitnesses(pairs)
 
     return _ClosedForm("affine", k, witnesses)
 

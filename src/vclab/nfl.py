@@ -66,7 +66,7 @@ class NflInstance(Record):
 
     m: int
     instances: tuple[Instance, ...]
-    ambient: HypothesisSpace | None
+    ambient: HypothesisSpace
 
     @property
     def t(self) -> int:
@@ -129,8 +129,8 @@ def build_nfl_instance(instances: Iterable, m: int,
 
     m past DEFAULT_MAX_M is refused unless ``allow_large``, before the
     instances are read.  When an ambient space is supplied it must shatter
-    the instance set (verified); otherwise the full class over the
-    instances is implied.
+    the instance set (verified); otherwise it is the full class over the
+    instances, ``ExplicitSpace.full``.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -143,7 +143,9 @@ def build_nfl_instance(instances: Iterable, m: int,
     if len(points) != 2 * m:
         raise ValueError(f"need exactly 2m = {2 * m} distinct instances, "
                          f"got {len(points)}")
-    if ambient is not None:
+    if ambient is None:
+        ambient = ExplicitSpace.full(points)
+    else:
         result = shatters(ambient, points)
         if not result.shattered:
             raise ValueError(
@@ -275,8 +277,7 @@ def nfl_report(learner: LearningFunction, inst: NflInstance) -> NflReport:
                     if Fraction(c, 2 * m) > ERROR_THRESHOLD)
     tail = Fraction(tail_hits, k)
     markov = (best - ERROR_THRESHOLD) / (1 - ERROR_THRESHOLD)
-    space = inst.ambient or ExplicitSpace.full(inst.instances)
-    opt = approximation_error(space, inst.distribution(i_star))
+    opt = approximation_error(inst.ambient, inst.distribution(i_star))
     avg = Fraction(sum(wrong), k * 2 * m * len(wrong))
     if avg < unseen_error_floor(m):
         raise AssertionError(f"average expected error {avg} is below the "

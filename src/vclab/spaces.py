@@ -11,27 +11,13 @@ together with a witness parameter chosen by a fixed rule, exactly:
 
 Threshold, interval and co-singleton enumeration is combinatorial on the
 sorted points.  ``AffineWitnesses`` decides the labelings of affine
-constraint rows in k variables (a halfspace's in (w, b), or those of a
-formula atom affine in its parameters) by exact Fourier-Motzkin
-elimination (strict inequalities included), grown point by point
-(``_label_tree``): one elimination per realized prefix, O(n^(k+1)) for n
-rows, not 2^n.  ``fm_witness`` works in integers from input to output: it
-takes primitive integer rows, made primitive once where they are built,
-and returns an integer point (den, n_1, ..., n_k) standing for the exact
-rational witness v_i = n_i / den; a labeling's witness is that point of
-its full system, as Fractions.  Rows of constant 0 in which one variable
-has a coefficient of one sign (a halfspace's, through b) have labelings
-closed under complement: only those whose first bit is 0 are grown, and
-at most k + 1 such rows whose left kernel has dimension at most 1 are
-decided by the signs of one integer kernel vector (Radon; Motzkin),
-proven by a rank certificate.  A grown count is checked against the
-caller's bound: Cover's count for ``HalfspaceSpace``, which keeps each
-instance point's rows for its lifetime, takes Cover's count as the length
-of a table in general position and decides it when first read, and
-re-checks every witness in integers against check rows built apart from
-the elimination's; Sauer's bound for a formula atom.  A table keeps the
-points its tree found and solves any other when its witness is first
-read.
+constraint rows in k variables (a halfspace's in (w, b), or a formula
+atom's affine in its parameters) by exact Fourier-Motzkin elimination on
+primitive integer rows (``fm_witness``), grown point by point: one
+elimination per realized prefix, not one per labeling.  It works out one
+count rule from its rows: at most Cover's count for closed rows (a
+halfspace's), Sauer's bound for others, and exactly that, with no
+elimination, in general position (determinants memoized on the rows).
 """
 
 from __future__ import annotations
@@ -39,9 +25,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import chain, combinations, product
+from functools import cache
+from itertools import chain, combinations, product, repeat
 from operator import mul
 
+from .combinatorics import sauer_bound
 from .model import (
     Hypothesis,
     HypothesisSpace,
@@ -147,31 +135,14 @@ def fm_witness(system, nvars: int) -> tuple[int, ...] | None:
     the chosen value is reduced by its gcd, so ``den`` is the lcm of the
     reduced denominators and each n_i / den is the value a Fraction
     elimination chooses.  The point is checked against the input system in
-    integers before it is returned.
+    integers; a wrong stage system (``_eliminate``) meeting an empty
+    interval or failing the check raises AssertionError.
     """
     initial = system = set(system)
     systems = []
     for _ in range(nvars):
         systems.append(system)
-        lowers, uppers, reduced = [], [], set()
-        for row, strict in system:
-            a = row[-1]
-            if a > 0:
-                lowers.append((row, strict))
-            elif a < 0:
-                uppers.append((row, strict))
-            else:
-                reduced.add((row[:-1], strict))
-        for lrow, lstrict in lowers:
-            a = lrow[-1]
-            for urow, ustrict in uppers:
-                c = -urow[-1]
-                row = [lv * c + uv * a for lv, uv in zip(lrow[:-1], urow)]
-                g = math.gcd(*row)
-                if g > 1:
-                    row = [v // g for v in row]
-                reduced.add((tuple(row), lstrict or ustrict))
-        system = reduced
+        system = _eliminate(system)
     for (const,), strict in system:
         if const < 0 or (strict and const == 0):
             return None
@@ -215,7 +186,7 @@ def fm_witness(system, nvars: int) -> tuple[int, ...] | None:
             num = hi_num - q if hi_strict else hi_num
         elif lo_num * hi_q == hi_num * lo_q:
             if lo_strict or hi_strict:
-                return None
+                raise AssertionError("empty interval in FM back-substitution")
             num, q = lo_num, lo_q * den
         else:
             num, q = lo_num * hi_q + hi_num * lo_q, 2 * lo_q * hi_q * den
@@ -230,8 +201,32 @@ def fm_witness(system, nvars: int) -> tuple[int, ...] | None:
     for row, strict in initial:
         total = sum(map(mul, row, point))
         if total < 0 or (strict and total == 0):
-            return None
+            raise AssertionError("FM point failed its input system")
     return tuple(point)
+
+
+def _eliminate(system: set) -> set:
+    """The rows of ``system`` without its last variable, and each lower
+    and upper bound on it combined to cancel it, reduced by the gcd."""
+    lowers, uppers, reduced = [], [], set()
+    for row, strict in system:
+        a = row[-1]
+        if a > 0:
+            lowers.append((row, strict))
+        elif a < 0:
+            uppers.append((row, strict))
+        else:
+            reduced.add((row[:-1], strict))
+    for lrow, lstrict in lowers:
+        a = lrow[-1]
+        for urow, ustrict in uppers:
+            c = -urow[-1]
+            row = [lv * c + uv * a for lv, uv in zip(lrow[:-1], urow)]
+            g = math.gcd(*row)
+            if g > 1:
+                row = [v // g for v in row]
+            reduced.add((tuple(row), lstrict or ustrict))
+    return reduced
 
 
 def _label_tree(tests, solve: Callable[[Labeling], tuple[int, ...] | None],
@@ -313,46 +308,90 @@ def _affine_dependence(rows: Sequence[list[int]]) -> tuple | None:
     return lam, cert, prev
 
 
+@cache
+def _independent(rows: tuple[tuple[int, ...], ...], first: int) -> bool:
+    """Whether ``rows``, read from entry ``first`` on, have a nonzero
+    determinant, by fraction-free (Bareiss) elimination."""
+    m, prev = [row[first:] for row in rows], 1
+    while len(m) > 1:
+        i = next((i for i, r in enumerate(m) if r[0]), None)
+        if i is None:
+            return False
+        top = m.pop(i)
+        m = [[(top[0] * x - r[0] * y) // prev for x, y in zip(
+            r[1:], top[1:])] for r in m]
+        prev = top[0]
+    return m[0][0] != 0
+
+
 class AffineWitnesses(Mapping):
     """The labelings of the constraint ``pairs`` (per point, the primitive
     constraints of its label 0 and label 1, ``_constraint_pair``, in k >= 1
     variables) that some rational v realizes, in lexicographic order, each
-    mapped to its witness: the point ``fm_witness`` finds on its full
-    system, as Fractions, solved when first read unless the tree holds it.
-    ``check(labeling, point)``, when given, sees every point found and
-    raises on a wrong one.  With ``general``, ``len`` is ``bound`` and
-    ``_decide`` waits for the first ``in``, iteration or read; otherwise it
-    runs at once.  A count above ``bound`` (``named``'s), or off it with
-    ``general``, is an AssertionError, whether the table was grown or
-    decided by the rule below.
+    mapped to its witness: the point ``fm_witness`` finds on its full system,
+    as Fractions, solved when first read unless the tree holds it.
+    ``check(labeling, point)``, when given, sees every point found and raises
+    on a wrong one.
 
-    If every label-1 row (0, c) has constant 0 and some c_j has one sign s
-    in every row, the labelings are closed under complement: if v realizes
-    L, then -v - t s e_j (-v + t s e_j for strict rows) realizes its
-    complement for small t > 0, the shift moving each c . (-v) strictly to
-    the complement's side.  ``tree`` then keeps the labelings whose first
-    bit is 0, grown by ``_label_tree`` from v = -s e_j, which labels every
-    point 0; other rows keep every labeling, grown from v = 0.  Each keeps
-    its point, or None when its prefix's point realizes it.  At most k + 1
-    closed rows whose left kernel is 0 or spanned by lam (``signs``; lam
-    and its rank certificate checked in integers) need no FM call: a
-    labeling is realized unless it is [lam_i > 0] or [lam_i < 0] wherever
-    lam_i != 0.  lam has both signs, as sum_i lam_i c_ij = 0, so each of
-    the two gives every term of sum_i lam_i (c_i . v) = 0 one sign and some
-    term a strict one; by Motzkin's transposition theorem any other
-    infeasibility certificate would be a second kernel vector.  Constant 0
-    alone is not enough: the rows (0, 1) and (0, -1) realize (1, 1) at
-    v = 0 but not (0, 0)."""
+    The n label-1 rows (const, c) are closed when every const is 0, all or
+    none are strict, and some c_j has one sign s in every row.  Closed rows
+    have at most Cover's count K(n, k) = 2 * sum_{i<k} C(n - 1, i) labelings,
+    exactly that many when n >= k and every k rows c are independent.  Other
+    rows have at most Sauer's sum_{i<=k} C(n, i), as v -> labeling has VC
+    dimension at most k (``formula._affine``), and exactly that many when
+    n >= k and every k rows c and every k + 1 rows (const, c) are independent.
+    In this general position ``len`` is the bound and the labelings wait for
+    the first ``in``, iteration or read, else they are decided at once; a
+    count above the bound, or off it there, raises AssertionError.
 
-    def __init__(self, pairs: Sequence[tuple[tuple, tuple]], bound: int,
-                 named: str, general: bool = False,
+    Cover (1965): v labels the rows as v + t s e_j does (v - t s e_j when
+    strict) for small t > 0, which puts no row at 0, so the labelings are the
+    cells of the hyperplanes c . v = 0; the n-th of them, H, splits one cell
+    per cell that the others cut out of H, of dimension k - 1, so K(n, k) <=
+    K(n - 1, k) + K(n - 1, k - 1), K(1, k) = K(n, 1) = 2, with equality in
+    general position.  Without closure v = 0 may add one: the rows (0, 1) and
+    (0, -1) realize (1, 0), (0, 1) and (1, 1), where K(2, 1) = 2; so may mixed
+    strictness, as (0, 1) and (0, 1) strict realize (1, 0) at v = 0.  Buck
+    (1943): in general position v lies on at most k hyperplanes
+    const + c . v = 0, with independent c, so some u moves v off each to the
+    side its label needs: the labelings are again cells, B(n, k) = B(n - 1, k)
+    + B(n - 1, k - 1) of them, B(0, k) = B(n, 0) = 1.
+
+    Labelings of closed rows are closed under complement: if v realizes L,
+    then -v - t s e_j (-v + t s e_j for strict rows) realizes its complement
+    for small t > 0.  ``tree`` then keeps the labelings whose first bit is 0,
+    grown by ``_label_tree`` from v = -s e_j, which labels every point 0;
+    other rows keep every labeling, grown from v = 0.  Each keeps its point,
+    or None when its prefix's point realizes it.  At most k + 1 closed rows
+    whose left kernel is 0 or spanned by lam (``signs``; lam and its rank
+    certificate checked in integers) need no FM call: a labeling is realized
+    unless it is [lam_i > 0] or [lam_i < 0] wherever lam_i != 0.  lam has both
+    signs, as sum_i lam_i c_ij = 0, so each of the two gives every term of
+    sum_i lam_i (c_i . v) = 0 one sign and some term a strict one; by
+    Motzkin's transposition theorem any other infeasibility certificate would
+    be a second kernel vector."""
+
+    def __init__(self, pairs: Sequence[tuple[tuple, tuple]],
                  check: Callable[[Labeling, tuple[int, ...]], None]
                  | None = None):
         self._pairs, self._n, self._check = pairs, len(pairs), check
-        self._nvars = len(pairs[0][1][0]) - 1
-        self._bound, self._named, self._general = bound, named, general
-        self._signs = self._tree = self._closed = None
-        self._len = bound if general else self._decide()
+        rows = [pair[1][0] for pair in pairs]
+        const, *columns = zip(*rows)
+        n, k = self._n, len(columns)
+        self._nvars, self._signs, self._tree = k, None, None
+        self._closed = not any(const) and len(
+            {pair[1][1] for pair in pairs}) == 1 and next((
+                (j, 1 if c[0] > 0 else -1) for j, c in zip(
+                    range(k, 0, -1), reversed(columns))
+                if min(c) > 0 or max(c) < 0), None)
+        self._bound, self._named = (
+            (2 * sum(math.comb(n - 1, i) for i in range(k)), "Cover's")
+            if self._closed else (sauer_bound(k, n), "Sauer's"))
+        self._general = n >= k and all(map(
+            _independent, combinations(rows, k), repeat(1))) and (
+                self._closed or all(map(_independent, combinations(
+                    rows, k + 1), repeat(0))))
+        self._len = self._bound if self._general else self._decide()
 
     def _solve(self, labeling: Labeling) -> tuple[int, ...] | None:
         point = fm_witness([pair[lab] for pair, lab
@@ -364,12 +403,8 @@ class AffineWitnesses(Mapping):
     def _decide(self) -> int:
         """Decide the labelings, as the class docstring says, and count."""
         tests = [pair[1] for pair in self._pairs]
-        rows = [row for row, _ in tests]
+        coeffs = [row[1:] for row, _ in tests]
         n, nvars = self._n, self._nvars
-        self._closed = not any(row[0] for row in rows) and next((
-            (j, s) for j in range(nvars, 0, -1) for s in (1, -1)
-            if all(row[j] * s > 0 for row in rows)), None)
-        coeffs = [row[1:] for row in rows]
         found = (_affine_dependence(coeffs) if self._closed
                  and n <= nvars + 1 else None)
         signs = tree = None
@@ -502,17 +537,10 @@ class CoSingletonSpace(HypothesisSpace):
 class HalfspaceSpace(HypothesisSpace):
     """Affine halfspaces of a fixed dimension: h = 1[w.x + b >= 0].
 
-    Each point x gives the homogeneous row (0, x, 1) in (w, b), whose
-    coefficient of b is 1, so ``AffineWitnesses`` closes its labelings
-    under complement and decides at most dim + 2 points by the signs of an
-    affine dependence; other point sets cost O(n^(dim+1)) Fourier-Motzkin
-    calls.  Any n points have at most Cover's count
-    2 * sum_{i<=dim} C(n - 1, i) labelings, exactly as many in general
-    position: every dim + 1 rows (x, 1) independent.
-
-    The space keeps, for its whole lifetime, each instance point's rows:
-    the primitive constraint pair that ``fm_witness`` reads and, built
-    apart from it, the integer check row (x, 1) scaled to integers.
+    Each point x gives the closed row (0, x, 1) in (w, b) of
+    ``AffineWitnesses``, counted by Cover's rule.  The space keeps, for its
+    whole lifetime, each point's constraint pair and, built apart from it,
+    the integer check row (x, 1) that re-checks every witness.
     """
 
     kind = "halfspace-family"
@@ -521,10 +549,8 @@ class HalfspaceSpace(HypothesisSpace):
         if dim < 1:
             raise ValueError("halfspace dimension must be >= 1")
         self.dim = dim
-        # point -> (constraint pair of labels 0 and 1, check row, id bit)
-        self._rows: dict[Instance, tuple[tuple, list[int], int]] = {}
-        # sum of the ids of dim + 1 points -> their determinant is nonzero
-        self._nonzero: dict[int, bool] = {}
+        # point -> (constraint pair of labels 0 and 1, check row)
+        self._rows: dict[Instance, tuple[tuple, list[int]]] = {}
 
     def known_vc(self) -> int:
         return self.dim + 1
@@ -543,43 +569,22 @@ class HalfspaceSpace(HypothesisSpace):
 
         return Hypothesis(key=("halfspace",) + params, fn=fn)
 
-    def _point_rows(self, x: Instance) -> tuple[tuple, list[int], int]:
+    def _point_rows(self, x: Instance) -> tuple[tuple, list[int]]:
         rows = self._rows.get(x)
         if rows is None:
             coords = x.coords
             if len(coords) != self.dim:
                 raise ValueError(f"instance {x} is not {self.dim}-dimensional")
             rows = self._rows[x] = (_constraint_pair(0, (*coords, 1), False),
-                                    common_denominator((*coords, 1))[1],
-                                    1 << len(self._rows))
+                                    common_denominator((*coords, 1))[1])
         return rows
 
-    def _cover(self, n: int) -> int:
-        return 2 * sum(math.comb(n - 1, i) for i in range(self.dim + 1))
-
-    def _independent(self, ids: tuple[int, ...], rows) -> bool:
-        """Whether the dim + 1 check rows have a nonzero determinant, by
-        fraction-free (Bareiss) elimination, kept by the sum of ``ids``."""
-        key = sum(ids)
-        if key not in self._nonzero:
-            m, prev = list(rows), 1
-            while len(m) > 1 and (top := next((r for r in m if r[0]), None)):
-                m = [[(top[0] * x - r[0] * y) // prev for x, y in zip(
-                    r[1:], top[1:])] for r in m if r is not top]
-                prev = top[0]
-            self._nonzero[key] = m[0][0] != 0
-        return self._nonzero[key]
-
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
-        """``AffineWitnesses`` bounded by Cover's count, its ``len`` at
-        once for dim + 1 or more points in general position.  Each point
+        """``AffineWitnesses`` of the points' rows.  Each point
         (den, den*w, den*b) found is checked apart from FM and its rows:
         its dot product with a check row has the sign of w.x + b."""
-        instances = check_instance_tuple(instances)
-        pairs, checks, ids = zip(*map(self._point_rows, instances))
-        n, nvars = len(instances), self.dim + 1
-        general = n >= nvars and all(map(self._independent, combinations(
-            ids, nvars), combinations(checks, nvars)))
+        pairs, checks = zip(*map(self._point_rows,
+                                 check_instance_tuple(instances)))
 
         def check(labeling: Labeling, point: tuple[int, ...]) -> None:
             numerators = point[1:]
@@ -587,6 +592,5 @@ class HalfspaceSpace(HypothesisSpace):
                      for row in checks[:len(labeling)]) != labeling:
                 raise AssertionError("halfspace witness failed verification")
 
-        return LazyWitnesses(AffineWitnesses(
-            pairs, self._cover(n), "Cover's", general, check),
-            self.hypothesis_from_key)
+        return LazyWitnesses(AffineWitnesses(pairs, check),
+                             self.hypothesis_from_key)

@@ -18,7 +18,6 @@ from vclab import (
     MultiSample,
     Sample,
 )
-from vclab.combinatorics import sauer_bound
 from vclab.model import index_states
 from vclab.nfl import PROBE_ONE_IN
 
@@ -267,13 +266,13 @@ def sweep_dichotomies(rows, strict=False):
 
 
 def kernel_table(rows, strict=False):
-    """``spaces.AffineWitnesses`` of the rows (const, coeffs), bounded by
-    Sauer's sum_{i<=k} C(n, i) for n rows in k variables: label 1 is
+    """``spaces.AffineWitnesses`` of the rows (const, coeffs), which checks
+    its count against the bound its rows take (Cover's count or Sauer's
+    sum_{i<=k} C(n, i) for n rows in k variables): label 1 is
     const + coeffs . v >= 0 (> 0 when ``strict``), label 0 the negation."""
-    pairs = [spaces._constraint_pair(const, coeffs, strict)
-             for const, coeffs in rows]
-    return spaces.AffineWitnesses(pairs, sauer_bound(len(rows[0][1]),
-                                                     len(rows)), "Sauer's")
+    return spaces.AffineWitnesses([
+        spaces._constraint_pair(const, coeffs, strict)
+        for const, coeffs in rows])
 
 
 @pytest.fixture

@@ -49,7 +49,12 @@ from vclab.formula import (
 from vclab.cli import main
 from vclab.model import to_fraction
 from vclab.spaces import AffineWitnesses
-from conftest import points, reference_fm_witness, sweep_table
+from conftest import (
+    points,
+    reference_fm_witness,
+    sweep_dichotomies,
+    sweep_table,
+)
 
 RELU_TEXT = "(x < 0 -> y = 0) and (0 <= x -> y = x)"
 
@@ -1040,35 +1045,44 @@ class TestAffineKernel:
         for lab, h in table.items():
             assert tuple(h(x) for x in pool) == lab
 
-    @pytest.mark.parametrize("coords", [
-        [(0, 0), (3, 1), (1, 4), (-1, 3), (4, -2), (6, 5)],
-        [(3, 3), (1, 1), (4, 2), (2, 5), (6, 6), (7, 2)]],
+    @pytest.mark.parametrize("coords, general", [
+        ([(0, 0), (3, 1), (1, 4), (-1, 3), (4, -2), (6, 5)], True),
+        ([(3, 3), (1, 1), (4, 2), (2, 5), (6, 6), (7, 2)], False)],
         ids=["mixed-signs", "positive-first-inside"])
     @pytest.mark.parametrize("params, index", [
         (("b", "w2", "w1"), (2, 1, 0)), (("w2", "b", "w1"), (1, 2, 0))])
-    def test_declared_order_witnesses(self, fm_calls, coords, params,
-                                      index):
+    def test_declared_order_witnesses(self, fm_calls, monkeypatch, coords,
+                                      general, params, index):
         """Six points, b declared before w1 (and, on the positive points,
         w1 of one sign in every row too; the first of them lies inside the
         others' hull, so its label 1 alone is not realized, nor is its
-        label 0 with every other 1): the count solves one system per
-        realized prefix of the first five points with first bit 0, and
-        every witness is the Fraction elimination's over the
-        declared-order rows, in the native table's lexicographic order."""
+        label 0 with every other 1, and three of them lie on a line): the
+        count of the points in general position makes no FM call; a count
+        with general position unseen solves one system per realized prefix
+        of the first five points with first bit 0; and every witness is
+        the Fraction elimination's over the declared-order rows, in the
+        native table's lexicographic order."""
         pool = [Instance.point(*p) for p in coords]
         ast = parse_formula(HALFSPACE_TEXT, ["x1", "x2"], params)
+        grown = sum(len(sweep_table(coords[:j])) // 2 for j in range(1, 6))
         table = DefinableSpace(ast, SampledParams()).dichotomies(pool)
-        assert len(fm_calls) == sum(len(sweep_table(coords[:j])) // 2
-                                    for j in range(1, 6))
+        assert len(fm_calls) == (0 if general else grown)
         assert list(table) == [lab for lab, _ in sweep_table(coords)]
         for lab, h in table.items():
             assert h.key[1:] == declared_fm_witness(pool, index, lab)
+        monkeypatch.setattr(vclab.spaces, "_independent",
+                            lambda rows, first: False)
+        fm_calls.clear()
+        DefinableSpace(ast, SampledParams()).dichotomies(pool)
+        assert len(fm_calls) == grown
 
     def test_a_labeling_over_sauers_bound_raises(self, monkeypatch,
                                                  tmp_path):
         """The rows (x, -1) of 0 <= x - p have constants, so every
         labeling is grown; one extra makes 5 of 3 points, above
-        sum_{i<=1} C(3, i) = 4, a bug and not bad input."""
+        sum_{i<=1} C(3, i) = 4, a bug and not bad input.  The points are
+        in general position, so ``len`` is 4 and the first ``in`` raises;
+        with general position unseen, ``growth`` raises."""
         tree = vclab.spaces._label_tree
 
         def extra(*args):
@@ -1078,14 +1092,63 @@ class TestAffineKernel:
                            if lab not in grown)
             return {**grown, missing: None}
         monkeypatch.setattr(vclab.spaces, "_label_tree", extra)
-        (tmp_path / "space.json").write_text(json.dumps(
-            {"kind": "formula-defined", "formula": "0 <= x - p",
-             "objects": ["x"], "params": ["p"],
-             "source": {"type": "sampled", "budget": 10}}))
+        space = {"kind": "formula-defined", "formula": "0 <= x - p",
+                 "objects": ["x"], "params": ["p"],
+                 "source": {"type": "sampled", "budget": 10}}
+        table = DefinableSpace(parse_formula("0 <= x - p", ["x"], ["p"]),
+                               SampledParams(budget=10)
+                               ).dichotomies(points(1, 2, 3))
+        assert len(table) == 4
+        with pytest.raises(AssertionError, match="5 labelings, Sauer's 4"):
+            (0, 0, 0) in table
+        monkeypatch.setattr(vclab.spaces, "_independent",
+                            lambda rows, first: False)
+        (tmp_path / "space.json").write_text(json.dumps(space))
         with pytest.raises(AssertionError, match="5 labelings, Sauer's 4"):
             main(["growth", "--space", str(tmp_path / "space.json"),
                   "--pool", "1;2;3", "--m", "3", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("pool, count", [
+        ([(1, 0), (0, 1), (F(1, 2), F(1, 2))], 6), ([(1, 0), (2, 0)], 3)],
+        ids=["concurrent-lines", "parallel-lines"])
+    def test_a_degenerate_pool_is_grown(self, fm_calls, pool, count):
+        """0 <= a*x + b*y - 1 gives each point the line a*x + b*y = 1 of
+        (a, b).  The three lines of the first pool meet in (1, 1), and the
+        two of the second are parallel, so neither pool is in general
+        position: its table is grown, and its count is the sweep's, below
+        Sauer's 7 and 4."""
+        ast = parse_formula("0 <= a*x + b*y - 1", ["x", "y"], ["a", "b"])
+        table = DefinableSpace(ast, SampledParams()).dichotomies(
+            [Instance.point(*p) for p in pool])
+        assert fm_calls
+        assert len(table) == count == len(sweep_dichotomies(
+            [(-1, p) for p in pool]))
+
+    def test_a_four_parameter_atom_in_general_position(
+            self, fm_calls, monkeypatch, tmp_path):
+        """``growth --m 7`` of u <= a*x + b*y + c*z + d over 7 integer
+        points of Q^4 drawn by Random(7) reads Sauer's sum_{i<=4} C(7, i) =
+        99 with no FM call, the points being in general position (Buck);
+        the table grown with general position unseen has 99 labelings
+        too."""
+        rng = random.Random(7)
+        pool = ";".join(",".join(str(rng.randint(-20, 20)) for _ in range(4))
+                        for _ in range(7))
+        (tmp_path / "space.json").write_text(json.dumps(
+            {"kind": "formula-defined", "formula": "u <= a*x + b*y + c*z + d",
+             "objects": ["u", "x", "y", "z"], "params": ["a", "b", "c", "d"],
+             "source": {"type": "sampled", "budget": 10}}))
+
+        def growth():
+            assert main(["growth", "--space", str(tmp_path / "space.json"),
+                         f"--pool={pool}", "--m", "7", "--out",
+                         str(tmp_path)]) == 0
+            return json.loads((tmp_path / "report.json").read_text()
+                              )["result"]["value"]
+        assert growth() == 99 and fm_calls == []
+        monkeypatch.setattr(vclab.spaces, "_independent",
+                            lambda rows, first: False)
+        assert growth() == 99 and fm_calls
 
 AFFINE_PARAMS = ("a", "b", "c")
 AFFINE_BASIS = ("x", "x * x", "1")

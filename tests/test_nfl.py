@@ -57,8 +57,10 @@ class TestBuildInstance:
                 inst.distribution(i)
 
     def test_each_target_labeling_has_zero_error(self):
+        """Without an ambient space the instance holds the full class."""
         inst = build_nfl_instance(atoms(2), 1)
-        space = full_space(inst)
+        space = inst.ambient
+        assert len(space) == inst.t
         for bits, dist in zip(all_labelings(inst),
                               map(inst.distribution, range(inst.t))):
             h = space.hypothesis_from_bits(bits)

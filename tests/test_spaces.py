@@ -4,10 +4,11 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, product
 from operator import mul
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vclab.spaces
@@ -26,6 +27,7 @@ from vclab.cli import main
 from vclab.combinatorics import growth_function, vc_dimension
 from vclab.spaces import AffineWitnesses, fm_witness
 from conftest import (
+    SWEPT_FM_WITNESS,
     fm_solve,
     kernel_table,
     points,
@@ -233,6 +235,21 @@ def test_tied_bounds_over_a_common_denominator(data):
            vclab.spaces._primitive(*constraints[3][:2]))
     got = fm_solve(constraints, 2)
     assert got == reference_fm_witness(constraints, 2) == (v0, t + sign)
+
+
+@pytest.mark.parametrize("system, match", [
+    ([((0, 1), True), ((0, -1), False)], "empty interval"),
+    ([((-1, 1), False), ((0, -1), False)], "failed its input system")],
+    ids=["strict-tie", "final-check"])
+def test_a_wrong_stage_system_raises(monkeypatch, system, match):
+    """v > 0 with v <= 0, and v >= 1 with v <= 0, are infeasible.  A stage
+    system that loses the combination proving it lets back-substitution
+    meet the strict tie at 0, or choose the midpoint 1/2, which fails
+    v >= 1: a bug, not an infeasible system."""
+    assert fm_witness(system, 1) is None
+    monkeypatch.setattr(vclab.spaces, "_eliminate", lambda system: set())
+    with pytest.raises(AssertionError, match=match):
+        fm_witness(system, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -470,6 +487,75 @@ def test_halfspace_dichotomies_match_the_sweep(rows, strict):
         sweep_dichotomies(rows, strict)
 
 
+ENTRIES = st.integers(-2, 2) | st.integers(-40, 40)
+
+
+@st.composite
+def kernel_systems(draw):
+    """n <= 7 rows (const, coeffs, strict) in k <= 4 variables (n <= 6 for
+    k = 4): closed ones, of constant 0 and last coefficient of one sign,
+    or affine ones; all strict, none, or each drawn.  Entries of -2..2 make
+    dependent rows and shared points common, entries of -40..40 general
+    position."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6 if k == 4 else 7))
+    closed, sign = draw(st.booleans()), draw(st.sampled_from([1, -1]))
+    strict = draw(st.sampled_from([False, True, None]))
+    rows = []
+    for _ in range(n):
+        coeffs = draw(st.lists(ENTRIES, min_size=k, max_size=k))
+        if closed:
+            coeffs[-1] = sign * draw(st.integers(1, 3))
+        rows.append((0 if closed else draw(ENTRIES), tuple(coeffs),
+                     draw(st.booleans()) if strict is None else strict))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_systems())
+@example([(0, (1,), False), (0, (1,), True)])
+def test_kernel_count_matches_the_sweep(system):
+    """``AffineWitnesses`` against ``fm_witness`` on every labeling's full
+    system: its ``len``, taken before anything decides the table, is the
+    number of feasible labelings, ``in`` answers each labeling as the
+    sweep does, and iteration lists them in lexicographic order.  Rows in
+    general position, found here by Laplace determinants, have Cover's
+    count when closed (constant 0, one strictness, a column of one sign)
+    and Sauer's otherwise, and make no FM call before a read.  Closed
+    rows of mixed strictness, as in the example, are not closed: v = 0
+    gives (1, 0), no cell of v > 0 or v < 0 does."""
+    n, k = len(system), len(system[0][1])
+    pairs = [vclab.spaces._constraint_pair(const, coeffs, strict)
+             for const, coeffs, strict in system]
+    labelings = list(product((0, 1), repeat=n))
+    realized = [lab for lab in labelings if SWEPT_FM_WITNESS(
+        [pair[b] for pair, b in zip(pairs, lab)], k) is not None]
+    calls = []
+
+    def counted(constraints, nvars):
+        calls.append(constraints)
+        return fm_witness(constraints, nvars)
+    with mock.patch.object(vclab.spaces, "fm_witness", counted):
+        table = AffineWitnesses(pairs)
+        count, built = len(table), len(calls)
+    assert count == len(realized)
+    assert [lab in table for lab in labelings] == \
+        [lab in realized for lab in labelings]
+    assert list(table) == realized
+    closed = not any(const for const, _, _ in system) and len(
+        {strict for _, _, strict in system}) == 1 and any(
+        len({v > 0 for v in column}) == 1 and 0 not in column
+        for column in zip(*(coeffs for _, coeffs, _ in system)))
+    general = n >= k and all(_det(group) for group in combinations(
+        [coeffs for _, coeffs, _ in system], k)) and (closed or all(
+            _det([(const, *coeffs) for const, coeffs, _ in group])
+            for group in combinations(system, k + 1)))
+    if general:
+        assert built == 0
+        assert count == (cover_count(n, k - 1) if closed
+                         else sum(math.comb(n, i) for i in range(k + 1)))
+
+
 def plane_points_in_general_position(rng, n, span=50):
     """n distinct integer points of [-span, span]^2, no three collinear."""
     pts = []
@@ -520,10 +606,10 @@ HALFSPACE_2D = '{"kind": "halfspace-family", "dim": 2}'
 
 
 def _not_independent(monkeypatch):
-    """Make every space see no point set in general position, so that
-    each table is decided, and grown if need be, when it is built."""
-    monkeypatch.setattr(HalfspaceSpace, "_independent",
-                        lambda self, ids, rows: False)
+    """Make every table see no rows in general position, so that each is
+    decided, and grown if need be, when it is built."""
+    monkeypatch.setattr(vclab.spaces, "_independent",
+                        lambda rows, first: False)
 
 
 class TestCoverRule:
@@ -947,6 +1033,12 @@ class TestRuleChecks:
         _patch_dependence(monkeypatch, change)
         _vcdim_raises(tmp_path, "rank certificate failed verification")
 
+    @staticmethod
+    def patch_comb(monkeypatch, comb):
+        """Compute Cover's count 2 * sum_{i<k} C(n - 1, i) with ``comb``."""
+        monkeypatch.setattr(vclab.spaces, "math",
+                            SimpleNamespace(gcd=math.gcd, comb=comb))
+
     def test_a_rule_claiming_every_labeling_reaches_known_vc(
             self, monkeypatch, tmp_path):
         """If Cover's count were all 2^n labelings, the 4 points of the
@@ -955,27 +1047,44 @@ class TestRuleChecks:
         14 is checked against Cover's like a grown table's, so the run
         stops there, before ``vc_dimension`` would report d=4 above the
         family's VC dimension 3."""
-        monkeypatch.setattr(HalfspaceSpace, "_cover", lambda self, n: 2 ** n)
+        self.patch_comb(monkeypatch, lambda n, i: 2 ** n if i == 0 else 0)
         _vcdim_raises(tmp_path, "14 labelings, Cover's 16",
                       pool="0,0;1,0;0,1;1,1")
 
     # The closed rows of (0, 0), (1, 0) and (0, 1): affinely independent,
-    # so the rule decides them, all 8 labelings realized.
+    # so the rule decides them, all 8 labelings realized; and of three
+    # points on a line, with 6.
     CORNER_PAIRS = [vclab.spaces._constraint_pair(0, (x, y, 1), False)
                     for x, y in ((0, 0), (1, 0), (0, 1))]
+    LINE_PAIRS = [vclab.spaces._constraint_pair(0, (x, 0, 1), False)
+                  for x in range(3)]
 
-    def test_a_rule_count_above_the_bound_raises(self):
-        with pytest.raises(AssertionError, match="8 labelings, test's 7"):
-            AffineWitnesses(self.CORNER_PAIRS, 7, "test's")
-        assert len(AffineWitnesses(self.CORNER_PAIRS, 8, "test's")) == 8
+    def test_a_rule_count_above_the_bound_raises(self, monkeypatch):
+        """With Cover's count computed 2 short, at 6, the corner points'
+        8 labelings raise at the first ``in`` in general position, and
+        when the table is built otherwise."""
+        assert len(AffineWitnesses(self.CORNER_PAIRS)) == 8
+        self.patch_comb(monkeypatch,
+                        lambda n, i, comb=math.comb: comb(n, i) - (i == 0))
+        table = AffineWitnesses(self.CORNER_PAIRS)
+        assert len(table) == 6
+        with pytest.raises(AssertionError, match="8 labelings, Cover's 6"):
+            (0, 0, 0) in table
+        _not_independent(monkeypatch)
+        with pytest.raises(AssertionError, match="8 labelings, Cover's 6"):
+            AffineWitnesses(self.CORNER_PAIRS)
 
-    def test_a_rule_count_off_a_general_bound_raises(self):
-        """With ``general`` the bound is the length until the table is
-        decided, and the rule's count must then equal it."""
-        table = AffineWitnesses(self.CORNER_PAIRS, 5, "test's", general=True)
-        assert len(table) == 5
+    def test_a_rule_count_off_a_general_bound_raises(self, monkeypatch):
+        """Rows taken to be in general position have Cover's count as
+        their length until the table is decided, and the rule's count must
+        then equal it."""
+        assert len(AffineWitnesses(self.LINE_PAIRS)) == 6
+        monkeypatch.setattr(vclab.spaces, "_independent",
+                            lambda rows, first: True)
+        table = AffineWitnesses(self.LINE_PAIRS)
+        assert len(table) == 8
         for decide in (list, lambda t: (0, 0, 0) in t):
-            with pytest.raises(AssertionError, match="8 labelings, test's 5"):
+            with pytest.raises(AssertionError, match="6 labelings, Cover's 8"):
                 decide(table)
 
 
