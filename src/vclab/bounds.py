@@ -165,17 +165,15 @@ class BoundsReport(Record):
 
 
 def bounds_report(d: int, eps: float, delta: float, m_h: int = 1,
-                  m0_nmse: int = 1, m_eval: int | None = None) -> BoundsReport:
+                  m0_nmse: int = 1) -> BoundsReport:
     """Evaluate all bounds at one input point.
 
-    ``epsilon0`` is evaluated at ``m_eval`` (default: the uniform-convergence
-    bound itself) with the binomial-sum growth bound at 2*m_eval, so the
-    reported pair witnesses epsilon0(m_eval) <= eps.
+    ``epsilon0`` is evaluated at ``m_eval``, the uniform-convergence bound
+    itself, with the binomial-sum growth bound at 2*m_eval, so the reported
+    pair witnesses epsilon0(m_eval) <= eps.
     """
     ucp = m0_ucp(d, eps, delta, m_h)
-    m = ucp.m0 if m_eval is None else m_eval
-    if m < 1:
-        raise ValueError("m_eval must be >= 1")
+    m = ucp.m0  # >= m_h >= 1
     growth = sauer_bound(d, 2 * m) if d >= 1 else 1
     return BoundsReport(
         d=d, eps=eps, delta=delta, m_h=m_h, m0_nmse=m0_nmse,

@@ -107,7 +107,8 @@ def _parse_instance_list(text: str):
 
 
 def _load_pool(path_or_inline: str, inputs: Inputs):
-    if Path(path_or_inline).exists():
+    # "" is the empty inline list, not the current directory.
+    if path_or_inline and Path(path_or_inline).exists():
         return pool_from_json(inputs.json(path_or_inline))
     return _parse_instance_list(path_or_inline)
 
@@ -183,10 +184,10 @@ def _cmd_bounds(args, inputs):
                            m0_nmse=args.m0_nmse)
     sweep = None
     if args.csv:
-        eps_grid = (_parse_list(args.eps_grid, float) if args.eps_grid
-                    else [args.eps])
-        delta_grid = (_parse_list(args.delta_grid, float) if args.delta_grid
-                      else [args.delta])
+        eps_grid = (_parse_list(args.eps_grid, float)
+                    if args.eps_grid is not None else [args.eps])
+        delta_grid = (_parse_list(args.delta_grid, float)
+                      if args.delta_grid is not None else [args.delta])
         sweep = [("d", "eps", "delta", "m_h", "m0_singleton", "m0_1", "m0_2",
                   "m0_3", "m0_ucp", "m0_pac", "epsilon0")]
         for eps in eps_grid:
@@ -224,8 +225,8 @@ def _cmd_sim(args, inputs):
 
 
 def _cmd_nfl(args, inputs):
-    instances = (_load_pool(args.instances, inputs) if args.instances
-                 else range(2 * args.m))
+    instances = (_load_pool(args.instances, inputs)
+                 if args.instances is not None else range(2 * args.m))
     ambient = (None if args.space == "full"
                else space_from_json(inputs.json(args.space)))
     inst = build_nfl_instance(instances, args.m, ambient, args.allow_large)
@@ -253,9 +254,9 @@ def _formula_space(args, inputs) -> fm.DefinableSpace:
     def rows(text):
         return [[v.strip() for v in row.split(",") if v.strip()]
                 for row in text.split(";") if row.strip()]
-    if args.params_list:
+    if args.params_list is not None:
         source = {"type": "explicit", "tuples": rows(args.params_list)}
-    elif args.grid:
+    elif args.grid is not None:
         source = {"type": "grid", "axes": rows(args.grid)}
     else:
         source = {"type": "sampled", "budget": args.budget, "seed": args.seed}
@@ -282,7 +283,7 @@ def _cmd_formula(args, inputs):
         value = fm.compile_formula(ast, backend)(x, w)
         return ({"value": value, "backend": backend}, None)
     if args.action == "space":
-        if not args.pool:
+        if args.pool is None:
             raise UsageError("formula space needs --pool 'x1;x2;...'")
         space = _formula_space(args, inputs)
         pool = _load_pool(args.pool, inputs)
@@ -296,7 +297,7 @@ def _cmd_formula(args, inputs):
                                        for lab in table)},
                 None)
     # argparse's choices leave "shatter" as the only other action.
-    if not args.instances:
+    if args.instances is None:
         raise UsageError("formula shatter needs --instances 'x1;x2;...'")
     verdict = shatters(_formula_space(args, inputs),
                        _load_pool(args.instances, inputs))
@@ -400,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formula", help="parse/eval/space/shatter for the DSL")
     p.add_argument("action", choices=["parse", "eval", "space", "shatter"])
-    p.add_argument("--text", default=None)
-    p.add_argument("--file", default=None)
+    text = p.add_mutually_exclusive_group()
+    text.add_argument("--text", default=None)
+    text.add_argument("--file", default=None)
     p.add_argument("--objects", required=True, help="comma-separated names")
     p.add_argument("--params", default="", help="comma-separated names")
     p.add_argument("--backend", choices=["exact", "float"], default=None)
@@ -413,10 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instances for the shattering check, JSON file or "
                         "inline 'x1;x2;...'"
                         + _MINUS_HELP.format("instances"))
-    p.add_argument("--params-list", dest="params_list", default=None,
-                   help="explicit parameter tuples 'a,b;c,d'")
-    p.add_argument("--grid", default=None,
-                   help="per-parameter axes 'v1,v2;u1,u2'")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--params-list", dest="params_list", default=None,
+                        help="explicit parameter tuples 'a,b;c,d'")
+    source.add_argument("--grid", default=None,
+                        help="per-parameter axes 'v1,v2;u1,u2'")
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     add_out(p)

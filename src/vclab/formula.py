@@ -47,13 +47,7 @@ from .model import (
     split_columns,
     to_fraction,
 )
-from .spaces import (
-    AffineWitnesses,
-    CoSingletonSpace,
-    IntervalSpace,
-    ThresholdSpace,
-    _constraint_pair,
-)
+from .spaces import AffineRows, CoSingletonSpace, IntervalSpace, ThresholdSpace
 
 
 class FormulaError(Exception):
@@ -618,12 +612,12 @@ def _param_degree(node, params) -> int:
 def _affine(ast: FormulaAst) -> _ClosedForm | None:
     """A single < or <= atom, or its negation, affine in its k >= 1
     parameters: u(x, w) >= 0 (> 0 when strict), each point giving the row
-    (u(x, 0), u(x, e_1) - u(x, 0), ...) of ``AffineWitnesses``.  Each
-    point's constraint pair is built once and kept for the closed form's
-    lifetime.  Its VC dimension is at most k (Dudley 1978): on k + 1
-    points the vectors (u(x_j, w))_j lie in an affine subspace of
-    dimension <= k, so some c != 0 has c . u constant there, and labeling
-    each x_j against the sign of c_j gives an orthant that misses it."""
+    (u(x, 0), u(x, e_1) - u(x, 0), ...) of ``AffineWitnesses``, kept by one
+    ``AffineRows`` for the closed form's lifetime.  Its VC dimension is at
+    most k (Dudley 1978): on k + 1 points the vectors (u(x_j, w))_j lie in
+    an affine subspace of dimension <= k, so some c != 0 has c . u constant
+    there, and labeling each x_j against the sign of c_j gives an orthant
+    that misses it."""
     root, negated = ast.root, False
     while isinstance(root, Not):
         root, negated = root.child, not negated
@@ -641,20 +635,11 @@ def _affine(ast: FormulaAst) -> _ClosedForm | None:
     # w = 0, then each unit vector e_i.
     units = [[int(i == j) for j in range(k)] for i in range(-1, k)]
 
-    rows: dict[Instance, tuple[tuple, tuple]] = {}
+    def row(x):
+        const, *values = [term(x.coords, w) for w in units]
+        return const, [v - const for v in values], strict
 
-    def witnesses(instances):
-        pairs = []
-        for x in instances:
-            pair = rows.get(x)
-            if pair is None:
-                const, *values = [term(x.coords, w) for w in units]
-                pair = rows[x] = _constraint_pair(
-                    const, [v - const for v in values], strict)
-            pairs.append(pair)
-        return AffineWitnesses(pairs)
-
-    return _ClosedForm("affine", k, witnesses)
+    return _ClosedForm("affine", k, AffineRows(row).table)
 
 
 def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:

@@ -96,19 +96,18 @@ class TrialReport(Record):
         }
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials")
     phat = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1 - phat) / trials
-                                   + z2 / (4 * trials * trials))
+    half = (_Z95 / denom) * math.sqrt(phat * (1 - phat) / trials
+                                      + z2 / (4 * trials * trials))
     # clamp against rounding so the interval always contains the estimate
     return min(phat, max(0.0, center - half)), max(phat, min(1.0, center + half))
 

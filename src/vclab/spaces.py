@@ -18,6 +18,11 @@ elimination per realized prefix, not one per labeling.  It works out one
 count rule from its rows: at most Cover's count for closed rows (a
 halfspace's), Sauer's bound for others, and exactly that, with no
 elimination, in general position (determinants memoized on the rows).
+``AffineRows`` builds and keeps each instance's rows, for halfspaces and
+formula atoms alike, and every point the kernel finds, tree prefixes
+included, is checked in integers against its own check rows, built apart
+from the rows it eliminates, which also give the points after a prefix
+their labels.
 """
 
 from __future__ import annotations
@@ -261,11 +266,15 @@ def _label_tree(tests, solve: Callable[[Labeling], tuple[int, ...] | None],
     return dict(level)
 
 
-def _constraint_pair(const, coeffs, strict: bool) -> tuple[tuple, tuple]:
-    """The primitive integer constraints of label 0 and of label 1 of the
-    affine function const + coeffs . v (>= 0, or > 0 when ``strict``)."""
+def _affine_entry(const, coeffs, strict: bool) -> tuple[tuple, tuple, tuple]:
+    """A point's entry for the affine function const + coeffs . v (>= 0,
+    or > 0 when ``strict``): the primitive integer constraints of its
+    label 0 and of its label 1, and its check (row, strict) with the row
+    (const, *coeffs) over their common denominator, not divided by a gcd,
+    so built apart from ``_primitive``."""
     row = _primitive(coeffs, const)
-    return (tuple([-v for v in row]), not strict), (row, strict)
+    return ((tuple([-v for v in row]), not strict), (row, strict),
+            (common_denominator((const, *coeffs))[1], strict))
 
 
 def _affine_dependence(rows: Sequence[list[int]]) -> tuple | None:
@@ -325,13 +334,15 @@ def _independent(rows: tuple[tuple[int, ...], ...], first: int) -> bool:
 
 
 class AffineWitnesses(Mapping):
-    """The labelings of the constraint ``pairs`` (per point, the primitive
-    constraints of its label 0 and label 1, ``_constraint_pair``, in k >= 1
+    """The labelings of the point ``entries`` (``_affine_entry``, in k >= 1
     variables) that some rational v realizes, in lexicographic order, each
     mapped to its witness: the point ``fm_witness`` finds on its full system,
-    as Fractions, solved when first read unless the tree holds it.
-    ``check(labeling, point)``, when given, sees every point found and raises
-    on a wrong one.
+    as Fractions, solved when first read unless the tree holds it.  Every
+    point found, a tree prefix's or a read's, is checked in integers against
+    the check rows of its labeling's points, built apart from the rows FM
+    eliminates; a point that gives one of them the wrong label raises
+    AssertionError.  A prefix's point gives the later points of the tree
+    their labels by their check rows too, not by the eliminated rows.
 
     The n label-1 rows (const, c) are closed when every const is 0, all or
     none are strict, and some c_j has one sign s in every row.  Closed rows
@@ -371,16 +382,14 @@ class AffineWitnesses(Mapping):
     Motzkin's transposition theorem any other infeasibility certificate would
     be a second kernel vector."""
 
-    def __init__(self, pairs: Sequence[tuple[tuple, tuple]],
-                 check: Callable[[Labeling, tuple[int, ...]], None]
-                 | None = None):
-        self._pairs, self._n, self._check = pairs, len(pairs), check
-        rows = [pair[1][0] for pair in pairs]
+    def __init__(self, entries: Sequence[tuple[tuple, tuple, tuple]]):
+        self._entries, self._n = entries, len(entries)
+        rows = [entry[1][0] for entry in entries]
         const, *columns = zip(*rows)
         n, k = self._n, len(columns)
         self._nvars, self._signs, self._tree = k, None, None
         self._closed = not any(const) and len(
-            {pair[1][1] for pair in pairs}) == 1 and next((
+            {entry[1][1] for entry in entries}) == 1 and next((
                 (j, 1 if c[0] > 0 else -1) for j, c in zip(
                     range(k, 0, -1), reversed(columns))
                 if min(c) > 0 or max(c) < 0), None)
@@ -394,16 +403,21 @@ class AffineWitnesses(Mapping):
         self._len = self._bound if self._general else self._decide()
 
     def _solve(self, labeling: Labeling) -> tuple[int, ...] | None:
-        point = fm_witness([pair[lab] for pair, lab
-                            in zip(self._pairs, labeling)], self._nvars)
-        if point is not None and self._check is not None:
-            self._check(labeling, point)
+        """``fm_witness`` of the labeling's system, checked: label 1 iff
+        check row . point > 0 (>= 0 when not strict)."""
+        entries = self._entries
+        point = fm_witness([entry[lab] for entry, lab
+                            in zip(entries, labeling)], self._nvars)
+        if point is not None:
+            for (_, _, (check, strict)), lab in zip(entries, labeling):
+                dot = sum(map(mul, check, point))
+                if (dot > 0 or dot == 0 and not strict) != lab:
+                    raise AssertionError("witness failed verification")
         return point
 
     def _decide(self) -> int:
         """Decide the labelings, as the class docstring says, and count."""
-        tests = [pair[1] for pair in self._pairs]
-        coeffs = [row[1:] for row, _ in tests]
+        coeffs = [entry[1][0][1:] for entry in self._entries]
         n, nvars = self._n, self._nvars
         found = (_affine_dependence(coeffs) if self._closed
                  and n <= nvars + 1 else None)
@@ -426,7 +440,8 @@ class AffineWitnesses(Mapping):
             if self._closed:
                 j, s = self._closed
                 start[j], prefix = -s, (0,)
-            tree = _label_tree(tests, self._solve, prefix, tuple(start))
+            tree = _label_tree([entry[2] for entry in self._entries],
+                               self._solve, prefix, tuple(start))
             count = len(tree) * (2 if self._closed else 1)
         if count > self._bound or self._general and count < self._bound:
             raise AssertionError(f"{count} labelings, {self._named} "
@@ -471,6 +486,22 @@ class AffineWitnesses(Mapping):
 
     def __len__(self) -> int:
         return self._len
+
+
+class AffineRows(dict):
+    """Instance x -> its entry (``_affine_entry``) for the affine function
+    ``row(x)`` = (const, coeffs, strict), built on first lookup and kept for
+    the owner's lifetime; ``table`` is the ``AffineWitnesses`` of them."""
+
+    def __init__(self, row: Callable[[Instance], tuple]):
+        self._row = row
+
+    def __missing__(self, x: Instance) -> tuple:
+        entry = self[x] = _affine_entry(*self._row(x))
+        return entry
+
+    def table(self, instances: Sequence[Instance]) -> AffineWitnesses:
+        return AffineWitnesses([self[x] for x in instances])
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +569,8 @@ class HalfspaceSpace(HypothesisSpace):
     """Affine halfspaces of a fixed dimension: h = 1[w.x + b >= 0].
 
     Each point x gives the closed row (0, x, 1) in (w, b) of
-    ``AffineWitnesses``, counted by Cover's rule.  The space keeps, for its
-    whole lifetime, each point's constraint pair and, built apart from it,
-    the integer check row (x, 1) that re-checks every witness.
+    ``AffineWitnesses``, counted by Cover's rule, and kept by one
+    ``AffineRows`` for the space's lifetime.
     """
 
     kind = "halfspace-family"
@@ -549,8 +579,13 @@ class HalfspaceSpace(HypothesisSpace):
         if dim < 1:
             raise ValueError("halfspace dimension must be >= 1")
         self.dim = dim
-        # point -> (constraint pair of labels 0 and 1, check row)
-        self._rows: dict[Instance, tuple[tuple, list[int]]] = {}
+
+        def row(x: Instance) -> tuple:
+            coords = x.coords
+            if len(coords) != dim:
+                raise ValueError(f"instance {x} is not {dim}-dimensional")
+            return 0, (*coords, 1), False
+        self._rows = AffineRows(row)
 
     def known_vc(self) -> int:
         return self.dim + 1
@@ -569,28 +604,6 @@ class HalfspaceSpace(HypothesisSpace):
 
         return Hypothesis(key=("halfspace",) + params, fn=fn)
 
-    def _point_rows(self, x: Instance) -> tuple[tuple, list[int]]:
-        rows = self._rows.get(x)
-        if rows is None:
-            coords = x.coords
-            if len(coords) != self.dim:
-                raise ValueError(f"instance {x} is not {self.dim}-dimensional")
-            rows = self._rows[x] = (_constraint_pair(0, (*coords, 1), False),
-                                    common_denominator((*coords, 1))[1])
-        return rows
-
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
-        """``AffineWitnesses`` of the points' rows.  Each point
-        (den, den*w, den*b) found is checked apart from FM and its rows:
-        its dot product with a check row has the sign of w.x + b."""
-        pairs, checks = zip(*map(self._point_rows,
-                                 check_instance_tuple(instances)))
-
-        def check(labeling: Labeling, point: tuple[int, ...]) -> None:
-            numerators = point[1:]
-            if tuple(1 if sum(map(mul, numerators, row)) >= 0 else 0
-                     for row in checks[:len(labeling)]) != labeling:
-                raise AssertionError("halfspace witness failed verification")
-
-        return LazyWitnesses(AffineWitnesses(pairs, check),
+        return LazyWitnesses(self._rows.table(check_instance_tuple(instances)),
                              self.hypothesis_from_key)

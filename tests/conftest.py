@@ -253,12 +253,12 @@ def sweep_dichotomies(rows, strict=False):
     witness as Fractions: label 1 is const + coeffs . v >= 0 (> 0 when
     ``strict``), label 0 the negation."""
     nvars = len(rows[0][1])
-    pairs = [spaces._constraint_pair(const, coeffs, strict)
-             for const, coeffs in rows]
+    entries = [spaces._affine_entry(const, coeffs, strict)
+               for const, coeffs in rows]
     out = []
     for labeling in product((0, 1), repeat=len(rows)):
         point = SWEPT_FM_WITNESS(
-            [pair[lab] for pair, lab in zip(pairs, labeling)], nvars)
+            [entry[lab] for entry, lab in zip(entries, labeling)], nvars)
         if point is not None:
             out.append((labeling, tuple(Fraction(v, point[0])
                                         for v in point[1:])))
@@ -271,8 +271,18 @@ def kernel_table(rows, strict=False):
     sum_{i<=k} C(n, i) for n rows in k variables): label 1 is
     const + coeffs . v >= 0 (> 0 when ``strict``), label 0 the negation."""
     return spaces.AffineWitnesses([
-        spaces._constraint_pair(const, coeffs, strict)
+        spaces._affine_entry(const, coeffs, strict)
         for const, coeffs in rows])
+
+
+@pytest.fixture
+def denominators_dropped(monkeypatch):
+    """``spaces._primitive`` keeps each entry's numerator and drops its
+    denominator, so the rows FM eliminates are wrong for fractional
+    entries while the check rows stay right."""
+    def numerators(coeffs, const):
+        return tuple(v.numerator for v in (const, *coeffs))
+    monkeypatch.setattr(spaces, "_primitive", numerators)
 
 
 @pytest.fixture

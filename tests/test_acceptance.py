@@ -6,13 +6,17 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import random
 import time
 from fractions import Fraction as F
-from itertools import product
+from itertools import product, repeat
 
 from vclab import (
     DefinableSpace,
     DiscreteDistribution,
     ExplicitSpace,
+    HalfspaceSpace,
+    Instance,
+    IntervalSpace,
     MultiSample,
+    Sample,
     SampledParams,
     ThresholdSpace,
     build_nfl_instance,
@@ -281,3 +285,48 @@ def test_criterion_8_symmetrization_zero_mean():
     ok = nonzero == 0
     assert line(8, ok, f"{triples} random (h, z, z') triples, exhaustive "
                        f"sign enumeration up to m=10, {nonzero} nonzero means")
+
+
+def test_criterion_9_erm_lemma_links_ucp_and_pac():
+    """The ERM lemma: if every hypothesis' sample error is within eps/2 of
+    its true error (the UCP event at eps/2), the sample-error minimizer's
+    true error is within eps of the best (its PAC event at eps).  So
+    P_pac(sem, eps) >= P_ucp(eps/2) exactly, and trial by trial in Monte
+    Carlo, where both estimators draw the same counts-only multi-sample
+    from one seed, as sem is order-invariant."""
+    rng = random.Random(90_009)
+    started = time.monotonic()
+    corners = [Instance.point(x, y) for x, y in product((0, 1), repeat=2)]
+    cases = [(HalfspaceSpace(2), DiscreteDistribution(
+        [(Sample(x, y), w) for x, y, w in zip(
+            corners, (1, 0, 0, 1), (F(1, 4), F(1, 5), F(1, 3), F(13, 60)))]))]
+    for _ in range(40):
+        space = random_explicit_space(rng)
+        cases.append((space, random_distribution(rng, space.domain)))
+    for space in [ThresholdSpace()] * 10 + [IntervalSpace()] * 10:
+        instances = points(*rng.sample(range(-3, 4), rng.randint(1, 4)))
+        cases.append((space, random_distribution(rng, instances)))
+    exact = trials = violations = 0
+    for space, dist in cases:
+        sem = sem_learner(space)
+        for m, eps in product(range(1, 4), map(F, range(1, 10), repeat(10))):
+            pac = estimate_pac_probability(sem, space, dist, m, eps,
+                                           exact=True).probability
+            ucp = estimate_ucp_probability(space, dist, m, eps / 2,
+                                           exact=True).probability
+            exact += 1
+            violations += pac < ucp
+        for seed in range(6):
+            eps = F(rng.randint(1, 9), 10)
+            pac = estimate_pac_probability(sem, space, dist, 6, eps,
+                                           trials=1, seed=seed)
+            ucp = estimate_ucp_probability(space, dist, 6, eps / 2,
+                                           trials=1, seed=seed)
+            trials += 1
+            violations += pac.successes < ucp.successes
+    elapsed = time.monotonic() - started
+    assert line(9, violations == 0,
+                f"ERM lemma over {len(cases)} spaces: {exact} exact cases at "
+                f"m = 1..3 and {trials} single trials at m = 6, "
+                f"{violations} with UCP(eps/2) above PAC(sem, eps), "
+                f"{elapsed * 1000:.0f}ms")

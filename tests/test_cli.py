@@ -1072,6 +1072,41 @@ def test_bounds_grid_without_csv_exits_2(tmp_path, capsys, flag):
     assert "--csv" in capsys.readouterr().err
 
 
+QUADRATIC = ("formula", "space", "--text", "x*x <= p", "--objects", "x",
+             "--params", "p", "--pool", "1;2")
+BOUNDS_CSV = ("bounds", "--d", "1", "--eps", "0.5", "--delta", "0.5",
+              "--csv")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ((*QUADRATIC, "--params-list", ""), "parameter list must be non-empty"),
+    ((*QUADRATIC, "--grid", ""), "every grid axis needs at least one value"),
+    ((*QUADRATIC, "--params-list", "1", "--grid", "5"),
+     "argument --grid: not allowed with argument --params-list"),
+    (("formula", "space", *FORMULA, "--text", "x <= p", "--pool", "1;2"),
+     "argument --text: not allowed with argument --file"),
+    (("nfl", "--m", "1", "--instances", ""), "empty instance list"),
+    (("vcdim", "--space", "space.json", "--pool", ""), "empty instance list"),
+    (("growth", "--space", "space.json", "--pool", "", "--m", "1"),
+     "empty instance list"),
+    ((*BOUNDS_CSV, "--eps-grid", ""), "empty value list ''"),
+    ((*BOUNDS_CSV, "--delta-grid", ""), "empty value list ''"),
+], ids=["params-list-empty", "grid-empty", "params-list-and-grid",
+        "file-and-text", "nfl-instances-empty", "vcdim-pool-empty",
+        "growth-pool-empty", "eps-grid-empty", "delta-grid-empty"])
+def test_empty_or_conflicting_flags_exit_2(tmp_path, capsys, argv, expected):
+    """An empty flag value is read as given, not as the flag left out, and
+    two flags that each set one thing conflict: each run is bad input.
+    These runs used to exit 0 on the sampled source, the default NFL
+    instances or the one-point grid, or with the first of the two flags;
+    an empty pool was read as the current directory."""
+    write_files(tmp_path, INPUT_FILES)
+    argv = [str(tmp_path / a) if a in INPUT_FILES else a for a in argv]
+    code, payload = run(tmp_path, *argv)
+    assert code == 2 and payload is None
+    assert expected in capsys.readouterr().err
+
+
 # Input files for the branches of input parsing that the tests above do not
 # reach.
 BRANCH_FILES = {
@@ -1157,3 +1192,60 @@ def test_exact_probabilities_are_the_pinned_ones(tmp_path, command, eps):
     assert code == 0
     assert [r["probability"] for r in payload["result"]] == \
         EXACT_PROBABILITIES[command, eps]
+
+
+# Jobs on paths that no bench workload runs, and the sha256 of each one's
+# ``result``, taken as perfbench takes it.  A fix of a wrong answer updates
+# its pin.
+DIGEST_FILES = {
+    "halfspace2.json": {"kind": "halfspace-family", "dim": 2},
+    "halfspace3.json": {"kind": "halfspace-family", "dim": 3},
+    "lines.json": {"kind": "formula-defined",
+                   "formula": "0 <= a*x + b*y - 1", "objects": ["x", "y"],
+                   "params": ["a", "b"], "source": {"type": "sampled"}},
+    "plane-dist.json": {"support": [[[0, 0], 1], [[2, 1], 0], [[1, 3], 1],
+                                    [[3, 3], 0]],
+                        "weights": ["1/4", "1/5", "1/3", "13/60"]},
+}
+DIGEST_JOBS = {
+    "formula-space": ("formula", "space", "--text", "a * x + b * y <= 1",
+                      "--objects", "x,y", "--params", "a,b",
+                      "--pool=-3,1/4;4,1/4;1/2,1;1,-4"),
+    "growth-concurrent-lines": ("growth", "--space", "lines.json", "--pool",
+                                "1,0;0,1;1/2,1/2", "--m", "3"),
+    "growth-grid": ("growth", "--space", "halfspace3.json", "--pool",
+                    "1,1,0;2,2,0;1,1,1;0,0,1;0,2,2;1,2,1;1,2,0;2,2,2;1,0,0;"
+                    "2,0,2", "--m", "10"),
+    "vcdim-halfspace": ("vcdim", "--space", "halfspace2.json", "--pool",
+                        "0,0;3,1;1,4;2,2;1/2,1/3"),
+    "pac-sim-halfspace": ("pac-sim", "--space", "halfspace2.json", "--dist",
+                          "plane-dist.json", "--m", "1,2,3", "--eps", "0.1",
+                          "--exact", "--learner", "builtin:sem"),
+    "nfl": ("nfl", "--m", "2"),
+}
+RESULT_DIGESTS = {
+    "formula-space":
+        "20b9e535f248e8f8325381e2d7dbf03be2993efd6e41a734dcb7a434f23cbed5",
+    "growth-concurrent-lines":
+        "67a1169b92f56d863d9d549793b55838ce27b251703e1f0e41ce506f2a64418f",
+    "growth-grid":
+        "8085273ff8c85a7025aaf0fffee141b6b3d4bba1f7f941656c809889bc97a37e",
+    "vcdim-halfspace":
+        "5279c06183dcc0a6e230d1b039de4c366c70a262947a8da160383cc79d141bd3",
+    "pac-sim-halfspace":
+        "601411fd493fc993fecef352de83d71e4c23fd906c3e83b2a9b6c682f6c23a47",
+    "nfl": "1e91e101ca0febcd77112fb59d96c099d4836b89bcddc31287f1bea8e605d4c8",
+}
+
+
+def test_result_digests_are_the_pinned_ones(tmp_path):
+    write_files(tmp_path, DIGEST_FILES)
+    digests = {}
+    for name, argv in DIGEST_JOBS.items():
+        argv = [str(tmp_path / a) if a in DIGEST_FILES else a for a in argv]
+        code, payload = run(tmp_path, *argv)
+        assert code == 0, name
+        digests[name] = hashlib.sha256(json.dumps(
+            payload["result"], sort_keys=True,
+            separators=(",", ":")).encode()).hexdigest()
+    assert digests == RESULT_DIGESTS

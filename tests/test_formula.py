@@ -934,7 +934,7 @@ class TestAffineOracle:
                 first, *_, last = self
                 return super().__getitem__(
                     last if labeling == first else labeling)
-        monkeypatch.setattr(vclab.formula, "AffineWitnesses", Swapped)
+        monkeypatch.setattr(vclab.spaces, "AffineWitnesses", Swapped)
 
     def test_wrong_witness_raises(self, wrong_witness):
         """The table counts without reading a witness; the read of the
@@ -955,6 +955,32 @@ class TestAffineOracle:
         with pytest.raises(AssertionError):
             main(["vcdim", "--space", str(tmp_path / "space.json"),
                   "--pool", "1;2;3", "--out", str(tmp_path)])
+
+    # Four points of the plane in general position for a * x + b * y <= 1.
+    # With denominators dropped, the rows (1, 3, -1), (1, -4, -1) and
+    # (1, -1, -1) of the first three are dependent, so the table is grown.
+    FRACTIONAL_POOL = "-3,1/4;4,1/4;1/2,1;1,-4"
+
+    def test_wrong_rows_raise_when_the_table_is_listed(
+            self, denominators_dropped):
+        """With denominators dropped from the rows FM eliminates, the grown
+        table would list 10 of its 11 labelings; the kernel checks each
+        point it finds against the atom's check rows and raises while the
+        table is listed, before any witness is read."""
+        ast = parse_formula("a * x + b * y <= 1", ["x", "y"], ["a", "b"])
+        space = DefinableSpace(ast, SampledParams())
+        pool = [Instance.point(*map(F, p.split(",")))
+                for p in self.FRACTIONAL_POOL.split(";")]
+        with pytest.raises(AssertionError,
+                           match="witness failed verification"):
+            list(space.dichotomies(pool))
+
+    def test_wrong_rows_do_not_exit_2(self, denominators_dropped, tmp_path):
+        with pytest.raises(AssertionError,
+                           match="witness failed verification"):
+            main(["formula", "space", "--text", "a * x + b * y <= 1",
+                  "--objects", "x,y", "--params", "a,b",
+                  f"--pool={self.FRACTIONAL_POOL}", "--out", str(tmp_path)])
 
 
 def seed5_plane_pool() -> list[Instance]:

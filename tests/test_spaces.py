@@ -525,18 +525,18 @@ def test_kernel_count_matches_the_sweep(system):
     rows of mixed strictness, as in the example, are not closed: v = 0
     gives (1, 0), no cell of v > 0 or v < 0 does."""
     n, k = len(system), len(system[0][1])
-    pairs = [vclab.spaces._constraint_pair(const, coeffs, strict)
-             for const, coeffs, strict in system]
+    entries = [vclab.spaces._affine_entry(const, coeffs, strict)
+               for const, coeffs, strict in system]
     labelings = list(product((0, 1), repeat=n))
     realized = [lab for lab in labelings if SWEPT_FM_WITNESS(
-        [pair[b] for pair, b in zip(pairs, lab)], k) is not None]
+        [entry[b] for entry, b in zip(entries, lab)], k) is not None]
     calls = []
 
     def counted(constraints, nvars):
         calls.append(constraints)
         return fm_witness(constraints, nvars)
     with mock.patch.object(vclab.spaces, "fm_witness", counted):
-        table = AffineWitnesses(pairs)
+        table = AffineWitnesses(entries)
         count, built = len(table), len(calls)
     assert count == len(realized)
     assert [lab in table for lab in labelings] == \
@@ -1054,34 +1054,34 @@ class TestRuleChecks:
     # The closed rows of (0, 0), (1, 0) and (0, 1): affinely independent,
     # so the rule decides them, all 8 labelings realized; and of three
     # points on a line, with 6.
-    CORNER_PAIRS = [vclab.spaces._constraint_pair(0, (x, y, 1), False)
-                    for x, y in ((0, 0), (1, 0), (0, 1))]
-    LINE_PAIRS = [vclab.spaces._constraint_pair(0, (x, 0, 1), False)
-                  for x in range(3)]
+    CORNER_ENTRIES = [vclab.spaces._affine_entry(0, (x, y, 1), False)
+                      for x, y in ((0, 0), (1, 0), (0, 1))]
+    LINE_ENTRIES = [vclab.spaces._affine_entry(0, (x, 0, 1), False)
+                    for x in range(3)]
 
     def test_a_rule_count_above_the_bound_raises(self, monkeypatch):
         """With Cover's count computed 2 short, at 6, the corner points'
         8 labelings raise at the first ``in`` in general position, and
         when the table is built otherwise."""
-        assert len(AffineWitnesses(self.CORNER_PAIRS)) == 8
+        assert len(AffineWitnesses(self.CORNER_ENTRIES)) == 8
         self.patch_comb(monkeypatch,
                         lambda n, i, comb=math.comb: comb(n, i) - (i == 0))
-        table = AffineWitnesses(self.CORNER_PAIRS)
+        table = AffineWitnesses(self.CORNER_ENTRIES)
         assert len(table) == 6
         with pytest.raises(AssertionError, match="8 labelings, Cover's 6"):
             (0, 0, 0) in table
         _not_independent(monkeypatch)
         with pytest.raises(AssertionError, match="8 labelings, Cover's 6"):
-            AffineWitnesses(self.CORNER_PAIRS)
+            AffineWitnesses(self.CORNER_ENTRIES)
 
     def test_a_rule_count_off_a_general_bound_raises(self, monkeypatch):
         """Rows taken to be in general position have Cover's count as
         their length until the table is decided, and the rule's count must
         then equal it."""
-        assert len(AffineWitnesses(self.LINE_PAIRS)) == 6
+        assert len(AffineWitnesses(self.LINE_ENTRIES)) == 6
         monkeypatch.setattr(vclab.spaces, "_independent",
                             lambda rows, first: True)
-        table = AffineWitnesses(self.LINE_PAIRS)
+        table = AffineWitnesses(self.LINE_ENTRIES)
         assert len(table) == 8
         for decide in (list, lambda t: (0, 0, 0) in t):
             with pytest.raises(AssertionError, match="6 labelings, Cover's 8"):
@@ -1126,10 +1126,11 @@ class TestDeferredHypotheses:
 
 
 class TestWitnessCheck:
-    """HalfspaceSpace re-checks every witness against integer rows it builds
-    from the coordinates itself, apart from the elimination and the rows
-    that feed it; a kernel that returns a wrong witness, or a wrong row
-    builder, is caught and is not reported as bad input."""
+    """The kernel re-checks every point it finds against the check rows of
+    the labeling's points, built from the coordinates apart from the
+    elimination and the rows that feed it; an elimination that returns a
+    wrong witness, or a wrong row builder, is caught and is not reported
+    as bad input."""
 
     PTS = TestComplementClosure.PTS
     # The 5 points of PTS, with a collinear triple: ``growth --m 5`` grows
@@ -1196,18 +1197,26 @@ class TestWitnessCheck:
                 main([*argv, "--space", str(tmp_path / "space.json"),
                       "--pool", self.POOL, "--out", str(tmp_path)])
 
-    @pytest.fixture
-    def denominators_dropped(self, monkeypatch):
-        def numerators(coeffs, const):
-            return tuple(v.numerator for v in (const, *coeffs))
-        monkeypatch.setattr(vclab.spaces, "_primitive", numerators)
-
     def test_wrong_rows_raise(self, denominators_dropped):
         """The 5 points are in general position, so their table grows, and
         solves with the wrong rows, when ``in`` first needs it."""
         table = HalfspaceSpace(2).dichotomies(self.FRACTIONAL)
         with pytest.raises(AssertionError, match="failed verification"):
             (0,) * 5 in table
+
+    def test_later_points_take_labels_from_check_rows(
+            self, denominators_dropped):
+        """The point of a realized prefix labels the next point by that
+        point's check row.  Labeled by the rows FM eliminates, which here
+        drop their denominators, these four rows in one variable listed
+        (0, 0, 1, 0), which no v realizes, and missed (1, 0, 0, 0), with
+        no check failing."""
+        rows = [(-1, (1,), False), (F(1, 2), (-3,), True),
+                (-2, (F(3, 2),), False), (F(-1, 2), (-1,), False)]
+        with pytest.raises(AssertionError,
+                           match="witness failed verification"):
+            list(AffineWitnesses([vclab.spaces._affine_entry(*row)
+                                  for row in rows]))
 
     def test_wrong_rows_raise_when_rule_witnesses_are_read(
             self, denominators_dropped):
