@@ -466,14 +466,15 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    payload = {"manifest": manifest, "result": json_ready(result)}
+    result = json_ready(result)
+    payload = {"manifest": manifest, "result": result}
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if sweep is not None:
         sweep_path = out_dir / "sweep.csv"
         with sweep_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerows(sweep)
-    print(json.dumps(json_ready(result), indent=2, sort_keys=True))
+    print(json.dumps(result, indent=2, sort_keys=True))
     print(f"report written to {report_path}", file=sys.stderr)
     return 0
 

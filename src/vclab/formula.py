@@ -680,31 +680,44 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
 
 
 class ExplicitParams(Record):
-    """A finite parameter family: its tuples, sorted and deduplicated."""
+    """A finite parameter family: its tuples, sorted and deduplicated, and
+    each tuple's integer key: per coordinate, its numerator over that
+    coordinate's lcm of denominators in ``scales``.  Keys order and tell
+    apart the tuples as the tuples do, and hash as plain integers."""
 
     tuples: tuple[tuple[Fraction, ...], ...]
+    keys: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
+    _not_compared = _not_shown = ("keys", "scales")
 
     @staticmethod
     def of(tuples: Sequence[Sequence]) -> "ExplicitParams":
-        """Sorted and deduplicated on integer keys: per coordinate, the
-        numerators over that coordinate's lcm of denominators."""
+        """Sorted and deduplicated on the integer keys."""
         out = [tuple(to_fraction(v) for v in t) for t in tuples]
         if not out:
             raise ValueError("parameter list must be non-empty")
-        scales = [math.lcm(*[v.denominator for v in column]) for column
-                  in zip_longest(*out, fillvalue=Fraction(0))]
+        scales = tuple([math.lcm(*[v.denominator for v in column]) for column
+                        in zip_longest(*out, fillvalue=Fraction(0))])
         keyed = {tuple([v.numerator * (s // v.denominator)
                         for v, s in zip(t, scales)]): t for t in out}
-        return ExplicitParams(tuple([keyed[k] for k in sorted(keyed)]))
+        keys = sorted(keyed)
+        return ExplicitParams(tuple([keyed[k] for k in keys]), tuple(keys),
+                              scales)
 
     @staticmethod
     def grid(axes: Sequence[Sequence]) -> "ExplicitParams":
         """A rectangular grid, one axis of values per parameter variable,
-        listed as its product: sorted and distinct, as each axis is."""
+        listed as its product: sorted and distinct, as each axis is, and
+        keyed as the product of the axes' keys."""
         axes = [sorted({to_fraction(v) for v in axis}) for axis in axes]
         if not axes or not all(axes):
             raise ValueError("every grid axis needs at least one value")
-        return ExplicitParams(tuple(product(*axes)))
+        scales = tuple([math.lcm(*[v.denominator for v in axis])
+                        for axis in axes])
+        keys = [[v.numerator * (s // v.denominator) for v in axis]
+                for axis, s in zip(axes, scales)]
+        return ExplicitParams(tuple(product(*axes)), tuple(product(*keys)),
+                              scales)
 
 
 class SampledParams(Record):
@@ -733,15 +746,18 @@ class DefinableSpace(HypothesisSpace):
     gives the table, each witness checked by the formula when it is read.
     Every other restriction goes through :meth:`_least_witnesses` on a
     list of candidate tuples: the source's tuples or those of search.
-    Over an explicit source, the space keeps the label column of every
-    instance point it is asked about, the tuples converted to the backend,
-    and per atom the groups of tuples that agree on the parameters it
-    reads, for its whole lifetime: an atom is evaluated once per point,
-    column extension and group (over a grid, once per value of what it
-    reads).  The other two lists get columns that last one query, each
-    tuple its own group.  Truth values are the public predicate's.  The
-    oracle is exact over an explicit source or a closed form, and only on
-    the exact backend: a double may put a point on the wrong side.
+    Over an explicit source, the space keeps for its whole lifetime the
+    label column of every instance it is asked about, keyed by the
+    instance (which hashes its coordinates once) and holding its point
+    converted to the backend, and per atom the groups of tuples whose
+    integer keys agree on the parameters it reads, each group's first
+    tuple converted: an atom is evaluated once per point, column extension
+    and group (over a grid, once per value of what it reads), and a query
+    hashes no ``Fraction``.  Search's list gets columns that last one
+    query, each tuple its own group.  Truth values are the public
+    predicate's.  The oracle is exact over an explicit source or a closed
+    form, and only on the exact backend: a double may put a point on the
+    wrong side.
     """
 
     kind = "formula-defined"
@@ -757,15 +773,15 @@ class DefinableSpace(HypothesisSpace):
         self.closed_form = (recognize_closed_form(ast) if backend == EXACT
                             and isinstance(source, SampledParams) else None)
         if isinstance(source, ExplicitParams):
-            if any(len(t) != ast.param_arity for t in source.tuples):
+            if set(map(len, source.keys)) != {ast.param_arity}:
                 raise ValueError("parameter tuples must match the parameter "
                                  "arity")
-        # point -> (label column, number of candidates it covers), the
-        # source's tuples converted to the backend as far as they are read,
-        # and per atom its groups: projection -> [first tuple, bits]
-        self._columns: dict[tuple[Fraction, ...], tuple[int, int]] = {}
-        self._values: list[tuple] = []
+        # instance -> (converted point, label column, number of candidates
+        # it covers), per atom its groups: key projection -> [first tuple
+        # converted, bits], and the number of the source's tuples grouped
+        self._columns: dict[Instance, tuple[tuple, int, int]] = {}
         self._groups: list[dict] = [{} for _ in self._atoms]
+        self._grouped = 0
 
     @property
     def oracle_exact(self) -> bool:
@@ -799,51 +815,60 @@ class DefinableSpace(HypothesisSpace):
         for w in self.source.tuples:
             yield self.hypothesis(w)
 
-    def _least_witnesses(self, points: Sequence[tuple[Fraction, ...]],
-                         candidates: Sequence[tuple[Fraction, ...]],
-                         columns: dict[tuple[Fraction, ...], tuple[int, int]],
-                         values: list[tuple], groups: list[dict] | None
-                         ) -> dict[Labeling, tuple[Fraction, ...]]:
-        """Map each labeling of the points to the least candidate that
-        gives it, in order of that candidate.  ``columns`` maps a point to
-        its label column over ``candidates`` (bit j for the j-th) and the
-        number of candidates it covers; they are evaluated over a prefix
-        of the candidates that doubles (from 64) until the points show
-        every labeling or the candidates run out.  ``values`` holds the
-        candidates converted to the backend as far as needed, and
-        ``groups[k]`` atom k's groups; with ``groups`` None (a one-query
-        list) each candidate is its own group, ``values`` holding
-        ``(w, 1 << j)``."""
+    def _least_witnesses(self, instances: Sequence[Instance],
+                         candidates: Sequence[tuple[Fraction, ...]] | None
+                         = None) -> dict[Labeling, tuple[Fraction, ...]]:
+        """Map each labeling of the instances to the least candidate that
+        gives it, in order of that candidate: the source's tuples when
+        ``candidates`` is None, else the given list.  An instance's column
+        holds its labels over the candidates (bit j for the j-th) and the
+        number of candidates they cover; columns are evaluated over a
+        prefix of the candidates that doubles (from 64) until the
+        instances show every labeling or the candidates run out.  The
+        source's tuples are grouped per atom by the projection of their
+        integer keys on the parameters it reads, and only a group's first
+        tuple is converted to the backend; the space keeps the groups and
+        the columns.  A given list gets columns for this query only, each
+        candidate its own group."""
         convert, evaluate, atoms = self._convert, self._evaluate, self._atoms
+        finite = candidates is None
+        if finite:
+            candidates, keys = self.source.tuples, self.source.keys
+            columns, groups = self._columns, self._groups
+        else:
+            columns, start = {}, 0
+        for x in instances:
+            if x not in columns:
+                columns[x] = tuple(map(convert, x.coords)), 0, 0
         total = len(candidates)
-        target = 2 ** len(points)
-        covered = min((columns.get(p, (0, 0))[1] for p in points),
-                      default=total)
+        target = 2 ** len(instances)
+        covered = min((columns[x][2] for x in instances), default=total)
         size = min(total, max(64, covered))
-        converted = [tuple(map(convert, p)) for p in points]
         while True:
-            start = len(values)
-            fresh = [tuple(map(convert, w)) for w in candidates[start:size]]
-            if groups is None:
-                values.extend((w, 1 << j) for j, w in enumerate(fresh, start))
-            else:
-                values.extend(fresh)
+            if finite:
                 for (_, reads), by_key in zip(atoms, groups):
                     key = (operator.itemgetter(*reads) if reads
-                           else lambda w: ())
-                    for j, w in enumerate(fresh, start):
-                        by_key.setdefault(key(w), [w, 0])[1] |= 1 << j
+                           else lambda k: ())
+                    for j in range(self._grouped, size):
+                        group = by_key.get(k := key(keys[j]))
+                        if group:
+                            group[1] |= 1 << j
+                        else:
+                            by_key[k] = [tuple(map(convert, candidates[j])),
+                                         1 << j]
+                self._grouped = max(self._grouped, size)
                 bound = [(test, by_key.values())
                          for (test, _), by_key in zip(atoms, groups)]
+            else:
+                fresh = [(tuple(map(convert, w)), 1 << j) for j, w
+                         in enumerate(candidates[start:size], start)]
+                bound, start = [(test, fresh) for test, _ in atoms], size
             labels = []
-            for p, x in zip(points, converted):
-                bits, done = columns.get(p, (0, 0))
+            for x in instances:
+                point, bits, done = columns[x]
                 if done < size:
-                    if groups is None:
-                        chunk = values[done:size]
-                        bound = [(test, chunk) for test, _ in atoms]
-                    bits |= evaluate(x, bound, (1 << size) - (1 << done))
-                    columns[p] = bits, size
+                    bits |= evaluate(point, bound, (1 << size) - (1 << done))
+                    columns[x] = point, bits, size
                 labels.append(bits)
             found = split_columns(labels, size)
             if len(found) == target or size == total:
@@ -858,14 +883,11 @@ class DefinableSpace(HypothesisSpace):
                                  f"{self.ast.arity}")
         if self.closed_form is not None:
             return _CheckedWitnesses(self, instances)
-        points = [x.coords for x in instances]
         if isinstance(self.source, ExplicitParams):
-            found = self._least_witnesses(points, self.source.tuples,
-                                          self._columns, self._values,
-                                          self._groups)
+            found = self._least_witnesses(instances)
         else:
-            found = self._least_witnesses(points, list(_candidate_parameters(
-                self.ast, points, self.source)), {}, [], None)
+            found = self._least_witnesses(instances, list(_candidate_parameters(
+                self.ast, [x.coords for x in instances], self.source)))
         return LazyWitnesses(found, self.hypothesis_from_key)
 
 

@@ -593,6 +593,29 @@ def test_explicit_params_of_matches_sorted_set(tuples):
         tuple(F(v) for v in t) for t in tuples)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(WIDE_RATIONALS | st.integers(-3, 3), max_size=3),
+                min_size=1, max_size=30),
+       st.lists(st.lists(WIDE_RATIONALS | st.integers(-3, 3), min_size=1,
+                         max_size=4), min_size=1, max_size=3))
+def test_explicit_params_keys_are_faithful(tuples, axes):
+    """The integer keys of a source from ``of`` (arity 0 to 3 mixed) and
+    of a grid increase strictly, each coordinate's key over its scale is
+    the tuple's value, and a grid is keyed as ``of`` keys its product."""
+    grid = ExplicitParams.grid(axes)
+    listed = ExplicitParams.of(list(product(*axes)))
+    for source in (ExplicitParams.of(tuples), grid):
+        keys = source.keys
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(keys) == len(source.tuples)
+        for t, key in zip(source.tuples, keys):
+            assert len(key) == len(t)
+            assert all(F(k, s) == v
+                       for v, k, s in zip(t, key, source.scales))
+    assert grid == listed
+    assert (grid.keys, grid.scales) == (listed.keys, listed.scales)
+
+
 # Reference for the label columns of finite sources: the witness loop they
 # replaced, run over the sorted candidates.
 
@@ -645,9 +668,8 @@ def test_label_columns_match_first_witnesses(data):
                       vclab.formula._candidate_parameters(ast, pool, source))
         want = reference_first_witnesses(predicate, pool, candidates)
         if finite:
-            assert list(space._least_witnesses(
-                pool, source.tuples, space._columns, space._values,
-                space._groups).items()) == list(want.items())
+            assert list(space._least_witnesses(points(*xs)).items()) \
+                == list(want.items())
         if xs:
             table = space.dichotomies(points(*xs))
             assert space.oracle_exact == (finite and backend == "exact")
@@ -697,6 +719,33 @@ class TestLabelColumns:
         assert sum(counts.total() for counts in extensions) <= 600
         assert {x for counts in extensions for x, _, _ in counts} \
             == {x.coords for x in pool}
+
+    def test_bench_space_hashes_no_fraction(self, monkeypatch):
+        """The interval grid of the ``oracle`` bench over 6 points: neither
+        ``vc_dimension`` nor a repeated query hashes a ``Fraction``, and
+        only each group's first tuple is converted to the backend."""
+        ast = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
+        axis = [F(k, 2) for k in range(-2, 19)]
+        space = DefinableSpace(ast, ExplicitParams.grid([axis, axis]))
+        pool = points(0, 1, 3, 4, 6, 7)
+        hashes, converted = [], []
+        fraction_hash, convert = F.__hash__, space._convert
+        monkeypatch.setattr(F, "__hash__",
+                            lambda v: hashes.append(v) or fraction_hash(v))
+        monkeypatch.setattr(space, "_convert",
+                            lambda v: converted.append(v) or convert(v))
+        verdict = vc_dimension(space, pool)
+        assert verdict.value == 2
+        assert hashes == []
+        groups = sum(map(len, space._groups))
+        assert groups == 2 * len(axis)
+        # Two values for each group's first tuple and for each witness
+        # built, one for each point.
+        conversions = 2 * (groups + len(verdict.witnesses)) + len(pool)
+        assert len(converted) == conversions
+        assert space.dichotomy_count(pool[:3]) == 7  # all but (1, 0, 1)
+        assert hashes == []
+        assert len(converted) == conversions
 
     def test_fresh_space_stops_early(self):
         """A fresh space whose instance set is shattered within the first
@@ -808,12 +857,14 @@ def test_atoms_evaluated_at_most_as_often_as_short_circuit_walk(data):
         xs = data.draw(st.lists(COORDS, min_size=1, max_size=4, unique=True))
         pool = [(x,) for x in xs]
         del extensions[:]
-        table = space.dichotomies(points(*xs))
+        instances = points(*xs)
+        table = space.dichotomies(instances)
         got = Counter((x, a) for counts in extensions
                       for x, a, _ in counts.elements())
         if finite:
             total += got
-            covered.update((p, space._columns[p][1]) for p in pool)
+            covered.update((p, space._columns[x][2])
+                           for p, x in zip(pool, instances))
             continue
         if space.closed_form is not None:
             # A count evaluates nothing; a read evaluates the formula at
