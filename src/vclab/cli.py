@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import sys
@@ -38,7 +37,7 @@ from .combinatorics import (
 from .harness import estimate_pac_probability, estimate_ucp_probability
 from .learners import random_table_learner
 from .model import BudgetError, InexactOracleError, Instance
-from .model import as_instance
+from .model import as_instance, sha256
 from .nfl import build_nfl_instance, nfl_report
 from .serialize import (
     instance_to_json,
@@ -78,7 +77,7 @@ class Inputs(dict):
     def text(self, path: str) -> str:
         """The file decoded as ``Path.read_text`` decodes it."""
         data = Path(path).read_bytes()
-        self[path] = hashlib.sha256(data).hexdigest()
+        self[path] = sha256(data).hexdigest()
         return io.TextIOWrapper(io.BytesIO(data)).read()
 
     def json(self, path: str):

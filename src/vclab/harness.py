@@ -25,7 +25,6 @@ estimation and is deliberately not papered over here.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import struct
@@ -49,6 +48,7 @@ from .model import (
     index_states,
     loss,
     restriction_errors,
+    sha256,
     to_fraction,
     true_error,
 )
@@ -113,7 +113,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
-    digest = hashlib.sha256(f"{master_seed}:{trial_index}".encode()).digest()
+    digest = sha256(f"{master_seed}:{trial_index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

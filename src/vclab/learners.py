@@ -1,9 +1,9 @@
 """Learning functions: deterministic maps from multi-samples to hypotheses.
 
-The central construction is the sample-error minimizer, which enumerates the
-realized labelings on the sample's instances, picks a labeling of minimal
-sample error (lexicographically least among minimizers), and returns the
-witness the space's restriction oracle gives for it (see
+The central construction is the sample-error minimizer, which asks the space
+for a realized labeling of the sample's instances of minimal sample error
+(lexicographically least among minimizers, ``HypothesisSpace.least_wrong``)
+and returns the witness the space's restriction oracle gives for it (see
 ``HypothesisSpace.dichotomies`` for each family's witness rule; halfspace
 and sampled-formula witnesses are not least in any order).  Tie-breaking is
 fully deterministic so enumeration-based verification is reproducible.
@@ -12,7 +12,6 @@ fully deterministic so enumeration-based verification is reproducible.
 from __future__ import annotations
 
 import functools
-import hashlib
 from collections.abc import Callable, Mapping
 
 from .model import (
@@ -23,7 +22,7 @@ from .model import (
     MultiSample,
     Record,
     Sample,
-    restriction_errors,
+    sha256,
 )
 
 
@@ -52,8 +51,8 @@ def sem_learner(space: HypothesisSpace) -> LearningFunction:
     The output's sample error equals the minimal sample error exactly, so
     the space needs an exact restriction oracle: over an inexact one the
     minimum over the *found* labelings may exceed the true minimum by an
-    unknown amount, and construction is refused.  A call reads only the
-    witness it returns.
+    unknown amount, and construction is refused.  A call builds only the
+    witness of :meth:`HypothesisSpace.least_wrong` on the sample's counts.
     """
     if not space.oracle_exact:
         raise InexactOracleError(
@@ -61,10 +60,7 @@ def sem_learner(space: HypothesisSpace) -> LearningFunction:
             f"the {space.kind} space has none here")
 
     def fn(zbar: MultiSample) -> Hypothesis:
-        # Least count wrong, then lexicographically least labeling.
-        witnesses, scored = restriction_errors(space, zbar.tally(),
-                                               require_exact=False)
-        return witnesses[min(scored)[1]]
+        return space.least_wrong(zbar.tally(), require_exact=False)[2]()
 
     return LearningFunction(name="sem", fn=fn, space=space,
                             order_invariant=True)
@@ -130,8 +126,7 @@ def random_table_learner(space: ExplicitSpace, seed: int,
     encode = functools.cache(Sample.canonical_bytes)
 
     def fn(zbar: MultiSample) -> Hypothesis:
-        digest = hashlib.sha256(
-            prefix + zbar.canonical_bytes(encode)).digest()
+        digest = sha256(prefix + zbar.canonical_bytes(encode)).digest()
         idx = int.from_bytes(digest[:8], "big") % n
         return space.hypothesis_from_bits(vectors[idx])
 

@@ -5,14 +5,14 @@ with finite restriction oracles, and finitely supported distributions,
 together with the elementary error quantities (pointwise loss, sample error,
 true error, optimal errors) that the rest of the package builds on.
 
-Every supremum or minimum over a space that the package computes (best
-true error, minimal sample error, the U, V and sign-flipped deviations, the
-sample-error minimizer) goes through :func:`restriction_errors`: the weight
-each realized labeling of the points involved gets wrong under a finite,
-possibly signed, measure on the sample space; it reads no witness, and a
-table builds a ``Hypothesis`` only when one is read (:class:`LazyWitnesses`).
-The per-hypothesis ``loss``, ``sample_error`` and ``true_error`` score a
-given output.
+Every minimum over a space that the package computes (best true error,
+minimal sample error, the sample-error minimizer) is the space's
+:meth:`HypothesisSpace.least_wrong`; every supremum (the U, V and
+sign-flipped deviations) and the UCP windows score each realized labeling
+under a finite, signed measure through :func:`restriction_errors`.  Neither
+reads a witness it does not return, and a table builds a ``Hypothesis`` only
+when one is read (:class:`LazyWitnesses`).  The per-hypothesis ``loss``,
+``sample_error`` and ``true_error`` score a given output.
 
 All probabilities and error values are exact ``fractions.Fraction``s.  Floats
 appearing in inputs are converted to their exact binary rational value, so
@@ -28,6 +28,14 @@ from fractions import Fraction
 from itertools import (accumulate, chain, combinations_with_replacement,
                        groupby, product, repeat)
 from operator import getitem, itemgetter
+
+try:  # the builtin SHA-256, as ``random`` does: hashlib loads OpenSSL
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 Labeling = tuple[int, ...]
 
@@ -141,8 +149,10 @@ class Instance(Record):
 
     ``hash(self.value)`` is computed once, at construction, and returned by
     ``__hash__``; hashing a tuple of ``Fraction``s otherwise takes a modular
-    inverse per coordinate on every lookup.  The stored hash is not a
-    field, so it takes no part in ``repr``, comparisons or ``_replace``.
+    inverse per coordinate on every lookup.  So is the sort key, (0, name)
+    or (1, d, f_1, c_1, ..., f_d, c_d), f_i = ``_rounded(c_i)``: the floats
+    order unequal c_i (rounding is monotone) and c_i break ties, so the order
+    is exact.  Neither is a field, nor in ``repr``, ``==`` or ``_replace``.
     Pickling goes back through ``Instance(value)``, so an atom's hash,
     which depends on the process's ``PYTHONHASHSEED``, is recomputed in
     the process that loads it.
@@ -151,7 +161,11 @@ class Instance(Record):
     value: str | tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.value))
+        value = self.value
+        object.__setattr__(self, "_hash", hash(value))
+        object.__setattr__(self, "_key", (0, value) if isinstance(
+            value, str) else (1, len(value), *chain.from_iterable(
+                (_rounded(c), c) for c in value)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -197,11 +211,9 @@ class Instance(Record):
             raise ValueError(f"instance {self} is not one-dimensional")
         return coords[0]
 
-    def sort_key(self):
+    def sort_key(self) -> tuple:
         # Kind tag first so atoms and vectors never compare element-wise.
-        if self.is_atom:
-            return (0, self.value)
-        return (1, len(self.value), self.value)
+        return self._key
 
     def __repr__(self) -> str:
         if self.is_atom:
@@ -209,6 +221,14 @@ class Instance(Record):
         if len(self.value) == 1:
             return f"Instance.point({self.value[0]})"
         return f"Instance.point{tuple(map(str, self.value))}"
+
+
+def _rounded(c: Fraction) -> float:
+    """c correctly rounded, or an infinity past the largest float."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
 
 
 def as_instance(value) -> Instance:
@@ -223,7 +243,7 @@ def as_instance(value) -> Instance:
 
 
 class Sample(Record):
-    """A labeled example (x, y) with y in {0, 1}."""
+    """A labeled example (x, y), y in {0, 1}, its hash kept as Instance's."""
 
     instance: Instance
     label: int
@@ -231,6 +251,7 @@ class Sample(Record):
     def __post_init__(self):
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
+        object.__setattr__(self, "_hash", hash((self.instance, self.label)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -240,7 +261,10 @@ class Sample(Record):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.instance, self.label))
+        return self._hash
+
+    def __reduce__(self):
+        return Sample, (self.instance, self.label)
 
     def sort_key(self):
         return (self.instance.sort_key(), self.label)
@@ -473,6 +497,19 @@ class HypothesisSpace:
         """A proven upper bound on the family's VC dimension, when it has a
         closed form; a search that reaches it has found the VC dimension."""
         return None
+
+    def least_wrong(self, weighted: Iterable[tuple],
+                    require_exact: bool = True) -> tuple:
+        """(wrong, labeling, witness): ``min(restriction_errors(self,
+        weighted, require_exact)[1])`` and ``witness()``, the table's
+        hypothesis for it.  Weights are >= 0, as a distribution's or a
+        sample's, so a prefix's weight wrong bounds its extensions', which
+        sort after it: the first complete labeling off a heap keyed by
+        (weight wrong, prefix) is the least (halfspaces, at most one FM call
+        per prefix taken off).  Line families sweep; this scans the table."""
+        table, scored = restriction_errors(self, weighted, require_exact)
+        wrong, labeling = min(scored)
+        return wrong, labeling, lambda: table[labeling]
 
     def hypotheses(self) -> Iterator[Hypothesis]:
         raise NotImplementedError(f"{self.kind} space is not finitely enumerable")
@@ -709,6 +746,23 @@ def empirical_distribution(zbar: MultiSample) -> DiscreteDistribution:
         {z: Fraction(c, m) for z, c in zbar.tally()})
 
 
+def label_costs(space: HypothesisSpace, weighted: Iterable[tuple],
+                require_exact: bool = True) -> tuple[tuple, list[tuple]]:
+    """The pairs' distinct instances in canonical order, and the weight
+    each one's labels 0 and 1 get wrong (``InexactOracleError`` first)."""
+    if require_exact and not space.oracle_exact:
+        raise InexactOracleError(
+            f"{space.kind} space has no exact restriction oracle here; "
+            "pass require_exact=False to accept a verified-subset bound")
+    mass: dict[Instance, list] = {}
+    for z, w in weighted:
+        mass.setdefault(z.instance, [0, 0])[z.label] += w
+    if not mass:
+        raise ValueError("instance set must be non-empty")
+    instances = tuple(sorted(mass, key=Instance.sort_key))
+    return instances, [(mass[x][1], mass[x][0]) for x in instances]
+
+
 def restriction_errors(space: HypothesisSpace,
                        weighted: Iterable[tuple[Sample, int | Fraction]],
                        require_exact: bool = True
@@ -718,26 +772,17 @@ def restriction_errors(space: HypothesisSpace,
 
     ``weighted`` is a finite signed measure on the sample space, as
     (sample, weight) pairs with int or ``Fraction`` weights (repeats add
-    up).  The table is built once, on the distinct instances of the pairs
-    in canonical order, so every pair's instance is in it, zero weight or
+    up).  The table is built once, on the instances of
+    :func:`label_costs`, so every pair's instance is in it, zero weight or
     not.  The weight a labeling gets wrong is the sum over those instances
     of the weight on the label it does not give; with int weights it is an
     int, and it may be the int 0 with ``Fraction`` weights.  With
     ``require_exact`` a space whose oracle is inexact raises
     ``InexactOracleError`` before any table is built.
     """
-    if require_exact and not space.oracle_exact:
-        raise InexactOracleError(
-            f"{space.kind} space has no exact restriction oracle here; "
-            "pass require_exact=False to accept a verified-subset bound")
-    mass: dict[Instance, list] = {}
-    for z, w in weighted:
-        mass.setdefault(z.instance, [0, 0])[z.label] += w
-    instances = tuple(sorted(mass, key=Instance.sort_key))
+    instances, costs = label_costs(space, weighted, require_exact)
     table = space.dichotomies(instances)
-    # Labeling an instance y misclassifies the weight on label 1 - y.
-    flipped = [(mass[x][1], mass[x][0]) for x in instances]
-    return table, ((sum(map(getitem, flipped, labeling)), labeling)
+    return table, ((sum(map(getitem, costs, labeling)), labeling)
                    for labeling in table)
 
 
@@ -750,17 +795,15 @@ def approximation_error(space: HypothesisSpace, dist: DiscreteDistribution,
     restriction.  With an inexact oracle (and ``require_exact=False``) the
     result is an upper bound only.  Labelings are scored in integer
     numerators over the weights' common denominator, with one ``Fraction``
-    at the end.
+    at the end; no witness is read.
     """
     denom, nums = common_denominator([w for _, w in dist.items()])
-    _, scored = restriction_errors(space, zip(dist.support, nums),
-                                   require_exact)
-    return Fraction(min(wrong for wrong, _ in scored), denom)
+    return Fraction(space.least_wrong(zip(dist.support, nums),
+                                      require_exact)[0], denom)
 
 
 def empirical_opt(space: HypothesisSpace, zbar: MultiSample,
                   require_exact: bool = True) -> Fraction:
     """Minimal sample error over the space (attained, since restrictions to
-    the sample instances are finite)."""
-    _, scored = restriction_errors(space, zbar.tally(), require_exact)
-    return Fraction(min(wrong for wrong, _ in scored), zbar.m)
+    the sample instances are finite); no witness is read."""
+    return Fraction(space.least_wrong(zbar.tally(), require_exact)[0], zbar.m)

@@ -10,7 +10,7 @@ sample once (an index tuple with labels on the points it uses, or a
 multiset of indices for an order-invariant learner), evaluates each
 distinct learner output on S once, and scores the output against every
 labeling that agrees with the sample's labels in one walk per class of
-samples that share the unused points, the labels and the output's mask.
+samples that share the unused points and the labels, for all its masks.
 All quantities are exact rationals.  The pairing argument behind the 1/4
 lower bound needs a deterministic learner, so a seeded probe calls the
 learner again on about one in eight samples and raises on any output that
@@ -19,6 +19,7 @@ differs.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -186,9 +187,9 @@ def _enumerate(learner: LearningFunction,
     of them.  The output's mask on S is computed the first time its
     hypothesis key appears, and kept by that key (equal keys evaluate
     identically, see :class:`~vclab.model.Hypothesis`).  The
-    weights add up per class (unused points, labels seen, mask); after the
-    loop each class is scored against all labelings that agree with its
-    labels, found by walking the submasks of its unused points once.
+    weights add up per mask in a class (unused points, labels seen); after
+    the loop each class is scored against all labelings that agree with its
+    labels, walking the submask list of its unused points (one per value).
 
     A probe seeded by m calls the learner again on the first sample and on
     about one in PROBE_ONE_IN of the rest, on the reversed sample when the
@@ -210,15 +211,16 @@ def _enumerate(learner: LearningFunction,
             mask = masks[h.key] = sum(b for x, b in zip(points, bits) if h(x))
         return mask
 
-    # (unused points, labels seen, learned mask) -> number of tuples.
-    classes: dict[tuple[int, int, int], int] = {}
+    submasks = functools.cache(lambda mask: list(_submasks(mask)))
+    # (unused points, labels seen) -> learned mask -> number of tuples.
+    classes: dict[tuple[int, int], dict[int, int]] = {}
     first = True
     for idx, weight in index_states(n, inst.m, ordered):
         used = 0
         for a in idx:
             used |= bits[a]
         free = used ^ ((1 << n) - 1)
-        for seen in _submasks(used):
+        for seen in submasks(used):
             zbar = MultiSample.unchecked(samples=tuple(
                 [labeled[a][1 if seen & bits[a] else 0] for a in idx]))
             mask = learned_mask(zbar)
@@ -230,15 +232,16 @@ def _enumerate(learner: LearningFunction,
                     raise PairingIdentityError(
                         f"learner {learner.name!r} gave a different hypothesis "
                         f"when called again on the sample {again.samples}")
-            key = (free, seen, mask)
-            classes[key] = classes.get(key, 0) + weight
+            weights = classes.setdefault((free, seen), {})
+            weights[mask] = weights.get(mask, 0) + weight
     # Labeling i of an NflInstance is in lexicographic bit order, so its
     # mask over S is i itself.
     hist = [[0] * (n + 1) for _ in range(inst.t)]
-    for (free, seen, mask), weight in classes.items():
-        for sub in _submasks(free):
+    for (free, seen), weights in classes.items():
+        for sub in submasks(free):
             f = seen | sub
-            hist[f][(mask ^ f).bit_count()] += weight
+            for mask, weight in weights.items():
+                hist[f][(mask ^ f).bit_count()] += weight
     return hist
 
 

@@ -22,7 +22,7 @@ elimination, in general position (determinants memoized on the rows).
 formula atoms alike, and every point the kernel finds, tree prefixes
 included, is checked in integers against its own check rows, built apart
 from the rows it eliminates, which also give the points after a prefix
-their labels.
+their labels.  A least-wrong labeling needs no table (``least_wrong``).
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import cache
-from itertools import chain, combinations, product, repeat
-from operator import mul
+from functools import lru_cache
+from heapq import heappop, heappush
+from itertools import accumulate, chain, combinations, product, repeat
+from operator import getitem, mul
 
 from .combinatorics import sauer_bound
 from .model import (
@@ -43,13 +44,9 @@ from .model import (
     LazyWitnesses,
     check_instance_tuple,
     common_denominator,
+    label_costs,
     to_fraction,
 )
-
-
-def _argsort(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    return [values[i] for i in order], order
 
 
 # ---------------------------------------------------------------------------
@@ -58,41 +55,29 @@ def _argsort(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
 
 
 def threshold_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Fraction]]:
-    srt, order = _argsort(values)
-    k = len(srt)
-    out = []
-    for cut in range(k + 1):
-        labeling = [0] * k
-        for pos in range(cut, k):
-            labeling[order[pos]] = 1
-        w = srt[cut] if cut < k else srt[-1] + 1
+    out, labeling = [], [1] * len(values)
+    for w, i in sorted(zip(values, range(len(values)))):
         out.append((tuple(labeling), w))
-    return out
+        labeling[i] = 0
+    return out + [(tuple(labeling), max(values) + 1)]
 
 
 def interval_dichotomies(values: list[Fraction]
                          ) -> list[tuple[Labeling, tuple[Fraction, Fraction]]]:
-    srt, order = _argsort(values)
-    k = len(srt)
-    out = []
-    empty = srt[-1] + 1
-    out.append((tuple([0] * k), (empty, empty)))
-    for i in range(k):
-        for j in range(i, k):
-            labeling = [0] * k
-            for pos in range(i, j + 1):
-                labeling[order[pos]] = 1
-            out.append((tuple(labeling), (srt[i], srt[j])))
+    srt = sorted(zip(values, range(len(values))))
+    out = [(tuple([0] * len(srt)), (srt[-1][0] + 1,) * 2)]
+    for i, (a, _) in enumerate(srt):
+        labeling = [0] * len(srt)
+        for b, j in srt[i:]:
+            labeling[j] = 1
+            out.append((tuple(labeling), (a, b)))
     return out
 
 
 def cosingleton_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Fraction]]:
-    k = len(values)
-    out = [(tuple([1] * k), max(values) + 1)]
-    for i in range(k):
-        labeling = tuple(0 if j == i else 1 for j in range(k))
-        out.append((labeling, values[i]))
-    return out
+    ones = (1,) * len(values)
+    return [(ones, max(values) + 1)] + [
+        ((*ones[:i], 0, *ones[i + 1:]), w) for i, w in enumerate(values)]
 
 
 def _line_table(space: HypothesisSpace, instances: Sequence[Instance],
@@ -217,53 +202,60 @@ def _eliminate(system: set) -> set:
     for row, strict in system:
         a = row[-1]
         if a > 0:
-            lowers.append((row, strict))
+            lowers.append((row[:-1], a, strict))
         elif a < 0:
-            uppers.append((row, strict))
+            uppers.append((row[:-1], -a, strict))
         else:
             reduced.add((row[:-1], strict))
-    for lrow, lstrict in lowers:
-        a = lrow[-1]
-        for urow, ustrict in uppers:
-            c = -urow[-1]
-            row = [lv * c + uv * a for lv, uv in zip(lrow[:-1], urow)]
-            g = math.gcd(*row)
+    gcd, add = math.gcd, reduced.add
+    if lowers and len(lowers[0][0]) == 2:  # the widest stage, unrolled
+        for (l0, l1), a, ls in lowers:
+            for (u0, u1), c, us in uppers:
+                v0, v1 = l0 * c + u0 * a, l1 * c + u1 * a
+                g = gcd(v0, v1)
+                add(((v0 // g, v1 // g) if g > 1 else (v0, v1), ls or us))
+        return reduced
+    for lrow, a, lstrict in lowers:
+        for urow, c, ustrict in uppers:
+            row = [lv * c + uv * a for lv, uv in zip(lrow, urow)]
+            g = gcd(*row)
             if g > 1:
                 row = [v // g for v in row]
-            reduced.add((tuple(row), lstrict or ustrict))
+            add((tuple(row), lstrict or ustrict))
     return reduced
 
 
-def _label_tree(tests, solve: Callable[[Labeling], tuple[int, ...] | None],
-                prefix: Labeling, point: tuple[int, ...]
-                ) -> dict[Labeling, tuple[int, ...] | None]:
-    """The realized labelings of the len(tests) points that extend
-    ``prefix`` (shorter than that), in lexicographic order, each with an
-    integer point or None, grown one point at a time from ``point``, which
-    realizes ``prefix``.  A realized prefix's point realizes the label it
-    gives the next point j: 1 iff row . point >= 0 (> 0 when strict) for
-    (row, strict) = tests[j].  The other label is realized iff ``solve``
-    returns a point for it, which that labeling keeps.  So a table costs
-    one ``solve`` per realized prefix of its first n - 1 points.  A
-    labeling of all n points realized by its prefix's point gets None."""
-    level = [(prefix, point)]
-    for j in range(len(prefix), len(tests)):
+def _realized(tests, solve: Callable[[Labeling], tuple[int, ...] | None],
+              costs: Sequence[tuple], starts: Sequence[tuple]) -> Iterator:
+    """(wrong, labeling, point) per realized labeling extending a start
+    (prefix, a point realizing it), off a heap keyed by (wrong, prefix),
+    label y of point j costing costs[j][y] >= 0.  A prefix's point gives
+    point j label 1 iff row . point >= 0 (> 0 if strict), (row, strict) =
+    tests[j]; the other label costs a ``solve``, whose point it keeps."""
+    heap = sorted((sum(map(getitem, costs, prefix)), prefix, point)
+                  for prefix, point in starts)
+    while heap:
+        wrong, prefix, point = heappop(heap)
+        found = point or solve(prefix)
+        if found is None:
+            continue
+        j = len(prefix)
+        if j == len(tests):
+            yield wrong, prefix, None if point else found
+            continue
         row, strict = tests[j]
-        grown = []
-        for prefix, point in level:
-            dot = sum(map(mul, row, point))
-            free = 1 if dot > 0 or (dot == 0 and not strict) else 0
-            for lab in (0, 1):
-                labeling = (*prefix, lab)
-                if lab == free:
-                    grown.append((labeling, point if j + 1 < len(tests)
-                                  else None))
-                else:
-                    found = solve(labeling)
-                    if found is not None:
-                        grown.append((labeling, found))
-        level = grown
-    return dict(level)
+        dot = sum(map(mul, row, found))
+        free = int(dot > 0 or dot == 0 and not strict)
+        heappush(heap, (wrong + costs[j][free], (*prefix, free), found))
+        heappush(heap, (wrong + costs[j][free ^ 1], (*prefix, free ^ 1), None))
+
+
+def _label_tree(tests, solve: Callable, starts: Sequence[tuple]
+                ) -> dict[Labeling, tuple[int, ...] | None]:
+    """``_realized`` at no cost: lexicographic order, one ``solve`` per
+    realized prefix of the first n - 1 points."""
+    return {lab: found for _, lab, found in _realized(
+        tests, solve, [(0, 0)] * len(tests), starts)}
 
 
 def _affine_entry(const, coeffs, strict: bool) -> tuple[tuple, tuple, tuple]:
@@ -317,7 +309,7 @@ def _affine_dependence(rows: Sequence[list[int]]) -> tuple | None:
     return lam, cert, prev
 
 
-@cache
+@lru_cache(maxsize=4096)  # process-wide, so bounded
 def _independent(rows: tuple[tuple[int, ...], ...], first: int) -> bool:
     """Whether ``rows``, read from entry ``first`` on, have a nonzero
     determinant, by fraction-free (Bareiss) elimination."""
@@ -333,7 +325,65 @@ def _independent(rows: tuple[tuple[int, ...], ...], first: int) -> bool:
     return m[0][0] != 0
 
 
-class AffineWitnesses(Mapping):
+class AffineSystem:
+    """``AffineWitnesses``'s entries, searched with no table counted."""
+
+    def __init__(self, entries: Sequence[tuple[tuple, tuple, tuple]]):
+        self._entries, self._n = entries, len(entries)
+        self._signs = self._tree = None
+        const, *columns = zip(*[entry[1][0] for entry in entries])
+        self._nvars = k = len(columns)
+        self._closed = not any(const) and len(
+            {entry[1][1] for entry in entries}) == 1 and next((
+                (j, 1 if c[0] > 0 else -1) for j, c in zip(
+                    range(k, 0, -1), reversed(columns))
+                if min(c) > 0 or max(c) < 0), None)
+
+    def _starts(self) -> list[tuple[Labeling, tuple[int, ...]]]:
+        """Prefixes and points realizing them: v = 0, or for closed rows
+        v = -s e_j, labeling every point 0, and v = s e_j, every point 1."""
+        j, s = self._closed or (0, 0)
+        zero = (0,) * self._nvars
+        return [((lab,), (1, *zero[:j - 1], s if lab else -s, *zero[j:]))
+                for lab in (0, 1)] if s else [((), (1, *zero))]
+
+    def _solve(self, labeling: Labeling) -> tuple[int, ...] | None:
+        """``fm_witness`` of the labeling's system, checked: label 1 iff
+        check row . point > 0 (>= 0 when not strict)."""
+        entries = self._entries
+        point = fm_witness([entry[lab] for entry, lab
+                            in zip(entries, labeling)], self._nvars)
+        if point is not None:
+            for (_, _, (check, strict)), lab in zip(entries, labeling):
+                dot = sum(map(mul, check, point))
+                if (dot > 0 or dot == 0 and not strict) != lab:
+                    raise AssertionError("witness failed verification")
+        return point
+
+    def _witness(self, labeling: Labeling, point=None) -> tuple[Fraction, ...]:
+        """The point, else the tree's or ``_solve``'s, as the rational v."""
+        point = point or (self._tree or {}).get(labeling) or self._solve(
+            labeling)
+        if point is None:
+            why = ("realized by its points' affine dependence"
+                   if self._signs is not None else
+                   "the complement of a realized one"
+                   if self._tree and self._closed and labeling[0] else
+                   "realized by the witness of its prefix")
+            raise AssertionError(f"labeling {labeling} is {why} but is "
+                                 f"infeasible")
+        return tuple(Fraction(v, point[0]) for v in point[1:])
+
+    def least_wrong(self, costs: Sequence, build: Callable) -> tuple:
+        """(wrong, labeling, witness): ``_realized``'s first from all the
+        starts, and ``witness()``, ``build`` of the point a read gives."""
+        wrong, labeling, point = next(_realized(
+            [entry[2] for entry in self._entries], self._solve, costs,
+            self._starts()))
+        return wrong, labeling, lambda: build(self._witness(labeling, point))
+
+
+class AffineWitnesses(AffineSystem, Mapping):
     """The labelings of the point ``entries`` (``_affine_entry``, in k >= 1
     variables) that some rational v realizes, in lexicographic order, each
     mapped to its witness: the point ``fm_witness`` finds on its full system,
@@ -343,6 +393,7 @@ class AffineWitnesses(Mapping):
     eliminates; a point that gives one of them the wrong label raises
     AssertionError.  A prefix's point gives the later points of the tree
     their labels by their check rows too, not by the eliminated rows.
+    ``least_wrong`` searches both halves of closed rows, and grows no tree.
 
     The n label-1 rows (const, c) are closed when every const is 0, all or
     none are strict, and some c_j has one sign s in every row.  Closed rows
@@ -383,16 +434,9 @@ class AffineWitnesses(Mapping):
     be a second kernel vector."""
 
     def __init__(self, entries: Sequence[tuple[tuple, tuple, tuple]]):
-        self._entries, self._n = entries, len(entries)
+        super().__init__(entries)
         rows = [entry[1][0] for entry in entries]
-        const, *columns = zip(*rows)
-        n, k = self._n, len(columns)
-        self._nvars, self._signs, self._tree = k, None, None
-        self._closed = not any(const) and len(
-            {entry[1][1] for entry in entries}) == 1 and next((
-                (j, 1 if c[0] > 0 else -1) for j, c in zip(
-                    range(k, 0, -1), reversed(columns))
-                if min(c) > 0 or max(c) < 0), None)
+        n, k = self._n, self._nvars
         self._bound, self._named = (
             (2 * sum(math.comb(n - 1, i) for i in range(k)), "Cover's")
             if self._closed else (sauer_bound(k, n), "Sauer's"))
@@ -401,19 +445,6 @@ class AffineWitnesses(Mapping):
                 self._closed or all(map(_independent, combinations(
                     rows, k + 1), repeat(0))))
         self._len = self._bound if self._general else self._decide()
-
-    def _solve(self, labeling: Labeling) -> tuple[int, ...] | None:
-        """``fm_witness`` of the labeling's system, checked: label 1 iff
-        check row . point > 0 (>= 0 when not strict)."""
-        entries = self._entries
-        point = fm_witness([entry[lab] for entry, lab
-                            in zip(entries, labeling)], self._nvars)
-        if point is not None:
-            for (_, _, (check, strict)), lab in zip(entries, labeling):
-                dot = sum(map(mul, check, point))
-                if (dot > 0 or dot == 0 and not strict) != lab:
-                    raise AssertionError("witness failed verification")
-        return point
 
     def _decide(self) -> int:
         """Decide the labelings, as the class docstring says, and count."""
@@ -436,12 +467,8 @@ class AffineWitnesses(Mapping):
             signs = [(i, v > 0) for i, v in enumerate(lam or ()) if v]
             count = 2 ** n - (2 ** (n - len(signs) + 1) if lam else 0)
         else:
-            start, prefix = [1, *[0] * nvars], ()
-            if self._closed:
-                j, s = self._closed
-                start[j], prefix = -s, (0,)
             tree = _label_tree([entry[2] for entry in self._entries],
-                               self._solve, prefix, tuple(start))
+                               self._solve, self._starts()[:1])
             count = len(tree) * (2 if self._closed else 1)
         if count > self._bound or self._general and count < self._bound:
             raise AssertionError(f"{count} labelings, {self._named} "
@@ -452,16 +479,7 @@ class AffineWitnesses(Mapping):
     def __getitem__(self, labeling: Labeling) -> tuple[Fraction, ...]:
         if labeling not in self:
             raise KeyError(labeling)
-        point = (self._tree or {}).get(labeling) or self._solve(labeling)
-        if point is None:
-            why = ("realized by its points' affine dependence"
-                   if self._signs is not None else
-                   "the complement of a realized one"
-                   if self._closed and labeling[0] else
-                   "realized by the witness of its prefix")
-            raise AssertionError(f"labeling {labeling} is {why} but is "
-                                 f"infeasible")
-        return tuple(Fraction(v, point[0]) for v in point[1:])
+        return self._witness(labeling)
 
     def __contains__(self, labeling) -> bool:
         if not (isinstance(labeling, tuple) and len(labeling) == self._n
@@ -524,6 +542,16 @@ class ThresholdSpace(HypothesisSpace):
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         return _line_table(self, instances, threshold_dichotomies)
 
+    def least_wrong(self, weighted, require_exact=True):
+        """A running sum of the cuts' weights wrong; ties to the last cut."""
+        instances, costs = label_costs(self, weighted, require_exact)
+        values, ones = [x.scalar for x in instances], sum(c for _, c in costs)
+        wrong = list(accumulate([c0 - c1 for c0, c1 in costs], initial=ones))
+        cut = min(reversed(range(len(wrong))), key=wrong.__getitem__)
+        w = values[cut] if cut < len(values) else values[-1] + 1
+        return (wrong[cut], (0,) * cut + (1,) * (len(values) - cut),
+                lambda: self.hypothesis_from_key(w))
+
 
 class IntervalSpace(HypothesisSpace):
     """Closed intervals on the rational line: h_{a,b} = 1 on [a, b]."""
@@ -547,6 +575,22 @@ class IntervalSpace(HypothesisSpace):
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         return _line_table(self, instances, interval_dichotomies)
 
+    def least_wrong(self, weighted, require_exact=True):
+        """Run [i, j] adds sums[j + 1] - sums[i] to the empty labeling's
+        weight wrong, least at the latest i of max (sums[i], i), i <= j.
+        Ties: the empty labeling, then the later start, the shorter run."""
+        instances, costs = label_costs(self, weighted, require_exact)
+        values, k = [x.scalar for x in instances], len(instances)
+        empty = sum(c0 for c0, _ in costs)
+        sums = list(accumulate([c1 - c0 for c0, c1 in costs], initial=0))
+        best, back, j = min([(empty, 0, k - 1)] + [
+            (empty + sums[j + 1] - top, k - i, j) for j, (top, i)
+            in enumerate(accumulate(zip(sums, range(k)), max))])
+        i = k - back
+        key = (values[i], values[j]) if i < k else (values[-1] + 1,) * 2
+        return (best, (0,) * i + (1,) * (j + 1 - i) + (0,) * (k - 1 - j),
+                lambda: self.hypothesis_from_key(key))
+
 
 class CoSingletonSpace(HypothesisSpace):
     """Complements of single points: h_w(x) = 1 iff x != w."""
@@ -563,6 +607,16 @@ class CoSingletonSpace(HypothesisSpace):
 
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         return _line_table(self, instances, cosingleton_dichotomies)
+
+    def least_wrong(self, weighted, require_exact=True):
+        """Ties go to the earliest zero, all ones (zero = k) last."""
+        instances, costs = label_costs(self, weighted, require_exact)
+        values, ones = [x.scalar for x in instances], sum(c for _, c in costs)
+        wrong = [ones + c0 - c1 for c0, c1 in costs] + [ones]
+        zero = min(range(len(wrong)), key=wrong.__getitem__)
+        w = values[zero] if zero < len(values) else values[-1] + 1
+        return (wrong[zero], tuple(int(i != zero) for i in range(len(values))),
+                lambda: self.hypothesis_from_key(w))
 
 
 class HalfspaceSpace(HypothesisSpace):
@@ -607,3 +661,9 @@ class HalfspaceSpace(HypothesisSpace):
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         return LazyWitnesses(self._rows.table(check_instance_tuple(instances)),
                              self.hypothesis_from_key)
+
+    def least_wrong(self, weighted, require_exact=True):
+        """Best-first over label prefixes (``AffineSystem.least_wrong``)."""
+        instances, costs = label_costs(self, weighted, require_exact)
+        return AffineSystem([self._rows[x] for x in instances]).least_wrong(
+            costs, self.hypothesis_from_key)

@@ -1,7 +1,6 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
@@ -167,8 +166,7 @@ def test_random_table_hashes_the_seed_prefix_and_canonical_bytes(
         hashed.append(data)
         return sha256(data)
 
-    monkeypatch.setattr(vclab.learners, "hashlib",
-                        SimpleNamespace(sha256=recording))
+    monkeypatch.setattr(vclab.learners, "sha256", recording)
     rng = random.Random(len(domain))
     support = tuple(Sample(x, y) for x in domain for y in (0, 1))
     for _ in range(40):

@@ -682,12 +682,78 @@ class TestInstances:
         assert child_hash != hash("s0")
         assert {Instance.atom("s0"): "found"}.get(atom) == "found"
 
+    def test_sample_pickled_under_another_hash_seed(self):
+        """A ``Sample`` stores its hash as its instance does, and pickling
+        recomputes both in the process that loads it."""
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(vclab.__file__).parents[1])
+        child = ("import pickle, sys\n"
+                 "from vclab import Instance, Sample\n"
+                 "sys.stdout.buffer.write(pickle.dumps("
+                 "Sample(Instance.atom('s0'), 1)))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", child], check=True, capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            timeout=60).stdout
+        z = pickle.loads(out)
+        assert hash(z) == hash((Instance.atom("s0"), 1))
+        assert {Sample(Instance.atom("s0"), 1): "found"}.get(z) == "found"
+        for y in (z._replace(), copy.copy(z), pickle.loads(pickle.dumps(z))):
+            assert y == z and hash(y) == hash(z)
+        assert hash(z._replace(label=0)) == hash((z.instance, 0))
+
     def test_scalar_accessors(self):
         assert Instance.point(1, 2).dim == 2
         with pytest.raises(ValueError):
             Instance.atom("a").coords
         with pytest.raises(ValueError):
             Instance.point(1, 2).scalar
+
+
+def exact_sort_key(x: Instance) -> tuple:
+    """The canonical order with every coordinate compared exactly."""
+    return (0, x.value) if x.is_atom else (1, len(x.value), x.value)
+
+
+# Coordinates in groups of three that round to one float, or overflow to
+# one infinity: huge values and neighbours within 1e-30 of each other, so
+# that ties between floats are common; and plain fractions.
+CLOSE_COORDS = st.one_of(
+    st.sampled_from([F(v) + F(j, 10 ** 30) for v in (-1, 0, 1)
+                     for j in (-1, 0, 1)] +
+                    [F(big + k) for big in (10 ** 300, -10 ** 300, 10 ** 400,
+                                            -10 ** 400) for k in (-1, 0, 1)]),
+    st.fractions(max_denominator=10 ** 6))
+
+
+class TestSortKey:
+    """``Instance.sort_key`` puts a float before each coordinate and the
+    exact value after it; the order is the exact one."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["a", "b", "a0"]).map(Instance.atom),
+        st.integers(1, 3).flatmap(lambda d: st.tuples(
+            *[CLOSE_COORDS] * d).map(lambda c: Instance.point(*c)))),
+        min_size=2, max_size=8))
+    def test_order_is_the_exact_one(self, xs):
+        assert sorted(xs, key=Instance.sort_key) == sorted(
+            xs, key=exact_sort_key)
+        for a, b in zip(xs, xs[1:]):
+            assert (a.sort_key() < b.sort_key()) == (
+                exact_sort_key(a) < exact_sort_key(b))
+
+    def test_floats_that_tie_are_broken_exactly(self):
+        """Neighbours that round to one float, or past the largest one to
+        an infinity, are ordered by their exact values."""
+        for low, high in [(F(1), F(1) + F(1, 10 ** 30)),
+                          (F(10 ** 400), F(10 ** 400 + 1)),
+                          (F(-10 ** 400 - 1), F(-10 ** 400))]:
+            a, b = Instance.point(low), Instance.point(high)
+            assert a.sort_key()[2] == b.sort_key()[2]
+            assert sorted([b, a], key=Instance.sort_key) == [a, b]
+        assert Instance.point(10 ** 400).sort_key()[2] == float("inf")
+        assert Instance.atom("z").sort_key() == (0, "z")
 
 
 class TestDrawnMultiSample:
@@ -877,3 +943,26 @@ class TestRecord:
                          pickle.loads(pickle.dumps(record))):
                 assert twin == record and hash(twin) == hash(record)
                 assert repr(twin) == repr(record)
+
+
+class TestSha256:
+    """The package hashes through one SHA-256 constructor, the builtin
+    module's, and importing it loads no OpenSSL."""
+
+    @pytest.mark.parametrize("data", [
+        b"", b"0:0", b"table:31:a:x0:1|v:1/3,-2:0", bytes(range(256)) * 9])
+    def test_digests_are_hashlib_s(self, data):
+        import hashlib
+        assert vclab.model.sha256(data).digest() == \
+            hashlib.sha256(data).digest()
+        assert vclab.model.sha256(data).hexdigest() == \
+            hashlib.sha256(data).hexdigest()
+
+    def test_importing_the_cli_loads_no_openssl(self):
+        src = str(Path(vclab.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, vclab.cli\n"
+             "print(sorted({'_hashlib', 'hashlib'} & set(sys.modules)))"],
+            check=True, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"

@@ -781,14 +781,15 @@ class TestComplementClosure:
         # is (den, den*w, den*b), so b - 1000 is den*b - 1000*den.
         return w and (*w[:-1], w[-1] - 1000 * w[0])
 
-    def _check_raises(self, tmp_path, match):
+    def _check_raises(self, tmp_path, match, sem_match=None):
         """The table of the 5 points raises when the complement
-        (1, 1, 1, 1, 1) is read, and so does ``pac-sim``."""
+        (1, 1, 1, 1, 1) is read, and so does ``pac-sim``, whose sem finds
+        that labeling best-first from its prefix, with ``sem_match``."""
         table = HalfspaceSpace(2).dichotomies(self.PTS)
         assert len(table) == 20
         with pytest.raises(AssertionError, match=match):
             table[(1,) * 5]
-        self._pac_sim_raises(tmp_path, match, 1)
+        self._pac_sim_raises(tmp_path, sem_match or match, 1)
 
     def _pac_sim_raises(self, tmp_path, match, label):
         """``pac-sim --exact --m 5`` with sem, on the 5 points all labeled
@@ -812,7 +813,9 @@ class TestComplementClosure:
 
     def test_infeasible_complement_raises(self, monkeypatch, tmp_path):
         self.patch_first_bit_1(monkeypatch, lambda w: None, size=5)
-        self._check_raises(tmp_path, "complement of a realized one")
+        self._check_raises(tmp_path, "complement of a realized one",
+                           "realized by the witness of its prefix but is "
+                           "infeasible")
 
     def test_a_16_point_table_solves_one_system_per_realized_prefix(
             self, fm_calls):
@@ -832,23 +835,24 @@ class TestComplementClosure:
 
     def test_scoring_labelings_solves_only_the_table(self, fm_calls):
         """``approximation_error`` reads no witness, and ``sem`` reads only
-        the one it returns, so over 10 points of the plane in general
-        position each makes the table's sum_{j<10} C(j)/2 = 129 FM calls.
-        Reading every witness made 212: one more for each of the 46
-        complements and the 37 labelings that a prefix's witness realizes.
-        The labeling that gives only the last point in canonical order 1
-        keeps the point its tree found, so sem's one read solves nothing."""
+        the one it returns.  Over 10 points of the plane in general
+        position the table's tree makes sum_{j<10} C(j)/2 = 129 FM calls,
+        and reading every witness 212.  The best-first search for the
+        labeling that gives only the last point in canonical order 1, with
+        no error, follows the labels 0 that the start v = -e_b gives, with
+        no FM call, to the last point, whose label 1 makes the one call,
+        on the labeling's full system; sem's one read keeps its point."""
         pts = sorted(plane_points_in_general_position(random.Random(5), 10))
         labeled = [(Instance.point(*p), int(p == pts[-1])) for p in pts]
         space = HalfspaceSpace(2)
         assert sum(cover_count(j, 2) // 2 for j in range(1, 10)) == 129
         assert approximation_error(
             space, DiscreteDistribution.uniform(labeled)) == 0
-        assert len(fm_calls) == 129
+        assert len(fm_calls) == 1
         fm_calls.clear()
         h = sem_learner(space)(MultiSample.of(*labeled))
         assert [h(x) for x, _ in labeled] == [y for _, y in labeled]
-        assert len(fm_calls) == 129
+        assert len(fm_calls) == 1
 
     @staticmethod
     def patch_systems(monkeypatch, size, change):
@@ -1261,3 +1265,19 @@ class TestParametricWitnesses:
     def test_atoms_rejected_by_numeric_families(self):
         with pytest.raises(ValueError):
             ThresholdSpace().dichotomies([Instance.atom("a")])
+
+
+def test_the_determinant_memo_is_bounded():
+    """``_independent`` keeps a bounded number of answers, the least
+    recently used dropped first, however many row sets it sees."""
+    independent = vclab.spaces._independent
+    independent.cache_clear()
+    bound = independent.cache_info().maxsize
+    rows = [((i, 1), (i + 1, 1)) for i in range(bound + 50)]
+    for row in rows:
+        assert independent(row, 0)
+    assert independent.cache_info() == (0, bound + 50, bound, bound)
+    assert independent(rows[-1], 0) and independent(rows[0], 0)
+    assert not independent(((2, 4), (1, 2)), 0)
+    assert independent.cache_info()[:2] == (1, bound + 52)
+    assert independent.cache_info().currsize == bound
