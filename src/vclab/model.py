@@ -506,7 +506,8 @@ class HypothesisSpace:
         sample's, so a prefix's weight wrong bounds its extensions', which
         sort after it: the first complete labeling off a heap keyed by
         (weight wrong, prefix) is the least (halfspaces, at most one FM call
-        per prefix taken off).  Line families sweep; this scans the table."""
+        per prefix taken off, ties depth first).  Line families sweep; this
+        scans the table."""
         table, scored = restriction_errors(self, weighted, require_exact)
         wrong, labeling = min(scored)
         return wrong, labeling, lambda: table[labeling]

@@ -49,35 +49,52 @@ from .model import (
 )
 
 
+def _argsort(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    return [values[i] for i in order], order
+
+
 # ---------------------------------------------------------------------------
 # Combinatorial enumerators (labeling aligned with the given instance order,
 # witness = canonical parameter realizing it)
 
 
 def threshold_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Fraction]]:
-    out, labeling = [], [1] * len(values)
-    for w, i in sorted(zip(values, range(len(values)))):
+    srt, order = _argsort(values)
+    k = len(srt)
+    out = []
+    for cut in range(k + 1):
+        labeling = [0] * k
+        for pos in range(cut, k):
+            labeling[order[pos]] = 1
+        w = srt[cut] if cut < k else srt[-1] + 1
         out.append((tuple(labeling), w))
-        labeling[i] = 0
-    return out + [(tuple(labeling), max(values) + 1)]
+    return out
 
 
 def interval_dichotomies(values: list[Fraction]
                          ) -> list[tuple[Labeling, tuple[Fraction, Fraction]]]:
-    srt = sorted(zip(values, range(len(values))))
-    out = [(tuple([0] * len(srt)), (srt[-1][0] + 1,) * 2)]
-    for i, (a, _) in enumerate(srt):
-        labeling = [0] * len(srt)
-        for b, j in srt[i:]:
-            labeling[j] = 1
-            out.append((tuple(labeling), (a, b)))
+    srt, order = _argsort(values)
+    k = len(srt)
+    out = []
+    empty = srt[-1] + 1
+    out.append((tuple([0] * k), (empty, empty)))
+    for i in range(k):
+        for j in range(i, k):
+            labeling = [0] * k
+            for pos in range(i, j + 1):
+                labeling[order[pos]] = 1
+            out.append((tuple(labeling), (srt[i], srt[j])))
     return out
 
 
 def cosingleton_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Fraction]]:
-    ones = (1,) * len(values)
-    return [(ones, max(values) + 1)] + [
-        ((*ones[:i], 0, *ones[i + 1:]), w) for i, w in enumerate(values)]
+    k = len(values)
+    out = [(tuple([1] * k), max(values) + 1)]
+    for i in range(k):
+        labeling = tuple(0 if j == i else 1 for j in range(k))
+        out.append((labeling, values[i]))
+    return out
 
 
 def _line_table(space: HypothesisSpace, instances: Sequence[Instance],
@@ -202,26 +219,20 @@ def _eliminate(system: set) -> set:
     for row, strict in system:
         a = row[-1]
         if a > 0:
-            lowers.append((row[:-1], a, strict))
+            lowers.append((row, strict))
         elif a < 0:
-            uppers.append((row[:-1], -a, strict))
+            uppers.append((row, strict))
         else:
             reduced.add((row[:-1], strict))
-    gcd, add = math.gcd, reduced.add
-    if lowers and len(lowers[0][0]) == 2:  # the widest stage, unrolled
-        for (l0, l1), a, ls in lowers:
-            for (u0, u1), c, us in uppers:
-                v0, v1 = l0 * c + u0 * a, l1 * c + u1 * a
-                g = gcd(v0, v1)
-                add(((v0 // g, v1 // g) if g > 1 else (v0, v1), ls or us))
-        return reduced
-    for lrow, a, lstrict in lowers:
-        for urow, c, ustrict in uppers:
-            row = [lv * c + uv * a for lv, uv in zip(lrow, urow)]
-            g = gcd(*row)
+    for lrow, lstrict in lowers:
+        a = lrow[-1]
+        for urow, ustrict in uppers:
+            c = -urow[-1]
+            row = [lv * c + uv * a for lv, uv in zip(lrow[:-1], urow)]
+            g = math.gcd(*row)
             if g > 1:
                 row = [v // g for v in row]
-            add((tuple(row), lstrict or ustrict))
+            reduced.add((tuple(row), lstrict or ustrict))
     return reduced
 
 
@@ -376,11 +387,15 @@ class AffineSystem:
 
     def least_wrong(self, costs: Sequence, build: Callable) -> tuple:
         """(wrong, labeling, witness): ``_realized``'s first from all the
-        starts, and ``witness()``, ``build`` of the point a read gives."""
-        wrong, labeling, point = next(_realized(
-            [entry[2] for entry in self._entries], self._solve, costs,
+        starts, a label charged only its cost above the other label (one
+        shift for all labelings, so ties go depth first, not level by
+        level), and ``witness()``, ``build`` of the point a read gives."""
+        _, labeling, point = next(_realized(
+            [entry[2] for entry in self._entries], self._solve,
+            [(max(c0 - c1, 0), max(c1 - c0, 0)) for c0, c1 in costs],
             self._starts()))
-        return wrong, labeling, lambda: build(self._witness(labeling, point))
+        return (sum(map(getitem, costs, labeling)), labeling,
+                lambda: build(self._witness(labeling, point)))
 
 
 class AffineWitnesses(AffineSystem, Mapping):

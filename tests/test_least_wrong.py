@@ -198,6 +198,28 @@ def test_a_cover_counted_table_is_searched_not_grown(monkeypatch):
         assert wrong == empirical_opt(HalfspaceSpace(2), zbar) * 12
 
 
+def test_tied_labels_are_searched_depth_first(fm_calls):
+    """With both labels of each of the 12 parabola points, every labeling
+    errs 12 times, and the least, all zeros, is what the start v = -e_b
+    gives.  The search charges a label only what it costs above the
+    point's other label, so ties add nothing and it dives straight there:
+    sem solves only the system of the witness it reads, and
+    ``approximation_error`` at label noise 1/2 none.  Charged whole label
+    costs, it took every prefix level by level, both halves (351 calls)."""
+    pts = [Instance.point(i, i * i - 5 * i) for i in range(12)]
+    both = [(x, y) for x in pts for y in (0, 1)]
+    zbar = MultiSample.of(*[(x.coords, y) for x, y in both])
+    h = sem_learner(HalfspaceSpace(2))(zbar)
+    assert [h(x) for x in pts] == [0] * 12
+    assert len(fm_calls) == 1
+    fm_calls.clear()
+    assert approximation_error(
+        HalfspaceSpace(2), DiscreteDistribution.uniform(both)) == F(1, 2)
+    assert fm_calls == []
+    assert min(restriction_errors(HalfspaceSpace(2), zbar.tally())[1]) == (
+        12, (0,) * 12)
+
+
 @pytest.mark.parametrize("space", [ThresholdSpace(), IntervalSpace(),
                                    CoSingletonSpace(), HalfspaceSpace(1)],
                          ids=["threshold", "interval", "co-singleton",

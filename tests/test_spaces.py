@@ -21,6 +21,7 @@ from vclab import (
     MultiSample,
     ThresholdSpace,
     approximation_error,
+    restriction_errors,
     sem_learner,
 )
 from vclab.cli import main
@@ -834,20 +835,26 @@ class TestComplementClosure:
         assert len(table) == cover_count(16, 2)
 
     def test_scoring_labelings_solves_only_the_table(self, fm_calls):
-        """``approximation_error`` reads no witness, and ``sem`` reads only
-        the one it returns.  Over 10 points of the plane in general
-        position the table's tree makes sum_{j<10} C(j)/2 = 129 FM calls,
-        and reading every witness 212.  The best-first search for the
-        labeling that gives only the last point in canonical order 1, with
-        no error, follows the labels 0 that the start v = -e_b gives, with
-        no FM call, to the last point, whose label 1 makes the one call,
-        on the labeling's full system; sem's one read keeps its point."""
+        """``restriction_errors`` reads no witness: over 10 points of the
+        plane in general position, scoring the table makes its tree's
+        sum_{j<10} C(j)/2 = 129 FM calls, where reading every witness made
+        212, one more for each of the 46 complements and the 37 labelings
+        that a prefix's witness realizes.  ``approximation_error`` and
+        ``sem``, which reads only the witness it returns, search instead:
+        the best-first search for the labeling that gives only the last
+        point in canonical order 1, with no error, follows the labels 0
+        that the start v = -e_b gives, with no FM call, to the last point,
+        whose label 1 makes the one call, on the labeling's full system;
+        sem's one read keeps its point."""
         pts = sorted(plane_points_in_general_position(random.Random(5), 10))
         labeled = [(Instance.point(*p), int(p == pts[-1])) for p in pts]
         space = HalfspaceSpace(2)
+        dist = DiscreteDistribution.uniform(labeled)
         assert sum(cover_count(j, 2) // 2 for j in range(1, 10)) == 129
-        assert approximation_error(
-            space, DiscreteDistribution.uniform(labeled)) == 0
+        assert min(restriction_errors(space, dist.items())[1])[0] == 0
+        assert len(fm_calls) == 129
+        fm_calls.clear()
+        assert approximation_error(space, dist) == 0
         assert len(fm_calls) == 1
         fm_calls.clear()
         h = sem_learner(space)(MultiSample.of(*labeled))
