@@ -12,13 +12,14 @@ functions.  A finite source is one sorted list of parameter tuples (a grid
 is the list of its product), and its restriction oracle is exact on the
 exact backend; no oracle of the float backend, whose doubles may round a
 comparison the wrong way, is claimed exact.  Over a sampled source on the
-exact backend, the threshold, interval and co-singleton shapes get their
-native spaces' exact oracles, and a single < or <= atom (or its
-negation) affine in the parameters is decided by Fourier-Motzkin
-elimination over them, each witness checked by the formula when read;
-otherwise parameter search yields verified subsets only, never claimed
-exact.  Every other restriction maps each labeling
-to the least tuple of a candidate list that gives it, read off
+exact backend, a recognized closed form is a space that answers for the
+formula's: the threshold, interval and co-singleton shapes are their
+native spaces, and a single < or <= atom (or its negation) affine in the
+parameters is an ``AffineSpace``, decided by Fourier-Motzkin elimination
+over them; each witness is checked by the formula when a table read or
+``least_wrong`` returns it.  Otherwise parameter search yields verified
+subsets only, never claimed exact.  Every other restriction maps each
+labeling to the least tuple of a candidate list that gives it, read off
 per-point label columns by ``model.split_columns``; a column is built
 atom by atom, each comparison evaluated once per group of candidates
 agreeing on the parameters it reads.  Shattering is decided by
@@ -47,7 +48,7 @@ from .model import (
     split_columns,
     to_fraction,
 )
-from .spaces import AffineRows, CoSingletonSpace, IntervalSpace, ThresholdSpace
+from .spaces import AffineSpace, CoSingletonSpace, IntervalSpace, ThresholdSpace
 
 
 class FormulaError(Exception):
@@ -569,24 +570,13 @@ def compile_formula(ast: FormulaAst, backend: str = EXACT
 
 
 class _ClosedForm(Record):
-    """A recognized shape: a proven upper bound on its VC dimension, and
-    its exact restriction oracle, which maps instances to a witness
-    parameter tuple (in declared order) per realized labeling."""
+    """A recognized shape: its space over the full parameter range, and
+    ``params``, which turns that space's witness key into the formula's
+    parameters in declared order."""
 
     name: str
-    vc: int
-    witnesses: Callable
-
-
-def _native(name: str, space: HypothesisSpace, params) -> _ClosedForm:
-    """A native space's closed form, read off its witness keys: ``params``
-    turns a key into the formula's parameters in declared order."""
-
-    def witnesses(instances):
-        keys = space.dichotomies(instances).witness_keys
-        return {lab: params(key) for lab, key in keys.items()}
-
-    return _ClosedForm(name, space.known_vc(), witnesses)
+    space: HypothesisSpace
+    params: Callable
 
 
 def _match_var(node, names) -> str | None:
@@ -612,8 +602,8 @@ def _param_degree(node, params) -> int:
 def _affine(ast: FormulaAst) -> _ClosedForm | None:
     """A single < or <= atom, or its negation, affine in its k >= 1
     parameters: u(x, w) >= 0 (> 0 when strict), each point giving the row
-    (u(x, 0), u(x, e_1) - u(x, 0), ...) of ``AffineWitnesses``, kept by one
-    ``AffineRows`` for the closed form's lifetime.  Its VC dimension is at
+    (u(x, 0), u(x, e_1) - u(x, 0), ...) of an ``AffineSpace`` in k
+    variables, whose witness key is w itself.  Its VC dimension is at
     most k (Dudley 1978): on k + 1 points the vectors (u(x_j, w))_j lie in
     an affine subspace of dimension <= k, so some c != 0 has c . u constant
     there, and labeling each x_j against the sign of c_j gives an orthant
@@ -639,7 +629,7 @@ def _affine(ast: FormulaAst) -> _ClosedForm | None:
         const, *values = [term(x.coords, w) for w in units]
         return const, [v - const for v in values], strict
 
-    return _ClosedForm("affine", k, AffineRows(row).table)
+    return _ClosedForm("affine", AffineSpace(row, k), tuple)
 
 
 def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
@@ -657,10 +647,10 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
         right_par = _match_var(root.right, params)
         if root.op == "!=" and (
                 (left_obj and right_par) or (left_par and right_obj)):
-            return _native("co-singleton", CoSingletonSpace(),
-                           lambda w: (w,))
+            return _ClosedForm("co-singleton", CoSingletonSpace(),
+                               lambda w: (w,))
         if root.op == "<=" and left_par and right_obj:
-            return _native("threshold", ThresholdSpace(), lambda w: (w,))
+            return _ClosedForm("threshold", ThresholdSpace(), lambda w: (w,))
 
     if (ast.arity == 1 and ast.param_arity == 2 and isinstance(root, And)
             and isinstance(root.left, Cmp) and isinstance(root.right, Cmp)
@@ -670,7 +660,7 @@ def recognize_closed_form(ast: FormulaAst) -> _ClosedForm | None:
         x2 = _match_var(root.right.left, objects)
         hi = _match_var(root.right.right, params)
         if lo and hi and x1 and x2 and x1 == x2 and lo != hi:
-            return _native("interval", IntervalSpace(), lambda key: (
+            return _ClosedForm("interval", IntervalSpace(), lambda key: (
                 key if order[lo] < order[hi] else key[::-1]))
     return _affine(ast)
 
@@ -742,8 +732,10 @@ class DefinableSpace(HypothesisSpace):
     """Indicator functions 1[phi(. ; w)] of a formula, over a parameter
     source.
 
-    Over a sampled source on the exact backend, a recognized closed form
-    gives the table, each witness checked by the formula when it is read.
+    Over a sampled source on the exact backend, the space of a recognized
+    closed form answers ``dichotomies``, ``_least`` and ``known_vc``, and
+    each witness key it gives, read from a table or returned by
+    ``least_wrong``, is checked by the formula (:meth:`_witness`).
     Every other restriction goes through :meth:`_least_witnesses` on a
     list of candidate tuples: the source's tuples or those of search.
     Over an explicit source, the space keeps for its whole lifetime the
@@ -790,7 +782,7 @@ class DefinableSpace(HypothesisSpace):
             or self.closed_form is not None)
 
     def known_vc(self) -> int | None:
-        return self.closed_form.vc if self.closed_form else None
+        return self.closed_form.space.known_vc() if self.closed_form else None
 
     def hypothesis(self, w: Sequence) -> Hypothesis:
         w = tuple(to_fraction(v) for v in w)
@@ -875,40 +867,41 @@ class DefinableSpace(HypothesisSpace):
                 return {lab: candidates[i] for lab, i in found}
             size = min(total, 2 * size)
 
-    def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
+    def _checked(self, instances: Sequence[Instance]) -> tuple[Instance, ...]:
         instances = check_instance_tuple(instances)
         for x in instances:
             if len(x.coords) != self.ast.arity:
                 raise ValueError(f"instance {x} does not have arity "
                                  f"{self.ast.arity}")
+        return instances
+
+    def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
+        instances = self._checked(instances)
         if self.closed_form is not None:
-            return _CheckedWitnesses(self, instances)
-        if isinstance(self.source, ExplicitParams):
+            found = self.closed_form.space.dichotomies(instances).witness_keys
+        elif isinstance(self.source, ExplicitParams):
             found = self._least_witnesses(instances)
         else:
             found = self._least_witnesses(instances, list(_candidate_parameters(
                 self.ast, [x.coords for x in instances], self.source)))
-        return LazyWitnesses(found, self.hypothesis_from_key)
+        return LazyWitnesses(found, self._witness, instances)
 
+    def _least(self, instances, costs):
+        if self.closed_form is None:
+            return super()._least(instances, costs)
+        return self.closed_form.space._least(self._checked(instances), costs)
 
-class _CheckedWitnesses(LazyWitnesses):
-    """A closed form's witness tuples for the instances, each checked when
-    its hypothesis is first built: the formula, evaluated at every
-    instance once, must give the labeling."""
-
-    def __init__(self, space: DefinableSpace, instances):
-        super().__init__(space.closed_form.witnesses(instances),
-                         space.hypothesis_from_key)
-        self._name, self._instances = space.closed_form.name, instances
-
-    def __getitem__(self, labeling: Labeling) -> Hypothesis:
-        if labeling not in self._built:
-            h = self._build(self.witness_keys[labeling])
-            if tuple(map(h, self._instances)) != labeling:
-                raise AssertionError(f"{self._name} witnesses disagree with "
-                                     f"the formula")
-            self._built[labeling] = h
-        return self._built[labeling]
+    def _witness(self, instances, labeling, key) -> Hypothesis:
+        """The hypothesis of the witness key; a closed form's key is its
+        space's, moved to the declared parameters, and the formula,
+        evaluated at every instance once, must give the labeling."""
+        if self.closed_form is None:
+            return self.hypothesis_from_key(key)
+        h = self.hypothesis_from_key(self.closed_form.params(key))
+        if tuple(map(h, instances)) != labeling:
+            raise AssertionError(f"{self.closed_form.name} witnesses disagree "
+                                 f"with the formula")
+        return h
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ true error, optimal errors) that the rest of the package builds on.
 
 Every minimum over a space that the package computes (best true error,
 minimal sample error, the sample-error minimizer) is the space's
-:meth:`HypothesisSpace.least_wrong`; every supremum (the U, V and
-sign-flipped deviations) and the UCP windows score each realized labeling
-under a finite, signed measure through :func:`restriction_errors`.  Neither
-reads a witness it does not return, and a table builds a ``Hypothesis`` only
-when one is read (:class:`LazyWitnesses`).  The per-hypothesis ``loss``,
-``sample_error`` and ``true_error`` score a given output.
+:meth:`HypothesisSpace.least_wrong`, over its family's ``_least``; every
+supremum (the U, V and sign-flipped deviations) and the UCP windows score
+each realized labeling under a finite, signed measure through
+:func:`restriction_errors`.  Neither reads a witness it does not return, and
+the space's ``_witness`` builds the ``Hypothesis`` of each one read
+(:class:`LazyWitnesses`) or returned.  ``loss``, ``sample_error`` and
+``true_error`` score a given output.
 
 All probabilities and error values are exact ``fractions.Fraction``s.  Floats
 appearing in inputs are converted to their exact binary rational value, so
@@ -22,20 +23,25 @@ equality assertions downstream are meaningful.
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict
+import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from itertools import (accumulate, chain, combinations_with_replacement,
                        groupby, product, repeat)
 from operator import getitem, itemgetter
 
-try:  # the builtin SHA-256, as ``random`` does: hashlib loads OpenSSL
-    from _sha2 import sha256
-except ImportError:
+if "hashlib" in sys.modules:  # loaded with OpenSSL: no second SHA-256
+    from hashlib import sha256
+else:  # the builtin SHA-256, as ``random`` does: hashlib loads OpenSSL
     try:
-        from _sha256 import sha256
+        from _sha2 import sha256
     except ImportError:
-        from hashlib import sha256
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
 Labeling = tuple[int, ...]
 
@@ -410,19 +416,21 @@ class Hypothesis(Record):
 
 
 class LazyWitnesses(Mapping):
-    """Read-only witnesses: each labeling's witness key, turned into a
-    ``Hypothesis`` by ``build`` on the labeling's first read and kept.
+    """Read-only witnesses: each labeling of ``instances`` has a witness
+    key, turned into a ``Hypothesis`` by ``witness(instances, labeling,
+    key)`` (a space's ``_witness``) on the labeling's first read and kept.
     ``in``, ``len`` and iteration go to ``witness_keys``, building none."""
 
     def __init__(self, witness_keys: Mapping[Labeling, object],
-                 build: Callable[[object], Hypothesis]):
-        self.witness_keys, self._build, self._built = witness_keys, build, {}
+                 witness: Callable, instances: tuple[Instance, ...]):
+        self.witness_keys, self._witness = witness_keys, witness
+        self._instances, self._built = instances, {}
 
     def __getitem__(self, labeling: Labeling) -> Hypothesis:
         h = self._built.get(labeling)
         if h is None:
-            h = self._built[labeling] = self._build(
-                self.witness_keys[labeling])
+            h = self._built[labeling] = self._witness(
+                self._instances, labeling, self.witness_keys[labeling])
         return h
 
     def __contains__(self, labeling) -> bool:
@@ -480,11 +488,11 @@ class HypothesisSpace:
           kept if the table's tree found it and else solved when first
           read (``spaces.AffineWitnesses``);
         * formulas: the least parameter tuple of a finite source; over a
-          sampled source on the exact backend, the native witness of a
-          threshold, interval or co-singleton shape, or, by the
-          halfspaces' rule, the Fourier-Motzkin point of an atom affine in
-          its parameters, each checked by the formula when first read;
-          else the first tuple the seeded search finds.
+          sampled source on the exact backend, the key of a recognized
+          closed form's space (native, or affine in the parameters by the
+          halfspaces' rule) in declared parameter order, checked by the
+          formula when first read; else the first tuple the seeded search
+          finds.
 
         Each "least" or "first" there is the least index in a candidate
         list, which :func:`split_columns` finds."""
@@ -502,15 +510,26 @@ class HypothesisSpace:
                     require_exact: bool = True) -> tuple:
         """(wrong, labeling, witness): ``min(restriction_errors(self,
         weighted, require_exact)[1])`` and ``witness()``, the table's
-        hypothesis for it.  Weights are >= 0, as a distribution's or a
-        sample's, so a prefix's weight wrong bounds its extensions', which
-        sort after it: the first complete labeling off a heap keyed by
-        (weight wrong, prefix) is the least (halfspaces, at most one FM call
-        per prefix taken off, ties depth first).  Line families sweep; this
-        scans the table."""
-        table, scored = restriction_errors(self, weighted, require_exact)
-        wrong, labeling = min(scored)
-        return wrong, labeling, lambda: table[labeling]
+        hypothesis for it, by :meth:`_least`.  Weights are >= 0, as a
+        distribution's or a sample's."""
+        instances, costs = label_costs(self, weighted, require_exact)
+        labeling, key = self._least(instances, costs)
+        return (sum(map(getitem, costs, labeling)), labeling,
+                lambda: self._witness(instances, labeling, key()))
+
+    def _least(self, instances: tuple[Instance, ...], costs: list[tuple]
+               ) -> tuple[Labeling, Callable[[], object]]:
+        """The labeling of the least (weight wrong, labeling) of the
+        instances' table, label y of instance j costing costs[j][y] >= 0,
+        and a thunk of its witness key, the table's.  Line families sweep,
+        affine ones search label prefixes best-first; this scans."""
+        keys = self.dichotomies(instances).witness_keys
+        labeling = min((sum(map(getitem, costs, lab)), lab) for lab in keys)[1]
+        return labeling, lambda: keys[labeling]
+
+    def _witness(self, instances, labeling, key) -> Hypothesis:
+        """A witness key's hypothesis, for table reads and ``least_wrong``."""
+        return self.hypothesis_from_key(key)
 
     def hypotheses(self) -> Iterator[Hypothesis]:
         raise NotImplementedError(f"{self.kind} space is not finitely enumerable")
@@ -554,7 +573,7 @@ class ExplicitSpace(HypothesisSpace):
         # vector, such as (1.0, True), finds the same entry.
         hypotheses = self._hypotheses = {row: row for row in self._vectors}
 
-        # Not a method: a memoized table referring to the space is a cycle.
+        # Not methods: a memoized table referring to the space is a cycle.
         def hypothesis(bits: Labeling) -> Hypothesis:
             h = hypotheses[bits]
             if h.__class__ is not Hypothesis:
@@ -565,11 +584,20 @@ class ExplicitSpace(HypothesisSpace):
                 h = hypotheses[bits] = Hypothesis(key=("explicit", h), fn=fn)
             return h
 
-        self._hypothesis = hypothesis
-        self._columns = {
-            x: int("".join(str(row[j]) for row in reversed(self._vectors)), 2)
+        vectors = self._vectors
+        columns = self._columns = {
+            x: int("".join(str(row[j]) for row in reversed(vectors)), 2)
             for j, x in enumerate(domain)}
-        self._tables: OrderedDict[tuple, LazyWitnesses] = OrderedDict()
+
+        @lru_cache(maxsize=EXPLICIT_TABLE_MEMO)
+        def table(instances: tuple) -> LazyWitnesses:
+            instances = check_instance_tuple(instances)
+            keys = {lab: vectors[i] for lab, i in split_columns(
+                [columns.get(x, 0) for x in instances], len(vectors))}
+            return LazyWitnesses(keys, lambda xs, lab, bits: hypothesis(bits),
+                                 instances)
+
+        self._hypothesis, self._table = hypothesis, table
 
     @classmethod
     def full(cls, instances: Sequence) -> "ExplicitSpace":
@@ -598,20 +626,7 @@ class ExplicitSpace(HypothesisSpace):
         """Each distinct restriction with the least vector that gives it as
         witness, in order of that vector; instances outside the domain are
         labeled 0.  A tuple asked about before gets its memoized table."""
-        tables = self._tables
-        key = tuple(instances)
-        table = tables.get(key)
-        if table is not None:
-            tables.move_to_end(key)
-            return table
-        instances = check_instance_tuple(key)
-        vectors = self._vectors
-        keys = {lab: vectors[i] for lab, i in split_columns(
-            [self._columns.get(x, 0) for x in instances], len(vectors))}
-        table = tables[key] = LazyWitnesses(keys, self._hypothesis)
-        if len(tables) > EXPLICIT_TABLE_MEMO:
-            tables.popitem(last=False)
-        return table
+        return self._table(tuple(instances))
 
     def dichotomy_count(self, instances: Sequence[Instance]) -> int:
         return len(split_columns([self._columns.get(x, 0) for x

@@ -18,11 +18,11 @@ elimination per realized prefix, not one per labeling.  It works out one
 count rule from its rows: at most Cover's count for closed rows (a
 halfspace's), Sauer's bound for others, and exactly that, with no
 elimination, in general position (determinants memoized on the rows).
-``AffineRows`` builds and keeps each instance's rows, for halfspaces and
-formula atoms alike, and every point the kernel finds, tree prefixes
-included, is checked in integers against its own check rows, built apart
-from the rows it eliminates, which also give the points after a prefix
-their labels.  A least-wrong labeling needs no table (``least_wrong``).
+``AffineSpace`` keeps each instance's rows, for halfspaces (its subclass)
+and formula atoms alike, and finds a least-wrong labeling with no table.
+Every point the kernel finds, tree prefixes included, is checked in
+integers against its own check rows, built apart from the rows it
+eliminates, which also give the points after a prefix their labels.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .model import (
     LazyWitnesses,
     check_instance_tuple,
     common_denominator,
-    label_costs,
     to_fraction,
 )
 
@@ -100,9 +99,9 @@ def cosingleton_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Frac
 def _line_table(space: HypothesisSpace, instances: Sequence[Instance],
                 enumerate_labelings) -> LazyWitnesses:
     """A table keyed by the parameters of a line family's enumerator."""
+    instances = check_instance_tuple(instances)
     return LazyWitnesses(dict(enumerate_labelings([
-        x.scalar for x in check_instance_tuple(instances)])),
-        space.hypothesis_from_key)
+        x.scalar for x in instances])), space._witness, instances)
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +384,6 @@ class AffineSystem:
                                  f"infeasible")
         return tuple(Fraction(v, point[0]) for v in point[1:])
 
-    def least_wrong(self, costs: Sequence, build: Callable) -> tuple:
-        """(wrong, labeling, witness): ``_realized``'s first from all the
-        starts, a label charged only its cost above the other label (one
-        shift for all labelings, so ties go depth first, not level by
-        level), and ``witness()``, ``build`` of the point a read gives."""
-        _, labeling, point = next(_realized(
-            [entry[2] for entry in self._entries], self._solve,
-            [(max(c0 - c1, 0), max(c1 - c0, 0)) for c0, c1 in costs],
-            self._starts()))
-        return (sum(map(getitem, costs, labeling)), labeling,
-                lambda: build(self._witness(labeling, point)))
-
 
 class AffineWitnesses(AffineSystem, Mapping):
     """The labelings of the point ``entries`` (``_affine_entry``, in k >= 1
@@ -408,7 +395,7 @@ class AffineWitnesses(AffineSystem, Mapping):
     eliminates; a point that gives one of them the wrong label raises
     AssertionError.  A prefix's point gives the later points of the tree
     their labels by their check rows too, not by the eliminated rows.
-    ``least_wrong`` searches both halves of closed rows, and grows no tree.
+    ``AffineSpace._least`` searches both halves of closed rows, grows no tree.
 
     The n label-1 rows (const, c) are closed when every const is 0, all or
     none are strict, and some c_j has one sign s in every row.  Closed rows
@@ -521,22 +508,6 @@ class AffineWitnesses(AffineSystem, Mapping):
         return self._len
 
 
-class AffineRows(dict):
-    """Instance x -> its entry (``_affine_entry``) for the affine function
-    ``row(x)`` = (const, coeffs, strict), built on first lookup and kept for
-    the owner's lifetime; ``table`` is the ``AffineWitnesses`` of them."""
-
-    def __init__(self, row: Callable[[Instance], tuple]):
-        self._row = row
-
-    def __missing__(self, x: Instance) -> tuple:
-        entry = self[x] = _affine_entry(*self._row(x))
-        return entry
-
-    def table(self, instances: Sequence[Instance]) -> AffineWitnesses:
-        return AffineWitnesses([self[x] for x in instances])
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis space classes
 
@@ -557,15 +528,13 @@ class ThresholdSpace(HypothesisSpace):
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         return _line_table(self, instances, threshold_dichotomies)
 
-    def least_wrong(self, weighted, require_exact=True):
+    def _least(self, instances, costs):
         """A running sum of the cuts' weights wrong; ties to the last cut."""
-        instances, costs = label_costs(self, weighted, require_exact)
         values, ones = [x.scalar for x in instances], sum(c for _, c in costs)
         wrong = list(accumulate([c0 - c1 for c0, c1 in costs], initial=ones))
         cut = min(reversed(range(len(wrong))), key=wrong.__getitem__)
-        w = values[cut] if cut < len(values) else values[-1] + 1
-        return (wrong[cut], (0,) * cut + (1,) * (len(values) - cut),
-                lambda: self.hypothesis_from_key(w))
+        return ((0,) * cut + (1,) * (len(values) - cut), lambda: (
+            values[cut] if cut < len(values) else values[-1] + 1))
 
 
 class IntervalSpace(HypothesisSpace):
@@ -590,21 +559,19 @@ class IntervalSpace(HypothesisSpace):
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         return _line_table(self, instances, interval_dichotomies)
 
-    def least_wrong(self, weighted, require_exact=True):
+    def _least(self, instances, costs):
         """Run [i, j] adds sums[j + 1] - sums[i] to the empty labeling's
         weight wrong, least at the latest i of max (sums[i], i), i <= j.
         Ties: the empty labeling, then the later start, the shorter run."""
-        instances, costs = label_costs(self, weighted, require_exact)
         values, k = [x.scalar for x in instances], len(instances)
         empty = sum(c0 for c0, _ in costs)
         sums = list(accumulate([c1 - c0 for c0, c1 in costs], initial=0))
-        best, back, j = min([(empty, 0, k - 1)] + [
+        _, back, j = min([(empty, 0, k - 1)] + [
             (empty + sums[j + 1] - top, k - i, j) for j, (top, i)
             in enumerate(accumulate(zip(sums, range(k)), max))])
         i = k - back
-        key = (values[i], values[j]) if i < k else (values[-1] + 1,) * 2
-        return (best, (0,) * i + (1,) * (j + 1 - i) + (0,) * (k - 1 - j),
-                lambda: self.hypothesis_from_key(key))
+        return ((0,) * i + (1,) * (j + 1 - i) + (0,) * (k - 1 - j), lambda: (
+            (values[i], values[j]) if i < k else (values[-1] + 1,) * 2))
 
 
 class CoSingletonSpace(HypothesisSpace):
@@ -623,23 +590,74 @@ class CoSingletonSpace(HypothesisSpace):
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
         return _line_table(self, instances, cosingleton_dichotomies)
 
-    def least_wrong(self, weighted, require_exact=True):
+    def _least(self, instances, costs):
         """Ties go to the earliest zero, all ones (zero = k) last."""
-        instances, costs = label_costs(self, weighted, require_exact)
         values, ones = [x.scalar for x in instances], sum(c for _, c in costs)
         wrong = [ones + c0 - c1 for c0, c1 in costs] + [ones]
         zero = min(range(len(wrong)), key=wrong.__getitem__)
-        w = values[zero] if zero < len(values) else values[-1] + 1
-        return (wrong[zero], tuple(int(i != zero) for i in range(len(values))),
-                lambda: self.hypothesis_from_key(w))
+        return (tuple(int(i != zero) for i in range(len(values))), lambda: (
+            values[zero] if zero < len(values) else values[-1] + 1))
 
 
-class HalfspaceSpace(HypothesisSpace):
-    """Affine halfspaces of a fixed dimension: h = 1[w.x + b >= 0].
+class AffineSpace(HypothesisSpace):
+    """h_v(x) = 1[const + coeffs . v >= 0] (> 0 when strict), (const,
+    coeffs, strict) = ``row(x)``, over rational v in ``nvars`` variables,
+    witness key v: ``AffineWitnesses`` of the entries (``_affine_entry``)
+    kept per instance for the space's lifetime.  Its VC dimension is at
+    most ``nvars`` (``formula._affine``)."""
+
+    kind = "affine-family"
+
+    def __init__(self, row: Callable[[Instance], tuple], nvars: int):
+        self._row, self.nvars = row, nvars
+        self._entries: dict[Instance, tuple] = {}
+
+    def known_vc(self) -> int:
+        return self.nvars
+
+    def hypothesis(self, v: Sequence) -> Hypothesis:
+        v, row = tuple(to_fraction(c) for c in v), self._row
+        if len(v) != self.nvars:
+            raise ValueError(f"expected {self.nvars} parameters")
+
+        def fn(x: Instance) -> int:
+            const, coeffs, strict = row(x)
+            value = const + sum(map(mul, coeffs, v))
+            return int(value > 0 or value == 0 and not strict)
+
+        return Hypothesis(key=(self.kind.removesuffix("-family"),) + v, fn=fn)
+
+    def _system(self, instances: Sequence[Instance]) -> list[tuple]:
+        entries = self._entries
+        for x in instances:
+            if x not in entries:
+                entries[x] = _affine_entry(*self._row(x))
+        return [entries[x] for x in instances]
+
+    def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
+        instances = check_instance_tuple(instances)
+        return LazyWitnesses(AffineWitnesses(self._system(instances)),
+                             self._witness, instances)
+
+    def _least(self, instances, costs):
+        """``_realized``'s first from all the starts, a label charged only
+        its cost above the other label (one shift for all labelings, so
+        ties go depth first, not level by level), keyed by the point a
+        table read gives: ``fm_witness`` of the labeling's full system."""
+        system = AffineSystem(self._system(instances))
+        _, labeling, point = next(_realized(
+            [entry[2] for entry in system._entries], system._solve,
+            [(max(c0 - c1, 0), max(c1 - c0, 0)) for c0, c1 in costs],
+            system._starts()))
+        return labeling, lambda: system._witness(labeling, point)
+
+
+class HalfspaceSpace(AffineSpace):
+    """Affine halfspaces of a fixed dimension: h = 1[w.x + b >= 0], with
+    parameters (w..., b).
 
     Each point x gives the closed row (0, x, 1) in (w, b) of
-    ``AffineWitnesses``, counted by Cover's rule, and kept by one
-    ``AffineRows`` for the space's lifetime.
+    ``AffineWitnesses``, counted by Cover's rule.
     """
 
     kind = "halfspace-family"
@@ -654,31 +672,4 @@ class HalfspaceSpace(HypothesisSpace):
             if len(coords) != dim:
                 raise ValueError(f"instance {x} is not {dim}-dimensional")
             return 0, (*coords, 1), False
-        self._rows = AffineRows(row)
-
-    def known_vc(self) -> int:
-        return self.dim + 1
-
-    def hypothesis(self, params: Sequence) -> Hypothesis:
-        params = tuple(to_fraction(p) for p in params)
-        if len(params) != self.dim + 1:
-            raise ValueError(f"expected {self.dim + 1} parameters (w..., b)")
-        w, b = params[:-1], params[-1]
-
-        def fn(x: Instance, _w=w, _b=b) -> int:
-            coords = x.coords
-            if len(coords) != len(_w):
-                raise ValueError("instance dimension mismatch")
-            return 1 if sum(c * v for c, v in zip(_w, coords)) + _b >= 0 else 0
-
-        return Hypothesis(key=("halfspace",) + params, fn=fn)
-
-    def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
-        return LazyWitnesses(self._rows.table(check_instance_tuple(instances)),
-                             self.hypothesis_from_key)
-
-    def least_wrong(self, weighted, require_exact=True):
-        """Best-first over label prefixes (``AffineSystem.least_wrong``)."""
-        instances, costs = label_costs(self, weighted, require_exact)
-        return AffineSystem([self._rows[x] for x in instances]).least_wrong(
-            costs, self.hypothesis_from_key)
+        super().__init__(row, dim + 1)

@@ -1206,6 +1206,13 @@ DIGEST_FILES = {
     "plane-dist.json": {"support": [[[0, 0], 1], [[2, 1], 0], [[1, 3], 1],
                                     [[3, 3], 0]],
                         "weights": ["1/4", "1/5", "1/3", "13/60"]},
+    "interval-formula.json": {"kind": "formula-defined",
+                              "formula": "b <= x and x <= a",
+                              "objects": ["x"], "params": ["a", "b"],
+                              "source": {"type": "sampled"}},
+    "line-dist.json": {"support": [[-2, 0], [0, 1], [1, 1],
+                                   [{"rat": "5/2"}, 0], [4, 1]],
+                       "weights": ["1/6", "1/4", "1/5", "1/3", "1/20"]},
 }
 DIGEST_JOBS = {
     "formula-space": ("formula", "space", "--text", "a * x + b * y <= 1",
@@ -1222,6 +1229,18 @@ DIGEST_JOBS = {
                           "plane-dist.json", "--m", "1,2,3", "--eps", "0.1",
                           "--exact", "--learner", "builtin:sem"),
     "nfl": ("nfl", "--m", "2"),
+    "pac-sim-affine-formula": ("pac-sim", "--space", "lines.json", "--dist",
+                               "plane-dist.json", "--m", "1,2,3", "--eps",
+                               "0.1", "--exact", "--learner", "builtin:sem"),
+    "pac-sim-interval-formula": ("pac-sim", "--space",
+                                 "interval-formula.json", "--dist",
+                                 "line-dist.json", "--m", "1,2,3", "--eps",
+                                 "0.1", "--exact", "--learner",
+                                 "builtin:sem"),
+    "formula-shatter-affine": ("formula", "shatter", "--text",
+                               "0 <= a*x + b*y - 1", "--objects", "x,y",
+                               "--params", "a,b", "--instances",
+                               "2,1;-1,3"),
 }
 RESULT_DIGESTS = {
     "formula-space":
@@ -1235,6 +1254,12 @@ RESULT_DIGESTS = {
     "pac-sim-halfspace":
         "601411fd493fc993fecef352de83d71e4c23fd906c3e83b2a9b6c682f6c23a47",
     "nfl": "1e91e101ca0febcd77112fb59d96c099d4836b89bcddc31287f1bea8e605d4c8",
+    "pac-sim-affine-formula":
+        "c7864152449e65fcebd02ae2ed1540eb2c118086ee1b0013a2c591208bf6957c",
+    "pac-sim-interval-formula":
+        "62b5568394daeb0a896c8aa2085ab10df41768ae668f18b6f1fe622257866257",
+    "formula-shatter-affine":
+        "81dd4a896c86ccc0c25bde408e982813151a06805a8b2515b0a1cc03df34fe67",
 }
 
 

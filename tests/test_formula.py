@@ -1252,7 +1252,7 @@ def test_affine_oracle_against_grid_and_sauer(data):
     if data.draw(st.booleans()):
         text = f"not ({text})"
     ast = parse_formula(text, ["x"], AFFINE_PARAMS[:k])
-    assert recognize_closed_form(ast).vc == k
+    assert recognize_closed_form(ast).space.known_vc() == k
     xs = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5,
                             unique=True))
     pool = points(*xs)

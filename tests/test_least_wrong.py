@@ -2,6 +2,7 @@
 ``min(restriction_errors(...)[1])`` and the table's witness of that
 labeling, for every family that answers it in its own way."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -27,6 +28,7 @@ from vclab import (
     restriction_errors,
     sem_learner,
 )
+from vclab.cli import main
 from vclab.model import label_costs
 from conftest import random_explicit_space
 
@@ -100,18 +102,128 @@ AFFINE_ATOM = parse_formula("0 <= a*x + b*y - 1", ["x", "y"], ["a", "b"])
 @given(weighted=grid_pairs(2, -2, 2, 6))
 def test_best_first_on_an_affine_formula_atom(weighted):
     """The atom's rows have constants, so its table is not closed under
-    complement and grows from v = 0; the best-first search of that table
-    finds the scan's least pair, and its witness is the table's.  The
-    formula space itself keeps the scan, which checks the witness."""
+    complement and grows from v = 0; the best-first search of its affine
+    space finds the scan's least pair, and its witness key is the
+    table's.  The formula space hands its search to that space."""
     space = DefinableSpace(AFFINE_ATOM, SampledParams())
     instances, costs = label_costs(space, weighted)
-    table = space.closed_form.witnesses(instances)
+    affine = space.closed_form.space
+    table = affine.dichotomies(instances).witness_keys
     assert not table._closed
-    wrong, labeling, witness = table.least_wrong(costs, tuple)
+    labeling, key = affine._least(instances, costs)
+    wrong = sum(c[y] for c, y in zip(costs, labeling))
     assert (wrong, labeling) == min(
         (sum(c[y] for c, y in zip(costs, lab)), lab) for lab in table)
-    assert witness() == table[labeling]
+    assert key() == table[labeling]
     assert space.least_wrong(weighted)[:2] == (wrong, labeling)
+
+
+def formula_space(text, objects, params):
+    return DefinableSpace(parse_formula(text, objects, params),
+                          SampledParams())
+
+
+LINE_FORMULAS = [("p <= x", ["p"]), ("x != p", ["p"]), ("p != x", ["p"]),
+                 ("a <= x and x <= b", ["a", "b"]),
+                 ("b <= x and x <= a", ["a", "b"])]
+
+
+@pytest.mark.parametrize("text, params", LINE_FORMULAS,
+                         ids=[text for text, _ in LINE_FORMULAS])
+@settings(max_examples=20, deadline=None)
+@given(weighted=line_pairs())
+def test_line_closed_forms_match_the_scan(text, params, weighted):
+    """A native shape's space sweeps, and its witness, moved to the
+    declared parameters and checked by the formula, is the table's."""
+    space = formula_space(text, ["x"], params)
+    assert space.closed_form is not None
+    assert_least_is_the_scan_s(space, weighted)
+
+
+@pytest.mark.parametrize("text", ["0 <= a*x + b*y - 1",
+                                  "not (a*x + b*y <= 1)"])
+@settings(max_examples=20, deadline=None)
+@given(weighted=grid_pairs(2, -2, 2, 6))
+def test_affine_closed_forms_match_the_scan(text, weighted):
+    space = formula_space(text, ["x", "y"], ["a", "b"])
+    assert space.closed_form.name == "affine"
+    assert_least_is_the_scan_s(space, weighted)
+
+
+@pytest.mark.parametrize("text, objects, params", [
+    ("b <= x and x <= a", ["x"], ["a", "b"]),
+    ("0 <= a*x + b*y + c", ["x", "y"], ["a", "b", "c"])],
+    ids=["interval", "affine"])
+def test_closed_forms_build_no_table(text, objects, params, monkeypatch):
+    """Formula sem and ``approximation_error`` over a closed form search
+    its space, with ``_line_table`` and ``AffineWitnesses`` raising."""
+    space = formula_space(text, objects, params)
+    pts = [(v, v * v - 3 * v)[:len(objects)] for v in (3, 1, 2, 5)]
+    zbar = MultiSample.of(*[(p, y) for p, y in zip(pts, (1, 0, 1, 0))],
+                          (pts[1], 1))
+    dist = DiscreteDistribution({(pts[0], 0): F(1, 3), (pts[2], 1): F(1, 6),
+                                 (pts[3], 0): F(1, 2)})
+    table, scored = restriction_errors(space, zbar.tally())
+    wrong, labeling = min(scored)
+    want = (table[labeling].key, F(wrong, 5),
+            approximation_error(space, dist))
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(vclab.spaces, "_line_table", no_table)
+    monkeypatch.setattr(vclab.spaces.AffineWitnesses, "__init__", no_table)
+    space = formula_space(text, objects, params)
+    assert (sem_learner(space)(zbar).key, empirical_opt(space, zbar),
+            approximation_error(space, dist)) == want
+    with pytest.raises(AssertionError, match="a table was built"):
+        space.dichotomies([Instance.point(*pts[0])])
+
+
+def test_a_wrong_parameter_map_fails_the_formula_check(monkeypatch):
+    """``b <= x and x <= a`` takes the interval key (lo, hi) as (b, a).
+    Taken in native order, a run of two points gets the empty interval
+    [hi, lo]: sem and a table read both raise."""
+    space = formula_space("b <= x and x <= a", ["x"], ["a", "b"])
+    closed = space.closed_form
+    monkeypatch.setattr(space, "closed_form", closed._replace(
+        params=lambda key: key))
+    zbar = MultiSample.of((0, 0), (1, 1), (2, 1), (3, 0))
+    for read in (lambda: sem_learner(space)(zbar),
+                 lambda: space.dichotomies(
+                     [z.instance for z in zbar])[0, 1, 1, 0]):
+        with pytest.raises(AssertionError, match="interval witnesses"):
+            read()
+
+
+@pytest.mark.parametrize("text, objects, params, bad", [
+    ("0 <= a*x + b*y - 1", ["x", "y"], ["a", "b"], (1,)),
+    ("0 <= a*x + b*y - 1", ["x", "y"], ["a", "b"], (1, 2, 3)),
+    ("p <= x", ["x"], ["p"], (1, 2))],
+    ids=["affine-short", "affine-long", "threshold"])
+def test_wrong_arity_instances_are_rejected(text, objects, params, bad,
+                                            tmp_path):
+    """Every instance is checked against the formula's arity before the
+    closed form's space reads it: ``least_wrong`` and
+    ``approximation_error`` raise the table's ValueError, and sem in an
+    exact ``pac-sim`` exits 2."""
+    space = formula_space(text, objects, params)
+    good = (0,) * len(objects)
+    dist = DiscreteDistribution({(good, 1): F(1, 2), (bad, 0): F(1, 2)})
+    for call in (lambda: space.least_wrong(dist.items()),
+                 lambda: approximation_error(space, dist),
+                 lambda: space.dichotomies(dist.instances())):
+        with pytest.raises(ValueError, match="does not have arity"):
+            call()
+    (tmp_path / "space.json").write_text(json.dumps({
+        "kind": "formula-defined", "formula": text, "objects": objects,
+        "params": params, "source": {"type": "sampled"}}))
+    (tmp_path / "dist.json").write_text(json.dumps({
+        "support": [[list(good), 1], [list(bad), 0]],
+        "weights": ["1/2", "1/2"]}))
+    assert main(["pac-sim", "--space", str(tmp_path / "space.json"),
+                 "--dist", str(tmp_path / "dist.json"), "--m", "1,2",
+                 "--eps", "0.1", "--exact", "--learner", "builtin:sem",
+                 "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("space, least", [

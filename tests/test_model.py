@@ -545,10 +545,10 @@ class TestExplicitTableMemo:
             space.dichotomies(xs)
         assert space.dichotomies(tuples[1]) is kept  # now the most recent
         space.dichotomies(tuples[bound + 1])
-        assert len(space._tables) <= bound
+        assert space._table.cache_info().currsize <= bound
         assert space.dichotomies(tuples[1]) is kept
         assert space.dichotomies(tuples[0]) is not first
-        assert len(space._tables) <= bound
+        assert space._table.cache_info().currsize <= bound
 
     def test_witnesses_are_read_only(self):
         space = ExplicitSpace.full(atoms(2))
@@ -946,8 +946,9 @@ class TestRecord:
 
 
 class TestSha256:
-    """The package hashes through one SHA-256 constructor, the builtin
-    module's, and importing it loads no OpenSSL."""
+    """The package hashes through one SHA-256 constructor: the builtin
+    module's, so that importing it loads no OpenSSL, or hashlib's when
+    hashlib is loaded first, so that no second copy is."""
 
     @pytest.mark.parametrize("data", [
         b"", b"0:0", b"table:31:a:x0:1|v:1/3,-2:0", bytes(range(256)) * 9])
@@ -966,3 +967,16 @@ class TestSha256:
             check=True, capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": src}).stdout
         assert out.strip() == "[]"
+
+    def test_a_loaded_hashlib_is_reused(self):
+        src = str(Path(vclab.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import hashlib, sys, vclab.cli\n"
+             "from vclab.model import sha256\n"
+             "print(sorted({'_sha256', '_sha2'} & set(sys.modules)))\n"
+             "for data in (b'', b'0:0', bytes(range(256)) * 9):\n"
+             "    print(sha256(data).hexdigest() == "
+             "hashlib.sha256(data).hexdigest())"],
+            check=True, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.split() == ["[]", "True", "True", "True"]

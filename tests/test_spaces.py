@@ -372,7 +372,7 @@ def test_kept_rows_match_a_fresh_space(pts, data):
             [h.key for h in fresh.values()] == \
             [("halfspace", *params) for _, params in sweep]
         seen.update(subset)
-        assert space._rows.keys() == seen
+        assert space._entries.keys() == seen
 
 
 @st.composite
