@@ -37,7 +37,7 @@ from .combinatorics import (
 from .harness import estimate_pac_probability, estimate_ucp_probability
 from .learners import random_table_learner
 from .model import BudgetError, InexactOracleError, Instance
-from .model import as_instance, sha256
+from .model import as_instance, sha256, to_fraction
 from .nfl import build_nfl_instance, nfl_report
 from .serialize import (
     instance_to_json,
@@ -97,7 +97,7 @@ def _parse_instance_list(text: str):
             out.append(as_instance(tuple(parts)))
         else:
             try:
-                out.append(as_instance(Fraction(parts[0])))
+                out.append(as_instance(to_fraction(parts[0])))
             except ValueError:
                 out.append(as_instance(parts[0]))
     if not out:

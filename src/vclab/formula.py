@@ -44,6 +44,7 @@ from .model import (
     Labeling,
     LazyWitnesses,
     Record,
+    _rounded,
     check_instance_tuple,
     split_columns,
     to_fraction,
@@ -520,8 +521,9 @@ def _single(atoms, w) -> list:
 
 def _compile(ast: FormulaAst, backend: str) -> tuple[Callable, Callable, list]:
     """The formula compiled once for a backend, as ``(convert, evaluate,
-    atoms)``: ``convert`` reads one input value as a value of the backend
-    (an exact rational, or the double nearest to it), ``evaluate`` is the
+    atoms)``: ``convert`` reads one input value, or a constant, as a value
+    of the backend (an exact rational, or ``model._rounded``'s double:
+    the nearest, or an infinity past the largest), ``evaluate`` is the
     root's mask function (see :func:`_compile_node`) on converted values,
     checking nothing, and ``atoms`` lists its atoms' ``(test, reads)``.
     The backend, and whether it can evaluate ``exp``, are checked here."""
@@ -530,11 +532,10 @@ def _compile(ast: FormulaAst, backend: str) -> tuple[Callable, Callable, list]:
     if backend == EXACT and ast.uses_exp:
         raise BackendError(
             "the exact backend cannot evaluate exp; use backend='float'")
-    exact = backend == EXACT
-    const = to_fraction if exact else float
-    convert = to_fraction if exact else (lambda v: float(to_fraction(v)))
+    convert = to_fraction if backend == EXACT else (
+        lambda v: _rounded(to_fraction(v)))
     atoms = []
-    return convert, _compile_node(ast.root, _slots(ast), const, atoms), atoms
+    return convert, _compile_node(ast.root, _slots(ast), convert, atoms), atoms
 
 
 def compile_formula(ast: FormulaAst, backend: str = EXACT
@@ -545,10 +546,11 @@ def compile_formula(ast: FormulaAst, backend: str = EXACT
     predicate checks the lengths of x and w.  Every input value is first
     read as an exact rational (so both backends accept the same inputs,
     "1/3" included); the float backend then rounds it once to the nearest
-    double.  Operations run in tree order on both backends.  The predicate
-    converts its inputs on every call and evaluates the compiled formula
-    on one candidate; ``DefinableSpace`` converts each point and parameter
-    tuple once and evaluates the same atoms over many candidates.
+    double, an infinity past the largest.  Operations run in tree order on
+    both backends.  The predicate converts its inputs on every call and
+    evaluates the compiled formula on one candidate; ``DefinableSpace``
+    converts each point and parameter tuple once and evaluates the same
+    atoms over many candidates.
     """
     convert, evaluate, atoms = _compile(ast, backend)
     arity, param_arity = ast.arity, ast.param_arity
@@ -862,9 +864,9 @@ class DefinableSpace(HypothesisSpace):
                     bits |= evaluate(point, bound, (1 << size) - (1 << done))
                     columns[x] = point, bits, size
                 labels.append(bits)
-            found = split_columns(labels, size)
+            found = split_columns(labels, candidates[:size])
             if len(found) == target or size == total:
-                return {lab: candidates[i] for lab, i in found}
+                return found
             size = min(total, 2 * size)
 
     def _checked(self, instances: Sequence[Instance]) -> tuple[Instance, ...]:
@@ -913,7 +915,7 @@ def _candidate_parameters(ast: FormulaAst, points, source: SampledParams
     """Up to ``source.budget`` parameter tuples: the full product of an
     axis through the points' coordinates, their midpoints, 0, 1, -1 and
     one step beyond each end when it fits the budget, then seeded uniform
-    draws."""
+    draws; a draw range that is not finite is a ``ValueError``."""
     arity = ast.param_arity
     if arity == 0:
         yield ()
@@ -933,8 +935,11 @@ def _candidate_parameters(ast: FormulaAst, points, source: SampledParams
             yield w
 
     rng = random.Random(source.seed)
-    lo = min(source.low, float(coord_values[0]) - 2) if coord_values else source.low
-    hi = max(source.high, float(coord_values[-1]) + 2) if coord_values else source.high
+    lo = min(source.low, _rounded(coord_values[0]) - 2) if coord_values else source.low
+    hi = max(source.high, _rounded(coord_values[-1]) + 2) if coord_values else source.high
+    if emitted < source.budget and not math.isfinite(hi - lo):
+        raise ValueError(f"cannot draw parameters from [{lo}, {hi}]: the "
+                         f"range is not finite")
     while emitted < source.budget:
         emitted += 1
         yield tuple(Fraction(rng.uniform(lo, hi)) for _ in range(arity))

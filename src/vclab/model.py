@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import (accumulate, chain, combinations_with_replacement,
                        groupby, product, repeat)
-from operator import getitem, itemgetter
+from operator import getitem
 
 if "hashlib" in sys.modules:  # loaded with OpenSSL: no second SHA-256
     from hashlib import sha256
@@ -68,7 +68,8 @@ def to_fraction(value) -> Fraction:
     """Convert int/float/str/Fraction to an exact Fraction.
 
     Floats convert to their exact binary value; strings accept "p/q" and
-    decimal forms.  An infinite or NaN float is a ``ValueError``.
+    decimal forms.  An infinite or NaN float, a zero denominator ("1/0")
+    and any other value are a ``ValueError``.
     """
     if isinstance(value, Fraction):
         return value
@@ -77,7 +78,10 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{value!r} is not a finite number")
     if isinstance(value, (int, float, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise ValueError(f"cannot interpret {value!r} as a rational number")
 
 
@@ -458,7 +462,9 @@ class HypothesisSpace:
     """Base class: an enumerable family of classifiers with a finite
     restriction oracle.
 
-    Subclasses provide :meth:`dichotomies`; everything else derives from it.
+    Subclasses provide :meth:`dichotomies`, and may replace the least-wrong
+    search (:meth:`_least`), the witness build (:meth:`_witness`) and
+    :meth:`known_vc`; the counts and :meth:`least_wrong` derive from these.
     """
 
     kind: str = "abstract"
@@ -479,10 +485,8 @@ class HypothesisSpace:
 
         * ``ExplicitSpace``: the least bit-vector; the mapping is shared by
           every later call on the same instance tuple;
-        * thresholds, intervals, co-singletons: the canonical parameter of
-          the combinatorial enumerator (the least point labeled 1; the
-          least and greatest point labeled 1; the point labeled 0; past
-          the largest point when no point has that label);
+        * thresholds, intervals, co-singletons: the first key of the
+          family's list (its ``_keys``) that gives the labeling;
         * halfspaces: the point Fourier-Motzkin back-substitution picks on
           the labeling's full system, which is not least in any order,
           kept if the table's tree found it and else solved when first
@@ -592,10 +596,9 @@ class ExplicitSpace(HypothesisSpace):
         @lru_cache(maxsize=EXPLICIT_TABLE_MEMO)
         def table(instances: tuple) -> LazyWitnesses:
             instances = check_instance_tuple(instances)
-            keys = {lab: vectors[i] for lab, i in split_columns(
-                [columns.get(x, 0) for x in instances], len(vectors))}
-            return LazyWitnesses(keys, lambda xs, lab, bits: hypothesis(bits),
-                                 instances)
+            return LazyWitnesses(split_columns(
+                [columns.get(x, 0) for x in instances], vectors),
+                lambda xs, lab, bits: hypothesis(bits), instances)
 
         self._hypothesis, self._table = hypothesis, table
 
@@ -631,17 +634,17 @@ class ExplicitSpace(HypothesisSpace):
     def dichotomy_count(self, instances: Sequence[Instance]) -> int:
         return len(split_columns([self._columns.get(x, 0) for x
                                   in check_instance_tuple(instances)],
-                                 len(self._vectors)))
+                                 self._vectors))
 
 
-def split_columns(columns: Iterable[int], size: int
-                  ) -> list[tuple[Labeling, int]]:
-    """Each labeling of the points that one of the first ``size``
-    candidates gives, with the least such candidate's index, in order of
-    that index; bit i of the j-th column is candidate i's label on point
-    j.  The candidates are split point by point into the groups that agree
-    on the points so far: one integer AND per group and point."""
-    groups = [((), (1 << size) - 1)]
+def split_columns(columns: Iterable[int], keys: Sequence
+                  ) -> dict[Labeling, object]:
+    """Each labeling of the points that one of the candidates ``keys``
+    gives, mapped to the first such key, in the keys' order; bit i of the
+    j-th column is key i's label on point j.  The keys are split point by
+    point into the groups that agree on the points so far: one integer AND
+    per group and point."""
+    groups = [((), (1 << len(keys)) - 1)]
     for column in columns:
         split = []
         for lab, mask in groups:
@@ -651,9 +654,9 @@ def split_columns(columns: Iterable[int], size: int
             if ones != mask:
                 split.append((lab + (0,), mask ^ ones))
         groups = split
-    # mask & -mask is the lowest set bit: the group's least candidate.
-    return sorted(((lab, (mask & -mask).bit_length() - 1)
-                   for lab, mask in groups), key=itemgetter(1))
+    # mask & -mask is the lowest set bit: the group's first key.
+    return {lab: keys[i] for i, lab in sorted(
+        [((mask & -mask).bit_length() - 1, lab) for lab, mask in groups])}
 
 
 # ---------------------------------------------------------------------------

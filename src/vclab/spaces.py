@@ -9,20 +9,22 @@ together with a witness parameter chosen by a fixed rule, exactly:
 * co-singletons     h_w(x) = 1  iff  x != w
 * halfspaces        h_{w,b}(x) = 1  iff  w . x + b >= 0
 
-Threshold, interval and co-singleton enumeration is combinatorial on the
-sorted points.  ``AffineWitnesses`` decides the labelings of affine
-constraint rows in k variables (a halfspace's in (w, b), or a formula
-atom's affine in its parameters) by exact Fourier-Motzkin elimination on
-primitive integer rows (``fm_witness``), grown point by point: one
-elimination per realized prefix, not one per labeling.  It works out one
-count rule from its rows: at most Cover's count for closed rows (a
-halfspace's), Sauer's bound for others, and exactly that, with no
-elimination, in general position (determinants memoized on the rows).
-``AffineSpace`` keeps each instance's rows, for halfspaces (its subclass)
-and formula atoms alike, and finds a least-wrong labeling with no table.
-Every point the kernel finds, tree prefixes included, is checked in
-integers against its own check rows, built apart from the rows it
-eliminates, which also give the points after a prefix their labels.
+A threshold, interval or co-singleton table splits the family's witness
+keys by its rule, point by point (``_line_table``); a sweep finds its
+least-wrong labeling with no table.  ``AffineWitnesses`` decides the
+labelings of affine constraint rows in k variables (a halfspace's in
+(w, b), or a formula atom's affine in its parameters) by exact
+Fourier-Motzkin elimination on primitive integer rows (``fm_witness``),
+grown point by point: one elimination per realized prefix, not one per
+labeling.  It works out one count rule from its rows: at most Cover's
+count for closed rows (a halfspace's), Sauer's bound for others, and
+exactly that, with no elimination, in general position (determinants
+memoized on the rows).  ``AffineSpace`` keeps each instance's rows, for
+halfspaces (its subclass) and formula atoms alike, and finds a
+least-wrong labeling with no table.  Every point the kernel finds, tree
+prefixes included, is checked in integers against its own check rows,
+built apart from the rows it eliminates, which also give the points
+after a prefix their labels.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import accumulate, chain, combinations, product, repeat
+from itertools import (accumulate, chain, combinations,
+                       combinations_with_replacement, product, repeat)
 from operator import getitem, mul
 
 from .combinatorics import sauer_bound
@@ -44,64 +47,23 @@ from .model import (
     LazyWitnesses,
     check_instance_tuple,
     common_denominator,
+    split_columns,
     to_fraction,
 )
 
 
-def _argsort(values: list[Fraction]) -> tuple[list[Fraction], list[int]]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    return [values[i] for i in order], order
-
-
-# ---------------------------------------------------------------------------
-# Combinatorial enumerators (labeling aligned with the given instance order,
-# witness = canonical parameter realizing it)
-
-
-def threshold_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Fraction]]:
-    srt, order = _argsort(values)
-    k = len(srt)
-    out = []
-    for cut in range(k + 1):
-        labeling = [0] * k
-        for pos in range(cut, k):
-            labeling[order[pos]] = 1
-        w = srt[cut] if cut < k else srt[-1] + 1
-        out.append((tuple(labeling), w))
-    return out
-
-
-def interval_dichotomies(values: list[Fraction]
-                         ) -> list[tuple[Labeling, tuple[Fraction, Fraction]]]:
-    srt, order = _argsort(values)
-    k = len(srt)
-    out = []
-    empty = srt[-1] + 1
-    out.append((tuple([0] * k), (empty, empty)))
-    for i in range(k):
-        for j in range(i, k):
-            labeling = [0] * k
-            for pos in range(i, j + 1):
-                labeling[order[pos]] = 1
-            out.append((tuple(labeling), (srt[i], srt[j])))
-    return out
-
-
-def cosingleton_dichotomies(values: list[Fraction]) -> list[tuple[Labeling, Fraction]]:
-    k = len(values)
-    out = [(tuple([1] * k), max(values) + 1)]
-    for i in range(k):
-        labeling = tuple(0 if j == i else 1 for j in range(k))
-        out.append((labeling, values[i]))
-    return out
-
-
-def _line_table(space: HypothesisSpace, instances: Sequence[Instance],
-                enumerate_labelings) -> LazyWitnesses:
-    """A table keyed by the parameters of a line family's enumerator."""
+def _line_table(space: HypothesisSpace, instances: Sequence[Instance]
+                ) -> LazyWitnesses:
+    """A line family's table: its candidate witness keys, in table order
+    (``_keys``), split by one label column per point, each filled from the
+    family's rule h_key(x) = 1 iff ``_holds(key, x)``."""
     instances = check_instance_tuple(instances)
-    return LazyWitnesses(dict(enumerate_labelings([
-        x.scalar for x in instances])), space._witness, instances)
+    values = [x.scalar for x in instances]
+    keys, holds = space._keys(values), space._holds
+    columns = [sum([holds(key, v) << i for i, key in enumerate(keys)])
+               for v in values]
+    return LazyWitnesses(split_columns(columns, keys), space._witness,
+                         instances)
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +478,22 @@ class ThresholdSpace(HypothesisSpace):
     """Thresholds on the rational line: h_w = 1 on [w, infinity)."""
 
     kind = "threshold-family"
+    _holds = staticmethod(lambda w, value: value >= w)
 
     def known_vc(self) -> int:
         return 1
 
+    @staticmethod
+    def _keys(values: list[Fraction]) -> list:
+        return sorted(values) + [max(values) + 1]
+
     def hypothesis(self, w) -> Hypothesis:
-        w = to_fraction(w)
+        w, holds = to_fraction(w), self._holds
         return Hypothesis(key=("threshold", w),
-                          fn=lambda x, _w=w: 1 if x.scalar >= _w else 0)
+                          fn=lambda x: 1 if holds(w, x.scalar) else 0)
 
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
-        return _line_table(self, instances, threshold_dichotomies)
+        return _line_table(self, instances)
 
     def _least(self, instances, costs):
         """A running sum of the cuts' weights wrong; ties to the last cut."""
@@ -541,23 +508,29 @@ class IntervalSpace(HypothesisSpace):
     """Closed intervals on the rational line: h_{a,b} = 1 on [a, b]."""
 
     kind = "interval-family"
+    _holds = staticmethod(lambda ab, value: ab[0] <= value <= ab[1])
 
     def known_vc(self) -> int:
         return 2
 
+    @staticmethod
+    def _keys(values: list[Fraction]) -> list:
+        srt = sorted(values)
+        return [(srt[-1] + 1,) * 2, *combinations_with_replacement(srt, 2)]
+
     def hypothesis(self, a, b) -> Hypothesis:
-        a, b = to_fraction(a), to_fraction(b)
-        if a > b:
+        ab, holds = (to_fraction(a), to_fraction(b)), self._holds
+        if ab[0] > ab[1]:
             raise ValueError("interval needs a <= b")
-        return Hypothesis(key=("interval", a, b),
-                          fn=lambda x, _a=a, _b=b: 1 if _a <= x.scalar <= _b else 0)
+        return Hypothesis(key=("interval", *ab),
+                          fn=lambda x: 1 if holds(ab, x.scalar) else 0)
 
     def hypothesis_from_key(self, key) -> Hypothesis:
         a, b = key
         return self.hypothesis(a, b)
 
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
-        return _line_table(self, instances, interval_dichotomies)
+        return _line_table(self, instances)
 
     def _least(self, instances, costs):
         """Run [i, j] adds sums[j + 1] - sums[i] to the empty labeling's
@@ -578,17 +551,22 @@ class CoSingletonSpace(HypothesisSpace):
     """Complements of single points: h_w(x) = 1 iff x != w."""
 
     kind = "co-singleton-family"
+    _holds = staticmethod(lambda w, value: value != w)
 
     def known_vc(self) -> int:
         return 1
 
+    @staticmethod
+    def _keys(values: list[Fraction]) -> list:
+        return [max(values) + 1, *values]
+
     def hypothesis(self, w) -> Hypothesis:
-        w = to_fraction(w)
+        w, holds = to_fraction(w), self._holds
         return Hypothesis(key=("co-singleton", w),
-                          fn=lambda x, _w=w: 0 if x.scalar == _w else 1)
+                          fn=lambda x: 1 if holds(w, x.scalar) else 0)
 
     def dichotomies(self, instances: Sequence[Instance]) -> LazyWitnesses:
-        return _line_table(self, instances, cosingleton_dichotomies)
+        return _line_table(self, instances)
 
     def _least(self, instances, costs):
         """Ties go to the earliest zero, all ones (zero = k) last."""

@@ -1032,6 +1032,73 @@ def test_non_finite_number_exits_2(tmp_path, capsys, route):
     assert "inf is not a finite number" in capsys.readouterr().err
 
 
+ZERO_DENOMINATOR = {
+    "weight": (("ucp-sim", "--space", "space.json", "--dist",
+                "zero-dist.json", "--m", "2", "--eps", "0.25"),
+               "'weights' field: '1/0' has a zero denominator"),
+    "pool-file": (("vcdim", "--space", "space.json", "--pool",
+                   "zero-pool.json"),
+                  "'instances' field: '1/0' has a zero denominator"),
+    "space-file": (("vcdim", "--space", "zero-space.json", "--pool", "1;2"),
+                   "'tuples' field: '1/0' has a zero denominator"),
+    "inline-pool": (("vcdim", "--space", "threshold.json", "--pool", "1/0;2"),
+                    "instance '1/0' is symbolic"),
+    "eval": (("formula", "eval", "--text", "x < 1", "--objects", "x",
+              "--x", "1/0"), "'1/0' has a zero denominator"),
+    "params-list": (("formula", "space", *FORMULA, "--pool", "1;2",
+                     "--params-list", "1/0"),
+                    "'tuples' field: '1/0' has a zero denominator"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ZERO_DENOMINATOR))
+def test_zero_denominator_exits_2(tmp_path, capsys, route):
+    """A rational "p/0" in a file field or an option is bad input, named
+    by its field or, inline, by its value, not a ``ZeroDivisionError``
+    out of ``Fraction``.  An inline scalar that is not a rational is an
+    atom, which a threshold space cannot label."""
+    write_files(tmp_path, {
+        **INPUT_FILES,
+        "threshold.json": {"kind": "threshold-family"},
+        "zero-dist.json": {"support": [[1, 1], [2, 0]],
+                           "weights": ["1/0", "1/2"]},
+        "zero-pool.json": {"instances": [{"rat": "1/0"}]},
+        "zero-space.json": {"kind": "formula-defined", "formula": "x != p",
+                            "objects": ["x"], "params": ["p"],
+                            "source": {"type": "explicit",
+                                       "tuples": [["1/0"]]}}})
+    argv, message = ZERO_DENOMINATOR[route]
+    argv = [str(tmp_path / a) if a in INPUT_FILES or a.endswith(".json")
+            else a for a in argv]
+    code, payload = run(tmp_path, *argv)
+    assert code == 2 and payload is None
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("--text", "exp(x) < 1", "--x", "1e400"), False),
+    (("--text", f"x < 1{'0' * 400}", "--x", "1", "--backend", "float"),
+     True),
+], ids=["exp-of-a-huge-point", "huge-constant"])
+def test_the_float_backend_rounds_past_the_double_range(tmp_path, argv,
+                                                        value):
+    """A value past the largest double becomes an infinity of its sign on
+    the float backend, as IEEE rounding gives, not an ``OverflowError``:
+    exp(inf) < 1 is false, 1 < inf is true."""
+    code, payload = run(tmp_path, "formula", "eval", "--objects", "x", *argv)
+    assert code == 0 and payload["result"]["value"] is value
+
+
+def test_a_search_over_a_range_past_the_doubles_exits_2(tmp_path, capsys):
+    """Parameter search draws from a range through the points; a point
+    past the largest double makes it infinite, which is bad input."""
+    code, payload = run(tmp_path, "formula", "space", "--text",
+                        "p <= x and x <= p + 1", "--objects", "x",
+                        "--params", "p", "--pool", "1e400;1")
+    assert code == 2 and payload is None
+    assert "the range is not finite" in capsys.readouterr().err
+
+
 THRESHOLD_FILES = {
     "threshold.json": {"kind": "threshold-family"},
     "dist.json": {"support": [[1, 0], [2, 1]], "weights": ["1/2", "1/2"]}}

@@ -1099,6 +1099,51 @@ class TestRuleChecks:
                 decide(table)
 
 
+def brute_line_tables(values):
+    """Each line family's table over ``values`` by brute force over all 2^n
+    labelings, as (labeling, witness key) in table order: threshold
+    suffixes of the sorted order keyed by their least point, in order of
+    key; interval runs keyed by their least and greatest point, in order
+    of key after the empty labeling; co-singleton labelings with at most
+    one 0 keyed by that point, in order of its position after all ones.
+    A labeling with no point of the keyed label is keyed one past the
+    largest point."""
+    n, srt, top = len(values), sorted(values), max(values) + 1
+    threshold, interval, cosingleton = [], [], []
+    for lab in product((0, 1), repeat=n):
+        ones = sorted(v for v, b in zip(values, lab) if b)
+        if ones == srt[n - len(ones):]:
+            threshold.append((ones[0] if ones else top, lab))
+        if ones == [v for v in srt if ones and ones[0] <= v <= ones[-1]]:
+            interval.append((bool(ones), (ones[0], ones[-1]) if ones
+                             else (top, top), lab))
+        if lab.count(0) <= 1:
+            zero = lab.index(0) if 0 in lab else -1
+            cosingleton.append((zero, values[zero] if lab.count(0) else top,
+                                lab))
+    return {"threshold": [(lab, w) for w, lab in sorted(threshold)],
+            "interval": [(lab, ab) for _, ab, lab in sorted(interval)],
+            "co-singleton": [(lab, w) for _, w, lab in sorted(cosingleton)]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                min_size=1, max_size=7, unique=True))
+def test_line_tables_match_a_brute_force(values):
+    """Each line table has the brute force's labelings, witness keys and
+    order, its ``len``, and ``in`` on every labeling."""
+    instances = [Instance.point(v) for v in values]
+    expected = brute_line_tables(values)
+    for space in (ThresholdSpace(), IntervalSpace(), CoSingletonSpace()):
+        table = space.dichotomies(instances)
+        want = expected[space.kind.removesuffix("-family")]
+        assert list(table.witness_keys.items()) == want
+        assert len(table) == len(want)
+        assert [lab in table for lab in product((0, 1), repeat=len(values))
+                ] == [lab in dict(want) for lab
+                      in product((0, 1), repeat=len(values))]
+
+
 class TestDeferredHypotheses:
     """A halfspace table keeps each witness as a parameter tuple and builds
     its ``Hypothesis`` when it is first read."""
