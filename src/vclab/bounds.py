@@ -54,9 +54,12 @@ def epsilon0(m: int, delta: float, growth_at_2m: int) -> float:
 def m0_singleton(eps: float, delta: float) -> int:
     """Sample size ceil(2*log(2/delta)/eps^2) after which a single
     hypothesis's sample error is eps-close to its true error with
-    probability >= 1 - delta."""
+    probability >= 1 - delta; a ``ValueError`` when eps^2 underflows to 0
+    or the size is not a finite double."""
     _check_eps_delta(eps, delta)
-    return max(1, math.ceil(2.0 * math.log(2.0 / delta) / (eps * eps)))
+    e2 = eps * eps
+    m = 2.0 * math.log(2.0 / delta) / e2 if e2 else math.inf
+    return max(1, math.ceil(_finite("m0_singleton", m, eps, delta)))
 
 
 class UcpSampleBound(Record):
@@ -88,6 +91,8 @@ def m0_ucp(d: int, eps: float, delta: float, m_h: int = 1) -> UcpSampleBound:
                + |16d * log(2e/d) / (delta*eps)^2|
 
     d = 0 means a single hypothesis and routes to :func:`m0_singleton`.
+    A ``ValueError`` when (delta*eps)^2 underflows to 0 or m0_3 is not a
+    finite double.
     """
     _check_eps_delta(eps, delta)
     if d < 0:
@@ -101,8 +106,10 @@ def m0_ucp(d: int, eps: float, delta: float, m_h: int = 1) -> UcpSampleBound:
     de2 = (delta * eps) ** 2
     m0_1 = (d + 1) / 2.0
     m0_2 = (d / 2.0) * math.exp(9.0 / d - 1.0)
-    m0_3 = 4.0 * (8.0 * d / de2) * math.log(16.0 * d / de2) \
-        + abs(16.0 * d * math.log(2.0 * math.e / d) / de2)
+    m0_3 = _finite("m0_ucp", (
+        4.0 * (8.0 * d / de2) * math.log(16.0 * d / de2)
+        + abs(16.0 * d * math.log(2.0 * math.e / d) / de2)) if de2
+        else math.inf, eps, delta)
     m0 = math.ceil(max(m_h, m0_1, m0_2, m0_3))
     return UcpSampleBound(d=d, eps=eps, delta=delta, m_h=m_h,
                           m0_1=m0_1, m0_2=m0_2, m0_3=m0_3, m0=m0)
@@ -115,8 +122,10 @@ def m0_pac(eps: float, delta: float, d: int, m_h: int = 1,
 
         max(m_h, m0_ucp(d, eps/4, delta, m_h), m0_nmse)
 
-    ``m0_nmse = 1`` for exact sample-error minimizers.
+    ``m0_nmse = 1`` for exact sample-error minimizers.  A ``ValueError``,
+    naming eps/4, when m0_ucp there is not a finite double.
     """
+    _check_eps_delta(eps, delta)
     if m0_nmse < 1:
         raise ValueError("m0_nmse must be >= 1")
     return max(m_h, m0_ucp(d, eps / 4.0, delta, m_h).m0, m0_nmse)
@@ -184,6 +193,14 @@ def bounds_report(d: int, eps: float, delta: float, m_h: int = 1,
         growth_at_2m=growth,
         epsilon0=epsilon0(m, delta, growth),
     )
+
+
+def _finite(name: str, value: float, eps: float, delta: float) -> float:
+    """The value of a sample bound, which must be a finite double."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} at eps = {eps!r} and delta = {delta!r} is "
+                         f"past the largest double")
+    return value
 
 
 def _check_eps_delta(eps: float, delta: float) -> None:

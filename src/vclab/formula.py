@@ -20,9 +20,10 @@ over them; each witness is checked by the formula when a table read or
 ``least_wrong`` returns it.  Otherwise parameter search yields verified
 subsets only, never claimed exact.  Every other restriction maps each
 labeling to the least tuple of a candidate list that gives it, read off
-per-point label columns by ``model.split_columns``; a column is built
-atom by atom, each comparison evaluated once per group of candidates
-agreeing on the parameters it reads.  Shattering is decided by
+per-point label columns by ``model.split_columns``; a column is filled
+in one pass over all the candidates, atom by atom, each comparison
+evaluated at most once per group of candidates agreeing on the
+parameters it reads.  Shattering is decided by
 ``combinatorics.shatters`` on that space, like VC dimension and growth.
 """
 
@@ -35,7 +36,7 @@ import re
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import reduce
-from itertools import product, zip_longest
+from itertools import product, repeat, zip_longest
 
 from .model import (
     Hypothesis,
@@ -740,18 +741,17 @@ class DefinableSpace(HypothesisSpace):
     ``least_wrong``, is checked by the formula (:meth:`_witness`).
     Every other restriction goes through :meth:`_least_witnesses` on a
     list of candidate tuples: the source's tuples or those of search.
-    Over an explicit source, the space keeps for its whole lifetime the
-    label column of every instance it is asked about, keyed by the
-    instance (which hashes its coordinates once) and holding its point
-    converted to the backend, and per atom the groups of tuples whose
-    integer keys agree on the parameters it reads, each group's first
-    tuple converted: an atom is evaluated once per point, column extension
-    and group (over a grid, once per value of what it reads), and a query
-    hashes no ``Fraction``.  Search's list gets columns that last one
-    query, each tuple its own group.  Truth values are the public
-    predicate's.  The oracle is exact over an explicit source or a closed
-    form, and only on the exact backend: a double may put a point on the
-    wrong side.
+    Over an explicit source, the space groups the tuples once, when it is
+    built: per atom, the tuples whose integer keys agree on the parameters
+    it reads, each group's first tuple converted to the backend.  It keeps
+    for its whole lifetime the label column of every instance it is asked
+    about, keyed by the instance (which hashes its coordinates once): an
+    atom is evaluated at most once per point and group (over a grid, once
+    per value of what it reads), and a query hashes no ``Fraction``.
+    Search's list gets columns that last one query, each tuple its own
+    group.  Truth values are the public predicate's.  The oracle is exact
+    over an explicit source or a closed form, and only on the exact
+    backend: a double may put a point on the wrong side.
     """
 
     kind = "formula-defined"
@@ -766,16 +766,25 @@ class DefinableSpace(HypothesisSpace):
         self.backend = backend
         self.closed_form = (recognize_closed_form(ast) if backend == EXACT
                             and isinstance(source, SampledParams) else None)
+        # per atom, the groups of an explicit source's tuples whose integer
+        # keys agree on the parameters it reads, each [first tuple
+        # converted, bits]; and instance -> label column
+        self._groups: list[list] = []
+        self._columns: dict[Instance, int] = {}
         if isinstance(source, ExplicitParams):
             if set(map(len, source.keys)) != {ast.param_arity}:
                 raise ValueError("parameter tuples must match the parameter "
                                  "arity")
-        # instance -> (converted point, label column, number of candidates
-        # it covers), per atom its groups: key projection -> [first tuple
-        # converted, bits], and the number of the source's tuples grouped
-        self._columns: dict[Instance, tuple[tuple, int, int]] = {}
-        self._groups: list[dict] = [{} for _ in self._atoms]
-        self._grouped = 0
+            for _, reads in self._atoms:
+                key = operator.itemgetter(*reads) if reads else lambda k: ()
+                by_key = {}
+                for j, k in enumerate(map(key, source.keys)):
+                    if group := by_key.get(k):
+                        group[1] |= 1 << j
+                    else:
+                        by_key[k] = [tuple(map(self._convert,
+                                               source.tuples[j])), 1 << j]
+                self._groups.append(list(by_key.values()))
 
     @property
     def oracle_exact(self) -> bool:
@@ -815,59 +824,24 @@ class DefinableSpace(HypothesisSpace):
         """Map each labeling of the instances to the least candidate that
         gives it, in order of that candidate: the source's tuples when
         ``candidates`` is None, else the given list.  An instance's column
-        holds its labels over the candidates (bit j for the j-th) and the
-        number of candidates they cover; columns are evaluated over a
-        prefix of the candidates that doubles (from 64) until the
-        instances show every labeling or the candidates run out.  The
-        source's tuples are grouped per atom by the projection of their
-        integer keys on the parameters it reads, and only a group's first
-        tuple is converted to the backend; the space keeps the groups and
-        the columns.  A given list gets columns for this query only, each
-        candidate its own group."""
-        convert, evaluate, atoms = self._convert, self._evaluate, self._atoms
-        finite = candidates is None
-        if finite:
-            candidates, keys = self.source.tuples, self.source.keys
-            columns, groups = self._columns, self._groups
+        holds its labels over all the candidates (bit j for the j-th),
+        filled in one pass over the groups the space made when it was
+        built; the space keeps the columns.  A given list gets columns for
+        this query only, each candidate its own group."""
+        convert, evaluate = self._convert, self._evaluate
+        if candidates is None:
+            candidates, columns, groups = (self.source.tuples, self._columns,
+                                           self._groups)
         else:
-            columns, start = {}, 0
+            columns, groups = {}, repeat([(tuple(map(convert, w)), 1 << j)
+                                          for j, w in enumerate(candidates)])
+        bound = [(test, g) for (test, _), g in zip(self._atoms, groups)]
+        care = (1 << len(candidates)) - 1
         for x in instances:
             if x not in columns:
-                columns[x] = tuple(map(convert, x.coords)), 0, 0
-        total = len(candidates)
-        target = 2 ** len(instances)
-        covered = min((columns[x][2] for x in instances), default=total)
-        size = min(total, max(64, covered))
-        while True:
-            if finite:
-                for (_, reads), by_key in zip(atoms, groups):
-                    key = (operator.itemgetter(*reads) if reads
-                           else lambda k: ())
-                    for j in range(self._grouped, size):
-                        group = by_key.get(k := key(keys[j]))
-                        if group:
-                            group[1] |= 1 << j
-                        else:
-                            by_key[k] = [tuple(map(convert, candidates[j])),
-                                         1 << j]
-                self._grouped = max(self._grouped, size)
-                bound = [(test, by_key.values())
-                         for (test, _), by_key in zip(atoms, groups)]
-            else:
-                fresh = [(tuple(map(convert, w)), 1 << j) for j, w
-                         in enumerate(candidates[start:size], start)]
-                bound, start = [(test, fresh) for test, _ in atoms], size
-            labels = []
-            for x in instances:
-                point, bits, done = columns[x]
-                if done < size:
-                    bits |= evaluate(point, bound, (1 << size) - (1 << done))
-                    columns[x] = point, bits, size
-                labels.append(bits)
-            found = split_columns(labels, candidates[:size])
-            if len(found) == target or size == total:
-                return found
-            size = min(total, 2 * size)
+                columns[x] = evaluate(tuple(map(convert, x.coords)), bound,
+                                      care)
+        return split_columns([columns[x] for x in instances], candidates)
 
     def _checked(self, instances: Sequence[Instance]) -> tuple[Instance, ...]:
         instances = check_instance_tuple(instances)

@@ -122,6 +122,19 @@ class TestM0Pac:
         huge = 10 ** 9
         assert m0_pac(0.5, 0.5, 1, m0_nmse=huge) == huge
 
+    def test_past_the_double_range_at_quarter_eps(self):
+        """At eps = 1e-151 m0_ucp is a finite double but at eps/4 it is
+        not, so m0_pac is refused, naming eps/4."""
+        assert m0_ucp(2, 1e-151, 0.5).m0 > 10 ** 300
+        with pytest.raises(ValueError, match="m0_ucp at eps = 2.5e-152 and "
+                           "delta = 0.5 is past the largest double"):
+            m0_pac(1e-151, 0.5, 2)
+
+    def test_eps_is_checked_before_it_is_quartered(self):
+        """eps = 2 is out of range even though eps/4 is not."""
+        with pytest.raises(ValueError, match="eps must lie in"):
+            m0_pac(2.0, 0.5, 1)
+
 
 def test_bounds_are_antitone_in_eps_and_delta():
     grid = [0.1, 0.2, 0.4, 0.8]

@@ -980,6 +980,27 @@ class TestParserReuse:
         assert out.splitlines() == ["[]", "[]"]
 
 
+def test_every_module_imports_only_the_standard_library():
+    """Importing every ``vclab`` module in an isolated interpreter, with
+    no site-packages, loads no top-level module outside the standard
+    library but ``vclab`` itself and ``__main__``."""
+    child = ("import importlib, os, sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "for name in sorted(os.listdir(os.path.join(sys.argv[1], "
+             "'vclab'))):\n"
+             "    if name.endswith('.py'):\n"
+             "        importlib.import_module('vclab.' + name[:-3])\n"
+             "print(' '.join(sorted({name.partition('.')[0]\n"
+             "                       for name in sys.modules})))\n")
+    src = str(Path(vclab.cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", child, src], check=True,
+        capture_output=True, text=True, timeout=60).stdout
+    loaded = set(out.split())
+    assert "vclab" in loaded
+    assert loaded - {"vclab", "__main__"} <= sys.stdlib_module_names
+
+
 def write_files(tmp_path, files: dict) -> None:
     for name, content in files.items():
         (tmp_path / name).write_text(
@@ -1185,7 +1206,14 @@ BRANCH_FILES = {
                    "objects": ["x"], "params": ["p"],
                    "source": {"type": "bogus"}},
     "rat.json": [{"rat": "1/2", "x": 1}],
+    "threshold.json": {"kind": "threshold-family"},
+    "formula.json": {"kind": "formula-defined", "formula": "p <= x",
+                     "objects": ["x"], "params": ["p"],
+                     "source": {"type": "sampled", "budget": 10}},
+    "half.json": {"support": [[1, 1], [2, 0]], "weights": ["1/2", "1/2"]},
+    "table.json": {"type": "table", "table": [], "default": [1, 2]},
 }
+BOUNDS = ("bounds", "--d", "2", "--eps", "0.1", "--delta", "0.1")
 
 
 @pytest.mark.parametrize("argv, code, expected", [
@@ -1213,21 +1241,62 @@ BRANCH_FILES = {
     (("vcdim", "--space", "interval.json", "--pool", "rat.json"), 2,
      "a pool has a malformed 'instances' field: bad rational object "
      "{'rat': '1/2', 'x': 1}"),
+    (("sauer", "--d", "-1", "--m", "3"), 2, "d must be >= 0"),
+    ((*BOUNDS, "--mh", "0"), 2, "m_h must be >= 1"),
+    ((*BOUNDS, "--m0-nmse", "0"), 2, "m0_nmse must be >= 1"),
+    (("vcdim", "--space", "threshold.json", "--pool", "1;2", "--limit=-1"),
+     2, "limit must be >= 0"),
+    (("pac-sim", "--space", "formula.json", "--dist", "half.json", "--m",
+      "2", "--eps", "0.5", "--learner", "file:table.json"), 2,
+     "a learner has a malformed 'default' field"),
+    (("sauer", "--d", "3", "--m", "4"), 0, {"value": 15, "poly": None}),
+    (("sauer", "--d", "0", "--m", "5"), 0, {"value": 1, "poly": None}),
 ], ids=["learner-reference", "formula-text", "pool-empty-entry", "pool-empty",
         "interval-family", "co-singleton-family", "dist-short-weights",
-        "source-type", "builtin-learner", "rational-object"])
+        "source-type", "builtin-learner", "rational-object",
+        "sauer-negative-d", "bounds-mh", "bounds-m0-nmse", "vcdim-limit",
+        "table-default-arity", "sauer-m-at-d-plus-1", "sauer-d-0"])
 def test_input_branches(tmp_path, capsys, argv, code, expected):
     """Each input branch gives its exit code, and either the result's
     values or its error message."""
     write_files(tmp_path, BRANCH_FILES)
-    argv = [str(tmp_path / a) if a in BRANCH_FILES else a for a in argv]
-    got, payload = run(tmp_path, *argv)
+
+    def path(arg):
+        kind, colon, name = arg.rpartition(":")
+        return kind + colon + str(tmp_path / name) if name in BRANCH_FILES \
+            else arg
+    got, payload = run(tmp_path, *map(path, argv))
     assert got == code
     if code == 0:
         assert {k: payload["result"][k] for k in expected} == expected
     else:
         assert payload is None
         assert f"error: {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, eps, delta", [
+    (("--d", "2", "--eps", "1e-200", "--delta", "0.5"), "1e-200", "0.5"),
+    (("--d", "2", "--eps", "1e-160", "--delta", "0.5"), "1e-160", "0.5"),
+    (("--d", "0", "--eps", "1e-200", "--delta", "0.5"), "1e-200", "0.5"),
+    (("--d", "2", "--eps", "1e-10", "--delta", "1e-300"), "1e-10",
+     "1e-300"),
+    (("--d", "2", "--eps", "0.1", "--delta", "0.1", "--csv", "--eps-grid",
+      "1e-200"), "1e-200", "0.1"),
+], ids=["eps-squared-underflows", "m0-overflows", "singleton",
+        "delta-underflows", "csv-grid"])
+def test_bounds_past_the_double_range_exit_2(tmp_path, capsys, argv, eps,
+                                             delta):
+    """A sample bound whose divisor underflows to 0 or whose value is past
+    the largest double is bad input naming eps and delta, not a
+    ``ZeroDivisionError`` or an ``OverflowError``; eps = 1e-150 still
+    fits."""
+    code, payload = run(tmp_path, "bounds", *argv)
+    assert code == 2 and payload is None
+    assert f"at eps = {eps} and delta = {delta} is past the largest " \
+        f"double" in capsys.readouterr().err
+    code, payload = run(tmp_path, "bounds", "--d", "2", "--eps", "1e-150",
+                        "--delta", "0.5")
+    assert code == 0 and payload["result"]["m0_ucp"] > 10 ** 300
 
 
 # Exact probabilities for m = 1, 2, 3, 4 on a 10-point threshold support

@@ -456,12 +456,12 @@ class TestDefinableSpace:
         walks the formula once per point and witness."""
         ast = parse_formula(text, ["x"], params)
         space = DefinableSpace(ast, SampledParams(budget=10))
-        extensions = count_atom_evaluations(space)
+        fills = count_atom_evaluations(space)
         pool = points(-1, 0, 2)
         table = space.dichotomies(pool)
-        assert len(table) >= 4 and extensions == []
+        assert len(table) >= 4 and fills == []
         witnesses = [h.key[1:] for h in dict(table).values()]
-        assert Counter((x, a) for counts in extensions for x, a, _
+        assert Counter((x, a) for counts in fills for x, a, _
                        in counts.elements()) == reference_atom_counts(
             ast, "exact", [x.coords for x in pool], witnesses)
 
@@ -639,10 +639,10 @@ COORDS = st.integers(-8, 8).map(lambda k: F(k, 2))
 def test_label_columns_match_first_witnesses(data):
     """Every source answers from label columns with the same witnesses, in
     the same order, as the first-witness loop: random formulas over random
-    explicit and grid sources (up to 144 candidates, so the prefix
-    doubles) and over sampled sources (the loop runs over the search's
-    candidates), both backends, several queries on one space, the empty
-    point tuple included for finite sources."""
+    explicit and grid sources (up to 144 candidates) and over sampled
+    sources (the loop runs over the search's candidates), both backends,
+    several queries on one space, the empty point tuple included for
+    finite sources."""
     with_exp = data.draw(st.booleans())
     ast = FormulaAst(("x",), ("y", "p"), data.draw(FORMULAS[with_exp]))
     kind = data.draw(st.sampled_from(["grid", "explicit", "sampled"]))
@@ -679,66 +679,77 @@ def test_label_columns_match_first_witnesses(data):
 
 def count_atom_evaluations(space: DefinableSpace) -> list[Counter]:
     """Make the space count its atom evaluations, one Counter per column
-    extension (a call of the compiled formula on one point over a range
-    of candidates), keyed by (point, atom, projection): the point and the
+    filled (a call of the compiled formula on one point over the
+    candidates), keyed by (point, atom, projection): the point and the
     values of the parameters the atom reads, both converted to the
     backend (on the exact backend, the exact inputs)."""
-    extensions = []
+    fills = []
     evaluate = space._evaluate
 
     def extend(x, bound, care):
-        extensions.append(Counter())
+        fills.append(Counter())
         return evaluate(x, bound, care)
 
     def counted(k, test, reads):
         def test_k(x, w):
-            extensions[-1][x, k, tuple(w[s] for s in reads)] += 1
+            fills[-1][x, k, tuple(w[s] for s in reads)] += 1
             return test(x, w)
         return test_k
 
     space._evaluate = extend
     space._atoms[:] = [(counted(k, test, reads), reads)
                        for k, (test, reads) in enumerate(space._atoms)]
-    return extensions
+    return fills
 
 
 class TestLabelColumns:
     def test_vc_dimension_evaluates_each_pair_once(self):
         """The interval grid has 441 tuples but 21 values per parameter:
-        each atom is evaluated once per point, column extension and value
-        of the parameter it reads."""
+        each point's column is filled once, and each atom is evaluated
+        exactly once per point and value of the parameter it reads, 6 x 2
+        x 21 tests in all (the right atom's every group meets the left's
+        mask, as each b is paired with every a)."""
         ast = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
         axis = [F(k, 2) for k in range(-2, 19)]
         space = DefinableSpace(ast, ExplicitParams.grid([axis, axis]))
-        extensions = count_atom_evaluations(space)
+        fills = count_atom_evaluations(space)
         pool = points(0, 1, 3, 4, 6, 7)
         verdict = vc_dimension(space, pool)
         assert verdict.value == 2
         assert verdict.nodes_used == 2 + 20  # every triple is tested
-        assert all(max(counts.values()) == 1 for counts in extensions)
-        assert sum(counts.total() for counts in extensions) <= 600
-        assert {x for counts in extensions for x, _, _ in counts} \
-            == {x.coords for x in pool}
+        assert len(fills) == len(pool)
+        evaluations = sum(fills, Counter())
+        assert set(evaluations.values()) == {1}
+        assert evaluations.total() == len(pool) * 2 * len(axis) == 252
+        assert {x for x, _, _ in evaluations} == {x.coords for x in pool}
 
     def test_bench_space_hashes_no_fraction(self, monkeypatch):
         """The interval grid of the ``oracle`` bench over 6 points: neither
-        ``vc_dimension`` nor a repeated query hashes a ``Fraction``, and
-        only each group's first tuple is converted to the backend."""
+        building the space, nor ``vc_dimension``, nor a repeated query
+        hashes a ``Fraction``, and only each group's first tuple is
+        converted to the backend, when the space is built."""
         ast = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
         axis = [F(k, 2) for k in range(-2, 19)]
-        space = DefinableSpace(ast, ExplicitParams.grid([axis, axis]))
+        source = ExplicitParams.grid([axis, axis])
         pool = points(0, 1, 3, 4, 6, 7)
         hashes, converted = [], []
-        fraction_hash, convert = F.__hash__, space._convert
+        fraction_hash, compile_ = F.__hash__, vclab.formula._compile
+
+        def counted_compile(ast, backend):
+            convert, evaluate, atoms = compile_(ast, backend)
+            return (lambda v: converted.append(v) or convert(v),
+                    evaluate, atoms)
+
+        monkeypatch.setattr(vclab.formula, "_compile", counted_compile)
         monkeypatch.setattr(F, "__hash__",
                             lambda v: hashes.append(v) or fraction_hash(v))
-        monkeypatch.setattr(space, "_convert",
-                            lambda v: converted.append(v) or convert(v))
+        space = DefinableSpace(ast, source)
+        groups = sum(map(len, space._groups))
+        assert groups == 2 * len(axis)
+        assert len(converted) == 2 * groups
         verdict = vc_dimension(space, pool)
         assert verdict.value == 2
         assert hashes == []
-        groups = sum(map(len, space._groups))
-        assert groups == 2 * len(axis)
         # Two values for each group's first tuple and for each witness
         # built, one for each point.
         conversions = 2 * (groups + len(verdict.witnesses)) + len(pool)
@@ -746,39 +757,6 @@ class TestLabelColumns:
         assert space.dichotomy_count(pool[:3]) == 7  # all but (1, 0, 1)
         assert hashes == []
         assert len(converted) == conversions
-
-    def test_fresh_space_stops_early(self):
-        """A fresh space whose instance set is shattered within the first
-        k sorted candidates evaluates each atom at each point at most
-        max(64, 2k) times, on projections of those candidates only."""
-        cosingleton = parse_formula("x != p", ["x"], ["p"])
-        singles = ExplicitParams.of([[k] for k in range(1000)])
-        interval = parse_formula("a <= x and x <= b", ["x"], ["a", "b"])
-        axis = list(range(-1, 61))
-        cases = [(cosingleton, singles, points(5)),
-                 (cosingleton, singles, points(64)),
-                 (cosingleton, singles, points(150)),
-                 (interval, ExplicitParams.grid([axis, axis]), points(1, 2))]
-        for ast, source, pool in cases:
-            space = DefinableSpace(ast, source)
-            candidates = space.source.tuples
-            want = reference_first_witnesses(compile_formula(ast),
-                                             [x.coords for x in pool],
-                                             candidates)
-            assert len(want) == 2 ** len(pool)
-            k = 1 + max(candidates.index(w) for w in want.values())
-            limit = max(64, 2 * k)
-            assert limit < len(candidates)
-            extensions = count_atom_evaluations(space)
-            assert space.dichotomy_count(pool) == 2 ** len(pool)
-            evaluations = sum(extensions, Counter())
-            assert {x for x, _, _ in evaluations} == {x.coords for x in pool}
-            per_atom = Counter((x, a) for x, a, _ in evaluations.elements())
-            assert max(per_atom.values()) <= limit
-            reads = [reads for _, reads in space._atoms]
-            seen = {(a, tuple(w[s] for s in reads[a]))
-                    for w in candidates[:limit] for a in range(len(reads))}
-            assert {(a, w) for _, a, w in evaluations} <= seen
 
 
 def reference_atom_counts(ast, backend, pool, candidates) -> Counter:
@@ -811,28 +789,18 @@ def reference_atom_counts(ast, backend, pool, candidates) -> Counter:
     return counts
 
 
-def doubled_prefix(want, n: int, total: int) -> int:
-    """The candidates a query on n fresh points evaluates: a prefix from
-    64 that doubles until it shows all 2^n labelings (``want`` maps each
-    to its first candidate's index), or all of them."""
-    size = min(total, 64)
-    need = 1 + max(want.values()) if len(want) == 2 ** n else total
-    while size < need:
-        size = min(total, 2 * size)
-    return size
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_atoms_evaluated_at_most_as_often_as_short_circuit_walk(data):
     """Each atom is evaluated at each point at most as often as a
-    short-circuit walk of every candidate the point's column covers: as
-    often over a list kept for one query (each candidate its own group),
-    at most as often over a finite source, whose candidates are grouped
-    by the parameters each atom reads.  Random formulas whose atoms read
-    no, one or both parameters, on explicit, grid and sampled sources
-    and both backends.  A closed form's table evaluates no atom until a
-    witness is read, and a read walks the formula once per point."""
+    short-circuit walk of every candidate: as often over a list kept for
+    one query (each candidate its own group), at most as often over a
+    finite source, whose candidates are grouped by the parameters each
+    atom reads and whose columns are filled once per point.  Random
+    formulas whose atoms read no, one or both parameters, on explicit,
+    grid and sampled sources and both backends.  A closed form's table
+    evaluates no atom until a witness is read, and a read walks the
+    formula once per point."""
     with_exp = data.draw(st.booleans())
     ast = FormulaAst(("x",), ("y", "p"), data.draw(FORMULAS[with_exp]))
     kind = data.draw(st.sampled_from(["grid", "explicit", "sampled"]))
@@ -850,43 +818,35 @@ def test_atoms_evaluated_at_most_as_often_as_short_circuit_walk(data):
     backend = "float" if with_exp else data.draw(
         st.sampled_from(["exact", "float"]))
     space = DefinableSpace(ast, source, backend)
-    predicate = compile_formula(ast, backend)
-    extensions = count_atom_evaluations(space)
-    covered, total = {}, Counter()
+    fills = count_atom_evaluations(space)
+    filled, total = set(), Counter()
     for _ in range(data.draw(st.integers(1, 4))):
         xs = data.draw(st.lists(COORDS, min_size=1, max_size=4, unique=True))
         pool = [(x,) for x in xs]
-        del extensions[:]
+        del fills[:]
         instances = points(*xs)
         table = space.dichotomies(instances)
-        got = Counter((x, a) for counts in extensions
+        got = Counter((x, a) for counts in fills
                       for x, a, _ in counts.elements())
         if finite:
             total += got
-            covered.update((p, space._columns[x][2])
-                           for p, x in zip(pool, instances))
+            filled.update(pool)
             continue
         if space.closed_form is not None:
             # A count evaluates nothing; a read evaluates the formula at
             # every point once, with the witness.
             assert got == Counter()
             witnesses = [h.key[1:] for h in dict(table).values()]
-            assert Counter((x, a) for counts in extensions for x, a, _
+            assert Counter((x, a) for counts in fills for x, a, _
                            in counts.elements()) == reference_atom_counts(
                 ast, backend, pool, witnesses)
             continue
         candidates = list(vclab.formula._candidate_parameters(
             ast, pool, source))
-        first = {lab: candidates.index(w) for lab, w in
-                 reference_first_witnesses(predicate, pool,
-                                           candidates).items()}
-        size = doubled_prefix(first, len(pool), len(candidates))
-        assert got == reference_atom_counts(ast, backend, pool,
-                                            candidates[:size])
-    want = Counter()
-    for p, size in covered.items():
-        want += reference_atom_counts(ast, backend, [p], source.tuples[:size])
-    assert all(total[key] <= want[key] for key in total)
+        assert got == reference_atom_counts(ast, backend, pool, candidates)
+    if finite:
+        want = reference_atom_counts(ast, backend, filled, source.tuples)
+        assert all(total[key] <= want[key] for key in total)
 
 
 class TestConvertedValues:
@@ -975,6 +935,18 @@ class TestAffineOracle:
         for text, objects, params in cases:
             assert recognize_closed_form(
                 parse_formula(text, objects, params)) is None, text
+
+    @pytest.mark.parametrize("text, params, shape", [
+        ("0 <= -(a*a) + x", ("a",), None),
+        ("0 <= x - -(a*b)", ("a", "b"), None),
+        ("-a <= x", ("a",), "affine"),
+        ("-(a) * x < 1", ("a",), "affine"),
+    ])
+    def test_a_negated_term_keeps_its_degree(self, text, params, shape):
+        """A negation has the degree of the term it negates: -(a*a) and
+        -(a*b) are quadratic, so search answers, while -a is affine."""
+        form = recognize_closed_form(parse_formula(text, ["x"], params))
+        assert (form and form.name) == shape
 
     @pytest.fixture
     def wrong_witness(self, monkeypatch):
@@ -1104,11 +1076,11 @@ class TestAffineKernel:
         ast = parse_formula("0 <= a * x * x + b * x + c", ["x"],
                             ["a", "b", "c"])
         space = DefinableSpace(ast, SampledParams())
-        extensions = count_atom_evaluations(space)
+        fills = count_atom_evaluations(space)
         verdict = vc_dimension(space, points(*range(-3, 4)))
         assert (verdict.value, verdict.status) == (3, "exact")
         assert len(fm_calls) == 8
-        assert [counts.total() for counts in extensions] == [1] * 8 * 3
+        assert [counts.total() for counts in fills] == [1] * 8 * 3
 
     def test_mixed_signs_are_not_closed_under_complement(self):
         """0 <= p * x on {-1, 1}: both rows have constant 0, but p has no
