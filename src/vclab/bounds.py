@@ -42,8 +42,8 @@ def epsilon0(m: int, delta: float, growth_at_2m: int) -> float:
 
         (6 + 2*sqrt(log(growth_at_2m))) / (delta * sqrt(2m))
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not 1 <= m <= sys.float_info.max / 2:
+        raise ValueError("m must be >= 1 and at most half the largest double")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     if growth_at_2m < 1:
@@ -91,14 +91,17 @@ def m0_ucp(d: int, eps: float, delta: float, m_h: int = 1) -> UcpSampleBound:
                + |16d * log(2e/d) / (delta*eps)^2|
 
     d = 0 means a single hypothesis and routes to :func:`m0_singleton`.
-    A ``ValueError`` when (delta*eps)^2 underflows to 0 or m0_3 is not a
-    finite double.
+    A ``ValueError`` when d or m_h is past the largest double, (delta*eps)^2
+    underflows to 0 or m0_3 is not a finite double.
     """
     _check_eps_delta(eps, delta)
     if d < 0:
         raise ValueError("d must be >= 0")
     if m_h < 1:
         raise ValueError("m_h must be >= 1")
+    for name, value in (("d", d), ("m_h", m_h)):
+        if value > sys.float_info.max:
+            raise ValueError(f"{name} must be at most the largest double")
     if d == 0:
         return UcpSampleBound(d=d, eps=eps, delta=delta, m_h=m_h,
                               m0_1=None, m0_2=None, m0_3=None,
@@ -109,7 +112,7 @@ def m0_ucp(d: int, eps: float, delta: float, m_h: int = 1) -> UcpSampleBound:
     m0_3 = _finite("m0_ucp", (
         4.0 * (8.0 * d / de2) * math.log(16.0 * d / de2)
         + abs(16.0 * d * math.log(2.0 * math.e / d) / de2)) if de2
-        else math.inf, eps, delta)
+        else math.inf, eps, delta, f", with d = {d:.6g}")
     m0 = math.ceil(max(m_h, m0_1, m0_2, m0_3))
     return UcpSampleBound(d=d, eps=eps, delta=delta, m_h=m_h,
                           m0_1=m0_1, m0_2=m0_2, m0_3=m0_3, m0=m0)
@@ -149,11 +152,6 @@ class BoundsReport(Record):
 
     def as_dict(self) -> dict:
         growth = self.growth_at_2m
-        limit = sys.get_int_max_str_digits()  # json.dumps refuses more
-        if limit and growth >= 10 ** limit:
-            raise ValueError(f"growth_at_2m has more than {limit} decimal "
-                             f"digits, the limit of integer to string "
-                             f"conversion, so it cannot be reported exactly")
         return {
             "d": self.d,
             "eps": self.eps,
@@ -179,11 +177,20 @@ def bounds_report(d: int, eps: float, delta: float, m_h: int = 1,
 
     ``epsilon0`` is evaluated at ``m_eval``, the uniform-convergence bound
     itself, with the binomial-sum growth bound at 2*m_eval, so the reported
-    pair witnesses epsilon0(m_eval) <= eps.
+    pair witnesses epsilon0(m_eval) <= eps.  A growth bound of more
+    digits than ``json.dumps`` converts is a ``ValueError``, before the sum
+    when its lower bound (2m/d)^d <= C(2m, d) already has that many.
     """
     ucp = m0_ucp(d, eps, delta, m_h)
     m = ucp.m0  # >= m_h >= 1
-    growth = sauer_bound(d, 2 * m) if d >= 1 else 1
+    limit = sys.get_int_max_str_digits()
+    too_many = limit and d >= 1 and d * (
+        math.log10(2 * m) - math.log10(d)) >= limit + 1
+    growth = sauer_bound(d, 2 * m) if d >= 1 and not too_many else 1
+    if too_many or limit and growth >= 10 ** limit:
+        raise ValueError(f"growth_at_2m at d = {d} has more than {limit} "
+                         f"decimal digits, the limit of integer to string "
+                         f"conversion, so it cannot be reported exactly")
     return BoundsReport(
         d=d, eps=eps, delta=delta, m_h=m_h, m0_nmse=m0_nmse,
         m0_singleton=m0_singleton(eps, delta),
@@ -195,11 +202,12 @@ def bounds_report(d: int, eps: float, delta: float, m_h: int = 1,
     )
 
 
-def _finite(name: str, value: float, eps: float, delta: float) -> float:
+def _finite(name: str, value: float, eps: float, delta: float,
+            more: str = "") -> float:
     """The value of a sample bound, which must be a finite double."""
     if not math.isfinite(value):
         raise ValueError(f"{name} at eps = {eps!r} and delta = {delta!r} is "
-                         f"past the largest double")
+                         f"past the largest double{more}")
     return value
 
 

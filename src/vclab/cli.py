@@ -166,12 +166,11 @@ def _cmd_growth(args, inputs):
 
 
 def _cmd_sauer(args, inputs):
-    result = {"d": args.d, "m": args.m, "value": sauer_bound(args.d, args.m)}
-    if args.d >= 1 and args.m > args.d + 1:
-        result["poly"] = sauer_poly_bound(args.d, args.m)
-    else:
-        result["poly"] = None
-    return result, None
+    # The float bound first: it fails at once where the sum would take long.
+    poly = (sauer_poly_bound(args.d, args.m)
+            if args.d >= 1 and args.m > args.d + 1 else None)
+    return {"d": args.d, "m": args.m, "value": sauer_bound(args.d, args.m),
+            "poly": poly}, None
 
 
 def _cmd_bounds(args, inputs):

@@ -163,12 +163,16 @@ def sauer_bound(d: int, m: int) -> int:
 
 
 def sauer_poly_bound(d: int, m: int) -> float:
-    """Polynomial growth bound (e*m/d)^d, valid for m > d + 1."""
+    """Polynomial growth bound (e*m/d)^d for m > d + 1, a finite double."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if m <= d + 1:
         raise ValueError(f"the polynomial bound requires m > d + 1, got m={m}, d={d}")
-    return (math.e * m / d) ** d
+    try:
+        return (math.e * m / d) ** d
+    except OverflowError:
+        raise ValueError(f"the polynomial bound (e*m/d)^d at m={m}, d={d} "
+                         f"is past the largest double") from None
 
 
 def shattered_subset_property(space: HypothesisSpace,

@@ -18,9 +18,10 @@ native spaces, and a single < or <= atom (or its negation) affine in the
 parameters is an ``AffineSpace``, decided by Fourier-Motzkin elimination
 over them; each witness is checked by the formula when a table read or
 ``least_wrong`` returns it.  Otherwise parameter search yields verified
-subsets only, never claimed exact.  Every other restriction maps each
-labeling to the least tuple of a candidate list that gives it, read off
-per-point label columns by ``model.split_columns``; a column is filled
+subsets only, claimed exact only with no parameters, whose one tuple ()
+search lists.  Every other restriction maps each labeling to the least
+tuple of a candidate list that gives it, read off per-point label
+columns by ``model.split_columns``; a column is filled
 in one pass over all the candidates, atom by atom, each comparison
 evaluated at most once per group of candidates agreeing on the
 parameters it reads.  Shattering is decided by
@@ -750,8 +751,8 @@ class DefinableSpace(HypothesisSpace):
     per value of what it reads), and a query hashes no ``Fraction``.
     Search's list gets columns that last one query, each tuple its own
     group.  Truth values are the public predicate's.  The oracle is exact
-    over an explicit source or a closed form, and only on the exact
-    backend: a double may put a point on the wrong side.
+    over an explicit source, a closed form or no parameters, and only on
+    the exact backend: a double may put a point on the wrong side.
     """
 
     kind = "formula-defined"
@@ -790,10 +791,11 @@ class DefinableSpace(HypothesisSpace):
     def oracle_exact(self) -> bool:
         return self.backend == EXACT and (
             isinstance(self.source, ExplicitParams)
-            or self.closed_form is not None)
+            or self.closed_form is not None or self.ast.param_arity == 0)
 
     def known_vc(self) -> int | None:
-        return self.closed_form.space.known_vc() if self.closed_form else None
+        return (self.closed_form.space.known_vc() if self.closed_form
+                else None if self.ast.param_arity else 0)
 
     def hypothesis(self, w: Sequence) -> Hypothesis:
         w = tuple(to_fraction(v) for v in w)

@@ -18,13 +18,14 @@ Fourier-Motzkin elimination on primitive integer rows (``fm_witness``),
 grown point by point: one elimination per realized prefix, not one per
 labeling.  It works out one count rule from its rows: at most Cover's
 count for closed rows (a halfspace's), Sauer's bound for others, and
-exactly that, with no elimination, in general position (determinants
-memoized on the rows).  ``AffineSpace`` keeps each instance's rows, for
-halfspaces (its subclass) and formula atoms alike, and finds a
-least-wrong labeling with no table.  Every point the kernel finds, tree
-prefixes included, is checked in integers against its own check rows,
-built apart from the rows it eliminates, which also give the points
-after a prefix their labels.
+exactly that, with no elimination, in general position (memoized
+determinants): all 2^n labelings of n <= k independent rows c, as
+v -> (const_i + c_i . v)_i maps onto Q^n.  ``AffineSpace`` keeps each
+instance's rows, for halfspaces (its subclass) and formula atoms alike,
+and finds a least-wrong labeling with no table.  Every point the kernel
+finds, tree prefixes included, is checked in integers against its own
+check rows, built apart from the rows it eliminates, which also give
+the points after a prefix their labels.
 """
 
 from __future__ import annotations
@@ -241,60 +242,24 @@ def _affine_entry(const, coeffs, strict: bool) -> tuple[tuple, tuple, tuple]:
             (common_denominator((const, *coeffs))[1], strict))
 
 
-def _affine_dependence(rows: Sequence[list[int]]) -> tuple | None:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of [rows^T | I]:
-    every division is exact, and each pivot ends equal to the last, den.
-    None when the rows' left kernel has dimension 2 or more, else
-    (lam, cert, den): lam spans the kernel (None when it is 0), and cert[i]
-    is an integer c_i with row_j . c_i = den * [i = j] over every row but
-    the one without a pivot (whose cert is None)."""
-    n, width = len(rows), len(rows[0])
-    m = [[*col, *(int(i == k) for k in range(width))]
-         for i, col in enumerate(zip(*rows))]
-    pivots, free, prev = [], [], 1
-    for j in range(n):
-        r = len(pivots)
-        i = next((i for i in range(r, width) if m[i][j]), None)
-        if i is None:
-            if free:
-                return None
-            free.append(j)
-            continue
-        m[r], m[i] = m[i], m[r]
-        top = m[r]
-        p = top[j]
-        for i in range(width):
-            if i != r:
-                a = m[i][j]
-                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-        pivots.append(j)
-    cert = [None] * n
-    for q, j in enumerate(pivots):
-        cert[j] = m[q][n:]
-    if not free:
-        return None, cert, prev
-    lam = [0] * n
-    lam[free[0]] = prev
-    for q, j in enumerate(pivots):
-        lam[j] = -m[q][free[0]]
-    return lam, cert, prev
-
-
 @lru_cache(maxsize=4096)  # process-wide, so bounded
 def _independent(rows: tuple[tuple[int, ...], ...], first: int) -> bool:
-    """Whether ``rows``, read from entry ``first`` on, have a nonzero
-    determinant, by fraction-free (Bareiss) elimination."""
+    """Whether ``rows``, read from entry ``first`` on, are linearly
+    independent, by fraction-free (Bareiss) elimination that skips a
+    column with no pivot."""
     m, prev = [row[first:] for row in rows], 1
-    while len(m) > 1:
+    while m:
+        if not m[0]:
+            return False
         i = next((i for i, r in enumerate(m) if r[0]), None)
         if i is None:
-            return False
+            m = [r[1:] for r in m]
+            continue
         top = m.pop(i)
         m = [[(top[0] * x - r[0] * y) // prev for x, y in zip(
             r[1:], top[1:])] for r in m]
         prev = top[0]
-    return m[0][0] != 0
+    return True
 
 
 class AffineSystem:
@@ -302,7 +267,7 @@ class AffineSystem:
 
     def __init__(self, entries: Sequence[tuple[tuple, tuple, tuple]]):
         self._entries, self._n = entries, len(entries)
-        self._signs = self._tree = None
+        self._every = self._tree = None
         const, *columns = zip(*[entry[1][0] for entry in entries])
         self._nvars = k = len(columns)
         self._closed = not any(const) and len(
@@ -337,8 +302,8 @@ class AffineSystem:
         point = point or (self._tree or {}).get(labeling) or self._solve(
             labeling)
         if point is None:
-            why = ("realized by its points' affine dependence"
-                   if self._signs is not None else
+            why = ("realized by n <= k independent rows"
+                   if self._every else
                    "the complement of a realized one"
                    if self._tree and self._closed and labeling[0] else
                    "realized by the witness of its prefix")
@@ -362,13 +327,16 @@ class AffineWitnesses(AffineSystem, Mapping):
     The n label-1 rows (const, c) are closed when every const is 0, all or
     none are strict, and some c_j has one sign s in every row.  Closed rows
     have at most Cover's count K(n, k) = 2 * sum_{i<k} C(n - 1, i) labelings,
-    exactly that many when n >= k and every k rows c are independent.  Other
+    exactly that many when every min(n, k) rows c are independent.  Other
     rows have at most Sauer's sum_{i<=k} C(n, i), as v -> labeling has VC
     dimension at most k (``formula._affine``), and exactly that many when
-    n >= k and every k rows c and every k + 1 rows (const, c) are independent.
-    In this general position ``len`` is the bound and the labelings wait for
-    the first ``in``, iteration or read, else they are decided at once; a
-    count above the bound, or off it there, raises AssertionError.
+    every min(n, k) rows c and every k + 1 rows (const, c) are independent.
+    In this general position ``len`` is the bound, else the labelings are
+    decided at once.  For n <= k both bounds are 2^n, all realized, as
+    v -> (const_i + c_i . v)_i maps onto Q^n: ``in`` and iteration make no
+    FM call, and a read FM finds infeasible raises AssertionError.  For
+    n > k they wait for the first ``in``, iteration or read; a count above
+    the bound, or off it in general position, raises AssertionError.
 
     Cover (1965): v labels the rows as v + t s e_j does (v - t s e_j when
     strict) for small t > 0, which puts no row at 0, so the labelings are the
@@ -388,14 +356,7 @@ class AffineWitnesses(AffineSystem, Mapping):
     for small t > 0.  ``tree`` then keeps the labelings whose first bit is 0,
     grown by ``_label_tree`` from v = -s e_j, which labels every point 0;
     other rows keep every labeling, grown from v = 0.  Each keeps its point,
-    or None when its prefix's point realizes it.  At most k + 1 closed rows
-    whose left kernel is 0 or spanned by lam (``signs``; lam and its rank
-    certificate checked in integers) need no FM call: a labeling is realized
-    unless it is [lam_i > 0] or [lam_i < 0] wherever lam_i != 0.  lam has both
-    signs, as sum_i lam_i c_ij = 0, so each of the two gives every term of
-    sum_i lam_i (c_i . v) = 0 one sign and some term a strict one; by
-    Motzkin's transposition theorem any other infeasibility certificate would
-    be a second kernel vector."""
+    or None when its prefix's point realizes it."""
 
     def __init__(self, entries: Sequence[tuple[tuple, tuple, tuple]]):
         super().__init__(entries)
@@ -404,40 +365,22 @@ class AffineWitnesses(AffineSystem, Mapping):
         self._bound, self._named = (
             (2 * sum(math.comb(n - 1, i) for i in range(k)), "Cover's")
             if self._closed else (sauer_bound(k, n), "Sauer's"))
-        self._general = n >= k and all(map(
-            _independent, combinations(rows, k), repeat(1))) and (
+        self._general = all(map(
+            _independent, combinations(rows, min(n, k)), repeat(1))) and (
                 self._closed or all(map(_independent, combinations(
                     rows, k + 1), repeat(0))))
+        self._every = self._general and n <= k
         self._len = self._bound if self._general else self._decide()
 
     def _decide(self) -> int:
-        """Decide the labelings, as the class docstring says, and count."""
-        coeffs = [entry[1][0][1:] for entry in self._entries]
-        n, nvars = self._n, self._nvars
-        found = (_affine_dependence(coeffs) if self._closed
-                 and n <= nvars + 1 else None)
-        signs = tree = None
-        if found is not None:
-            lam, cert, den = found
-            if lam is not None and (not any(lam) or any(
-                    sum(map(mul, lam, column)) for column in zip(*coeffs))):
-                raise AssertionError("affine dependence failed verification")
-            kept = [i for i, c in enumerate(cert) if c is not None]
-            if den == 0 or len(kept) != n - (lam is not None) or any(
-                    sum(map(mul, coeffs[j], cert[i])) != (den if i == j
-                                                          else 0)
-                    for i in kept for j in kept):
-                raise AssertionError("rank certificate failed verification")
-            signs = [(i, v > 0) for i, v in enumerate(lam or ()) if v]
-            count = 2 ** n - (2 ** (n - len(signs) + 1) if lam else 0)
-        else:
-            tree = _label_tree([entry[2] for entry in self._entries],
-                               self._solve, self._starts()[:1])
-            count = len(tree) * (2 if self._closed else 1)
+        """Grow the prefix tree, as the class docstring says, and count."""
+        tree = _label_tree([entry[2] for entry in self._entries],
+                           self._solve, self._starts()[:1])
+        count = len(tree) * (2 if self._closed else 1)
         if count > self._bound or self._general and count < self._bound:
             raise AssertionError(f"{count} labelings, {self._named} "
                                  f"{self._bound}")
-        self._signs, self._tree = signs, tree
+        self._tree = tree
         return count
 
     def __getitem__(self, labeling: Labeling) -> tuple[Fraction, ...]:
@@ -449,19 +392,19 @@ class AffineWitnesses(AffineSystem, Mapping):
         if not (isinstance(labeling, tuple) and len(labeling) == self._n
                 and set(labeling) <= {0, 1}):
             return False
-        if self._signs is None and self._tree is None:
+        if self._every:
+            return True
+        if self._tree is None:
             self._decide()
-        if self._signs is not None:
-            return len({labeling[i] == s for i, s in self._signs}) != 1
         if self._closed and labeling[0]:
             labeling = tuple([1 - b for b in labeling])
         return labeling in self._tree
 
     def __iter__(self) -> Iterator[Labeling]:
-        if self._signs is None and self._tree is None:
+        if self._every:
+            return product((0, 1), repeat=self._n)
+        if self._tree is None:
             self._decide()
-        if self._signs is not None:
-            return filter(self.__contains__, product((0, 1), repeat=self._n))
         flipped = (tuple([1 - b for b in labeling])
                    for labeling in reversed(self._tree))
         return chain(self._tree, flipped if self._closed else ())

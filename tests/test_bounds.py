@@ -67,6 +67,13 @@ class TestEpsilon0:
         values = [epsilon0(m, 0.5, 1) for m in range(1, 200)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_2m_past_the_largest_double_is_refused(self):
+        """sqrt(2m) needs 2m as a double: a ValueError, not an
+        OverflowError, from m = 10^308 on."""
+        assert epsilon0(10 ** 307, 0.5, 1) > 0
+        with pytest.raises(ValueError, match="at most half the largest"):
+            epsilon0(10 ** 308, 0.5, 1)
+
 
 class TestM0Singleton:
     def test_point_one(self):

@@ -1212,6 +1212,15 @@ BRANCH_FILES = {
                      "source": {"type": "sampled", "budget": 10}},
     "half.json": {"support": [[1, 1], [2, 0]], "weights": ["1/2", "1/2"]},
     "table.json": {"type": "table", "table": [], "default": [1, 2]},
+    "halfspace0.json": {"kind": "halfspace-family", "dim": 0},
+    "short-bits.json": {"kind": "finite-explicit", "instances": ["a", "b"],
+                        "hypotheses": [[0, 1], [1]]},
+    "no-hypotheses.json": {"kind": "finite-explicit", "instances": ["a"],
+                           "hypotheses": []},
+    "empty.json": {"support": [], "weights": []},
+    "free.json": {"kind": "formula-defined", "formula": "0 <= x",
+                  "objects": ["x"], "params": [],
+                  "source": {"type": "sampled", "budget": 10}},
 }
 BOUNDS = ("bounds", "--d", "2", "--eps", "0.1", "--delta", "0.1")
 
@@ -1251,14 +1260,55 @@ BOUNDS = ("bounds", "--d", "2", "--eps", "0.1", "--delta", "0.1")
      "a learner has a malformed 'default' field"),
     (("sauer", "--d", "3", "--m", "4"), 0, {"value": 15, "poly": None}),
     (("sauer", "--d", "0", "--m", "5"), 0, {"value": 1, "poly": None}),
+    (("formula", "parse", "--text", "x # 1", "--objects", "x"), 2,
+     "unexpected character '#' (line 1, column 3)"),
+    (("sauer", "--d", "2", "--m", "0"), 2, "m must be >= 1"),
+    (("pac-sim", "--space", "interval.json", "--dist", "half.json", "--m",
+      "0", "--eps", "0.5", "--learner", "builtin:sem"), 2, "m must be >= 1"),
+    (("pac-sim", "--space", "interval.json", "--dist", "half.json", "--m",
+      "2", "--eps", "0.5", "--learner", "builtin:sem", "--trials", "0"), 2,
+     "trials must be >= 1"),
+    (("formula", "space", "--text", "p <= x", "--objects", "x", "--params",
+      "p", "--params-list", "1,2", "--pool", "1"), 2,
+     "parameter tuples must match the parameter arity"),
+    (("vcdim", "--space", "halfspace0.json", "--pool", "1;2"), 2,
+     "halfspace dimension must be >= 1"),
+    (("nfl", "--m", "1", "--learner", "random:5", "--space",
+      "interval.json"), 2, "random table learner needs a finite-explicit "
+     "space"),
+    (("vcdim", "--space", "short-bits.json", "--pool", "a;b"), 2,
+     "a space has a malformed 'hypotheses' field: bit-vector length must "
+     "equal domain size"),
+    (("vcdim", "--space", "no-hypotheses.json", "--pool", "a"), 2,
+     "a space has a malformed 'hypotheses' field: hypothesis space must be "
+     "non-empty"),
+    (("ucp-sim", "--space", "interval.json", "--dist", "empty.json", "--m",
+      "1", "--eps", "0.5"), 2, "distribution support must be non-empty"),
+    (("formula", "shatter", "--text", "0 <= x", "--objects", "x",
+      "--instances", "1"), 0, {"status": "not-shattered"}),
+    (("formula", "space", "--text", "0 <= x", "--objects", "x", "--pool",
+      "1;-1"), 0, {"oracle_exact": True, "dichotomies": ["10"]}),
+    (("vcdim", "--space", "free.json", "--pool", "1;-1"), 0,
+     {"value": 0, "status": "exact"}),
+    (("pac-sim", "--space", "free.json", "--dist", "half.json", "--m", "2",
+      "--eps", "0.5", "--exact", "--learner", "builtin:sem"), 0,
+     {"probability": "1"}),
 ], ids=["learner-reference", "formula-text", "pool-empty-entry", "pool-empty",
         "interval-family", "co-singleton-family", "dist-short-weights",
         "source-type", "builtin-learner", "rational-object",
         "sauer-negative-d", "bounds-mh", "bounds-m0-nmse", "vcdim-limit",
-        "table-default-arity", "sauer-m-at-d-plus-1", "sauer-d-0"])
+        "table-default-arity", "sauer-m-at-d-plus-1", "sauer-d-0",
+        "formula-character", "sauer-m-0", "pac-sim-m-0", "pac-sim-trials-0",
+        "params-list-arity", "halfspace-dim-0", "nfl-random-interval",
+        "explicit-bit-length", "explicit-empty", "ucp-sim-empty-support",
+        "parameter-free-shatter", "parameter-free-space",
+        "parameter-free-vcdim", "parameter-free-sem"])
 def test_input_branches(tmp_path, capsys, argv, code, expected):
     """Each input branch gives its exit code, and either the result's
-    values or its error message."""
+    values or its error message.  A parameter-free formula's one tuple ()
+    is its whole family, so its oracle is exact and its VC dimension 0:
+    ``formula shatter`` said "not-found", ``formula space`` oracle_exact
+    false, and sem refused it as inexact before."""
     write_files(tmp_path, BRANCH_FILES)
 
     def path(arg):
@@ -1297,6 +1347,39 @@ def test_bounds_past_the_double_range_exit_2(tmp_path, capsys, argv, eps,
     code, payload = run(tmp_path, "bounds", "--d", "2", "--eps", "1e-150",
                         "--delta", "0.5")
     assert code == 0 and payload["result"]["m0_ucp"] > 10 ** 300
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sauer", "--d", "200", "--m", "100000"),
+     "the polynomial bound (e*m/d)^d at m=100000, d=200 is past the "
+     "largest double"),
+    (("sauer", "--d", "3000", "--m", "4000"),
+     "the polynomial bound (e*m/d)^d at m=4000, d=3000 is past the "
+     "largest double"),
+    ((*BOUNDS[:2], str(10 ** 400), *BOUNDS[3:]),
+     "d must be at most the largest double"),
+    ((*BOUNDS[:2], str(10 ** 300), *BOUNDS[3:]),
+     "m0_ucp at eps = 0.1 and delta = 0.1 is past the largest double, "
+     "with d = 1e+300"),
+    ((*BOUNDS, "--mh", str(10 ** 400)),
+     "m_h must be at most the largest double"),
+    ((*BOUNDS[:2], "10000", *BOUNDS[3:]), "growth_at_2m at d = 10000 has "
+     f"more than {sys.get_int_max_str_digits()} decimal digits"),
+    ((*BOUNDS[:2], "1000", *BOUNDS[3:]), "growth_at_2m at d = 1000 has "
+     f"more than {sys.get_int_max_str_digits()} decimal digits"),
+], ids=["sauer-poly-d-200", "sauer-poly-d-3000", "bounds-d-1e400",
+        "bounds-d-1e300", "bounds-mh-1e400", "bounds-d-10000",
+        "bounds-d-1000"])
+def test_large_integers_exit_2_at_once(tmp_path, capsys, argv, message):
+    """An integer input past the double range, or a bound that is, or a
+    growth bound of more digits than ``json.dumps`` converts, is bad input
+    naming d, m or m_h, refused within 2 s: not an ``OverflowError``, and
+    not a sum of 10^4 binomials first."""
+    started = time.monotonic()
+    code, payload = run(tmp_path, *argv)
+    assert time.monotonic() - started < 2
+    assert code == 2 and payload is None
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 # Exact probabilities for m = 1, 2, 3, 4 on a 10-point threshold support

@@ -1023,9 +1023,9 @@ class TestAffineKernel:
     """An affine atom's table is ``AffineWitnesses`` over its rows in the
     declared parameters, the kernel ``HalfspaceSpace`` uses: rows of
     constant 0 with one parameter of one sign in every row are closed
-    under complement and take the affine dependence rule, so a count
-    solves only the realized prefixes of a grown tree, and a witness read
-    solves one system."""
+    under complement, so a count solves only the realized prefixes of a
+    grown tree, none in general position, and a witness read solves one
+    system."""
 
     def test_halfspace_formula_solves_no_more_than_the_space(self,
                                                             fm_calls):
@@ -1069,10 +1069,10 @@ class TestAffineKernel:
             [(lab, h.key) for lab, h in fresh.items()]
 
     def test_quadratic_threshold_solves_only_witness_reads(self, fm_calls):
-        """Every subset of -3..3 has at most 4 points, whose rows
-        (0, x*x, x, 1) take the affine dependence rule; the 8 reads of the
-        shattered triple's witnesses solve one system each, and evaluate
-        the formula once per point each."""
+        """Every subset of -3..3 is in general position, as every 3 of
+        its rows (0, x*x, x, 1) are independent, so no count solves a
+        system; the 8 reads of the shattered triple's witnesses solve one
+        system each, and evaluate the formula once per point each."""
         ast = parse_formula("0 <= a * x * x + b * x + c", ["x"],
                             ["a", "b", "c"])
         space = DefinableSpace(ast, SampledParams())

@@ -382,10 +382,10 @@ def formula_space(text, params, source):
     return DefinableSpace(parse_formula(text, ["x"], params), source)
 
 
-# Every family's table on a few instances: halfspaces on at most dim + 2
-# points (the affine-dependence rule) and on more (the prefix tree), and
-# formulas over a grid, a native closed form, an affine closed form and a
-# searched sampled source.
+# Every family's table on a few instances: halfspaces on at most dim + 1
+# points in general position (every labeling) and on more (the prefix
+# tree), and formulas over a grid, a native closed form, an affine closed
+# form and a searched sampled source.
 LAZY_TABLES = {
     "explicit": (lambda: ExplicitSpace.full(atoms(3)), atoms(3)),
     "threshold": (ThresholdSpace, points(3, 1, 2)),

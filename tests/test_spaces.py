@@ -14,13 +14,16 @@ from hypothesis import strategies as st
 import vclab.spaces
 from vclab import (
     CoSingletonSpace,
+    DefinableSpace,
     DiscreteDistribution,
     HalfspaceSpace,
     Instance,
     IntervalSpace,
     MultiSample,
+    SampledParams,
     ThresholdSpace,
     approximation_error,
+    parse_formula,
     restriction_errors,
     sem_learner,
 )
@@ -302,8 +305,8 @@ def cover_count(n, dim):
 def test_cover_count_in_general_position(data):
     """On points in general position the table's ``len`` is Cover's count
     before any FM call, and equals the number of labelings its first
-    ``in`` grows (``_label_tree``, or the affine dependence rule on at most
-    dim + 2 points).  In the plane and in space the same space then meets
+    ``in`` grows (``_label_tree``, or all 2^n labelings of at most dim + 1
+    points).  In the plane and in space the same space then meets
     the points with the third moved onto the line through the first two:
     no Cover count is taken for them, and their count is the sweep's."""
     dim = data.draw(st.integers(1, 3))
@@ -398,30 +401,13 @@ def rule_point_sets(draw, most=None):
     return draw(st.permutations(pts))
 
 
-def affine_kernel_dimension(pts) -> int:
-    """n minus the rank of the rows (x, 1), by Fraction elimination."""
-    rows = [[F(v) for v in (*p, 1)] for p in pts]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in rows[rank:] if r[col]), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        rows.insert(rank, pivot)
-        for r in rows[rank + 1:]:
-            f = r[col] / pivot[col]
-            r[:] = [a - f * b for a, b in zip(r, pivot)]
-        rank += 1
-    return len(pts) - rank
-
-
 @settings(max_examples=150, deadline=None)
 @given(rule_point_sets())
 def test_rule_matches_the_sweep(pts):
     """On at most dim + 2 points the table gives the keys, order, ``len``,
-    ``in`` and witnesses of the prefix-tree table (the rule switched off)
-    and of a full sweep.  A count makes no FM call exactly when the affine
-    kernel has dimension at most 1."""
+    ``in`` and witnesses of the prefix-tree table (general position
+    unseen) and of a full sweep.  A count makes no FM call exactly when the
+    table is in general position."""
     instances = [Instance.point(*p) for p in pts]
     dim = len(pts[0])
     calls = []
@@ -431,9 +417,9 @@ def test_rule_matches_the_sweep(pts):
         return fm_witness(constraints, nvars)
     with mock.patch.object(vclab.spaces, "fm_witness", counted):
         table = HalfspaceSpace(dim).dichotomies(instances)
-    assert (calls == []) == (affine_kernel_dimension(pts) <= 1)
-    with mock.patch.object(vclab.spaces, "_affine_dependence",
-                           lambda rows: None):
+    assert (calls == []) == in_general_position(pts, dim)
+    with mock.patch.object(vclab.spaces, "_independent",
+                           lambda rows, first: False):
         swept = HalfspaceSpace(dim).dichotomies(instances)
     sweep = sweep_table(pts)
     assert len(table) == len(swept) == len(sweep)
@@ -451,16 +437,16 @@ def test_rule_matches_the_sweep(pts):
 def test_complement_closed_table_matches_full_sweep(pts):
     """Up to 9 points: small coordinate ranges, and points moved onto a
     line, make collinear sets and shared coordinates common.  The table,
-    with the rule and with the rule switched off (so always the prefix
-    tree), solves at most half the labelings and reads the rest on demand,
+    with general position seen and unseen (so always the prefix tree),
+    solves at most half the labelings and reads the rest on demand,
     yet gives the keys, order, ``len`` and ``in`` of a full sweep, and the
     sweep's witness for each labeling."""
     instances = [Instance.point(*p) for p in pts]
     sweep = sweep_table(pts)
     realized = {lab for lab, _ in sweep}
     tables = [HalfspaceSpace(len(pts[0])).dichotomies(instances)]
-    with mock.patch.object(vclab.spaces, "_affine_dependence",
-                           lambda rows: None):
+    with mock.patch.object(vclab.spaces, "_independent",
+                           lambda rows, first: False):
         tables.append(HalfspaceSpace(len(pts[0])).dichotomies(instances))
     for table in tables:
         assert len(table) == len(sweep)
@@ -510,6 +496,59 @@ def kernel_systems(draw):
         rows.append((0 if closed else draw(ENTRIES), tuple(coeffs),
                      draw(st.booleans()) if strict is None else strict))
     return rows
+
+
+def fraction_rank(rows) -> int:
+    """The rank of ``rows`` by Fraction elimination."""
+    rows = [[F(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            f = r[col] / pivot[col]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_rows(draw):
+    """1-5 integer rows of 1-6 entries: random; or one row replaced by an
+    integer combination of the others (a zero row when it is alone); or
+    rows of full rank, in shuffled order, whose first entry is 0."""
+    n, width = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["random", "dependent", "zero-first"]))
+    if shape == "zero-first":
+        n = min(n, width - 1)
+        assume(n >= 1)
+        rows = [[0] * (i + 1) + [draw(st.integers(1, 9) | st.integers(-9, -1))]
+                + draw(st.lists(ENTRIES, min_size=width - i - 2,
+                                max_size=width - i - 2)) for i in range(n)]
+        return draw(st.permutations(rows))
+    rows = [draw(st.lists(ENTRIES, min_size=width, max_size=width))
+            for _ in range(n)]
+    if shape == "dependent":
+        i = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rows[i] = [sum(c * row[j] for k, (c, row) in enumerate(zip(
+            coeffs, rows)) if k != i) for j in range(width)]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rows(), st.integers(0, 1))
+def test_independence_matches_a_fraction_rank(rows, first):
+    """``_independent`` (rows read from entry ``first`` on) is a full
+    Fraction rank, for any number of rows and columns: a column with no
+    pivot is skipped, not taken as dependence, and a last row left without
+    a pivot is dependence."""
+    assume(first < len(rows[0]))
+    assert vclab.spaces._independent(tuple(map(tuple, rows)), first) == (
+        fraction_rank([row[first:] for row in rows]) == len(rows))
 
 
 @settings(max_examples=100, deadline=None)
@@ -614,9 +653,9 @@ def _not_independent(monkeypatch):
 
 
 class TestCoverRule:
-    """A table of at least dim + 1 points in general position takes
-    Cover's count as its length and is decided when first read; any other
-    table is decided when it is built.  A grown table's count above
+    """A table of points in general position takes Cover's count as its
+    length, and of more than dim + 1 of them is grown when first read; any
+    other table is grown when it is built.  A grown table's count above
     Cover's, or off it in general position, raises."""
 
     GENERAL = [Instance.point(*p) for p in
@@ -702,6 +741,20 @@ class TestCoverRule:
         _not_independent(monkeypatch)
         assert self.growth(tmp_path, pool, 7) == 44 and fm_calls
 
+    def test_a_rule_claiming_every_labeling_reaches_known_vc(
+            self, monkeypatch, tmp_path):
+        """If Cover's count were all 2^n labelings, the 4 points of the
+        plane, in general position, would be taken as shattered.  Reading
+        their witnesses grows their tree, whose count of 14 is checked
+        against Cover's, so the run stops there, before ``vc_dimension``
+        would report d=4 above the family's VC dimension 3."""
+        monkeypatch.setattr(vclab.spaces, "math", SimpleNamespace(
+            gcd=math.gcd, comb=lambda n, i: 2 ** n if i == 0 else 0))
+        (tmp_path / "space.json").write_text(HALFSPACE_2D)
+        with pytest.raises(AssertionError, match="14 labelings, Cover's 16"):
+            main(["vcdim", "--space", str(tmp_path / "space.json"),
+                  "--pool", "0,0;1,0;0,1;1,1", "--out", str(tmp_path)])
+
     @pytest.mark.parametrize("m, value", [(7, 40), (9, 58)])
     def test_growth_on_a_grid_pool(self, tmp_path, m, value):
         """No 7 points of the grid {0, 1, 2}^2 are in general position, so
@@ -712,9 +765,9 @@ class TestCoverRule:
 
 
 class TestComplementClosure:
-    """A table of more than dim + 2 points, or of points whose affine
-    kernel has dimension 2 or more, grows its labelings whose first bit is
-    0 point by point: one FM call per realized first-bit-0 prefix of its
+    """A table of more than dim + 1 points, or of points not in general
+    position, grows its labelings whose first bit is 0 point by point: one
+    FM call per realized first-bit-0 prefix of its
     first n - 1 points, and one for each other witness when it is read."""
 
     COORDS = [(0, 0), (3, 1), (1, 4), (2, 2), (5, 5)]
@@ -741,8 +794,8 @@ class TestComplementClosure:
             assert len(fm_calls) == calls
 
     def test_a_kernel_of_dimension_2_grows_a_prefix_tree(self, fm_calls):
-        """Four collinear points in the plane are at most dim + 2 points,
-        but their affine kernel has dimension 2.  The first j of them have
+        """Four collinear points of the plane are not in general position.
+        The first j of them have
         j labelings whose first bit is 0, so the tree makes 1 + 2 + 3 FM
         calls where a sweep makes 2^3."""
         pts = [Instance.point(i, 2 * i + 1) for i in range(4)]
@@ -902,9 +955,9 @@ class TestComplementClosure:
 
 
 def _check_rule_raises(tmp_path, match):
-    """The rule's table of 3 points of the plane makes no FM call until
-    (1, 1, 1) is read, and ``vcdim`` reads every witness of the 3 points it
-    finds shattered."""
+    """The table of 3 points of the plane in general position makes no FM
+    call until (1, 1, 1) is read, and ``vcdim`` reads every witness of the
+    3 points it finds shattered."""
     pts = TestComplementClosure.PTS[:3]
     table = HalfspaceSpace(2).dichotomies(pts)
     assert len(table) == 8
@@ -917,49 +970,65 @@ def _check_rule_raises(tmp_path, match):
 
 
 class TestAffineDependenceRule:
-    """At most dim + 2 points whose affine kernel has dimension at most 1
-    are decided by the signs of a kernel vector, with no FM call until a
-    witness is read."""
+    """At most k rows in k variables with no linear dependence among their
+    coefficients c (halfspace rows of at most dim + 1 points in general
+    position) realize all 2^n labelings, as v -> (const_i + c_i . v)_i maps
+    onto Q^n: ``len``, ``in`` and iteration make no FM call, and each
+    witness read makes one, on the labeling's full system."""
 
-    PTS = TestComplementClosure.PTS[:4]
+    PTS = TestComplementClosure.PTS[:3]
+    # u <= a*x + b*y + c, rows (-u, (x, y, 1)) with constants, so Sauer's
+    # bound: the three points' rows (x, y, 1) are independent.
+    ATOM = parse_formula("u <= a*x + b*y + c", ["u", "x", "y"],
+                         ["a", "b", "c"])
+    ATOM_PTS = [Instance.point(*p) for p in [(1, 0, 0), (-2, 3, 1),
+                                               (F(1, 2), 1, 4)]]
 
     def test_count_len_and_in_make_no_fm_call(self, fm_calls):
-        space = HalfspaceSpace(2)
-        for n in range(1, len(self.PTS) + 1):
-            sweep = [lab for lab, _ in sweep_table(self.PTS[:n])]
-            fm_calls.clear()
-            assert space.dichotomy_count(self.PTS[:n]) == len(sweep)
-            table = space.dichotomies(self.PTS[:n])
-            assert len(table) == len(sweep)
-            assert [lab for lab in product((0, 1), repeat=n)
-                    if lab in table] == list(table) == sweep
-            assert fm_calls == []
+        halfspaces = HalfspaceSpace(2)
+        atoms = DefinableSpace(self.ATOM, SampledParams())
+        for space, pts in ((halfspaces, self.PTS), (atoms, self.ATOM_PTS)):
+            for n in range(1, len(pts) + 1):
+                fm_calls.clear()
+                assert space.dichotomy_count(pts[:n]) == 2 ** n
+                table = space.dichotomies(pts[:n])
+                assert len(table) == 2 ** n
+                assert [lab for lab in product((0, 1), repeat=n)
+                        if lab in table] == list(table) == \
+                    list(product((0, 1), repeat=n))
+                assert fm_calls == []
+        assert list(halfspaces.dichotomies(self.PTS)) == \
+            [lab for lab, _ in sweep_table(self.PTS)]
+        assert list(atoms.dichotomies(self.ATOM_PTS)) == \
+            [lab for lab, _ in sweep_dichotomies(
+                [(-x.coords[0], (*x.coords[1:], 1)) for x in self.ATOM_PTS])]
 
     @pytest.mark.parametrize("coords", [
-        [(0,), (1,), (3,)],
-        [(0, 0), (3, 1), (1, 4), (2, 2)],
-        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
-        [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 0)]])
+        [(0,), (1,)],
+        [(0, 0), (3, 1), (1, 4)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(0, 0, 0), (1, 1, 1), (0, 1, 0)]])
     def test_a_witness_read_solves_one_system(self, fm_calls, coords):
+        """Every witness is the sweep's, each read solving one system and
+        a second read none."""
         pts = [Instance.point(*p) for p in coords]
         space = HalfspaceSpace(len(coords[0]))
         sweep = sweep_table(coords)
+        assert len(sweep) == 2 ** len(pts)
         fm_calls.clear()
         assert space.dichotomy_count(pts) == len(sweep)
         table = space.dichotomies(pts)
         assert fm_calls == []
-        lab, params = sweep[len(sweep) // 2]
-        h = table[lab]
-        assert h.key == ("halfspace", *params) and len(fm_calls) == 1
-        assert table[lab] is h and len(fm_calls) == 1
-        missing = next(lab for lab in product((0, 1), repeat=len(pts))
-                       if lab not in table)
+        for calls, (lab, params) in enumerate(sweep, 1):
+            h = table[lab]
+            assert h.key == ("halfspace", *params) and len(fm_calls) == calls
+            assert table[lab] is h and len(fm_calls) == calls
         with pytest.raises(KeyError):
-            table[missing]
-        assert len(fm_calls) == 1
+            table[(0,) * (len(pts) + 1)]
+        assert len(fm_calls) == len(sweep)
 
     def test_in_rejects_what_is_not_a_labeling(self):
-        for pts in (self.PTS[:3], TestComplementClosure.PTS):
+        for pts in (self.PTS, TestComplementClosure.PTS):
             table = HalfspaceSpace(2).dichotomies(pts)
             n = len(pts)
             assert (0,) * n in table
@@ -973,130 +1042,10 @@ class TestAffineDependenceRule:
         _check_rule_raises(tmp_path, "failed verification")
 
     def test_infeasible_rule_labeling_raises(self, monkeypatch, tmp_path):
-        """An FM None on a labeling the rule calls realized is a bug."""
+        """An FM None on a labeling of n <= k independent rows is a bug."""
         TestComplementClosure.patch_first_bit_1(monkeypatch, lambda w: None)
-        _check_rule_raises(tmp_path, "realized by its points' affine "
-                                     "dependence but is infeasible")
-
-
-def _patch_dependence(monkeypatch, change):
-    """Route every result of ``_affine_dependence`` through ``change``."""
-    dependence = vclab.spaces._affine_dependence
-
-    def patched(rows):
-        found = dependence(rows)
-        return found and change(*found)
-    monkeypatch.setattr(vclab.spaces, "_affine_dependence", patched)
-
-
-# Three collinear points and one off their line: not in general position,
-# so every table of all four is decided when it is built.
-COLLINEAR_TRIPLE = "0,0;1,0;2,0;0,1"
-
-
-def _vcdim_raises(tmp_path, match, pool=COLLINEAR_TRIPLE):
-    (tmp_path / "space.json").write_text(HALFSPACE_2D)
-    with pytest.raises(AssertionError, match=match):
-        main(["vcdim", "--space", str(tmp_path / "space.json"),
-              "--pool", pool, "--out", str(tmp_path)])
-
-
-class TestRuleChecks:
-    """The kernel vector and the rank certificate are checked in integers
-    against the check rows before the rule is used; a wrong one is a bug,
-    not bad input.  The ``vcdim`` pool has a collinear triple, so its
-    four-point table takes the rule when it is built, not Cover's count."""
-
-    PTS = [Instance.point(*map(int, p.split(",")))
-           for p in COLLINEAR_TRIPLE.split(";")]
-
-    def test_flipped_lambda_sign_raises(self, monkeypatch, tmp_path):
-        def flip(lam, cert, den):
-            if lam is None:
-                return lam, cert, den
-            k = next(i for i, v in enumerate(lam) if v)
-            return [-v if i == k else v for i, v in enumerate(lam)], cert, den
-        _patch_dependence(monkeypatch, flip)
-        with pytest.raises(AssertionError, match="affine dependence failed"):
-            HalfspaceSpace(2).dichotomy_count(self.PTS)
-        _vcdim_raises(tmp_path, "affine dependence failed verification")
-
-    def test_zero_lambda_raises(self, monkeypatch, tmp_path):
-        _patch_dependence(monkeypatch, lambda lam, cert, den: (
-            lam and [0] * len(lam), cert, den))
-        _vcdim_raises(tmp_path, "affine dependence failed verification")
-
-    @pytest.mark.parametrize("change", [
-        lambda lam, cert, den: (lam, [c and [c[0] + 1, *c[1:]]
-                                      for c in cert], den),
-        lambda lam, cert, den: (lam, cert, 2 * den),
-        lambda lam, cert, den: (lam, [[0] * len(c) if c else c
-                                      for c in cert], 0),
-        lambda lam, cert, den: (lam, [None, *cert[1:]], den),
-        lambda lam, cert, den: (None, cert, den),
-    ], ids=["entry", "den", "zero", "dropped", "independence"])
-    def test_corrupted_rank_certificate_raises(self, monkeypatch, tmp_path,
-                                               change):
-        """A vcdim run meets a one-point table first (kernel 0, one
-        certificate vector) and a four-point one last (a kernel vector and
-        three certificate vectors), which a lam of None makes claim a
-        kernel of 0 with one row left without a certificate."""
-        _patch_dependence(monkeypatch, change)
-        _vcdim_raises(tmp_path, "rank certificate failed verification")
-
-    @staticmethod
-    def patch_comb(monkeypatch, comb):
-        """Compute Cover's count 2 * sum_{i<k} C(n - 1, i) with ``comb``."""
-        monkeypatch.setattr(vclab.spaces, "math",
-                            SimpleNamespace(gcd=math.gcd, comb=comb))
-
-    def test_a_rule_claiming_every_labeling_reaches_known_vc(
-            self, monkeypatch, tmp_path):
-        """If Cover's count were all 2^n labelings, the 4 points of the
-        plane, in general position, would be taken as shattered.  Reading
-        their witnesses takes the affine dependence rule, whose count of
-        14 is checked against Cover's like a grown table's, so the run
-        stops there, before ``vc_dimension`` would report d=4 above the
-        family's VC dimension 3."""
-        self.patch_comb(monkeypatch, lambda n, i: 2 ** n if i == 0 else 0)
-        _vcdim_raises(tmp_path, "14 labelings, Cover's 16",
-                      pool="0,0;1,0;0,1;1,1")
-
-    # The closed rows of (0, 0), (1, 0) and (0, 1): affinely independent,
-    # so the rule decides them, all 8 labelings realized; and of three
-    # points on a line, with 6.
-    CORNER_ENTRIES = [vclab.spaces._affine_entry(0, (x, y, 1), False)
-                      for x, y in ((0, 0), (1, 0), (0, 1))]
-    LINE_ENTRIES = [vclab.spaces._affine_entry(0, (x, 0, 1), False)
-                    for x in range(3)]
-
-    def test_a_rule_count_above_the_bound_raises(self, monkeypatch):
-        """With Cover's count computed 2 short, at 6, the corner points'
-        8 labelings raise at the first ``in`` in general position, and
-        when the table is built otherwise."""
-        assert len(AffineWitnesses(self.CORNER_ENTRIES)) == 8
-        self.patch_comb(monkeypatch,
-                        lambda n, i, comb=math.comb: comb(n, i) - (i == 0))
-        table = AffineWitnesses(self.CORNER_ENTRIES)
-        assert len(table) == 6
-        with pytest.raises(AssertionError, match="8 labelings, Cover's 6"):
-            (0, 0, 0) in table
-        _not_independent(monkeypatch)
-        with pytest.raises(AssertionError, match="8 labelings, Cover's 6"):
-            AffineWitnesses(self.CORNER_ENTRIES)
-
-    def test_a_rule_count_off_a_general_bound_raises(self, monkeypatch):
-        """Rows taken to be in general position have Cover's count as
-        their length until the table is decided, and the rule's count must
-        then equal it."""
-        assert len(AffineWitnesses(self.LINE_ENTRIES)) == 6
-        monkeypatch.setattr(vclab.spaces, "_independent",
-                            lambda rows, first: True)
-        table = AffineWitnesses(self.LINE_ENTRIES)
-        assert len(table) == 8
-        for decide in (list, lambda t: (0, 0, 0) in t):
-            with pytest.raises(AssertionError, match="6 labelings, Cover's 8"):
-                decide(table)
+        _check_rule_raises(tmp_path, "realized by n <= k independent rows "
+                                     "but is infeasible")
 
 
 def brute_line_tables(values):
